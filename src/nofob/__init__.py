@@ -14,11 +14,8 @@ from .core import (
     IterRecord,
     NofobProblem,
     Trajectory,
-    mu_explicit,
-    nofob_conservative_iterate,
     nofob_iterate,
     psi_value,
-    run,
     run_loop,
     theta_schedule,
 )
@@ -41,18 +38,15 @@ from .fourop import (
     conservative_iterate,
     epsbar_delta,
     fbs_relaxed_iterate,
+    fbs_view,
     four_op_fb,
-    four_op_iterate,
     gamma_bound_conservative,
     gamma_bound_long,
-    gamma_iterate,
     kernel_lipschitz,
 )
 from .linalg import (
     ContractViolation,
-    Halfspace,
     SpdMetric,
-    project_halfspace,
     weighted_inner,
     weighted_norm,
 )
@@ -79,7 +73,7 @@ from .projective import (
     PsProblem,
     moreau_dual_resolvent,
     ps_explicit_iterate,
-    ps_resolvent_iterate,
+    resolvent_view,
     stack_primal_dual,
 )
 from .rng import Lcg64

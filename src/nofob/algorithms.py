@@ -1,70 +1,61 @@
 """Named algorithm runners over registered problem instances.
 
-Every runner drives one per-iteration step through the shared loop and
-returns the trajectory together with the metric, the oracle, and the
-constants the diagnostic checkers need.  Names:
+Every runner is a row of ROWS: a kernel view, a step length, a
+relaxation and the contract checks, fed to the one corrected step
+core.nofob_iterate through the shared loop.  A run returns the
+trajectory together with the metric, the oracle, and the view the
+diagnostic checkers audit.  Names:
 
-  fbf, fbhf          conservative short step (fbf requires E = 0)
+  fbf, fbhf          conservative short step: mu_hat = gamma, unit
+                     relaxation (fbf requires E = 0)
   fbf-long, fbhf-long    explicit long projection step
   afba, afba-fixed   constant asymmetric kernel Q = P + G on the
                      stacked saddle problem; -fixed uses unit
-                     step-through after the semidefiniteness check
-  fbs, fbs-relaxed   (relaxed) forward-backward; plain fbs treats the
-                     whole forward part as if it were cocoercive, which
-                     is exactly what fails on the rotation witness
-  four-op            generic corrected step with the instance's natural
-                     kernel: nonlinear when the problem carries one,
+                     step-through (mu_hat = 1, theta = 1) after the
+                     semidefiniteness check
+  fbs, fbs-relaxed   (relaxed) forward-backward: the kernel gamma^{-1} I
+                     with D, K and E all forward, mu_hat = gamma and
+                     relaxation theta c, c = 1 - beta_E gamma / 4, which
+                     is x_next = (1 - theta c) x + theta c x_hat; plain
+                     fbs (theta = 1/c) treats the whole forward part as if
+                     it were cocoercive, which is exactly what fails on
+                     the rotation witness
+  four-op            explicit step with the instance's natural kernel:
+                     nonlinear when the problem carries one,
                      block-diagonal on stacked saddle problems, scalar
                      otherwise
-  ps-explicit, ps-resolvent   synchronous projective splitting
+  ps-explicit, ps-resolvent   synchronous projective splitting; the
+                     resolvent form is the explicit step on the
+                     block-diagonal view, the explicit form runs the
+                     hand-written transcription
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    IterRecord,
-    NofobProblem,
-    Trajectory,
-    nofob_iterate,
-    run_loop,
-    theta_schedule,
-)
+from .core import NofobProblem, Trajectory, nofob_iterate, run_loop, theta_schedule
 from .fourop import (
     AffinePlusSkew,
     BlockDiag,
     ScalarStep,
+    StepParameterWarning,
     afba_fixed_step_check,
     as_nofob,
-    conservative_iterate,
-    gamma_iterate,
+    fbs_view,
     gamma_bound_conservative,
     gamma_bound_long,
 )
-from .linalg import ContractViolation, SpdMetric, weighted_norm
+from .linalg import ContractViolation, SpdMetric
 from .operators import SkewMap
 from .problems import ProblemInstance
-from .projective import PdPoint, ps_explicit_iterate, ps_resolvent_iterate
+from .projective import PdPoint, PsProblem, ps_explicit_iterate, resolvent_view
 
 __all__ = ["RunOutput", "ALGORITHMS", "run_algorithm", "make_cp_spec"]
-
-ALGORITHMS = (
-    "fbf",
-    "fbhf",
-    "fbf-long",
-    "fbhf-long",
-    "afba",
-    "afba-fixed",
-    "fbs",
-    "fbs-relaxed",
-    "four-op",
-    "ps-explicit",
-    "ps-resolvent",
-)
 
 
 @dataclass(frozen=True)
@@ -97,14 +88,19 @@ def make_cp_spec(l_matrix: np.ndarray, dims: tuple, tau1: float,
     return AffinePlusSkew(p=SpdMetric(sym), g=SkewMap(skew), dims=(m, n))
 
 
-def _default_gamma(inst: ProblemInstance, kind: str) -> float:
+def _gamma_bound(inst: ProblemInstance, kind: str) -> float:
     c = inst.constants
     if kind == "long":
-        bound = gamma_bound_long(c["beta_e"], c["l_d"], 0.0)
-    elif kind == "fbs":
-        bound = np.inf if c["beta_e"] == 0.0 else 2.0 / c["beta_e"]
-    else:
-        bound = gamma_bound_conservative(c["beta_e"], c["l_d"], c["k_norm"], 0.0)
+        return gamma_bound_long(c["beta_e"], c["l_d"], 0.0)
+    if kind == "fbs":
+        return np.inf if c["beta_e"] == 0.0 else 2.0 / c["beta_e"]
+    return gamma_bound_conservative(c["beta_e"], c["l_d"], c["k_norm"], 0.0)
+
+
+def _gamma(inst: ProblemInstance, kind: str, gamma) -> float:
+    if gamma is not None:
+        return float(gamma)
+    bound = _gamma_bound(inst, kind)
     return 1.0 if not np.isfinite(bound) else 0.9 * bound
 
 
@@ -119,106 +115,97 @@ def _saddle_taus(inst: ProblemInstance, tau) -> tuple:
     return 1.0, 0.9 / max(l_norm, 1e-12) ** 2
 
 
-def _saddle_dims(inst: ProblemInstance) -> tuple:
-    return int(inst.extras["dual_dim"][0]), int(inst.extras["primal_dim"][0])
+# ---------------------------------------------------------------------------
+# kernels: (name, instance, gamma, tau, S) -> Kernel
 
 
-def run_algorithm(
-    name: str,
-    inst: ProblemInstance,
-    gamma: Optional[float] = None,
-    tau=None,
-    theta: Optional[float] = None,
-    eps: float = 1e-3,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    s_metric: Optional[SpdMetric] = None,
-    x0: Optional[np.ndarray] = None,
-) -> RunOutput:
-    if name not in ALGORITHMS:
-        raise KeyError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
-    x0 = inst.x0 if x0 is None else np.asarray(x0, dtype=float)
-    s = s_metric if s_metric is not None else SpdMetric.identity(inst.bundle.dim)
-    th = 1.0 if theta is None else float(theta)
-    bundle = inst.bundle
-    view: Optional[NofobProblem] = None
+@dataclass(frozen=True)
+class Kernel:
+    """The kernel view a row builds for one run."""
 
-    if name in ("fbf", "fbhf"):
-        if name == "fbf" and bundle.e.inverse_cocoercivity != 0.0:
-            raise ContractViolation("fbf requires a problem with E = 0; use fbhf")
-        g = _default_gamma(inst, "cons") if gamma is None else float(gamma)
-        view = as_nofob(bundle, ScalarStep(g), s)
-        step = lambda k, x: conservative_iterate(bundle, g, k, x)
-        traj = run_loop(step, x0, tol, max_iter)
-        return RunOutput(inst, name, traj, s, inst.oracle, view, gamma=g, theta=None)
+    view: NofobProblem  # the step runs on it
+    audit: Optional[NofobProblem]  # the audits get it
+    gamma: Optional[float] = None  # the scalar step size, reported
+    c: float = 1.0  # fbs: 1 - beta_E gamma / 4, a factor of the relaxation
+    ps: Optional[PsProblem] = None  # ps-explicit: the problem it steps
 
-    if name in ("fbf-long", "fbhf-long"):
-        if name == "fbf-long" and bundle.e.inverse_cocoercivity != 0.0:
-            raise ContractViolation("fbf-long requires E = 0; use fbhf-long")
-        g = _default_gamma(inst, "long") if gamma is None else float(gamma)
-        view = as_nofob(bundle, ScalarStep(g), s)
-        sched = theta_schedule([th])
-        # gamma_iterate forms Mx - Mx_hat without evaluating the kernel at
-        # the two points separately, which keeps mu exact at small residuals
-        step = lambda k, x: gamma_iterate(bundle, g, k, x, sched(k), s)
-        traj = run_loop(step, x0, tol, max_iter)
-        return RunOutput(inst, name, traj, s, inst.oracle, view, gamma=g, theta=th)
 
-    if name in ("afba", "afba-fixed"):
+def _scalar(kind: str, e_free: bool):
+    """gamma^{-1} I - D - K; the conservative rows warn beyond their bound.
+
+    The long rows need no warning: past the long-step bound the view
+    itself is rejected, as beta or 1/gamma - L_D leaves its range.
+    """
+
+    def kernel(name, inst, gamma, tau, s):
+        if e_free and inst.bundle.e.inverse_cocoercivity != 0.0:
+            raise ContractViolation(f"{name} requires a problem with E = 0")
+        g = _gamma(inst, kind, gamma)
+        if kind == "conservative" and g > _gamma_bound(inst, kind) + 1e-15:
+            warnings.warn(
+                "gamma exceeds the sufficient conservative bound; proceeding",
+                StepParameterWarning, stacklevel=3,
+            )
+        view = as_nofob(inst.bundle, ScalarStep(g), s)
+        return Kernel(view, view, gamma=g)
+
+    return kernel
+
+
+def _saddle(fixed: bool):
+    """The asymmetric kernel Q = P + G; `fixed` shrinks it until unit
+    step-through passes the semidefiniteness check."""
+
+    def kernel(name, inst, gamma, tau, s):
         if "l_matrix" not in inst.extras:
             raise ContractViolation(f"{name} needs a stacked saddle problem")
-        dims = _saddle_dims(inst)
+        l_mat = inst.extras["l_matrix"]
+        dims = int(inst.extras["dual_dim"][0]), int(inst.extras["primal_dim"][0])
         t1, t2 = _saddle_taus(inst, tau)
-        spec = make_cp_spec(inst.extras["l_matrix"], dims, t1, t2)
-        if name == "afba-fixed":
+        spec = make_cp_spec(l_mat, dims, t1, t2)
+        if fixed:
             for _ in range(40):
-                if afba_fixed_step_check(spec.p, spec.q_matrix, bundle.k, s,
+                if afba_fixed_step_check(spec.p, spec.q_matrix, inst.bundle.k, s,
                                          0.0, 0.05):
                     break
                 # shrink the whole kernel: tau1 down, primal weight 1/tau2 down
                 t1, t2 = 0.5 * t1, 2.0 * t2
-                spec = make_cp_spec(inst.extras["l_matrix"], dims, t1, t2)
+                spec = make_cp_spec(l_mat, dims, t1, t2)
             else:
                 raise ContractViolation("no step size passed the fixed-step check")
-        view = as_nofob(bundle, spec, s)
-        if name == "afba":
-            sched = theta_schedule([th])
-            step = lambda k, x: nofob_iterate(view, k, x, sched(k))
-        else:
-            step = lambda k, x: _fixed_step(view, k, x)
-        traj = run_loop(step, x0, tol, max_iter)
-        return RunOutput(inst, name, traj, s, inst.oracle, view, theta=th)
+        view = as_nofob(inst.bundle, spec, s)
+        return Kernel(view, view)
 
-    if name in ("fbs", "fbs-relaxed"):
-        g = _default_gamma(inst, "fbs") if gamma is None else float(gamma)
-        be = bundle.e.inverse_cocoercivity
-        c = 1.0 - 0.25 * be * g
-        if c <= 0:
-            raise ContractViolation("gamma at or beyond 4/beta_E")
-        th_eff = 1.0 / c if name == "fbs" else th
-        step = lambda k, x: _fbs_record(bundle, g, th_eff, c, s, k, x)
-        traj = run_loop(step, x0, tol, max_iter)
-        if (bundle.d.lipschitz_constant == 0.0 and bundle.k.operator_norm == 0.0):
-            view = as_nofob(bundle, ScalarStep(g), s)
-        return RunOutput(inst, name, traj, s, inst.oracle, view,
-                         gamma=g, theta=th_eff)
+    return kernel
 
-    if name == "four-op":
-        if inst.nonlinear_spec is not None:
-            spec = inst.nonlinear_spec
-        elif inst.ps_view is not None:
-            t1, t2 = _saddle_taus(inst, tau)
-            spec = BlockDiag([t1, 1.0 / t2])
-        else:
-            g = _default_gamma(inst, "cons") if gamma is None else float(gamma)
-            spec = ScalarStep(g)
-        view = as_nofob(bundle, spec, s)
-        sched = theta_schedule([th])
-        step = lambda k, x: nofob_iterate(view, k, x, sched(k))
-        traj = run_loop(step, x0, tol, max_iter)
-        return RunOutput(inst, name, traj, s, inst.oracle, view, theta=th)
 
-    # projective splitting
+def _fbs(name, inst, gamma, tau, s):
+    """The audits get the gamma^{-1} I - D - K view, the same kernel, when
+    D = K = 0; otherwise the step has no separation to audit."""
+    bundle = inst.bundle
+    g = _gamma(inst, "fbs", gamma)
+    c = 1.0 - 0.25 * bundle.e.inverse_cocoercivity * g
+    if c <= 0:
+        raise ContractViolation("gamma at or beyond 4/beta_E")
+    audit = None
+    if bundle.d.lipschitz_constant == 0.0 and bundle.k.operator_norm == 0.0:
+        audit = as_nofob(bundle, ScalarStep(g), s)
+    return Kernel(fbs_view(bundle, g, s), audit, gamma=g, c=c)
+
+
+def _natural(name, inst, gamma, tau, s):
+    if inst.nonlinear_spec is not None:
+        spec = inst.nonlinear_spec
+    elif inst.ps_view is not None:
+        t1, t2 = _saddle_taus(inst, tau)
+        spec = BlockDiag([t1, 1.0 / t2])
+    else:
+        spec = ScalarStep(_gamma(inst, "conservative", gamma))
+    view = as_nofob(inst.bundle, spec, s)
+    return Kernel(view, view)
+
+
+def _projective(name, inst, gamma, tau, s):
     ps = inst.ps_view
     if ps is None:
         raise ContractViolation(f"{name} needs a problem with a projective view")
@@ -228,70 +215,90 @@ def run_algorithm(
             t = t * ps.n
         if len(t) != ps.n:
             raise ContractViolation(f"{name} needs {ps.n} step sizes")
-        ps = type(ps)(ps.a_ops, ps.l_maps, t, ps.primal_dim)
-    it = ps_explicit_iterate if name == "ps-explicit" else ps_resolvent_iterate
+        ps = PsProblem(ps.a_ops, ps.l_maps, t, ps.primal_dim)
+    view = resolvent_view(ps, s)
+    return Kernel(view, view, ps=ps)
+
+
+# ---------------------------------------------------------------------------
+# steps: (kernel, theta, mu_hat) -> step(k, x)
+
+
+def _corrected(ker: Kernel, theta: float, mu_hat: Optional[float]):
+    view = ker.view
+    return lambda k, x: nofob_iterate(view, k, x, theta, mu_hat)
+
+
+def _explicit_ps(ker: Kernel, theta: float, mu_hat: Optional[float]):
+    ps = ker.ps
 
     def step(k, x):
-        p = PdPoint.from_vector(x, ps.dual_dims, ps.primal_dim)
-        _, rec = it(ps, k, p, th)
+        _, rec = ps_explicit_iterate(
+            ps, k, PdPoint.from_vector(x, ps.dual_dims, ps.primal_dim), theta)
         return rec
 
-    weights_lo = min(ps.q_weights_at(0))
-    weights_hi = max(ps.q_weights_at(0))
-    block, kmap = ps.stacked()
-
-    def ps_kernel(k, x):
-        qx = np.concatenate(
-            [w * xb for w, xb in zip(ps.q_weights_at(k), block.split(x))]
-        )
-        return qx - kmap(x)
-
-    view = NofobProblem(
-        fb_oracle=lambda k, x: block.block_resolve(
-            ps.q_weights_at(k), ps_kernel(k, x)
-        ),
-        kernel_eval=ps_kernel,
-        p_metric=SpdMetric.scaled_identity(weights_lo, ps.total_dim),
-        s_metric=SpdMetric.identity(ps.total_dim),
-        beta=0.0,
-        kernel_lipschitz=weights_hi + kmap.operator_norm,
-    )
-    z = inst.ps_oracle.to_vector() if inst.ps_oracle is not None else inst.oracle
-    start = x0 if x0.shape[0] == ps.total_dim else z * 0.0
-    traj = run_loop(step, start, tol, max_iter)
-    return RunOutput(inst, name, traj, SpdMetric.identity(ps.total_dim), z,
-                     view, theta=th)
+    return step
 
 
-def _fixed_step(view: NofobProblem, k: int, x: np.ndarray) -> IterRecord:
-    """Unit step-through: x_next = x - S^{-1}(Mx - M x_hat)."""
-    rec = nofob_iterate(view, k, x, 1.0)
-    if rec.mu == 0.0:
-        return rec
-    m = view.kernel_eval(k, rec.x) - view.kernel_eval(k, rec.x_hat)
-    x_next = x - view.s_metric.solve(m)
-    return IterRecord(
-        k=k, x=rec.x, x_hat=rec.x_hat, x_next=x_next, mu=rec.mu,
-        theta=1.0 / rec.mu, residual_s=rec.residual_s, psi_at_x=rec.psi_at_x,
-        normal_inv_norm=rec.normal_inv_norm,
-    )
+# step lengths: Kernel -> mu_hat, None for the explicit mu
+_EXPLICIT = lambda ker: None
+_GAMMA = lambda ker: ker.gamma
+_UNIT_STEP = lambda ker: 1.0
+
+# relaxations: (theta given, c) -> theta reported; the step applies theta * c
+_CLAMPED = lambda th, c: theta_schedule([th])(0)
+_GIVEN = lambda th, c: th
+_UNIT = lambda th, c: 1.0
 
 
-def _fbs_record(bundle, gamma, theta, c, s, k, x) -> IterRecord:
-    """(Relaxed) forward-backward step with the whole forward part explicit."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(
-        bundle.b.evaluator(gamma, x - gamma * bundle.forward(x)), dtype=float
-    )
-    residual = weighted_norm(s, x - x_hat)
-    x_next = (1.0 - theta * c) * x + theta * c * x_hat
-    mu = gamma * c
-    diff = x - x_hat
-    num = float(diff @ diff) / gamma - 0.25 * bundle.e.inverse_cocoercivity * float(
-        diff @ diff
-    )
-    return IterRecord(
-        k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=theta,
-        residual_s=residual, psi_at_x=num,
-        normal_inv_norm=float(np.linalg.norm(diff)) / gamma,
-    )
+@dataclass(frozen=True)
+class Row:
+    kernel: Callable
+    mu_hat: Callable
+    relax: Callable
+    identity_s: bool = False  # the step is taken in S = I; no other S is accepted
+    step: Callable = _corrected
+
+
+ROWS = {
+    "fbf": Row(_scalar("conservative", e_free=True), _GAMMA, _UNIT, identity_s=True),
+    "fbhf": Row(_scalar("conservative", e_free=False), _GAMMA, _UNIT, identity_s=True),
+    "fbf-long": Row(_scalar("long", e_free=True), _EXPLICIT, _CLAMPED),
+    "fbhf-long": Row(_scalar("long", e_free=False), _EXPLICIT, _CLAMPED),
+    "afba": Row(_saddle(fixed=False), _EXPLICIT, _CLAMPED),
+    "afba-fixed": Row(_saddle(fixed=True), _UNIT_STEP, _UNIT),
+    "fbs": Row(_fbs, _GAMMA, lambda th, c: 1.0 / c, identity_s=True),
+    "fbs-relaxed": Row(_fbs, _GAMMA, _GIVEN, identity_s=True),
+    "four-op": Row(_natural, _EXPLICIT, _CLAMPED),
+    "ps-explicit": Row(_projective, _EXPLICIT, _GIVEN, identity_s=True, step=_explicit_ps),
+    "ps-resolvent": Row(_projective, _EXPLICIT, _GIVEN),
+}
+
+ALGORITHMS = tuple(ROWS)
+
+
+def run_algorithm(
+    name: str,
+    inst: ProblemInstance,
+    gamma: Optional[float] = None,
+    tau=None,
+    theta: Optional[float] = None,
+    tol: float = 1e-8,
+    max_iter: int = 1000,
+    s_metric: Optional[SpdMetric] = None,
+    x0: Optional[np.ndarray] = None,
+) -> RunOutput:
+    row = ROWS.get(name)
+    if row is None:
+        raise KeyError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
+    s = s_metric if s_metric is not None else SpdMetric.identity(inst.bundle.dim)
+    # an SPD metric with all eigenvalues 1 is the identity
+    if row.identity_s and not s.lam_min == s.lam_max == 1.0:
+        raise ContractViolation(f"{name} steps in S = I and takes no other metric")
+    ker = row.kernel(name, inst, gamma, tau, s)
+    th = row.relax(1.0 if theta is None else float(theta), ker.c)
+    step = row.step(ker, th * ker.c, row.mu_hat(ker))
+    x0 = inst.x0 if x0 is None else np.asarray(x0, dtype=float)
+    traj = run_loop(step, x0, tol, max_iter)
+    return RunOutput(inst, name, traj, s, inst.oracle, ker.audit,
+                     gamma=ker.gamma, theta=th)

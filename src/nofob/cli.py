@@ -73,7 +73,7 @@ def _run_from_args(args, algorithm: str, gamma: Optional[float]) -> RunOutput:
     inst = get_instance(args.problem, args.seed)
     return run_algorithm(
         algorithm, inst, gamma=gamma, tau=_parse_tau(args.tau),
-        theta=args.theta, eps=args.eps, tol=args.tol, max_iter=args.max_iter,
+        theta=args.theta, tol=args.tol, max_iter=args.max_iter,
     )
 
 
@@ -210,12 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", default=None)
         p.add_argument("--tau", default=None)
         p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--eps", type=float, default=1e-3)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iter", type=int, default=1000)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--csv", default=None)
-        p.add_argument("--report", default=None)
 
     p_solve = sub.add_parser("solve", help="run one algorithm on one problem")
     add_common(p_solve)
@@ -225,6 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_check)
     p_check.add_argument("--corrupt", action="store_true",
                          help="perturb one iterate first (negative control)")
+    p_check.add_argument("--report", default=None,
+                         help="write the check results as JSON to this path")
     p_check.set_defaults(fn=cmd_check, gamma_is_scalar=True)
 
     p_bench = sub.add_parser("bench", help="sweep algorithms and step sizes")

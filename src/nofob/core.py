@@ -1,16 +1,20 @@
-"""Forward-backward steps with nonlinear kernels and projection correction.
+"""The corrected forward-backward step and the loop that drives it.
 
 One iteration: evaluate the forward-backward oracle to get a candidate
 x_hat, build the separating halfspace from the kernel values at x and
 x_hat, then relax-project the current iterate onto it in the metric S.
+Every named algorithm is this step with its own kernel, step length and
+relaxation.
 
-Conventions used throughout: 0/0 = 0 and alpha/0 = +inf for alpha > 0,
-so an exact coincidence x == x_hat yields mu = 0 and a null update.
+One tolerance policy covers coincidence and round-off: a residual at or
+below COINCIDENCE_TOL * (1 + ||x||) is a null step, and so is a failed
+separation at or below NOISE_TOL * (1 + ||x||); a failed separation
+above that raises.  Null steps, and only they, record mu = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -21,17 +25,22 @@ __all__ = [
     "NofobProblem",
     "IterRecord",
     "Trajectory",
-    "mu_explicit",
+    "COINCIDENCE_TOL",
+    "NOISE_TOL",
+    "coincides",
+    "separation_fails",
+    "null_record",
     "psi_value",
     "nofob_iterate",
-    "nofob_conservative_iterate",
     "run_loop",
-    "run",
     "theta_schedule",
 ]
 
 _THETA_MIN = 0.05
 _THETA_MAX = 1.95
+
+COINCIDENCE_TOL = 1e-14
+NOISE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,81 +108,72 @@ def psi_value(prob: NofobProblem, k: int, x, x_hat, z) -> float:
     return float(m @ (z - x_hat)) - 0.25 * prob.beta * gap * gap
 
 
-def mu_explicit(prob: NofobProblem, k: int, x, x_hat) -> float:
-    """Projection step length onto the separating halfspace in the S metric."""
-    m = prob.kernel_difference(k, x, x_hat)
-    diff = x - x_hat
-    pg = weighted_norm(prob.p_metric, diff)
-    num = float(m @ diff) - 0.25 * prob.beta * pg * pg
-    den = float(m @ prob.s_metric.solve(m))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return num / den
+def coincides(residual: float, x_norm: float) -> bool:
+    """Whether x_hat coincides with x, which makes the step null.
+
+    An overflowed norm never coincides: a diverging run keeps moving
+    until the loop sees its non-finite state.
+    """
+    return residual <= COINCIDENCE_TOL * (1.0 + x_norm) < np.inf
 
 
-def _coincides(prob: NofobProblem, x, x_hat) -> bool:
-    xs = weighted_norm(prob.s_metric, x)
-    return weighted_norm(prob.s_metric, x - x_hat) <= 1e-14 * (1.0 + xs)
+def separation_fails(num: float, den: float, residual: float, x_norm: float) -> bool:
+    """Whether the halfspace fails to cut off x, which makes the step null.
 
-
-def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float) -> IterRecord:
-    """One corrected step: oracle, separation, relaxed metric projection."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(prob.fb_oracle(k, x), dtype=float)
-    residual = weighted_norm(prob.s_metric, x - x_hat)
-    if _coincides(prob, x, x_hat):
-        return IterRecord(k, x, x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0)
-    m = prob.kernel_difference(k, x, x_hat)
-    diff = x - x_hat
-    pg = weighted_norm(prob.p_metric, diff)
-    num = float(m @ diff) - 0.25 * prob.beta * pg * pg
-    s_inv_m = prob.s_metric.solve(m)
-    den = float(m @ s_inv_m)
-    if den <= 0.0:
-        raise ContractViolation("kernel difference vanished away from coincidence")
-    mu = num / den
-    if mu <= 0.0:
+    num and den are the separation value at x and the squared dual norm
+    of its normal.  A failure at or below the noise level is round-off;
+    above it the kernel or the oracle breaks its contract, and this
+    raises.  NaN values pass, so the loop reports the non-finite state.
+    """
+    if den <= 0.0 or num / den <= 0.0:
+        if residual <= NOISE_TOL * (1.0 + x_norm) < np.inf:
+            return True
         raise ContractViolation(
             "separation failed: the candidate does not cut off the iterate"
         )
-    x_next = x - theta * mu * s_inv_m
-    return IterRecord(
-        k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=theta,
-        residual_s=residual, psi_at_x=num, normal_inv_norm=float(np.sqrt(den)),
-    )
+    return False
 
 
-def nofob_conservative_iterate(
-    prob: NofobProblem, k: int, x: np.ndarray, theta: float, mu_hat: float
-) -> IterRecord:
-    """Step with a precomputed step length mu_hat instead of the explicit one.
+def null_record(k: int, x, x_hat, theta: float, residual: float,
+                mu_hat: Optional[float] = None) -> IterRecord:
+    """The record of a step that leaves x where it is."""
+    return IterRecord(k, x, x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0, mu_hat)
 
-    x_next = x - theta * mu_hat * S^{-1}(Mx - Mx_hat).  The caller is
-    responsible for supplying a valid lower bound on the projection step;
-    the record stores the explicit mu and the effective relaxation
-    theta * mu_hat / mu so Fejer and step-bound checkers stay exact.
+
+def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
+                  mu_hat: Optional[float] = None) -> IterRecord:
+    """One corrected step: oracle, separation, relaxed metric projection.
+
+    x_next = x - theta * t * S^{-1}(Mx - Mx_hat), where the step length t
+    is the explicit projection length mu, or mu_hat when one is given.  The caller is responsible for mu_hat being a valid lower
+    bound on mu; the record then stores the explicit mu and the
+    effective relaxation theta * mu_hat / mu, so the Fejer and step-bound
+    checkers stay exact.
     """
-    x = np.asarray(x, dtype=float)
-    if mu_hat <= 0:
+    if mu_hat is not None and not mu_hat > 0.0:
         raise ContractViolation("mu_hat must be positive")
-    if not 0.0 < theta < 2.0:
-        raise ContractViolation("theta must lie in (0, 2)")
+    x = np.asarray(x, dtype=float)
     x_hat = np.asarray(prob.fb_oracle(k, x), dtype=float)
-    residual = weighted_norm(prob.s_metric, x - x_hat)
-    if _coincides(prob, x, x_hat):
-        return IterRecord(k, x, x_hat, x.copy(), 0.0, 1.0, residual, 0.0, 0.0, mu_hat)
-    m = prob.kernel_difference(k, x, x_hat)
     diff = x - x_hat
+    residual = weighted_norm(prob.s_metric, diff)
+    x_norm = weighted_norm(prob.s_metric, x)
+    if coincides(residual, x_norm):
+        return null_record(k, x, x_hat, theta, residual, mu_hat)
+    m = prob.kernel_difference(k, x, x_hat)
     pg = weighted_norm(prob.p_metric, diff)
     num = float(m @ diff) - 0.25 * prob.beta * pg * pg
     s_inv_m = prob.s_metric.solve(m)
     den = float(m @ s_inv_m)
-    if den <= 0.0:
-        raise ContractViolation("kernel difference vanished away from coincidence")
+    if separation_fails(num, den, residual, x_norm):
+        return null_record(k, x, x_hat, theta, residual, mu_hat)
     mu = num / den
-    x_next = x - theta * mu_hat * s_inv_m
+    if mu_hat is None:
+        x_next = x - theta * mu * s_inv_m
+    else:
+        x_next = x - theta * mu_hat * s_inv_m
+        theta = theta * mu_hat / mu
     return IterRecord(
-        k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=theta * mu_hat / mu,
+        k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=theta,
         residual_s=residual, psi_at_x=num, normal_inv_norm=float(np.sqrt(den)),
         mu_hat=mu_hat,
     )
@@ -215,15 +215,3 @@ def run_loop(
             break
         x = rec.x_next
     return Trajectory(records, x, "max_iter")
-
-
-def run(
-    prob: NofobProblem,
-    x0: np.ndarray,
-    theta: Callable[[int], float],
-    tol: float,
-    max_iter: int,
-) -> Trajectory:
-    return run_loop(
-        lambda k, x: nofob_iterate(prob, k, x, theta(k)), x0, tol, max_iter
-    )

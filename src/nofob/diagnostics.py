@@ -105,13 +105,15 @@ def check_mu_bounds(traj: Trajectory, beta: float, p: SpdMetric, s: SpdMetric,
     """Step lengths stay within the a priori interval.
 
     mu in [(1 - beta/4) lam_min(P) / (L_M^2 lam_max(S^{-1})),
-           lam_max(S) / lam_min(P)] for every iteration that moved.
+           lam_max(S) / lam_min(P)] for every iteration that moved.  The
+    steps that did not move are the null steps of core's tolerance
+    policy (core.null_record), the only records with mu = 0.
     """
     lo = (1.0 - beta / 4.0) * p.lam_min / (kernel_lipschitz ** 2 / s.lam_min)
     hi = s.lam_max / p.lam_min
     violations = []
     for rec in traj.records:
-        if rec.residual_s <= 1e-14 * (1.0 + float(np.linalg.norm(rec.x))):
+        if rec.mu == 0.0:
             continue
         violations.append(max(lo - rec.mu, rec.mu - hi))
     return _report("mu-bounds", violations, tol)

@@ -10,9 +10,10 @@ solves (Q_k + B)^{-1} for one of four kernel families:
                       two-block Gauss-Seidel sweep
   SeparableNonlinear  Q x = phi(x) coordinatewise, bisection solver
 
-Also provides the direct scalar-step transcriptions (long step and the
-conservative short step covering forward-backward-forward and
-forward-backward-half-forward), the step-size bound formulas, and the
+`as_nofob` views any of them as the kernel of the corrected step in
+core.  Also provides the conservative short step written out by hand
+(forward-backward-forward and forward-backward-half-forward) as a
+cross-check of that step, the step-size bound formulas, and the
 fixed-relaxation positive semidefiniteness check.
 """
 
@@ -24,8 +25,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import IterRecord, NofobProblem, nofob_iterate
-from .linalg import ContractViolation, SpdMetric, weighted_norm
+from .core import IterRecord, NofobProblem, coincides, null_record, separation_fails
+from .linalg import ContractViolation, SpdMetric
 from .operators import (
     BlockProx,
     CocoerciveMap,
@@ -48,8 +49,6 @@ __all__ = [
     "zero_cocoercive",
     "four_op_fb",
     "as_nofob",
-    "four_op_iterate",
-    "gamma_iterate",
     "conservative_iterate",
     "gamma_bound_long",
     "gamma_bound_conservative",
@@ -58,6 +57,7 @@ __all__ = [
     "kernel_lipschitz",
     "afba_fixed_step_check",
     "fbs_relaxed_iterate",
+    "fbs_view",
 ]
 
 
@@ -374,14 +374,8 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     )
 
 
-def four_op_iterate(
-    prob: FourOpProblem, spec: KernelSpec, k: int, x, theta: float, s: SpdMetric
-) -> IterRecord:
-    return nofob_iterate(as_nofob(prob, spec, s), k, x, theta)
-
-
 # ---------------------------------------------------------------------------
-# scalar-step transcriptions (independent of the generic path)
+# conservative short step written out by hand (cross-check transcription)
 
 
 def _scalar_fb(prob: FourOpProblem, gamma: float, x: np.ndarray) -> np.ndarray:
@@ -396,51 +390,16 @@ def _scalar_kernel_diff(prob, gamma, x, x_hat):
     return diff / gamma - (prob.d(x) - prob.d(x_hat)) - prob.k(diff)
 
 
-def gamma_iterate(
-    prob: FourOpProblem, gamma: float, k: int, x, theta: float, s: SpdMetric
-) -> IterRecord:
-    """Long-step scalar-kernel iteration with explicit projection length.
-
-    The separation numerator uses (beta_E / 4) times the plain squared
-    norm, which equals (beta / 4) times the P-weighted one for the
-    scalar kernel's P.
-    """
-    if gamma <= 0:
-        raise ContractViolation("gamma must be positive")
-    limit = gamma_bound_long(prob.e.inverse_cocoercivity,
-                             prob.d.lipschitz_constant, 0.0)
-    if gamma > limit + 1e-15:
-        warnings.warn(
-            "gamma exceeds the sufficient long-step bound; proceeding",
-            StepParameterWarning, stacklevel=2,
-        )
-    x = np.asarray(x, dtype=float)
-    x_hat = _scalar_fb(prob, gamma, x)
-    residual = weighted_norm(s, x - x_hat)
-    if residual <= 1e-14 * (1.0 + weighted_norm(s, x)):
-        return IterRecord(k, x, x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0)
-    diff = x - x_hat
-    m = _scalar_kernel_diff(prob, gamma, x, x_hat)
-    num = float(m @ diff) - 0.25 * prob.e.inverse_cocoercivity * float(diff @ diff)
-    s_inv_m = s.solve(m)
-    den = float(m @ s_inv_m)
-    if den <= 0.0 or num <= 0.0:
-        raise ContractViolation("separation failed in the scalar-kernel step")
-    mu = num / den
-    return IterRecord(
-        k=k, x=x, x_hat=x_hat, x_next=x - theta * mu * s_inv_m, mu=mu,
-        theta=theta, residual_s=residual, psi_at_x=num,
-        normal_inv_norm=float(np.sqrt(den)),
-    )
-
-
 def conservative_iterate(prob: FourOpProblem, gamma: float, k: int, x) -> IterRecord:
     """Short-step variant: x_next = x_hat - gamma ((D+K) x_hat - (D+K) x).
 
-    Identical to the explicit projection with S = I, step length gamma,
-    and unit relaxation, since x - gamma (Mx - M x_hat) telescopes to
-    the formula above.  The record stores the explicit mu and the
-    effective relaxation theta = gamma / mu.
+    Tseng's forward-backward-forward step, and with E != 0 the
+    forward-backward-half-forward step of Briceno-Arias and Davis, as
+    published.  It is the corrected step with S = I, step length gamma
+    and unit relaxation, since x - gamma (Mx - M x_hat) telescopes to the
+    formula above; `fbf` and `fbhf` run that step, and this transcription
+    cross-checks it and computes the instance oracles.  The record
+    stores the explicit mu and the effective relaxation theta = gamma / mu.
     """
     if gamma <= 0:
         raise ContractViolation("gamma must be positive")
@@ -456,16 +415,17 @@ def conservative_iterate(prob: FourOpProblem, gamma: float, k: int, x) -> IterRe
     x = np.asarray(x, dtype=float)
     x_hat = _scalar_fb(prob, gamma, x)
     residual = float(np.linalg.norm(x - x_hat))
-    if residual <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
-        return IterRecord(k, x, x_hat, x.copy(), 0.0, 1.0, residual, 0.0, 0.0, gamma)
+    x_norm = float(np.linalg.norm(x))
+    if coincides(residual, x_norm):
+        return null_record(k, x, x_hat, 1.0, residual, gamma)
     dk_gap = (prob.d(x_hat) + prob.k(x_hat)) - (prob.d(x) + prob.k(x))
     x_next = x_hat - gamma * dk_gap
     diff = x - x_hat
     m = _scalar_kernel_diff(prob, gamma, x, x_hat)
     num = float(m @ diff) - 0.25 * prob.e.inverse_cocoercivity * float(diff @ diff)
     den = float(m @ m)
-    if den <= 0.0 or num <= 0.0:
-        raise ContractViolation("separation failed in the conservative step")
+    if separation_fails(num, den, residual, x_norm):
+        return null_record(k, x, x_hat, 1.0, residual, gamma)
     mu = num / den
     return IterRecord(
         k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=gamma / mu,
@@ -601,3 +561,32 @@ def fbs_relaxed_iterate(
     c = 1.0 - 0.25 * be * gamma
     inner = _metric_resolvent(m_metric, b, gamma, m_metric.apply(x) - gamma * e(x))
     return (1.0 - theta * c) * x + theta * c * inner
+
+
+def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
+    """Forward-backward as a kernel view: M = gamma^{-1} I, D, K, E forward.
+
+    P = gamma^{-1} I and beta = beta_E gamma.  The corrected step on this
+    view with step length mu_hat = gamma and relaxation theta c, where
+    c = 1 - beta_E gamma / 4, is x_next = (1 - theta c) x + theta c x_hat,
+    the update of fbs_relaxed_iterate in the metric I.  The halfspace
+    separates only when D = K = 0; otherwise the whole forward part is
+    treated as if it were cocoercive.
+    """
+    if gamma <= 0:
+        raise ContractViolation("gamma must be positive")
+
+    def fb(k, x):
+        return _scalar_fb(prob, gamma, x)
+
+    def kernel(k, x):
+        return x / gamma
+
+    def kernel_diff(k, x, x_hat):
+        return (x - x_hat) / gamma
+
+    return NofobProblem(
+        fb_oracle=fb, kernel_eval=kernel, kernel_diff=kernel_diff,
+        p_metric=SpdMetric.scaled_identity(1.0 / gamma, prob.dim), s_metric=s,
+        beta=prob.e.inverse_cocoercivity * gamma, kernel_lipschitz=1.0 / gamma,
+    )

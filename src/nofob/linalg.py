@@ -1,14 +1,12 @@
-"""Dense vectors, SPD metrics, weighted norms, and halfspace projection.
+"""SPD metrics and weighted norms.
 
-Everything is finite-dimensional and dense.  An SPD metric caches its
+Everything is finite-dimensional.  A dense SPD metric caches its
 Cholesky factor and extremal eigenvalues at construction, so weighted
 norms and inverse-metric solves inside the iteration loops are cheap
-and deterministic.
+and deterministic; a scaled identity holds only its scalar.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -16,28 +14,14 @@ from scipy.linalg import cho_factor, cho_solve
 __all__ = [
     "ContractViolation",
     "SpdMetric",
-    "Halfspace",
-    "as_point",
     "weighted_inner",
     "weighted_norm",
-    "inv_weighted_norm",
-    "project_halfspace",
     "extremal_eig_bounds",
 ]
 
 
 class ContractViolation(ValueError):
     """Raised when an operation is called outside its contract."""
-
-
-def as_point(x) -> np.ndarray:
-    """Coerce to a finite 1-d float vector."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1 or p.size < 1:
-        raise ContractViolation("points are 1-d vectors of dimension >= 1")
-    if not np.all(np.isfinite(p)):
-        raise ContractViolation("point has non-finite entries")
-    return p
 
 
 def extremal_eig_bounds(w: np.ndarray, tol: float = 1e-12) -> tuple[float, float]:
@@ -61,7 +45,10 @@ class SpdMetric:
 
     Input is symmetrized and rejected unless lambda_min > 1e-12 *
     lambda_max.  `apply` computes W x and `solve` computes W^{-1} v via
-    the cached Cholesky factor.
+    the cached Cholesky factor.  `identity` and `scaled_identity` hold
+    the scalar c of W = c I instead, so building, applying and solving
+    cost O(1), O(n) and O(n); the dense matrix is formed only when
+    `matrix` is read.
     """
 
     def __init__(self, matrix):
@@ -75,28 +62,48 @@ class SpdMetric:
         lam_min, lam_max = extremal_eig_bounds(w)
         if lam_min <= 1e-12 * lam_max or lam_max <= 0.0:
             raise ContractViolation("metric is not positive definite")
-        self.matrix = w
+        self._matrix = w
+        self._scale = None
+        self._dim = w.shape[0]
         self.lam_min = lam_min
         self.lam_max = lam_max
         self._chol = cho_factor(w, lower=True)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self._scale * np.eye(self._dim)
+        return self._matrix
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
+        if self._scale is None:
+            return self._matrix @ x
+        return self._scale * x
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return cho_solve(self._chol, v)
+        if self._scale is None:
+            return cho_solve(self._chol, v)
+        return v / self._scale
 
     @classmethod
     def identity(cls, n: int) -> "SpdMetric":
-        return cls(np.eye(n))
+        return cls.scaled_identity(1.0, n)
 
     @classmethod
     def scaled_identity(cls, c: float, n: int) -> "SpdMetric":
-        return cls(c * np.eye(n))
+        c = float(c)
+        if not c > 0.0:
+            raise ContractViolation("metric is not positive definite")
+        metric = cls.__new__(cls)
+        metric._matrix = None
+        metric._scale = c
+        metric._dim = int(n)
+        metric.lam_min = metric.lam_max = c
+        return metric
 
     @classmethod
     def diagonal(cls, d) -> "SpdMetric":
@@ -104,19 +111,12 @@ class SpdMetric:
 
     def diagonal_entries(self):
         """Diagonal of the metric if it is a diagonal matrix, else None."""
-        off = self.matrix - np.diag(np.diag(self.matrix))
+        if self._scale is not None:
+            return np.full(self._dim, self._scale)
+        off = self._matrix - np.diag(np.diag(self._matrix))
         if np.abs(off).max() <= 1e-14 * max(1.0, self.lam_max):
-            return np.diag(self.matrix).copy()
+            return np.diag(self._matrix).copy()
         return None
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """{z : <normal, z - anchor> <= rhs}."""
-
-    normal: np.ndarray
-    anchor: np.ndarray
-    rhs: float
 
 
 def _check_dims(*vs):
@@ -136,29 +136,4 @@ def weighted_inner(w: SpdMetric, x: np.ndarray, y: np.ndarray) -> float:
 def weighted_norm(w: SpdMetric, x: np.ndarray) -> float:
     """sqrt(<x, W x>)."""
     _check_dims(w, x)
-    return float(np.sqrt(max(weighted_inner(w, x, x), 0.0)))
-
-
-def inv_weighted_norm(w: SpdMetric, v: np.ndarray) -> float:
-    """sqrt(<v, W^{-1} v>) via one symmetric solve."""
-    _check_dims(w, v)
-    return float(np.sqrt(max(float(v @ w.solve(v)), 0.0)))
-
-
-def project_halfspace(s: SpdMetric, h: Halfspace, x: np.ndarray) -> np.ndarray:
-    """||.||_S-projection of x onto the halfspace h.
-
-    Feasible points are returned unchanged.  A zero normal describes
-    the whole space when rhs >= 0 and is rejected otherwise.
-    """
-    _check_dims(s, h.normal, h.anchor, x)
-    gap = float(h.normal @ (x - h.anchor)) - h.rhs
-    nrm = float(np.linalg.norm(h.normal))
-    if nrm == 0.0:
-        if h.rhs >= 0.0:
-            return x.copy()
-        raise ContractViolation("empty halfspace: zero normal with rhs < 0")
-    if gap <= 0.0:
-        return x.copy()
-    denom = inv_weighted_norm(s, h.normal) ** 2
-    return x - (gap / denom) * s.solve(h.normal)
+    return float(np.sqrt(max(float(x @ w.apply(x)), 0.0)))

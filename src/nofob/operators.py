@@ -33,7 +33,6 @@ __all__ = [
     "l1_plus_diag_affine",
     "inverse_via_moreau",
     "moreau_dual_resolvent",
-    "apply_skew",
     "check_skew",
     "separable_nonlinear_resolvent",
     "worst_lipschitz_ratio",
@@ -164,12 +163,6 @@ class BlockProx:
             out.append(op.evaluator(1.0 / w, vb / w))
         return np.concatenate(out)
 
-    def as_prox(self) -> ProxOperator:
-        return ProxOperator(
-            evaluator=self.evaluator,
-            descriptor="block(" + ",".join(op.descriptor for op in self.ops) + ")",
-        )
-
 
 # ---------------------------------------------------------------------------
 # prox catalog
@@ -286,13 +279,6 @@ def moreau_dual_resolvent(prox: ProxOperator, tau: float, z: np.ndarray) -> np.n
 
 # ---------------------------------------------------------------------------
 # skew helpers
-
-
-def apply_skew(k: SkewMap, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != k.dim:
-        raise ContractViolation("dimension mismatch")
-    return k(x)
 
 
 def check_skew(k: SkewMap, samples: int, seed: int) -> float:

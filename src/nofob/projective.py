@@ -3,20 +3,23 @@
 The problem is stacked into a primal-dual inclusion 0 in Bp + Kp over
 p = (w_1, ..., w_{n-1}, x) with B carrying the dual inverses (realized
 through Moreau's identity) and K the skew coupling built from the L_i.
-Two equivalent iterations are provided: the resolvent form, which is a
-block-diagonal-kernel corrected forward-backward step, and the explicit
-form that only touches the primal resolvents and the L_i maps.  Their
-trajectories coincide; tests exploit this as a runtime oracle.
+Two equivalent iterations are provided: the resolvent form, which is the
+corrected step of core on the block-diagonal kernel view returned by
+`resolvent_view`, and the explicit form of Johnstone and Eckstein that
+only touches the primal resolvents and the L_i maps, written out by hand
+as a cross-check.  Their trajectories coincide; tests exploit this as a
+runtime oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import IterRecord
+from .core import IterRecord, NofobProblem, coincides, null_record, separation_fails
+from .fourop import BlockDiag, FourOpProblem, as_nofob, zero_cocoercive, zero_forward
 from .linalg import ContractViolation, SpdMetric
 from .operators import (
     BlockProx,
@@ -30,16 +33,13 @@ __all__ = [
     "PdPoint",
     "PsProblem",
     "stack_primal_dual",
-    "ps_resolvent_iterate",
+    "resolvent_view",
     "ps_explicit_iterate",
     "moreau_dual_resolvent",
 ]
 
 _MAX_BLOCKS = 8
 _MAX_BLOCK_DIM = 100
-
-Schedule = Union[float, "SequenceSchedule"]
-
 
 def _tau_at(s, k: int) -> float:
     v = float(s(k)) if callable(s) else float(s)
@@ -143,66 +143,30 @@ def stack_primal_dual(ps: PsProblem) -> Tuple[BlockProx, SkewMap]:
     return block, SkewMap(kmat)
 
 
-def _record(k, p_vec, p_hat_vec, p_next_vec, mu, theta, num, den_sqrt):
-    return IterRecord(
-        k=k, x=p_vec, x_hat=p_hat_vec, x_next=p_next_vec, mu=mu, theta=theta,
-        residual_s=float(np.linalg.norm(p_vec - p_hat_vec)),
-        psi_at_x=num, normal_inv_norm=den_sqrt,
-    )
+def resolvent_view(ps: PsProblem, s: SpdMetric) -> NofobProblem:
+    """The resolvent form as a kernel view of the stacked problem.
 
-
-def _coincides(p_vec, p_hat_vec) -> bool:
-    gap = float(np.linalg.norm(p_vec - p_hat_vec))
-    return gap <= 1e-14 * (1.0 + float(np.linalg.norm(p_vec)))
-
-
-def _noise_level(p_vec, p_hat_vec) -> bool:
-    """A residual small enough that the separation value is pure round-off."""
-    gap = float(np.linalg.norm(p_vec - p_hat_vec))
-    return gap <= 1e-9 * (1.0 + float(np.linalg.norm(p_vec)))
-
-
-def ps_resolvent_iterate(
-    ps: PsProblem, k: int, p: PdPoint, theta: float
-) -> Tuple[PdPoint, IterRecord]:
-    """One corrected step in resolvent form.
-
-    p_hat = (Q_k + B)^{-1}(Q_k - K) p with block-diagonal Q_k; the
-    projection length is ||p - p_hat||_Q^2 over the squared norm of
-    (Q_k - K) p - (Q_k - K) p_hat, and S = I.
+    p_hat = (Q_k + B)^{-1}(Q_k - K) p with the block-diagonal kernel
+    Q_k = blockdiag(tau_1, ..., tau_{n-1}, 1/tau_n) over the stacked
+    primal-dual inclusion; core.nofob_iterate on this view is one
+    resolvent-form step.  P takes the kernel weights at iteration 0.
     """
     block, kmap = ps.stacked()
-    weights = ps.q_weights_at(k)
-    p_vec = p.to_vector()
-    q_p = np.concatenate([w * xb for w, xb in zip(weights, block.split(p_vec))])
-    p_hat = block.block_resolve(weights, q_p - kmap(p_vec))
-    if _coincides(p_vec, p_hat):
-        rec = _record(k, p_vec, p_hat, p_vec.copy(), 0.0, theta, 0.0, 0.0)
-        return p, rec
-    diff = p_vec - p_hat
-    q_diff = np.concatenate([w * xb for w, xb in zip(weights, block.split(diff))])
-    m = q_diff - kmap(diff)
-    num = float(q_diff @ diff)
-    den = float(m @ m)
-    if den <= 0.0 or num <= 0.0:
-        if _noise_level(p_vec, p_hat):
-            rec = _record(k, p_vec, p_hat, p_vec.copy(), 0.0, theta, 0.0, 0.0)
-            return p, rec
-        raise ContractViolation("separation failed in the projective step")
-    mu = num / den
-    p_next_vec = p_vec - theta * mu * m
-    rec = _record(k, p_vec, p_hat, p_next_vec, mu, theta, num, float(np.sqrt(den)))
-    return PdPoint.from_vector(p_next_vec, ps.dual_dims, ps.primal_dim), rec
+    total = ps.total_dim
+    last = ps.taus[-1]
+    weights = [*ps.taus[:-1], (lambda k: 1.0 / last(k)) if callable(last) else 1.0 / last]
+    w0 = ps.q_weights_at(0)
+    stacked = FourOpProblem(b=block, d=zero_forward(total), e=zero_cocoercive(total),
+                            k=kmap, dim=total)
+    return as_nofob(stacked, BlockDiag(weights, (min(w0), max(w0))), s)
 
 
-def ps_explicit_iterate(
-    ps: PsProblem, k: int, p: PdPoint, theta: float
-) -> Tuple[PdPoint, IterRecord]:
-    """One corrected step in explicit form, touching only primal proxes.
+def _explicit_candidate(ps: PsProblem, k: int, p: PdPoint):
+    """The explicit step's candidate pairs and its projection direction.
 
     Each dual pair (v_hat_i, w_hat_i) and the primal pair (x_hat, y_hat)
-    are certified to lie on their operator graphs through prox residuals
-    before the projection is taken.
+    are certified to lie on their operator graphs through prox residuals.
+    Returns (lsw, x_hat, y_hat, v_hats, w_hats, t_list, t_star).
     """
     taus = ps.taus_at(k)
     tau_n = taus[-1]
@@ -229,6 +193,19 @@ def ps_explicit_iterate(
         np.zeros(ps.primal_dim),
     )
     t_list = [vh - m @ x_hat for vh, m in zip(v_hats, ps.l_maps)]
+    return lsw, x_hat, y_hat, v_hats, w_hats, t_list, t_star
+
+
+def ps_explicit_iterate(
+    ps: PsProblem, k: int, p: PdPoint, theta: float
+) -> Tuple[PdPoint, IterRecord]:
+    """One corrected step in explicit form, touching only primal proxes.
+
+    Johnstone and Eckstein's synchronous projective splitting step as
+    published, kept as a cross-check of the resolvent form.
+    """
+    x = p.primal
+    lsw, x_hat, y_hat, v_hats, w_hats, t_list, t_star = _explicit_candidate(ps, k, p)
 
     # The published numerator (sum <t_i, w_i> - <v_i, w_hat_i>) + <t*, x>
     # - <y_hat, x_hat> cancels O(1) terms down to a residual-squared
@@ -243,20 +220,19 @@ def ps_explicit_iterate(
 
     p_vec = p.to_vector()
     p_hat_vec = np.concatenate([*w_hats, x_hat])
-    if _coincides(p_vec, p_hat_vec) or (den == 0.0 and num == 0.0):
-        rec = _record(k, p_vec, p_hat_vec, p_vec.copy(), 0.0, theta, 0.0, 0.0)
-        return p, rec
-    if den <= 0.0 or num <= 0.0:
-        if _noise_level(p_vec, p_hat_vec):
-            rec = _record(k, p_vec, p_hat_vec, p_vec.copy(), 0.0, theta, 0.0, 0.0)
-            return p, rec
-        raise ContractViolation("separation failed in the projective step")
+    residual = float(np.linalg.norm(p_vec - p_hat_vec))
+    p_norm = float(np.linalg.norm(p_vec))
+    if coincides(residual, p_norm) or separation_fails(num, den, residual, p_norm):
+        return p, null_record(k, p_vec, p_hat_vec, theta, residual)
     mu = num / den
     duals_next = tuple(w - theta * mu * t for w, t in zip(p.duals, t_list))
     x_next = x - theta * mu * t_star
     p_next = PdPoint(duals_next, x_next)
-    rec = _record(k, p_vec, p_hat_vec, p_next.to_vector(), mu, theta, num,
-                  float(np.sqrt(den)))
+    rec = IterRecord(
+        k=k, x=p_vec, x_hat=p_hat_vec, x_next=p_next.to_vector(), mu=mu,
+        theta=theta, residual_s=residual, psi_at_x=num,
+        normal_inv_norm=float(np.sqrt(den)),
+    )
     return p_next, rec
 
 
@@ -270,33 +246,17 @@ def explicit_mu_terms(ps: PsProblem, k: int, p: PdPoint):
     squared direction blocks and the stacked-kernel squared norm.  All
     four agree pairwise in exact arithmetic.
     """
-    taus = ps.taus_at(k)
-    tau_n = taus[-1]
-    x = p.primal
-    lsw = sum((m.T @ w for m, w in zip(ps.l_maps, p.duals)),
-              np.zeros(ps.primal_dim))
-    x_hat = np.asarray(ps.a_ops[-1].evaluator(tau_n, x - tau_n * lsw), dtype=float)
-    y_hat = (x / tau_n - lsw) - x_hat / tau_n
-    v_hats, w_hats = [], []
-    for m, w, tau, op in zip(ps.l_maps, p.duals, taus[:-1], ps.a_ops[:-1]):
-        lx = m @ x
-        v_hat = np.asarray(op.evaluator(tau, lx + tau * w), dtype=float)
-        v_hats.append(v_hat)
-        w_hats.append(w + lx / tau - v_hat / tau)
-    t_star = y_hat + sum((m.T @ wh for m, wh in zip(ps.l_maps, w_hats)),
-                         np.zeros(ps.primal_dim))
-    t_list = [vh - m @ x_hat for vh, m in zip(v_hats, ps.l_maps)]
+    _, x_hat, y_hat, v_hats, w_hats, t_list, t_star = _explicit_candidate(ps, k, p)
     num_published = (
         sum(float(t @ w) - float(vh @ wh)
             for t, w, vh, wh in zip(t_list, p.duals, v_hats, w_hats))
-        + float(t_star @ x) - float(y_hat @ x_hat)
+        + float(t_star @ p.primal) - float(y_hat @ x_hat)
     )
     den_explicit = sum(float(t @ t) for t in t_list) + float(t_star @ t_star)
 
     block, kmap = ps.stacked()
     weights = ps.q_weights_at(k)
-    p_vec = p.to_vector()
-    diff = p_vec - np.concatenate([*w_hats, x_hat])
+    diff = p.to_vector() - np.concatenate([*w_hats, x_hat])
     q_diff = np.concatenate([w * xb for w, xb in zip(weights, block.split(diff))])
     num_weighted = float(q_diff @ diff)
     m_vec = q_diff - kmap(diff)

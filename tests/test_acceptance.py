@@ -19,16 +19,14 @@ from nofob.fourop import (
     conservative_iterate,
     epsbar_delta,
     fbs_relaxed_iterate,
-    four_op_iterate,
     gamma_bound_conservative,
     gamma_bound_long,
-    gamma_iterate,
     kernel_lipschitz,
     beta_effective,
 )
 from nofob.linalg import SpdMetric
 from nofob.problems import REGISTRY, fixed_point_residual, get_instance
-from nofob.projective import PdPoint, ps_explicit_iterate, ps_resolvent_iterate
+from nofob.projective import PdPoint, ps_explicit_iterate, resolvent_view
 from nofob.rng import Lcg64
 
 COMPAT = {
@@ -145,7 +143,7 @@ def test_rotation_witness_rates():
     )
 
 
-def test_specialization_coherence_everywhere():
+def test_specialization_coherence_everywhere(long_step_reference):
     worst = 0.0
     for name in REGISTRY:
         inst = get_instance(name)
@@ -158,15 +156,10 @@ def test_specialization_coherence_everywhere():
         view = as_nofob(prob, ScalarStep(g), s)
         x = inst.x0.copy()
         for k in range(100):
-            r1 = gamma_iterate(prob, g, k, x, 1.0, s)
-            r2 = four_op_iterate(prob, ScalarStep(g), k, x, 1.0, s)
-            r3 = nofob_iterate(view, k, x, 1.0)
-            worst = max(
-                worst,
-                float(np.max(np.abs(r1.x_next - r2.x_next))),
-                float(np.max(np.abs(r2.x_next - r3.x_next))),
-            )
-            x = r1.x_next
+            ref_next, _ = long_step_reference(prob, g, x, 1.0, s)
+            rec = nofob_iterate(view, k, x, 1.0)
+            worst = max(worst, float(np.max(np.abs(ref_next - rec.x_next))))
+            x = rec.x_next
     assert worst <= 1e-12
     passed(f"specializations coincide on all problems, worst dev {worst:.2e}")
 
@@ -178,11 +171,12 @@ def test_fbs_redundant_projection_identity():
     g = 1.2 / be
     theta = 1.3
     m_metric = SpdMetric.identity(prob.dim)
+    view = as_nofob(prob, ScalarStep(g), m_metric)
     x = inst.x0.copy()
     worst = 0.0
     for k in range(100):
         direct = fbs_relaxed_iterate(prob.b, prob.e, m_metric, g, theta, x)
-        generic = four_op_iterate(prob, ScalarStep(g), k, x, theta, m_metric)
+        generic = nofob_iterate(view, k, x, theta)
         worst = max(worst, float(np.max(np.abs(direct - generic.x_next))))
         x = direct
     assert worst <= 1e-12
@@ -192,13 +186,14 @@ def test_fbs_redundant_projection_identity():
 def test_projective_splitting_equivalence():
     inst = get_instance("saddle")
     ps = inst.ps_view
+    view = resolvent_view(ps, SpdMetric.identity(ps.total_dim))
     a = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
-    b = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
+    b = inst.x0.copy()
     worst = 0.0
     for k in range(200):
         a, _ = ps_explicit_iterate(ps, k, a, 1.0)
-        b, _ = ps_resolvent_iterate(ps, k, b, 1.0)
-        worst = max(worst, float(np.max(np.abs(a.to_vector() - b.to_vector()))))
+        b = nofob_iterate(view, k, b, 1.0).x_next
+        worst = max(worst, float(np.max(np.abs(a.to_vector() - b))))
     assert worst <= 1e-10
     oracle = inst.ps_oracle.to_vector()
     dist = float(np.linalg.norm(a.to_vector() - oracle))

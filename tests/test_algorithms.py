@@ -1,0 +1,90 @@
+import numpy as np
+import pytest
+
+from nofob.algorithms import run_algorithm
+from nofob.diagnostics import check_fejer
+from nofob.fourop import StepParameterWarning, gamma_bound_conservative
+from nofob.linalg import ContractViolation, SpdMetric
+from nofob.operators import LipschitzMap, SkewMap
+from nofob.problems import get_instance
+from nofob.rng import Lcg64
+
+
+def counting(monkeypatch, owner, attr, counts, key):
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+@pytest.mark.parametrize("problem, algorithm, solves", [
+    ("regquad-fbf", "fbf", None),
+    ("regquad-fbhf", "fbhf", None),
+    ("saddle", "afba-fixed", 1),
+])
+def test_evaluations_per_moving_iteration(monkeypatch, problem, algorithm, solves):
+    # D at x in the oracle and at x and x_hat in the kernel difference;
+    # the step solves the metric once for its direction
+    inst = get_instance(problem)
+    counts = {"d": 0, "k": 0, "solve": 0}
+    counting(monkeypatch, LipschitzMap, "__call__", counts, "d")
+    counting(monkeypatch, SkewMap, "__call__", counts, "k")
+    counting(monkeypatch, SpdMetric, "solve", counts, "solve")
+    per_budget = {}
+    for max_iter in (10, 20):
+        for key in counts:
+            counts[key] = 0
+        out = run_algorithm(algorithm, inst, tol=0.0, max_iter=max_iter)
+        assert out.trajectory.iterations == max_iter + 1
+        assert all(rec.mu > 0.0 for rec in out.trajectory.records)
+        per_budget[max_iter] = dict(counts)
+    per_iter = {key: (per_budget[20][key] - per_budget[10][key]) / 10 for key in counts}
+    assert per_iter["d"] == 3
+    if solves is not None:
+        assert per_iter["k"] == 2
+        assert per_iter["solve"] == solves
+
+
+def test_rows_stepping_in_the_identity_reject_other_metrics():
+    rng = Lcg64(41)
+    for problem, algorithms in [
+        ("regquad-fbf", ("fbf", "fbhf", "fbs", "fbs-relaxed")),
+        ("saddle", ("ps-explicit",)),
+    ]:
+        inst = get_instance(problem)
+        n = inst.bundle.dim
+        r = rng.matrix(n, n)
+        s = SpdMetric(r @ r.T / n + np.eye(n))
+        for algorithm in algorithms:
+            with pytest.raises(ContractViolation, match="S = I"):
+                run_algorithm(algorithm, inst, s_metric=s)
+            # the identity is accepted however it is held
+            out = run_algorithm(algorithm, inst, s_metric=SpdMetric(np.eye(n)),
+                                max_iter=3)
+            assert out.trajectory.iterations == 4
+
+
+def test_ps_resolvent_honours_the_metric():
+    inst = get_instance("saddle")
+    n = inst.bundle.dim
+    r = Lcg64(42).matrix(n, n)
+    s = SpdMetric(r @ r.T / n + np.eye(n))
+    out = run_algorithm("ps-resolvent", inst, s_metric=s, tol=1e-9, max_iter=5000)
+    assert out.s_metric is s and out.nofob_view.s_metric is s
+    assert out.trajectory.status == "converged"
+    assert np.max(np.abs(out.trajectory.final_x - inst.oracle)) <= 1e-6
+    assert check_fejer(out.trajectory, out.z_star, s).passed
+    plain = run_algorithm("ps-resolvent", inst, tol=1e-9, max_iter=5000)
+    assert out.trajectory.iterations != plain.trajectory.iterations
+
+
+def test_conservative_rows_warn_beyond_their_bound():
+    inst = get_instance("regquad-fbhf")
+    c = inst.constants
+    bound = gamma_bound_conservative(c["beta_e"], c["l_d"], c["k_norm"], 0.0)
+    with pytest.warns(StepParameterWarning) as caught:
+        run_algorithm("fbhf", inst, gamma=1.05 * bound, max_iter=2)
+    assert caught[0].filename == __file__

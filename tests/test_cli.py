@@ -71,6 +71,13 @@ def test_solve_unknown_algorithm_is_usage_error():
     ) == EXIT_USAGE
 
 
+def test_solve_rejects_flags_it_does_not_read(tmp_path):
+    base = ["solve", "--problem", "rotation", "--algorithm", "fbf"]
+    assert run_cli(base + ["--eps", "0.1"]) == EXIT_USAGE
+    assert run_cli(base + ["--report", str(tmp_path / "x.json")]) == EXIT_USAGE
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_solve_unwritable_csv_path(tmp_path):
     code = run_cli([
         "solve", "--problem", "rotation", "--algorithm", "fbf",

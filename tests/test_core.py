@@ -3,11 +3,8 @@ import pytest
 
 from nofob.core import (
     NofobProblem,
-    mu_explicit,
-    nofob_conservative_iterate,
     nofob_iterate,
     psi_value,
-    run,
     run_loop,
     theta_schedule,
 )
@@ -27,19 +24,16 @@ def identity_kernel_problem(n=4):
     )
 
 
+def unit_step(prob):
+    return lambda k, x: nofob_iterate(prob, k, x, 1.0)
+
+
 def test_identity_kernel_mu_is_one():
     prob = identity_kernel_problem()
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    assert mu_explicit(prob, 0, x, x / 2.0) == pytest.approx(1.0)
     rec = nofob_iterate(prob, 0, x, 1.0)
     assert rec.mu == pytest.approx(1.0)
     assert np.allclose(rec.x_next, x / 2.0, atol=1e-14)
-
-
-def test_mu_explicit_zero_over_zero_is_zero():
-    prob = identity_kernel_problem()
-    x = np.ones(4)
-    assert mu_explicit(prob, 0, x, x) == 0.0
 
 
 def test_psi_value_matches_manual_formula():
@@ -57,6 +51,31 @@ def test_unit_relaxation_lands_on_hyperplane():
     assert psi_value(prob, 0, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
         0.0, abs=1e-12
     )
+
+
+def test_unit_relaxation_lands_on_hyperplane_in_metric():
+    # the S-projection onto the halfspace: on its boundary, and along
+    # S^{-1} times the normal
+    rng = Lcg64(3)
+    r = rng.matrix(4, 4)
+    s = SpdMetric(r @ r.T + np.eye(4))
+    prob = NofobProblem(
+        fb_oracle=lambda k, x: x / 2.0,
+        kernel_eval=lambda k, x: x,
+        p_metric=SpdMetric.identity(4),
+        s_metric=s,
+        beta=0.0,
+        kernel_lipschitz=1.0,
+    )
+    x = rng.vector(4)
+    rec = nofob_iterate(prob, 0, x, 1.0)
+    assert psi_value(prob, 0, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
+        0.0, abs=1e-12
+    )
+    normal = rec.x - rec.x_hat
+    step = s.apply(rec.x - rec.x_next)
+    assert np.allclose(step / np.linalg.norm(step), normal / np.linalg.norm(normal),
+                       atol=1e-12)
 
 
 def test_relaxation_scales_the_step():
@@ -86,7 +105,7 @@ def test_coincidence_returns_identity_update():
 def test_conservative_step_length_and_effective_relaxation():
     prob = identity_kernel_problem()
     x = np.array([4.0, 0.0, 0.0, 0.0])
-    rec = nofob_conservative_iterate(prob, 0, x, theta=1.0, mu_hat=0.4)
+    rec = nofob_iterate(prob, 0, x, 1.0, mu_hat=0.4)
     assert rec.mu == pytest.approx(1.0)
     assert rec.theta == pytest.approx(0.4)
     # x_next = x - theta * mu_hat * (Mx - Mx_hat) = x - 0.4 * x/2
@@ -97,9 +116,9 @@ def test_conservative_midpoint_and_explicit_agreement():
     prob = identity_kernel_problem()
     x = np.array([4.0, -1.0, 2.0, 0.5])
     full = nofob_iterate(prob, 0, x, 1.0)
-    same = nofob_conservative_iterate(prob, 0, x, theta=1.0, mu_hat=full.mu)
+    same = nofob_iterate(prob, 0, x, 1.0, mu_hat=full.mu)
     assert np.allclose(same.x_next, full.x_next, atol=1e-14)
-    half = nofob_conservative_iterate(prob, 0, x, theta=1.0, mu_hat=full.mu / 2)
+    half = nofob_iterate(prob, 0, x, 1.0, mu_hat=full.mu / 2)
     assert np.allclose(half.x_next, 0.5 * (x + full.x_next), atol=1e-14)
 
 
@@ -107,9 +126,9 @@ def test_conservative_rejects_bad_parameters():
     prob = identity_kernel_problem()
     x = np.ones(4)
     with pytest.raises(ContractViolation):
-        nofob_conservative_iterate(prob, 0, x, theta=1.0, mu_hat=-0.5)
+        nofob_iterate(prob, 0, x, 1.0, mu_hat=-0.5)
     with pytest.raises(ContractViolation):
-        nofob_conservative_iterate(prob, 0, x, theta=2.5, mu_hat=0.5)
+        nofob_iterate(prob, 0, x, 1.0, mu_hat=0.0)
 
 
 def test_beta_out_of_range_rejected():
@@ -126,21 +145,21 @@ def test_beta_out_of_range_rejected():
 
 def test_run_converges_on_contraction():
     prob = identity_kernel_problem()
-    traj = run(prob, np.ones(4), theta_schedule([1.0]), tol=1e-10, max_iter=200)
+    traj = run_loop(unit_step(prob), np.ones(4), tol=1e-10, max_iter=200)
     assert traj.status == "converged"
     assert traj.records[-1].residual_s <= 1e-10
 
 
 def test_run_loop_checks_convergence_before_stepping():
     prob = identity_kernel_problem()
-    traj = run(prob, np.zeros(4), theta_schedule([1.0]), tol=1e-8, max_iter=50)
+    traj = run_loop(unit_step(prob), np.zeros(4), tol=1e-8, max_iter=50)
     assert traj.status == "converged"
     assert traj.iterations == 1
 
 
 def test_run_loop_max_iter_status():
     prob = identity_kernel_problem()
-    traj = run(prob, np.ones(4), theta_schedule([1.0]), tol=0.0, max_iter=10)
+    traj = run_loop(unit_step(prob), np.ones(4), tol=0.0, max_iter=10)
     assert traj.status == "max_iter"
     assert traj.iterations == 11  # iterations 0..max_iter inclusive
 
@@ -186,3 +205,24 @@ def test_fejer_decrease_in_custom_metric():
         rec = nofob_iterate(prob, k, x, 1.4)
         assert weighted_norm(s, rec.x_next - z) <= weighted_norm(s, x - z) + 1e-12
         x = rec.x_next
+
+
+def test_failed_separation_is_null_at_noise_level_and_raises_above():
+    # M = -I turns the halfspace around, so separation fails at every x
+    def reversed_kernel(shift):
+        return NofobProblem(
+            fb_oracle=lambda k, x: x - shift,
+            kernel_eval=lambda k, x: -x,
+            p_metric=SpdMetric.identity(4),
+            s_metric=SpdMetric.identity(4),
+            beta=0.0,
+            kernel_lipschitz=1.0,
+        )
+
+    x = np.ones(4)
+    noise = nofob_iterate(reversed_kernel(1e-10), 0, x, 1.0)
+    assert noise.residual_s > 1e-14 * (1.0 + 2.0)
+    assert noise.mu == 0.0
+    assert np.array_equal(noise.x_next, x)
+    with pytest.raises(ContractViolation, match="separation failed"):
+        nofob_iterate(reversed_kernel(1e-6), 0, x, 1.0)

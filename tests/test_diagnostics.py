@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nofob.algorithms import run_algorithm
-from nofob.core import NofobProblem, Trajectory, run
+from nofob.core import NofobProblem, Trajectory, nofob_iterate, run_loop
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.linalg import ContractViolation, SpdMetric
 from nofob.problems import get_instance
@@ -21,6 +21,10 @@ def identity_kernel_problem(n=4):
         beta=0.0,
         kernel_lipschitz=1.0,
     )
+
+
+def unit_step(prob):
+    return lambda k, x: nofob_iterate(prob, k, x, 1.0)
 
 
 def convergent_run(name="regquad-full", algorithm="four-op", **kw):
@@ -46,7 +50,7 @@ def corrupt(traj: Trajectory, idx: int, bump: float = 1.0) -> Trajectory:
 def test_fejer_stationary_trajectory_passes():
     prob = identity_kernel_problem()
     z = np.zeros(4)
-    traj = run(prob, z, lambda k: 1.0, tol=1e-12, max_iter=5)
+    traj = run_loop(unit_step(prob), z, tol=1e-12, max_iter=5)
     rep = check_fejer(traj, z, prob.s_metric)
     assert rep.passed and rep.max_violation <= 0.0
 
@@ -83,7 +87,7 @@ def test_separation_passes_on_convergent_run():
 def test_separation_at_solution_is_exact():
     prob = identity_kernel_problem()
     z = np.zeros(4)
-    traj = run(prob, z, lambda k: 1.0, tol=1e-12, max_iter=3)
+    traj = run_loop(unit_step(prob), z, tol=1e-12, max_iter=3)
     rep = check_separation(traj, prob, z)
     assert rep.passed and rep.max_violation <= 0.0
 
@@ -107,12 +111,25 @@ def test_separation_fails_with_sign_flipped_kernel():
 def test_mu_bounds_identity_kernel_is_tight():
     prob = identity_kernel_problem()
     x0 = np.array([3.0, -1.0, 2.0, 0.5])
-    traj = run(prob, x0, lambda k: 1.0, tol=1e-10, max_iter=100)
+    traj = run_loop(unit_step(prob), x0, tol=1e-10, max_iter=100)
     # beta = 0, S = P = I, L_M = 1: bounds are [1, 1] and mu is exactly 1
     rep = check_mu_bounds(traj, 0.0, prob.p_metric, prob.s_metric, 1.0)
     assert rep.passed
     for rec in traj.records[:-1]:
         assert rec.mu == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mu_bounds_skip_exactly_the_null_steps():
+    prob = identity_kernel_problem()
+    traj = run_loop(unit_step(prob), np.ones(4), tol=0.0, max_iter=80)
+    still = [np.array_equal(rec.x_next, rec.x) for rec in traj.records]
+    assert 0 < sum(still) < len(traj.records)
+    assert all((rec.mu == 0.0) == s for rec, s in zip(traj.records, still))
+    assert check_mu_bounds(traj, 0.0, prob.p_metric, prob.s_metric, 1.0).passed
+    # a null step recorded as moved would break the lower bound
+    stuck = dataclasses.replace(traj.records[-1], mu=0.5)
+    bad = dataclasses.replace(traj, records=traj.records[:-1] + [stuck])
+    assert not check_mu_bounds(bad, 0.0, prob.p_metric, prob.s_metric, 1.0).passed
 
 
 def test_mu_bounds_pass_on_four_op_run():

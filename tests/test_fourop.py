@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nofob.core import nofob_conservative_iterate, nofob_iterate
+from nofob.core import nofob_iterate
 from nofob.fourop import (
     AffinePlusSkew,
     BlockDiag,
@@ -16,10 +16,8 @@ from nofob.fourop import (
     epsbar_delta,
     fbs_relaxed_iterate,
     four_op_fb,
-    four_op_iterate,
     gamma_bound_conservative,
     gamma_bound_long,
-    gamma_iterate,
     kernel_lipschitz,
     zero_cocoercive,
     zero_forward,
@@ -116,21 +114,21 @@ def test_blockdiag_requires_block_separable_b():
 
 
 def test_trivial_specialization_matches_core_resolvent_step():
+    # D = E = K = 0: mu = gamma and the unit step lands on the prox point
     n = 4
     prob = FourOpProblem(
         b=l1_subdifferential(1.0), d=zero_forward(n), e=zero_cocoercive(n),
         k=SkewMap.zero(n), dim=n,
     )
-    s = SpdMetric.identity(n)
     g = 0.8
-    view = as_nofob(prob, ScalarStep(g), s)
+    view = as_nofob(prob, ScalarStep(g), SpdMetric.identity(n))
     x = np.array([2.0, -0.5, 1.5, 0.0])
-    r1 = four_op_iterate(prob, ScalarStep(g), 0, x, 1.0, s)
-    r2 = nofob_iterate(view, 0, x, 1.0)
-    assert np.allclose(r1.x_next, r2.x_next, atol=1e-15)
+    rec = nofob_iterate(view, 0, x, 1.0)
+    assert rec.mu == pytest.approx(g, rel=1e-15)
+    assert np.allclose(rec.x_next, prob.b.evaluator(g, x), atol=1e-15)
 
 
-def test_gamma_iterate_matches_generic_path_over_100_iterations():
+def test_gamma_iterate_matches_generic_path_over_100_iterations(long_step_reference):
     prob = seeded_problem()
     s = SpdMetric.identity(prob.dim)
     g = 0.3
@@ -138,33 +136,28 @@ def test_gamma_iterate_matches_generic_path_over_100_iterations():
     x = Lcg64(1).vector(prob.dim)
     worst = 0.0
     for k in range(100):
-        r1 = gamma_iterate(prob, g, k, x, 1.2, s)
-        r2 = four_op_iterate(prob, ScalarStep(g), k, x, 1.2, s)
-        r3 = nofob_iterate(view, k, x, 1.2)
-        worst = max(
-            worst,
-            float(np.max(np.abs(r1.x_next - r2.x_next))),
-            float(np.max(np.abs(r2.x_next - r3.x_next))),
-        )
+        ref_next, ref_mu = long_step_reference(prob, g, x, 1.2, s)
+        rec = nofob_iterate(view, k, x, 1.2)
+        worst = max(worst, float(np.max(np.abs(ref_next - rec.x_next))))
         # mu is a ratio of O(residual^2) quantities, so its relative
         # accuracy degrades as the square of the residual; compare only
         # while the iterates are still far from the solution
-        if r1.residual_s > 1e-6:
-            assert r1.mu == pytest.approx(r2.mu, rel=1e-10)
-        x = r1.x_next
+        if rec.residual_s > 1e-6:
+            assert ref_mu == pytest.approx(rec.mu, rel=1e-10)
+        x = rec.x_next
     assert worst <= 1e-12
 
 
-def test_gamma_iterate_in_non_identity_metric():
+def test_gamma_iterate_in_non_identity_metric(long_step_reference):
     prob = seeded_problem(with_e=False)
     rng = Lcg64(6)
     r = rng.matrix(prob.dim, prob.dim)
     s = SpdMetric(r @ r.T + 2.0 * np.eye(prob.dim))
     g = 0.3
     x = rng.vector(prob.dim)
-    r1 = gamma_iterate(prob, g, 0, x, 1.0, s)
-    r2 = four_op_iterate(prob, ScalarStep(g), 0, x, 1.0, s)
-    assert np.allclose(r1.x_next, r2.x_next, atol=1e-12)
+    ref_next, _ = long_step_reference(prob, g, x, 1.0, s)
+    rec = nofob_iterate(as_nofob(prob, ScalarStep(g), s), 0, x, 1.0)
+    assert np.allclose(ref_next, rec.x_next, atol=1e-12)
 
 
 def test_conservative_identity_both_algebraic_routes():
@@ -181,7 +174,7 @@ def test_conservative_identity_both_algebraic_routes():
         route2 = x - g * m_gap
         assert np.max(np.abs(rec.x_next - route2)) <= 1e-13
         # route 3: the generic conservative step with mu_hat = gamma, S = I
-        rec3 = nofob_conservative_iterate(view, k, x, theta=1.0, mu_hat=g)
+        rec3 = nofob_iterate(view, k, x, 1.0, mu_hat=g)
         assert np.max(np.abs(rec.x_next - rec3.x_next)) <= 1e-13
         x = rec.x_next
 
@@ -346,9 +339,11 @@ def test_step_bound_warnings():
     g_cons = 1.05 * gamma_bound_conservative(be, ld, kn, 0.0)
     with pytest.warns(StepParameterWarning):
         conservative_iterate(prob, g_cons, 0, x)
+    # the long-step bound is where the scalar kernel's beta reaches 4, so
+    # beyond it the kernel view itself is rejected
     g_long = 1.05 * gamma_bound_long(be, ld, 0.0)
-    with pytest.warns(StepParameterWarning):
-        gamma_iterate(prob, g_long, 0, x, 1.0, SpdMetric.identity(prob.dim))
+    with pytest.raises(ContractViolation):
+        as_nofob(prob, ScalarStep(g_long), SpdMetric.identity(prob.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +442,12 @@ def test_fbs_redundant_projection_identity_over_100_iterations():
     prob = FourOpProblem(b=b, d=zero_forward(n), e=e, k=SkewMap.zero(n), dim=n)
     s = SpdMetric.identity(n)
     g = 1.2 / beta_e
+    view = as_nofob(prob, ScalarStep(g), s)
     theta = 1.3
     worst = 0.0
     for k in range(100):
         direct = fbs_relaxed_iterate(b, e, s, g, theta, x)
-        generic = four_op_iterate(prob, ScalarStep(g), k, x, theta, s)
+        generic = nofob_iterate(view, k, x, theta)
         worst = max(worst, float(np.max(np.abs(direct - generic.x_next))))
         # closed-form step length of the reduction; the kernel difference
         # Mx - Mx_hat loses eps * |x| / residual relative digits, so the

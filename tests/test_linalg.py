@@ -3,22 +3,12 @@ import pytest
 
 from nofob.linalg import (
     ContractViolation,
-    Halfspace,
     SpdMetric,
-    as_point,
     extremal_eig_bounds,
-    inv_weighted_norm,
-    project_halfspace,
     weighted_inner,
     weighted_norm,
 )
 from nofob.rng import Lcg64
-
-
-def test_as_point_rejects_non_finite():
-    with pytest.raises(ContractViolation):
-        as_point([1.0, np.nan])
-    assert as_point(3.0).shape == (1,)
 
 
 def test_extremal_eig_bounds_diagonal():
@@ -49,7 +39,6 @@ def test_weighted_norm_identity_is_euclidean():
     s = SpdMetric.identity(4)
     x = np.array([3.0, 0.0, 4.0, 0.0])
     assert weighted_norm(s, x) == pytest.approx(5.0)
-    assert inv_weighted_norm(s, x) == pytest.approx(5.0)
 
 
 def test_weighted_inner_symmetry():
@@ -66,43 +55,27 @@ def test_diagonal_entries_detection():
     assert dense.diagonal_entries() is None
 
 
-def test_project_halfspace_feasible_point_unchanged():
-    s = SpdMetric.identity(2)
-    h = Halfspace(np.array([1.0, 0.0]), np.zeros(2), 0.0)
-    x = np.array([-1.0, 2.0])
-    assert np.array_equal(project_halfspace(s, h, x), x)
-
-
-def test_project_halfspace_euclidean_distance():
-    # {z : z_1 <= 0}; projecting (3, 1) lands at (0, 1)
-    s = SpdMetric.identity(2)
-    h = Halfspace(np.array([1.0, 0.0]), np.zeros(2), 0.0)
-    out = project_halfspace(s, h, np.array([3.0, 1.0]))
-    assert np.allclose(out, [0.0, 1.0], atol=1e-14)
-
-
-def test_project_halfspace_lands_on_boundary_in_metric():
-    rng = Lcg64(3)
-    r = rng.matrix(4, 4)
-    s = SpdMetric(r @ r.T + np.eye(4))
-    normal = rng.vector(4)
-    anchor = rng.vector(4)
-    h = Halfspace(normal, anchor, -0.3)
-    x = anchor + 2.0 * normal
-    out = project_halfspace(s, h, x)
-    assert float(normal @ (out - anchor)) == pytest.approx(h.rhs, abs=1e-12)
-    # projection is closer in the S norm than the start
-    assert weighted_norm(s, out - x) > 0
-
-
-def test_project_halfspace_zero_normal():
-    s = SpdMetric.identity(2)
-    x = np.ones(2)
-    whole = Halfspace(np.zeros(2), np.zeros(2), 1.0)
-    assert np.array_equal(project_halfspace(s, whole, x), x)
-    empty = Halfspace(np.zeros(2), np.zeros(2), -1.0)
+def test_scaled_identity_matches_the_dense_metric():
+    # same numbers as c * I held densely, bit for bit where the dense
+    # route rounds once (apply, and solve at c = 1)
+    rng = Lcg64(5)
+    x = rng.vector(6)
+    for c in (1.0, 0.37, 4.0):
+        scalar = SpdMetric.scaled_identity(c, 6)
+        dense = SpdMetric(c * np.eye(6))
+        assert scalar.dim == dense.dim == 6
+        assert (scalar.lam_min, scalar.lam_max) == (dense.lam_min, dense.lam_max)
+        assert np.array_equal(scalar.apply(x), dense.apply(x))
+        assert weighted_norm(scalar, x) == weighted_norm(dense, x)
+        assert np.allclose(scalar.solve(x), dense.solve(x), rtol=1e-15, atol=0.0)
+        assert np.array_equal(scalar.matrix, dense.matrix)
+        assert np.array_equal(scalar.diagonal_entries(), dense.diagonal_entries())
+    identity = SpdMetric.identity(6)
+    assert np.array_equal(identity.solve(x), SpdMetric(np.eye(6)).solve(x))
+    with pytest.raises(ContractViolation, match="not positive definite"):
+        SpdMetric.scaled_identity(0.0, 3)
     with pytest.raises(ContractViolation):
-        project_halfspace(s, empty, x)
+        weighted_norm(identity, np.ones(5))
 
 
 def test_lcg64_is_deterministic_and_spread():

@@ -9,7 +9,6 @@ from nofob.operators import (
     NonlinearKernel,
     SkewMap,
     affine_operator,
-    apply_skew,
     box_normal_cone,
     check_skew,
     inverse_via_moreau,
@@ -124,12 +123,6 @@ def test_check_skew_is_zero_for_skew_maps():
     r = rng.matrix(5, 5)
     k = SkewMap(0.5 * (r - r.T))
     assert check_skew(k, samples=50, seed=1) <= 1e-14
-
-
-def test_apply_skew_dimension_check():
-    k = SkewMap.zero(3)
-    with pytest.raises(ContractViolation):
-        apply_skew(k, np.zeros(4))
 
 
 def test_block_prox_split_and_resolve():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nofob.fourop import BlockDiag, FourOpProblem, four_op_iterate, zero_cocoercive, zero_forward
+from nofob.core import nofob_iterate
 from nofob.linalg import ContractViolation, SpdMetric
 from nofob.operators import (
     ProxOperator,
@@ -17,10 +17,17 @@ from nofob.projective import (
     PsProblem,
     explicit_mu_terms,
     ps_explicit_iterate,
-    ps_resolvent_iterate,
+    resolvent_view,
     stack_primal_dual,
 )
 from nofob.rng import Lcg64
+
+
+def ps_resolvent_iterate(ps, k, p, theta):
+    """One resolvent-form step: the corrected step on the resolvent view."""
+    view = resolvent_view(ps, SpdMetric.identity(ps.total_dim))
+    rec = nofob_iterate(view, k, p.to_vector(), theta)
+    return PdPoint.from_vector(rec.x_next, ps.dual_dims, ps.primal_dim), rec
 
 
 def zero_ps(n_dual=2, n_primal=3, l=None, taus=(1.0, 1.0)):
@@ -157,21 +164,25 @@ def test_resolvent_zero_stacked_blocks_match_dense_solve():
 
 
 def test_resolvent_matches_blockdiag_four_op_view():
+    # the step on the block-diagonal view against the resolvent form
+    # written out: p_hat = (Q + B)^{-1}(Q - K) p, mu = ||p - p_hat||_Q^2
+    # over ||(Q - K)(p - p_hat)||^2
     inst = get_instance("saddle")
     ps = inst.ps_view
     block, kmap = ps.stacked()
-    total = ps.total_dim
-    prob = FourOpProblem(
-        b=block, d=zero_forward(total), e=zero_cocoercive(total),
-        k=kmap, dim=total,
-    )
-    spec = BlockDiag(ps.q_weights_at(0))
-    s = SpdMetric.identity(total)
     p = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
     for k in range(30):
         p_next, rec = ps_resolvent_iterate(ps, k, p, 1.0)
-        rec2 = four_op_iterate(prob, spec, k, p.to_vector(), 1.0, s)
-        assert np.max(np.abs(rec.x_next - rec2.x_next)) <= 1e-12
+        weights = ps.q_weights_at(k)
+        p_vec = p.to_vector()
+        q_p = np.concatenate([w * xb for w, xb in zip(weights, block.split(p_vec))])
+        p_hat = block.block_resolve(weights, q_p - kmap(p_vec))
+        assert np.array_equal(rec.x_hat, p_hat)
+        diff = p_vec - p_hat
+        q_diff = np.concatenate([w * xb for w, xb in zip(weights, block.split(diff))])
+        m = q_diff - kmap(diff)
+        mu = float(q_diff @ diff) / float(m @ m)
+        assert np.max(np.abs(rec.x_next - (p_vec - mu * m))) <= 1e-12
         p = p_next
 
 
