@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 from typing import List, Optional
 
 import numpy as np
@@ -264,8 +265,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ContractViolation, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except Exception as exc:  # surfaced as runtime failure, not a crash
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception:  # surfaced as runtime failure, with where it came from
+        traceback.print_exc()
         return EXIT_ERROR
 
 

@@ -48,15 +48,15 @@ class CheckReport:
 
 
 def _report(name, violations, tol):
+    """A non-finite violation fails and is reported as inf or nan."""
     if not violations:
         return CheckReport(name, 0.0, None, True, tol)
-    worst = max(violations)
-    first = None
-    for i, v in enumerate(violations):
-        if v > tol:
-            first = i
-            break
-    return CheckReport(name, float(worst), first, worst <= tol, tol)
+    v = np.asarray(violations, dtype=float)
+    finite = np.isfinite(v)
+    failing = ~finite | (v > tol)
+    first = int(np.argmax(failing)) if failing.any() else None
+    worst = float(np.max(np.where(finite, v, np.abs(v))))
+    return CheckReport(name, worst, first, first is None, tol)
 
 
 def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric,

@@ -285,10 +285,8 @@ def check_skew(k: SkewMap, samples: int, seed: int) -> float:
     """max over sampled x of |<Kx, x>| / max(1, ||x||^2)."""
     if samples < 1:
         raise ContractViolation("samples must be >= 1")
-    rng = Lcg64(seed)
     worst = 0.0
-    for _ in range(samples):
-        x = rng.vector(k.dim)
+    for x in Lcg64(seed).matrix(samples, k.dim):
         worst = max(worst, abs(float(x @ (k.matrix @ x))) / max(1.0, float(x @ x)))
     return worst
 
@@ -298,10 +296,9 @@ def check_skew(k: SkewMap, samples: int, seed: int) -> float:
 
 
 def _sampled_pairs(n: int, samples: int, seed: int, scale: float):
-    rng = Lcg64(seed)
-    for _ in range(samples):
-        x = scale * rng.vector(n)
-        yield x, scale * rng.vector(n)
+    """Pairs drawn in the order x_0, y_0, x_1, y_1, ... of the seed's stream."""
+    for row in Lcg64(seed).matrix(samples, 2 * n):
+        yield scale * row[:n], scale * row[n:]
 
 
 def worst_lipschitz_ratio(fn, lipschitz_constant, n, samples, seed, scale=1.0):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from nofob import cli
 from nofob.algorithms import run_algorithm
 from nofob.cli import (
     CSV_HEADER,
@@ -15,6 +16,7 @@ from nofob.cli import (
     EXIT_USAGE,
     main,
 )
+from nofob.linalg import ContractViolation
 from nofob.problems import get_instance
 
 
@@ -195,6 +197,25 @@ def test_bench_empty_grid_is_usage_error():
     assert run_cli(
         ["bench", "--problem", "rotation", "--algorithm", "", "--gamma", "0.5"]
     ) == EXIT_USAGE
+
+
+def test_unexpected_failure_prints_its_traceback(monkeypatch, capsys):
+    def boom(_args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_list", boom)
+    assert run_cli(["list"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_contract_violation_stays_a_one_line_error(monkeypatch, capsys):
+    def refuse(_args):
+        raise ContractViolation("refused")
+
+    monkeypatch.setattr(cli, "cmd_list", refuse)
+    assert run_cli(["list"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: refused\n"
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,21 @@ def test_fejer_fails_on_corrupted_trajectory():
     assert rep.first_violating_iter in (4, 5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_fejer_fails_on_a_non_finite_record_in_either_order(value, bad_first):
+    prob = identity_kernel_problem()
+    z = np.zeros(4)
+    good = run_loop(unit_step(prob), np.ones(4), tol=0.0, max_iter=1).records[0]
+    bad = dataclasses.replace(good, x_next=np.full(4, value))
+    recs = [bad, good] if bad_first else [good, bad]
+    traj = Trajectory(records=recs, final_x=bad.x_next, status="max_iter")
+    rep = check_fejer(traj, z, prob.s_metric)
+    assert not rep.passed
+    assert str(rep.max_violation) == str(value)
+    assert rep.first_violating_iter == (0 if bad_first else 1)
+
+
 # ---------------------------------------------------------------------------
 # separation
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from nofob.operators import (
     LipschitzMap,
     NonlinearKernel,
     SkewMap,
+    _sampled_pairs,
     affine_operator,
     box_normal_cone,
     check_skew,
@@ -134,6 +137,22 @@ def test_block_prox_split_and_resolve():
     out2 = bp.block_resolve([2.0, 1.0], y)
     assert np.allclose(out2[:2], [1.0, 0.0])
     assert np.allclose(out2[2:], y[2:])
+
+
+def test_batched_samplers_match_the_per_sample_draws():
+    # reference: one rng.vector call per sample, as the samplers drew before
+    n, samples = 7, 90
+    a = Lcg64(8).matrix(n, n)
+    rng = Lcg64(9)
+    ref = 0.0
+    for _ in range(samples):
+        x = rng.vector(n)
+        ref = max(ref, abs(float(x @ (a @ x))) / max(1.0, float(x @ x)))
+    assert check_skew(SimpleNamespace(dim=n, matrix=a), samples, 9) == ref
+    rng = Lcg64(10)
+    for x, y in _sampled_pairs(n, samples, 10, 0.5):
+        assert x.tobytes() == (0.5 * rng.vector(n)).tobytes()
+        assert y.tobytes() == (0.5 * rng.vector(n)).tobytes()
 
 
 def test_honesty_samplers_accept_honest_constants():
