@@ -17,7 +17,6 @@ from .core import (
     nofob_iterate,
     psi_value,
     run_loop,
-    theta_schedule,
 )
 from .diagnostics import (
     CheckReport,
@@ -47,7 +46,6 @@ from .fourop import (
 from .linalg import (
     ContractViolation,
     SpdMetric,
-    weighted_inner,
     weighted_norm,
 )
 from .operators import (

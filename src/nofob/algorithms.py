@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import NofobProblem, Trajectory, nofob_iterate, run_loop, theta_schedule
+from .core import NofobProblem, Trajectory, clamp_theta, nofob_iterate, run_loop
 from .fourop import (
     AffinePlusSkew,
     BlockDiag,
@@ -246,7 +246,7 @@ _GAMMA = lambda ker: ker.gamma
 _UNIT_STEP = lambda ker: 1.0
 
 # relaxations: (theta given, c) -> theta reported; the step applies theta * c
-_CLAMPED = lambda th, c: theta_schedule([th])(0)
+_CLAMPED = lambda th, c: clamp_theta(th)
 _GIVEN = lambda th, c: th
 _UNIT = lambda th, c: 1.0
 

@@ -15,7 +15,7 @@ above that raises.  Null steps, and only they, record mu = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = [
     "psi_value",
     "nofob_iterate",
     "run_loop",
-    "theta_schedule",
+    "clamp_theta",
 ]
 
 _THETA_MIN = 0.05
@@ -47,22 +47,22 @@ NOISE_TOL = 1e-9
 class NofobProblem:
     """Data defining one solve: the backward oracle, the kernel, and metrics.
 
-    fb_oracle(k, x) returns x_hat = (M_k + A)^{-1} (M_k - C) x.
-    kernel_eval(k, x) returns M_k x.  P lower-bounds the kernel family's
-    strong monotonicity; beta in [0, 4) is the inverse cocoercivity of C
-    relative to P; S is the projection metric; kernel_lipschitz bounds
-    every M_k in the iteration-invariant norm pair.
+    The kernel M is fixed for the run.  fb_oracle(x) returns
+    x_hat = (M + A)^{-1} (M - C) x, and kernel_eval(x) returns M x.
+    P lower-bounds the strong monotonicity of M; beta in [0, 4) is the
+    inverse cocoercivity of C relative to P; S is the projection metric;
+    kernel_lipschitz bounds M in the norm pair.
     """
 
-    fb_oracle: Callable[[int, np.ndarray], np.ndarray]
-    kernel_eval: Callable[[int, np.ndarray], np.ndarray]
+    fb_oracle: Callable[[np.ndarray], np.ndarray]
+    kernel_eval: Callable[[np.ndarray], np.ndarray]
     p_metric: SpdMetric
     s_metric: SpdMetric
     beta: float
     kernel_lipschitz: float
-    # optional cancellation-free evaluation of M_k x - M_k x_hat; without
+    # optional cancellation-free evaluation of M x - M x_hat; without
     # it the plain difference loses eps * ||x|| / ||x - x_hat|| digits
-    kernel_diff: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
+    kernel_diff: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (0.0 <= self.beta < 4.0):
@@ -70,10 +70,10 @@ class NofobProblem:
         if self.kernel_lipschitz <= 0:
             raise ContractViolation("kernel Lipschitz bound must be positive")
 
-    def kernel_difference(self, k: int, x, x_hat) -> np.ndarray:
+    def kernel_difference(self, x, x_hat) -> np.ndarray:
         if self.kernel_diff is not None:
-            return self.kernel_diff(k, x, x_hat)
-        return self.kernel_eval(k, x) - self.kernel_eval(k, x_hat)
+            return self.kernel_diff(x, x_hat)
+        return self.kernel_eval(x) - self.kernel_eval(x_hat)
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ class Trajectory:
         return len(self.records)
 
 
-def psi_value(prob: NofobProblem, k: int, x, x_hat, z) -> float:
+def psi_value(prob: NofobProblem, x, x_hat, z) -> float:
     """Separating function value <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2."""
-    m = prob.kernel_difference(k, x, x_hat)
+    m = prob.kernel_difference(x, x_hat)
     gap = weighted_norm(prob.p_metric, x - x_hat)
     return float(m @ (z - x_hat)) - 0.25 * prob.beta * gap * gap
 
@@ -153,13 +153,13 @@ def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
     if mu_hat is not None and not mu_hat > 0.0:
         raise ContractViolation("mu_hat must be positive")
     x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(prob.fb_oracle(k, x), dtype=float)
+    x_hat = np.asarray(prob.fb_oracle(x), dtype=float)
     diff = x - x_hat
     residual = weighted_norm(prob.s_metric, diff)
     x_norm = weighted_norm(prob.s_metric, x)
     if coincides(residual, x_norm):
         return null_record(k, x, x_hat, theta, residual, mu_hat)
-    m = prob.kernel_difference(k, x, x_hat)
+    m = prob.kernel_difference(x, x_hat)
     pg = weighted_norm(prob.p_metric, diff)
     num = float(m @ diff) - 0.25 * prob.beta * pg * pg
     s_inv_m = prob.s_metric.solve(m)
@@ -179,12 +179,9 @@ def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
     )
 
 
-def theta_schedule(values: Sequence[float]) -> Callable[[int], float]:
-    """Cyclic relaxation schedule clamped to (0, 2) with a safety margin."""
-    vals = [min(max(float(v), _THETA_MIN), _THETA_MAX) for v in values]
-    if not vals:
-        raise ContractViolation("theta schedule needs at least one value")
-    return lambda k: vals[k % len(vals)]
+def clamp_theta(theta: float) -> float:
+    """The relaxation clamped to (0, 2) with a safety margin."""
+    return min(max(float(theta), _THETA_MIN), _THETA_MAX)
 
 
 def run_loop(

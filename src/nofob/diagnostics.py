@@ -47,14 +47,20 @@ class CheckReport:
                 f"{self.max_violation:.3e} (tol {self.tolerance:.1e}){where}")
 
 
-def _report(name, violations, tol):
-    """A non-finite violation fails and is reported as inf or nan."""
+def _report(name, violations, tol, index=None):
+    """A non-finite violation fails and is reported as inf or nan.
+
+    index gives the record of each violation when the checker skipped
+    records; without it the violations are the records in order.
+    """
     if not violations:
         return CheckReport(name, 0.0, None, True, tol)
     v = np.asarray(violations, dtype=float)
     finite = np.isfinite(v)
     failing = ~finite | (v > tol)
     first = int(np.argmax(failing)) if failing.any() else None
+    if first is not None and index is not None:
+        first = index[first]
     worst = float(np.max(np.where(finite, v, np.abs(v))))
     return CheckReport(name, worst, first, first is None, tol)
 
@@ -92,8 +98,8 @@ def check_separation(traj: Trajectory, prob: NofobProblem, z_star: np.ndarray,
     violations = []
     for rec in traj.records:
         gap = weighted_norm(prob.p_metric, rec.x - rec.x_hat)
-        at_x = psi_value(prob, rec.k, rec.x, rec.x_hat, rec.x)
-        at_z = psi_value(prob, rec.k, rec.x, rec.x_hat, z)
+        at_x = psi_value(prob, rec.x, rec.x_hat, rec.x)
+        at_z = psi_value(prob, rec.x, rec.x_hat, z)
         guard = tol * (1.0 + gap * gap)
         lower = (1.0 - prob.beta / 4.0) * gap * gap
         violations.append(max(lower - at_x - guard + tol, at_z - guard + tol))
@@ -111,20 +117,17 @@ def check_mu_bounds(traj: Trajectory, beta: float, p: SpdMetric, s: SpdMetric,
     """
     lo = (1.0 - beta / 4.0) * p.lam_min / (kernel_lipschitz ** 2 / s.lam_min)
     hi = s.lam_max / p.lam_min
-    violations = []
-    for rec in traj.records:
-        if rec.mu == 0.0:
-            continue
-        violations.append(max(lo - rec.mu, rec.mu - hi))
-    return _report("mu-bounds", violations, tol)
+    moved = [i for i, rec in enumerate(traj.records) if rec.mu != 0.0]
+    violations = [max(lo - traj.records[i].mu, traj.records[i].mu - hi) for i in moved]
+    return _report("mu-bounds", violations, tol, moved)
 
 
 def fit_rate(residuals: Sequence[float], tail_fraction: float = 0.5):
     """Least-squares slope of log(residual) against iteration on the tail.
 
     Returns (slope, r_squared); a geometric sequence c^k yields slope
-    ln c with r_squared 1.  Non-positive residuals in the tail are
-    dropped; fewer than 10 usable points is an error.
+    ln c with r_squared 1.  Non-positive and non-finite residuals in the
+    tail are dropped; fewer than 10 usable points is an error.
     """
     if not (0.0 < tail_fraction <= 1.0):
         raise ContractViolation("tail_fraction must lie in (0, 1]")
@@ -132,10 +135,10 @@ def fit_rate(residuals: Sequence[float], tail_fraction: float = 0.5):
     start = int(np.floor(len(r) * (1.0 - tail_fraction)))
     tail = r[start:]
     ks = np.arange(start, len(r))
-    keep = tail > 0.0
+    keep = np.isfinite(tail) & (tail > 0.0)
     ks, tail = ks[keep], tail[keep]
     if len(tail) < 10:
-        raise ContractViolation("need at least 10 positive tail residuals")
+        raise ContractViolation("need at least 10 positive finite tail residuals")
     logs = np.log(tail)
     slope, intercept = np.polyfit(ks, logs, 1)
     fit = slope * ks + intercept

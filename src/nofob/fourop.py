@@ -2,10 +2,11 @@
 
 B has a cheap resolvent, D is Lipschitz, E is cocoercive, K is linear
 skew-adjoint.  D, E, K are all handled forward; the backward step
-solves (Q_k + B)^{-1} for one of four kernel families:
+solves (Q + B)^{-1} for one of four kernel families, each fixed for
+the run:
 
-  ScalarStep          Q_k = gamma_k^{-1} I, plain prox
-  BlockDiag           Q_k = blockdiag(w_i I), per-block prox
+  ScalarStep          Q = gamma^{-1} I, plain prox
+  BlockDiag           Q = blockdiag(w_i I), per-block prox
   AffinePlusSkew      Q = P + G constant, block-lower-triangular,
                       two-block Gauss-Seidel sweep
   SeparableNonlinear  Q x = phi(x) coordinatewise, bisection solver
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -86,26 +87,19 @@ class FourOpProblem:
         return self.d(x) + self.k(x) + self.e(x)
 
 
-Schedule = Union[float, Callable[[int], float]]
-
-
-def _at(s: Schedule, k: int) -> float:
-    return float(s(k)) if callable(s) else float(s)
-
-
 class KernelSpec:
-    """Common interface: the kernel map Q_k, its resolvent with B, and
+    """Common interface: the kernel map Q, its resolvent with B, and
     the metric/constant bookkeeping the projection correction needs."""
 
-    def q_apply(self, prob: FourOpProblem, k: int, x: np.ndarray) -> np.ndarray:
+    def q_apply(self, prob: FourOpProblem, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def q_diff(self, prob: FourOpProblem, k: int, x, x_hat) -> np.ndarray:
-        """Q_k x - Q_k x_hat; linear kernels override this to act on the
+    def q_diff(self, prob: FourOpProblem, x, x_hat) -> np.ndarray:
+        """Q x - Q x_hat; linear kernels override this to act on the
         difference directly, which avoids catastrophic cancellation."""
-        return self.q_apply(prob, k, x) - self.q_apply(prob, k, x_hat)
+        return self.q_apply(prob, x) - self.q_apply(prob, x_hat)
 
-    def resolvent(self, prob: FourOpProblem, k: int, v: np.ndarray) -> np.ndarray:
+    def resolvent(self, prob: FourOpProblem, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def p_metric(self, prob: FourOpProblem) -> SpdMetric:
@@ -124,94 +118,50 @@ class KernelSpec:
         raise NotImplementedError
 
 
+def _positive(value, what: str) -> float:
+    v = float(value)
+    if not v > 0.0:
+        raise ContractViolation(f"{what} must be positive")
+    return v
+
+
 class ScalarStep(KernelSpec):
-    """Q_k = gamma_k^{-1} I.
+    """Q = gamma^{-1} I."""
 
-    gamma may be a constant or a schedule; schedules must declare
-    gamma_min (and gamma_max for the Lipschitz bound) since the P
-    metric depends on the smallest step.
-    """
+    def __init__(self, gamma: float):
+        self.gamma = _positive(gamma, "gamma")
 
-    def __init__(self, gamma: Schedule, gamma_min: Optional[float] = None,
-                 gamma_max: Optional[float] = None):
-        if callable(gamma):
-            if gamma_min is None or gamma_max is None:
-                raise ContractViolation(
-                    "gamma schedules must declare gamma_min and gamma_max"
-                )
-        else:
-            gamma = float(gamma)
-            gamma_min = gamma if gamma_min is None else gamma_min
-            gamma_max = gamma if gamma_max is None else gamma_max
-        if gamma_min <= 0 or gamma_max < gamma_min:
-            raise ContractViolation("need 0 < gamma_min <= gamma_max")
-        self.gamma = gamma
-        self.gamma_min = float(gamma_min)
-        self.gamma_max = float(gamma_max)
+    def q_apply(self, prob, x):
+        return x / self.gamma
 
-    def gamma_at(self, k: int) -> float:
-        g = _at(self.gamma, k)
-        if not (self.gamma_min - 1e-15 <= g <= self.gamma_max + 1e-15):
-            raise ContractViolation("gamma schedule left its declared range")
-        return g
+    def q_diff(self, prob, x, x_hat):
+        return (x - x_hat) / self.gamma
 
-    def q_apply(self, prob, k, x):
-        return x / self.gamma_at(k)
-
-    def q_diff(self, prob, k, x, x_hat):
-        return (x - x_hat) / self.gamma_at(k)
-
-    def resolvent(self, prob, k, v):
-        g = self.gamma_at(k)
+    def resolvent(self, prob, v):
+        g = self.gamma
         return prob.b.evaluator(g, g * np.asarray(v, dtype=float))
 
     def p_metric(self, prob):
-        c = 1.0 / self.gamma_min - prob.d.lipschitz_constant
+        c = 1.0 / self.gamma - prob.d.lipschitz_constant
         if c <= 0:
             raise ContractViolation(
-                "1/gamma_min must exceed the Lipschitz constant of D"
+                "1/gamma must exceed the Lipschitz constant of D"
             )
         return SpdMetric.scaled_identity(c, prob.dim)
 
-    def beta(self, prob):
-        return beta_effective(
-            prob.e.inverse_cocoercivity, self.gamma_min, prob.d.lipschitz_constant
-        )
-
     def kernel_lipschitz_bound(self, prob):
         return kernel_lipschitz(
-            self.gamma_min, prob.d.lipschitz_constant, prob.k.operator_norm
+            self.gamma, prob.d.lipschitz_constant, prob.k.operator_norm
         )
 
 
 class BlockDiag(KernelSpec):
-    """Q_k = blockdiag(w_i I) over the blocks of a BlockProx B.
+    """Q = blockdiag(w_i I) over the blocks of a BlockProx B."""
 
-    Weights may be constants or schedules; schedules must declare a
-    shared (w_lo, w_hi) range.
-    """
-
-    def __init__(self, weights: Sequence[Schedule],
-                 weight_range: Optional[tuple] = None):
+    def __init__(self, weights: Sequence[float]):
         if not weights:
             raise ContractViolation("at least one block weight required")
-        if any(callable(w) for w in weights):
-            if weight_range is None:
-                raise ContractViolation(
-                    "weight schedules must declare a (min, max) range"
-                )
-            lo, hi = float(weight_range[0]), float(weight_range[1])
-        else:
-            vals = [float(w) for w in weights]
-            lo, hi = min(vals), max(vals)
-        if lo <= 0 or hi < lo:
-            raise ContractViolation("need 0 < min weight <= max weight")
-        self.weights = tuple(weights)
-        self.weight_min = lo
-        self.weight_max = hi
-
-    def weights_at(self, k: int):
-        return [_at(w, k) for w in self.weights]
+        self.weights = tuple(_positive(w, "block weights") for w in weights)
 
     def _block(self, prob) -> BlockProx:
         if not isinstance(prob.b, BlockProx):
@@ -220,22 +170,21 @@ class BlockDiag(KernelSpec):
             raise ContractViolation("one weight per B block required")
         return prob.b
 
-    def q_apply(self, prob, k, x):
+    def q_apply(self, prob, x):
         bp = self._block(prob)
-        ws = self.weights_at(k)
-        return np.concatenate([w * xb for w, xb in zip(ws, bp.split(x))])
+        return np.concatenate([w * xb for w, xb in zip(self.weights, bp.split(x))])
 
-    def q_diff(self, prob, k, x, x_hat):
-        return self.q_apply(prob, k, x - x_hat)
+    def q_diff(self, prob, x, x_hat):
+        return self.q_apply(prob, x - x_hat)
 
-    def resolvent(self, prob, k, v):
-        return self._block(prob).block_resolve(self.weights_at(k), v)
+    def resolvent(self, prob, v):
+        return self._block(prob).block_resolve(self.weights, v)
 
     def p_metric(self, prob):
-        return SpdMetric.scaled_identity(self.weight_min, prob.dim)
+        return SpdMetric.scaled_identity(min(self.weights), prob.dim)
 
     def kernel_lipschitz_bound(self, prob):
-        return self.weight_max + prob.d.lipschitz_constant + prob.k.operator_norm
+        return max(self.weights) + prob.d.lipschitz_constant + prob.k.operator_norm
 
 
 class AffinePlusSkew(KernelSpec):
@@ -284,13 +233,13 @@ class AffinePlusSkew(KernelSpec):
             raise ContractViolation("B block dims do not match the kernel blocks")
         return prob.b
 
-    def q_apply(self, prob, k, x):
+    def q_apply(self, prob, x):
         return self.q_matrix @ x
 
-    def q_diff(self, prob, k, x, x_hat):
+    def q_diff(self, prob, x, x_hat):
         return self.q_matrix @ (x - x_hat)
 
-    def resolvent(self, prob, k, v):
+    def resolvent(self, prob, v):
         bp = self._block(prob)
         d1 = self.dims[0]
         w1, w2 = self._w
@@ -325,11 +274,11 @@ class SeparableNonlinear(KernelSpec):
         if not getattr(prob.b, "separable", False):
             raise ContractViolation("nonlinear kernels require a separable B")
 
-    def q_apply(self, prob, k, x):
+    def q_apply(self, prob, x):
         self._check(prob)
         return self.kernel(x)
 
-    def resolvent(self, prob, k, v):
+    def resolvent(self, prob, v):
         self._check(prob)
         return separable_nonlinear_resolvent(self.kernel, prob.b, v)
 
@@ -344,23 +293,23 @@ class SeparableNonlinear(KernelSpec):
 # generic four-operator step
 
 
-def four_op_fb(prob: FourOpProblem, spec: KernelSpec, k: int, x) -> np.ndarray:
-    """x_hat = (Q_k + B)^{-1} (Q_k - D - K - E) x."""
+def four_op_fb(prob: FourOpProblem, spec: KernelSpec, x) -> np.ndarray:
+    """x_hat = (Q + B)^{-1} (Q - D - K - E) x."""
     x = np.asarray(x, dtype=float)
-    return spec.resolvent(prob, k, spec.q_apply(prob, k, x) - prob.forward(x))
+    return spec.resolvent(prob, spec.q_apply(prob, x) - prob.forward(x))
 
 
 def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProblem:
     """View the four-operator method as a corrected forward-backward solve."""
 
-    def fb(k, x):
-        return four_op_fb(prob, spec, k, x)
+    def fb(x):
+        return four_op_fb(prob, spec, x)
 
-    def kernel(k, x):
-        return spec.q_apply(prob, k, x) - prob.d(x) - prob.k(x)
+    def kernel(x):
+        return spec.q_apply(prob, x) - prob.d(x) - prob.k(x)
 
-    def kernel_diff(k, x, x_hat):
-        return (spec.q_diff(prob, k, x, x_hat)
+    def kernel_diff(x, x_hat):
+        return (spec.q_diff(prob, x, x_hat)
                 - (prob.d(x) - prob.d(x_hat)) - prob.k(x - x_hat))
 
     return NofobProblem(
@@ -576,13 +525,13 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
     if gamma <= 0:
         raise ContractViolation("gamma must be positive")
 
-    def fb(k, x):
+    def fb(x):
         return _scalar_fb(prob, gamma, x)
 
-    def kernel(k, x):
+    def kernel(x):
         return x / gamma
 
-    def kernel_diff(k, x, x_hat):
+    def kernel_diff(x, x_hat):
         return (x - x_hat) / gamma
 
     return NofobProblem(

@@ -14,7 +14,6 @@ from scipy.linalg import cho_factor, cho_solve
 __all__ = [
     "ContractViolation",
     "SpdMetric",
-    "weighted_inner",
     "weighted_norm",
     "extremal_eig_bounds",
 ]
@@ -125,12 +124,6 @@ def _check_dims(*vs):
         d = v.shape[0] if isinstance(v, np.ndarray) else v.dim
         if d != n:
             raise ContractViolation("dimension mismatch")
-
-
-def weighted_inner(w: SpdMetric, x: np.ndarray, y: np.ndarray) -> float:
-    """<x, W y>."""
-    _check_dims(w, x, y)
-    return float(x @ w.apply(y))
 
 
 def weighted_norm(w: SpdMetric, x: np.ndarray) -> float:

@@ -27,7 +27,6 @@ __all__ = [
     "BlockProx",
     "zero_operator",
     "affine_operator",
-    "quadratic_operator",
     "l1_subdifferential",
     "box_normal_cone",
     "l1_plus_diag_affine",
@@ -193,20 +192,6 @@ def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
         return np.linalg.solve(eye + gamma * h, np.asarray(y, float) - gamma * b)
 
     return ProxOperator(evaluator=ev, descriptor="affine", affine_h=h, affine_b=b)
-
-
-def quadratic_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
-    """Gradient of the quadratic 0.5 x'Hx + b'x, H symmetric PSD."""
-    h = np.asarray(h, dtype=float)
-    if np.abs(h - h.T).max() > 1e-12 * max(1.0, np.abs(h).max()):
-        raise ContractViolation("quadratic operator needs a symmetric matrix")
-    op = affine_operator(h, b)
-    return ProxOperator(
-        evaluator=op.evaluator,
-        descriptor="quadratic",
-        affine_h=op.affine_h,
-        affine_b=op.affine_b,
-    )
 
 
 def _soft(z: np.ndarray, t) -> np.ndarray:

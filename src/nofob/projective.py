@@ -14,7 +14,7 @@ runtime oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -41,12 +41,6 @@ __all__ = [
 _MAX_BLOCKS = 8
 _MAX_BLOCK_DIM = 100
 
-def _tau_at(s, k: int) -> float:
-    v = float(s(k)) if callable(s) else float(s)
-    if v <= 0:
-        raise ContractViolation("step sizes must be positive")
-    return v
-
 
 @dataclass(frozen=True)
 class PdPoint:
@@ -65,18 +59,14 @@ class PdPoint:
         duals = tuple(vec[a:b] for a, b in zip(offs[:-1], offs[1:]))
         return cls(duals=duals, primal=vec[offs[-1]:offs[-1] + primal_dim])
 
-    @classmethod
-    def zero(cls, dual_dims: Sequence[int], primal_dim: int) -> "PdPoint":
-        return cls(tuple(np.zeros(d) for d in dual_dims), np.zeros(primal_dim))
-
 
 class PsProblem:
     """n monotone blocks A_1..A_n with couplings L_1..L_{n-1}.
 
     a_ops[i] is the resolvent oracle of A_{i+1}; the last entry acts on
     the primal space.  l_maps[i] maps the primal space into the space
-    of A_{i+1}.  taus are per-block positive step sizes, constants or
-    schedules indexed by iteration.
+    of A_{i+1}.  taus are per-block positive step sizes, fixed for the
+    run.
     """
 
     def __init__(self, a_ops: Sequence[ProxOperator], l_maps: Sequence,
@@ -98,7 +88,10 @@ class PsProblem:
             mats.append(m)
         self.a_ops = tuple(a_ops)
         self.l_maps = tuple(mats)
-        self.taus = tuple(taus)
+        taus = tuple(float(t) for t in taus)
+        if not all(t > 0.0 for t in taus):
+            raise ContractViolation("step sizes must be positive")
+        self.taus = taus
         self.primal_dim = int(primal_dim)
         self.dual_dims = tuple(m.shape[0] for m in mats)
         self.n = n
@@ -108,13 +101,10 @@ class PsProblem:
     def total_dim(self) -> int:
         return sum(self.dual_dims) + self.primal_dim
 
-    def taus_at(self, k: int) -> List[float]:
-        return [_tau_at(t, k) for t in self.taus]
-
-    def q_weights_at(self, k: int) -> List[float]:
+    @property
+    def q_weights(self) -> Tuple[float, ...]:
         """Kernel block weights (tau_1, ..., tau_{n-1}, 1/tau_n)."""
-        ts = self.taus_at(k)
-        return ts[:-1] + [1.0 / ts[-1]]
+        return (*self.taus[:-1], 1.0 / self.taus[-1])
 
     def stacked(self):
         if self._stacked is None:
@@ -146,29 +136,26 @@ def stack_primal_dual(ps: PsProblem) -> Tuple[BlockProx, SkewMap]:
 def resolvent_view(ps: PsProblem, s: SpdMetric) -> NofobProblem:
     """The resolvent form as a kernel view of the stacked problem.
 
-    p_hat = (Q_k + B)^{-1}(Q_k - K) p with the block-diagonal kernel
-    Q_k = blockdiag(tau_1, ..., tau_{n-1}, 1/tau_n) over the stacked
+    p_hat = (Q + B)^{-1}(Q - K) p with the block-diagonal kernel
+    Q = blockdiag(tau_1, ..., tau_{n-1}, 1/tau_n) over the stacked
     primal-dual inclusion; core.nofob_iterate on this view is one
-    resolvent-form step.  P takes the kernel weights at iteration 0.
+    resolvent-form step.
     """
     block, kmap = ps.stacked()
     total = ps.total_dim
-    last = ps.taus[-1]
-    weights = [*ps.taus[:-1], (lambda k: 1.0 / last(k)) if callable(last) else 1.0 / last]
-    w0 = ps.q_weights_at(0)
     stacked = FourOpProblem(b=block, d=zero_forward(total), e=zero_cocoercive(total),
                             k=kmap, dim=total)
-    return as_nofob(stacked, BlockDiag(weights, (min(w0), max(w0))), s)
+    return as_nofob(stacked, BlockDiag(ps.q_weights), s)
 
 
-def _explicit_candidate(ps: PsProblem, k: int, p: PdPoint):
+def _explicit_candidate(ps: PsProblem, p: PdPoint):
     """The explicit step's candidate pairs and its projection direction.
 
     Each dual pair (v_hat_i, w_hat_i) and the primal pair (x_hat, y_hat)
     are certified to lie on their operator graphs through prox residuals.
     Returns (lsw, x_hat, y_hat, v_hats, w_hats, t_list, t_star).
     """
-    taus = ps.taus_at(k)
+    taus = ps.taus
     tau_n = taus[-1]
     x = p.primal
     lsw = sum(
@@ -205,7 +192,7 @@ def ps_explicit_iterate(
     published, kept as a cross-check of the resolvent form.
     """
     x = p.primal
-    lsw, x_hat, y_hat, v_hats, w_hats, t_list, t_star = _explicit_candidate(ps, k, p)
+    lsw, x_hat, y_hat, v_hats, w_hats, t_list, t_star = _explicit_candidate(ps, p)
 
     # The published numerator (sum <t_i, w_i> - <v_i, w_hat_i>) + <t*, x>
     # - <y_hat, x_hat> cancels O(1) terms down to a residual-squared
@@ -236,7 +223,7 @@ def ps_explicit_iterate(
     return p_next, rec
 
 
-def explicit_mu_terms(ps: PsProblem, k: int, p: PdPoint):
+def explicit_mu_terms(ps: PsProblem, p: PdPoint):
     """Diagnostic values behind one explicit step, before the update.
 
     Returns (num_published, num_weighted, den_explicit, den_weighted)
@@ -246,7 +233,7 @@ def explicit_mu_terms(ps: PsProblem, k: int, p: PdPoint):
     squared direction blocks and the stacked-kernel squared norm.  All
     four agree pairwise in exact arithmetic.
     """
-    _, x_hat, y_hat, v_hats, w_hats, t_list, t_star = _explicit_candidate(ps, k, p)
+    _, x_hat, y_hat, v_hats, w_hats, t_list, t_star = _explicit_candidate(ps, p)
     num_published = (
         sum(float(t @ w) - float(vh @ wh)
             for t, w, vh, wh in zip(t_list, p.duals, v_hats, w_hats))
@@ -255,7 +242,7 @@ def explicit_mu_terms(ps: PsProblem, k: int, p: PdPoint):
     den_explicit = sum(float(t @ t) for t in t_list) + float(t_star @ t_star)
 
     block, kmap = ps.stacked()
-    weights = ps.q_weights_at(k)
+    weights = ps.q_weights
     diff = p.to_vector() - np.concatenate([*w_hats, x_hat])
     q_diff = np.concatenate([w * xb for w, xb in zip(weights, block.split(diff))])
     num_weighted = float(q_diff @ diff)

@@ -5,8 +5,8 @@ from nofob.core import (
     NofobProblem,
     nofob_iterate,
     psi_value,
+    clamp_theta,
     run_loop,
-    theta_schedule,
 )
 from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
 from nofob.rng import Lcg64
@@ -15,8 +15,8 @@ from nofob.rng import Lcg64
 def identity_kernel_problem(n=4):
     """A x = x, C = 0, M = I: x_hat = x / 2 and mu is identically 1."""
     return NofobProblem(
-        fb_oracle=lambda k, x: x / 2.0,
-        kernel_eval=lambda k, x: x,
+        fb_oracle=lambda x: x / 2.0,
+        kernel_eval=lambda x: x,
         p_metric=SpdMetric.identity(n),
         s_metric=SpdMetric.identity(n),
         beta=0.0,
@@ -41,14 +41,14 @@ def test_psi_value_matches_manual_formula():
     rng = Lcg64(2)
     x, x_hat, z = rng.vector(4), rng.vector(4), rng.vector(4)
     manual = float((x - x_hat) @ (z - x_hat))
-    assert psi_value(prob, 0, x, x_hat, z) == pytest.approx(manual, abs=1e-14)
+    assert psi_value(prob, x, x_hat, z) == pytest.approx(manual, abs=1e-14)
 
 
 def test_unit_relaxation_lands_on_hyperplane():
     prob = identity_kernel_problem()
     x = np.array([2.0, 0.0, -1.0, 1.0])
     rec = nofob_iterate(prob, 0, x, 1.0)
-    assert psi_value(prob, 0, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
+    assert psi_value(prob, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -60,8 +60,8 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric():
     r = rng.matrix(4, 4)
     s = SpdMetric(r @ r.T + np.eye(4))
     prob = NofobProblem(
-        fb_oracle=lambda k, x: x / 2.0,
-        kernel_eval=lambda k, x: x,
+        fb_oracle=lambda x: x / 2.0,
+        kernel_eval=lambda x: x,
         p_metric=SpdMetric.identity(4),
         s_metric=s,
         beta=0.0,
@@ -69,7 +69,7 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric():
     )
     x = rng.vector(4)
     rec = nofob_iterate(prob, 0, x, 1.0)
-    assert psi_value(prob, 0, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
+    assert psi_value(prob, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
         0.0, abs=1e-12
     )
     normal = rec.x - rec.x_hat
@@ -89,7 +89,7 @@ def test_relaxation_scales_the_step():
 def test_coincidence_returns_identity_update():
     prob = identity_kernel_problem()
     prob_fixed = NofobProblem(
-        fb_oracle=lambda k, x: x,
+        fb_oracle=lambda x: x,
         kernel_eval=prob.kernel_eval,
         p_metric=prob.p_metric,
         s_metric=prob.s_metric,
@@ -134,8 +134,8 @@ def test_conservative_rejects_bad_parameters():
 def test_beta_out_of_range_rejected():
     with pytest.raises(ContractViolation):
         NofobProblem(
-            fb_oracle=lambda k, x: x,
-            kernel_eval=lambda k, x: x,
+            fb_oracle=lambda x: x,
+            kernel_eval=lambda x: x,
             p_metric=SpdMetric.identity(2),
             s_metric=SpdMetric.identity(2),
             beta=4.0,
@@ -177,14 +177,11 @@ def test_run_loop_flags_non_finite_states():
     assert traj.status == "error"
 
 
-def test_theta_schedule_cycles_and_clamps():
-    sched = theta_schedule([0.5, 1.5])
-    assert sched(0) == 0.5
-    assert sched(1) == 1.5
-    assert sched(2) == 0.5
-    clamped = theta_schedule([0.0, 5.0])
-    assert 0.0 < clamped(0) < 2.0
-    assert 0.0 < clamped(1) < 2.0
+def test_clamp_theta_keeps_inside_and_clamps_outside():
+    assert clamp_theta(0.5) == 0.5
+    assert clamp_theta(1.5) == 1.5
+    assert clamp_theta(0.0) == 0.05
+    assert clamp_theta(5.0) == 1.95
 
 
 def test_fejer_decrease_in_custom_metric():
@@ -192,8 +189,8 @@ def test_fejer_decrease_in_custom_metric():
     r = rng.matrix(4, 4)
     s = SpdMetric(r @ r.T + 2.0 * np.eye(4))
     prob = NofobProblem(
-        fb_oracle=lambda k, x: x / 2.0,
-        kernel_eval=lambda k, x: x,
+        fb_oracle=lambda x: x / 2.0,
+        kernel_eval=lambda x: x,
         p_metric=SpdMetric.identity(4),
         s_metric=s,
         beta=0.0,
@@ -211,8 +208,8 @@ def test_failed_separation_is_null_at_noise_level_and_raises_above():
     # M = -I turns the halfspace around, so separation fails at every x
     def reversed_kernel(shift):
         return NofobProblem(
-            fb_oracle=lambda k, x: x - shift,
-            kernel_eval=lambda k, x: -x,
+            fb_oracle=lambda x: x - shift,
+            kernel_eval=lambda x: -x,
             p_metric=SpdMetric.identity(4),
             s_metric=SpdMetric.identity(4),
             beta=0.0,

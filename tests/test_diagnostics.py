@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nofob.algorithms import run_algorithm
-from nofob.core import NofobProblem, Trajectory, nofob_iterate, run_loop
+from nofob.core import NofobProblem, Trajectory, nofob_iterate, null_record, run_loop
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.linalg import ContractViolation, SpdMetric
 from nofob.problems import get_instance
@@ -14,8 +14,8 @@ from nofob.rng import Lcg64
 def identity_kernel_problem(n=4):
     # A = I, C = 0, M = I: x_hat = (I + I)^{-1} x = x / 2
     return NofobProblem(
-        fb_oracle=lambda k, x: np.asarray(x) / 2.0,
-        kernel_eval=lambda k, x: np.asarray(x, dtype=float),
+        fb_oracle=lambda x: np.asarray(x) / 2.0,
+        kernel_eval=lambda x: np.asarray(x, dtype=float),
         p_metric=SpdMetric.identity(n),
         s_metric=SpdMetric.identity(n),
         beta=0.0,
@@ -112,8 +112,8 @@ def test_separation_fails_with_sign_flipped_kernel():
     view = out.nofob_view
     flipped = dataclasses.replace(
         view,
-        kernel_eval=lambda k, x: -view.kernel_eval(k, x),
-        kernel_diff=lambda k, x, x_hat: -view.kernel_difference(k, x, x_hat),
+        kernel_eval=lambda x: -view.kernel_eval(x),
+        kernel_diff=lambda x, x_hat: -view.kernel_difference(x, x_hat),
     )
     rep = check_separation(out.trajectory, flipped, out.z_star)
     assert not rep.passed
@@ -145,6 +145,16 @@ def test_mu_bounds_skip_exactly_the_null_steps():
     stuck = dataclasses.replace(traj.records[-1], mu=0.5)
     bad = dataclasses.replace(traj, records=traj.records[:-1] + [stuck])
     assert not check_mu_bounds(bad, 0.0, prob.p_metric, prob.s_metric, 1.0).passed
+
+
+def test_mu_bounds_index_counts_the_null_steps():
+    # the violation sits in record 1, after a null step
+    prob = identity_kernel_problem()
+    x = np.ones(4)
+    moved = dataclasses.replace(nofob_iterate(prob, 1, x, 1.0), mu=50.0)
+    traj = Trajectory([null_record(0, x, x, 1.0, 0.0), moved], x, "max_iter")
+    rep = check_mu_bounds(traj, 0.0, prob.p_metric, prob.s_metric, 1.0)
+    assert (rep.first_violating_iter, rep.max_violation, rep.passed) == (1, 49.0, False)
 
 
 def test_mu_bounds_pass_on_four_op_run():
@@ -197,6 +207,13 @@ def test_fit_rate_drops_nonpositive_entries():
     res[25] = 0.0
     slope, _ = fit_rate(res)
     assert slope == pytest.approx(np.log(c), abs=1e-10)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_fit_rate_drops_non_finite_entries(value):
+    slope, r2 = fit_rate([0.5**k for k in range(30)] + [value])
+    assert slope == pytest.approx(np.log(0.5), abs=1e-12)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_rate_on_rotation_fbf_matches_contraction():

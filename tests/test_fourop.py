@@ -67,7 +67,7 @@ def seeded_problem(n=8, seed=42, with_e=True, with_d=True, with_k=True):
 def test_fb_with_all_zero_operators_is_identity():
     prob = trivial_problem()
     x = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(four_op_fb(prob, ScalarStep(0.7), 0, x), x, atol=1e-15)
+    assert np.allclose(four_op_fb(prob, ScalarStep(0.7), x), x, atol=1e-15)
 
 
 def test_scalar_fb_is_proximal_gradient():
@@ -82,7 +82,7 @@ def test_scalar_fb_is_proximal_gradient():
     g = 0.5
     grad_step = x - g * (h @ x - b)  # = [0.75, 0.0 - ... ] computed below
     expected = np.sign(grad_step) * np.maximum(np.abs(grad_step) - g, 0.0)
-    out = four_op_fb(prob, ScalarStep(g), 0, x)
+    out = four_op_fb(prob, ScalarStep(g), x)
     assert np.allclose(out, expected, atol=1e-14)
 
 
@@ -99,14 +99,24 @@ def test_blockdiag_fb_with_zero_blocks_is_linear():
     )
     spec = BlockDiag([1.0, 1.0])
     p = rng.vector(5)
-    out = four_op_fb(prob, spec, 0, p)
+    out = four_op_fb(prob, spec, p)
     assert np.allclose(out, p - kmat @ p, atol=1e-13)
 
 
 def test_blockdiag_requires_block_separable_b():
     prob = trivial_problem()
     with pytest.raises(ContractViolation):
-        four_op_fb(prob, BlockDiag([1.0]), 0, np.zeros(3))
+        four_op_fb(prob, BlockDiag([1.0]), np.zeros(3))
+
+
+def test_kernel_step_sizes_are_validated_at_construction():
+    for gamma in (0.0, -1.0, float("nan")):
+        with pytest.raises(ContractViolation, match="gamma must be positive"):
+            ScalarStep(gamma)
+    with pytest.raises(ContractViolation, match="at least one block weight"):
+        BlockDiag([])
+    with pytest.raises(ContractViolation, match="block weights must be positive"):
+        BlockDiag([1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +180,7 @@ def test_conservative_identity_both_algebraic_routes():
         rec = conservative_iterate(prob, g, k, x)
         # route 1: x_hat - gamma ((D+K) x_hat - (D+K) x) is what rec holds
         # route 2: x - gamma (Mx - M x_hat)
-        m_gap = view.kernel_eval(k, x) - view.kernel_eval(k, rec.x_hat)
+        m_gap = view.kernel_eval(x) - view.kernel_eval(rec.x_hat)
         route2 = x - g * m_gap
         assert np.max(np.abs(rec.x_next - route2)) <= 1e-13
         # route 3: the generic conservative step with mu_hat = gamma, S = I
@@ -289,7 +299,7 @@ def test_kernel_lipschitz_values_and_sampling():
         gap = np.linalg.norm(x - y)
         if gap == 0:
             continue
-        ratio = np.linalg.norm(view.kernel_eval(0, x) - view.kernel_eval(0, y)) / gap
+        ratio = np.linalg.norm(view.kernel_eval(x) - view.kernel_eval(y)) / gap
         assert ratio <= bound + 1e-8
 
 
@@ -302,7 +312,7 @@ def test_kernel_strong_monotonicity_in_p_metric():
     for _ in range(2000):
         x, y = rng.vector(prob.dim), rng.vector(prob.dim)
         diff = x - y
-        lhs = float((view.kernel_eval(0, x) - view.kernel_eval(0, y)) @ diff)
+        lhs = float((view.kernel_eval(x) - view.kernel_eval(y)) @ diff)
         rhs = float(diff @ p.apply(diff))
         assert lhs >= rhs - 1e-9
 
@@ -321,7 +331,7 @@ def test_mu_lower_bound_sampling_over_pairs():
     rng = Lcg64(16)
     for _ in range(10000):
         x, y = rng.vector(prob.dim), rng.vector(prob.dim)
-        m = view.kernel_eval(0, x) - view.kernel_eval(0, y)
+        m = view.kernel_eval(x) - view.kernel_eval(y)
         den = float(m @ m)
         if den == 0.0:
             continue
@@ -399,7 +409,7 @@ def test_affine_plus_skew_gauss_seidel_solves_the_block_system():
         d=zero_forward(4), e=zero_cocoercive(4), k=SkewMap.zero(4), dim=4,
     )
     v = rng.vector(4)
-    out = spec.resolvent(prob, 0, v)
+    out = spec.resolvent(prob, v)
     assert np.allclose(out, np.linalg.solve(q, v), atol=1e-12)
 
 
@@ -502,7 +512,7 @@ def test_separable_nonlinear_spec_requires_d_zero():
     prob = seeded_problem()  # has D != 0
     kernel = NonlinearKernel(phi=lambda x: x, sigma=1.0, ell=1.0)
     with pytest.raises(ContractViolation):
-        four_op_fb(prob, SeparableNonlinear(kernel), 0, np.zeros(prob.dim))
+        four_op_fb(prob, SeparableNonlinear(kernel), np.zeros(prob.dim))
 
 
 def test_separable_nonlinear_linear_phi_matches_scalar_kernel():
@@ -514,6 +524,6 @@ def test_separable_nonlinear_linear_phi_matches_scalar_kernel():
     # phi(t) = 2 t is the scalar kernel with gamma = 1/2
     kernel = NonlinearKernel(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0)
     x = np.array([1.0, -0.4, 0.0, 2.0])
-    a = four_op_fb(prob, SeparableNonlinear(kernel), 0, x)
-    b = four_op_fb(prob, ScalarStep(0.5), 0, x)
+    a = four_op_fb(prob, SeparableNonlinear(kernel), x)
+    b = four_op_fb(prob, ScalarStep(0.5), x)
     assert np.allclose(a, b, atol=1e-10)

@@ -5,7 +5,6 @@ from nofob.linalg import (
     ContractViolation,
     SpdMetric,
     extremal_eig_bounds,
-    weighted_inner,
     weighted_norm,
 )
 from nofob.rng import Lcg64
@@ -39,14 +38,6 @@ def test_weighted_norm_identity_is_euclidean():
     s = SpdMetric.identity(4)
     x = np.array([3.0, 0.0, 4.0, 0.0])
     assert weighted_norm(s, x) == pytest.approx(5.0)
-
-
-def test_weighted_inner_symmetry():
-    rng = Lcg64(11)
-    r = rng.matrix(5, 5)
-    w = SpdMetric(r @ r.T + np.eye(5))
-    x, y = rng.vector(5), rng.vector(5)
-    assert weighted_inner(w, x, y) == pytest.approx(weighted_inner(w, y, x))
 
 
 def test_diagonal_entries_detection():

@@ -18,7 +18,6 @@ from nofob.operators import (
     l1_plus_diag_affine,
     l1_subdifferential,
     moreau_dual_resolvent,
-    quadratic_operator,
     separable_nonlinear_resolvent,
     worst_cocoercivity_deficit,
     worst_lipschitz_ratio,
@@ -53,11 +52,6 @@ def test_affine_resolvent_solves_linear_system():
 def test_affine_operator_rejects_nonmonotone():
     with pytest.raises(ContractViolation):
         affine_operator(np.array([[-1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
-
-
-def test_quadratic_operator_requires_symmetry():
-    with pytest.raises(ContractViolation):
-        quadratic_operator(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
 
 
 def test_box_normal_cone_clamps():

@@ -60,8 +60,9 @@ def test_ps_problem_validation():
             [zero_operator(2), zero_operator(3)],
             [np.zeros((2, 4))], [1.0, 1.0], 3,
         )
-    with pytest.raises(ContractViolation):
-        zero_ps(taus=(1.0, -0.5)).taus_at(0)
+    for taus in ((1.0, -0.5), (1.0, float("nan"))):
+        with pytest.raises(ContractViolation, match="step sizes must be positive"):
+            zero_ps(taus=taus)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,7 @@ def test_resolvent_matches_blockdiag_four_op_view():
     p = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
     for k in range(30):
         p_next, rec = ps_resolvent_iterate(ps, k, p, 1.0)
-        weights = ps.q_weights_at(k)
+        weights = ps.q_weights
         p_vec = p.to_vector()
         q_p = np.concatenate([w * xb for w, xb in zip(weights, block.split(p_vec))])
         p_hat = block.block_resolve(weights, q_p - kmap(p_vec))
@@ -247,7 +248,7 @@ def test_explicit_numerator_and_denominator_identities():
     for k in range(60):
         p_next, rec = ps_explicit_iterate(ps, k, p, 1.0)
         if rec.residual_s > 1e-3:
-            num_pub, num_w, den_e, den_w = explicit_mu_terms(ps, k, p)
+            num_pub, num_w, den_e, den_w = explicit_mu_terms(ps, p)
             assert num_pub == pytest.approx(num_w, rel=1e-9)
             assert den_e == pytest.approx(den_w, rel=1e-9)
             checked += 1
