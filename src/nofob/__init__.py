@@ -34,7 +34,6 @@ from .fourop import (
     afba_fixed_step_check,
     as_nofob,
     beta_effective,
-    conservative_iterate,
     epsbar_delta,
     fbs_relaxed_iterate,
     fbs_view,

@@ -12,9 +12,7 @@ the run:
   SeparableNonlinear  Q x = phi(x) coordinatewise, bisection solver
 
 `as_nofob` views any of them as the kernel of the corrected step in
-core.  Also provides the conservative short step written out by hand
-(forward-backward-forward and forward-backward-half-forward) as a
-cross-check of that step, the step-size bound formulas, and the
+core.  Also provides the step-size bound formulas and the
 fixed-relaxation positive semidefiniteness check.
 """
 
@@ -26,7 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import IterRecord, NofobProblem, coincides, null_record, separation_fails
+from .core import NofobProblem
 from .linalg import ContractViolation, SpdMetric
 from .operators import (
     BlockProx,
@@ -50,7 +48,6 @@ __all__ = [
     "zero_cocoercive",
     "four_op_fb",
     "as_nofob",
-    "conservative_iterate",
     "gamma_bound_long",
     "gamma_bound_conservative",
     "epsbar_delta",
@@ -324,66 +321,6 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
 
 
 # ---------------------------------------------------------------------------
-# conservative short step written out by hand (cross-check transcription)
-
-
-def _scalar_fb(prob: FourOpProblem, gamma: float, x: np.ndarray) -> np.ndarray:
-    return np.asarray(
-        prob.b.evaluator(gamma, x - gamma * prob.forward(x)), dtype=float
-    )
-
-
-def _scalar_kernel_diff(prob, gamma, x, x_hat):
-    """(M x - M x_hat) for M = gamma^{-1} I - D - K."""
-    diff = x - x_hat
-    return diff / gamma - (prob.d(x) - prob.d(x_hat)) - prob.k(diff)
-
-
-def conservative_iterate(prob: FourOpProblem, gamma: float, k: int, x) -> IterRecord:
-    """Short-step variant: x_next = x_hat - gamma ((D+K) x_hat - (D+K) x).
-
-    Tseng's forward-backward-forward step, and with E != 0 the
-    forward-backward-half-forward step of Briceno-Arias and Davis, as
-    published.  It is the corrected step with S = I, step length gamma
-    and unit relaxation, since x - gamma (Mx - M x_hat) telescopes to the
-    formula above; `fbf` and `fbhf` run that step, and this transcription
-    cross-checks it and computes the instance oracles.  The record
-    stores the explicit mu and the effective relaxation theta = gamma / mu.
-    """
-    if gamma <= 0:
-        raise ContractViolation("gamma must be positive")
-    limit = gamma_bound_conservative(
-        prob.e.inverse_cocoercivity, prob.d.lipschitz_constant,
-        prob.k.operator_norm, 0.0,
-    )
-    if gamma > limit + 1e-15:
-        warnings.warn(
-            "gamma exceeds the sufficient conservative bound; proceeding",
-            StepParameterWarning, stacklevel=2,
-        )
-    x = np.asarray(x, dtype=float)
-    x_hat = _scalar_fb(prob, gamma, x)
-    residual = float(np.linalg.norm(x - x_hat))
-    x_norm = float(np.linalg.norm(x))
-    if coincides(residual, x_norm):
-        return null_record(k, x, x_hat, 1.0, residual, gamma)
-    dk_gap = (prob.d(x_hat) + prob.k(x_hat)) - (prob.d(x) + prob.k(x))
-    x_next = x_hat - gamma * dk_gap
-    diff = x - x_hat
-    m = _scalar_kernel_diff(prob, gamma, x, x_hat)
-    num = float(m @ diff) - 0.25 * prob.e.inverse_cocoercivity * float(diff @ diff)
-    den = float(m @ m)
-    if separation_fails(num, den, residual, x_norm):
-        return null_record(k, x, x_hat, 1.0, residual, gamma)
-    mu = num / den
-    return IterRecord(
-        k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=gamma / mu,
-        residual_s=residual, psi_at_x=num, normal_inv_norm=float(np.sqrt(den)),
-        mu_hat=gamma,
-    )
-
-
-# ---------------------------------------------------------------------------
 # step-size bounds and constants
 
 
@@ -526,7 +463,7 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
         raise ContractViolation("gamma must be positive")
 
     def fb(x):
-        return _scalar_fb(prob, gamma, x)
+        return np.asarray(prob.b.evaluator(gamma, x - gamma * prob.forward(x)), dtype=float)
 
     def kernel(x):
         return x / gamma

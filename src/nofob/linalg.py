@@ -1,4 +1,4 @@
-"""SPD metrics and weighted norms.
+"""SPD metrics, weighted norms and spectral norms.
 
 Everything is finite-dimensional.  A dense SPD metric caches its
 Cholesky factor and extremal eigenvalues at construction, so weighted
@@ -16,6 +16,7 @@ __all__ = [
     "SpdMetric",
     "weighted_norm",
     "extremal_eig_bounds",
+    "spectral_norm",
 ]
 
 
@@ -37,6 +38,19 @@ def extremal_eig_bounds(w: np.ndarray, tol: float = 1e-12) -> tuple[float, float
         raise ContractViolation("matrix is not symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (w + w.T))
     return float(eigs[0]), float(eigs[-1])
+
+
+def spectral_norm(m: np.ndarray) -> float:
+    """||M||_2 as sqrt(lambda_max) of the smaller Gram matrix of M.
+
+    One dense symmetric eigenvalue solve instead of an SVD; an empty or
+    zero matrix gives exactly 0.0.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.size == 0:
+        return 0.0
+    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
+    return float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(gram)[-1]))))
 
 
 class SpdMetric:

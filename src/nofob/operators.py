@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import ContractViolation
+from .linalg import ContractViolation, spectral_norm
 from .rng import Lcg64
 
 __all__ = [
@@ -98,7 +98,7 @@ class SkewMap:
         if np.abs(k + k.T).max() > 1e-12 * scale:
             raise ContractViolation("matrix is not skew-adjoint to 1e-12")
         self.matrix = k
-        self.operator_norm = float(np.linalg.norm(k, 2)) if k.size else 0.0
+        self.operator_norm = spectral_norm(k)
 
     @property
     def dim(self) -> int:

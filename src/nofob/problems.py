@@ -1,10 +1,13 @@
-"""Seeded test problems with closed-form or high-accuracy oracle solutions.
+"""Seeded test problems with exact oracle solutions.
 
 Every instance declares its operator constants exactly (computed from
-the realized matrices, not from construction targets) and certifies its
-oracle at construction time through the fixed-point identity of the
-forward-backward map: z* must be a fixed point of
-J_{gamma B}(z - gamma (D + K + E) z) to 1e-10.
+the realized matrices, not from construction targets; spectral norms
+through `linalg.spectral_norm`) and certifies its oracle at construction
+time through the fixed-point identity of the forward-backward map: z*
+must be a fixed point of J_{gamma B}(z - gamma (D + K + E) z) to 1e-10.
+The oracles are closed forms or dense solves, except the regquad-*
+ones, which come from a finite active-set (semismooth Newton) solve of
+the l1 inclusion and also pass a coordinatewise subgradient check.
 
 Registry names: rotation, regquad-fbs, regquad-fbhf, regquad-fbf,
 regquad-full, saddle, nonlinear-kernel.
@@ -21,12 +24,11 @@ import numpy as np
 from .fourop import (
     FourOpProblem,
     SeparableNonlinear,
-    conservative_iterate,
     gamma_bound_conservative,
     zero_cocoercive,
     zero_forward,
 )
-from .linalg import ContractViolation
+from .linalg import ContractViolation, spectral_norm
 from .operators import (
     BlockProx,
     CocoerciveMap,
@@ -134,40 +136,65 @@ def _seeded_spd(rng: Lcg64, n: int, shift: float) -> np.ndarray:
 def _seeded_skew(rng: Lcg64, n: int, norm: float) -> np.ndarray:
     r = rng.matrix(n, n)
     sk = 0.5 * (r - r.T)
-    cur = np.linalg.norm(sk, 2)
+    cur = spectral_norm(sk)
     return sk * (norm / cur) if cur > 0 else sk
 
 
-def _oracle_by_conservative_run(bundle: FourOpProblem, x0: np.ndarray) -> np.ndarray:
-    bound = gamma_bound_conservative(
-        bundle.e.inverse_cocoercivity, bundle.d.lipschitz_constant,
-        bundle.k.operator_norm, 0.0,
+# cap on the Newton steps of the active-set oracle solve; regquad-* instances
+# from n = 20 to 800 settle within 8
+_ORACLE_NEWTON_STEPS = 100
+
+
+def _oracle_by_active_set(a_mat: np.ndarray, rhs: np.ndarray, lam: float,
+                          t: float) -> np.ndarray:
+    """Exact solution of 0 in lam subdiff ||x||_1 + A x - rhs.
+
+    Damped semismooth Newton, i.e. the primal-dual active-set method
+    (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002), on the
+    natural residual F(x) = x - soft(u, t lam) with u = x - t (A x - rhs),
+    whose zeros are the solutions for every t > 0.  The Newton point
+    solves A_II x_I = rhs_I - lam sign(u_I) on the active set
+    I = {|u| > t lam} and is zero off it; A has a positive definite
+    symmetric part, so every A_II is invertible.  Steps toward it
+    backtrack (Armijo) on ||F||, since the undamped iteration can cycle
+    between active sets.  A Newton point that reproduces its own active
+    set and shift lam sign(u_I) (with lam = 0, every set of signs) solves
+    the inclusion exactly and is returned as is.
+    """
+    tl = t * lam
+
+    def u_and_residual(x):
+        u = x - t * (a_mat @ x - rhs)
+        return u, float(np.linalg.norm(x - np.sign(u) * np.maximum(np.abs(u) - tl, 0.0)))
+
+    x = np.zeros_like(rhs)
+    u, f_norm = u_and_residual(x)
+    for _ in range(_ORACLE_NEWTON_STEPS):
+        act = np.abs(u) > tl
+        shift = lam * np.sign(u[act])
+        x_n = np.zeros_like(rhs)
+        x_n[act] = np.linalg.solve(a_mat[np.ix_(act, act)], rhs[act] - shift)
+        u_t, f_t = u_and_residual(x_n)
+        if np.array_equal(np.abs(u_t) > tl, act) and np.array_equal(lam * np.sign(u_t[act]), shift):
+            return x_n
+        x_t, alpha = x_n, 1.0
+        while f_t > (1.0 - 1e-4 * alpha) * f_norm and alpha >= 1e-9:
+            alpha *= 0.5
+            x_t = x + alpha * (x_n - x)
+            u_t, f_t = u_and_residual(x_t)
+        x, u, f_norm = x_t, u_t, f_t
+    raise ContractViolation(
+        f"oracle solve did not settle its active set in {_ORACLE_NEWTON_STEPS} Newton steps"
     )
-    gamma = 1.0 if not np.isfinite(bound) else 0.5 * bound
-    x = np.asarray(x0, dtype=float).copy()
-    best, best_res, stale = None, np.inf, 0
-    for k in range(200000):
-        rec = conservative_iterate(bundle, gamma, k, x)
-        if rec.residual_s < best_res:
-            best, best_res, stale = rec.x_hat, rec.residual_s, 0
-        else:
-            stale += 1
-        # 1e-14 target, accepting the round-off floor once progress stops
-        if best_res <= 1e-14 or (stale > 200 and best_res <= 1e-12):
-            return best
-        x = rec.x_next
-    raise ContractViolation("reference run failed to reach the oracle tolerance")
 
 
 def _check_subgradient_inclusion(x: np.ndarray, lam: float, forward: np.ndarray):
     """0 in lam * subdiff ||x||_1 + forward(x), coordinatewise."""
     u = -forward
-    for xi, ui in zip(x, u):
-        if abs(xi) > 1e-9:
-            if abs(ui - lam * np.sign(xi)) > 1e-8:
-                raise ContractViolation("oracle fails the optimality inclusion")
-        elif abs(ui) > lam + 1e-8:
-            raise ContractViolation("oracle fails the optimality inclusion")
+    support = np.abs(x) > 1e-9
+    if np.any(np.where(support, np.abs(u - lam * np.sign(x)) > 1e-8,
+                       np.abs(u) > lam + 1e-8)):
+        raise ContractViolation("oracle fails the optimality inclusion")
 
 
 def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
@@ -200,7 +227,7 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     beta_e = float(np.linalg.eigvalsh(h)[-1]) if use_e else 0.0
     e = (CocoerciveMap(lambda x: h @ x - b_vec, beta_e)
          if use_e else zero_cocoercive(n))
-    l_d = float(np.linalg.norm(d_mat, 2)) if use_d else 0.0
+    l_d = spectral_norm(d_mat) if use_d else 0.0
     d = (LipschitzMap(lambda x: d_mat @ x, l_d) if use_d else zero_forward(n))
     k = SkewMap(k_mat) if use_k else SkewMap.zero(n)
 
@@ -208,12 +235,12 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
         b=l1_subdifferential(lam) if lam > 0 else zero_operator(n),
         d=d, e=e, k=k, dim=n,
     )
-    if lam == 0.0 and not use_d and not use_k:
-        oracle = np.linalg.solve(h, b_vec)
-    else:
-        oracle = _oracle_by_conservative_run(bundle, x0)
-        fwd = bundle.forward(oracle)
-        _check_subgradient_inclusion(oracle, lam, fwd)
+    a_mat = (h if use_e else 0.0) + (d_mat if use_d else 0.0) + (k_mat if use_k else 0.0)
+    oracle = _oracle_by_active_set(
+        a_mat, b_vec if use_e else np.zeros(n), lam,
+        1.0 / (beta_e + l_d + k.operator_norm),
+    )
+    _check_subgradient_inclusion(oracle, lam, bundle.forward(oracle))
 
     sym_total = (h if use_e else 0.0) + (d_sym if use_d else 0.0)
     sigma = (float(np.linalg.eigvalsh(np.atleast_2d(sym_total))[0])
@@ -337,7 +364,7 @@ REGISTRY = (
 
 @lru_cache(maxsize=64)
 def get_instance(name: str, seed: int = DEFAULT_SEED) -> ProblemInstance:
-    """Registry lookup; instances are cached since some oracles are runs."""
+    """Registry lookup; instances are cached, since set-up draws and factors dense matrices."""
     if name not in REGISTRY:
         raise KeyError(f"unknown problem {name!r}; known: {', '.join(REGISTRY)}")
     return _build(name, seed)

@@ -1,5 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+
+from nofob.core import IterRecord, coincides, null_record, separation_fails
+from nofob.fourop import StepParameterWarning, gamma_bound_conservative
+from nofob.linalg import ContractViolation
 
 
 def _long_step_reference(prob, gamma, x, theta, s):
@@ -23,3 +29,94 @@ def _long_step_reference(prob, gamma, x, theta, s):
 def long_step_reference():
     """Independent transcription the generic scalar-kernel step is checked against."""
     return _long_step_reference
+
+
+# ---------------------------------------------------------------------------
+# conservative short step written out by hand (cross-check transcription)
+
+
+def _scalar_kernel_diff(prob, gamma, x, x_hat):
+    """(M x - M x_hat) for M = gamma^{-1} I - D - K."""
+    diff = x - x_hat
+    return diff / gamma - (prob.d(x) - prob.d(x_hat)) - prob.k(diff)
+
+
+def _conservative_iterate(prob, gamma, k, x):
+    """Short-step variant: x_next = x_hat - gamma ((D+K) x_hat - (D+K) x).
+
+    Tseng's forward-backward-forward step, and with E != 0 the
+    forward-backward-half-forward step of Briceno-Arias and Davis, as
+    published.  It is the corrected step with S = I, step length gamma
+    and unit relaxation, since x - gamma (Mx - M x_hat) telescopes to the
+    formula above; `fbf` and `fbhf` run that step, and this transcription
+    cross-checks it.  The record stores the explicit mu and the effective
+    relaxation theta = gamma / mu.
+    """
+    if gamma <= 0:
+        raise ContractViolation("gamma must be positive")
+    limit = gamma_bound_conservative(
+        prob.e.inverse_cocoercivity, prob.d.lipschitz_constant,
+        prob.k.operator_norm, 0.0,
+    )
+    if gamma > limit + 1e-15:
+        warnings.warn(
+            "gamma exceeds the sufficient conservative bound; proceeding",
+            StepParameterWarning, stacklevel=2,
+        )
+    x = np.asarray(x, dtype=float)
+    x_hat = np.asarray(prob.b.evaluator(gamma, x - gamma * prob.forward(x)), dtype=float)
+    residual = float(np.linalg.norm(x - x_hat))
+    x_norm = float(np.linalg.norm(x))
+    if coincides(residual, x_norm):
+        return null_record(k, x, x_hat, 1.0, residual, gamma)
+    dk_gap = (prob.d(x_hat) + prob.k(x_hat)) - (prob.d(x) + prob.k(x))
+    x_next = x_hat - gamma * dk_gap
+    diff = x - x_hat
+    m = _scalar_kernel_diff(prob, gamma, x, x_hat)
+    num = float(m @ diff) - 0.25 * prob.e.inverse_cocoercivity * float(diff @ diff)
+    den = float(m @ m)
+    if separation_fails(num, den, residual, x_norm):
+        return null_record(k, x, x_hat, 1.0, residual, gamma)
+    mu = num / den
+    return IterRecord(
+        k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=gamma / mu,
+        residual_s=residual, psi_at_x=num, normal_inv_norm=float(np.sqrt(den)),
+        mu_hat=gamma,
+    )
+
+
+def _conservative_oracle(bundle, x0):
+    """Solution of the inclusion by a long run of the conservative step.
+
+    Half the conservative bound, until the forward-backward residual
+    reaches 1e-14, or stops improving at or below 1e-12.
+    """
+    bound = gamma_bound_conservative(
+        bundle.e.inverse_cocoercivity, bundle.d.lipschitz_constant,
+        bundle.k.operator_norm, 0.0,
+    )
+    gamma = 1.0 if not np.isfinite(bound) else 0.5 * bound
+    x = np.asarray(x0, dtype=float).copy()
+    best, best_res, stale = None, np.inf, 0
+    for k in range(200000):
+        rec = _conservative_iterate(bundle, gamma, k, x)
+        if rec.residual_s < best_res:
+            best, best_res, stale = rec.x_hat, rec.residual_s, 0
+        else:
+            stale += 1
+        if best_res <= 1e-14 or (stale > 200 and best_res <= 1e-12):
+            return best
+        x = rec.x_next
+    raise AssertionError("reference run failed to reach the oracle tolerance")
+
+
+@pytest.fixture
+def conservative_reference():
+    """Independent transcription of the fbf/fbhf step the corrected step is checked against."""
+    return _conservative_iterate
+
+
+@pytest.fixture
+def conservative_oracle():
+    """Long conservative run the exact instance oracles are checked against."""
+    return _conservative_oracle

@@ -16,7 +16,6 @@ from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fi
 from nofob.fourop import (
     ScalarStep,
     as_nofob,
-    conservative_iterate,
     epsbar_delta,
     fbs_relaxed_iterate,
     gamma_bound_conservative,
@@ -262,7 +261,7 @@ def test_step_size_formula_grid_and_mu_bound_sampling():
     passed("step-size formulas match hand values; mu bound holds on 2x10^4 pairs")
 
 
-def test_conservative_vs_explicit_dominance():
+def test_conservative_vs_explicit_dominance(conservative_reference):
     budgets = {}
     for name in ("rotation", "regquad-fbhf", "regquad-fbf", "regquad-fbs"):
         inst = get_instance(name)
@@ -276,7 +275,7 @@ def test_conservative_vs_explicit_dominance():
         mu_hat = g / (2.0 - delta)
         x = inst.x0.copy()
         for k in range(150):
-            rec = conservative_iterate(prob, g, k, x)
+            rec = conservative_reference(prob, g, k, x)
             if rec.mu > 0.0:
                 assert mu_hat <= rec.mu + 1e-12, name
             x = rec.x_next

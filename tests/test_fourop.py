@@ -12,7 +12,6 @@ from nofob.fourop import (
     afba_fixed_step_check,
     as_nofob,
     beta_effective,
-    conservative_iterate,
     epsbar_delta,
     fbs_relaxed_iterate,
     four_op_fb,
@@ -170,14 +169,14 @@ def test_gamma_iterate_in_non_identity_metric(long_step_reference):
     assert np.allclose(ref_next, rec.x_next, atol=1e-12)
 
 
-def test_conservative_identity_both_algebraic_routes():
+def test_conservative_identity_both_algebraic_routes(conservative_reference):
     prob = seeded_problem()
     g = 0.25
     s = SpdMetric.identity(prob.dim)
     view = as_nofob(prob, ScalarStep(g), s)
     x = Lcg64(2).vector(prob.dim)
     for k in range(50):
-        rec = conservative_iterate(prob, g, k, x)
+        rec = conservative_reference(prob, g, k, x)
         # route 1: x_hat - gamma ((D+K) x_hat - (D+K) x) is what rec holds
         # route 2: x - gamma (Mx - M x_hat)
         m_gap = view.kernel_eval(x) - view.kernel_eval(rec.x_hat)
@@ -189,14 +188,14 @@ def test_conservative_identity_both_algebraic_routes():
         x = rec.x_next
 
 
-def test_conservative_with_plain_forward_backward_degenerates():
+def test_conservative_with_plain_forward_backward_degenerates(conservative_reference):
     prob = seeded_problem(with_d=False, with_k=False)
     x = Lcg64(4).vector(prob.dim)
-    rec = conservative_iterate(prob, 0.5, 0, x)
+    rec = conservative_reference(prob, 0.5, 0, x)
     assert np.array_equal(rec.x_next, rec.x_hat)
 
 
-def test_conservative_rotation_closed_form():
+def test_conservative_rotation_closed_form(conservative_reference):
     # B=E=D=0, K 90-degree rotation: x_next = ((1-g^2) I - g K) x
     kmat = np.array([[0.0, -1.0], [1.0, 0.0]])
     prob = FourOpProblem(
@@ -205,7 +204,7 @@ def test_conservative_rotation_closed_form():
     )
     g = 0.7
     x = np.array([1.0, 2.0])
-    rec = conservative_iterate(prob, g, 0, x)
+    rec = conservative_reference(prob, g, 0, x)
     expected = ((1.0 - g * g) * np.eye(2) - g * kmat) @ x
     assert np.allclose(rec.x_next, expected, atol=1e-14)
     factor = np.linalg.norm(rec.x_next) / np.linalg.norm(x)
@@ -340,7 +339,7 @@ def test_mu_lower_bound_sampling_over_pairs():
         assert mu_hat <= num / den + 1e-10
 
 
-def test_step_bound_warnings():
+def test_step_bound_warnings(conservative_reference):
     prob = seeded_problem()
     be = prob.e.inverse_cocoercivity
     ld = prob.d.lipschitz_constant
@@ -348,7 +347,7 @@ def test_step_bound_warnings():
     x = np.ones(prob.dim)
     g_cons = 1.05 * gamma_bound_conservative(be, ld, kn, 0.0)
     with pytest.warns(StepParameterWarning):
-        conservative_iterate(prob, g_cons, 0, x)
+        conservative_reference(prob, g_cons, 0, x)
     # the long-step bound is where the scalar kernel's beta reaches 4, so
     # beyond it the kernel view itself is rejected
     g_long = 1.05 * gamma_bound_long(be, ld, 0.0)

@@ -5,6 +5,7 @@ from nofob.linalg import (
     ContractViolation,
     SpdMetric,
     extremal_eig_bounds,
+    spectral_norm,
     weighted_norm,
 )
 from nofob.rng import Lcg64
@@ -19,6 +20,21 @@ def test_extremal_eig_bounds_diagonal():
 def test_extremal_eig_bounds_rejects_asymmetric():
     with pytest.raises(ContractViolation):
         extremal_eig_bounds(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_spectral_norm_matches_the_svd_norm(n):
+    rng = Lcg64(100 + n)
+    r = rng.matrix(n, n)
+    wide = rng.matrix(n, n + 3)
+    for m in (r, 0.5 * (r - r.T), wide, wide.T):
+        ref = np.linalg.norm(m, 2)
+        assert abs(spectral_norm(m) - ref) <= 1e-14 * ref
+
+
+def test_spectral_norm_of_zero_and_empty_matrices_is_exactly_zero():
+    assert spectral_norm(np.zeros((4, 4))) == 0.0
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_spd_metric_rejects_indefinite():

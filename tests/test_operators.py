@@ -115,6 +115,15 @@ def test_skew_map_validation_and_norm():
         SkewMap(np.eye(2))
 
 
+@pytest.mark.parametrize("n", [2, 10, 200])
+def test_skew_map_operator_norm_matches_the_svd_norm(n):
+    r = Lcg64(200 + n).matrix(n, n)
+    k = SkewMap(0.5 * (r - r.T))
+    ref = np.linalg.norm(k.matrix, 2)
+    assert abs(k.operator_norm - ref) <= 1e-14 * ref
+    assert SkewMap.zero(n).operator_norm == 0.0
+
+
 def test_check_skew_is_zero_for_skew_maps():
     rng = Lcg64(9)
     r = rng.matrix(5, 5)

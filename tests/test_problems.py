@@ -9,6 +9,7 @@ from nofob.operators import (
 )
 from nofob.problems import (
     REGISTRY,
+    _check_subgradient_inclusion,
     fixed_point_residual,
     get_instance,
     make_nonlinear_kernel_demo,
@@ -117,10 +118,42 @@ def test_rotation_scale_sets_operator_norm():
 
 
 def test_regquad_unregularized_matches_dense_solve():
+    # lam = 0 makes every coordinate active: the oracle is one Newton point
     inst = make_regularized_quadratic(n=10, lam=0.0, split="fbs", seed=5)
     h = inst.extras["h_matrix"]
     b = inst.extras["b_vector"]
-    assert np.allclose(inst.oracle, np.linalg.solve(h, b), atol=1e-10)
+    assert np.array_equal(inst.oracle, np.linalg.solve(h, b))
+
+
+@pytest.mark.parametrize("n, split, seeds", [
+    *[(20, split, range(60)) for split in ("fbs", "fbhf", "fbf", "full")],
+    (200, "full", range(3)),
+], ids=["n20-fbs", "n20-fbhf", "n20-fbf", "n20-full", "n200-full"])
+def test_active_set_oracle_matches_reference_run(n, split, seeds, conservative_oracle):
+    # from x = 0 the undamped Newton iteration cycles between active sets on
+    # n = 20 fbs seeds 5, 54, 56, 59 and full seed 9, and on n = 200 full
+    # seed 1, so these cases also pin the Armijo damping
+    for seed in seeds:
+        inst = make_regularized_quadratic(n=n, seed=seed, split=split)
+        ref = conservative_oracle(inst.bundle, inst.x0)
+        gap = np.linalg.norm(inst.oracle - ref)
+        assert gap <= 1e-12 * (1.0 + np.linalg.norm(ref)), (seed, gap)
+
+
+@pytest.mark.parametrize("split", ["fbs", "full"])
+def test_inclusion_check_rejects_an_oracle_moved_by_1e6(split):
+    inst = make_regularized_quadratic(n=20, seed=3, split=split)
+    lam = 0.1
+    z = inst.oracle
+    _check_subgradient_inclusion(z, lam, inst.bundle.forward(z))
+    # coordinates on and off the support: both branches of the check
+    assert np.any(z == 0.0) and np.any(z != 0.0)
+    for j in range(inst.n):
+        for shift in (1e-6, -1e-6):
+            moved = z.copy()
+            moved[j] += shift
+            with pytest.raises(ContractViolation):
+                _check_subgradient_inclusion(moved, lam, inst.bundle.forward(moved))
 
 
 def test_regquad_huge_lambda_zero_solution():
