@@ -9,7 +9,8 @@ the run:
   BlockDiag           Q = blockdiag(w_i I), per-block prox
   AffinePlusSkew      Q = P + G constant, block-lower-triangular,
                       two-block Gauss-Seidel sweep
-  SeparableNonlinear  Q x = phi(x) coordinatewise, bisection solver
+  SeparableNonlinear  Q x = phi(x) coordinatewise, bracketed secant
+                      (Illinois) solver
 
 `as_nofob` views any of them as the kernel of the corrected step in
 core.  Also provides the step-size bound formulas and the

@@ -89,7 +89,7 @@ def fixed_point_residual(bundle: FourOpProblem, z: np.ndarray,
 
 def _certify(inst: ProblemInstance):
     res = fixed_point_residual(inst.bundle, inst.oracle)
-    if res > 1e-10:
+    if not res <= 1e-10:  # a NaN residual fails too
         raise ContractViolation(
             f"oracle for {inst.name} fails the fixed-point certificate: {res:.3e}"
         )
@@ -191,9 +191,10 @@ def _oracle_by_active_set(a_mat: np.ndarray, rhs: np.ndarray, lam: float,
 def _check_subgradient_inclusion(x: np.ndarray, lam: float, forward: np.ndarray):
     """0 in lam * subdiff ||x||_1 + forward(x), coordinatewise."""
     u = -forward
-    support = np.abs(x) > 1e-9
-    if np.any(np.where(support, np.abs(u - lam * np.sign(x)) > 1e-8,
-                       np.abs(u) > lam + 1e-8)):
+    # every test states what must hold, so that a NaN in x or forward fails
+    off_support = np.abs(x) <= 1e-9
+    if not np.all(np.where(off_support, np.abs(u) <= lam + 1e-8,
+                           np.abs(u - lam * np.sign(x)) <= 1e-8)):
         raise ContractViolation("oracle fails the optimality inclusion")
 
 

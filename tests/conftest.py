@@ -120,3 +120,50 @@ def conservative_reference():
 def conservative_oracle():
     """Long conservative run the exact instance oracles are checked against."""
     return _conservative_oracle
+
+
+# ---------------------------------------------------------------------------
+# bisection solve of the separable nonlinear resolvent (cross-check reference)
+
+
+def _bisection_resolvent(kernel, prox_spec, y, tol=1e-12):
+    """phi_i(x_i) + A_i(x_i) containing y_i, by bisection on
+    r(x) = x - J_A(x + y - phi(x)) inside the same geometrically grown
+    bracket and to the same stopping rule (1 + ell) max|r| <= tol as
+    `separable_nonlinear_resolvent`, one halving per step."""
+    y = np.asarray(y, dtype=float)
+
+    def resid(x):
+        return x - prox_spec.evaluator(1.0, x + y - kernel(x))
+
+    center = y / kernel.sigma
+    half = np.maximum(1.0, np.abs(center))
+    lo = center - half
+    hi = center + half
+    for _ in range(1000):
+        bad_lo = resid(lo) > 0.0
+        bad_hi = resid(hi) < 0.0
+        if not bad_lo.any() and not bad_hi.any():
+            break
+        half = half * 2.0
+        lo = np.where(bad_lo, center - half, lo)
+        hi = np.where(bad_hi, center + half, hi)
+    else:
+        raise AssertionError("reference bracket failed to close")
+
+    slack = 1.0 + kernel.ell
+    mid = 0.5 * (lo + hi)
+    for _ in range(4000):
+        r = resid(mid)
+        if slack * float(np.abs(r).max()) <= tol:
+            return prox_spec.evaluator(1.0, mid + y - kernel(mid))
+        lo = np.where(r < 0.0, mid, lo)
+        hi = np.where(r >= 0.0, mid, hi)
+        mid = 0.5 * (lo + hi)
+    raise AssertionError("reference bisection did not converge")
+
+
+@pytest.fixture
+def bisection_resolvent_reference():
+    """Bisection solve the nonlinear resolvent's secant iteration is checked against."""
+    return _bisection_resolvent

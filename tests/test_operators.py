@@ -3,12 +3,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nofob import fourop
+from nofob.algorithms import run_algorithm
 from nofob.linalg import ContractViolation
 from nofob.operators import (
     BlockProx,
     CocoerciveMap,
     LipschitzMap,
     NonlinearKernel,
+    ProxOperator,
     SkewMap,
     _sampled_pairs,
     affine_operator,
@@ -24,6 +27,7 @@ from nofob.operators import (
     worst_strong_monotonicity_deficit,
     zero_operator,
 )
+from nofob.problems import make_nonlinear_kernel_demo
 from nofob.rng import Lcg64
 
 
@@ -210,6 +214,97 @@ def test_separable_nonlinear_resolvent_requires_separable_prox():
     dense = affine_operator(np.eye(2), np.zeros(2))
     with pytest.raises(ContractViolation):
         separable_nonlinear_resolvent(kernel, dense, np.zeros(2))
+
+
+ARCTAN = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_separable_nonlinear_resolvent_rejects_non_finite_input(bad):
+    with pytest.raises(ContractViolation, match="must be finite"):
+        separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.5),
+                                      np.array([1.0, bad, -2.0]))
+
+
+def _agrees(x, ref):
+    return np.all(np.abs(x - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [12, 200])
+def test_separable_nonlinear_resolvent_matches_bisection_on_demo_inputs(
+        n, bisection_resolvent_reference):
+    # the backward-step inputs phi(x) - (D + K + E) x of four-op at x0, at
+    # the oracle and halfway between them
+    for seed in range(60):
+        inst, spec = make_nonlinear_kernel_demo(n=n, seed=seed)
+        prob = inst.bundle
+        for x in (inst.x0, inst.oracle, 0.5 * (inst.x0 + inst.oracle)):
+            v = spec.kernel(x) - prob.forward(x)
+            got = separable_nonlinear_resolvent(spec.kernel, prob.b, v)
+            ref = bisection_resolvent_reference(spec.kernel, prob.b, v)
+            assert _agrees(got, ref), (seed, np.abs(got - ref).max())
+
+
+def _edge_cases():
+    lam = 0.3
+    d = np.array([0.5, 1.0, 1.5, 0.75])
+    b = np.array([2.0, -1.25, 0.4, -3.0])
+    big = np.array([1e8, -1e8, 2.5e8, -7e7])
+    return {
+        # y on the kinks +-lam of the soft threshold: the root is x = 0
+        "l1-kinks": (ARCTAN, l1_subdifferential(lam),
+                     np.array([lam, -lam, lam, -lam, 0.0, 1.0])),
+        # phi(x) + lam sign(x) + d x - b contains y at x = 0 for y = -b +- lam
+        "demo-kinks": (ARCTAN, l1_plus_diag_affine(lam, d, b),
+                       np.concatenate([-b[:2] + lam, -b[2:] - lam])),
+        # |y| near 1e8 with a root near -1.5 y / d on the far side of 0:
+        # the first bracket, between 0 and 2 y / sigma, misses it and doubles
+        "doublings": (ARCTAN, l1_plus_diag_affine(lam, 1e6 * np.array([1.0, 2.0, 0.5, 1.0]),
+                                                  -2.5 * big), big),
+        "mixed-scales": (ARCTAN, l1_plus_diag_affine(lam, d, b),
+                         np.array([1e-300, -2.5e3, 1e-12, 40.0])),
+        "linear": (NonlinearKernel(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0),
+                   zero_operator(6), np.array([1.0, -3.0, 0.0, 0.75, 1e8, 2.0 ** -20])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_edge_cases()))
+def test_separable_nonlinear_resolvent_matches_bisection_on_edge_inputs(
+        case, bisection_resolvent_reference):
+    kernel, prox, y = _edge_cases()[case]
+    got = separable_nonlinear_resolvent(kernel, prox, y)
+    ref = bisection_resolvent_reference(kernel, prox, y)
+    assert _agrees(got, ref), np.abs(got - ref).max()
+    if case == "doublings":
+        center = y / kernel.sigma
+        assert np.all(np.abs(got - center) > np.maximum(1.0, np.abs(center)))
+    if case == "l1-kinks":
+        assert np.array_equal(got[:5], np.zeros(5))
+    if case == "linear":
+        # phi(x) = 2 x with B = 0: the root y / 2 is exact in floating point
+        assert np.array_equal(got, y / 2.0)
+
+
+def test_separable_nonlinear_resolvent_needs_few_prox_evaluations(monkeypatch):
+    calls = {"resolvent": 0, "prox": 0}
+
+    def counted(kernel, prox_spec, y, tol=1e-12):
+        def evaluator(gamma, v):
+            calls["prox"] += 1
+            return prox_spec.evaluator(gamma, v)
+
+        calls["resolvent"] += 1
+        wrapped = ProxOperator(evaluator=evaluator, descriptor=prox_spec.descriptor,
+                               separable=True)
+        return separable_nonlinear_resolvent(kernel, wrapped, y, tol)
+
+    monkeypatch.setattr(fourop, "separable_nonlinear_resolvent", counted)
+    inst, _ = make_nonlinear_kernel_demo(n=200, seed=1)
+    out = run_algorithm("four-op", inst, tol=1e-8, max_iter=1000)
+    assert out.trajectory.status == "converged"
+    assert calls["resolvent"] > 20
+    # bisection to the same stopping rule needs about 48
+    assert calls["prox"] / calls["resolvent"] <= 12.0, calls
 
 
 def test_maps_are_callable_with_declared_constants():

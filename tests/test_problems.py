@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from nofob.operators import (
 )
 from nofob.problems import (
     REGISTRY,
+    _certify,
     _check_subgradient_inclusion,
     fixed_point_residual,
     get_instance,
@@ -154,6 +157,24 @@ def test_inclusion_check_rejects_an_oracle_moved_by_1e6(split):
             moved[j] += shift
             with pytest.raises(ContractViolation):
                 _check_subgradient_inclusion(moved, lam, inst.bundle.forward(moved))
+
+
+@pytest.mark.parametrize("x, forward", [
+    ([np.nan, 1.0], [np.nan, -0.1]),
+    ([np.nan, 1.0], [0.0, -0.1]),
+    ([0.0, 1.0], [np.nan, -0.1]),
+])
+def test_inclusion_check_rejects_nan(x, forward):
+    _check_subgradient_inclusion(np.array([0.0, 1.0]), 0.1, np.array([0.05, -0.1]))
+    with pytest.raises(ContractViolation):
+        _check_subgradient_inclusion(np.array(x), 0.1, np.array(forward))
+
+
+def test_certificate_rejects_a_nan_oracle():
+    inst = make_regularized_quadratic(n=6, seed=1)
+    _certify(inst)
+    with pytest.raises(ContractViolation, match="fixed-point certificate"):
+        _certify(dataclasses.replace(inst, oracle=np.full(6, np.nan)))
 
 
 def test_regquad_huge_lambda_zero_solution():
