@@ -33,9 +33,7 @@ from .fourop import (
     SeparableNonlinear,
     afba_fixed_step_check,
     as_nofob,
-    beta_effective,
     epsbar_delta,
-    fbs_relaxed_iterate,
     fbs_view,
     four_op_fb,
     gamma_bound_conservative,
@@ -68,7 +66,6 @@ from .problems import (
 from .projective import (
     PdPoint,
     PsProblem,
-    moreau_dual_resolvent,
     ps_explicit_iterate,
     resolvent_view,
     stack_primal_dual,

@@ -13,13 +13,13 @@ the run:
                       (Illinois) solver
 
 `as_nofob` views any of them as the kernel of the corrected step in
-core.  Also provides the step-size bound formulas and the
-fixed-relaxation positive semidefiniteness check.
+core, and `fbs_view` views relaxed forward-backward as one.  Also
+provides the step-size bound formulas and the fixed-relaxation positive
+semidefiniteness check.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -52,10 +52,8 @@ __all__ = [
     "gamma_bound_long",
     "gamma_bound_conservative",
     "epsbar_delta",
-    "beta_effective",
     "kernel_lipschitz",
     "afba_fixed_step_check",
-    "fbs_relaxed_iterate",
     "fbs_view",
 ]
 
@@ -373,16 +371,6 @@ def epsbar_delta(
     return float(eps_bar), float(delta)
 
 
-def beta_effective(beta_e: float, gamma_min: float, l_d: float) -> float:
-    """Inverse cocoercivity of E in the scalar-kernel P norm."""
-    if gamma_min <= 0:
-        raise ContractViolation("gamma_min must be positive")
-    denom = 1.0 / gamma_min - l_d
-    if denom <= 0:
-        raise ContractViolation("1/gamma_min must exceed L_D")
-    return beta_e / denom
-
-
 def kernel_lipschitz(gamma: float, l_d: float, k_norm: float) -> float:
     """Lipschitz constant of M = gamma^{-1} I - D - K."""
     if gamma <= 0:
@@ -408,46 +396,7 @@ def afba_fixed_step_check(
 
 
 # ---------------------------------------------------------------------------
-# relaxed forward-backward reduction
-
-
-def _metric_resolvent(m: SpdMetric, b, gamma: float, v: np.ndarray) -> np.ndarray:
-    """Solve (M + gamma B) x containing v for the structures we can invert."""
-    diag = m.diagonal_entries()
-    if diag is not None and np.ptp(diag) <= 1e-14 * diag[0]:
-        c = diag[0]
-        return b.evaluator(gamma / c, v / c)
-    if diag is not None and getattr(b, "diag_evaluator", None) is not None:
-        return b.diag_evaluator(gamma / diag, v / diag)
-    if getattr(b, "affine_h", None) is not None:
-        return np.linalg.solve(
-            m.matrix + gamma * b.affine_h, v - gamma * b.affine_b
-        )
-    raise ContractViolation("no constructive resolvent for this metric/operator pair")
-
-
-def fbs_relaxed_iterate(
-    b: ProxOperator, e: CocoerciveMap, m_metric: SpdMetric,
-    gamma: float, theta: float, x,
-) -> np.ndarray:
-    """Relaxed forward-backward step in the metric M.
-
-    x_next = (1 - theta c) x + theta c (M + gamma B)^{-1}(M - gamma E) x
-    with c = 1 - beta_E gamma / 4.  theta = 4 / (4 - beta_E gamma)
-    makes c theta = 1, recovering the plain forward-backward update.
-    """
-    if gamma <= 0:
-        raise ContractViolation("gamma must be positive")
-    be = e.inverse_cocoercivity
-    if be > 0 and gamma > 4.0 / be:
-        warnings.warn(
-            "gamma exceeds the doubled forward-backward range; proceeding",
-            StepParameterWarning, stacklevel=2,
-        )
-    x = np.asarray(x, dtype=float)
-    c = 1.0 - 0.25 * be * gamma
-    inner = _metric_resolvent(m_metric, b, gamma, m_metric.apply(x) - gamma * e(x))
-    return (1.0 - theta * c) * x + theta * c * inner
+# relaxed forward-backward
 
 
 def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
@@ -456,9 +405,9 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
     P = gamma^{-1} I and beta = beta_E gamma.  The corrected step on this
     view with step length mu_hat = gamma and relaxation theta c, where
     c = 1 - beta_E gamma / 4, is x_next = (1 - theta c) x + theta c x_hat,
-    the update of fbs_relaxed_iterate in the metric I.  The halfspace
-    separates only when D = K = 0; otherwise the whole forward part is
-    treated as if it were cocoercive.
+    the relaxed forward-backward update in the metric I; theta = 1/c gives
+    plain forward-backward.  The halfspace separates only when D = K = 0;
+    otherwise the whole forward part is treated as if it were cocoercive.
     """
     if gamma <= 0:
         raise ContractViolation("gamma must be positive")

@@ -118,19 +118,6 @@ class SpdMetric:
         metric.lam_min = metric.lam_max = c
         return metric
 
-    @classmethod
-    def diagonal(cls, d) -> "SpdMetric":
-        return cls(np.diag(np.asarray(d, dtype=float)))
-
-    def diagonal_entries(self):
-        """Diagonal of the metric if it is a diagonal matrix, else None."""
-        if self._scale is not None:
-            return np.full(self._dim, self._scale)
-        off = self._matrix - np.diag(np.diag(self._matrix))
-        if np.abs(off).max() <= 1e-14 * max(1.0, self.lam_max):
-            return np.diag(self._matrix).copy()
-        return None
-
 
 def _check_dims(*vs):
     n = vs[0].shape[0] if isinstance(vs[0], np.ndarray) else vs[0].dim

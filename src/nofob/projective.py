@@ -7,8 +7,8 @@ Two equivalent iterations are provided: the resolvent form, which is the
 corrected step of core on the block-diagonal kernel view returned by
 `resolvent_view`, and the explicit form of Johnstone and Eckstein that
 only touches the primal resolvents and the L_i maps, written out by hand
-as a cross-check.  Their trajectories coincide; tests exploit this as a
-runtime oracle.
+as a cross-check (`ps-explicit`).  Their trajectories coincide; tests
+exploit this as a runtime oracle.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ import numpy as np
 from .core import IterRecord, NofobProblem, coincides, null_record, separation_fails
 from .fourop import BlockDiag, FourOpProblem, as_nofob, zero_cocoercive, zero_forward
 from .linalg import ContractViolation, SpdMetric
-from .operators import (
-    BlockProx,
-    ProxOperator,
-    SkewMap,
-    inverse_via_moreau,
-    moreau_dual_resolvent,
-)
+from .operators import BlockProx, ProxOperator, SkewMap, inverse_via_moreau
 
 __all__ = [
     "PdPoint",
@@ -35,7 +29,6 @@ __all__ = [
     "stack_primal_dual",
     "resolvent_view",
     "ps_explicit_iterate",
-    "moreau_dual_resolvent",
 ]
 
 _MAX_BLOCKS = 8
@@ -148,12 +141,15 @@ def resolvent_view(ps: PsProblem, s: SpdMetric) -> NofobProblem:
     return as_nofob(stacked, BlockDiag(ps.q_weights), s)
 
 
-def _explicit_candidate(ps: PsProblem, p: PdPoint):
-    """The explicit step's candidate pairs and its projection direction.
+def ps_explicit_iterate(
+    ps: PsProblem, k: int, p: PdPoint, theta: float
+) -> Tuple[PdPoint, IterRecord]:
+    """One corrected step in explicit form, touching only primal proxes.
 
-    Each dual pair (v_hat_i, w_hat_i) and the primal pair (x_hat, y_hat)
-    are certified to lie on their operator graphs through prox residuals.
-    Returns (lsw, x_hat, y_hat, v_hats, w_hats, t_list, t_star).
+    Johnstone and Eckstein's synchronous projective splitting step as
+    published, kept as a cross-check of the resolvent form.  Each dual
+    pair (v_hat_i, w_hat_i) and the primal pair (x_hat, y_hat) are
+    certified to lie on their operator graphs through prox residuals.
     """
     taus = ps.taus
     tau_n = taus[-1]
@@ -180,19 +176,6 @@ def _explicit_candidate(ps: PsProblem, p: PdPoint):
         np.zeros(ps.primal_dim),
     )
     t_list = [vh - m @ x_hat for vh, m in zip(v_hats, ps.l_maps)]
-    return lsw, x_hat, y_hat, v_hats, w_hats, t_list, t_star
-
-
-def ps_explicit_iterate(
-    ps: PsProblem, k: int, p: PdPoint, theta: float
-) -> Tuple[PdPoint, IterRecord]:
-    """One corrected step in explicit form, touching only primal proxes.
-
-    Johnstone and Eckstein's synchronous projective splitting step as
-    published, kept as a cross-check of the resolvent form.
-    """
-    x = p.primal
-    lsw, x_hat, y_hat, v_hats, w_hats, t_list, t_star = _explicit_candidate(ps, p)
 
     # The published numerator (sum <t_i, w_i> - <v_i, w_hat_i>) + <t*, x>
     # - <y_hat, x_hat> cancels O(1) terms down to a residual-squared
@@ -221,34 +204,6 @@ def ps_explicit_iterate(
         normal_inv_norm=float(np.sqrt(den)),
     )
     return p_next, rec
-
-
-def explicit_mu_terms(ps: PsProblem, p: PdPoint):
-    """Diagnostic values behind one explicit step, before the update.
-
-    Returns (num_published, num_weighted, den_explicit, den_weighted)
-    where num_published is the literal inner-product combination of the
-    explicit iteration, num_weighted is ||p - p_hat||_Q^2 from the
-    resolvent view, and the two denominators are the explicit sum of
-    squared direction blocks and the stacked-kernel squared norm.  All
-    four agree pairwise in exact arithmetic.
-    """
-    _, x_hat, y_hat, v_hats, w_hats, t_list, t_star = _explicit_candidate(ps, p)
-    num_published = (
-        sum(float(t @ w) - float(vh @ wh)
-            for t, w, vh, wh in zip(t_list, p.duals, v_hats, w_hats))
-        + float(t_star @ p.primal) - float(y_hat @ x_hat)
-    )
-    den_explicit = sum(float(t @ t) for t in t_list) + float(t_star @ t_star)
-
-    block, kmap = ps.stacked()
-    weights = ps.q_weights
-    diff = p.to_vector() - np.concatenate([*w_hats, x_hat])
-    q_diff = np.concatenate([w * xb for w, xb in zip(weights, block.split(diff))])
-    num_weighted = float(q_diff @ diff)
-    m_vec = q_diff - kmap(diff)
-    den_weighted = float(m_vec @ m_vec)
-    return num_published, num_weighted, den_explicit, den_weighted
 
 
 def _assert_graph(op: ProxOperator, tau: float, point: np.ndarray, val: np.ndarray):

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from nofob.core import IterRecord, coincides, null_record, separation_fails
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
 from nofob.linalg import ContractViolation
+from nofob.projective import PdPoint
+from nofob.rng import Lcg64
 
 
 def _long_step_reference(prob, gamma, x, theta, s):
@@ -167,3 +170,135 @@ def _bisection_resolvent(kernel, prox_spec, y, tol=1e-12):
 def bisection_resolvent_reference():
     """Bisection solve the nonlinear resolvent's secant iteration is checked against."""
     return _bisection_resolvent
+
+
+# ---------------------------------------------------------------------------
+# relaxed forward-backward step in the metric I (cross-check reference)
+
+
+def _fbs_relaxed_step(b, e, gamma, theta, x):
+    """x_next = (1 - theta c) x + theta c J_{gamma B}(x - gamma E x),
+    c = 1 - beta_E gamma / 4, written out by hand; theta = 1/c gives the
+    plain forward-backward step.  The corrected step on the scalar kernel
+    with D = K = 0 reduces to this update (`fbs` and `fbs-relaxed` run it
+    on `fourop.fbs_view`), and the tests check the reduction against it."""
+    x = np.asarray(x, dtype=float)
+    c = 1.0 - 0.25 * e.inverse_cocoercivity * gamma
+    x_hat = b.evaluator(gamma, x - gamma * e(x))
+    return (1.0 - theta * c) * x + theta * c * x_hat
+
+
+@pytest.fixture
+def fbs_relaxed_reference():
+    """Relaxed forward-backward transcription the corrected step is checked against."""
+    return _fbs_relaxed_step
+
+
+# ---------------------------------------------------------------------------
+# published explicit projective-splitting numerator (cross-check reference)
+
+
+def _ps_mu_terms(ps, p, p_hat):
+    """The values behind one explicit step from p with candidate p_hat:
+    (num_published, num_weighted, den_explicit, den_weighted).
+
+    num_published is Johnstone and Eckstein's inner-product combination
+    sum_i (<t_i, w_i> - <v_i, w_hat_i>) + <t*, x> - <y_hat, x_hat>, with
+    v_i = L_i x + tau_i (w_i - w_hat_i), y_hat = (x - x_hat) / tau_n -
+    sum_i L_i^T w_i, t_i = v_i - L_i x_hat and t* = y_hat + sum_i L_i^T w_hat_i;
+    num_weighted is ||p - p_hat||_Q^2 in the resolvent view.  den_explicit
+    is sum_i ||t_i||^2 + ||t*||^2 and den_weighted ||(Q - K)(p - p_hat)||^2.
+    All four agree pairwise in exact arithmetic.
+    """
+    x = p.primal
+    hat = PdPoint.from_vector(p_hat, ps.dual_dims, ps.primal_dim)
+    x_hat, w_hats = hat.primal, hat.duals
+    lsw = sum(m.T @ w for m, w in zip(ps.l_maps, p.duals))
+    y_hat = (x - x_hat) / ps.taus[-1] - lsw
+    v_hats = [m @ x + tau * (w - wh)
+              for m, tau, w, wh in zip(ps.l_maps, ps.taus, p.duals, w_hats)]
+    t_list = [vh - m @ x_hat for vh, m in zip(v_hats, ps.l_maps)]
+    t_star = y_hat + sum(m.T @ wh for m, wh in zip(ps.l_maps, w_hats))
+    num_published = (
+        sum(float(t @ w) - float(vh @ wh)
+            for t, w, vh, wh in zip(t_list, p.duals, v_hats, w_hats))
+        + float(t_star @ x) - float(y_hat @ x_hat)
+    )
+    den_explicit = sum(float(t @ t) for t in t_list) + float(t_star @ t_star)
+
+    block, kmap = ps.stacked()
+    diff = p.to_vector() - p_hat
+    q_diff = np.concatenate([w * xb for w, xb in zip(ps.q_weights, block.split(diff))])
+    m_vec = q_diff - kmap(diff)
+    return num_published, float(q_diff @ diff), den_explicit, float(m_vec @ m_vec)
+
+
+@pytest.fixture
+def ps_mu_terms_reference():
+    """Published explicit numerator and denominator, checked against the weighted forms."""
+    return _ps_mu_terms
+
+
+# ---------------------------------------------------------------------------
+# declared-modulus honesty samplers (cross-check references)
+
+
+def _sampled_pairs(n, samples, seed, scale):
+    """Pairs drawn in the order x_0, y_0, x_1, y_1, ... of the seed's stream."""
+    for row in Lcg64(seed).matrix(samples, 2 * n):
+        yield scale * row[:n], scale * row[n:]
+
+
+def _worst_lipschitz_ratio(fn, lipschitz_constant, n, samples, seed, scale=1.0):
+    """max ||fx - fy|| / (L ||x - y||) over sampled pairs; honest maps stay <= 1."""
+    worst = 0.0
+    for x, y in _sampled_pairs(n, samples, seed, scale):
+        dx = float(np.linalg.norm(x - y))
+        if dx == 0.0:
+            continue
+        df = float(np.linalg.norm(np.asarray(fn(x)) - np.asarray(fn(y))))
+        if lipschitz_constant == 0.0:
+            # 0/0 = 0 and alpha/0 = +inf: only constant maps are 0-Lipschitz
+            worst = max(worst, 0.0 if df == 0.0 else np.inf)
+        else:
+            worst = max(worst, df / (lipschitz_constant * dx))
+    return worst
+
+
+def _worst_cocoercivity_deficit(fn, beta, n, samples, seed, scale=1.0):
+    """max of (1/beta)||fx-fy||^2 - <fx-fy, x-y> over sampled pairs.
+
+    beta = 0 is handled by the 0/0 = 0 and alpha/0 = +inf conventions:
+    the deficit is +inf unless the map is constant on the sample.
+    """
+    worst = -np.inf
+    for x, y in _sampled_pairs(n, samples, seed, scale):
+        d = np.asarray(fn(x)) - np.asarray(fn(y))
+        sq = float(d @ d)
+        if beta == 0.0:
+            quad = 0.0 if sq == 0.0 else np.inf
+        else:
+            quad = sq / beta
+        worst = max(worst, quad - float(d @ (x - y)))
+    return worst
+
+
+def _worst_strong_monotonicity_deficit(fn, sigma, n, samples, seed, scale=1.0):
+    """max of sigma||x-y||^2 - <fx-fy, x-y> over sampled pairs."""
+    worst = -np.inf
+    for x, y in _sampled_pairs(n, samples, seed, scale):
+        d = x - y
+        inner = float((np.asarray(fn(x)) - np.asarray(fn(y))) @ d)
+        worst = max(worst, sigma * float(d @ d) - inner)
+    return worst
+
+
+@pytest.fixture
+def honesty_samplers():
+    """Sampled checks that declared moduli hold: the instances' constants are checked against them."""
+    return SimpleNamespace(
+        pairs=_sampled_pairs,
+        lipschitz_ratio=_worst_lipschitz_ratio,
+        cocoercivity_deficit=_worst_cocoercivity_deficit,
+        strong_monotonicity_deficit=_worst_strong_monotonicity_deficit,
+    )

@@ -14,16 +14,16 @@ from nofob.algorithms import run_algorithm
 from nofob.core import nofob_iterate
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.fourop import (
+    FourOpProblem,
     ScalarStep,
     as_nofob,
     epsbar_delta,
-    fbs_relaxed_iterate,
     gamma_bound_conservative,
     gamma_bound_long,
     kernel_lipschitz,
-    beta_effective,
 )
 from nofob.linalg import SpdMetric
+from nofob.operators import CocoerciveMap, LipschitzMap, SkewMap, zero_operator
 from nofob.problems import REGISTRY, fixed_point_residual, get_instance
 from nofob.projective import PdPoint, ps_explicit_iterate, resolvent_view
 from nofob.rng import Lcg64
@@ -163,7 +163,7 @@ def test_specialization_coherence_everywhere(long_step_reference):
     passed(f"specializations coincide on all problems, worst dev {worst:.2e}")
 
 
-def test_fbs_redundant_projection_identity():
+def test_fbs_redundant_projection_identity(fbs_relaxed_reference):
     inst = get_instance("regquad-fbs")
     prob = inst.bundle
     be = inst.constants["beta_e"]
@@ -174,7 +174,7 @@ def test_fbs_redundant_projection_identity():
     x = inst.x0.copy()
     worst = 0.0
     for k in range(100):
-        direct = fbs_relaxed_iterate(prob.b, prob.e, m_metric, g, theta, x)
+        direct = fbs_relaxed_reference(prob.b, prob.e, g, theta, x)
         generic = nofob_iterate(view, k, x, theta)
         worst = max(worst, float(np.max(np.abs(direct - generic.x_next))))
         x = direct
@@ -227,7 +227,12 @@ def test_step_size_formula_grid_and_mu_bound_sampling():
         assert ebar == pytest.approx(ebar_ref, abs=1e-12)
         assert delta == pytest.approx(delta_ref, abs=1e-12)
         g = 0.5 * cons_ref
-        assert beta_effective(be, g, ld) == pytest.approx(
+        # the effective beta of the scalar kernel, from E and D alone
+        declared = FourOpProblem(
+            b=zero_operator(1), d=LipschitzMap(np.zeros_like, ld),
+            e=CocoerciveMap(np.zeros_like, be), k=SkewMap.zero(1), dim=1,
+        )
+        assert ScalarStep(g).beta(declared) == pytest.approx(
             be / (1.0 / g - ld), abs=1e-12
         )
         assert kernel_lipschitz(g, ld, kn) == pytest.approx(
@@ -285,7 +290,7 @@ def test_conservative_vs_explicit_dominance(conservative_reference):
         # restores the plain forward-backward step length (exact in the
         # pure FBS case, and equal to 1 when beta_E = 0).
         short_alg = "fbf" if be == 0.0 else "fbhf"
-        th = 4.0 / (4.0 - beta_effective(be, g, ld))
+        th = 4.0 / (4.0 - ScalarStep(g).beta(prob))
         a = run_algorithm(short_alg, inst, gamma=g, tol=1e-8, max_iter=3000)
         b = run_algorithm(f"{short_alg}-long", inst, gamma=g, theta=th,
                           tol=1e-8, max_iter=3000)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nofob.algorithms import run_algorithm
-from nofob.diagnostics import check_fejer
+from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
 from nofob.linalg import ContractViolation, SpdMetric
 from nofob.operators import LipschitzMap, SkewMap
@@ -88,3 +88,28 @@ def test_conservative_rows_warn_beyond_their_bound():
     with pytest.warns(StepParameterWarning) as caught:
         run_algorithm("fbhf", inst, gamma=1.05 * bound, max_iter=2)
     assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize("seed", [0, 6, 19, 27, 32, 33, 38, 39, 42])
+def test_afba_fixed_steps_in_its_own_metric(seed):
+    # on these seeds the unit step fails the fixed-step check in S = I;
+    # in S = P, the symmetric part of the kernel, it passes for every
+    # tau1, tau2 that make P positive definite
+    inst = get_instance("saddle", seed)
+    out = run_algorithm("afba-fixed", inst)
+    view = out.nofob_view
+    assert out.s_metric is view.s_metric is view.p_metric
+    traj = out.trajectory
+    assert traj.status == "converged"
+    assert np.linalg.norm(traj.final_x - inst.oracle) <= 1e-6 * (1.0 + np.linalg.norm(inst.oracle))
+    assert check_fejer(traj, out.z_star, out.s_metric).passed
+    assert check_separation(traj, view, out.z_star).passed
+    assert check_mu_bounds(traj, view.beta, view.p_metric, out.s_metric,
+                           view.kernel_lipschitz).passed
+
+
+def test_afba_fixed_rejects_a_metric_that_fails_the_fixed_step_check():
+    inst = get_instance("saddle", 0)
+    s = SpdMetric.identity(inst.bundle.dim)
+    with pytest.raises(ContractViolation, match="fails the fixed-step check"):
+        run_algorithm("afba-fixed", inst, s_metric=s)

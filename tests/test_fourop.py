@@ -11,9 +11,7 @@ from nofob.fourop import (
     StepParameterWarning,
     afba_fixed_step_check,
     as_nofob,
-    beta_effective,
     epsbar_delta,
-    fbs_relaxed_iterate,
     four_op_fb,
     gamma_bound_conservative,
     gamma_bound_long,
@@ -266,11 +264,20 @@ def test_epsbar_delta_stays_in_unit_interval():
         assert 0.0 < delta < 1.0
 
 
+def declared(beta_e, l_d, n=1):
+    """A problem whose E and D carry only their declared constants."""
+    return FourOpProblem(
+        b=zero_operator(n), d=LipschitzMap(np.zeros_like, l_d),
+        e=CocoerciveMap(np.zeros_like, beta_e), k=SkewMap.zero(n), dim=n,
+    )
+
+
 def test_beta_effective_values():
-    assert beta_effective(0.0, 0.3, 1.0) == 0.0
-    assert beta_effective(1.0, 0.5, 1.0) == pytest.approx(1.0)
+    # the effective beta of the scalar kernel, beta_E / (1/gamma - L_D)
+    assert ScalarStep(0.3).beta(declared(0.0, 1.0)) == 0.0
+    assert ScalarStep(0.5).beta(declared(1.0, 1.0)) == pytest.approx(1.0)
     with pytest.raises(ContractViolation):
-        beta_effective(1.0, 2.0, 1.0)  # 1/gamma <= L_D
+        ScalarStep(2.0).beta(declared(1.0, 1.0))  # 1/gamma <= L_D
 
 
 def test_beta_effective_below_four_at_long_bound():
@@ -282,7 +289,7 @@ def test_beta_effective_below_four_at_long_bound():
         g = gamma_bound_long(be, ld, eps)
         if not np.isfinite(g):
             continue
-        assert beta_effective(be, g, ld) <= 4.0 - eps + 1e-10
+        assert ScalarStep(g).beta(declared(be, ld)) <= 4.0 - eps + 1e-10
 
 
 def test_kernel_lipschitz_values_and_sampling():
@@ -413,7 +420,7 @@ def test_affine_plus_skew_gauss_seidel_solves_the_block_system():
 
 
 # ---------------------------------------------------------------------------
-# relaxed forward-backward reduction
+# relaxed forward-backward
 
 
 def fbs_fixture(n=6, seed=21):
@@ -426,26 +433,25 @@ def fbs_fixture(n=6, seed=21):
     return l1_subdifferential(0.2), e, beta_e, rng.vector(n)
 
 
-def test_fbs_theta_cancellation_gives_plain_forward_backward():
+def test_fbs_theta_cancellation_gives_plain_forward_backward(fbs_relaxed_reference):
     b, e, beta_e, x = fbs_fixture()
-    n = x.shape[0]
     g = 1.5 / beta_e
     theta = 4.0 / (4.0 - beta_e * g)
-    out = fbs_relaxed_iterate(b, e, SpdMetric.identity(n), g, theta, x)
+    out = fbs_relaxed_reference(b, e, g, theta, x)
     plain = b.evaluator(g, x - g * e(x))
     assert np.allclose(out, plain, atol=1e-14)
 
 
-def test_fbs_beta_zero_theta_one_is_resolvent_step():
+def test_fbs_beta_zero_theta_one_is_resolvent_step(fbs_relaxed_reference):
     n = 4
     b = l1_subdifferential(0.5)
     e = zero_cocoercive(n)
     x = np.array([2.0, -0.1, 0.7, 0.0])
-    out = fbs_relaxed_iterate(b, e, SpdMetric.identity(n), 0.9, 1.0, x)
+    out = fbs_relaxed_reference(b, e, 0.9, 1.0, x)
     assert np.allclose(out, b.evaluator(0.9, x), atol=1e-15)
 
 
-def test_fbs_redundant_projection_identity_over_100_iterations():
+def test_fbs_redundant_projection_identity_over_100_iterations(fbs_relaxed_reference):
     b, e, beta_e, x = fbs_fixture()
     n = x.shape[0]
     prob = FourOpProblem(b=b, d=zero_forward(n), e=e, k=SkewMap.zero(n), dim=n)
@@ -455,7 +461,7 @@ def test_fbs_redundant_projection_identity_over_100_iterations():
     theta = 1.3
     worst = 0.0
     for k in range(100):
-        direct = fbs_relaxed_iterate(b, e, s, g, theta, x)
+        direct = fbs_relaxed_reference(b, e, g, theta, x)
         generic = nofob_iterate(view, k, x, theta)
         worst = max(worst, float(np.max(np.abs(direct - generic.x_next))))
         # closed-form step length of the reduction; the kernel difference
@@ -467,40 +473,6 @@ def test_fbs_redundant_projection_identity_over_100_iterations():
             )
         x = direct
     assert worst <= 1e-12
-
-
-def test_fbs_metric_resolvent_diagonal_and_affine_paths():
-    n = 3
-    diag = SpdMetric.diagonal([1.0, 2.0, 4.0])
-    b = l1_subdifferential(0.5)
-    e = zero_cocoercive(n)
-    x = np.array([3.0, -2.0, 1.0])
-    out = fbs_relaxed_iterate(b, e, diag, 1.0, 1.0, x)
-    # coordinatewise: (m_i + B) x_i contains m_i x_i => soft step 1/m_i
-    d = np.array([1.0, 2.0, 4.0])
-    expected = np.sign(x) * np.maximum(np.abs(x) - 0.5 / d, 0.0)
-    assert np.allclose(out, expected, atol=1e-14)
-
-    from nofob.operators import affine_operator
-
-    rng = Lcg64(22)
-    r = rng.matrix(n, n)
-    m = SpdMetric(r @ r.T + 2.0 * np.eye(n))
-    h = np.diag([1.0, 2.0, 3.0])
-    aff = affine_operator(h, np.ones(n))
-    out2 = fbs_relaxed_iterate(aff, e, m, 0.8, 1.0, x)
-    lhs = np.linalg.solve(m.matrix + 0.8 * h, m.apply(x) - 0.8 * np.ones(n))
-    assert np.allclose(out2, lhs, atol=1e-12)
-
-
-def test_fbs_metric_resolvent_unsupported_pair_rejected():
-    n = 2
-    rng = Lcg64(23)
-    r = rng.matrix(n, n)
-    m = SpdMetric(r @ r.T + 2.0 * np.eye(n))
-    b = l1_subdifferential(1.0)  # separable but metric is dense
-    with pytest.raises(ContractViolation):
-        fbs_relaxed_iterate(b, zero_cocoercive(n), m, 0.5, 1.0, np.ones(n))
 
 
 # ---------------------------------------------------------------------------

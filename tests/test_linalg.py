@@ -56,12 +56,6 @@ def test_weighted_norm_identity_is_euclidean():
     assert weighted_norm(s, x) == pytest.approx(5.0)
 
 
-def test_diagonal_entries_detection():
-    assert SpdMetric.diagonal([2.0, 3.0]).diagonal_entries() is not None
-    dense = SpdMetric(np.array([[2.0, 0.5], [0.5, 2.0]]))
-    assert dense.diagonal_entries() is None
-
-
 def test_scaled_identity_matches_the_dense_metric():
     # same numbers as c * I held densely, bit for bit where the dense
     # route rounds once (apply, and solve at c = 1)
@@ -76,7 +70,6 @@ def test_scaled_identity_matches_the_dense_metric():
         assert weighted_norm(scalar, x) == weighted_norm(dense, x)
         assert np.allclose(scalar.solve(x), dense.solve(x), rtol=1e-15, atol=0.0)
         assert np.array_equal(scalar.matrix, dense.matrix)
-        assert np.array_equal(scalar.diagonal_entries(), dense.diagonal_entries())
     identity = SpdMetric.identity(6)
     assert np.array_equal(identity.solve(x), SpdMetric(np.eye(6)).solve(x))
     with pytest.raises(ContractViolation, match="not positive definite"):

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -13,18 +11,11 @@ from nofob.operators import (
     NonlinearKernel,
     ProxOperator,
     SkewMap,
-    _sampled_pairs,
     affine_operator,
-    box_normal_cone,
-    check_skew,
     inverse_via_moreau,
     l1_plus_diag_affine,
     l1_subdifferential,
-    moreau_dual_resolvent,
     separable_nonlinear_resolvent,
-    worst_cocoercivity_deficit,
-    worst_lipschitz_ratio,
-    worst_strong_monotonicity_deficit,
     zero_operator,
 )
 from nofob.problems import make_nonlinear_kernel_demo
@@ -58,12 +49,6 @@ def test_affine_operator_rejects_nonmonotone():
         affine_operator(np.array([[-1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
 
 
-def test_box_normal_cone_clamps():
-    op = box_normal_cone(-1.0, 1.0)
-    out = op.evaluator(2.0, np.array([-3.0, 0.2, 5.0]))
-    assert np.allclose(out, [-1.0, 0.2, 1.0])
-
-
 def test_l1_plus_diag_affine_closed_form():
     lam, d, b = 0.5, np.array([1.0, 2.0]), np.array([2.0, -0.1])
     op = l1_plus_diag_affine(lam, d, b)
@@ -80,24 +65,30 @@ def test_l1_plus_diag_affine_closed_form():
             assert abs(yi + gamma * bi) <= gamma * lam + 1e-14
 
 
+def moreau_dual(op, tau, z):
+    """J_{tau^{-1} A^{-1}}(tau^{-1} z), the dual blocks' resolvent, through
+    inverse_via_moreau."""
+    return inverse_via_moreau(op).evaluator(1.0 / tau, z / tau)
+
+
 def test_moreau_identity_reconstruction():
     op = l1_subdifferential(1.0)
     rng = Lcg64(5)
     for tau in (0.3, 1.0, 2.5):
         z = 3.0 * rng.vector(6)
-        dual = moreau_dual_resolvent(op, tau, z)
+        dual = moreau_dual(op, tau, z)
         assert np.allclose(op.evaluator(tau, z) + tau * dual, z, atol=1e-12)
 
 
 def test_moreau_dual_resolvent_l1_projects_onto_ball():
     # A = subdiff |.|: J_A(3) = 2, dual output 1 (projection onto [-1,1])
     op = l1_subdifferential(1.0)
-    out = moreau_dual_resolvent(op, 1.0, np.array([3.0]))
+    out = moreau_dual(op, 1.0, np.array([3.0]))
     assert out[0] == pytest.approx(1.0)
 
 
 def test_moreau_dual_of_zero_operator_is_zero():
-    out = moreau_dual_resolvent(zero_operator(3), 0.7, np.array([1.0, -2.0, 0.3]))
+    out = moreau_dual(zero_operator(3), 0.7, np.array([1.0, -2.0, 0.3]))
     assert np.allclose(out, 0.0)
 
 
@@ -128,13 +119,6 @@ def test_skew_map_operator_norm_matches_the_svd_norm(n):
     assert SkewMap.zero(n).operator_norm == 0.0
 
 
-def test_check_skew_is_zero_for_skew_maps():
-    rng = Lcg64(9)
-    r = rng.matrix(5, 5)
-    k = SkewMap(0.5 * (r - r.T))
-    assert check_skew(k, samples=50, seed=1) <= 1e-14
-
-
 def test_block_prox_split_and_resolve():
     bp = BlockProx([l1_subdifferential(1.0), zero_operator(2)], [2, 2])
     y = np.array([3.0, -0.5, 1.0, 2.0])
@@ -146,45 +130,38 @@ def test_block_prox_split_and_resolve():
     assert np.allclose(out2[2:], y[2:])
 
 
-def test_batched_samplers_match_the_per_sample_draws():
+def test_batched_samplers_match_the_per_sample_draws(honesty_samplers):
     # reference: one rng.vector call per sample, as the samplers drew before
     n, samples = 7, 90
-    a = Lcg64(8).matrix(n, n)
-    rng = Lcg64(9)
-    ref = 0.0
-    for _ in range(samples):
-        x = rng.vector(n)
-        ref = max(ref, abs(float(x @ (a @ x))) / max(1.0, float(x @ x)))
-    assert check_skew(SimpleNamespace(dim=n, matrix=a), samples, 9) == ref
     rng = Lcg64(10)
-    for x, y in _sampled_pairs(n, samples, 10, 0.5):
+    for x, y in honesty_samplers.pairs(n, samples, 10, 0.5):
         assert x.tobytes() == (0.5 * rng.vector(n)).tobytes()
         assert y.tobytes() == (0.5 * rng.vector(n)).tobytes()
 
 
-def test_honesty_samplers_accept_honest_constants():
+def test_honesty_samplers_accept_honest_constants(honesty_samplers):
     h = np.array([[2.0, 0.3], [0.3, 1.0]])
     lip = float(np.linalg.norm(h, 2))
     fn = lambda x: h @ x
-    assert worst_lipschitz_ratio(fn, lip, 2, 200, seed=3) <= 1.0 + 1e-12
+    assert honesty_samplers.lipschitz_ratio(fn, lip, 2, 200, seed=3) <= 1.0 + 1e-12
     beta = float(np.linalg.eigvalsh(h)[-1])
-    assert worst_cocoercivity_deficit(fn, beta, 2, 200, seed=3) <= 1e-12
+    assert honesty_samplers.cocoercivity_deficit(fn, beta, 2, 200, seed=3) <= 1e-12
     sigma = float(np.linalg.eigvalsh(h)[0])
-    assert worst_strong_monotonicity_deficit(fn, sigma, 2, 200, seed=3) <= 1e-12
+    assert honesty_samplers.strong_monotonicity_deficit(fn, sigma, 2, 200, seed=3) <= 1e-12
 
 
-def test_honesty_samplers_reject_dishonest_constants():
+def test_honesty_samplers_reject_dishonest_constants(honesty_samplers):
     fn = lambda x: 2.0 * x
-    assert worst_lipschitz_ratio(fn, 1.0, 2, 100, seed=4) > 1.0
-    assert worst_cocoercivity_deficit(fn, 1.0, 2, 100, seed=4) > 0.0
-    assert worst_strong_monotonicity_deficit(fn, 3.0, 2, 100, seed=4) > 0.0
+    assert honesty_samplers.lipschitz_ratio(fn, 1.0, 2, 100, seed=4) > 1.0
+    assert honesty_samplers.cocoercivity_deficit(fn, 1.0, 2, 100, seed=4) > 0.0
+    assert honesty_samplers.strong_monotonicity_deficit(fn, 3.0, 2, 100, seed=4) > 0.0
 
 
-def test_cocoercivity_zero_beta_conventions():
+def test_cocoercivity_zero_beta_conventions(honesty_samplers):
     const = lambda x: np.ones_like(x)
-    assert worst_cocoercivity_deficit(const, 0.0, 3, 50, seed=5) <= 0.0
+    assert honesty_samplers.cocoercivity_deficit(const, 0.0, 3, 50, seed=5) <= 0.0
     moving = lambda x: x
-    assert worst_cocoercivity_deficit(moving, 0.0, 3, 50, seed=5) == np.inf
+    assert honesty_samplers.cocoercivity_deficit(moving, 0.0, 3, 50, seed=5) == np.inf
 
 
 def test_separable_nonlinear_resolvent_linear_kernel():
@@ -224,6 +201,22 @@ def test_separable_nonlinear_resolvent_rejects_non_finite_input(bad):
     with pytest.raises(ContractViolation, match="must be finite"):
         separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.5),
                                       np.array([1.0, bad, -2.0]))
+
+
+@pytest.mark.parametrize("y", [
+    [1e8, -1e8, 3e8, -2.5e8, 1e8 + 0.5, -7e7],
+    [1e-12, 1e8, -3.0, 1e-300, -1e6, 0.3],
+])
+def test_separable_nonlinear_resolvent_stops_at_the_round_off_floor(y):
+    # at |x| near 1e8 one ulp is about 1e-8, so (1 + ell)|r| <= 1e-12 holds
+    # only where rounding lands on r = 0; elsewhere the bracket closes to
+    # two adjacent doubles, and the solve stops there
+    inst = make_nonlinear_kernel_demo(n=6, seed=3)[0]
+    kernel, prox = inst.nonlinear_spec.kernel, inst.bundle.b
+    y = np.array(y)
+    x = separable_nonlinear_resolvent(kernel, prox, y)
+    r = x - prox.evaluator(1.0, x + y - kernel(x))
+    assert np.all(np.abs(r) <= 4.0 * np.spacing(np.abs(x) + np.abs(y)))
 
 
 def _agrees(x, ref):

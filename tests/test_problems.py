@@ -4,11 +4,6 @@ import numpy as np
 import pytest
 
 from nofob.linalg import ContractViolation
-from nofob.operators import (
-    worst_cocoercivity_deficit,
-    worst_lipschitz_ratio,
-    worst_strong_monotonicity_deficit,
-)
 from nofob.problems import (
     REGISTRY,
     _certify,
@@ -51,14 +46,14 @@ def test_generation_is_deterministic(name):
 
 
 @pytest.mark.parametrize("name", REGISTRY)
-def test_declared_constants_pass_honesty_samplers(name):
+def test_declared_constants_pass_honesty_samplers(name, honesty_samplers):
     inst = get_instance(name)
     bundle = inst.bundle
     c = inst.constants
-    assert worst_lipschitz_ratio(
+    assert honesty_samplers.lipschitz_ratio(
         bundle.d, c["l_d"], inst.n, samples=500, seed=inst.seed
     ) <= 1.0 + 1e-9
-    assert worst_cocoercivity_deficit(
+    assert honesty_samplers.cocoercivity_deficit(
         bundle.e, c["beta_e"], inst.n, samples=500, seed=inst.seed
     ) <= 1e-9
     assert abs(bundle.k.operator_norm - c["k_norm"]) <= 1e-12
@@ -70,7 +65,7 @@ def test_declared_constants_pass_honesty_samplers(name):
         selection = lambda x: d * x - b + lam * np.sign(x)
     else:
         selection = bundle.forward
-    assert worst_strong_monotonicity_deficit(
+    assert honesty_samplers.strong_monotonicity_deficit(
         selection, c["sigma"], inst.n, samples=500, seed=inst.seed
     ) <= 1e-9
 
