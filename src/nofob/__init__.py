@@ -15,7 +15,6 @@ from .core import (
     NofobProblem,
     Trajectory,
     nofob_iterate,
-    psi_value,
     run_loop,
 )
 from .diagnostics import (

@@ -30,7 +30,6 @@ __all__ = [
     "coincides",
     "separation_fails",
     "null_record",
-    "psi_value",
     "nofob_iterate",
     "run_loop",
     "clamp_theta",
@@ -99,13 +98,6 @@ class Trajectory:
     @property
     def iterations(self) -> int:
         return len(self.records)
-
-
-def psi_value(prob: NofobProblem, x, x_hat, z) -> float:
-    """Separating function value <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2."""
-    m = prob.kernel_difference(x, x_hat)
-    gap = weighted_norm(prob.p_metric, x - x_hat)
-    return float(m @ (z - x_hat)) - 0.25 * prob.beta * gap * gap
 
 
 def coincides(residual: float, x_norm: float) -> bool:
@@ -204,7 +196,7 @@ def run_loop(
     for k in range(max_iter + 1):
         rec = step(k, x)
         records.append(rec)
-        if not np.all(np.isfinite(rec.x_next)):
+        if not np.isfinite(rec.x_next).all():
             return Trajectory(records, x, "error")
         if rec.residual_s <= tol:
             return Trajectory(records, x, "converged")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import NofobProblem, Trajectory, psi_value
+from .core import NofobProblem, Trajectory
 from .linalg import ContractViolation, SpdMetric, weighted_norm
 
 __all__ = [
@@ -71,13 +71,16 @@ def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric,
 
     The projection gap ||x - Pi_H x||_S is reconstructed from the
     recorded step length as mu * ||Mx - Mx_hat||_{S^{-1}}, which is
-    exact for the halfspace projection formula.
+    exact for the halfspace projection formula.  Distances chain by object
+    identity: a record whose x is the previous x_next array reuses it.
     """
     z = np.asarray(z_star, dtype=float)
     violations = []
+    prev_next, after = None, 0.0
     for rec in traj.records:
-        before = weighted_norm(s, rec.x - z) ** 2
+        before = after if rec.x is prev_next else weighted_norm(s, rec.x - z) ** 2
         after = weighted_norm(s, rec.x_next - z) ** 2
+        prev_next = rec.x_next
         gap = rec.mu * rec.normal_inv_norm
         guard = tol * (1.0 + before)
         violations.append(
@@ -90,16 +93,20 @@ def check_separation(traj: Trajectory, prob: NofobProblem, z_star: np.ndarray,
                      tol: float = DEFAULT_TOL) -> CheckReport:
     """The halfspace cuts off the iterate and contains the solution.
 
-    Requires psi(x) >= (1 - beta/4)||x - x_hat||_P^2 and psi(z*) <= 0,
-    both recomputed from the kernel evaluator rather than trusted from
-    the records.
+    Requires psi(x) >= (1 - beta/4)||x - x_hat||_P^2 and psi(z*) <= 0 for
+    psi(z) = <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2, both
+    recomputed from the kernel evaluator, one kernel difference per
+    record, rather than trusted from the records.
     """
     z = np.asarray(z_star, dtype=float)
     violations = []
     for rec in traj.records:
-        gap = weighted_norm(prob.p_metric, rec.x - rec.x_hat)
-        at_x = psi_value(prob, rec.x, rec.x_hat, rec.x)
-        at_z = psi_value(prob, rec.x, rec.x_hat, z)
+        d = rec.x - rec.x_hat
+        m = prob.kernel_difference(rec.x, rec.x_hat)
+        gap = weighted_norm(prob.p_metric, d)
+        q = 0.25 * prob.beta * gap * gap
+        at_x = float(m @ d) - q
+        at_z = float(m @ (z - rec.x_hat)) - q
         guard = tol * (1.0 + gap * gap)
         lower = (1.0 - prob.beta / 4.0) * gap * gap
         violations.append(max(lower - at_x - guard + tol, at_z - guard + tol))

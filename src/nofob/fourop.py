@@ -296,17 +296,26 @@ def four_op_fb(prob: FourOpProblem, spec: KernelSpec, x) -> np.ndarray:
 
 
 def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProblem:
-    """View the four-operator method as a corrected forward-backward solve."""
+    """View the four-operator method as a corrected forward-backward solve;
+    the kernel difference at the oracle's own x array reuses its D x."""
+    last = (None, None)
 
     def fb(x):
-        return four_op_fb(prob, spec, x)
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        dx = prob.d(x)
+        last = (x, dx)
+        # summed as in FourOpProblem.forward: x_hat is four_op_fb's to the bit
+        return spec.resolvent(prob, spec.q_apply(prob, x) - (dx + prob.k(x) + prob.e(x)))
 
     def kernel(x):
         return spec.q_apply(prob, x) - prob.d(x) - prob.k(x)
 
     def kernel_diff(x, x_hat):
+        last_x, last_dx = last
+        dx = last_dx if x is last_x else prob.d(x)
         return (spec.q_diff(prob, x, x_hat)
-                - (prob.d(x) - prob.d(x_hat)) - prob.k(x - x_hat))
+                - (dx - prob.d(x_hat)) - prob.k(x - x_hat))
 
     return NofobProblem(
         fb_oracle=fb,

@@ -119,15 +119,8 @@ class SpdMetric:
         return metric
 
 
-def _check_dims(*vs):
-    n = vs[0].shape[0] if isinstance(vs[0], np.ndarray) else vs[0].dim
-    for v in vs:
-        d = v.shape[0] if isinstance(v, np.ndarray) else v.dim
-        if d != n:
-            raise ContractViolation("dimension mismatch")
-
-
 def weighted_norm(w: SpdMetric, x: np.ndarray) -> float:
     """sqrt(<x, W x>)."""
-    _check_dims(w, x)
+    if x.shape[0] != w.dim:
+        raise ContractViolation("dimension mismatch")
     return float(np.sqrt(max(float(x @ w.apply(x)), 0.0)))

@@ -89,7 +89,7 @@ class SkewMap:
         if np.abs(k + k.T).max() > 1e-12 * scale:
             raise ContractViolation("matrix is not skew-adjoint to 1e-12")
         self.matrix = k
-        self.operator_norm = spectral_norm(k)
+        self.operator_norm = spectral_norm(k) if k.any() else 0.0
 
     @property
     def dim(self) -> int:

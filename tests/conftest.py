@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nofob.core import IterRecord, coincides, null_record, separation_fails
+from nofob.diagnostics import DEFAULT_TOL, _report
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
-from nofob.linalg import ContractViolation
+from nofob.linalg import ContractViolation, weighted_norm
 from nofob.projective import PdPoint
 from nofob.rng import Lcg64
 
@@ -302,3 +303,56 @@ def honesty_samplers():
         cocoercivity_deficit=_worst_cocoercivity_deficit,
         strong_monotonicity_deficit=_worst_strong_monotonicity_deficit,
     )
+
+
+# ---------------------------------------------------------------------------
+# per-record audits written out term by term (cross-check references)
+
+
+def _psi_value(prob, x, x_hat, z):
+    """Separating function <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2,
+    with its own kernel difference and P-norm on every call."""
+    m = prob.kernel_difference(x, x_hat)
+    gap = weighted_norm(prob.p_metric, x - x_hat)
+    return float(m @ (z - x_hat)) - 0.25 * prob.beta * gap * gap
+
+
+def _fejer_reference(traj, z_star, s, tol=DEFAULT_TOL):
+    """`check_fejer` with both distances measured afresh on every record."""
+    z = np.asarray(z_star, dtype=float)
+    violations = []
+    for rec in traj.records:
+        before = weighted_norm(s, rec.x - z) ** 2
+        after = weighted_norm(s, rec.x_next - z) ** 2
+        gap = rec.mu * rec.normal_inv_norm
+        guard = tol * (1.0 + before)
+        violations.append(
+            after - before + rec.theta * (2.0 - rec.theta) * gap * gap - guard + tol
+        )
+    return _report("fejer", violations, tol)
+
+
+def _separation_reference(traj, prob, z_star, tol=DEFAULT_TOL):
+    """`check_separation` through `_psi_value`, at x and at z* separately."""
+    z = np.asarray(z_star, dtype=float)
+    violations = []
+    for rec in traj.records:
+        gap = weighted_norm(prob.p_metric, rec.x - rec.x_hat)
+        at_x = _psi_value(prob, rec.x, rec.x_hat, rec.x)
+        at_z = _psi_value(prob, rec.x, rec.x_hat, z)
+        guard = tol * (1.0 + gap * gap)
+        lower = (1.0 - prob.beta / 4.0) * gap * gap
+        violations.append(max(lower - at_x - guard + tol, at_z - guard + tol))
+    return _report("separation", violations, tol)
+
+
+@pytest.fixture
+def psi_value():
+    """The separating function value the corrected step's halfspace is checked with."""
+    return _psi_value
+
+
+@pytest.fixture
+def audit_reference():
+    """Per-record Fejer and separation audits the chained audits are checked against."""
+    return SimpleNamespace(fejer=_fejer_reference, separation=_separation_reference)

@@ -4,7 +4,6 @@ import pytest
 from nofob.core import (
     NofobProblem,
     nofob_iterate,
-    psi_value,
     clamp_theta,
     run_loop,
 )
@@ -36,7 +35,7 @@ def test_identity_kernel_mu_is_one():
     assert np.allclose(rec.x_next, x / 2.0, atol=1e-14)
 
 
-def test_psi_value_matches_manual_formula():
+def test_psi_value_matches_manual_formula(psi_value):
     prob = identity_kernel_problem()
     rng = Lcg64(2)
     x, x_hat, z = rng.vector(4), rng.vector(4), rng.vector(4)
@@ -44,7 +43,7 @@ def test_psi_value_matches_manual_formula():
     assert psi_value(prob, x, x_hat, z) == pytest.approx(manual, abs=1e-14)
 
 
-def test_unit_relaxation_lands_on_hyperplane():
+def test_unit_relaxation_lands_on_hyperplane(psi_value):
     prob = identity_kernel_problem()
     x = np.array([2.0, 0.0, -1.0, 1.0])
     rec = nofob_iterate(prob, 0, x, 1.0)
@@ -53,7 +52,7 @@ def test_unit_relaxation_lands_on_hyperplane():
     )
 
 
-def test_unit_relaxation_lands_on_hyperplane_in_metric():
+def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
     # the S-projection onto the halfspace: on its boundary, and along
     # S^{-1} times the normal
     rng = Lcg64(3)

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nofob.algorithms import run_algorithm
+from nofob.algorithms import ALGORITHMS, run_algorithm
+from nofob.cli import _corrupt
 from nofob.core import NofobProblem, Trajectory, nofob_iterate, null_record, run_loop
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.linalg import ContractViolation, SpdMetric
-from nofob.problems import get_instance
+from nofob.problems import REGISTRY, get_instance
 from nofob.rng import Lcg64
 
 
@@ -234,3 +235,51 @@ def test_checkers_are_pure():
     a = check_fejer(out.trajectory, out.z_star, out.s_metric)
     b = check_fejer(out.trajectory, out.z_star, out.s_metric)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# chained audits against the per-record reference
+
+
+def _assert_same_report(got, ref):
+    # every field equal; a NaN violation equals a NaN and nothing else
+    for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(ref)):
+        assert a == b or (a != a and b != b), (got, ref)
+
+
+def _assert_audits_match(out, audit_reference):
+    traj, z = out.trajectory, out.z_star
+    _assert_same_report(check_fejer(traj, z, out.s_metric),
+                        audit_reference.fejer(traj, z, out.s_metric))
+    if out.nofob_view is not None:
+        _assert_same_report(check_separation(traj, out.nofob_view, z),
+                            audit_reference.separation(traj, out.nofob_view, z))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_audits_match_the_per_record_reference(seed, audit_reference):
+    runs = 0
+    for name in REGISTRY:
+        inst = get_instance(name, seed)
+        for algorithm in ALGORITHMS:
+            try:
+                out = run_algorithm(algorithm, inst)
+            except ContractViolation as exc:
+                # the algorithm does not accept this problem
+                assert "need" in str(exc) or "requires" in str(exc)
+                continue
+            _assert_audits_match(out, audit_reference)
+            runs += 1
+    assert runs >= 40
+
+
+def test_audits_match_the_reference_on_records_that_do_not_chain(audit_reference):
+    # cli's negative control moves the point on both records that carry it;
+    # moving one record's x_next onto z* alone breaks the chain in value,
+    # and a distance carried over from it would fail the next record
+    out, _ = convergent_run()
+    records = list(out.trajectory.records)
+    records[4] = dataclasses.replace(records[4], x_next=out.z_star.copy())
+    for traj in (_corrupt(out.trajectory), Trajectory(records, out.trajectory.final_x, "converged")):
+        assert traj.records[5].x is not traj.records[4].x_next
+        _assert_audits_match(dataclasses.replace(out, trajectory=traj), audit_reference)

@@ -135,6 +135,30 @@ def test_trivial_specialization_matches_core_resolvent_step():
     assert np.allclose(rec.x_next, prob.b.evaluator(g, x), atol=1e-15)
 
 
+def test_kernel_difference_reuses_the_oracle_d_only_at_its_own_x():
+    # the oracle keeps D x for the kernel difference at that same array;
+    # an equal copy evaluates D again and gives the same bits
+    base = seeded_problem()
+    calls = []
+
+    def d(x):
+        calls.append(1)
+        return base.d(x)
+
+    prob = FourOpProblem(b=base.b, d=LipschitzMap(d, base.d.lipschitz_constant),
+                         e=base.e, k=base.k, dim=base.dim)
+    view = as_nofob(prob, ScalarStep(0.5), SpdMetric.identity(prob.dim))
+    x = Lcg64(7).vector(prob.dim)
+    x_hat = view.fb_oracle(x)
+    assert np.array_equal(x_hat, four_op_fb(prob, ScalarStep(0.5), x))
+    calls.clear()
+    same = view.kernel_diff(x, x_hat)
+    assert len(calls) == 1
+    copied = view.kernel_diff(x.copy(), x_hat)
+    assert len(calls) == 3
+    assert np.array_equal(copied, same)
+
+
 def test_gamma_iterate_matches_generic_path_over_100_iterations(long_step_reference):
     prob = seeded_problem()
     s = SpdMetric.identity(prob.dim)
