@@ -34,7 +34,6 @@ from .fourop import (
     as_nofob,
     epsbar_delta,
     fbs_view,
-    four_op_fb,
     gamma_bound_conservative,
     gamma_bound_long,
     kernel_lipschitz,
@@ -63,7 +62,6 @@ from .problems import (
     make_saddle_pd,
 )
 from .projective import (
-    PdPoint,
     PsProblem,
     ps_explicit_iterate,
     resolvent_view,

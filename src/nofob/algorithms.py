@@ -9,10 +9,12 @@ diagnostic checkers audit.  Names:
   fbf, fbhf          conservative short step: mu_hat = gamma, unit
                      relaxation (fbf requires E = 0)
   fbf-long, fbhf-long    explicit long projection step
-  afba, afba-fixed   constant asymmetric kernel Q = P + G on the
-                     stacked saddle problem; -fixed takes the unit step
-                     (mu_hat = 1, theta = 1) in S = P, AFBA's own metric,
-                     unless an S is given, after the fixed-step check
+  afba, afba-fixed   AFBA's constant kernel Q = P + G, built from the
+                     coupling L of the stacked saddle problem (the
+                     instance's ps_view) and (tau1, tau2); -fixed takes
+                     the unit step (mu_hat = 1, theta = 1) in S = P,
+                     AFBA's own metric, unless an S is given, after the
+                     fixed-step check
   fbs, fbs-relaxed   (relaxed) forward-backward: the kernel gamma^{-1} I
                      with D, K and E all forward, mu_hat = gamma and
                      relaxation theta c, c = 1 - beta_E gamma / 4, which
@@ -27,7 +29,12 @@ diagnostic checkers audit.  Names:
   ps-explicit, ps-resolvent   synchronous projective splitting; the
                      resolvent form is the explicit step on the
                      block-diagonal view, the explicit form runs the
-                     hand-written transcription
+                     hand-written transcription on the same flat
+                     stacked vector
+
+On the saddle family a given tau is one step size per block of the
+stacked problem (two: the dual block, then the primal one); a single
+value stands for all of them, and a list of any other length raises.
 """
 
 from __future__ import annotations
@@ -51,11 +58,10 @@ from .fourop import (
     gamma_bound_long,
 )
 from .linalg import ContractViolation, SpdMetric
-from .operators import SkewMap
 from .problems import ProblemInstance
-from .projective import PdPoint, PsProblem, ps_explicit_iterate, resolvent_view
+from .projective import PsProblem, ps_explicit_iterate, resolvent_view
 
-__all__ = ["RunOutput", "ALGORITHMS", "run_algorithm", "make_cp_spec"]
+__all__ = ["RunOutput", "ALGORITHMS", "run_algorithm"]
 
 
 @dataclass(frozen=True)
@@ -68,24 +74,6 @@ class RunOutput:
     nofob_view: Optional[NofobProblem]
     gamma: Optional[float] = None
     theta: Optional[float] = None
-
-
-def make_cp_spec(l_matrix: np.ndarray, dims: tuple, tau1: float,
-                 tau2: float) -> AffinePlusSkew:
-    """Block-lower-triangular kernel for the stacked saddle problem.
-
-    Combined matrix [[tau1 I, 0], [2 L^T, tau2^{-1} I]]; its symmetric
-    part is positive definite exactly when tau1^{-1} tau2 ||L||^2 < 1.
-    """
-    m, n = dims
-    l = np.asarray(l_matrix, dtype=float)
-    q = np.zeros((m + n, m + n))
-    q[:m, :m] = tau1 * np.eye(m)
-    q[m:, m:] = np.eye(n) / tau2
-    q[m:, :m] = 2.0 * l.T
-    sym = 0.5 * (q + q.T)
-    skew = 0.5 * (q - q.T)
-    return AffinePlusSkew(p=SpdMetric(sym), g=SkewMap(skew), dims=(m, n))
 
 
 def _gamma_bound(inst: ProblemInstance, kind: str) -> float:
@@ -104,14 +92,21 @@ def _gamma(inst: ProblemInstance, kind: str, gamma) -> float:
     return 1.0 if not np.isfinite(bound) else 0.9 * bound
 
 
-def _saddle_taus(inst: ProblemInstance, tau) -> tuple:
+def _step_sizes(name: str, tau, count: int) -> list:
+    """A given tau as `count` step sizes; a scalar or a single value repeats."""
+    t = list(tau) if np.iterable(tau) else [tau]
+    if len(t) == 1:
+        t = t * count
+    if len(t) != count:
+        raise ContractViolation(f"{name} needs {count} step sizes")
+    return [float(v) for v in t]
+
+
+def _saddle_taus(name: str, ps: PsProblem, tau) -> tuple:
+    """(tau1, tau2) of the saddle kernels, by default (1, 0.9 / ||L||^2)."""
     if tau is not None:
-        t = list(tau) if np.iterable(tau) else [float(tau)]
-        if len(t) == 1:
-            t = t * 2
-        return float(t[0]), float(t[1])
-    l = inst.extras.get("l_matrix")
-    l_norm = float(np.linalg.norm(l, 2)) if l is not None else 1.0
+        return tuple(_step_sizes(name, tau, 2))
+    l_norm = float(np.linalg.norm(ps.l_maps[0], 2))
     return 1.0, 0.9 / max(l_norm, 1e-12) ** 2
 
 
@@ -171,12 +166,10 @@ def _saddle(fixed: bool):
     """
 
     def kernel(name, inst, gamma, tau, s):
-        if "l_matrix" not in inst.extras:
+        ps = inst.ps_view
+        if ps is None or ps.n != 2:
             raise ContractViolation(f"{name} needs a stacked saddle problem")
-        l_mat = inst.extras["l_matrix"]
-        dims = int(inst.extras["dual_dim"][0]), int(inst.extras["primal_dim"][0])
-        t1, t2 = _saddle_taus(inst, tau)
-        spec = make_cp_spec(l_mat, dims, t1, t2)
+        spec = AffinePlusSkew(ps.l_maps[0], *_saddle_taus(name, ps, tau))
         if fixed:
             s = spec.p if s is None else s
             if not afba_fixed_step_check(spec.p, spec.q_matrix, inst.bundle.k, s,
@@ -207,7 +200,7 @@ def _natural(name, inst, gamma, tau, s):
     if inst.nonlinear_spec is not None:
         spec = inst.nonlinear_spec
     elif inst.ps_view is not None:
-        t1, t2 = _saddle_taus(inst, tau)
+        t1, t2 = _saddle_taus(name, inst.ps_view, tau)
         spec = BlockDiag([t1, 1.0 / t2])
     else:
         spec = ScalarStep(_gamma(inst, "conservative", gamma))
@@ -220,12 +213,7 @@ def _projective(name, inst, gamma, tau, s):
     if ps is None:
         raise ContractViolation(f"{name} needs a problem with a projective view")
     if tau is not None:
-        t = list(tau) if np.iterable(tau) else [float(tau)] * ps.n
-        if len(t) == 1:
-            t = t * ps.n
-        if len(t) != ps.n:
-            raise ContractViolation(f"{name} needs {ps.n} step sizes")
-        ps = PsProblem(ps.a_ops, ps.l_maps, t, ps.primal_dim)
+        ps = PsProblem(ps.a_ops, ps.l_maps, _step_sizes(name, tau, ps.n), ps.primal_dim)
     view = resolvent_view(ps, _s_or_identity(s, inst))
     return Kernel(view, view, ps=ps)
 
@@ -241,13 +229,7 @@ def _corrected(ker: Kernel, theta: float, mu_hat: Optional[float]):
 
 def _explicit_ps(ker: Kernel, theta: float, mu_hat: Optional[float]):
     ps = ker.ps
-
-    def step(k, x):
-        _, rec = ps_explicit_iterate(
-            ps, k, PdPoint.from_vector(x, ps.dual_dims, ps.primal_dim), theta)
-        return rec
-
-    return step
+    return lambda k, x: ps_explicit_iterate(ps, k, x, theta)
 
 
 # step lengths: Kernel -> mu_hat, None for the explicit mu

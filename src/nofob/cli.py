@@ -204,20 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_algo=True):
+    def add_common(p):
         p.add_argument("--problem", required=True, choices=sorted(REGISTRY))
-        if need_algo:
-            p.add_argument("--algorithm", required=True)
+        p.add_argument("--algorithm", required=True)
         p.add_argument("--gamma", default=None)
         p.add_argument("--tau", default=None)
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iter", type=int, default=1000)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--csv", default=None)
 
     p_solve = sub.add_parser("solve", help="run one algorithm on one problem")
     add_common(p_solve)
+    p_solve.add_argument("--csv", default=None)
     p_solve.set_defaults(fn=cmd_solve, gamma_is_scalar=True)
 
     p_check = sub.add_parser("check", help="run and audit the trajectory")
@@ -230,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="sweep algorithms and step sizes")
     add_common(p_bench)
+    p_bench.add_argument("--csv", default=None)
     p_bench.set_defaults(fn=cmd_bench, gamma_is_scalar=False)
 
     p_list = sub.add_parser("list", help="show registered names")

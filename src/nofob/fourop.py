@@ -7,8 +7,8 @@ the run:
 
   ScalarStep          Q = gamma^{-1} I, plain prox
   BlockDiag           Q = blockdiag(w_i I), per-block prox
-  AffinePlusSkew      Q = P + G constant, block-lower-triangular,
-                      two-block Gauss-Seidel sweep
+  AffinePlusSkew      AFBA's Q = [[tau1 I, 0], [2 L^T, tau2^{-1} I]] on
+                      the stacked saddle problem, Gauss-Seidel sweep
   SeparableNonlinear  Q x = phi(x) coordinatewise, bracketed secant
                       (Illinois) solver
 
@@ -47,7 +47,6 @@ __all__ = [
     "StepParameterWarning",
     "zero_forward",
     "zero_cocoercive",
-    "four_op_fb",
     "as_nofob",
     "gamma_bound_long",
     "gamma_bound_conservative",
@@ -184,43 +183,28 @@ class BlockDiag(KernelSpec):
 
 
 class AffinePlusSkew(KernelSpec):
-    """Constant kernel Q = P + G with P symmetric positive definite and
-    G skew, as used by asymmetric forward-backward-adjoint methods.
+    """AFBA's constant kernel on the stacked saddle problem p = (w, x):
+    Q = [[tau1 I, 0], [2 L^T, tau2^{-1} I]], with L: R^n -> R^m.
 
-    The resolvent requires Q to be block-lower-triangular over a
-    two-block B with scalar-identity diagonal blocks, so (Q + B)^{-1}
-    is one Gauss-Seidel sweep.  Other structures are rejected.
+    Q = P + G with P its symmetric part, positive definite exactly when
+    tau1^{-1} tau2 ||L||^2 < 1, and G its skew part.  Q is
+    block-lower-triangular over the two-block B = (A_1^{-1}, A_2) with
+    scalar diagonal blocks, so (Q + B)^{-1} is one Gauss-Seidel sweep.
     """
 
-    def __init__(self, p: SpdMetric, g: SkewMap, dims: tuple):
-        if p.dim != g.dim:
-            raise ContractViolation("P and G dimensions must match")
-        d1, d2 = int(dims[0]), int(dims[1])
-        if d1 < 1 or d2 < 1 or d1 + d2 != p.dim:
-            raise ContractViolation("block dims must be positive and sum to dim")
-        q = p.matrix + g.matrix
-        scale = max(1.0, float(np.abs(q).max()))
-        if np.abs(q[:d1, d1:]).max() > 1e-12 * scale:
-            raise ContractViolation(
-                "kernel is not block-lower-triangular; no constructive solver"
-            )
-        q11 = q[:d1, :d1]
-        q22 = q[d1:, d1:]
-        w1 = q11[0, 0]
-        w2 = q22[0, 0]
-        if (np.abs(q11 - w1 * np.eye(d1)).max() > 1e-12 * scale
-                or np.abs(q22 - w2 * np.eye(d2)).max() > 1e-12 * scale):
-            raise ContractViolation(
-                "diagonal kernel blocks must be scalar multiples of the identity"
-            )
-        if w1 <= 0 or w2 <= 0:
-            raise ContractViolation("diagonal kernel weights must be positive")
-        self.p = p
-        self.g = g
+    def __init__(self, l_matrix, tau1: float, tau2: float):
+        tau1, tau2 = _positive(tau1, "tau1"), _positive(tau2, "tau2")
+        l = np.asarray(l_matrix, dtype=float)
+        m, n = l.shape
+        q = np.zeros((m + n, m + n))
+        q[:m, :m] = tau1 * np.eye(m)
+        q[m:, m:] = np.eye(n) / tau2
+        q[m:, :m] = 2.0 * l.T
+        self.p = SpdMetric(0.5 * (q + q.T))
         self.q_matrix = q
-        self.dims = (d1, d2)
-        self._w = (float(w1), float(w2))
-        self._q21 = q[d1:, :d1]
+        self.dims = (m, n)
+        self._w = (tau1, 1.0 / tau2)
+        self._q21 = q[m:, :m]
 
     def _block(self, prob) -> BlockProx:
         if not isinstance(prob.b, BlockProx) or len(prob.b.ops) != 2:
@@ -289,12 +273,6 @@ class SeparableNonlinear(KernelSpec):
 # generic four-operator step
 
 
-def four_op_fb(prob: FourOpProblem, spec: KernelSpec, x) -> np.ndarray:
-    """x_hat = (Q + B)^{-1} (Q - D - K - E) x."""
-    x = np.asarray(x, dtype=float)
-    return spec.resolvent(prob, spec.q_apply(prob, x) - prob.forward(x))
-
-
 def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProblem:
     """View the four-operator method as a corrected forward-backward solve;
     the kernel difference at the oracle's own x array reuses its D x."""
@@ -305,7 +283,7 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         x = np.asarray(x, dtype=float)
         dx = prob.d(x)
         last = (x, dx)
-        # summed as in FourOpProblem.forward: x_hat is four_op_fb's to the bit
+        # summed as in FourOpProblem.forward
         return spec.resolvent(prob, spec.q_apply(prob, x) - (dx + prob.k(x) + prob.e(x)))
 
     def kernel(x):

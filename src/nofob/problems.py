@@ -30,7 +30,6 @@ from .fourop import (
 )
 from .linalg import ContractViolation, spectral_norm
 from .operators import (
-    BlockProx,
     CocoerciveMap,
     LipschitzMap,
     NonlinearKernel,
@@ -41,7 +40,7 @@ from .operators import (
     l1_subdifferential,
     zero_operator,
 )
-from .projective import PdPoint, PsProblem
+from .projective import PsProblem
 from .rng import Lcg64
 
 __all__ = [
@@ -68,7 +67,6 @@ class ProblemInstance:
     seed: int
     x0: np.ndarray
     ps_view: Optional[PsProblem] = None
-    ps_oracle: Optional[PdPoint] = None
     nonlinear_spec: Optional[SeparableNonlinear] = None
     extras: Dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -263,8 +261,8 @@ def make_saddle_pd(n: int = 8, m: int = 6, seed: int = DEFAULT_SEED) -> ProblemI
     Primal block A_2 x = H x - b with H SPD on R^n; dual block
     A_1 w = G w + g0 with G SPD on R^m; coupling L: R^n -> R^m.  The
     unique solution solves (H + L^T G L) x = b - L^T g0 densely, with
-    w* = G L x* + g0.  Exposes both the stacked monotone-inclusion view
-    and the projective-splitting view over p = (w, x).
+    w* = G L x* + g0.  The bundle is the stacked primal-dual inclusion
+    over p = (w, x) that the projective-splitting view `ps_view` owns.
     """
     if n < 1 or m < 1:
         raise ContractViolation("need n, m >= 1")
@@ -281,22 +279,15 @@ def make_saddle_pd(n: int = 8, m: int = 6, seed: int = DEFAULT_SEED) -> ProblemI
     a1 = affine_operator(g, g0)
     a2 = affine_operator(h, -b_vec)
     ps = PsProblem(a_ops=[a1, a2], l_maps=[l_mat], taus=[1.0, 1.0], primal_dim=n)
-    block, kmap = ps.stacked()
-
-    bundle = FourOpProblem(
-        b=block, d=zero_forward(m + n), e=zero_cocoercive(m + n),
-        k=kmap, dim=m + n,
-    )
+    bundle = ps.stacked()
     oracle = np.concatenate([w_star, x_star])
-    ps_oracle = PdPoint((w_star,), x_star)
     x0 = rng.vector(m + n)
     return _certify(ProblemInstance(
         name="saddle", n=m + n, bundle=bundle, oracle=oracle,
-        constants={"l_d": 0.0, "beta_e": 0.0, "k_norm": kmap.operator_norm,
+        constants={"l_d": 0.0, "beta_e": 0.0, "k_norm": bundle.k.operator_norm,
                    "sigma": 0.0},
-        seed=seed, x0=x0, ps_view=ps, ps_oracle=ps_oracle,
-        extras={"l_matrix": l_mat, "dual_dim": np.array([m]),
-                "primal_dim": np.array([n]), "g_matrix": g, "g0_vector": g0,
+        seed=seed, x0=x0, ps_view=ps,
+        extras={"l_matrix": l_mat, "g_matrix": g, "g0_vector": g0,
                 "h_matrix": h, "b_vector": b_vec},
     ))
 
@@ -340,32 +331,25 @@ def make_nonlinear_kernel_demo(n: int = 12, lam: float = 0.3,
     return inst, spec
 
 
-def _build(name: str, seed: int) -> ProblemInstance:
-    if name == "rotation":
-        return make_rotation_vi(seed=seed)
-    if name.startswith("regquad-"):
-        return make_regularized_quadratic(seed=seed, split=name.split("-", 1)[1])
-    if name == "saddle":
-        return make_saddle_pd(seed=seed)
-    if name == "nonlinear-kernel":
-        return make_nonlinear_kernel_demo(seed=seed)[0]
-    raise KeyError(name)
+# name -> builder of the registered instance at a seed; each lambda looks
+# its make_* function up when called, so a replaced module attribute runs
+_BUILDERS = {
+    "rotation": lambda seed: make_rotation_vi(seed=seed),
+    "regquad-fbs": lambda seed: make_regularized_quadratic(seed=seed, split="fbs"),
+    "regquad-fbhf": lambda seed: make_regularized_quadratic(seed=seed, split="fbhf"),
+    "regquad-fbf": lambda seed: make_regularized_quadratic(seed=seed, split="fbf"),
+    "regquad-full": lambda seed: make_regularized_quadratic(seed=seed, split="full"),
+    "saddle": lambda seed: make_saddle_pd(seed=seed),
+    "nonlinear-kernel": lambda seed: make_nonlinear_kernel_demo(seed=seed)[0],
+}
 
-
-REGISTRY = (
-    "rotation",
-    "regquad-fbs",
-    "regquad-fbhf",
-    "regquad-fbf",
-    "regquad-full",
-    "saddle",
-    "nonlinear-kernel",
-)
+REGISTRY = tuple(_BUILDERS)
 
 
 @lru_cache(maxsize=64)
 def get_instance(name: str, seed: int = DEFAULT_SEED) -> ProblemInstance:
     """Registry lookup; instances are cached, since set-up draws and factors dense matrices."""
-    if name not in REGISTRY:
+    builder = _BUILDERS.get(name)
+    if builder is None:
         raise KeyError(f"unknown problem {name!r}; known: {', '.join(REGISTRY)}")
-    return _build(name, seed)
+    return builder(seed)

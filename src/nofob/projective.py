@@ -1,8 +1,10 @@
 """Synchronous projective splitting for 0 in A_n(x) + sum_i L_i* A_i(L_i x).
 
-The problem is stacked into a primal-dual inclusion 0 in Bp + Kp over
-p = (w_1, ..., w_{n-1}, x) with B carrying the dual inverses (realized
-through Moreau's identity) and K the skew coupling built from the L_i.
+The problem is stacked into a primal-dual inclusion 0 in Bp + Kp over the
+flat vector p = (w_1, ..., w_{n-1}, x), with B carrying the dual inverses
+(realized through Moreau's identity) and K the skew coupling built from
+the L_i.  `PsProblem` owns that stacked problem (`stacked`, built once by
+`stack_primal_dual`), and every step splits p with its `BlockProx.split`.
 Two equivalent iterations are provided: the resolvent form, which is the
 corrected step of core on the block-diagonal kernel view returned by
 `resolvent_view`, and the explicit form of Johnstone and Eckstein that
@@ -13,7 +15,6 @@ exploit this as a runtime oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -24,33 +25,11 @@ from .linalg import ContractViolation, SpdMetric
 from .operators import BlockProx, ProxOperator, SkewMap, inverse_via_moreau
 
 __all__ = [
-    "PdPoint",
     "PsProblem",
     "stack_primal_dual",
     "resolvent_view",
     "ps_explicit_iterate",
 ]
-
-_MAX_BLOCKS = 8
-_MAX_BLOCK_DIM = 100
-
-
-@dataclass(frozen=True)
-class PdPoint:
-    """Stacked primal-dual point p = (w_1, ..., w_{n-1}, x)."""
-
-    duals: Tuple[np.ndarray, ...]
-    primal: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([*self.duals, self.primal])
-
-    @classmethod
-    def from_vector(cls, vec, dual_dims: Sequence[int], primal_dim: int) -> "PdPoint":
-        vec = np.asarray(vec, dtype=float)
-        offs = np.cumsum((0,) + tuple(dual_dims))
-        duals = tuple(vec[a:b] for a, b in zip(offs[:-1], offs[1:]))
-        return cls(duals=duals, primal=vec[offs[-1]:offs[-1] + primal_dim])
 
 
 class PsProblem:
@@ -65,19 +44,19 @@ class PsProblem:
     def __init__(self, a_ops: Sequence[ProxOperator], l_maps: Sequence,
                  taus: Sequence, primal_dim: int):
         n = len(a_ops)
-        if n < 1 or n > _MAX_BLOCKS:
-            raise ContractViolation(f"between 1 and {_MAX_BLOCKS} blocks supported")
+        if n < 1:
+            raise ContractViolation("at least one block required")
         if len(l_maps) != n - 1 or len(taus) != n:
             raise ContractViolation("need n-1 coupling maps and n step sizes")
-        if not (1 <= primal_dim <= _MAX_BLOCK_DIM):
-            raise ContractViolation(f"block dimensions limited to {_MAX_BLOCK_DIM}")
+        if primal_dim < 1:
+            raise ContractViolation("block dimensions must be positive")
         mats = []
         for l in l_maps:
             m = np.asarray(l, dtype=float)
             if m.ndim != 2 or m.shape[1] != primal_dim:
                 raise ContractViolation("coupling maps must have primal_dim columns")
-            if not (1 <= m.shape[0] <= _MAX_BLOCK_DIM):
-                raise ContractViolation(f"block dimensions limited to {_MAX_BLOCK_DIM}")
+            if m.shape[0] < 1:
+                raise ContractViolation("block dimensions must be positive")
             mats.append(m)
         self.a_ops = tuple(a_ops)
         self.l_maps = tuple(mats)
@@ -99,21 +78,20 @@ class PsProblem:
         """Kernel block weights (tau_1, ..., tau_{n-1}, 1/tau_n)."""
         return (*self.taus[:-1], 1.0 / self.taus[-1])
 
-    def stacked(self):
+    def stacked(self) -> FourOpProblem:
         if self._stacked is None:
             self._stacked = stack_primal_dual(self)
         return self._stacked
 
 
-def stack_primal_dual(ps: PsProblem) -> Tuple[BlockProx, SkewMap]:
-    """Assemble the primal-dual inclusion operators.
+def stack_primal_dual(ps: PsProblem) -> FourOpProblem:
+    """The stacked primal-dual inclusion 0 in Bp + Kp, with D = E = 0.
 
     B blocks are (A_1^{-1}, ..., A_{n-1}^{-1}, A_n); K holds -L_i in
     the last block column and L_i* in the last block row.
     """
     ops = [inverse_via_moreau(op) for op in ps.a_ops[:-1]] + [ps.a_ops[-1]]
-    dims = list(ps.dual_dims) + [ps.primal_dim]
-    block = BlockProx(ops, dims)
+    block = BlockProx(ops, list(ps.dual_dims) + [ps.primal_dim])
     total = ps.total_dim
     h0 = total - ps.primal_dim
     kmat = np.zeros((total, total))
@@ -123,7 +101,8 @@ def stack_primal_dual(ps: PsProblem) -> Tuple[BlockProx, SkewMap]:
         kmat[row:row + g, h0:] = -m
         kmat[h0:, row:row + g] = m.T
         row += g
-    return block, SkewMap(kmat)
+    return FourOpProblem(b=block, d=zero_forward(total), e=zero_cocoercive(total),
+                         k=SkewMap(kmat), dim=total)
 
 
 def resolvent_view(ps: PsProblem, s: SpdMetric) -> NofobProblem:
@@ -134,28 +113,23 @@ def resolvent_view(ps: PsProblem, s: SpdMetric) -> NofobProblem:
     primal-dual inclusion; core.nofob_iterate on this view is one
     resolvent-form step.
     """
-    block, kmap = ps.stacked()
-    total = ps.total_dim
-    stacked = FourOpProblem(b=block, d=zero_forward(total), e=zero_cocoercive(total),
-                            k=kmap, dim=total)
-    return as_nofob(stacked, BlockDiag(ps.q_weights), s)
+    return as_nofob(ps.stacked(), BlockDiag(ps.q_weights), s)
 
 
-def ps_explicit_iterate(
-    ps: PsProblem, k: int, p: PdPoint, theta: float
-) -> Tuple[PdPoint, IterRecord]:
+def ps_explicit_iterate(ps: PsProblem, k: int, p: np.ndarray, theta: float) -> IterRecord:
     """One corrected step in explicit form, touching only primal proxes.
 
     Johnstone and Eckstein's synchronous projective splitting step as
-    published, kept as a cross-check of the resolvent form.  Each dual
-    pair (v_hat_i, w_hat_i) and the primal pair (x_hat, y_hat) are
+    published, kept as a cross-check of the resolvent form.  p is the
+    stacked vector (w_1, ..., w_{n-1}, x) and is the record's x.  Each
+    dual pair (v_hat_i, w_hat_i) and the primal pair (x_hat, y_hat) are
     certified to lie on their operator graphs through prox residuals.
     """
     taus = ps.taus
     tau_n = taus[-1]
-    x = p.primal
+    *duals, x = ps.stacked().b.split(p)
     lsw = sum(
-        (m.T @ w for m, w in zip(ps.l_maps, p.duals)),
+        (m.T @ w for m, w in zip(ps.l_maps, duals)),
         np.zeros(ps.primal_dim),
     )
     x_hat = np.asarray(ps.a_ops[-1].evaluator(tau_n, x - tau_n * lsw), dtype=float)
@@ -163,7 +137,7 @@ def ps_explicit_iterate(
     _assert_graph(ps.a_ops[-1], tau_n, x_hat, y_hat)
 
     v_hats, w_hats = [], []
-    for m, w, tau, op in zip(ps.l_maps, p.duals, taus[:-1], ps.a_ops[:-1]):
+    for m, w, tau, op in zip(ps.l_maps, duals, taus[:-1], ps.a_ops[:-1]):
         lx = m @ x
         v_hat = np.asarray(op.evaluator(tau, lx + tau * w), dtype=float)
         w_hat = w + lx / tau - v_hat / tau
@@ -183,27 +157,23 @@ def ps_explicit_iterate(
     # every factor residual-sized.
     num = (
         sum(float((vh - m @ x) @ (w - wh))
-            for vh, m, w, wh in zip(v_hats, ps.l_maps, p.duals, w_hats))
+            for vh, m, w, wh in zip(v_hats, ps.l_maps, duals, w_hats))
         + float((y_hat + lsw) @ (x - x_hat))
     )
     den = sum(float(t @ t) for t in t_list) + float(t_star @ t_star)
 
-    p_vec = p.to_vector()
-    p_hat_vec = np.concatenate([*w_hats, x_hat])
-    residual = float(np.linalg.norm(p_vec - p_hat_vec))
-    p_norm = float(np.linalg.norm(p_vec))
+    p_hat = np.concatenate([*w_hats, x_hat])
+    residual = float(np.linalg.norm(p - p_hat))
+    p_norm = float(np.linalg.norm(p))
     if coincides(residual, p_norm) or separation_fails(num, den, residual, p_norm):
-        return p, null_record(k, p_vec, p_hat_vec, theta, residual)
+        return null_record(k, p, p_hat, theta, residual)
     mu = num / den
-    duals_next = tuple(w - theta * mu * t for w, t in zip(p.duals, t_list))
-    x_next = x - theta * mu * t_star
-    p_next = PdPoint(duals_next, x_next)
-    rec = IterRecord(
-        k=k, x=p_vec, x_hat=p_hat_vec, x_next=p_next.to_vector(), mu=mu,
-        theta=theta, residual_s=residual, psi_at_x=num,
-        normal_inv_norm=float(np.sqrt(den)),
+    p_next = np.concatenate([*(w - theta * mu * t for w, t in zip(duals, t_list)),
+                             x - theta * mu * t_star])
+    return IterRecord(
+        k=k, x=p, x_hat=p_hat, x_next=p_next, mu=mu, theta=theta,
+        residual_s=residual, psi_at_x=num, normal_inv_norm=float(np.sqrt(den)),
     )
-    return p_next, rec
 
 
 def _assert_graph(op: ProxOperator, tau: float, point: np.ndarray, val: np.ndarray):

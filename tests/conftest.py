@@ -8,7 +8,6 @@ from nofob.core import IterRecord, coincides, null_record, separation_fails
 from nofob.diagnostics import DEFAULT_TOL, _report
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
 from nofob.linalg import ContractViolation, weighted_norm
-from nofob.projective import PdPoint
 from nofob.rng import Lcg64
 
 
@@ -200,7 +199,8 @@ def fbs_relaxed_reference():
 
 
 def _ps_mu_terms(ps, p, p_hat):
-    """The values behind one explicit step from p with candidate p_hat:
+    """The values behind one explicit step from the stacked vector p with
+    candidate p_hat:
     (num_published, num_weighted, den_explicit, den_weighted).
 
     num_published is Johnstone and Eckstein's inner-product combination
@@ -211,26 +211,25 @@ def _ps_mu_terms(ps, p, p_hat):
     is sum_i ||t_i||^2 + ||t*||^2 and den_weighted ||(Q - K)(p - p_hat)||^2.
     All four agree pairwise in exact arithmetic.
     """
-    x = p.primal
-    hat = PdPoint.from_vector(p_hat, ps.dual_dims, ps.primal_dim)
-    x_hat, w_hats = hat.primal, hat.duals
-    lsw = sum(m.T @ w for m, w in zip(ps.l_maps, p.duals))
+    split = ps.stacked().b.split
+    *duals, x = split(p)
+    *w_hats, x_hat = split(p_hat)
+    lsw = sum(m.T @ w for m, w in zip(ps.l_maps, duals))
     y_hat = (x - x_hat) / ps.taus[-1] - lsw
     v_hats = [m @ x + tau * (w - wh)
-              for m, tau, w, wh in zip(ps.l_maps, ps.taus, p.duals, w_hats)]
+              for m, tau, w, wh in zip(ps.l_maps, ps.taus, duals, w_hats)]
     t_list = [vh - m @ x_hat for vh, m in zip(v_hats, ps.l_maps)]
     t_star = y_hat + sum(m.T @ wh for m, wh in zip(ps.l_maps, w_hats))
     num_published = (
         sum(float(t @ w) - float(vh @ wh)
-            for t, w, vh, wh in zip(t_list, p.duals, v_hats, w_hats))
+            for t, w, vh, wh in zip(t_list, duals, v_hats, w_hats))
         + float(t_star @ x) - float(y_hat @ x_hat)
     )
     den_explicit = sum(float(t @ t) for t in t_list) + float(t_star @ t_star)
 
-    block, kmap = ps.stacked()
-    diff = p.to_vector() - p_hat
-    q_diff = np.concatenate([w * xb for w, xb in zip(ps.q_weights, block.split(diff))])
-    m_vec = q_diff - kmap(diff)
+    diff = p - p_hat
+    q_diff = np.concatenate([w * xb for w, xb in zip(ps.q_weights, split(diff))])
+    m_vec = q_diff - ps.stacked().k(diff)
     return num_published, float(q_diff @ diff), den_explicit, float(m_vec @ m_vec)
 
 

@@ -25,7 +25,7 @@ from nofob.fourop import (
 from nofob.linalg import SpdMetric
 from nofob.operators import CocoerciveMap, LipschitzMap, SkewMap, zero_operator
 from nofob.problems import REGISTRY, fixed_point_residual, get_instance
-from nofob.projective import PdPoint, ps_explicit_iterate, resolvent_view
+from nofob.projective import ps_explicit_iterate, resolvent_view
 from nofob.rng import Lcg64
 
 COMPAT = {
@@ -186,16 +186,14 @@ def test_projective_splitting_equivalence():
     inst = get_instance("saddle")
     ps = inst.ps_view
     view = resolvent_view(ps, SpdMetric.identity(ps.total_dim))
-    a = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
-    b = inst.x0.copy()
+    a = b = inst.x0
     worst = 0.0
     for k in range(200):
-        a, _ = ps_explicit_iterate(ps, k, a, 1.0)
+        a = ps_explicit_iterate(ps, k, a, 1.0).x_next
         b = nofob_iterate(view, k, b, 1.0).x_next
-        worst = max(worst, float(np.max(np.abs(a.to_vector() - b))))
+        worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-10
-    oracle = inst.ps_oracle.to_vector()
-    dist = float(np.linalg.norm(a.to_vector() - oracle))
+    dist = float(np.linalg.norm(a - inst.oracle))
     assert dist <= 1e-7
     passed(
         f"explicit/resolvent trajectories agree to {worst:.2e}; "

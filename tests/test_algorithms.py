@@ -6,7 +6,7 @@ from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
 from nofob.linalg import ContractViolation, SpdMetric
 from nofob.operators import LipschitzMap, SkewMap
-from nofob.problems import get_instance
+from nofob.problems import get_instance, make_saddle_pd
 from nofob.rng import Lcg64
 
 
@@ -114,3 +114,26 @@ def test_afba_fixed_rejects_a_metric_that_fails_the_fixed_step_check():
     s = SpdMetric.identity(inst.bundle.dim)
     with pytest.raises(ContractViolation, match="fails the fixed-step check"):
         run_algorithm("afba-fixed", inst, s_metric=s)
+
+
+@pytest.mark.parametrize("algorithm", ["afba", "afba-fixed", "four-op"])
+def test_saddle_rows_reject_a_tau_list_of_the_wrong_length(algorithm):
+    inst = get_instance("saddle")
+    with pytest.raises(ContractViolation, match="needs 2 step sizes"):
+        run_algorithm(algorithm, inst, tau=[1.0, 0.1, 5.0])
+    # one value stands for both
+    assert run_algorithm(algorithm, inst, tau=[1.0], max_iter=2).trajectory.iterations == 3
+
+
+@pytest.mark.parametrize("algorithm", ["ps-resolvent", "afba-fixed"])
+def test_saddle_beyond_a_hundred_block_dimensions(algorithm):
+    # no cap on the block dimensions: a 150-dual, 200-primal saddle
+    inst = make_saddle_pd(n=200, m=150, seed=0)
+    out = run_algorithm(algorithm, inst)
+    traj, view = out.trajectory, out.nofob_view
+    assert traj.status == "converged"
+    assert np.linalg.norm(traj.final_x - inst.oracle) <= 1e-6 * (1.0 + np.linalg.norm(inst.oracle))
+    assert check_fejer(traj, out.z_star, out.s_metric).passed
+    assert check_separation(traj, view, out.z_star).passed
+    assert check_mu_bounds(traj, view.beta, view.p_metric, out.s_metric,
+                           view.kernel_lipschitz).passed

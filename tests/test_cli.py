@@ -158,6 +158,24 @@ def test_check_ps_equivalence_line(capsys, tmp_path):
     assert eq[0]["max_violation"] <= 1e-10
 
 
+def test_check_takes_no_csv(tmp_path):
+    code = run_cli(["check", "--problem", "rotation", "--algorithm", "fbf",
+                    "--csv", str(tmp_path / "x.csv")])
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("algorithm, tau", [
+    ("afba", "1,0.1,5"), ("afba-fixed", "1,0.1,5"), ("four-op", "1,0.1,99"),
+    ("ps-resolvent", "1,0.1,5"),
+])
+def test_saddle_tau_list_of_the_wrong_length_is_an_error(algorithm, tau, capsys):
+    code = run_cli(["solve", "--problem", "saddle", "--algorithm", algorithm,
+                    "--tau", tau])
+    assert code == EXIT_ERROR
+    assert "needs 2 step sizes" in capsys.readouterr().err
+
+
 def test_check_report_json_shape(tmp_path):
     report = tmp_path / "report.json"
     code = run_cli([

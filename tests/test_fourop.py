@@ -12,7 +12,6 @@ from nofob.fourop import (
     afba_fixed_step_check,
     as_nofob,
     epsbar_delta,
-    four_op_fb,
     gamma_bound_conservative,
     gamma_bound_long,
     kernel_lipschitz,
@@ -37,6 +36,11 @@ def trivial_problem(n=3):
         b=zero_operator(n), d=zero_forward(n), e=zero_cocoercive(n),
         k=SkewMap.zero(n), dim=n,
     )
+
+
+def fb(prob, spec, x):
+    """x_hat = (Q + B)^{-1} (Q - D - K - E) x, the oracle of the kernel view."""
+    return as_nofob(prob, spec, SpdMetric.identity(prob.dim)).fb_oracle(x)
 
 
 def seeded_problem(n=8, seed=42, with_e=True, with_d=True, with_k=True):
@@ -64,7 +68,7 @@ def seeded_problem(n=8, seed=42, with_e=True, with_d=True, with_k=True):
 def test_fb_with_all_zero_operators_is_identity():
     prob = trivial_problem()
     x = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(four_op_fb(prob, ScalarStep(0.7), x), x, atol=1e-15)
+    assert np.allclose(fb(prob, ScalarStep(0.7), x), x, atol=1e-15)
 
 
 def test_scalar_fb_is_proximal_gradient():
@@ -79,7 +83,7 @@ def test_scalar_fb_is_proximal_gradient():
     g = 0.5
     grad_step = x - g * (h @ x - b)  # = [0.75, 0.0 - ... ] computed below
     expected = np.sign(grad_step) * np.maximum(np.abs(grad_step) - g, 0.0)
-    out = four_op_fb(prob, ScalarStep(g), x)
+    out = fb(prob, ScalarStep(g), x)
     assert np.allclose(out, expected, atol=1e-14)
 
 
@@ -96,14 +100,14 @@ def test_blockdiag_fb_with_zero_blocks_is_linear():
     )
     spec = BlockDiag([1.0, 1.0])
     p = rng.vector(5)
-    out = four_op_fb(prob, spec, p)
+    out = fb(prob, spec, p)
     assert np.allclose(out, p - kmat @ p, atol=1e-13)
 
 
 def test_blockdiag_requires_block_separable_b():
     prob = trivial_problem()
     with pytest.raises(ContractViolation):
-        four_op_fb(prob, BlockDiag([1.0]), np.zeros(3))
+        fb(prob, BlockDiag([1.0]), np.zeros(3))
 
 
 def test_kernel_step_sizes_are_validated_at_construction():
@@ -150,7 +154,6 @@ def test_kernel_difference_reuses_the_oracle_d_only_at_its_own_x():
     view = as_nofob(prob, ScalarStep(0.5), SpdMetric.identity(prob.dim))
     x = Lcg64(7).vector(prob.dim)
     x_hat = view.fb_oracle(x)
-    assert np.array_equal(x_hat, four_op_fb(prob, ScalarStep(0.5), x))
     calls.clear()
     same = view.kernel_diff(x, x_hat)
     assert len(calls) == 1
@@ -402,38 +405,37 @@ def test_afba_fixed_step_check_two_block_metric():
     # block-triangular kernel from step sizes satisfying t2/t1 * |L|^2 < 1
     rng = Lcg64(17)
     l = rng.matrix(2, 3)
-    t1 = 1.0
-    t2 = 0.8 / np.linalg.norm(l, 2) ** 2
-    q = np.zeros((5, 5))
-    q[:2, :2] = t1 * np.eye(2)
-    q[2:, 2:] = np.eye(3) / t2
-    q[2:, :2] = 2.0 * l.T
-    sym = 0.5 * (q + q.T)
-    p = SpdMetric(sym)
-    assert afba_fixed_step_check(p, q, SkewMap(0.5 * (q - q.T)), p, 0.0, 0.5)
+    spec = AffinePlusSkew(l, 1.0, 0.8 / np.linalg.norm(l, 2) ** 2)
+    q = spec.q_matrix
+    assert afba_fixed_step_check(spec.p, q, SkewMap(0.5 * (q - q.T)), spec.p, 0.0, 0.5)
 
 
-def test_affine_plus_skew_rejects_non_triangular():
+def test_affine_plus_skew_builds_the_afba_kernel():
     rng = Lcg64(18)
-    r = rng.matrix(4, 4)
-    p = SpdMetric(r @ r.T + 3.0 * np.eye(4))
-    g = SkewMap(0.1 * (r - r.T))
-    with pytest.raises(ContractViolation):
-        AffinePlusSkew(p=p, g=g, dims=(2, 2))
+    l = rng.matrix(2, 3)
+    t1, t2 = 0.5, 0.25
+    spec = AffinePlusSkew(l, t1, t2)
+    assert spec.dims == (2, 3)
+    q = spec.q_matrix
+    assert np.array_equal(q[:2, :2], t1 * np.eye(2))
+    assert np.array_equal(q[2:, 2:], np.eye(3) / t2)
+    assert np.array_equal(q[2:, :2], 2.0 * l.T)
+    assert not q[:2, 2:].any()
+    assert np.array_equal(spec.p.matrix, 0.5 * (q + q.T))
+    for taus in ((0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0)):
+        with pytest.raises(ContractViolation, match="must be positive"):
+            AffinePlusSkew(l, *taus)
+    # tau2 ||L||^2 / tau1 >= 1: the symmetric part is not positive definite
+    with pytest.raises(ContractViolation, match="not positive definite"):
+        AffinePlusSkew(l, 1.0, 1.5 / np.linalg.norm(l, 2) ** 2)
 
 
 def test_affine_plus_skew_gauss_seidel_solves_the_block_system():
     # with B = 0 the resolvent must equal a dense linear solve
     rng = Lcg64(19)
     l = rng.matrix(2, 2)
-    t1, t2 = 1.0, 0.7 / np.linalg.norm(l, 2) ** 2
-    q = np.zeros((4, 4))
-    q[:2, :2] = t1 * np.eye(2)
-    q[2:, 2:] = np.eye(2) / t2
-    q[2:, :2] = 2.0 * l.T
-    spec = AffinePlusSkew(
-        p=SpdMetric(0.5 * (q + q.T)), g=SkewMap(0.5 * (q - q.T)), dims=(2, 2)
-    )
+    spec = AffinePlusSkew(l, 1.0, 0.7 / np.linalg.norm(l, 2) ** 2)
+    q = spec.q_matrix
     prob = FourOpProblem(
         b=BlockProx([zero_operator(2), zero_operator(2)], [2, 2]),
         d=zero_forward(4), e=zero_cocoercive(4), k=SkewMap.zero(4), dim=4,
@@ -507,7 +509,7 @@ def test_separable_nonlinear_spec_requires_d_zero():
     prob = seeded_problem()  # has D != 0
     kernel = NonlinearKernel(phi=lambda x: x, sigma=1.0, ell=1.0)
     with pytest.raises(ContractViolation):
-        four_op_fb(prob, SeparableNonlinear(kernel), np.zeros(prob.dim))
+        fb(prob, SeparableNonlinear(kernel), np.zeros(prob.dim))
 
 
 def test_separable_nonlinear_linear_phi_matches_scalar_kernel():
@@ -519,6 +521,6 @@ def test_separable_nonlinear_linear_phi_matches_scalar_kernel():
     # phi(t) = 2 t is the scalar kernel with gamma = 1/2
     kernel = NonlinearKernel(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0)
     x = np.array([1.0, -0.4, 0.0, 2.0])
-    a = four_op_fb(prob, SeparableNonlinear(kernel), x)
-    b = four_op_fb(prob, ScalarStep(0.5), x)
+    a = fb(prob, SeparableNonlinear(kernel), x)
+    b = fb(prob, ScalarStep(0.5), x)
     assert np.allclose(a, b, atol=1e-10)

@@ -75,6 +75,14 @@ def test_unknown_name_rejected():
         get_instance("not-a-problem")
 
 
+def test_registry_order_and_uncached_builder():
+    assert REGISTRY == ("rotation", "regquad-fbs", "regquad-fbhf", "regquad-fbf",
+                        "regquad-full", "saddle", "nonlinear-kernel")
+    for name in REGISTRY:
+        fresh = get_instance.__wrapped__(name, 3)
+        assert fresh.name == name and fresh is not get_instance(name, 3)
+
+
 # ---------------------------------------------------------------------------
 # rotation
 
@@ -203,8 +211,7 @@ def test_regquad_beta_is_largest_eigenvalue():
 def test_saddle_oracle_solves_kkt():
     inst = make_saddle_pd(n=5, m=4, seed=3)
     l = inst.extras["l_matrix"]
-    w_star = inst.ps_oracle.duals[0]
-    x_star = inst.ps_oracle.primal
+    w_star, x_star = inst.oracle[:4], inst.oracle[4:]
     # stationarity: A_2 x* + L* w* = 0 and w* = A_1(L x*)
     a1 = inst.extras["g_matrix"] @ (l @ x_star) + inst.extras["g0_vector"]
     a2 = inst.extras["h_matrix"] @ x_star - inst.extras["b_vector"]
@@ -221,14 +228,15 @@ def test_saddle_scalar_case_hand_kkt():
     b = float(inst.extras["b_vector"][0])
     x_star = (b - l * g0) / (h + l * g * l)
     w_star = g * l * x_star + g0
-    assert inst.ps_oracle.primal[0] == pytest.approx(x_star, abs=1e-12)
-    assert inst.ps_oracle.duals[0][0] == pytest.approx(w_star, abs=1e-12)
+    assert inst.oracle[1] == pytest.approx(x_star, abs=1e-12)
+    assert inst.oracle[0] == pytest.approx(w_star, abs=1e-12)
 
 
 def test_saddle_stacked_kernel_is_skew():
     inst = make_saddle_pd(seed=3)
     kmat = inst.bundle.k.matrix
     assert np.max(np.abs(kmat + kmat.T)) <= 1e-12
+    assert inst.bundle is inst.ps_view.stacked()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from nofob.operators import (
 )
 from nofob.problems import get_instance
 from nofob.projective import (
-    PdPoint,
     PsProblem,
     ps_explicit_iterate,
     resolvent_view,
@@ -22,9 +21,7 @@ from nofob.rng import Lcg64
 
 def ps_resolvent_iterate(ps, k, p, theta):
     """One resolvent-form step: the corrected step on the resolvent view."""
-    view = resolvent_view(ps, SpdMetric.identity(ps.total_dim))
-    rec = nofob_iterate(view, k, p.to_vector(), theta)
-    return PdPoint.from_vector(rec.x_next, ps.dual_dims, ps.primal_dim), rec
+    return nofob_iterate(resolvent_view(ps, SpdMetric.identity(ps.total_dim)), k, p, theta)
 
 
 def zero_ps(n_dual=2, n_primal=3, l=None, taus=(1.0, 1.0)):
@@ -36,17 +33,7 @@ def zero_ps(n_dual=2, n_primal=3, l=None, taus=(1.0, 1.0)):
 
 
 # ---------------------------------------------------------------------------
-# PdPoint plumbing
-
-
-def test_pdpoint_vector_round_trip():
-    p = PdPoint((np.array([1.0, 2.0]), np.array([3.0])), np.array([4.0, 5.0]))
-    v = p.to_vector()
-    assert np.array_equal(v, [1.0, 2.0, 3.0, 4.0, 5.0])
-    q = PdPoint.from_vector(v, [2, 1], 2)
-    assert np.array_equal(q.duals[0], p.duals[0])
-    assert np.array_equal(q.duals[1], p.duals[1])
-    assert np.array_equal(q.primal, p.primal)
+# problem validation
 
 
 def test_ps_problem_validation():
@@ -57,6 +44,8 @@ def test_ps_problem_validation():
             [zero_operator(2), zero_operator(3)],
             [np.zeros((2, 4))], [1.0, 1.0], 3,
         )
+    with pytest.raises(ContractViolation, match="block dimensions must be positive"):
+        PsProblem([zero_operator(1), zero_operator(3)], [np.zeros((0, 3))], [1.0, 1.0], 3)
     for taus in ((1.0, -0.5), (1.0, float("nan"))):
         with pytest.raises(ContractViolation, match="step sizes must be positive"):
             zero_ps(taus=taus)
@@ -67,14 +56,16 @@ def test_ps_problem_validation():
 
 
 def test_stack_zero_coupling_gives_zero_skew():
-    block, kmap = stack_primal_dual(zero_ps())
-    assert np.allclose(kmap.matrix, 0.0)
-    assert block.dims == (2, 3)
+    stacked = stack_primal_dual(zero_ps())
+    assert np.allclose(stacked.k.matrix, 0.0)
+    assert stacked.b.dims == (2, 3) and stacked.dim == 5
+    p = np.arange(5.0)
+    assert not stacked.d(p).any() and not stacked.e(p).any()
 
 
 def test_stack_identity_coupling_is_canonical_symplectic():
     ps = zero_ps(n_dual=2, n_primal=2, l=np.eye(2))
-    _, kmap = stack_primal_dual(ps)
+    kmap = stack_primal_dual(ps).k
     expected = np.block([
         [np.zeros((2, 2)), -np.eye(2)],
         [np.eye(2), np.zeros((2, 2))],
@@ -90,7 +81,7 @@ def test_stack_three_blocks_entrywise():
         a_ops=[zero_operator(2), zero_operator(3), zero_operator(4)],
         l_maps=[l1, l2], taus=[1.0, 1.0, 1.0], primal_dim=4,
     )
-    _, kmap = stack_primal_dual(ps)
+    kmap = stack_primal_dual(ps).k
     kmat = kmap.matrix
     assert np.array_equal(kmat[0:2, 5:9], -l1)
     assert np.array_equal(kmat[2:5, 5:9], -l2)
@@ -106,7 +97,7 @@ def test_stack_dual_blocks_resolve_through_moreau():
         a_ops=[l1_subdifferential(1.0), zero_operator(1)],
         l_maps=[np.zeros((1, 1))], taus=[1.0, 1.0], primal_dim=1,
     )
-    block, _ = stack_primal_dual(ps)
+    block = stack_primal_dual(ps).b
     out = block.block_resolve([1.0, 1.0], np.array([3.0, 5.0]))
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(5.0)
@@ -136,9 +127,9 @@ def test_moreau_dual_resolvent_examples():
 def test_resolvent_all_zero_is_identity():
     # zero dual part: any x is a zero of the primal block, so p is fixed
     ps = zero_ps()
-    p = PdPoint((np.zeros(2),), np.array([0.5, 0.0, 3.0]))
-    p_next, rec = ps_resolvent_iterate(ps, 0, p, 1.0)
-    assert np.array_equal(p_next.to_vector(), p.to_vector())
+    p = np.array([0.0, 0.0, 0.5, 0.0, 3.0])
+    rec = ps_resolvent_iterate(ps, 0, p, 1.0)
+    assert np.array_equal(rec.x_next, p)
     assert rec.mu == 0.0
 
 
@@ -151,12 +142,11 @@ def test_resolvent_zero_stacked_blocks_match_dense_solve():
         a_ops=[cone_of_zero, zero_operator(3)],
         l_maps=[l], taus=[1.0, 1.0], primal_dim=3,
     )
-    _, kmap = stack_primal_dual(ps)
+    kmap = stack_primal_dual(ps).k
     q = np.eye(5)
     p_vec = rng.vector(5)
-    p = PdPoint.from_vector(p_vec, [2], 3)
     p_hat_oracle = np.linalg.solve(q, (q - kmap.matrix) @ p_vec)
-    _, rec = ps_resolvent_iterate(ps, 0, p, 1.0)
+    rec = ps_resolvent_iterate(ps, 0, p_vec, 1.0)
     assert np.allclose(rec.x_hat, p_hat_oracle, atol=1e-13)
     diff = p_vec - p_hat_oracle
     m = (q - kmap.matrix) @ diff
@@ -170,12 +160,11 @@ def test_resolvent_matches_blockdiag_four_op_view():
     # over ||(Q - K)(p - p_hat)||^2
     inst = get_instance("saddle")
     ps = inst.ps_view
-    block, kmap = ps.stacked()
-    p = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
+    block, kmap = ps.stacked().b, ps.stacked().k
+    p_vec = inst.x0
     for k in range(30):
-        p_next, rec = ps_resolvent_iterate(ps, k, p, 1.0)
+        rec = ps_resolvent_iterate(ps, k, p_vec, 1.0)
         weights = ps.q_weights
-        p_vec = p.to_vector()
         q_p = np.concatenate([w * xb for w, xb in zip(weights, block.split(p_vec))])
         p_hat = block.block_resolve(weights, q_p - kmap(p_vec))
         assert np.array_equal(rec.x_hat, p_hat)
@@ -184,7 +173,7 @@ def test_resolvent_matches_blockdiag_four_op_view():
         m = q_diff - kmap(diff)
         mu = float(q_diff @ diff) / float(m @ m)
         assert np.max(np.abs(rec.x_next - (p_vec - mu * m))) <= 1e-12
-        p = p_next
+        p_vec = rec.x_next
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +184,11 @@ def test_explicit_zero_operators_match_resolvent():
     rng = Lcg64(34)
     l = rng.matrix(2, 3)
     ps = zero_ps(l=l, taus=(0.7, 1.3))
-    p = PdPoint((rng.vector(2),), rng.vector(3))
-    a, rec_a = ps_explicit_iterate(ps, 0, p, 1.0)
-    b, rec_b = ps_resolvent_iterate(ps, 0, p, 1.0)
-    assert np.allclose(a.to_vector(), b.to_vector(), atol=1e-12)
+    p = np.concatenate([rng.vector(2), rng.vector(3)])
+    rec_a = ps_explicit_iterate(ps, 0, p, 1.0)
+    rec_b = ps_resolvent_iterate(ps, 0, p, 1.0)
+    assert rec_a.x is p
+    assert np.allclose(rec_a.x_next, rec_b.x_next, atol=1e-12)
     assert rec_a.mu == pytest.approx(rec_b.mu, rel=1e-10)
 
 
@@ -207,8 +197,7 @@ def test_explicit_hand_formulas_on_zero_operators():
     l = rng.matrix(2, 3)
     ps = zero_ps(l=l, taus=(0.7, 1.3))
     w, x = rng.vector(2), rng.vector(3)
-    p = PdPoint((w,), x)
-    _, rec = ps_explicit_iterate(ps, 0, p, 1.0)
+    rec = ps_explicit_iterate(ps, 0, np.concatenate([w, x]), 1.0)
     # with A_i = 0 the resolvents are identities
     x_hat = x - 1.3 * (l.T @ w)
     v_hat = l @ x + 0.7 * w
@@ -228,25 +217,23 @@ def test_explicit_hand_formulas_on_zero_operators():
 def test_equivalence_on_saddle_for_200_iterations():
     inst = get_instance("saddle")
     ps = inst.ps_view
-    p_a = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
-    p_b = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
+    p_a = p_b = inst.x0
     worst = 0.0
     for k in range(200):
-        p_a, _ = ps_explicit_iterate(ps, k, p_a, 1.0)
-        p_b, _ = ps_resolvent_iterate(ps, k, p_b, 1.0)
-        worst = max(worst, float(np.max(np.abs(p_a.to_vector() - p_b.to_vector()))))
+        p_a = ps_explicit_iterate(ps, k, p_a, 1.0).x_next
+        p_b = ps_resolvent_iterate(ps, k, p_b, 1.0).x_next
+        worst = max(worst, float(np.max(np.abs(p_a - p_b))))
     assert worst <= 1e-10
-    oracle = inst.ps_oracle.to_vector()
-    assert np.max(np.abs(p_a.to_vector() - oracle)) <= 1e-7
+    assert np.max(np.abs(p_a - inst.oracle)) <= 1e-7
 
 
 def test_explicit_numerator_and_denominator_identities(ps_mu_terms_reference):
     inst = get_instance("saddle")
     ps = inst.ps_view
-    p = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
+    p = inst.x0
     checked = 0
     for k in range(60):
-        p_next, rec = ps_explicit_iterate(ps, k, p, 1.0)
+        rec = ps_explicit_iterate(ps, k, p, 1.0)
         if rec.residual_s > 1e-3:
             num_pub, num_w, den_e, den_w = ps_mu_terms_reference(ps, p, rec.x_hat)
             assert num_pub == pytest.approx(num_w, rel=1e-9)
@@ -254,15 +241,15 @@ def test_explicit_numerator_and_denominator_identities(ps_mu_terms_reference):
             assert den_e == pytest.approx(rec.normal_inv_norm ** 2, rel=1e-9)
             assert num_w == pytest.approx(rec.psi_at_x, rel=1e-9)
             checked += 1
-        p = p_next
+        p = rec.x_next
     assert checked >= 10
 
 
 def test_explicit_fixed_point_at_oracle():
     inst = get_instance("saddle")
     ps = inst.ps_view
-    p_next, rec = ps_explicit_iterate(ps, 0, inst.ps_oracle, 1.0)
-    assert np.max(np.abs(p_next.to_vector() - inst.ps_oracle.to_vector())) <= 1e-9
+    rec = ps_explicit_iterate(ps, 0, inst.oracle, 1.0)
+    assert np.max(np.abs(rec.x_next - inst.oracle)) <= 1e-9
     assert rec.mu == 0.0
 
 
@@ -276,16 +263,16 @@ def test_no_coupled_step_size_restriction():
     t2 = 2.0 / l_norm
     assert t1 * t2 * l_norm**2 > 1.0
     ps = PsProblem(base.a_ops, [l], [t1, t2], base.primal_dim)
-    p = PdPoint.from_vector(inst.x0, ps.dual_dims, ps.primal_dim)
+    p = inst.x0
     res = None
     for k in range(3000):
-        p, rec = ps_resolvent_iterate(ps, k, p, 1.0)
+        rec = ps_resolvent_iterate(ps, k, p, 1.0)
         res = rec.residual_s
         if res <= 1e-8:
             break
+        p = rec.x_next
     assert res <= 1e-8
-    oracle = inst.ps_oracle.to_vector()
-    assert np.max(np.abs(p.to_vector() - oracle)) <= 1e-6
+    assert np.max(np.abs(p - inst.oracle)) <= 1e-6
 
 
 def test_graph_certificate_accepts_and_rejects():
