@@ -35,6 +35,7 @@ diagnostic checkers audit.  Names:
 On the saddle family a given tau is one step size per block of the
 stacked problem (two: the dual block, then the primal one); a single
 value stands for all of them, and a list of any other length raises.
+Rows and instances that take no step sizes raise on a given tau.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ def _step_sizes(name: str, tau, count: int) -> list:
     return [float(v) for v in t]
 
 
+def _no_tau(name: str, inst: ProblemInstance, tau):
+    if tau is not None:
+        raise ContractViolation(f"{name} takes no tau on {inst.name}")
+
+
 def _saddle_taus(name: str, ps: PsProblem, tau) -> tuple:
     """(tau1, tau2) of the saddle kernels, by default (1, 0.9 / ||L||^2)."""
     if tau is not None:
@@ -137,6 +143,7 @@ def _scalar(kind: str, e_free: bool):
     """
 
     def kernel(name, inst, gamma, tau, s):
+        _no_tau(name, inst, tau)
         if e_free and inst.bundle.e.inverse_cocoercivity != 0.0:
             raise ContractViolation(f"{name} requires a problem with E = 0")
         g = _gamma(inst, kind, gamma)
@@ -184,6 +191,7 @@ def _saddle(fixed: bool):
 def _fbs(name, inst, gamma, tau, s):
     """The audits get the gamma^{-1} I - D - K view, the same kernel, when
     D = K = 0; otherwise the step has no separation to audit."""
+    _no_tau(name, inst, tau)
     bundle = inst.bundle
     s = _s_or_identity(s, inst)
     g = _gamma(inst, "fbs", gamma)
@@ -197,13 +205,13 @@ def _fbs(name, inst, gamma, tau, s):
 
 
 def _natural(name, inst, gamma, tau, s):
-    if inst.nonlinear_spec is not None:
-        spec = inst.nonlinear_spec
-    elif inst.ps_view is not None:
+    if inst.nonlinear_spec is None and inst.ps_view is not None:
         t1, t2 = _saddle_taus(name, inst.ps_view, tau)
         spec = BlockDiag([t1, 1.0 / t2])
     else:
-        spec = ScalarStep(_gamma(inst, "conservative", gamma))
+        _no_tau(name, inst, tau)
+        spec = (inst.nonlinear_spec if inst.nonlinear_spec is not None
+                else ScalarStep(_gamma(inst, "conservative", gamma)))
     view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
     return Kernel(view, view)
 
@@ -213,7 +221,7 @@ def _projective(name, inst, gamma, tau, s):
     if ps is None:
         raise ContractViolation(f"{name} needs a problem with a projective view")
     if tau is not None:
-        ps = PsProblem(ps.a_ops, ps.l_maps, _step_sizes(name, tau, ps.n), ps.primal_dim)
+        ps = ps.with_taus(_step_sizes(name, tau, ps.n))
     view = resolvent_view(ps, _s_or_identity(s, inst))
     return Kernel(view, view, ps=ps)
 

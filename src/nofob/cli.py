@@ -64,16 +64,14 @@ def _status_code(traj: Trajectory) -> int:
     )
 
 
-def _parse_tau(text: Optional[str]):
-    if text is None:
-        return None
+def _parse_tau(text: str) -> List[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
 def _run_from_args(args, algorithm: str, gamma: Optional[float]) -> RunOutput:
     inst = get_instance(args.problem, args.seed)
     return run_algorithm(
-        algorithm, inst, gamma=gamma, tau=_parse_tau(args.tau),
+        algorithm, inst, gamma=gamma, tau=args.tau,
         theta=args.theta, tol=args.tol, max_iter=args.max_iter,
     )
 
@@ -255,6 +253,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.gamma = float(args.gamma)
         except ValueError:
             print("--gamma must be a number", file=sys.stderr)
+            return EXIT_USAGE
+    if getattr(args, "tau", None) is not None:
+        try:
+            args.tau = _parse_tau(args.tau)
+        except ValueError:
+            print("--tau must be a number or a comma-separated list of numbers",
+                  file=sys.stderr)
             return EXIT_USAGE
     if getattr(args, "algorithm", None) is not None \
             and args.command != "bench" and args.algorithm not in ALGORITHMS:

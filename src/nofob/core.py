@@ -14,6 +14,7 @@ above that raises.  Null steps, and only they, record mu = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -75,7 +76,7 @@ class NofobProblem:
         return self.kernel_eval(x) - self.kernel_eval(x_hat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterRecord:
     k: int
     x: np.ndarray
@@ -164,11 +165,8 @@ def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
     else:
         x_next = x - theta * mu_hat * s_inv_m
         theta = theta * mu_hat / mu
-    return IterRecord(
-        k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=theta,
-        residual_s=residual, psi_at_x=num, normal_inv_norm=float(np.sqrt(den)),
-        mu_hat=mu_hat,
-    )
+    return IterRecord(k, x, x_hat, x_next, mu, theta, residual, num,
+                      math.sqrt(den), mu_hat)
 
 
 def clamp_theta(theta: float) -> float:

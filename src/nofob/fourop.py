@@ -13,9 +13,14 @@ the run:
                       (Illinois) solver
 
 `as_nofob` views any of them as the kernel of the corrected step in
-core, and `fbs_view` views relaxed forward-backward as one.  Also
-provides the step-size bound formulas and the fixed-relaxation positive
-semidefiniteness check.
+core, and `fbs_view` views relaxed forward-backward as one.  A D, E or K
+that is zero by construction (`zero_forward`, `zero_cocoercive`, an
+all-zero `SkewMap`) says so through `is_zero`, and `FourOpProblem.forward`
+and both views never evaluate it; the sums they skip would only add
+zeros.  On the linear kernels (ScalarStep, BlockDiag, AffinePlusSkew)
+the kernel difference forms x - x_hat once and applies Q and K to it.
+Also provides the step-size bound formulas and the fixed-relaxation
+positive semidefiniteness check.
 """
 
 from __future__ import annotations
@@ -62,11 +67,11 @@ class StepParameterWarning(UserWarning):
 
 
 def zero_forward(n: int) -> LipschitzMap:
-    return LipschitzMap(lambda x: np.zeros(n), 0.0)
+    return LipschitzMap(lambda x: np.zeros(n), 0.0, is_zero=True)
 
 
 def zero_cocoercive(n: int) -> CocoerciveMap:
-    return CocoerciveMap(lambda x: np.zeros(n), 0.0)
+    return CocoerciveMap(lambda x: np.zeros(n), 0.0, is_zero=True)
 
 
 @dataclass(frozen=True)
@@ -79,20 +84,32 @@ class FourOpProblem:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(D + K + E) x."""
-        return self.d(x) + self.k(x) + self.e(x)
+        out = self._forward(x, None)
+        return np.zeros(self.dim) if out is None else out
+
+    def _forward(self, x, dx):
+        """(D + K + E) x summed in that order over the maps that are not
+        zero, with dx standing for D x when given; None when all are zero."""
+        out = None
+        if not self.d.is_zero:
+            out = self.d(x) if dx is None else dx
+        if not self.k.is_zero:
+            out = self.k(x) if out is None else out + self.k(x)
+        if not self.e.is_zero:
+            out = self.e(x) if out is None else out + self.e(x)
+        return out
 
 
 class KernelSpec:
     """Common interface: the kernel map Q, its resolvent with B, and
     the metric/constant bookkeeping the projection correction needs."""
 
+    # Q is linear, so Q x - Q x_hat is evaluated as Q (x - x_hat), which
+    # avoids catastrophic cancellation
+    linear = False
+
     def q_apply(self, prob: FourOpProblem, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def q_diff(self, prob: FourOpProblem, x, x_hat) -> np.ndarray:
-        """Q x - Q x_hat; linear kernels override this to act on the
-        difference directly, which avoids catastrophic cancellation."""
-        return self.q_apply(prob, x) - self.q_apply(prob, x_hat)
 
     def resolvent(self, prob: FourOpProblem, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -123,14 +140,13 @@ def _positive(value, what: str) -> float:
 class ScalarStep(KernelSpec):
     """Q = gamma^{-1} I."""
 
+    linear = True
+
     def __init__(self, gamma: float):
         self.gamma = _positive(gamma, "gamma")
 
     def q_apply(self, prob, x):
         return x / self.gamma
-
-    def q_diff(self, prob, x, x_hat):
-        return (x - x_hat) / self.gamma
 
     def resolvent(self, prob, v):
         g = self.gamma
@@ -153,6 +169,8 @@ class ScalarStep(KernelSpec):
 class BlockDiag(KernelSpec):
     """Q = blockdiag(w_i I) over the blocks of a BlockProx B."""
 
+    linear = True
+
     def __init__(self, weights: Sequence[float]):
         if not weights:
             raise ContractViolation("at least one block weight required")
@@ -168,9 +186,6 @@ class BlockDiag(KernelSpec):
     def q_apply(self, prob, x):
         bp = self._block(prob)
         return np.concatenate([w * xb for w, xb in zip(self.weights, bp.split(x))])
-
-    def q_diff(self, prob, x, x_hat):
-        return self.q_apply(prob, x - x_hat)
 
     def resolvent(self, prob, v):
         return self._block(prob).block_resolve(self.weights, v)
@@ -191,6 +206,8 @@ class AffinePlusSkew(KernelSpec):
     block-lower-triangular over the two-block B = (A_1^{-1}, A_2) with
     scalar diagonal blocks, so (Q + B)^{-1} is one Gauss-Seidel sweep.
     """
+
+    linear = True
 
     def __init__(self, l_matrix, tau1: float, tau2: float):
         tau1, tau2 = _positive(tau1, "tau1"), _positive(tau2, "tau2")
@@ -215,9 +232,6 @@ class AffinePlusSkew(KernelSpec):
 
     def q_apply(self, prob, x):
         return self.q_matrix @ x
-
-    def q_diff(self, prob, x, x_hat):
-        return self.q_matrix @ (x - x_hat)
 
     def resolvent(self, prob, v):
         bp = self._block(prob)
@@ -275,25 +289,43 @@ class SeparableNonlinear(KernelSpec):
 
 def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProblem:
     """View the four-operator method as a corrected forward-backward solve;
-    the kernel difference at the oracle's own x array reuses its D x."""
+    the kernel difference at the oracle's own x array reuses its D x.
+    D and K are evaluated only where they are not zero."""
+    live_d, live_k = not prob.d.is_zero, not prob.k.is_zero
     last = (None, None)
 
     def fb(x):
         nonlocal last
         x = np.asarray(x, dtype=float)
-        dx = prob.d(x)
-        last = (x, dx)
-        # summed as in FourOpProblem.forward
-        return spec.resolvent(prob, spec.q_apply(prob, x) - (dx + prob.k(x) + prob.e(x)))
+        dx = None
+        if live_d:
+            dx = prob.d(x)
+            last = (x, dx)
+        v = spec.q_apply(prob, x)
+        forward = prob._forward(x, dx)
+        return spec.resolvent(prob, v if forward is None else v - forward)
 
     def kernel(x):
-        return spec.q_apply(prob, x) - prob.d(x) - prob.k(x)
+        m = spec.q_apply(prob, x)
+        if live_d:
+            m = m - prob.d(x)
+        if live_k:
+            m = m - prob.k(x)
+        return m
 
     def kernel_diff(x, x_hat):
-        last_x, last_dx = last
-        dx = last_dx if x is last_x else prob.d(x)
-        return (spec.q_diff(prob, x, x_hat)
-                - (dx - prob.d(x_hat)) - prob.k(x - x_hat))
+        diff = x - x_hat
+        if spec.linear:
+            m = spec.q_apply(prob, diff)
+        else:
+            m = spec.q_apply(prob, x) - spec.q_apply(prob, x_hat)
+        if live_d:
+            last_x, last_dx = last
+            dx = last_dx if x is last_x else prob.d(x)
+            m = m - (dx - prob.d(x_hat))
+        if live_k:
+            m = m - prob.k(diff)
+        return m
 
     return NofobProblem(
         fb_oracle=fb,
@@ -400,7 +432,9 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
         raise ContractViolation("gamma must be positive")
 
     def fb(x):
-        return np.asarray(prob.b.evaluator(gamma, x - gamma * prob.forward(x)), dtype=float)
+        forward = prob._forward(x, None)
+        y = x if forward is None else x - gamma * forward
+        return np.asarray(prob.b.evaluator(gamma, y), dtype=float)
 
     def kernel(x):
         return x / gamma

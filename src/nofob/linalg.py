@@ -3,10 +3,16 @@
 Everything is finite-dimensional.  A dense SPD metric caches its
 Cholesky factor and extremal eigenvalues at construction, so weighted
 norms and inverse-metric solves inside the iteration loops are cheap
-and deterministic; a scaled identity holds only its scalar.
+and deterministic.  A scaled identity c I holds only its scalar c:
+`weighted_norm` and `solve` read c directly, with no `apply` call and
+no dense matrix, and skip the multiply or divide when c == 1.0, where
+it is exact.  Their results equal the dense metric's bit for bit
+wherever the dense route rounds once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -61,7 +67,7 @@ class SpdMetric:
     the cached Cholesky factor.  `identity` and `scaled_identity` hold
     the scalar c of W = c I instead, so building, applying and solving
     cost O(1), O(n) and O(n); the dense matrix is formed only when
-    `matrix` is read.
+    `matrix` is read.  At c = 1, `solve` returns v itself.
     """
 
     def __init__(self, matrix):
@@ -77,19 +83,15 @@ class SpdMetric:
             raise ContractViolation("metric is not positive definite")
         self._matrix = w
         self._scale = None
-        self._dim = w.shape[0]
+        self.dim = w.shape[0]
         self.lam_min = lam_min
         self.lam_max = lam_max
         self._chol = cho_factor(w, lower=True)
 
     @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = self._scale * np.eye(self._dim)
+            self._matrix = self._scale * np.eye(self.dim)
         return self._matrix
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -98,9 +100,10 @@ class SpdMetric:
         return self._scale * x
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        if self._scale is None:
+        c = self._scale
+        if c is None:
             return cho_solve(self._chol, v)
-        return v / self._scale
+        return v if c == 1.0 else v / c
 
     @classmethod
     def identity(cls, n: int) -> "SpdMetric":
@@ -114,13 +117,19 @@ class SpdMetric:
         metric = cls.__new__(cls)
         metric._matrix = None
         metric._scale = c
-        metric._dim = int(n)
+        metric.dim = int(n)
         metric.lam_min = metric.lam_max = c
         return metric
 
 
 def weighted_norm(w: SpdMetric, x: np.ndarray) -> float:
-    """sqrt(<x, W x>)."""
+    """sqrt(<x, W x>); for W = c I summed as x @ (c x), as the dense
+    product W x rounds."""
     if x.shape[0] != w.dim:
         raise ContractViolation("dimension mismatch")
-    return float(np.sqrt(max(float(x @ w.apply(x)), 0.0)))
+    c = w._scale
+    if c is None:
+        wx = w.apply(x)
+    else:
+        wx = x if c == 1.0 else c * x
+    return math.sqrt(max(float(x @ wx), 0.0))

@@ -54,10 +54,14 @@ class ProxOperator:
 
 @dataclass(frozen=True)
 class LipschitzMap:
-    """Single-valued map with a declared Lipschitz constant."""
+    """Single-valued map with a declared Lipschitz constant.
+
+    is_zero declares the map zero, so that callers may skip it.
+    """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     lipschitz_constant: float
+    is_zero: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
@@ -68,18 +72,26 @@ class CocoerciveMap:
     """Single-valued map with declared inverse cocoercivity beta >= 0.
 
     <Ex - Ey, x - y> >= (1/beta) ||Ex - Ey||^2; beta = 0 forces the map
-    to be constant.
+    to be constant.  is_zero declares the map zero, so that callers may
+    skip it.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     inverse_cocoercivity: float
+    is_zero: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
 
 
 class SkewMap:
-    """Linear skew-adjoint map given by its dense matrix."""
+    """Linear skew-adjoint map given by its dense matrix.
+
+    An all-zero map sets `is_zero`, so that callers may skip it, and
+    `operator_norm` = 0.0 without a norm solve.  `zero(n)` builds it
+    without forming, checking or storing an n x n matrix; `matrix` is
+    formed only when it is read.
+    """
 
     def __init__(self, matrix):
         k = np.asarray(matrix, dtype=float)
@@ -88,19 +100,28 @@ class SkewMap:
         scale = max(1.0, float(np.abs(k).max()))
         if np.abs(k + k.T).max() > 1e-12 * scale:
             raise ContractViolation("matrix is not skew-adjoint to 1e-12")
-        self.matrix = k
-        self.operator_norm = spectral_norm(k) if k.any() else 0.0
+        self._matrix = k
+        self.dim = k.shape[0]
+        self.is_zero = not k.any()
+        self.operator_norm = 0.0 if self.is_zero else spectral_norm(k)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = np.zeros((self.dim, self.dim))
+        return self._matrix
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
     @classmethod
     def zero(cls, n: int) -> "SkewMap":
-        return cls(np.zeros((n, n)))
+        k = cls.__new__(cls)
+        k._matrix = None
+        k.dim = int(n)
+        k.is_zero = True
+        k.operator_norm = 0.0
+        return k
 
 
 @dataclass(frozen=True)

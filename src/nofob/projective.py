@@ -83,6 +83,13 @@ class PsProblem:
             self._stacked = stack_primal_dual(self)
         return self._stacked
 
+    def with_taus(self, taus: Sequence) -> "PsProblem":
+        """The same problem with other step sizes.  It shares the stacked
+        problem, which does not depend on them."""
+        other = PsProblem(self.a_ops, self.l_maps, taus, self.primal_dim)
+        other._stacked = self.stacked()
+        return other
+
 
 def stack_primal_dual(ps: PsProblem) -> FourOpProblem:
     """The stacked primal-dual inclusion 0 in Bp + Kp, with D = E = 0.

@@ -20,15 +20,24 @@ def counting(monkeypatch, owner, attr, counts, key):
     monkeypatch.setattr(owner, attr, counted)
 
 
+# D and K evaluations per moving iteration: D at x in the oracle, which the
+# kernel difference reuses, and at x_hat in the kernel difference; K at x in
+# the oracle and at x - x_hat in the kernel difference.  A D or K that is
+# zero (regquad-fbhf's K, saddle's D) is never evaluated.
+FORWARD_EVALUATIONS = {
+    "regquad-fbf": {"d": 2, "k": 2},
+    "regquad-fbhf": {"d": 2, "k": 0},
+    "saddle": {"d": 0, "k": 2},
+}
+
+
 @pytest.mark.parametrize("problem, algorithm, solves", [
     ("regquad-fbf", "fbf", None),
     ("regquad-fbhf", "fbhf", None),
     ("saddle", "afba-fixed", 1),
 ])
 def test_evaluations_per_moving_iteration(monkeypatch, problem, algorithm, solves):
-    # D at x in the oracle, which the kernel difference reuses, and at
-    # x_hat in the kernel difference; the step solves the metric once for
-    # its direction
+    # the step solves the metric once for its direction
     inst = get_instance(problem)
     counts = {"d": 0, "k": 0, "solve": 0}
     counting(monkeypatch, LipschitzMap, "__call__", counts, "d")
@@ -43,9 +52,8 @@ def test_evaluations_per_moving_iteration(monkeypatch, problem, algorithm, solve
         assert all(rec.mu > 0.0 for rec in out.trajectory.records)
         per_budget[max_iter] = dict(counts)
     per_iter = {key: (per_budget[20][key] - per_budget[10][key]) / 10 for key in counts}
-    assert per_iter["d"] == 2
+    assert {"d": per_iter["d"], "k": per_iter["k"]} == FORWARD_EVALUATIONS[problem]
     if solves is not None:
-        assert per_iter["k"] == 2
         assert per_iter["solve"] == solves
 
 
@@ -123,6 +131,29 @@ def test_saddle_rows_reject_a_tau_list_of_the_wrong_length(algorithm):
         run_algorithm(algorithm, inst, tau=[1.0, 0.1, 5.0])
     # one value stands for both
     assert run_algorithm(algorithm, inst, tau=[1.0], max_iter=2).trajectory.iterations == 3
+
+
+@pytest.mark.parametrize("algorithm, problem", [
+    ("fbf", "rotation"), ("fbs", "regquad-fbs"), ("four-op", "nonlinear-kernel"),
+    ("four-op", "regquad-full"),
+])
+def test_rows_without_step_sizes_reject_a_tau(algorithm, problem):
+    with pytest.raises(ContractViolation, match="takes no tau"):
+        run_algorithm(algorithm, get_instance(problem), tau=[1.0])
+
+
+def test_a_given_tau_reuses_the_stacked_problem(monkeypatch):
+    # the stacked B and K do not depend on tau, so no SkewMap is built
+    inst = make_saddle_pd(n=200, m=150, seed=0)
+    counts = {"skew": 0}
+    counting(monkeypatch, SkewMap, "__init__", counts, "skew")
+    for algorithm in ("ps-resolvent", "ps-explicit"):
+        out = run_algorithm(algorithm, inst, tau=[1.0, 1.0], max_iter=0)
+        assert out.trajectory.iterations == 1
+    assert counts["skew"] == 0
+    # the step sizes are the given ones
+    view = run_algorithm("ps-resolvent", inst, tau=[2.0, 0.5], max_iter=0).nofob_view
+    assert view.p_metric.lam_min == 2.0
 
 
 @pytest.mark.parametrize("algorithm", ["ps-resolvent", "afba-fixed"])

@@ -176,6 +176,24 @@ def test_saddle_tau_list_of_the_wrong_length_is_an_error(algorithm, tau, capsys)
     assert "needs 2 step sizes" in capsys.readouterr().err
 
 
+def test_tau_that_is_not_a_number_is_a_usage_error(capsys):
+    code = run_cli(["solve", "--problem", "saddle", "--algorithm", "afba",
+                    "--tau", "x"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--tau must be a number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem, algorithm", [
+    ("rotation", "fbf"), ("nonlinear-kernel", "four-op"),
+])
+def test_tau_on_a_row_without_step_sizes_is_an_error(problem, algorithm, capsys):
+    code = run_cli(["solve", "--problem", problem, "--algorithm", algorithm,
+                    "--tau", "1"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {algorithm} takes no tau on {problem}\n"
+
+
 def test_check_report_json_shape(tmp_path):
     report = tmp_path / "report.json"
     code = run_cli([

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from nofob.algorithms import ALGORITHMS, run_algorithm
 from nofob.core import nofob_iterate
+from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import (
     AffinePlusSkew,
     BlockDiag,
@@ -28,6 +30,7 @@ from nofob.operators import (
     l1_subdifferential,
     zero_operator,
 )
+from nofob.problems import get_instance
 from nofob.rng import Lcg64
 
 
@@ -69,6 +72,35 @@ def test_fb_with_all_zero_operators_is_identity():
     prob = trivial_problem()
     x = np.array([1.0, -2.0, 0.5])
     assert np.allclose(fb(prob, ScalarStep(0.7), x), x, atol=1e-15)
+
+
+@pytest.mark.parametrize("problem", ["rotation", "saddle", "nonlinear-kernel"])
+def test_zero_forward_maps_are_never_evaluated(monkeypatch, problem):
+    # rotation has D = E = 0, saddle D = E = 0, nonlinear-kernel D = E = K = 0
+    inst = get_instance(problem)
+    bundle = inst.bundle
+    assert bundle.d.is_zero and bundle.e.is_zero
+    assert bundle.k.is_zero == (problem == "nonlinear-kernel")
+    for cls in (LipschitzMap, CocoerciveMap, SkewMap):
+        original = cls.__call__
+
+        def guarded(self, x, original=original):
+            assert not self.is_zero, "a zero map was evaluated"
+            return original(self, x)
+
+        monkeypatch.setattr(cls, "__call__", guarded)
+    algorithms = [a for a in ALGORITHMS
+                  if inst.ps_view is not None or not a.startswith(("afba", "ps-"))]
+    for algorithm in algorithms:
+        out = run_algorithm(algorithm, inst, max_iter=50)
+        traj = out.trajectory
+        check_fejer(traj, out.z_star, out.s_metric)
+        view = out.nofob_view
+        if view is not None:
+            check_separation(traj, view, out.z_star)
+            check_mu_bounds(traj, view.beta, view.p_metric, out.s_metric,
+                            view.kernel_lipschitz)
+            view.kernel_eval(traj.final_x)
 
 
 def test_scalar_fb_is_proximal_gradient():

@@ -78,6 +78,29 @@ def test_scaled_identity_matches_the_dense_metric():
         weighted_norm(identity, np.ones(5))
 
 
+@pytest.mark.parametrize("c", [1.0, 4.0])
+def test_scalar_metric_norm_and_solve_read_the_scalar(monkeypatch, c):
+    # bit for bit the numbers of c * I held densely (at c = 4 the Cholesky
+    # factor is 2 I, so the dense solve rounds once too), with no `apply`
+    # call on the scalar metric
+    rng = Lcg64(6)
+    x = rng.vector(7)
+    dense = SpdMetric(c * np.eye(7))
+    expected = (weighted_norm(dense, x), dense.solve(x))
+    applied = []
+    original = SpdMetric.apply
+
+    def apply(self, v):
+        applied.append(self)
+        return original(self, v)
+
+    monkeypatch.setattr(SpdMetric, "apply", apply)
+    scalar = SpdMetric.scaled_identity(c, 7)
+    assert weighted_norm(scalar, x) == expected[0]
+    assert np.array_equal(scalar.solve(x), expected[1])
+    assert scalar not in applied
+
+
 def test_lcg64_is_deterministic_and_spread():
     a = Lcg64(123).vector(1000)
     b = Lcg64(123).vector(1000)
