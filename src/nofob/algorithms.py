@@ -35,7 +35,10 @@ diagnostic checkers audit.  Names:
 On the saddle family a given tau is one step size per block of the
 stacked problem (two: the dual block, then the primal one); a single
 value stands for all of them, and a list of any other length raises.
-Rows and instances that take no step sizes raise on a given tau.
+Rows and instances that take no step sizes raise on a given tau, and
+those that take no scalar step size (the saddle kernels, the projective
+rows, four-op on the saddle family and on a nonlinear kernel) on a
+given gamma.  A given theta must lie in (0, 2) and is used as is.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import NofobProblem, Trajectory, clamp_theta, nofob_iterate, run_loop
+from .core import NofobProblem, Trajectory, nofob_iterate, run_loop
 from .fourop import (
     AffinePlusSkew,
     BlockDiag,
@@ -103,9 +106,11 @@ def _step_sizes(name: str, tau, count: int) -> list:
     return [float(v) for v in t]
 
 
-def _no_tau(name: str, inst: ProblemInstance, tau):
-    if tau is not None:
-        raise ContractViolation(f"{name} takes no tau on {inst.name}")
+def _takes_none(name: str, inst: ProblemInstance, **given):
+    """Raise on a given step parameter that the row has no use for here."""
+    for param, value in given.items():
+        if value is not None:
+            raise ContractViolation(f"{name} takes no {param} on {inst.name}")
 
 
 def _saddle_taus(name: str, ps: PsProblem, tau) -> tuple:
@@ -143,7 +148,7 @@ def _scalar(kind: str, e_free: bool):
     """
 
     def kernel(name, inst, gamma, tau, s):
-        _no_tau(name, inst, tau)
+        _takes_none(name, inst, tau=tau)
         if e_free and inst.bundle.e.inverse_cocoercivity != 0.0:
             raise ContractViolation(f"{name} requires a problem with E = 0")
         g = _gamma(inst, kind, gamma)
@@ -176,6 +181,7 @@ def _saddle(fixed: bool):
         ps = inst.ps_view
         if ps is None or ps.n != 2:
             raise ContractViolation(f"{name} needs a stacked saddle problem")
+        _takes_none(name, inst, gamma=gamma)
         spec = AffinePlusSkew(ps.l_maps[0], *_saddle_taus(name, ps, tau))
         if fixed:
             s = spec.p if s is None else s
@@ -191,7 +197,7 @@ def _saddle(fixed: bool):
 def _fbs(name, inst, gamma, tau, s):
     """The audits get the gamma^{-1} I - D - K view, the same kernel, when
     D = K = 0; otherwise the step has no separation to audit."""
-    _no_tau(name, inst, tau)
+    _takes_none(name, inst, tau=tau)
     bundle = inst.bundle
     s = _s_or_identity(s, inst)
     g = _gamma(inst, "fbs", gamma)
@@ -205,13 +211,16 @@ def _fbs(name, inst, gamma, tau, s):
 
 
 def _natural(name, inst, gamma, tau, s):
-    if inst.nonlinear_spec is None and inst.ps_view is not None:
+    if inst.nonlinear_spec is not None:
+        _takes_none(name, inst, gamma=gamma, tau=tau)
+        spec = inst.nonlinear_spec
+    elif inst.ps_view is not None:
+        _takes_none(name, inst, gamma=gamma)
         t1, t2 = _saddle_taus(name, inst.ps_view, tau)
         spec = BlockDiag([t1, 1.0 / t2])
     else:
-        _no_tau(name, inst, tau)
-        spec = (inst.nonlinear_spec if inst.nonlinear_spec is not None
-                else ScalarStep(_gamma(inst, "conservative", gamma)))
+        _takes_none(name, inst, tau=tau)
+        spec = ScalarStep(_gamma(inst, "conservative", gamma))
     view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
     return Kernel(view, view)
 
@@ -220,6 +229,7 @@ def _projective(name, inst, gamma, tau, s):
     ps = inst.ps_view
     if ps is None:
         raise ContractViolation(f"{name} needs a problem with a projective view")
+    _takes_none(name, inst, gamma=gamma)
     if tau is not None:
         ps = ps.with_taus(_step_sizes(name, tau, ps.n))
     view = resolvent_view(ps, _s_or_identity(s, inst))
@@ -245,8 +255,7 @@ _EXPLICIT = lambda ker: None
 _GAMMA = lambda ker: ker.gamma
 _UNIT_STEP = lambda ker: 1.0
 
-# relaxations: (theta given, c) -> theta reported; the step applies theta * c
-_CLAMPED = lambda th, c: clamp_theta(th)
+# relaxations: (theta, c) -> theta reported; the step applies theta * c
 _GIVEN = lambda th, c: th
 _UNIT = lambda th, c: 1.0
 
@@ -263,13 +272,13 @@ class Row:
 ROWS = {
     "fbf": Row(_scalar("conservative", e_free=True), _GAMMA, _UNIT, identity_s=True),
     "fbhf": Row(_scalar("conservative", e_free=False), _GAMMA, _UNIT, identity_s=True),
-    "fbf-long": Row(_scalar("long", e_free=True), _EXPLICIT, _CLAMPED),
-    "fbhf-long": Row(_scalar("long", e_free=False), _EXPLICIT, _CLAMPED),
-    "afba": Row(_saddle(fixed=False), _EXPLICIT, _CLAMPED),
+    "fbf-long": Row(_scalar("long", e_free=True), _EXPLICIT, _GIVEN),
+    "fbhf-long": Row(_scalar("long", e_free=False), _EXPLICIT, _GIVEN),
+    "afba": Row(_saddle(fixed=False), _EXPLICIT, _GIVEN),
     "afba-fixed": Row(_saddle(fixed=True), _UNIT_STEP, _UNIT),
     "fbs": Row(_fbs, _GAMMA, lambda th, c: 1.0 / c, identity_s=True),
     "fbs-relaxed": Row(_fbs, _GAMMA, _GIVEN, identity_s=True),
-    "four-op": Row(_natural, _EXPLICIT, _CLAMPED),
+    "four-op": Row(_natural, _EXPLICIT, _GIVEN),
     "ps-explicit": Row(_projective, _EXPLICIT, _GIVEN, identity_s=True, step=_explicit_ps),
     "ps-resolvent": Row(_projective, _EXPLICIT, _GIVEN),
 }
@@ -295,6 +304,8 @@ def run_algorithm(
     if (row.identity_s and s_metric is not None
             and not s_metric.lam_min == s_metric.lam_max == 1.0):
         raise ContractViolation(f"{name} steps in S = I and takes no other metric")
+    if theta is not None and not 0.0 < theta < 2.0:
+        raise ContractViolation(f"theta must lie in (0, 2), got {theta}")
     ker = row.kernel(name, inst, gamma, tau, s_metric)
     th = row.relax(1.0 if theta is None else float(theta), ker.c)
     step = row.step(ker, th * ker.c, row.mu_hat(ker))

@@ -254,6 +254,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError:
             print("--gamma must be a number", file=sys.stderr)
             return EXIT_USAGE
+    theta = getattr(args, "theta", None)
+    if theta is not None and not 0.0 < theta < 2.0:
+        print("--theta must lie in (0, 2)", file=sys.stderr)
+        return EXIT_USAGE
     if getattr(args, "tau", None) is not None:
         try:
             args.tau = _parse_tau(args.tau)

@@ -170,7 +170,12 @@ def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
 
 
 def clamp_theta(theta: float) -> float:
-    """The relaxation clamped to (0, 2) with a safety margin."""
+    """A derived relaxation clamped to (0, 2) with a safety margin.
+
+    For a theta computed from constants, such as 4 / (4 - beta), which
+    can leave (0, 2); `run_algorithm` rejects a given theta outside (0, 2)
+    instead of clamping it.
+    """
     return min(max(float(theta), _THETA_MIN), _THETA_MAX)
 
 

@@ -88,12 +88,13 @@ class SkewMap:
     """Linear skew-adjoint map given by its dense matrix.
 
     An all-zero map sets `is_zero`, so that callers may skip it, and
-    `operator_norm` = 0.0 without a norm solve.  `zero(n)` builds it
-    without forming, checking or storing an n x n matrix; `matrix` is
-    formed only when it is read.
+    `operator_norm` = 0.0 without a norm solve.  A caller that already
+    knows ||K||_2 passes it as `norm`, and no norm solve runs either.
+    `zero(n)` builds it without forming, checking or storing an n x n
+    matrix; `matrix` is formed only when it is read.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, norm: Optional[float] = None):
         k = np.asarray(matrix, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ContractViolation("skew map must be a square matrix")
@@ -103,7 +104,10 @@ class SkewMap:
         self._matrix = k
         self.dim = k.shape[0]
         self.is_zero = not k.any()
-        self.operator_norm = 0.0 if self.is_zero else spectral_norm(k)
+        if self.is_zero:
+            self.operator_norm = 0.0
+        else:
+            self.operator_norm = spectral_norm(k) if norm is None else float(norm)
 
     @property
     def matrix(self) -> np.ndarray:

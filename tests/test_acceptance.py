@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nofob.algorithms import run_algorithm
-from nofob.core import nofob_iterate
+from nofob.core import clamp_theta, nofob_iterate
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.fourop import (
     FourOpProblem,
@@ -286,9 +286,10 @@ def test_conservative_vs_explicit_dominance(conservative_reference):
         # long-step run at the same gamma.  With beta_E > 0 the explicit
         # mu carries the cocoercivity penalty, so theta = 4/(4 - beta_eff)
         # restores the plain forward-backward step length (exact in the
-        # pure FBS case, and equal to 1 when beta_E = 0).
+        # pure FBS case, and equal to 1 when beta_E = 0); clamped, since it
+        # can leave (0, 2).
         short_alg = "fbf" if be == 0.0 else "fbhf"
-        th = 4.0 / (4.0 - ScalarStep(g).beta(prob))
+        th = clamp_theta(4.0 / (4.0 - ScalarStep(g).beta(prob)))
         a = run_algorithm(short_alg, inst, gamma=g, tol=1e-8, max_iter=3000)
         b = run_algorithm(f"{short_alg}-long", inst, gamma=g, theta=th,
                           tol=1e-8, max_iter=3000)

@@ -142,6 +142,21 @@ def test_rows_without_step_sizes_reject_a_tau(algorithm, problem):
         run_algorithm(algorithm, get_instance(problem), tau=[1.0])
 
 
+@pytest.mark.parametrize("algorithm, problem", [
+    ("afba", "saddle"), ("afba-fixed", "saddle"), ("ps-explicit", "saddle"),
+    ("ps-resolvent", "saddle"), ("four-op", "saddle"), ("four-op", "nonlinear-kernel"),
+])
+def test_rows_without_a_scalar_step_reject_a_gamma(algorithm, problem):
+    with pytest.raises(ContractViolation, match="takes no gamma"):
+        run_algorithm(algorithm, get_instance(problem), gamma=0.5)
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.0, -1.0, 5.0, float("nan")])
+def test_a_theta_outside_the_open_interval_is_rejected(theta):
+    with pytest.raises(ContractViolation, match=r"theta must lie in \(0, 2\)"):
+        run_algorithm("fbhf-long", get_instance("regquad-fbhf"), theta=theta)
+
+
 def test_a_given_tau_reuses_the_stacked_problem(monkeypatch):
     # the stacked B and K do not depend on tau, so no SkewMap is built
     inst = make_saddle_pd(n=200, m=150, seed=0)

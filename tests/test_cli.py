@@ -194,6 +194,35 @@ def test_tau_on_a_row_without_step_sizes_is_an_error(problem, algorithm, capsys)
     assert capsys.readouterr().err == f"error: {algorithm} takes no tau on {problem}\n"
 
 
+@pytest.mark.parametrize("problem, algorithm, gamma", [
+    ("saddle", "afba", "5"), ("saddle", "ps-resolvent", "0.001"),
+    ("nonlinear-kernel", "four-op", "99"),
+])
+def test_gamma_on_a_row_without_a_scalar_step_is_an_error(problem, algorithm, gamma,
+                                                          capsys):
+    code = run_cli(["solve", "--problem", problem, "--algorithm", algorithm,
+                    "--gamma", gamma])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {algorithm} takes no gamma on {problem}\n"
+
+
+@pytest.mark.parametrize("theta", ["5", "2", "0", "-0.5", "nan"])
+def test_theta_outside_the_open_interval_is_a_usage_error(theta, capsys):
+    code = run_cli(["solve", "--problem", "rotation", "--algorithm", "fbf-long",
+                    "--theta", theta])
+    assert code == EXIT_USAGE
+    assert "--theta must lie in (0, 2)" in capsys.readouterr().err
+
+
+def test_a_given_theta_is_used_unclamped(capsys):
+    # 1.99 lies beyond the 1.95 that clamp_theta would give
+    code = run_cli(["solve", "--problem", "rotation", "--algorithm", "fbf-long",
+                    "--theta", "1.99", "--max-iter", "3"])
+    assert code == EXIT_MAX_ITER
+    out = run_algorithm("fbf-long", get_instance("rotation"), theta=1.99, max_iter=3)
+    assert {rec.theta for rec in out.trajectory.records} == {1.99}
+
+
 def test_check_report_json_shape(tmp_path):
     report = tmp_path / "report.json"
     code = run_cli([

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nofob import linalg
 from nofob.linalg import (
     ContractViolation,
     SpdMetric,
     extremal_eig_bounds,
+    largest_eig,
     spectral_norm,
     weighted_norm,
 )
 from nofob.rng import Lcg64
+
+# the smallest size that takes the Lanczos route
+LANCZOS_N = linalg._LANCZOS_MIN_DIM
 
 
 def test_extremal_eig_bounds_diagonal():
@@ -22,7 +29,7 @@ def test_extremal_eig_bounds_rejects_asymmetric():
         extremal_eig_bounds(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("n", [2, 10, 200])
+@pytest.mark.parametrize("n", [2, 10, 200, LANCZOS_N, 400])
 def test_spectral_norm_matches_the_svd_norm(n):
     rng = Lcg64(100 + n)
     r = rng.matrix(n, n)
@@ -35,6 +42,74 @@ def test_spectral_norm_matches_the_svd_norm(n):
 def test_spectral_norm_of_zero_and_empty_matrices_is_exactly_zero():
     assert spectral_norm(np.zeros((4, 4))) == 0.0
     assert spectral_norm(np.zeros((0, 0))) == 0.0
+    assert spectral_norm(np.zeros((LANCZOS_N, LANCZOS_N + 5))) == 0.0
+
+
+def _counted(m):
+    """x -> M^T M x, counting its calls."""
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return m.T @ (m @ x)
+
+    return matvec, calls
+
+
+def test_lanczos_stops_at_a_breakdown_with_the_exact_value():
+    # the Krylov space of M^T M is invariant after one step for c I and
+    # for the zero matrix (which must read exactly 0), and after two for a
+    # rank-one u v^T
+    n = LANCZOS_N + 20
+    rng = Lcg64(3)
+    u, v = rng.vector(n + 7), rng.vector(n)
+    for m, steps in ((np.outer(u, v), 2), (3.0 * np.eye(n), 1), (np.zeros((n, n)), 1)):
+        ref = np.linalg.norm(m, 2)
+        assert abs(spectral_norm(m) - ref) <= 1e-14 * ref
+        matvec, calls = _counted(m)
+        lam = linalg._lanczos_max(matvec, n)
+        assert len(calls) == steps
+        assert abs(lam - ref ** 2) <= 1e-14 * ref ** 2
+
+
+def test_spectral_norm_of_a_skew_matrix_with_zero_row_sums():
+    # K x = x_{i+1} - x_{i-1} cyclically: K ones = 0, so a Lanczos run
+    # started from ones / sqrt(n) would break down at once and read 0
+    n = LANCZOS_N + 100
+    k = np.roll(np.eye(n), 1, axis=1) - np.roll(np.eye(n), -1, axis=1)
+    assert np.array_equal(k, -k.T) and not k.sum(axis=1).any()
+    ref = np.linalg.norm(k, 2)
+    assert abs(spectral_norm(k) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("n", [20, LANCZOS_N, 400])
+def test_largest_eig_matches_the_dense_solve(n):
+    r = Lcg64(n).matrix(n, n)
+    w = r @ r.T / n + 0.5 * np.eye(n)
+    ref = float(np.linalg.eigvalsh(w)[-1])
+    if n < LANCZOS_N:
+        assert largest_eig(w) == ref
+    else:
+        assert abs(largest_eig(w) - ref) <= 1e-14 * ref
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["tall", "wide", "skew"]),
+    n=st.integers(LANCZOS_N - 10, LANCZOS_N + 10),
+    extra=st.integers(0, 30),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_spectral_norm_matches_the_svd_norm_across_the_threshold(kind, n, extra, seed):
+    rng = Lcg64(seed)
+    if kind == "skew":
+        r = rng.matrix(n, n)
+        m = 0.5 * (r - r.T)
+    else:
+        m = rng.matrix(n + extra, n)
+        m = m if kind == "tall" else m.T
+    ref = np.linalg.norm(m, 2)
+    assert abs(spectral_norm(m) - ref) <= 1e-14 * ref
 
 
 def test_spd_metric_rejects_indefinite():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nofob import fourop
+from nofob import fourop, operators, problems
 from nofob.algorithms import run_algorithm
 from nofob.linalg import ContractViolation
 from nofob.operators import (
@@ -106,6 +106,8 @@ def test_inverse_via_moreau_matches_direct_inverse_for_linear():
 def test_skew_map_validation_and_norm():
     k = SkewMap(np.array([[0.0, -2.0], [2.0, 0.0]]))
     assert k.operator_norm == pytest.approx(2.0)
+    # a known norm is taken as given
+    assert SkewMap(k.matrix, 2.5).operator_norm == 2.5
     with pytest.raises(ContractViolation):
         SkewMap(np.eye(2))
 
@@ -117,6 +119,17 @@ def test_skew_map_operator_norm_matches_the_svd_norm(n):
     ref = np.linalg.norm(k.matrix, 2)
     assert abs(k.operator_norm - ref) <= 1e-14 * ref
     assert SkewMap.zero(n).operator_norm == 0.0
+
+
+def test_regquad_k_norm_is_computed_once(monkeypatch):
+    # SkewMap takes the norm _seeded_skew scaled K by and solves none
+    solved = []
+    monkeypatch.setattr(operators, "spectral_norm",
+                        lambda m: solved.append(m) or 0.0)
+    inst = problems.make_regularized_quadratic(n=20, seed=3, split="full")
+    assert solved == []
+    k = inst.extras["k_matrix"]
+    assert inst.constants["k_norm"] == pytest.approx(np.linalg.norm(k, 2), rel=1e-14)
 
 
 def test_block_prox_split_and_resolve():

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nofob.linalg import ContractViolation
+from nofob.algorithms import run_algorithm
+from nofob.linalg import ContractViolation, spectral_norm
 from nofob.problems import (
     REGISTRY,
     _certify,
@@ -197,11 +198,32 @@ def test_regquad_split_zeroes_the_right_operators():
 
 
 def test_regquad_beta_is_largest_eigenvalue():
-    inst = make_regularized_quadratic(split="fbs", seed=11)
-    h = inst.extras["h_matrix"]
-    assert inst.constants["beta_e"] == pytest.approx(
-        float(np.linalg.eigvalsh(h)[-1]), abs=1e-12
-    )
+    # n = 400 takes the Lanczos route
+    for n in (20, 400):
+        inst = make_regularized_quadratic(n=n, split="fbs", seed=11)
+        h = inst.extras["h_matrix"]
+        assert inst.constants["beta_e"] == pytest.approx(
+            float(np.linalg.eigvalsh(h)[-1]), abs=1e-12
+        )
+
+
+def test_ladder_size_regquad_constants_and_iterations():
+    # n = 400 takes the Lanczos route for l_d, beta_e and the norm of K;
+    # the iteration counts are those of the dense eigensolves
+    inst = make_regularized_quadratic(n=400, seed=1, split="full")
+    c, ex = inst.constants, inst.extras
+    d, k = ex["d_matrix"], ex["k_matrix"]
+    dense = {
+        "l_d": float(np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1])),
+        "beta_e": float(np.linalg.eigvalsh(ex["h_matrix"])[-1]),
+        "k_norm": float(np.sqrt(np.linalg.eigvalsh(k.T @ k)[-1])),
+    }
+    for name, ref in dense.items():
+        assert abs(c[name] - ref) <= 1e-13 * ref, name
+    assert abs(c["k_norm"] - spectral_norm(k)) <= 1e-14
+    iterations = {a: run_algorithm(a, inst).trajectory.iterations
+                  for a in ("fbhf", "fbhf-long", "four-op", "fbs-relaxed")}
+    assert iterations == {"fbhf": 37, "fbhf-long": 48, "four-op": 42, "fbs-relaxed": 26}
 
 
 # ---------------------------------------------------------------------------
