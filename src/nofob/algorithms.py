@@ -38,7 +38,9 @@ value stands for all of them, and a list of any other length raises.
 Rows and instances that take no step sizes raise on a given tau, and
 those that take no scalar step size (the saddle kernels, the projective
 rows, four-op on the saddle family and on a nonlinear kernel) on a
-given gamma.  A given theta must lie in (0, 2) and is used as is.
+given gamma.  A given theta must lie in (0, 2) and is used as is;
+the rows whose relaxation is fixed (fbf, fbhf, afba-fixed, fbs) raise on
+it.
 """
 
 from __future__ import annotations
@@ -255,16 +257,17 @@ _EXPLICIT = lambda ker: None
 _GAMMA = lambda ker: ker.gamma
 _UNIT_STEP = lambda ker: 1.0
 
-# relaxations: (theta, c) -> theta reported; the step applies theta * c
-_GIVEN = lambda th, c: th
-_UNIT = lambda th, c: 1.0
+# fixed relaxations: c -> theta reported; the step applies theta * c.
+# The rows without one (relax None) take the given theta, by default 1.
+_UNIT = lambda c: 1.0
+_INVERSE_C = lambda c: 1.0 / c
 
 
 @dataclass(frozen=True)
 class Row:
     kernel: Callable
     mu_hat: Callable
-    relax: Callable
+    relax: Optional[Callable] = None
     identity_s: bool = False  # the step is taken in S = I; no other S is accepted
     step: Callable = _corrected
 
@@ -272,15 +275,15 @@ class Row:
 ROWS = {
     "fbf": Row(_scalar("conservative", e_free=True), _GAMMA, _UNIT, identity_s=True),
     "fbhf": Row(_scalar("conservative", e_free=False), _GAMMA, _UNIT, identity_s=True),
-    "fbf-long": Row(_scalar("long", e_free=True), _EXPLICIT, _GIVEN),
-    "fbhf-long": Row(_scalar("long", e_free=False), _EXPLICIT, _GIVEN),
-    "afba": Row(_saddle(fixed=False), _EXPLICIT, _GIVEN),
+    "fbf-long": Row(_scalar("long", e_free=True), _EXPLICIT),
+    "fbhf-long": Row(_scalar("long", e_free=False), _EXPLICIT),
+    "afba": Row(_saddle(fixed=False), _EXPLICIT),
     "afba-fixed": Row(_saddle(fixed=True), _UNIT_STEP, _UNIT),
-    "fbs": Row(_fbs, _GAMMA, lambda th, c: 1.0 / c, identity_s=True),
-    "fbs-relaxed": Row(_fbs, _GAMMA, _GIVEN, identity_s=True),
-    "four-op": Row(_natural, _EXPLICIT, _GIVEN),
-    "ps-explicit": Row(_projective, _EXPLICIT, _GIVEN, identity_s=True, step=_explicit_ps),
-    "ps-resolvent": Row(_projective, _EXPLICIT, _GIVEN),
+    "fbs": Row(_fbs, _GAMMA, _INVERSE_C, identity_s=True),
+    "fbs-relaxed": Row(_fbs, _GAMMA, identity_s=True),
+    "four-op": Row(_natural, _EXPLICIT),
+    "ps-explicit": Row(_projective, _EXPLICIT, identity_s=True, step=_explicit_ps),
+    "ps-resolvent": Row(_projective, _EXPLICIT),
 }
 
 ALGORITHMS = tuple(ROWS)
@@ -306,8 +309,13 @@ def run_algorithm(
         raise ContractViolation(f"{name} steps in S = I and takes no other metric")
     if theta is not None and not 0.0 < theta < 2.0:
         raise ContractViolation(f"theta must lie in (0, 2), got {theta}")
+    if row.relax is not None:
+        _takes_none(name, inst, theta=theta)
     ker = row.kernel(name, inst, gamma, tau, s_metric)
-    th = row.relax(1.0 if theta is None else float(theta), ker.c)
+    if row.relax is None:
+        th = 1.0 if theta is None else float(theta)
+    else:
+        th = row.relax(ker.c)
     step = row.step(ker, th * ker.c, row.mu_hat(ker))
     x0 = inst.x0 if x0 is None else np.asarray(x0, dtype=float)
     traj = run_loop(step, x0, tol, max_iter)

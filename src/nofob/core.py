@@ -138,10 +138,10 @@ def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
     """One corrected step: oracle, separation, relaxed metric projection.
 
     x_next = x - theta * t * S^{-1}(Mx - Mx_hat), where the step length t
-    is the explicit projection length mu, or mu_hat when one is given.  The caller is responsible for mu_hat being a valid lower
-    bound on mu; the record then stores the explicit mu and the
-    effective relaxation theta * mu_hat / mu, so the Fejer and step-bound
-    checkers stay exact.
+    is the explicit projection length mu, or mu_hat when one is given.
+    The caller is responsible for mu_hat being a valid lower bound on mu;
+    the record then stores the explicit mu and the effective relaxation
+    theta * mu_hat / mu, so the Fejer and step-bound checkers stay exact.
     """
     if mu_hat is not None and not mu_hat > 0.0:
         raise ContractViolation("mu_hat must be positive")

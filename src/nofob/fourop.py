@@ -9,8 +9,9 @@ the run:
   BlockDiag           Q = blockdiag(w_i I), per-block prox
   AffinePlusSkew      AFBA's Q = [[tau1 I, 0], [2 L^T, tau2^{-1} I]] on
                       the stacked saddle problem, Gauss-Seidel sweep
-  SeparableNonlinear  Q x = phi(x) coordinatewise, bracketed secant
-                      (Illinois) solver
+  SeparableNonlinear  Q x = phi(x) coordinatewise, a bracketed secant
+                      (Illinois) solve started at the oracle's own x,
+                      inside a bracket strong monotonicity guarantees
 
 `as_nofob` views any of them as the kernel of the corrected step in
 core, and `fbs_view` views relaxed forward-backward as one.  A D, E or K
@@ -26,7 +27,7 @@ positive semidefiniteness check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,7 +112,10 @@ class KernelSpec:
     def q_apply(self, prob: FourOpProblem, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def resolvent(self, prob: FourOpProblem, v: np.ndarray) -> np.ndarray:
+    def resolvent(self, prob: FourOpProblem, v: np.ndarray,
+                  start: Optional[np.ndarray] = None) -> np.ndarray:
+        """(Q + B)^{-1} v; start is a point near which the answer lies,
+        which only an iterative solve uses."""
         raise NotImplementedError
 
     def p_metric(self, prob: FourOpProblem) -> SpdMetric:
@@ -148,7 +152,7 @@ class ScalarStep(KernelSpec):
     def q_apply(self, prob, x):
         return x / self.gamma
 
-    def resolvent(self, prob, v):
+    def resolvent(self, prob, v, start=None):
         g = self.gamma
         return prob.b.evaluator(g, g * np.asarray(v, dtype=float))
 
@@ -187,7 +191,7 @@ class BlockDiag(KernelSpec):
         bp = self._block(prob)
         return np.concatenate([w * xb for w, xb in zip(self.weights, bp.split(x))])
 
-    def resolvent(self, prob, v):
+    def resolvent(self, prob, v, start=None):
         return self._block(prob).block_resolve(self.weights, v)
 
     def p_metric(self, prob):
@@ -233,7 +237,7 @@ class AffinePlusSkew(KernelSpec):
     def q_apply(self, prob, x):
         return self.q_matrix @ x
 
-    def resolvent(self, prob, v):
+    def resolvent(self, prob, v, start=None):
         bp = self._block(prob)
         d1 = self.dims[0]
         w1, w2 = self._w
@@ -272,9 +276,9 @@ class SeparableNonlinear(KernelSpec):
         self._check(prob)
         return self.kernel(x)
 
-    def resolvent(self, prob, v):
+    def resolvent(self, prob, v, start=None):
         self._check(prob)
-        return separable_nonlinear_resolvent(self.kernel, prob.b, v)
+        return separable_nonlinear_resolvent(self.kernel, prob.b, v, start=start)
 
     def p_metric(self, prob):
         return SpdMetric.scaled_identity(self.kernel.sigma, prob.dim)
@@ -288,22 +292,23 @@ class SeparableNonlinear(KernelSpec):
 
 
 def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProblem:
-    """View the four-operator method as a corrected forward-backward solve;
-    the kernel difference at the oracle's own x array reuses its D x.
-    D and K are evaluated only where they are not zero."""
+    """View the four-operator method as a corrected forward-backward solve.
+
+    The oracle starts the backward solve at its own x, and the kernel
+    difference at the oracle's own x array reuses its D x and, on a
+    nonlinear kernel, its Q x.  D and K are evaluated only where they are
+    not zero."""
     live_d, live_k = not prob.d.is_zero, not prob.k.is_zero
-    last = (None, None)
+    last = (None, None, None)
 
     def fb(x):
         nonlocal last
         x = np.asarray(x, dtype=float)
-        dx = None
-        if live_d:
-            dx = prob.d(x)
-            last = (x, dx)
+        dx = prob.d(x) if live_d else None
         v = spec.q_apply(prob, x)
+        last = (x, dx, v)
         forward = prob._forward(x, dx)
-        return spec.resolvent(prob, v if forward is None else v - forward)
+        return spec.resolvent(prob, v if forward is None else v - forward, x)
 
     def kernel(x):
         m = spec.q_apply(prob, x)
@@ -314,14 +319,16 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         return m
 
     def kernel_diff(x, x_hat):
+        last_x, last_dx, last_qx = last
+        at_last = x is last_x
         diff = x - x_hat
         if spec.linear:
             m = spec.q_apply(prob, diff)
         else:
-            m = spec.q_apply(prob, x) - spec.q_apply(prob, x_hat)
+            qx = last_qx if at_last else spec.q_apply(prob, x)
+            m = qx - spec.q_apply(prob, x_hat)
         if live_d:
-            last_x, last_dx = last
-            dx = last_dx if x is last_x else prob.d(x)
+            dx = last_dx if at_last else prob.d(x)
             m = m - (dx - prob.d(x_hat))
         if live_k:
             m = m - prob.k(diff)

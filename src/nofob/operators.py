@@ -263,7 +263,7 @@ def inverse_via_moreau(prox: ProxOperator) -> ProxOperator:
 # reach adjacent doubles from any finite bracket
 _RESOLVENT_STEPS = 4000
 # steps before the round-off floor is tested; where tol can be met the secant
-# meets it in about a dozen, so those solves never pay for the test
+# meets it in a few steps, so those solves never pay for the test
 _FLOOR_AFTER = 32
 
 
@@ -272,23 +272,44 @@ def separable_nonlinear_resolvent(
     prox_spec: ProxOperator,
     y: np.ndarray,
     tol: float = 1e-12,
+    start: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Solve phi_i(x_i) + A_i(x_i) containing y_i, coordinatewise.
 
-    Finds the root of r(x) = x - J_A(x + y - phi(x)), which is
-    nondecreasing for nondecreasing phi and a firmly nonexpansive
-    separable resolvent J_A.  A bracket lo <= root <= hi is grown
-    geometrically from y / sigma; inside it the Illinois iteration
-    (Dowell and Jarratt, "A modified regula falsi method", BIT 11, 1971)
-    takes the regula falsi point and halves the residual of an end that
-    is kept twice in a row, so that end cannot hold convergence to a
-    linear rate.  A coordinate whose point leaves the closed bracket, or
-    is not finite, takes the bracket midpoint instead.  The iteration
-    stops once (1 + ell) max|r| <= tol, or once every coordinate above tol
-    has reached the round-off floor: its bracket ends are adjacent doubles,
-    as happens for |x| above about 1e3.  The returned point carries an
-    exact element of A, so the inclusion residual is bounded by
-    (1 + ell) * |r|.
+    Finds the root x* of r(x) = x - J_A(x + y - phi(x)), which is
+    increasing for nondecreasing phi and a firmly nonexpansive separable
+    resolvent J_A.  The search starts at `start`, a point near which the
+    root is expected (by default y / sigma), and needs no bracket from
+    the caller: one residual anywhere bounds the root.  Take any x0 and
+    u = J_A(x0 + y - phi(x0)), so r0 = r(x0) = x0 - u.  Then y - e lies
+    in (phi + A)(u), with e = (u - x0) + (phi(x0) - phi(u)) and
+    |e| <= (1 + ell)|r0|.  phi + A is sigma-strongly monotone, so
+    coordinatewise
+
+        |x* - u| <= delta = (1 + ell)|r0| / sigma
+
+    (the error bound for strongly monotone inclusions; Bauschke and
+    Combettes, "Convex Analysis and Monotone Operator Theory", 2nd ed.,
+    2017).  The solve returns u at once if (1 + ell) max|r0| <= tol.
+    Otherwise it evaluates r(u), which the same stopping rule may accept.
+    Where r0 and r(u) share no strict sign, x0 and u bracket the root;
+    elsewhere the a-priori end u - delta or u + delta, on the side r(u)
+    points to, closes the bracket (delta is at least one ulp of u).  An
+    end that fails its sign test, to round-off or to an overstated sigma,
+    is moved out by doubling its distance from u, at most 1000 times.
+
+    Inside the bracket the Illinois iteration (Dowell and Jarratt, "A
+    modified regula falsi method", BIT 11, 1971) starts from u and the
+    other end.  It takes the regula falsi point and halves the residual
+    of an end that is kept twice in a row, so that end cannot hold
+    convergence to a linear rate.  A coordinate whose point leaves the
+    closed bracket, or is not finite, takes the bracket midpoint instead.
+    The iteration stops once (1 + ell) max|r| <= tol, or once every
+    coordinate above tol has reached the round-off floor: its bracket
+    ends are adjacent doubles, as happens for |x| above about 1e3.  The
+    returned point is the J_A point of the last residual, so it carries
+    an exact element of A and the inclusion residual is bounded by
+    (1 + ell) * |r|.  The result depends on the arguments alone.
     """
     if not prox_spec.separable:
         raise ContractViolation("prox_spec must be coordinate-separable")
@@ -297,41 +318,57 @@ def separable_nonlinear_resolvent(
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ContractViolation("resolvent input must be finite")
+    if start is None:
+        x0 = y / kernel.sigma
+    else:
+        x0 = np.asarray(start, dtype=float)
+        if x0.shape != y.shape:
+            raise ContractViolation("resolvent start must have the input's shape")
+        if not np.all(np.isfinite(x0)):
+            raise ContractViolation("resolvent start must be finite")
 
     def resid(x):
-        return x - prox_spec.evaluator(1.0, x + y - kernel(x))
+        j = prox_spec.evaluator(1.0, x + y - kernel(x))
+        return x - j, j
 
-    center = y / kernel.sigma
-    half = np.maximum(1.0, np.abs(center))
-    lo = center - half
-    hi = center + half
-    doublings = 0
-    while True:
-        r_lo, r_hi = resid(lo), resid(hi)
-        bad_lo = r_lo > 0.0
-        bad_hi = r_hi < 0.0
-        if not bad_lo.any() and not bad_hi.any():
-            break
-        doublings += 1
-        if doublings > 1000:
-            raise RuntimeError(
-                "nonlinear resolvent found no sign change of its residual; "
-                "check the declared strong-monotonicity modulus"
-            )
-        half = half * 2.0
-        lo = np.where(bad_lo, center - half, lo)
-        hi = np.where(bad_hi, center + half, hi)
+    slack = 1.0 + kernel.ell
+    r0, u = resid(x0)
+    if slack * float(np.abs(r0).max()) <= tol:
+        return u
+    r_u, j_u = resid(u)
+    if slack * float(np.abs(r_u).max()) <= tol:
+        return j_u
+    # a is the other bracket end: x0 where it brackets the root with u,
+    # the a-priori end u -/+ delta on the side r(u) points to elsewhere
+    a, fa = x0, r0
+    outside = ((r0 > 0.0) & (r_u > 0.0)) | ((r0 < 0.0) & (r_u < 0.0))
+    if outside.any():
+        side = np.sign(r_u)
+        delta = np.maximum(slack * np.abs(r0) / kernel.sigma, np.spacing(np.abs(u)))
+        doublings = 0
+        while True:
+            a = np.where(outside, u - side * delta, x0)
+            fa, _ = resid(a)
+            bad = outside & ~(side * fa <= 0.0)
+            if not bad.any():
+                break
+            doublings += 1
+            if doublings > 1000:
+                raise RuntimeError(
+                    "nonlinear resolvent found no sign change of its residual; "
+                    "check the declared strong-monotonicity modulus"
+                )
+            delta = np.where(bad, 2.0 * delta, delta)
 
     # b is the latest point and a the kept end, so r(a) and r(b) never share
     # a strict sign; fa is r(a) halved each time a new point lands on b's side.
-    a, fa, b, fb = lo, r_lo, hi, r_hi
-    slack = 1.0 + kernel.ell
+    b, fb = u, r_u
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(_RESOLVENT_STEPS):
             x = b - fb * (b - a) / (fb - fa)
             # closed bracket: a solved coordinate (fb = 0) keeps x = b
             x = np.where((x - a) * (x - b) <= 0.0, x, 0.5 * (a + b))
-            r = resid(x)
+            r, j = resid(x)
             if slack * float(np.abs(r).max()) <= tol:
                 break
             cross = np.signbit(r) != np.signbit(fb)
@@ -346,4 +383,4 @@ def separable_nonlinear_resolvent(
                 f"nonlinear resolvent did not reach tol {tol:.1e} in "
                 f"{_RESOLVENT_STEPS} steps"
             )
-    return prox_spec.evaluator(1.0, x + y - kernel(x))
+    return j

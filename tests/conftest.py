@@ -131,9 +131,14 @@ def conservative_oracle():
 
 def _bisection_resolvent(kernel, prox_spec, y, tol=1e-12):
     """phi_i(x_i) + A_i(x_i) containing y_i, by bisection on
-    r(x) = x - J_A(x + y - phi(x)) inside the same geometrically grown
-    bracket and to the same stopping rule (1 + ell) max|r| <= tol as
-    `separable_nonlinear_resolvent`, one halving per step."""
+    r(x) = x - J_A(x + y - phi(x)), one halving per step, to the stopping
+    rule (1 + ell) max|r| <= tol of `separable_nonlinear_resolvent`.
+
+    The bracket is grown geometrically around y / sigma from a start of
+    half-width max(1, |y / sigma|), with no start point and no a-priori
+    bound, so this is an independent cross-check of the solver's warm
+    start and its bracket, not a copy of them.  It has no round-off-floor
+    stop: where tol cannot be met, it does not converge."""
     y = np.asarray(y, dtype=float)
 
     def resid(x):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from nofob import fourop
 from nofob.algorithms import run_algorithm
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
 from nofob.linalg import ContractViolation, SpdMetric
-from nofob.operators import LipschitzMap, SkewMap
+from nofob.operators import LipschitzMap, NonlinearKernel, SkewMap
 from nofob.problems import get_instance, make_saddle_pd
 from nofob.rng import Lcg64
 
@@ -55,6 +56,39 @@ def test_evaluations_per_moving_iteration(monkeypatch, problem, algorithm, solve
     assert {"d": per_iter["d"], "k": per_iter["k"]} == FORWARD_EVALUATIONS[problem]
     if solves is not None:
         assert per_iter["solve"] == solves
+
+
+def test_phi_evaluations_per_moving_iteration(monkeypatch):
+    # phi at x in the oracle, which the kernel difference reuses, and at
+    # x_hat in the kernel difference; the backward solve's own evaluations
+    # are not counted
+    inst = get_instance("nonlinear-kernel")
+    counts = {"phi": 0}
+    in_solve = [False]
+    phi = NonlinearKernel.__call__
+    solve = fourop.separable_nonlinear_resolvent
+
+    def counted_phi(kernel, x):
+        counts["phi"] += not in_solve[0]
+        return phi(kernel, x)
+
+    def flagged_solve(*args, **kwargs):
+        in_solve[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            in_solve[0] = False
+
+    monkeypatch.setattr(NonlinearKernel, "__call__", counted_phi)
+    monkeypatch.setattr(fourop, "separable_nonlinear_resolvent", flagged_solve)
+    per_budget = {}
+    for max_iter in (10, 20):
+        counts["phi"] = 0
+        out = run_algorithm("four-op", inst, tol=0.0, max_iter=max_iter)
+        assert out.trajectory.iterations == max_iter + 1
+        assert all(rec.mu > 0.0 for rec in out.trajectory.records)
+        per_budget[max_iter] = counts["phi"]
+    assert (per_budget[20] - per_budget[10]) / 10 == 2
 
 
 def test_rows_stepping_in_the_identity_reject_other_metrics():
@@ -155,6 +189,22 @@ def test_rows_without_a_scalar_step_reject_a_gamma(algorithm, problem):
 def test_a_theta_outside_the_open_interval_is_rejected(theta):
     with pytest.raises(ContractViolation, match=r"theta must lie in \(0, 2\)"):
         run_algorithm("fbhf-long", get_instance("regquad-fbhf"), theta=theta)
+
+
+@pytest.mark.parametrize("algorithm, problem", [
+    ("fbs", "regquad-fbs"), ("afba-fixed", "saddle"), ("fbf", "rotation"),
+    ("fbhf", "regquad-fbhf"),
+])
+def test_rows_with_a_fixed_relaxation_reject_a_theta(algorithm, problem):
+    # fbs relaxes by 1/c, afba-fixed, fbf and fbhf by 1
+    with pytest.raises(ContractViolation, match=f"{algorithm} takes no theta on {problem}"):
+        run_algorithm(algorithm, get_instance(problem), theta=0.5)
+
+
+def test_fbs_relaxed_keeps_its_theta():
+    inst = get_instance("regquad-fbs")
+    assert run_algorithm("fbs-relaxed", inst, theta=0.5, max_iter=2).theta == 0.5
+    assert run_algorithm("fbs-relaxed", inst, max_iter=2).theta == 1.0
 
 
 def test_a_given_tau_reuses_the_stacked_problem(monkeypatch):

@@ -214,6 +214,16 @@ def test_theta_outside_the_open_interval_is_a_usage_error(theta, capsys):
     assert "--theta must lie in (0, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem, algorithm", [
+    ("regquad-fbs", "fbs"), ("saddle", "afba-fixed"),
+])
+def test_theta_on_a_row_with_a_fixed_relaxation_is_an_error(problem, algorithm, capsys):
+    code = run_cli(["solve", "--problem", problem, "--algorithm", algorithm,
+                    "--theta", "0.5"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {algorithm} takes no theta on {problem}\n"
+
+
 def test_a_given_theta_is_used_unclamped(capsys):
     # 1.99 lies beyond the 1.95 that clamp_theta would give
     code = run_cli(["solve", "--problem", "rotation", "--algorithm", "fbf-long",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nofob import fourop, operators, problems
 from nofob.algorithms import run_algorithm
@@ -216,6 +218,128 @@ def test_separable_nonlinear_resolvent_rejects_non_finite_input(bad):
                                       np.array([1.0, bad, -2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_separable_nonlinear_resolvent_rejects_a_non_finite_start(bad):
+    with pytest.raises(ContractViolation, match="start must be finite"):
+        separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.5),
+                                      np.array([1.0, 0.5, -2.0]),
+                                      start=np.array([0.0, bad, 1.0]))
+
+
+def test_separable_nonlinear_resolvent_rejects_a_start_of_another_shape():
+    with pytest.raises(ContractViolation, match="input's shape"):
+        separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.5),
+                                      np.array([1.0, 0.5, -2.0]), start=np.zeros(2))
+
+
+def _bound_cases():
+    """Seeded kernels c t + arctan(t) (sigma = c, ell = c + 1), separable
+    resolvents, inputs y and start points x0 at several distances."""
+    for seed in range(30):
+        rng = Lcg64(500 + seed)
+        n = 8
+        c = (0.1, 1.0, 3.0)[seed % 3]
+        kernel = NonlinearKernel(phi=lambda x, c=c: c * x + np.arctan(x),
+                                 sigma=c, ell=c + 1.0)
+        prox = (l1_plus_diag_affine(0.3, 0.5 + rng.vector(n) ** 2, 2.0 * rng.vector(n)),
+                l1_subdifferential(0.5), zero_operator(n))[seed // 3 % 3]
+        y = 10.0 ** (seed % 4 - 1) * rng.vector(n)
+        for spread in (1e-6, 1.0, 1e3):
+            yield kernel, prox, y, spread * rng.vector(n)
+
+
+def test_the_root_lies_within_the_a_priori_bound(bisection_resolvent_reference):
+    # u = J_A(x0 + y - phi(x0)) and r0 = x0 - u: coordinatewise
+    # |x* - u| <= (1 + ell)|r0| / sigma; the guard covers the reference's
+    # own error, at most 1e-12 / min(1, sigma) in its residual's units
+    tight = 0.0
+    for kernel, prox, y, x0 in _bound_cases():
+        ref = bisection_resolvent_reference(kernel, prox, y)
+        u = prox.evaluator(1.0, x0 + y - kernel(x0))
+        delta = (1.0 + kernel.ell) * np.abs(x0 - u) / kernel.sigma
+        guard = 1e-11 * (1.0 + np.abs(ref))
+        assert np.all(np.abs(ref - u) <= delta + guard)
+        tight = max(tight, float(np.max(np.abs(ref - u) / (delta + guard))))
+    # the bound is not vacuous on these inputs
+    assert tight > 0.1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    start=st.sampled_from(["root", "near", "far", "+1e8", "-1e8", "kinks"]),
+    n=st.integers(1, 20),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_separable_nonlinear_resolvent_agrees_with_bisection_from_any_start(
+        start, n, scale, seed, bisection_resolvent_reference):
+    rng = Lcg64(seed)
+    lam = 0.3
+    b = 2.0 * rng.vector(n)
+    prox = l1_plus_diag_affine(lam, 0.5 + rng.vector(n) ** 2, b)
+    y = scale * rng.vector(n)
+    if start == "kinks":
+        # roots on the kink x = 0 of the l1 term, and the solve starts there
+        y = -b + lam * np.sign(rng.vector(n))
+    ref = bisection_resolvent_reference(ARCTAN, prox, y)
+    x0 = {
+        "root": ref,
+        "near": ref + 1e-6 * rng.vector(n),
+        "far": ref + 1e3 * rng.vector(n),
+        "+1e8": np.full(n, 1e8),
+        "-1e8": np.full(n, -1e8),
+        "kinks": np.zeros(n),
+    }[start]
+    got = separable_nonlinear_resolvent(ARCTAN, prox, y, start=x0)
+    assert _agrees(got, ref), np.abs(got - ref).max()
+
+
+def test_an_a_priori_end_that_fails_to_round_off_is_moved_out():
+    # near |x| = 4e6, started three ulps above the root, the end u -/+ delta
+    # of one coordinate has a residual of r(u)'s strict sign, which exact
+    # arithmetic rules out; the solve doubles that end's distance from u
+    rng = Lcg64(889)
+    prox = l1_plus_diag_affine(0.3, 0.5 + rng.vector(6) ** 2, 2.0 * rng.vector(6))
+    y = 1e7 * rng.vector(6)
+
+    def resid(x):
+        return x - prox.evaluator(1.0, x + y - ARCTAN(x))
+
+    root = separable_nonlinear_resolvent(ARCTAN, prox, y)
+    x0 = root + 3.0 * np.spacing(root)
+    u = x0 - resid(x0)
+    r_u = resid(u)
+    delta = np.maximum(3.0 * np.abs(x0 - u), np.spacing(np.abs(u)))
+    end = u - np.sign(r_u) * delta
+    outside = np.sign(resid(x0)) * np.sign(r_u) > 0.0
+    assert np.any(outside & (np.sign(resid(end)) * np.sign(r_u) > 0.0))
+    got = separable_nonlinear_resolvent(ARCTAN, prox, y, start=x0)
+    # tol cannot be met at this scale: both solves stop at the round-off floor
+    assert np.all(np.abs(resid(got)) <= 4.0 * np.spacing(np.abs(got) + np.abs(y)))
+    assert _agrees(got, root)
+
+
+def test_an_a_priori_end_from_an_overstated_modulus_is_moved_out(
+        bisection_resolvent_reference):
+    # phi(t) = 0.1 t + arctan(t) declared 1-strongly monotone, ten times its
+    # modulus far from 0: there u and x0 lie on the same side of the root
+    # and u -/+ delta falls short of it; doubling moves the end past it
+    kernel = NonlinearKernel(phi=lambda x: 0.1 * x + np.arctan(x), sigma=1.0, ell=1.1)
+    prox = l1_subdifferential(0.5)
+    y = np.array([40.0, -25.0, 3.0, 0.2])
+    x0 = np.array([10.0, -5.0, 0.0, 1.0])
+
+    def resid(x):
+        return x - prox.evaluator(1.0, x + y - kernel(x))
+
+    u = x0 - resid(x0)
+    end = u - np.sign(resid(u)) * 2.1 * np.abs(x0 - u)
+    assert np.all((np.sign(resid(end)) * np.sign(resid(u)) > 0.0)[:3])
+    got = separable_nonlinear_resolvent(kernel, prox, y, start=x0)
+    assert _agrees(got, bisection_resolvent_reference(kernel, prox, y))
+
+
 @pytest.mark.parametrize("y", [
     [1e8, -1e8, 3e8, -2.5e8, 1e8 + 0.5, -7e7],
     [1e-12, 1e8, -3.0, 1e-300, -1e6, 0.3],
@@ -240,15 +364,17 @@ def _agrees(x, ref):
 def test_separable_nonlinear_resolvent_matches_bisection_on_demo_inputs(
         n, bisection_resolvent_reference):
     # the backward-step inputs phi(x) - (D + K + E) x of four-op at x0, at
-    # the oracle and halfway between them
+    # the oracle and halfway between them, solved cold and from x as the
+    # four-op oracle starts them
     for seed in range(60):
         inst, spec = make_nonlinear_kernel_demo(n=n, seed=seed)
         prob = inst.bundle
         for x in (inst.x0, inst.oracle, 0.5 * (inst.x0 + inst.oracle)):
             v = spec.kernel(x) - prob.forward(x)
-            got = separable_nonlinear_resolvent(spec.kernel, prob.b, v)
             ref = bisection_resolvent_reference(spec.kernel, prob.b, v)
-            assert _agrees(got, ref), (seed, np.abs(got - ref).max())
+            for start in (None, x):
+                got = separable_nonlinear_resolvent(spec.kernel, prob.b, v, start=start)
+                assert _agrees(got, ref), (seed, np.abs(got - ref).max())
 
 
 def _edge_cases():
@@ -294,7 +420,7 @@ def test_separable_nonlinear_resolvent_matches_bisection_on_edge_inputs(
 def test_separable_nonlinear_resolvent_needs_few_prox_evaluations(monkeypatch):
     calls = {"resolvent": 0, "prox": 0}
 
-    def counted(kernel, prox_spec, y, tol=1e-12):
+    def counted(kernel, prox_spec, y, tol=1e-12, start=None):
         def evaluator(gamma, v):
             calls["prox"] += 1
             return prox_spec.evaluator(gamma, v)
@@ -302,15 +428,16 @@ def test_separable_nonlinear_resolvent_needs_few_prox_evaluations(monkeypatch):
         calls["resolvent"] += 1
         wrapped = ProxOperator(evaluator=evaluator, descriptor=prox_spec.descriptor,
                                separable=True)
-        return separable_nonlinear_resolvent(kernel, wrapped, y, tol)
+        return separable_nonlinear_resolvent(kernel, wrapped, y, tol, start)
 
     monkeypatch.setattr(fourop, "separable_nonlinear_resolvent", counted)
     inst, _ = make_nonlinear_kernel_demo(n=200, seed=1)
     out = run_algorithm("four-op", inst, tol=1e-8, max_iter=1000)
     assert out.trajectory.status == "converged"
     assert calls["resolvent"] > 20
-    # bisection to the same stopping rule needs about 48
-    assert calls["prox"] / calls["resolvent"] <= 12.0, calls
+    # started at the oracle's x; bisection to the same stopping rule from
+    # the cold bracket needs about 48, the secant from it about 10
+    assert calls["prox"] / calls["resolvent"] <= 7.0, calls
 
 
 def test_maps_are_callable_with_declared_constants():
