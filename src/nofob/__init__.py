@@ -36,7 +36,6 @@ from .fourop import (
     fbs_view,
     gamma_bound_conservative,
     gamma_bound_long,
-    kernel_lipschitz,
 )
 from .linalg import (
     ContractViolation,
@@ -64,7 +63,6 @@ from .problems import (
 from .projective import (
     PsProblem,
     ps_explicit_iterate,
-    resolvent_view,
     stack_primal_dual,
 )
 from .rng import Lcg64

@@ -45,6 +45,7 @@ it.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -65,7 +66,7 @@ from .fourop import (
 )
 from .linalg import ContractViolation, SpdMetric
 from .problems import ProblemInstance
-from .projective import PsProblem, ps_explicit_iterate, resolvent_view
+from .projective import PsProblem, ps_explicit_iterate
 
 __all__ = ["RunOutput", "ALGORITHMS", "run_algorithm"]
 
@@ -171,12 +172,12 @@ def _saddle(fixed: bool):
     `fixed` is AFBA (Latafat and Patrinos, "Asymmetric forward-backward-
     adjoint splitting", Comput. Optim. Appl. 68, 2017): the unit step
     projected in S = P, its symmetric part, unless an S is given.  Here
-    Q - K = P, so afba_fixed_step_check reads P - P / (2 - eps) >= 0 and
-    passes for every tau1, tau2 that make P positive definite, and the
-    step lands on x_next = x - P^{-1}(Q - K)(x - x_hat) = x_hat, AFBA's
-    x+ = x_hat (on saddle seeds 0-59 every recorded mu is 1 within 5.6e-16
-    and x_next is x_hat within 2.4e-15).  A given S that fails the check
-    raises.
+    Q - K = P and E = 0, so afba_fixed_step_check on the view's P and
+    beta = 0 reads P - P / (2 - eps) >= 0 and passes for every tau1, tau2
+    that make P positive definite, and the step lands on
+    x_next = x - P^{-1}(Q - K)(x - x_hat) = x_hat, AFBA's x+ = x_hat (on
+    saddle seeds 0-59 every recorded mu is 1 within 5.6e-16 and x_next is
+    x_hat within 2.4e-15).  A given S that fails the check raises.
     """
 
     def kernel(name, inst, gamma, tau, s):
@@ -185,12 +186,13 @@ def _saddle(fixed: bool):
             raise ContractViolation(f"{name} needs a stacked saddle problem")
         _takes_none(name, inst, gamma=gamma)
         spec = AffinePlusSkew(ps.l_maps[0], *_saddle_taus(name, ps, tau))
-        if fixed:
-            s = spec.p if s is None else s
-            if not afba_fixed_step_check(spec.p, spec.q_matrix, inst.bundle.k, s,
-                                         0.0, 0.05):
-                raise ContractViolation("the unit step fails the fixed-step check in S")
         view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
+        if fixed:
+            if s is None:
+                view = dataclasses.replace(view, s_metric=view.p_metric)
+            if not afba_fixed_step_check(view.p_metric, spec.q_matrix, inst.bundle.k,
+                                         view.s_metric, view.beta, 0.05):
+                raise ContractViolation("the unit step fails the fixed-step check in S")
         return Kernel(view, view)
 
     return kernel
@@ -234,7 +236,7 @@ def _projective(name, inst, gamma, tau, s):
     _takes_none(name, inst, gamma=gamma)
     if tau is not None:
         ps = ps.with_taus(_step_sizes(name, tau, ps.n))
-    view = resolvent_view(ps, _s_or_identity(s, inst))
+    view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), _s_or_identity(s, inst))
     return Kernel(view, view, ps=ps)
 
 

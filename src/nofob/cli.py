@@ -64,7 +64,8 @@ def _status_code(traj: Trajectory) -> int:
     )
 
 
-def _parse_tau(text: str) -> List[float]:
+def _numbers(text: str) -> List[float]:
+    """A comma-separated list of numbers; ValueError on any other entry."""
     return [float(t) for t in text.split(",") if t.strip()]
 
 
@@ -150,9 +151,7 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     algorithms = [a for a in (args.algorithm or "").split(",") if a.strip()]
-    gammas = ([float(g) for g in args.gamma.split(",") if g.strip()]
-              if isinstance(args.gamma, str) else
-              ([args.gamma] if args.gamma is not None else [None]))
+    gammas = [None] if args.gamma is None else args.gamma
     if not algorithms or not gammas:
         print("bench needs at least one algorithm and one gamma", file=sys.stderr)
         return EXIT_USAGE
@@ -215,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run one algorithm on one problem")
     add_common(p_solve)
     p_solve.add_argument("--csv", default=None)
-    p_solve.set_defaults(fn=cmd_solve, gamma_is_scalar=True)
+    p_solve.set_defaults(fn=cmd_solve)
 
     p_check = sub.add_parser("check", help="run and audit the trajectory")
     add_common(p_check)
@@ -223,12 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="perturb one iterate first (negative control)")
     p_check.add_argument("--report", default=None,
                          help="write the check results as JSON to this path")
-    p_check.set_defaults(fn=cmd_check, gamma_is_scalar=True)
+    p_check.set_defaults(fn=cmd_check)
 
     p_bench = sub.add_parser("bench", help="sweep algorithms and step sizes")
     add_common(p_bench)
     p_bench.add_argument("--csv", default=None)
-    p_bench.set_defaults(fn=cmd_bench, gamma_is_scalar=False)
+    p_bench.set_defaults(fn=cmd_bench)
 
     p_list = sub.add_parser("list", help="show registered names")
     p_list.set_defaults(fn=cmd_list)
@@ -248,23 +247,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError:
             print("NOFOB_SEED must be an integer", file=sys.stderr)
             return EXIT_USAGE
-    if getattr(args, "gamma_is_scalar", False) and args.gamma is not None:
+    # solve and check take one gamma; bench sweeps a list of them
+    if getattr(args, "gamma", None) is not None and args.command != "bench":
         try:
             args.gamma = float(args.gamma)
         except ValueError:
             print("--gamma must be a number", file=sys.stderr)
             return EXIT_USAGE
+    for flag in ("gamma", "tau"):
+        if isinstance(getattr(args, flag, None), str):
+            try:
+                setattr(args, flag, _numbers(getattr(args, flag)))
+            except ValueError:
+                print(f"--{flag} must be a number or a comma-separated list of numbers",
+                      file=sys.stderr)
+                return EXIT_USAGE
     theta = getattr(args, "theta", None)
     if theta is not None and not 0.0 < theta < 2.0:
         print("--theta must lie in (0, 2)", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "tau", None) is not None:
-        try:
-            args.tau = _parse_tau(args.tau)
-        except ValueError:
-            print("--tau must be a number or a comma-separated list of numbers",
-                  file=sys.stderr)
-            return EXIT_USAGE
     if getattr(args, "algorithm", None) is not None \
             and args.command != "bench" and args.algorithm not in ALGORITHMS:
         print(f"unknown algorithm {args.algorithm!r}", file=sys.stderr)

@@ -14,12 +14,13 @@ the run:
                       inside a bracket strong monotonicity guarantees
 
 `as_nofob` views any of them as the kernel of the corrected step in
-core, and `fbs_view` views relaxed forward-backward as one.  A D, E or K
-that is zero by construction (`zero_forward`, `zero_cocoercive`, an
-all-zero `SkewMap`) says so through `is_zero`, and `FourOpProblem.forward`
-and both views never evaluate it; the sums they skip would only add
-zeros.  On the linear kernels (ScalarStep, BlockDiag, AffinePlusSkew)
-the kernel difference forms x - x_hat once and applies Q and K to it.
+core, and is the one place where a view's P, beta and L_M are derived;
+`fbs_view` views relaxed forward-backward as one.  A D, E or K that is
+zero by construction (`zero_forward`, `zero_cocoercive`, an all-zero
+`SkewMap`) says so through `is_zero`, and `FourOpProblem.forward` and
+both views never evaluate it; the sums they skip would only add zeros.
+On the linear kernels (ScalarStep, BlockDiag, AffinePlusSkew) the kernel
+difference forms x - x_hat once and applies Q and K to it.
 Also provides the step-size bound formulas and the fixed-relaxation
 positive semidefiniteness check.
 """
@@ -57,7 +58,6 @@ __all__ = [
     "gamma_bound_long",
     "gamma_bound_conservative",
     "epsbar_delta",
-    "kernel_lipschitz",
     "afba_fixed_step_check",
     "fbs_view",
 ]
@@ -102,12 +102,19 @@ class FourOpProblem:
 
 
 class KernelSpec:
-    """Common interface: the kernel map Q, its resolvent with B, and
-    the metric/constant bookkeeping the projection correction needs."""
+    """What one kernel family supplies: the map Q, the resolvent
+    (Q + B)^{-1}, a lower metric W of Q's symmetric part
+    (<Qx - Qy, x - y> >= ||x - y||_W^2), a bound on Q's Lipschitz
+    constant, and a structural check on the bundle.  `as_nofob` runs the
+    check once and derives the view's constants from the rest; q_apply
+    and resolvent assume a bundle that passed it."""
 
     # Q is linear, so Q x - Q x_hat is evaluated as Q (x - x_hat), which
     # avoids catastrophic cancellation
     linear = False
+
+    def check(self, prob: FourOpProblem) -> None:
+        """Raise ContractViolation when the bundle does not fit the kernel."""
 
     def q_apply(self, prob: FourOpProblem, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -118,19 +125,10 @@ class KernelSpec:
         which only an iterative solve uses."""
         raise NotImplementedError
 
-    def p_metric(self, prob: FourOpProblem) -> SpdMetric:
+    def q_metric(self, prob: FourOpProblem) -> SpdMetric:
         raise NotImplementedError
 
-    def beta(self, prob: FourOpProblem) -> float:
-        """Inverse cocoercivity of E relative to the P metric.
-
-        Cocoercivity in the plain norm transfers to the P norm at rate
-        beta_E / lambda_min(P).
-        """
-        be = prob.e.inverse_cocoercivity
-        return 0.0 if be == 0.0 else be / self.p_metric(prob).lam_min
-
-    def kernel_lipschitz_bound(self, prob: FourOpProblem) -> float:
+    def q_norm(self) -> float:
         raise NotImplementedError
 
 
@@ -156,18 +154,11 @@ class ScalarStep(KernelSpec):
         g = self.gamma
         return prob.b.evaluator(g, g * np.asarray(v, dtype=float))
 
-    def p_metric(self, prob):
-        c = 1.0 / self.gamma - prob.d.lipschitz_constant
-        if c <= 0:
-            raise ContractViolation(
-                "1/gamma must exceed the Lipschitz constant of D"
-            )
-        return SpdMetric.scaled_identity(c, prob.dim)
+    def q_metric(self, prob):
+        return SpdMetric.scaled_identity(1.0 / self.gamma, prob.dim)
 
-    def kernel_lipschitz_bound(self, prob):
-        return kernel_lipschitz(
-            self.gamma, prob.d.lipschitz_constant, prob.k.operator_norm
-        )
+    def q_norm(self):
+        return 1.0 / self.gamma
 
 
 class BlockDiag(KernelSpec):
@@ -180,25 +171,23 @@ class BlockDiag(KernelSpec):
             raise ContractViolation("at least one block weight required")
         self.weights = tuple(_positive(w, "block weights") for w in weights)
 
-    def _block(self, prob) -> BlockProx:
+    def check(self, prob):
         if not isinstance(prob.b, BlockProx):
             raise ContractViolation("BlockDiag kernels need a block-separable B")
         if len(prob.b.ops) != len(self.weights):
             raise ContractViolation("one weight per B block required")
-        return prob.b
 
     def q_apply(self, prob, x):
-        bp = self._block(prob)
-        return np.concatenate([w * xb for w, xb in zip(self.weights, bp.split(x))])
+        return np.concatenate([w * xb for w, xb in zip(self.weights, prob.b.split(x))])
 
     def resolvent(self, prob, v, start=None):
-        return self._block(prob).block_resolve(self.weights, v)
+        return prob.b.block_resolve(self.weights, v)
 
-    def p_metric(self, prob):
+    def q_metric(self, prob):
         return SpdMetric.scaled_identity(min(self.weights), prob.dim)
 
-    def kernel_lipschitz_bound(self, prob):
-        return max(self.weights) + prob.d.lipschitz_constant + prob.k.operator_norm
+    def q_norm(self):
+        return max(self.weights)
 
 
 class AffinePlusSkew(KernelSpec):
@@ -227,31 +216,29 @@ class AffinePlusSkew(KernelSpec):
         self._w = (tau1, 1.0 / tau2)
         self._q21 = q[m:, :m]
 
-    def _block(self, prob) -> BlockProx:
+    def check(self, prob):
         if not isinstance(prob.b, BlockProx) or len(prob.b.ops) != 2:
             raise ContractViolation("Gauss-Seidel solver needs a two-block B")
         if prob.b.dims != self.dims:
             raise ContractViolation("B block dims do not match the kernel blocks")
-        return prob.b
 
     def q_apply(self, prob, x):
         return self.q_matrix @ x
 
     def resolvent(self, prob, v, start=None):
-        bp = self._block(prob)
+        ops = prob.b.ops
         d1 = self.dims[0]
         w1, w2 = self._w
         v = np.asarray(v, dtype=float)
-        x1 = bp.ops[0].evaluator(1.0 / w1, v[:d1] / w1)
-        x2 = bp.ops[1].evaluator(1.0 / w2, (v[d1:] - self._q21 @ x1) / w2)
+        x1 = ops[0].evaluator(1.0 / w1, v[:d1] / w1)
+        x2 = ops[1].evaluator(1.0 / w2, (v[d1:] - self._q21 @ x1) / w2)
         return np.concatenate([x1, x2])
 
-    def p_metric(self, prob):
+    def q_metric(self, prob):
         return self.p
 
-    def kernel_lipschitz_bound(self, prob):
-        qn = float(np.linalg.norm(self.q_matrix, 2))
-        return qn + prob.d.lipschitz_constant + prob.k.operator_norm
+    def q_norm(self):
+        return float(np.linalg.norm(self.q_matrix, 2))
 
 
 class SeparableNonlinear(KernelSpec):
@@ -266,38 +253,59 @@ class SeparableNonlinear(KernelSpec):
             raise ContractViolation("kernel needs 0 < sigma <= ell")
         self.kernel = kernel
 
-    def _check(self, prob):
+    def check(self, prob):
         if prob.d.lipschitz_constant != 0.0:
             raise ContractViolation("nonlinear kernels require D = 0")
         if not getattr(prob.b, "separable", False):
             raise ContractViolation("nonlinear kernels require a separable B")
 
     def q_apply(self, prob, x):
-        self._check(prob)
         return self.kernel(x)
 
     def resolvent(self, prob, v, start=None):
-        self._check(prob)
         return separable_nonlinear_resolvent(self.kernel, prob.b, v, start=start)
 
-    def p_metric(self, prob):
+    def q_metric(self, prob):
         return SpdMetric.scaled_identity(self.kernel.sigma, prob.dim)
 
-    def kernel_lipschitz_bound(self, prob):
-        return self.kernel.ell + prob.k.operator_norm
+    def q_norm(self):
+        return self.kernel.ell
 
 
 # ---------------------------------------------------------------------------
 # generic four-operator step
 
 
+def _less_l_d(w: SpdMetric, l_d: float) -> SpdMetric:
+    """P = W - L_D I, the metric in which Q - D - K is strongly monotone."""
+    if l_d == 0.0:
+        return w
+    if not w.lam_min > l_d:
+        raise ContractViolation(
+            f"the kernel's metric minus L_D I is not positive definite "
+            f"(lambda_min {w.lam_min:.6g}, L_D {l_d:.6g})"
+        )
+    if w.lam_min == w.lam_max:
+        return SpdMetric.scaled_identity(w.lam_min - l_d, w.dim)
+    return SpdMetric(w.matrix - l_d * np.eye(w.dim))
+
+
 def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProblem:
     """View the four-operator method as a corrected forward-backward solve.
+
+    The kernel is M = Q - D - K.  The spec's check runs once, here, and
+    the constants come from the spec's metric W and bound ||Q||:
+    P = W - L_D I (raising unless positive definite),
+    beta = beta_E / lambda_min(P) and L_M = ||Q|| + L_D + ||K||.
 
     The oracle starts the backward solve at its own x, and the kernel
     difference at the oracle's own x array reuses its D x and, on a
     nonlinear kernel, its Q x.  D and K are evaluated only where they are
     not zero."""
+    spec.check(prob)
+    l_d = prob.d.lipschitz_constant
+    p = _less_l_d(spec.q_metric(prob), l_d)
+    be = prob.e.inverse_cocoercivity
     live_d, live_k = not prob.d.is_zero, not prob.k.is_zero
     last = (None, None, None)
 
@@ -337,10 +345,10 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     return NofobProblem(
         fb_oracle=fb,
         kernel_eval=kernel,
-        p_metric=spec.p_metric(prob),
+        p_metric=p,
         s_metric=s,
-        beta=spec.beta(prob),
-        kernel_lipschitz=spec.kernel_lipschitz_bound(prob),
+        beta=0.0 if be == 0.0 else be / p.lam_min,
+        kernel_lipschitz=spec.q_norm() + l_d + prob.k.operator_norm,
         kernel_diff=kernel_diff,
     )
 
@@ -395,13 +403,6 @@ def epsbar_delta(
     if not (0.0 < delta < 1.0):
         raise ContractViolation("derived delta left (0, 1); inputs inconsistent")
     return float(eps_bar), float(delta)
-
-
-def kernel_lipschitz(gamma: float, l_d: float, k_norm: float) -> float:
-    """Lipschitz constant of M = gamma^{-1} I - D - K."""
-    if gamma <= 0:
-        raise ContractViolation("gamma must be positive")
-    return 1.0 / gamma + l_d + k_norm
 
 
 def afba_fixed_step_check(

@@ -271,6 +271,9 @@ def make_saddle_pd(n: int = 8, m: int = 6, seed: int = DEFAULT_SEED) -> ProblemI
     unique solution solves (H + L^T G L) x = b - L^T g0 densely, with
     w* = G L x* + g0.  The bundle is the stacked primal-dual inclusion
     over p = (w, x) that the projective-splitting view `ps_view` owns.
+    Its B = (A_1^{-1}, A_2) is strongly monotone with modulus
+    sigma = min(lambda_min(H), 1 / lambda_max(G)), since
+    A_1^{-1} u = G^{-1}(u - g0); the skew K adds nothing to it.
     """
     if n < 1 or m < 1:
         raise ContractViolation("need n, m >= 1")
@@ -293,7 +296,7 @@ def make_saddle_pd(n: int = 8, m: int = 6, seed: int = DEFAULT_SEED) -> ProblemI
     return _certify(ProblemInstance(
         name="saddle", n=m + n, bundle=bundle, oracle=oracle,
         constants={"l_d": 0.0, "beta_e": 0.0, "k_norm": bundle.k.operator_norm,
-                   "sigma": 0.0},
+                   "sigma": min(float(np.linalg.eigvalsh(h)[0]), 1.0 / largest_eig(g))},
         seed=seed, x0=x0, ps_view=ps,
         extras={"l_matrix": l_mat, "g_matrix": g, "g0_vector": g0,
                 "h_matrix": h, "b_vector": b_vec},

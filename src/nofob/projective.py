@@ -6,8 +6,9 @@ flat vector p = (w_1, ..., w_{n-1}, x), with B carrying the dual inverses
 the L_i.  `PsProblem` owns that stacked problem (`stacked`, built once by
 `stack_primal_dual`), and every step splits p with its `BlockProx.split`.
 Two equivalent iterations are provided: the resolvent form, which is the
-corrected step of core on the block-diagonal kernel view returned by
-`resolvent_view`, and the explicit form of Johnstone and Eckstein that
+corrected step of core on the block-diagonal kernel view of the stacked
+problem (`as_nofob(ps.stacked(), BlockDiag(ps.q_weights), s)`, the
+`ps-resolvent` row), and the explicit form of Johnstone and Eckstein that
 only touches the primal resolvents and the L_i maps, written out by hand
 as a cross-check (`ps-explicit`).  Their trajectories coincide; tests
 exploit this as a runtime oracle.
@@ -19,15 +20,14 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import IterRecord, NofobProblem, coincides, null_record, separation_fails
-from .fourop import BlockDiag, FourOpProblem, as_nofob, zero_cocoercive, zero_forward
-from .linalg import ContractViolation, SpdMetric
+from .core import IterRecord, coincides, null_record, separation_fails
+from .fourop import FourOpProblem, zero_cocoercive, zero_forward
+from .linalg import ContractViolation
 from .operators import BlockProx, ProxOperator, SkewMap, inverse_via_moreau
 
 __all__ = [
     "PsProblem",
     "stack_primal_dual",
-    "resolvent_view",
     "ps_explicit_iterate",
 ]
 
@@ -110,17 +110,6 @@ def stack_primal_dual(ps: PsProblem) -> FourOpProblem:
         row += g
     return FourOpProblem(b=block, d=zero_forward(total), e=zero_cocoercive(total),
                          k=SkewMap(kmat), dim=total)
-
-
-def resolvent_view(ps: PsProblem, s: SpdMetric) -> NofobProblem:
-    """The resolvent form as a kernel view of the stacked problem.
-
-    p_hat = (Q + B)^{-1}(Q - K) p with the block-diagonal kernel
-    Q = blockdiag(tau_1, ..., tau_{n-1}, 1/tau_n) over the stacked
-    primal-dual inclusion; core.nofob_iterate on this view is one
-    resolvent-form step.
-    """
-    return as_nofob(ps.stacked(), BlockDiag(ps.q_weights), s)
 
 
 def ps_explicit_iterate(ps: PsProblem, k: int, p: np.ndarray, theta: float) -> IterRecord:

@@ -14,18 +14,18 @@ from nofob.algorithms import run_algorithm
 from nofob.core import clamp_theta, nofob_iterate
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.fourop import (
+    BlockDiag,
     FourOpProblem,
     ScalarStep,
     as_nofob,
     epsbar_delta,
     gamma_bound_conservative,
     gamma_bound_long,
-    kernel_lipschitz,
 )
 from nofob.linalg import SpdMetric
 from nofob.operators import CocoerciveMap, LipschitzMap, SkewMap, zero_operator
 from nofob.problems import REGISTRY, fixed_point_residual, get_instance
-from nofob.projective import ps_explicit_iterate, resolvent_view
+from nofob.projective import ps_explicit_iterate
 from nofob.rng import Lcg64
 
 COMPAT = {
@@ -185,7 +185,7 @@ def test_fbs_redundant_projection_identity(fbs_relaxed_reference):
 def test_projective_splitting_equivalence():
     inst = get_instance("saddle")
     ps = inst.ps_view
-    view = resolvent_view(ps, SpdMetric.identity(ps.total_dim))
+    view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
     a = b = inst.x0
     worst = 0.0
     for k in range(200):
@@ -225,17 +225,16 @@ def test_step_size_formula_grid_and_mu_bound_sampling():
         assert ebar == pytest.approx(ebar_ref, abs=1e-12)
         assert delta == pytest.approx(delta_ref, abs=1e-12)
         g = 0.5 * cons_ref
-        # the effective beta of the scalar kernel, from E and D alone
+        # the effective beta and L_M of the scalar kernel, from the declared
+        # constants alone; K is kn times a quarter turn
         declared = FourOpProblem(
-            b=zero_operator(1), d=LipschitzMap(np.zeros_like, ld),
-            e=CocoerciveMap(np.zeros_like, be), k=SkewMap.zero(1), dim=1,
+            b=zero_operator(2), d=LipschitzMap(np.zeros_like, ld),
+            e=CocoerciveMap(np.zeros_like, be),
+            k=SkewMap(kn * np.array([[0.0, -1.0], [1.0, 0.0]])), dim=2,
         )
-        assert ScalarStep(g).beta(declared) == pytest.approx(
-            be / (1.0 / g - ld), abs=1e-12
-        )
-        assert kernel_lipschitz(g, ld, kn) == pytest.approx(
-            1.0 / g + ld + kn, abs=1e-12
-        )
+        view = as_nofob(declared, ScalarStep(g), SpdMetric.identity(2))
+        assert view.beta == pytest.approx(be / (1.0 / g - ld), abs=1e-12)
+        assert view.kernel_lipschitz == pytest.approx(1.0 / g + ld + kn, abs=1e-12)
         checked += 1
     assert checked == 10
 
@@ -289,7 +288,8 @@ def test_conservative_vs_explicit_dominance(conservative_reference):
         # pure FBS case, and equal to 1 when beta_E = 0); clamped, since it
         # can leave (0, 2).
         short_alg = "fbf" if be == 0.0 else "fbhf"
-        th = clamp_theta(4.0 / (4.0 - ScalarStep(g).beta(prob)))
+        beta = as_nofob(prob, ScalarStep(g), SpdMetric.identity(prob.dim)).beta
+        th = clamp_theta(4.0 / (4.0 - beta))
         a = run_algorithm(short_alg, inst, gamma=g, tol=1e-8, max_iter=3000)
         b = run_algorithm(f"{short_alg}-long", inst, gamma=g, theta=th,
                           tol=1e-8, max_iter=3000)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from nofob import fourop
-from nofob.algorithms import run_algorithm
+from nofob.algorithms import ALGORITHMS, run_algorithm
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
-from nofob.linalg import ContractViolation, SpdMetric
+from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
 from nofob.operators import LipschitzMap, NonlinearKernel, SkewMap
-from nofob.problems import get_instance, make_saddle_pd
+from nofob.problems import REGISTRY, get_instance, make_saddle_pd
 from nofob.rng import Lcg64
 
 
@@ -233,3 +233,36 @@ def test_saddle_beyond_a_hundred_block_dimensions(algorithm):
     assert check_separation(traj, view, out.z_star).passed
     assert check_mu_bounds(traj, view.beta, view.p_metric, out.s_metric,
                            view.kernel_lipschitz).passed
+
+
+def _accepts(algorithm, inst):
+    """What a row's contract admits: the saddle rows need the stacked
+    problem, and fbf and fbf-long need E = 0."""
+    if algorithm.startswith(("afba", "ps-")):
+        return inst.ps_view is not None
+    if algorithm in ("fbf", "fbf-long"):
+        return inst.bundle.e.inverse_cocoercivity == 0.0
+    return True
+
+
+VIEW_ROWS = [(name, algorithm, seed) for name in REGISTRY for algorithm in ALGORITHMS
+             if _accepts(algorithm, get_instance(name)) for seed in range(3)]
+
+
+@pytest.mark.parametrize("name, algorithm, seed", VIEW_ROWS)
+def test_view_constants_are_honest(name, algorithm, seed, honesty_samplers):
+    # the kernel M of every audited view is strongly monotone in its P and
+    # L_M-Lipschitz, on sampled pairs
+    inst = get_instance(name, seed)
+    view = run_algorithm(algorithm, inst, max_iter=1).nofob_view
+    if view is None:
+        pytest.skip("fbs with D or K nonzero: the step has no separation to audit")
+    worst = -np.inf
+    for x, y in honesty_samplers.pairs(inst.n, 200, seed, 1.0):
+        d = x - y
+        inner = float((view.kernel_eval(x) - view.kernel_eval(y)) @ d)
+        worst = max(worst, (weighted_norm(view.p_metric, d) ** 2 - inner) / float(d @ d))
+    assert worst <= 1e-9
+    assert honesty_samplers.lipschitz_ratio(
+        view.kernel_eval, view.kernel_lipschitz, inst.n, samples=200, seed=seed
+    ) <= 1.0 + 1e-9

@@ -268,6 +268,14 @@ def test_bench_long_step_dominates_conservative(tmp_path, capsys):
     assert len(list(tmp_path.glob("sweep.*.csv"))) == 4
 
 
+def test_bench_gamma_that_is_not_a_number_list_is_a_usage_error(capsys):
+    code = run_cli(["bench", "--problem", "rotation", "--algorithm", "fbf",
+                    "--gamma", "0.5,x"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--gamma must be a number" in err and "Traceback" not in err
+
+
 def test_bench_empty_grid_is_usage_error():
     assert run_cli(
         ["bench", "--problem", "rotation", "--algorithm", "", "--gamma", "0.5"]

@@ -16,7 +16,6 @@ from nofob.fourop import (
     epsbar_delta,
     gamma_bound_conservative,
     gamma_bound_long,
-    kernel_lipschitz,
     zero_cocoercive,
     zero_forward,
 )
@@ -323,20 +322,26 @@ def test_epsbar_delta_stays_in_unit_interval():
         assert 0.0 < delta < 1.0
 
 
-def declared(beta_e, l_d, n=1):
-    """A problem whose E and D carry only their declared constants."""
+def declared(beta_e, l_d, k_norm=0.0):
+    """A problem whose E and D carry only their declared constants, and a
+    K = k_norm times a quarter turn in R^2."""
     return FourOpProblem(
-        b=zero_operator(n), d=LipschitzMap(np.zeros_like, l_d),
-        e=CocoerciveMap(np.zeros_like, beta_e), k=SkewMap.zero(n), dim=n,
+        b=zero_operator(2), d=LipschitzMap(np.zeros_like, l_d),
+        e=CocoerciveMap(np.zeros_like, beta_e),
+        k=SkewMap(k_norm * np.array([[0.0, -1.0], [1.0, 0.0]])), dim=2,
     )
+
+
+def scalar_view(prob, gamma):
+    return as_nofob(prob, ScalarStep(gamma), SpdMetric.identity(prob.dim))
 
 
 def test_beta_effective_values():
     # the effective beta of the scalar kernel, beta_E / (1/gamma - L_D)
-    assert ScalarStep(0.3).beta(declared(0.0, 1.0)) == 0.0
-    assert ScalarStep(0.5).beta(declared(1.0, 1.0)) == pytest.approx(1.0)
-    with pytest.raises(ContractViolation):
-        ScalarStep(2.0).beta(declared(1.0, 1.0))  # 1/gamma <= L_D
+    assert scalar_view(declared(0.0, 1.0), 0.3).beta == 0.0
+    assert scalar_view(declared(1.0, 1.0), 0.5).beta == pytest.approx(1.0)
+    with pytest.raises(ContractViolation, match="not positive definite"):
+        scalar_view(declared(1.0, 1.0), 2.0)  # 1/gamma <= L_D
 
 
 def test_beta_effective_below_four_at_long_bound():
@@ -348,16 +353,19 @@ def test_beta_effective_below_four_at_long_bound():
         g = gamma_bound_long(be, ld, eps)
         if not np.isfinite(g):
             continue
-        assert ScalarStep(g).beta(declared(be, ld)) <= 4.0 - eps + 1e-10
+        assert scalar_view(declared(be, ld), g).beta <= 4.0 - eps + 1e-10
 
 
 def test_kernel_lipschitz_values_and_sampling():
-    assert kernel_lipschitz(1.0, 0.0, 0.0) == pytest.approx(1.0)
-    assert kernel_lipschitz(0.5, 1.0, 2.0) == pytest.approx(5.0)
+    # L_M = ||Q|| + L_D + ||K||, here 1/gamma + L_D + ||K||
+    assert scalar_view(declared(0.0, 0.0), 1.0).kernel_lipschitz == pytest.approx(1.0)
+    assert scalar_view(declared(0.0, 1.0, 2.0), 0.5).kernel_lipschitz == pytest.approx(5.0)
     prob = seeded_problem()
     g = 0.3
-    bound = kernel_lipschitz(g, prob.d.lipschitz_constant, prob.k.operator_norm)
-    view = as_nofob(prob, ScalarStep(g), SpdMetric.identity(prob.dim))
+    view = scalar_view(prob, g)
+    bound = view.kernel_lipschitz
+    assert bound == pytest.approx(1.0 / g + prob.d.lipschitz_constant
+                                  + prob.k.operator_norm, rel=1e-15)
     rng = Lcg64(14)
     for _ in range(2000):
         x, y = rng.vector(prob.dim), rng.vector(prob.dim)
@@ -475,6 +483,41 @@ def test_affine_plus_skew_gauss_seidel_solves_the_block_system():
     v = rng.vector(4)
     out = spec.resolvent(prob, v)
     assert np.allclose(out, np.linalg.solve(q, v), atol=1e-12)
+
+
+def two_block_with_d(l_d=0.8):
+    """Two zero blocks of size 2 with D = l_d I."""
+    return FourOpProblem(
+        b=BlockProx([zero_operator(2), zero_operator(2)], [2, 2]),
+        d=LipschitzMap(lambda x: l_d * x, l_d), e=zero_cocoercive(4),
+        k=SkewMap.zero(4), dim=4,
+    )
+
+
+def test_block_kernel_metric_subtracts_l_d():
+    # P = min(w) I - L_D I: Q - D = 0.2 I here
+    prob = two_block_with_d()
+    view = as_nofob(prob, BlockDiag([1.0, 1.0]), SpdMetric.identity(4))
+    assert view.p_metric.lam_min == pytest.approx(0.2, rel=1e-14)
+    assert view.p_metric.lam_max == pytest.approx(0.2, rel=1e-14)
+    assert view.kernel_lipschitz == pytest.approx(1.8, rel=1e-15)
+    # Q - D = -0.3 I is not strongly monotone in any metric
+    with pytest.raises(ContractViolation, match="not positive definite"):
+        as_nofob(prob, BlockDiag([0.5, 0.5]), SpdMetric.identity(4))
+
+
+def test_affine_plus_skew_metric_subtracts_l_d():
+    l = Lcg64(19).matrix(2, 2)
+    spec = AffinePlusSkew(l, 1.0, 0.7 / np.linalg.norm(l, 2) ** 2)
+    # lambda_min of the symmetric part is about 0.214 < L_D = 0.8
+    assert spec.p.lam_min < 0.8
+    with pytest.raises(ContractViolation, match="not positive definite"):
+        as_nofob(two_block_with_d(), spec, SpdMetric.identity(4))
+    # with L_D = 0.1 the view's P is the symmetric part minus 0.1 I
+    view = as_nofob(two_block_with_d(0.1), spec, SpdMetric.identity(4))
+    assert np.allclose(view.p_metric.matrix, spec.p.matrix - 0.1 * np.eye(4),
+                       rtol=0.0, atol=1e-15)
+    assert view.p_metric.lam_min == pytest.approx(spec.p.lam_min - 0.1, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

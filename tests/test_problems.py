@@ -64,6 +64,15 @@ def test_declared_constants_pass_honesty_samplers(name, honesty_samplers):
         b = inst.extras["b_vector"]
         lam = 0.3
         selection = lambda x: d * x - b + lam * np.sign(x)
+    elif name == "saddle":
+        # the modulus lives in B = (A_1^{-1}, A_2), A_1^{-1} u = G^{-1}(u - g0);
+        # sample its single-valued selection plus K
+        e = inst.extras
+        m = e["g0_vector"].shape[0]
+        selection = lambda p: np.concatenate([
+            np.linalg.solve(e["g_matrix"], p[:m] - e["g0_vector"]),
+            e["h_matrix"] @ p[m:] - e["b_vector"],
+        ]) + bundle.k(p)
     else:
         selection = bundle.forward
     assert honesty_samplers.strong_monotonicity_deficit(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nofob.core import nofob_iterate
+from nofob.fourop import BlockDiag, as_nofob
 from nofob.linalg import ContractViolation, SpdMetric
 from nofob.operators import (
     ProxOperator,
@@ -13,15 +14,15 @@ from nofob.problems import get_instance
 from nofob.projective import (
     PsProblem,
     ps_explicit_iterate,
-    resolvent_view,
     stack_primal_dual,
 )
 from nofob.rng import Lcg64
 
 
 def ps_resolvent_iterate(ps, k, p, theta):
-    """One resolvent-form step: the corrected step on the resolvent view."""
-    return nofob_iterate(resolvent_view(ps, SpdMetric.identity(ps.total_dim)), k, p, theta)
+    """One resolvent-form step: the corrected step on the block-diagonal view."""
+    view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
+    return nofob_iterate(view, k, p, theta)
 
 
 def zero_ps(n_dual=2, n_primal=3, l=None, taus=(1.0, 1.0)):
