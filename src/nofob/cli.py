@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import traceback
@@ -21,7 +22,7 @@ from .algorithms import ALGORITHMS, RunOutput, run_algorithm
 from .core import Trajectory
 from .diagnostics import (CheckReport, check_fejer, check_mu_bounds,
                           check_separation, fit_rate)
-from .linalg import ContractViolation, weighted_norm
+from .linalg import ContractViolation, weighted_row_norms
 from .problems import DEFAULT_SEED, REGISTRY, get_instance
 
 EXIT_OK = 0
@@ -39,8 +40,10 @@ def _fmt(v: float) -> str:
 
 def _csv_rows(out: RunOutput) -> List[str]:
     rows = [CSV_HEADER]
-    for rec in out.trajectory.records:
-        dist = weighted_norm(out.s_metric, rec.x - out.z_star)
+    records = out.trajectory.records
+    points = np.concatenate([rec.x for rec in records]).reshape(len(records), -1)
+    dists = weighted_row_norms(out.s_metric, points - out.z_star).tolist()
+    for rec, dist in zip(records, dists):
         rows.append(",".join([
             str(rec.k), _fmt(rec.residual_s), _fmt(dist), _fmt(rec.mu),
             _fmt(rec.theta), _fmt(rec.psi_at_x),
@@ -265,6 +268,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     theta = getattr(args, "theta", None)
     if theta is not None and not 0.0 < theta < 2.0:
         print("--theta must lie in (0, 2)", file=sys.stderr)
+        return EXIT_USAGE
+    if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
+        print("--tol must be finite and nonnegative", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "max_iter", 0) < 0:
+        print("--max-iter must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "algorithm", None) is not None \
             and args.command != "bench" and args.algorithm not in ALGORITHMS:

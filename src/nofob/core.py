@@ -190,16 +190,20 @@ def run_loop(
     Convergence is checked on the oracle residual of the current
     iterate before the update is applied, so a point that already
     satisfies the fixed-point equation terminates with zero steps taken
-    past it.
+    past it.  The run ends `error` at the first record whose residual,
+    step length or next iterate is not finite, and keeps that record.
     """
     if max_iter < 0:
         raise ContractViolation("max_iter must be nonnegative")
+    if not 0.0 <= tol < math.inf:
+        raise ContractViolation(f"tol must be finite and nonnegative, got {tol}")
     x = np.asarray(x0, dtype=float).copy()
     records: List[IterRecord] = []
     for k in range(max_iter + 1):
         rec = step(k, x)
         records.append(rec)
-        if not np.isfinite(rec.x_next).all():
+        if not (math.isfinite(rec.residual_s) and math.isfinite(rec.mu)
+                and np.isfinite(rec.x_next).all()):
             return Trajectory(records, x, "error")
         if rec.residual_s <= tol:
             return Trajectory(records, x, "converged")

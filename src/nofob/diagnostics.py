@@ -7,17 +7,29 @@ the constructed halfspaces must separate the iterate from the solution,
 and the projection step lengths must stay inside their a priori
 interval.  A least-squares rate fit supports the local linear-rate
 claims on strongly monotone instances.
+
+The checkers work on a whole trajectory at once: the iterates are
+stacked as the rows of k x n arrays, the recorded scalars collected into
+arrays, and every norm, inner product, guard and violation computed
+elementwise.  Only the kernel difference stays one call per record, so
+that a user's kernel sees the vectors it was written for.  The
+primitives (`linalg.weighted_row_norms`, `np.vecdot`, elementwise
+arithmetic in the per-record order) round as the per-record `x @ y` and
+`W @ x` do, so the reports equal those of the per-record transcriptions
+in `tests/conftest.py` bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import NofobProblem, Trajectory
-from .linalg import ContractViolation, SpdMetric, weighted_norm
+from .linalg import ContractViolation, SpdMetric, weighted_row_norms
 
 __all__ = [
     "CheckReport",
@@ -53,16 +65,34 @@ def _report(name, violations, tol, index=None):
     index gives the record of each violation when the checker skipped
     records; without it the violations are the records in order.
     """
-    if not violations:
-        return CheckReport(name, 0.0, None, True, tol)
     v = np.asarray(violations, dtype=float)
+    if v.size == 0:
+        return CheckReport(name, 0.0, None, True, tol)
     finite = np.isfinite(v)
     failing = ~finite | (v > tol)
     first = int(np.argmax(failing)) if failing.any() else None
     if first is not None and index is not None:
-        first = index[first]
+        first = int(index[first])
     worst = float(np.max(np.where(finite, v, np.abs(v))))
     return CheckReport(name, worst, first, first is None, tol)
+
+
+def _rows(arrays, k: int) -> np.ndarray:
+    """k equal-length vectors as the rows of a k x n array."""
+    return np.concatenate(arrays).reshape(k, -1)
+
+
+def _worse(a, b):
+    """Elementwise max(a, b) as Python takes it (a unless b > a), except
+    that a NaN in either wins."""
+    return np.where((b > a) | np.isnan(b), b, a)
+
+
+def _squares(norms: np.ndarray) -> np.ndarray:
+    """norm ** 2 by the C library's pow, as `weighted_norm(...) ** 2`
+    rounds; for about 1 norm in 1000 it differs from norm * norm in the
+    last bit."""
+    return np.fromiter(map(math.pow, norms.tolist(), repeat(2.0)), float, len(norms))
 
 
 def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric,
@@ -72,20 +102,26 @@ def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric,
     The projection gap ||x - Pi_H x||_S is reconstructed from the
     recorded step length as mu * ||Mx - Mx_hat||_{S^{-1}}, which is
     exact for the halfspace projection formula.  Distances chain by object
-    identity: a record whose x is the previous x_next array reuses it.
+    identity: a record whose x is the previous x_next array reuses it, and
+    only the x of the other records are measured.
     """
+    recs = traj.records
+    k = len(recs)
+    if k == 0:
+        return _report("fejer", (), tol)
     z = np.asarray(z_star, dtype=float)
-    violations = []
-    prev_next, after = None, 0.0
-    for rec in traj.records:
-        before = after if rec.x is prev_next else weighted_norm(s, rec.x - z) ** 2
-        after = weighted_norm(s, rec.x_next - z) ** 2
-        prev_next = rec.x_next
-        gap = rec.mu * rec.normal_inv_norm
+    fresh = [0] + [i for i in range(1, k) if recs[i].x is not recs[i - 1].x_next]
+    with np.errstate(over="ignore", invalid="ignore"):
+        after = _squares(weighted_row_norms(s, _rows([r.x_next for r in recs], k) - z))
+        before = np.empty(k)
+        before[1:] = after[:-1]
+        before[fresh] = _squares(weighted_row_norms(
+            s, _rows([recs[i].x for i in fresh], len(fresh)) - z))
+        mu = np.array([r.mu for r in recs], dtype=float)
+        theta = np.array([r.theta for r in recs], dtype=float)
+        gap = mu * np.array([r.normal_inv_norm for r in recs], dtype=float)
         guard = tol * (1.0 + before)
-        violations.append(
-            after - before + rec.theta * (2.0 - rec.theta) * gap * gap - guard + tol
-        )
+        violations = after - before + theta * (2.0 - theta) * gap * gap - guard + tol
     return _report("fejer", violations, tol)
 
 
@@ -96,20 +132,25 @@ def check_separation(traj: Trajectory, prob: NofobProblem, z_star: np.ndarray,
     Requires psi(x) >= (1 - beta/4)||x - x_hat||_P^2 and psi(z*) <= 0 for
     psi(z) = <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2, both
     recomputed from the kernel evaluator, one kernel difference per
-    record, rather than trusted from the records.
+    record, rather than trusted from the records.  A NaN in either
+    condition fails.
     """
+    recs = traj.records
+    k = len(recs)
+    if k == 0:
+        return _report("separation", (), tol)
     z = np.asarray(z_star, dtype=float)
-    violations = []
-    for rec in traj.records:
-        d = rec.x - rec.x_hat
-        m = prob.kernel_difference(rec.x, rec.x_hat)
-        gap = weighted_norm(prob.p_metric, d)
+    m = _rows([prob.kernel_difference(r.x, r.x_hat) for r in recs], k)
+    x_hat = _rows([r.x_hat for r in recs], k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _rows([r.x for r in recs], k) - x_hat
+        gap = weighted_row_norms(prob.p_metric, d)
         q = 0.25 * prob.beta * gap * gap
-        at_x = float(m @ d) - q
-        at_z = float(m @ (z - rec.x_hat)) - q
+        at_x = np.vecdot(m, d) - q
+        at_z = np.vecdot(m, z - x_hat) - q
         guard = tol * (1.0 + gap * gap)
         lower = (1.0 - prob.beta / 4.0) * gap * gap
-        violations.append(max(lower - at_x - guard + tol, at_z - guard + tol))
+        violations = _worse(lower - at_x - guard + tol, at_z - guard + tol)
     return _report("separation", violations, tol)
 
 
@@ -124,9 +165,10 @@ def check_mu_bounds(traj: Trajectory, beta: float, p: SpdMetric, s: SpdMetric,
     """
     lo = (1.0 - beta / 4.0) * p.lam_min / (kernel_lipschitz ** 2 / s.lam_min)
     hi = s.lam_max / p.lam_min
-    moved = [i for i, rec in enumerate(traj.records) if rec.mu != 0.0]
-    violations = [max(lo - traj.records[i].mu, traj.records[i].mu - hi) for i in moved]
-    return _report("mu-bounds", violations, tol, moved)
+    mu = np.array([r.mu for r in traj.records], dtype=float)
+    moved = np.flatnonzero(mu != 0.0)
+    mu = mu[moved]
+    return _report("mu-bounds", _worse(lo - mu, mu - hi), tol, moved)
 
 
 def fit_rate(residuals: Sequence[float], tail_fraction: float = 0.5):

@@ -7,7 +7,9 @@ and deterministic.  A scaled identity c I holds only its scalar c:
 `weighted_norm` and `solve` read c directly, with no `apply` call and
 no dense matrix, and skip the multiply or divide when c == 1.0, where
 it is exact.  Their results equal the dense metric's bit for bit
-wherever the dense route rounds once.
+wherever the dense route rounds once.  `weighted_row_norms` takes the
+norms of all rows of a k x n stack at once, bit for bit the per-row
+`weighted_norm`.
 
 `spectral_norm` and `largest_eig` read one extremal eigenvalue.  Below
 _LANCZOS_MIN_DIM they take it from a dense symmetric eigensolve; from
@@ -32,6 +34,7 @@ __all__ = [
     "ContractViolation",
     "SpdMetric",
     "weighted_norm",
+    "weighted_row_norms",
     "extremal_eig_bounds",
     "spectral_norm",
     "largest_eig",
@@ -211,3 +214,22 @@ def weighted_norm(w: SpdMetric, x: np.ndarray) -> float:
     else:
         wx = x if c == 1.0 else c * x
     return math.sqrt(max(float(x @ wx), 0.0))
+
+
+def weighted_row_norms(w: SpdMetric, rows: np.ndarray) -> np.ndarray:
+    """`weighted_norm(w, row)` of every row of a k x n stack, bit for bit.
+
+    W x is `c * rows` (rows itself at c = 1) or one stacked matvec
+    `matmul(W, rows[:, :, None])`, and each <x, W x> an `np.vecdot`; both
+    round as the per-row `W @ x` and `x @ wx` do.  The clamp at 0 keeps
+    Python's `max(d, 0.0)`, so a NaN stays NaN.
+    """
+    if rows.ndim != 2 or rows.shape[1] != w.dim:
+        raise ContractViolation("dimension mismatch")
+    c = w._scale
+    if c is None:
+        wx = np.matmul(w._matrix, rows[:, :, None])[:, :, 0]
+    else:
+        wx = rows if c == 1.0 else c * rows
+    d = np.vecdot(rows, wx)
+    return np.sqrt(np.where(0.0 > d, 0.0, d))

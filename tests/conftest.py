@@ -336,6 +336,11 @@ def _fejer_reference(traj, z_star, s, tol=DEFAULT_TOL):
     return _report("fejer", violations, tol)
 
 
+def _worse(a, b):
+    """max(a, b), except that a NaN in either wins."""
+    return b if b > a or b != b else a
+
+
 def _separation_reference(traj, prob, z_star, tol=DEFAULT_TOL):
     """`check_separation` through `_psi_value`, at x and at z* separately."""
     z = np.asarray(z_star, dtype=float)
@@ -346,8 +351,20 @@ def _separation_reference(traj, prob, z_star, tol=DEFAULT_TOL):
         at_z = _psi_value(prob, rec.x, rec.x_hat, z)
         guard = tol * (1.0 + gap * gap)
         lower = (1.0 - prob.beta / 4.0) * gap * gap
-        violations.append(max(lower - at_x - guard + tol, at_z - guard + tol))
+        violations.append(_worse(lower - at_x - guard + tol, at_z - guard + tol))
     return _report("separation", violations, tol)
+
+
+def _mu_bounds_reference(traj, beta, p, s, kernel_lipschitz, tol=1e-10):
+    """`check_mu_bounds` one record at a time, skipping the null steps."""
+    lo = (1.0 - beta / 4.0) * p.lam_min / (kernel_lipschitz ** 2 / s.lam_min)
+    hi = s.lam_max / p.lam_min
+    violations, index = [], []
+    for i, rec in enumerate(traj.records):
+        if rec.mu != 0.0:
+            violations.append(_worse(lo - rec.mu, rec.mu - hi))
+            index.append(i)
+    return _report("mu-bounds", violations, tol, index)
 
 
 @pytest.fixture
@@ -358,5 +375,6 @@ def psi_value():
 
 @pytest.fixture
 def audit_reference():
-    """Per-record Fejer and separation audits the chained audits are checked against."""
-    return SimpleNamespace(fejer=_fejer_reference, separation=_separation_reference)
+    """Per-record audits the array-form audits are checked against."""
+    return SimpleNamespace(fejer=_fejer_reference, separation=_separation_reference,
+                           mu_bounds=_mu_bounds_reference)

@@ -214,6 +214,24 @@ def test_theta_outside_the_open_interval_is_a_usage_error(theta, capsys):
     assert "--theta must lie in (0, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "check", "bench"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "inf", "--tol must be finite and nonnegative"),
+    ("--tol", "nan", "--tol must be finite and nonnegative"),
+    ("--tol", "-1", "--tol must be finite and nonnegative"),
+    ("--max-iter", "-1", "--max-iter must be nonnegative"),
+])
+def test_bad_tol_or_max_iter_is_a_usage_error(command, flag, value, message, capsys):
+    code = run_cli([command, "--problem", "rotation", "--algorithm", "fbf", flag, value])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_zero_tol_is_valid():
+    assert run_cli(["solve", "--problem", "rotation", "--algorithm", "fbf",
+                    "--tol", "0", "--max-iter", "3"]) == EXIT_MAX_ITER
+
+
 @pytest.mark.parametrize("problem, algorithm", [
     ("regquad-fbs", "fbs"), ("saddle", "afba-fixed"),
 ])

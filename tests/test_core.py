@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from nofob.algorithms import run_algorithm
 from nofob.core import (
     NofobProblem,
     nofob_iterate,
@@ -8,6 +11,7 @@ from nofob.core import (
     run_loop,
 )
 from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
+from nofob.problems import get_instance
 from nofob.rng import Lcg64
 
 
@@ -174,6 +178,39 @@ def test_run_loop_flags_non_finite_states():
 
     traj = run_loop(bad_step, np.ones(4), tol=0.0, max_iter=5)
     assert traj.status == "error"
+
+
+@pytest.mark.parametrize("field", ["residual_s", "mu"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_run_loop_ends_at_a_non_finite_residual_or_step_length(field, value):
+    prob = identity_kernel_problem()
+
+    def step(k, x):
+        rec = nofob_iterate(prob, k, x, 1.0)
+        return dataclasses.replace(rec, **{field: value}) if k == 2 else rec
+
+    traj = run_loop(step, np.ones(4), tol=0.0, max_iter=10)
+    assert (traj.status, traj.iterations) == ("error", 3)
+    assert np.array_equal(traj.final_x, traj.records[-1].x)
+
+
+def test_run_loop_ends_an_overflowing_run_at_once():
+    # plain forward-backward diverges on this witness; its residual
+    # overflows at k = 954 and the run ends there, keeping that record
+    with np.errstate(over="ignore"):
+        out = run_algorithm("fbs", get_instance("regquad-fbhf", 12), max_iter=1000)
+    traj = out.trajectory
+    assert (traj.status, traj.iterations) == ("error", 955)
+    assert traj.records[-1].residual_s == np.inf
+    assert all(np.isfinite(rec.residual_s) for rec in traj.records[:-1])
+    assert np.isfinite(traj.final_x).all()
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.inf, np.nan])
+def test_run_loop_rejects_a_negative_or_non_finite_tol(tol):
+    prob = identity_kernel_problem()
+    with pytest.raises(ContractViolation, match="tol must be finite and nonnegative"):
+        run_loop(unit_step(prob), np.ones(4), tol=tol, max_iter=5)
 
 
 def test_clamp_theta_keeps_inside_and_clamps_outside():

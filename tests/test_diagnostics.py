@@ -1,14 +1,18 @@
 import dataclasses
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from nofob.algorithms import ALGORITHMS, run_algorithm
 from nofob.cli import _corrupt
 from nofob.core import NofobProblem, Trajectory, nofob_iterate, null_record, run_loop
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.linalg import ContractViolation, SpdMetric
-from nofob.problems import REGISTRY, get_instance
+from nofob.problems import (REGISTRY, get_instance, make_regularized_quadratic,
+                            make_saddle_pd)
 from nofob.rng import Lcg64
 
 
@@ -106,6 +110,27 @@ def test_separation_at_solution_is_exact():
     traj = run_loop(unit_step(prob), z, tol=1e-12, max_iter=3)
     rep = check_separation(traj, prob, z)
     assert rep.passed and rep.max_violation <= 0.0
+
+
+@pytest.mark.parametrize("name, algorithm", [
+    ("regquad-full", "four-op"), ("saddle", "afba"),
+])
+def test_separation_fails_on_a_nan_solution(name, algorithm):
+    # at x the condition holds; at a NaN z* it is NaN, which must fail
+    out = run_algorithm(algorithm, get_instance(name))
+    rep = check_separation(out.trajectory, out.nofob_view, np.full(out.z_star.shape, np.nan))
+    assert not rep.passed
+    assert np.isnan(rep.max_violation) and rep.first_violating_iter == 0
+
+
+def test_separation_fails_on_a_nan_candidate():
+    out, _ = convergent_run()
+    records = list(out.trajectory.records)
+    records[3] = dataclasses.replace(records[3], x_hat=np.full(records[3].x.shape, np.nan))
+    traj = Trajectory(records, out.trajectory.final_x, "converged")
+    rep = check_separation(traj, out.nofob_view, out.z_star)
+    assert not rep.passed
+    assert np.isnan(rep.max_violation) and rep.first_violating_iter == 3
 
 
 def test_separation_fails_with_sign_flipped_kernel():
@@ -238,7 +263,7 @@ def test_checkers_are_pure():
 
 
 # ---------------------------------------------------------------------------
-# chained audits against the per-record reference
+# array-form audits against the per-record reference
 
 
 def _assert_same_report(got, ref):
@@ -248,12 +273,17 @@ def _assert_same_report(got, ref):
 
 
 def _assert_audits_match(out, audit_reference):
-    traj, z = out.trajectory, out.z_star
-    _assert_same_report(check_fejer(traj, z, out.s_metric),
-                        audit_reference.fejer(traj, z, out.s_metric))
-    if out.nofob_view is not None:
-        _assert_same_report(check_separation(traj, out.nofob_view, z),
-                            audit_reference.separation(traj, out.nofob_view, z))
+    """The three audits equal their references; returns the reports."""
+    traj, z, s, view = out.trajectory, out.z_star, out.s_metric, out.nofob_view
+    pairs = [(check_fejer(traj, z, s), audit_reference.fejer(traj, z, s))]
+    if view is not None:
+        mu_args = (traj, view.beta, view.p_metric, s, view.kernel_lipschitz)
+        pairs.append((check_separation(traj, view, z),
+                      audit_reference.separation(traj, view, z)))
+        pairs.append((check_mu_bounds(*mu_args), audit_reference.mu_bounds(*mu_args)))
+    for got, ref in pairs:
+        _assert_same_report(got, ref)
+    return [got for got, _ in pairs]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -283,3 +313,76 @@ def test_audits_match_the_reference_on_records_that_do_not_chain(audit_reference
     for traj in (_corrupt(out.trajectory), Trajectory(records, out.trajectory.final_x, "converged")):
         assert traj.records[5].x is not traj.records[4].x_next
         _assert_audits_match(dataclasses.replace(out, trajectory=traj), audit_reference)
+
+
+# ---------------------------------------------------------------------------
+# property: every accepted pair, across seeds and dimensions
+
+
+def _build(name, seed, n, m):
+    if name.startswith("regquad-"):
+        return make_regularized_quadratic(n=n, seed=seed, split=name.partition("-")[2])
+    if name == "saddle":
+        return make_saddle_pd(n=n, m=m, seed=seed)
+    return get_instance(name, seed)
+
+
+@cache
+def _accepted(name):
+    """The algorithms whose contract the registered problem meets."""
+    inst = get_instance(name)
+    accepted = []
+    for algorithm in ALGORITHMS:
+        try:
+            run_algorithm(algorithm, inst, max_iter=0)
+        except ContractViolation:
+            continue
+        accepted.append(algorithm)
+    return tuple(accepted)
+
+
+@st.composite
+def _cases(draw):
+    name = draw(st.sampled_from(REGISTRY))
+    sized = name.startswith("regquad-") or name == "saddle"
+    return (name, draw(st.sampled_from(_accepted(name))), draw(st.integers(0, 59)),
+            draw(st.integers(2, 20)) if sized else None,
+            draw(st.integers(1, 12)) if name == "saddle" else None,
+            # at tol = 0 a run reaches the round-off floor and takes null steps
+            draw(st.sampled_from([1e-8, 0.0])))
+
+
+# audit_reference is a stateless namespace, so sharing it between examples is safe
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cases())
+@example(("saddle", "afba", 3, 8, 6, 0.0))
+@example(("saddle", "afba-fixed", 5, 12, 4, 0.0))
+def test_array_audits_match_the_references_and_pass(audit_reference, case):
+    name, algorithm, seed, n, m, tol = case
+    inst = _build(name, seed, n, m)
+    out = run_algorithm(algorithm, inst, tol=tol, max_iter=200)
+    reports = _assert_audits_match(out, audit_reference)
+    _assert_audits_match(dataclasses.replace(out, trajectory=_corrupt(out.trajectory)),
+                         audit_reference)
+    c = inst.constants
+    if algorithm in ("fbs", "fbs-relaxed") and (c["l_d"] > 0.0 or c["k_norm"] > 0.0):
+        return  # plain forward-backward has no guarantee on these instances
+    if algorithm == "ps-explicit" and tol == 0.0:
+        # the explicit numerator's round-off at the floor moves mu off its
+        # bounds; see test_ps_explicit_mu_at_the_round_off_floor
+        reports = [r for r in reports if r.name != "mu-bounds"]
+    assert all(r.passed for r in reports), [r.line() for r in reports]
+
+
+@pytest.mark.xfail(strict=True, reason="the explicit projective-splitting numerator "
+                   "cancels at the round-off floor, so mu leaves its a priori bounds")
+def test_ps_explicit_mu_at_the_round_off_floor():
+    # mu = 1.00009 at record 71 and 1.00105 at record 72 (residuals 1.1e-13
+    # and 7.4e-14), above the upper bound 1
+    out = run_algorithm("ps-explicit", make_saddle_pd(n=19, m=2, seed=24),
+                        tol=0.0, max_iter=200)
+    view = out.nofob_view
+    rep = check_mu_bounds(out.trajectory, view.beta, view.p_metric, out.s_metric,
+                          view.kernel_lipschitz)
+    assert rep.passed, rep.line()

@@ -11,6 +11,7 @@ from nofob.linalg import (
     largest_eig,
     spectral_norm,
     weighted_norm,
+    weighted_row_norms,
 )
 from nofob.rng import Lcg64
 
@@ -174,6 +175,26 @@ def test_scalar_metric_norm_and_solve_read_the_scalar(monkeypatch, c):
     assert weighted_norm(scalar, x) == expected[0]
     assert np.array_equal(scalar.solve(x), expected[1])
     assert scalar not in applied
+
+
+@pytest.mark.parametrize("n", [3, 17, 300])
+def test_weighted_row_norms_are_the_per_row_norms_bit_for_bit(n):
+    # scaled identities at c = 1 and c != 1 and a dense metric; the rows
+    # span magnitudes and include a zero, a NaN and an inf row
+    rng = Lcg64(n)
+    rows = rng.matrix(40, n) * np.logspace(-8, 8, 40)[:, None]
+    rows[3] = 0.0
+    rows[5, 1] = np.nan
+    rows[7, 0] = np.inf
+    a = rng.matrix(n, n)
+    for w in (SpdMetric.identity(n), SpdMetric.scaled_identity(0.37, n),
+              SpdMetric(a @ a.T + n * np.eye(n))):
+        with np.errstate(invalid="ignore"):
+            got = weighted_row_norms(w, rows)
+            expected = [weighted_norm(w, row) for row in rows]
+        assert np.array_equal(got, expected, equal_nan=True)
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        weighted_row_norms(SpdMetric.identity(n + 1), rows)
 
 
 def test_lcg64_is_deterministic_and_spread():
