@@ -62,7 +62,7 @@ from .problems import (
 )
 from .projective import (
     PsProblem,
-    ps_explicit_iterate,
+    ps_explicit_oracle,
     stack_primal_dual,
 )
 from .rng import Lcg64

@@ -26,11 +26,11 @@ diagnostic checkers audit.  Names:
                      nonlinear when the problem carries one,
                      block-diagonal on stacked saddle problems, scalar
                      otherwise
-  ps-explicit, ps-resolvent   synchronous projective splitting; the
-                     resolvent form is the explicit step on the
-                     block-diagonal view, the explicit form runs the
-                     hand-written transcription on the same flat
-                     stacked vector
+  ps-explicit, ps-resolvent   synchronous projective splitting: the
+                     explicit step on the block-diagonal view of the
+                     stacked problem; ps-explicit swaps in Johnstone and
+                     Eckstein's explicit oracle, which touches only the
+                     primal proxes and the coupling maps
 
 On the saddle family a given tau is one step size per block of the
 stacked problem (two: the dual block, then the primal one); a single
@@ -66,7 +66,7 @@ from .fourop import (
 )
 from .linalg import ContractViolation, SpdMetric
 from .problems import ProblemInstance
-from .projective import PsProblem, ps_explicit_iterate
+from .projective import PsProblem, ps_explicit_oracle
 
 __all__ = ["RunOutput", "ALGORITHMS", "run_algorithm"]
 
@@ -140,7 +140,6 @@ class Kernel:
     audit: Optional[NofobProblem]  # the audits get it
     gamma: Optional[float] = None  # the scalar step size, reported
     c: float = 1.0  # fbs: 1 - beta_E gamma / 4, a factor of the relaxation
-    ps: Optional[PsProblem] = None  # ps-explicit: the problem it steps
 
 
 def _scalar(kind: str, e_free: bool):
@@ -229,31 +228,28 @@ def _natural(name, inst, gamma, tau, s):
     return Kernel(view, view)
 
 
-def _projective(name, inst, gamma, tau, s):
-    ps = inst.ps_view
-    if ps is None:
-        raise ContractViolation(f"{name} needs a problem with a projective view")
-    _takes_none(name, inst, gamma=gamma)
-    if tau is not None:
-        ps = ps.with_taus(_step_sizes(name, tau, ps.n))
-    view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), _s_or_identity(s, inst))
-    return Kernel(view, view, ps=ps)
+def _projective(explicit: bool):
+    """The block-diagonal view of the stacked problem; `explicit` swaps in
+    Johnstone and Eckstein's oracle for the stacked resolvent."""
+
+    def kernel(name, inst, gamma, tau, s):
+        ps = inst.ps_view
+        if ps is None:
+            raise ContractViolation(f"{name} needs a problem with a projective view")
+        _takes_none(name, inst, gamma=gamma)
+        if tau is not None:
+            ps = ps.with_taus(_step_sizes(name, tau, ps.n))
+        view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), _s_or_identity(s, inst))
+        if explicit:
+            # the view's kernel-difference cache of the oracle's x is never
+            # read: the stacked problem has D = 0 and BlockDiag is linear
+            view = dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps))
+        return Kernel(view, view)
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
-# steps: (kernel, theta, mu_hat) -> step(k, x)
-
-
-def _corrected(ker: Kernel, theta: float, mu_hat: Optional[float]):
-    view = ker.view
-    return lambda k, x: nofob_iterate(view, k, x, theta, mu_hat)
-
-
-def _explicit_ps(ker: Kernel, theta: float, mu_hat: Optional[float]):
-    ps = ker.ps
-    return lambda k, x: ps_explicit_iterate(ps, k, x, theta)
-
-
 # step lengths: Kernel -> mu_hat, None for the explicit mu
 _EXPLICIT = lambda ker: None
 _GAMMA = lambda ker: ker.gamma
@@ -271,7 +267,6 @@ class Row:
     mu_hat: Callable
     relax: Optional[Callable] = None
     identity_s: bool = False  # the step is taken in S = I; no other S is accepted
-    step: Callable = _corrected
 
 
 ROWS = {
@@ -284,8 +279,8 @@ ROWS = {
     "fbs": Row(_fbs, _GAMMA, _INVERSE_C, identity_s=True),
     "fbs-relaxed": Row(_fbs, _GAMMA, identity_s=True),
     "four-op": Row(_natural, _EXPLICIT),
-    "ps-explicit": Row(_projective, _EXPLICIT, identity_s=True, step=_explicit_ps),
-    "ps-resolvent": Row(_projective, _EXPLICIT),
+    "ps-explicit": Row(_projective(explicit=True), _EXPLICIT, identity_s=True),
+    "ps-resolvent": Row(_projective(explicit=False), _EXPLICIT),
 }
 
 ALGORITHMS = tuple(ROWS)
@@ -318,8 +313,9 @@ def run_algorithm(
         th = 1.0 if theta is None else float(theta)
     else:
         th = row.relax(ker.c)
-    step = row.step(ker, th * ker.c, row.mu_hat(ker))
+    view, step_theta, mu_hat = ker.view, th * ker.c, row.mu_hat(ker)
     x0 = inst.x0 if x0 is None else np.asarray(x0, dtype=float)
-    traj = run_loop(step, x0, tol, max_iter)
+    traj = run_loop(lambda k, x: nofob_iterate(view, k, x, step_theta, mu_hat),
+                    x0, tol, max_iter)
     return RunOutput(inst, name, traj, ker.view.s_metric, inst.oracle, ker.audit,
                      gamma=ker.gamma, theta=th)

@@ -87,7 +87,6 @@ class IterRecord:
     residual_s: float
     psi_at_x: float
     normal_inv_norm: float
-    mu_hat: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -127,10 +126,9 @@ def separation_fails(num: float, den: float, residual: float, x_norm: float) -> 
     return False
 
 
-def null_record(k: int, x, x_hat, theta: float, residual: float,
-                mu_hat: Optional[float] = None) -> IterRecord:
+def null_record(k: int, x, x_hat, theta: float, residual: float) -> IterRecord:
     """The record of a step that leaves x where it is."""
-    return IterRecord(k, x, x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0, mu_hat)
+    return IterRecord(k, x, x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0)
 
 
 def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
@@ -151,22 +149,21 @@ def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
     residual = weighted_norm(prob.s_metric, diff)
     x_norm = weighted_norm(prob.s_metric, x)
     if coincides(residual, x_norm):
-        return null_record(k, x, x_hat, theta, residual, mu_hat)
+        return null_record(k, x, x_hat, theta, residual)
     m = prob.kernel_difference(x, x_hat)
     pg = weighted_norm(prob.p_metric, diff)
     num = float(m @ diff) - 0.25 * prob.beta * pg * pg
     s_inv_m = prob.s_metric.solve(m)
     den = float(m @ s_inv_m)
     if separation_fails(num, den, residual, x_norm):
-        return null_record(k, x, x_hat, theta, residual, mu_hat)
+        return null_record(k, x, x_hat, theta, residual)
     mu = num / den
     if mu_hat is None:
         x_next = x - theta * mu * s_inv_m
     else:
         x_next = x - theta * mu_hat * s_inv_m
         theta = theta * mu_hat / mu
-    return IterRecord(k, x, x_hat, x_next, mu, theta, residual, num,
-                      math.sqrt(den), mu_hat)
+    return IterRecord(k, x, x_hat, x_next, mu, theta, residual, num, math.sqrt(den))
 
 
 def clamp_theta(theta: float) -> float:
@@ -191,7 +188,9 @@ def run_loop(
     iterate before the update is applied, so a point that already
     satisfies the fixed-point equation terminates with zero steps taken
     past it.  The run ends `error` at the first record whose residual,
-    step length or next iterate is not finite, and keeps that record.
+    step length, separation value, normal norm or next iterate is not
+    finite, and keeps that record; numpy's overflow and invalid-value
+    warnings are silenced for the run, since that status reports them.
     """
     if max_iter < 0:
         raise ContractViolation("max_iter must be nonnegative")
@@ -199,15 +198,18 @@ def run_loop(
         raise ContractViolation(f"tol must be finite and nonnegative, got {tol}")
     x = np.asarray(x0, dtype=float).copy()
     records: List[IterRecord] = []
-    for k in range(max_iter + 1):
-        rec = step(k, x)
-        records.append(rec)
-        if not (math.isfinite(rec.residual_s) and math.isfinite(rec.mu)
-                and np.isfinite(rec.x_next).all()):
-            return Trajectory(records, x, "error")
-        if rec.residual_s <= tol:
-            return Trajectory(records, x, "converged")
-        if k == max_iter:
-            break
-        x = rec.x_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iter + 1):
+            rec = step(k, x)
+            records.append(rec)
+            if not (math.isfinite(rec.residual_s) and math.isfinite(rec.mu)
+                    and math.isfinite(rec.psi_at_x)
+                    and math.isfinite(rec.normal_inv_norm)
+                    and np.isfinite(rec.x_next).all()):
+                return Trajectory(records, x, "error")
+            if rec.residual_s <= tol:
+                return Trajectory(records, x, "converged")
+            if k == max_iter:
+                break
+            x = rec.x_next
     return Trajectory(records, x, "max_iter")

@@ -244,8 +244,10 @@ class AffinePlusSkew(KernelSpec):
 class SeparableNonlinear(KernelSpec):
     """Coordinatewise nonlinear kernel Q x = phi(x).
 
-    Requires D = 0 and a coordinate-separable B so that the backward
-    step phi(x) + Bx containing v splits into scalar root problems.
+    Requires a coordinate-separable B so that the backward step
+    phi(x) + Bx containing v splits into scalar root problems.  D and K
+    stay forward: the resolvent never sees them, and `as_nofob` takes
+    L_D off the metric.
     """
 
     def __init__(self, kernel: NonlinearKernel):
@@ -254,8 +256,6 @@ class SeparableNonlinear(KernelSpec):
         self.kernel = kernel
 
     def check(self, prob):
-        if prob.d.lipschitz_constant != 0.0:
-            raise ContractViolation("nonlinear kernels require D = 0")
         if not getattr(prob.b, "separable", False):
             raise ContractViolation("nonlinear kernels require a separable B")
 

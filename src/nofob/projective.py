@@ -5,22 +5,21 @@ flat vector p = (w_1, ..., w_{n-1}, x), with B carrying the dual inverses
 (realized through Moreau's identity) and K the skew coupling built from
 the L_i.  `PsProblem` owns that stacked problem (`stacked`, built once by
 `stack_primal_dual`), and every step splits p with its `BlockProx.split`.
-Two equivalent iterations are provided: the resolvent form, which is the
-corrected step of core on the block-diagonal kernel view of the stacked
-problem (`as_nofob(ps.stacked(), BlockDiag(ps.q_weights), s)`, the
-`ps-resolvent` row), and the explicit form of Johnstone and Eckstein that
-only touches the primal resolvents and the L_i maps, written out by hand
-as a cross-check (`ps-explicit`).  Their trajectories coincide; tests
-exploit this as a runtime oracle.
+Both forms are the corrected step of core on the block-diagonal kernel
+view of the stacked problem (`as_nofob(ps.stacked(), BlockDiag(ps.q_weights),
+s)`), and they differ only in the oracle.  The resolvent form
+(`ps-resolvent`) resolves the stacked B.  The explicit form of Johnstone
+and Eckstein (`ps-explicit`) swaps in `ps_explicit_oracle`, which
+touches only the primal resolvents and the L_i maps.  Their trajectories
+coincide to round-off; tests exploit this as a runtime oracle.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .core import IterRecord, coincides, null_record, separation_fails
 from .fourop import FourOpProblem, zero_cocoercive, zero_forward
 from .linalg import ContractViolation
 from .operators import BlockProx, ProxOperator, SkewMap, inverse_via_moreau
@@ -28,7 +27,7 @@ from .operators import BlockProx, ProxOperator, SkewMap, inverse_via_moreau
 __all__ = [
     "PsProblem",
     "stack_primal_dual",
-    "ps_explicit_iterate",
+    "ps_explicit_oracle",
 ]
 
 
@@ -112,64 +111,38 @@ def stack_primal_dual(ps: PsProblem) -> FourOpProblem:
                          k=SkewMap(kmat), dim=total)
 
 
-def ps_explicit_iterate(ps: PsProblem, k: int, p: np.ndarray, theta: float) -> IterRecord:
-    """One corrected step in explicit form, touching only primal proxes.
+def ps_explicit_oracle(ps: PsProblem) -> Callable[[np.ndarray], np.ndarray]:
+    """Johnstone and Eckstein's explicit candidate, p -> p_hat.
 
-    Johnstone and Eckstein's synchronous projective splitting step as
-    published, kept as a cross-check of the resolvent form.  p is the
-    stacked vector (w_1, ..., w_{n-1}, x) and is the record's x.  Each
-    dual pair (v_hat_i, w_hat_i) and the primal pair (x_hat, y_hat) are
-    certified to lie on their operator graphs through prox residuals.
+    It touches only the primal proxes and the L_i maps: x_hat from A_n's
+    prox, each v_hat_i from A_i's prox, and w_hat_i read off the dual
+    graph.  p and p_hat are stacked as (w_1, ..., w_{n-1}, x).  Each pair
+    (v_hat_i, w_hat_i) and the primal pair (x_hat, y_hat) are certified
+    to lie on their operator graphs through prox residuals.  In exact
+    arithmetic p_hat is the block-diagonal view's (Q + B)^{-1}(Q - K) p,
+    and the corrected step's normal (Q - K)(p - p_hat) is the published
+    (t_1, ..., t_{n-1}, t*).
     """
-    taus = ps.taus
-    tau_n = taus[-1]
-    *duals, x = ps.stacked().b.split(p)
-    lsw = sum(
-        (m.T @ w for m, w in zip(ps.l_maps, duals)),
-        np.zeros(ps.primal_dim),
-    )
-    x_hat = np.asarray(ps.a_ops[-1].evaluator(tau_n, x - tau_n * lsw), dtype=float)
-    y_hat = (x / tau_n - lsw) - x_hat / tau_n
-    _assert_graph(ps.a_ops[-1], tau_n, x_hat, y_hat)
+    taus, l_maps, a_ops = ps.taus, ps.l_maps, ps.a_ops
+    tau_n, a_n = taus[-1], a_ops[-1]
+    split = ps.stacked().b.split
+    zero = np.zeros(ps.primal_dim)
 
-    v_hats, w_hats = [], []
-    for m, w, tau, op in zip(ps.l_maps, duals, taus[:-1], ps.a_ops[:-1]):
-        lx = m @ x
-        v_hat = np.asarray(op.evaluator(tau, lx + tau * w), dtype=float)
-        w_hat = w + lx / tau - v_hat / tau
-        _assert_graph(op, tau, v_hat, w_hat)
-        v_hats.append(v_hat)
-        w_hats.append(w_hat)
+    def oracle(p):
+        *duals, x = split(p)
+        lsw = sum((m.T @ w for m, w in zip(l_maps, duals)), zero)
+        x_hat = np.asarray(a_n.evaluator(tau_n, x - tau_n * lsw), dtype=float)
+        _assert_graph(a_n, tau_n, x_hat, (x / tau_n - lsw) - x_hat / tau_n)
+        w_hats = []
+        for m, w, tau, op in zip(l_maps, duals, taus[:-1], a_ops[:-1]):
+            lx = m @ x
+            v_hat = np.asarray(op.evaluator(tau, lx + tau * w), dtype=float)
+            w_hat = w + lx / tau - v_hat / tau
+            _assert_graph(op, tau, v_hat, w_hat)
+            w_hats.append(w_hat)
+        return np.concatenate([*w_hats, x_hat])
 
-    t_star = y_hat + sum(
-        (m.T @ wh for m, wh in zip(ps.l_maps, w_hats)),
-        np.zeros(ps.primal_dim),
-    )
-    t_list = [vh - m @ x_hat for vh, m in zip(v_hats, ps.l_maps)]
-
-    # The published numerator (sum <t_i, w_i> - <v_i, w_hat_i>) + <t*, x>
-    # - <y_hat, x_hat> cancels O(1) terms down to a residual-squared
-    # value; this equal regrouping from the equivalence derivation keeps
-    # every factor residual-sized.
-    num = (
-        sum(float((vh - m @ x) @ (w - wh))
-            for vh, m, w, wh in zip(v_hats, ps.l_maps, duals, w_hats))
-        + float((y_hat + lsw) @ (x - x_hat))
-    )
-    den = sum(float(t @ t) for t in t_list) + float(t_star @ t_star)
-
-    p_hat = np.concatenate([*w_hats, x_hat])
-    residual = float(np.linalg.norm(p - p_hat))
-    p_norm = float(np.linalg.norm(p))
-    if coincides(residual, p_norm) or separation_fails(num, den, residual, p_norm):
-        return null_record(k, p, p_hat, theta, residual)
-    mu = num / den
-    p_next = np.concatenate([*(w - theta * mu * t for w, t in zip(duals, t_list)),
-                             x - theta * mu * t_star])
-    return IterRecord(
-        k=k, x=p, x_hat=p_hat, x_next=p_next, mu=mu, theta=theta,
-        residual_s=residual, psi_at_x=num, normal_inv_norm=float(np.sqrt(den)),
-    )
+    return oracle
 
 
 def _assert_graph(op: ProxOperator, tau: float, point: np.ndarray, val: np.ndarray):

@@ -1,13 +1,15 @@
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nofob.core import IterRecord, coincides, null_record, separation_fails
+from nofob.core import IterRecord, coincides, nofob_iterate, null_record, separation_fails
 from nofob.diagnostics import DEFAULT_TOL, _report
-from nofob.fourop import StepParameterWarning, gamma_bound_conservative
-from nofob.linalg import ContractViolation, weighted_norm
+from nofob.fourop import BlockDiag, StepParameterWarning, as_nofob, gamma_bound_conservative
+from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
+from nofob.projective import ps_explicit_oracle
 from nofob.rng import Lcg64
 
 
@@ -71,7 +73,7 @@ def _conservative_iterate(prob, gamma, k, x):
     residual = float(np.linalg.norm(x - x_hat))
     x_norm = float(np.linalg.norm(x))
     if coincides(residual, x_norm):
-        return null_record(k, x, x_hat, 1.0, residual, gamma)
+        return null_record(k, x, x_hat, 1.0, residual)
     dk_gap = (prob.d(x_hat) + prob.k(x_hat)) - (prob.d(x) + prob.k(x))
     x_next = x_hat - gamma * dk_gap
     diff = x - x_hat
@@ -79,12 +81,11 @@ def _conservative_iterate(prob, gamma, k, x):
     num = float(m @ diff) - 0.25 * prob.e.inverse_cocoercivity * float(diff @ diff)
     den = float(m @ m)
     if separation_fails(num, den, residual, x_norm):
-        return null_record(k, x, x_hat, 1.0, residual, gamma)
+        return null_record(k, x, x_hat, 1.0, residual)
     mu = num / den
     return IterRecord(
         k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=gamma / mu,
         residual_s=residual, psi_at_x=num, normal_inv_norm=float(np.sqrt(den)),
-        mu_hat=gamma,
     )
 
 
@@ -242,6 +243,25 @@ def _ps_mu_terms(ps, p, p_hat):
 def ps_mu_terms_reference():
     """Published explicit numerator and denominator, checked against the weighted forms."""
     return _ps_mu_terms
+
+
+# ---------------------------------------------------------------------------
+# the explicit projective-splitting step, shared by the equivalence tests
+
+
+def _ps_explicit_step(ps, k, p, theta):
+    """One `ps-explicit` step from the stacked vector p, as the row takes it:
+    the corrected step in S = I on the block-diagonal view, with
+    Johnstone and Eckstein's explicit oracle swapped in."""
+    view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
+    return nofob_iterate(dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps)),
+                         k, p, theta)
+
+
+@pytest.fixture
+def ps_explicit_step():
+    """The explicit projective-splitting step the equivalence tests run."""
+    return _ps_explicit_step
 
 
 # ---------------------------------------------------------------------------

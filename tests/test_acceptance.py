@@ -25,7 +25,6 @@ from nofob.fourop import (
 from nofob.linalg import SpdMetric
 from nofob.operators import CocoerciveMap, LipschitzMap, SkewMap, zero_operator
 from nofob.problems import REGISTRY, fixed_point_residual, get_instance
-from nofob.projective import ps_explicit_iterate
 from nofob.rng import Lcg64
 
 COMPAT = {
@@ -182,14 +181,14 @@ def test_fbs_redundant_projection_identity(fbs_relaxed_reference):
     passed(f"FBS redundant-projection identity holds, worst dev {worst:.2e}")
 
 
-def test_projective_splitting_equivalence():
+def test_projective_splitting_equivalence(ps_explicit_step):
     inst = get_instance("saddle")
     ps = inst.ps_view
     view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
     a = b = inst.x0
     worst = 0.0
     for k in range(200):
-        a = ps_explicit_iterate(ps, k, a, 1.0).x_next
+        a = ps_explicit_step(ps, k, a, 1.0).x_next
         b = nofob_iterate(view, k, b, 1.0).x_next
         worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-10

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_run_loop_flags_non_finite_states():
     assert traj.status == "error"
 
 
-@pytest.mark.parametrize("field", ["residual_s", "mu"])
+@pytest.mark.parametrize("field", ["residual_s", "mu", "psi_at_x", "normal_inv_norm"])
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_run_loop_ends_at_a_non_finite_residual_or_step_length(field, value):
     prob = identity_kernel_problem()
@@ -196,9 +197,12 @@ def test_run_loop_ends_at_a_non_finite_residual_or_step_length(field, value):
 
 def test_run_loop_ends_an_overflowing_run_at_once():
     # plain forward-backward diverges on this witness; its residual
-    # overflows at k = 954 and the run ends there, keeping that record
-    with np.errstate(over="ignore"):
+    # overflows at k = 954 and the run ends there, keeping that record,
+    # with no numpy warning on the way: the `error` status reports it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         out = run_algorithm("fbs", get_instance("regquad-fbhf", 12), max_iter=1000)
+    assert [str(w.message) for w in caught] == []
     traj = out.trajectory
     assert (traj.status, traj.iterations) == ("error", 955)
     assert traj.records[-1].residual_s == np.inf

@@ -358,6 +358,8 @@ def _cases(draw):
 @given(_cases())
 @example(("saddle", "afba", 3, 8, 6, 0.0))
 @example(("saddle", "afba-fixed", 5, 12, 4, 0.0))
+@example(("saddle", "ps-explicit", 24, 19, 2, 0.0))
+@example(("saddle", "ps-explicit", 16, 5, 3, 0.0))
 def test_array_audits_match_the_references_and_pass(audit_reference, case):
     name, algorithm, seed, n, m, tol = case
     inst = _build(name, seed, n, m)
@@ -368,21 +370,5 @@ def test_array_audits_match_the_references_and_pass(audit_reference, case):
     c = inst.constants
     if algorithm in ("fbs", "fbs-relaxed") and (c["l_d"] > 0.0 or c["k_norm"] > 0.0):
         return  # plain forward-backward has no guarantee on these instances
-    if algorithm == "ps-explicit" and tol == 0.0:
-        # the explicit numerator's round-off at the floor moves mu off its
-        # bounds; see test_ps_explicit_mu_at_the_round_off_floor
-        reports = [r for r in reports if r.name != "mu-bounds"]
     assert all(r.passed for r in reports), [r.line() for r in reports]
 
-
-@pytest.mark.xfail(strict=True, reason="the explicit projective-splitting numerator "
-                   "cancels at the round-off floor, so mu leaves its a priori bounds")
-def test_ps_explicit_mu_at_the_round_off_floor():
-    # mu = 1.00009 at record 71 and 1.00105 at record 72 (residuals 1.1e-13
-    # and 7.4e-14), above the upper bound 1
-    out = run_algorithm("ps-explicit", make_saddle_pd(n=19, m=2, seed=24),
-                        tol=0.0, max_iter=200)
-    view = out.nofob_view
-    rep = check_mu_bounds(out.trajectory, view.beta, view.p_metric, out.s_metric,
-                          view.kernel_lipschitz)
-    assert rep.passed, rep.line()

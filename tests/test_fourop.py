@@ -26,10 +26,12 @@ from nofob.operators import (
     LipschitzMap,
     NonlinearKernel,
     SkewMap,
+    affine_operator,
+    l1_plus_diag_affine,
     l1_subdifferential,
     zero_operator,
 )
-from nofob.problems import get_instance
+from nofob.problems import ProblemInstance, fixed_point_residual, get_instance
 from nofob.rng import Lcg64
 
 
@@ -580,11 +582,83 @@ def test_fbs_redundant_projection_identity_over_100_iterations(fbs_relaxed_refer
 # nonlinear kernels
 
 
-def test_separable_nonlinear_spec_requires_d_zero():
-    prob = seeded_problem()  # has D != 0
+def test_separable_nonlinear_spec_takes_d_and_requires_a_separable_b():
+    prob = seeded_problem(with_e=False)  # D != 0 with L_D < 1, K != 0, separable B
     kernel = NonlinearKernel(phi=lambda x: x, sigma=1.0, ell=1.0)
-    with pytest.raises(ContractViolation):
-        fb(prob, SeparableNonlinear(kernel), np.zeros(prob.dim))
+    view = as_nofob(prob, SeparableNonlinear(kernel), SpdMetric.identity(prob.dim))
+    assert view.p_metric.lam_min == pytest.approx(1.0 - prob.d.lipschitz_constant,
+                                                  rel=1e-14)
+    dense = FourOpProblem(b=affine_operator(np.eye(prob.dim), np.zeros(prob.dim)),
+                          d=prob.d, e=prob.e, k=prob.k, dim=prob.dim)
+    with pytest.raises(ContractViolation, match="separable B"):
+        fb(dense, SeparableNonlinear(kernel), np.zeros(prob.dim))
+
+
+ARCTAN_KERNEL = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
+
+
+def planted_nonlinear_drift(n, seed, w_square=0.3, lam=0.3):
+    """A bundle for the kernel phi - D - K, nonlinear and nonsymmetric at
+    once, with a planted solution z*; not a registered problem.
+
+    phi(t) = t + arctan t (sigma = 1, ell = 2).  D(x) = G x + W^T tanh(W x)
+    with G = 0.2 I + a skew part of norm 0.2: monotone, since W^T tanh(W x)
+    is the gradient of a convex function, and L_D = ||G|| + ||W||^2, about
+    0.58 at the default ||W||^2 = 0.3.  K is a seeded skew map, E = 0 and
+    B = lam subdiff ||.||_1 + diag(d) x - b.  With v in the subdifferential
+    of ||.||_1 at a sparse z*, b = lam v + d z* + D z* + K z* makes z* exact.
+    """
+    rng = Lcg64(seed)
+    r = rng.matrix(n, n)
+    g = 0.2 * np.eye(n) + 0.2 * (r - r.T) / np.linalg.norm(r - r.T, 2)
+    w = rng.matrix(n // 2, n)
+    w *= np.sqrt(w_square) / np.linalg.norm(w, 2)
+    l_d = float(np.linalg.norm(g, 2)) + w_square
+    d = LipschitzMap(lambda x: g @ x + w.T @ np.tanh(w @ x), l_d)
+    r = rng.matrix(n, n)
+    k = SkewMap(0.5 * (r - r.T) / np.sqrt(n))
+    picks = rng.vector(n)
+    z_star = np.where(np.abs(picks) > 0.5, 2.0 * picks, 0.0)
+    v = np.where(z_star != 0.0, np.sign(z_star), 0.9 * rng.vector(n))
+    d_diag = 0.5 + rng.vector(n) ** 2
+    b_vec = lam * v + d_diag * z_star + d(z_star) + k(z_star)
+    bundle = FourOpProblem(b=l1_plus_diag_affine(lam, d_diag, b_vec), d=d,
+                           e=zero_cocoercive(n), k=k, dim=n)
+    return ProblemInstance(
+        name="nonlinear-drift", n=n, bundle=bundle, oracle=z_star,
+        constants={"l_d": l_d, "beta_e": 0.0, "k_norm": k.operator_norm,
+                   "sigma": float(d_diag.min())},
+        seed=seed, x0=rng.vector(n), nonlinear_spec=SeparableNonlinear(ARCTAN_KERNEL),
+    )
+
+
+@pytest.mark.parametrize("n", [20, 200])
+@pytest.mark.parametrize("seed", range(10))
+def test_four_op_on_a_nonlinear_nonsymmetric_kernel_reaches_the_planted_solution(seed, n):
+    inst = planted_nonlinear_drift(n, seed)
+    assert 0.5 < inst.constants["l_d"] < 0.6
+    assert fixed_point_residual(inst.bundle, inst.oracle) <= 1e-12
+    out = run_algorithm("four-op", inst)
+    view = out.nofob_view
+    assert view.p_metric.lam_min == pytest.approx(1.0 - inst.constants["l_d"], rel=1e-14)
+    traj = out.trajectory
+    assert traj.status == "converged" and traj.iterations <= 60
+    assert np.linalg.norm(traj.final_x - inst.oracle) <= 1e-6
+    reports = [
+        check_fejer(traj, out.z_star, out.s_metric),
+        check_separation(traj, view, out.z_star),
+        check_mu_bounds(traj, view.beta, view.p_metric, out.s_metric,
+                        view.kernel_lipschitz),
+    ]
+    assert all(r.passed for r in reports), [r.line() for r in reports]
+
+
+def test_nonlinear_kernel_at_or_below_l_d_is_rejected():
+    # ||W||^2 = 0.8 puts L_D near 1.08, past the kernel's sigma = 1
+    inst = planted_nonlinear_drift(20, 0, w_square=0.8)
+    assert inst.constants["l_d"] >= ARCTAN_KERNEL.sigma
+    with pytest.raises(ContractViolation, match="not positive definite"):
+        run_algorithm("four-op", inst)
 
 
 def test_separable_nonlinear_linear_phi_matches_scalar_kernel():

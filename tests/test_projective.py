@@ -10,12 +10,8 @@ from nofob.operators import (
     l1_subdifferential,
     zero_operator,
 )
-from nofob.problems import get_instance
-from nofob.projective import (
-    PsProblem,
-    ps_explicit_iterate,
-    stack_primal_dual,
-)
+from nofob.problems import get_instance, make_saddle_pd
+from nofob.projective import PsProblem, stack_primal_dual
 from nofob.rng import Lcg64
 
 
@@ -181,24 +177,24 @@ def test_resolvent_matches_blockdiag_four_op_view():
 # explicit formulation and the equivalence
 
 
-def test_explicit_zero_operators_match_resolvent():
+def test_explicit_zero_operators_match_resolvent(ps_explicit_step):
     rng = Lcg64(34)
     l = rng.matrix(2, 3)
     ps = zero_ps(l=l, taus=(0.7, 1.3))
     p = np.concatenate([rng.vector(2), rng.vector(3)])
-    rec_a = ps_explicit_iterate(ps, 0, p, 1.0)
+    rec_a = ps_explicit_step(ps, 0, p, 1.0)
     rec_b = ps_resolvent_iterate(ps, 0, p, 1.0)
     assert rec_a.x is p
     assert np.allclose(rec_a.x_next, rec_b.x_next, atol=1e-12)
     assert rec_a.mu == pytest.approx(rec_b.mu, rel=1e-10)
 
 
-def test_explicit_hand_formulas_on_zero_operators():
+def test_explicit_hand_formulas_on_zero_operators(ps_explicit_step):
     rng = Lcg64(35)
     l = rng.matrix(2, 3)
     ps = zero_ps(l=l, taus=(0.7, 1.3))
     w, x = rng.vector(2), rng.vector(3)
-    rec = ps_explicit_iterate(ps, 0, np.concatenate([w, x]), 1.0)
+    rec = ps_explicit_step(ps, 0, np.concatenate([w, x]), 1.0)
     # with A_i = 0 the resolvents are identities
     x_hat = x - 1.3 * (l.T @ w)
     v_hat = l @ x + 0.7 * w
@@ -215,26 +211,30 @@ def test_explicit_hand_formulas_on_zero_operators():
     )
 
 
-def test_equivalence_on_saddle_for_200_iterations():
-    inst = get_instance("saddle")
+@pytest.mark.parametrize("seed, n, m", [(2026, 8, 6), (24, 19, 2), (16, 5, 3)])
+def test_equivalence_on_saddle_for_200_iterations(ps_explicit_step, seed, n, m):
+    # the explicit and resolvent oracles agree to round-off all the way
+    # down to the floor, on the registry instance and on the two that
+    # left the mu bounds there while the explicit form had its own step
+    inst = make_saddle_pd(n=n, m=m, seed=seed)
     ps = inst.ps_view
     p_a = p_b = inst.x0
     worst = 0.0
     for k in range(200):
-        p_a = ps_explicit_iterate(ps, k, p_a, 1.0).x_next
+        p_a = ps_explicit_step(ps, k, p_a, 1.0).x_next
         p_b = ps_resolvent_iterate(ps, k, p_b, 1.0).x_next
         worst = max(worst, float(np.max(np.abs(p_a - p_b))))
-    assert worst <= 1e-10
+    assert worst <= 1e-13
     assert np.max(np.abs(p_a - inst.oracle)) <= 1e-7
 
 
-def test_explicit_numerator_and_denominator_identities(ps_mu_terms_reference):
+def test_explicit_numerator_and_denominator_identities(ps_mu_terms_reference, ps_explicit_step):
     inst = get_instance("saddle")
     ps = inst.ps_view
     p = inst.x0
     checked = 0
     for k in range(60):
-        rec = ps_explicit_iterate(ps, k, p, 1.0)
+        rec = ps_explicit_step(ps, k, p, 1.0)
         if rec.residual_s > 1e-3:
             num_pub, num_w, den_e, den_w = ps_mu_terms_reference(ps, p, rec.x_hat)
             assert num_pub == pytest.approx(num_w, rel=1e-9)
@@ -246,10 +246,10 @@ def test_explicit_numerator_and_denominator_identities(ps_mu_terms_reference):
     assert checked >= 10
 
 
-def test_explicit_fixed_point_at_oracle():
+def test_explicit_fixed_point_at_oracle(ps_explicit_step):
     inst = get_instance("saddle")
     ps = inst.ps_view
-    rec = ps_explicit_iterate(ps, 0, inst.oracle, 1.0)
+    rec = ps_explicit_step(ps, 0, inst.oracle, 1.0)
     assert np.max(np.abs(rec.x_next - inst.oracle)) <= 1e-9
     assert rec.mu == 0.0
 
