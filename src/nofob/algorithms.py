@@ -308,13 +308,15 @@ def run_algorithm(
         raise ContractViolation(f"theta must lie in (0, 2), got {theta}")
     if row.relax is not None:
         _takes_none(name, inst, theta=theta)
+    x0 = inst.x0 if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (inst.bundle.dim,):
+        raise ContractViolation("x0 must be a vector of length n")
     ker = row.kernel(name, inst, gamma, tau, s_metric)
     if row.relax is None:
         th = 1.0 if theta is None else float(theta)
     else:
         th = row.relax(ker.c)
     view, step_theta, mu_hat = ker.view, th * ker.c, row.mu_hat(ker)
-    x0 = inst.x0 if x0 is None else np.asarray(x0, dtype=float)
     traj = run_loop(lambda k, x: nofob_iterate(view, k, x, step_theta, mu_hat),
                     x0, tol, max_iter)
     return RunOutput(inst, name, traj, ker.view.s_metric, inst.oracle, ker.audit,

@@ -19,8 +19,20 @@ core, and is the one place where a view's P, beta and L_M are derived;
 zero by construction (`zero_forward`, `zero_cocoercive`, an all-zero
 `SkewMap`) says so through `is_zero`, and `FourOpProblem.forward` and
 both views never evaluate it; the sums they skip would only add zeros.
-On the linear kernels (ScalarStep, BlockDiag, AffinePlusSkew) the kernel
-difference forms x - x_hat once and applies Q and K to it.
+
+Both views apply the live maps that declare a matrix (a D built by
+`LipschitzMap.linear`, an E built by `CocoerciveMap.affine`, and K) as a
+`LinearPart`, summed once per view: F = D + K + H, with E's shift, in
+the oracle's forward step, and G = D + K in the kernel, so that one
+iteration makes two dense products and one audited kernel difference
+one.  A part of one map is that map's own matrix, not a sum.  A live D
+or E that declares no matrix, such as a nonlinear D, is still called
+map by map, and the kernel difference at the oracle's own x reuses the
+oracle's D x.  `FourOpProblem.forward` keeps its map-by-map sum: it
+serves the oracle certificate, where it is an independent cross-check of
+the summed matrices.  On the linear kernels (ScalarStep, BlockDiag,
+AffinePlusSkew) the kernel difference forms x - x_hat once and applies
+Q and G to it.
 Also provides the step-size bound formulas and the fixed-relaxation
 positive semidefiniteness check.
 """
@@ -52,6 +64,7 @@ __all__ = [
     "AffinePlusSkew",
     "SeparableNonlinear",
     "StepParameterWarning",
+    "LinearPart",
     "zero_forward",
     "zero_cocoercive",
     "as_nofob",
@@ -84,21 +97,64 @@ class FourOpProblem:
     dim: int
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """(D + K + E) x."""
-        out = self._forward(x, None)
+        """(D + K + E) x, summed map by map in that order over the maps
+        that are not zero.
+
+        The views apply the linear maps as summed matrices instead; this
+        sum serves the oracle certificate, where it stays an independent
+        cross-check of theirs."""
+        out = None
+        for op in (self.d, self.k, self.e):
+            if not op.is_zero:
+                out = op(x) if out is None else out + op(x)
         return np.zeros(self.dim) if out is None else out
 
-    def _forward(self, x, dx):
-        """(D + K + E) x summed in that order over the maps that are not
-        zero, with dx standing for D x when given; None when all are zero."""
-        out = None
-        if not self.d.is_zero:
-            out = self.d(x) if dx is None else dx
-        if not self.k.is_zero:
-            out = self.k(x) if out is None else out + self.k(x)
-        if not self.e.is_zero:
-            out = self.e(x) if out is None else out + self.e(x)
-        return out
+
+@dataclass(frozen=True)
+class LinearPart:
+    """x -> matrix @ x + shift: linear maps of a bundle applied as one
+    dense product, with no shift where none of them declares one."""
+
+    matrix: np.ndarray
+    shift: Optional[np.ndarray] = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = self.matrix @ x
+        return y if self.shift is None else y + self.shift
+
+
+def _forward_parts(prob: FourOpProblem):
+    """(G, F, D, E) of a view.  G = D + K and F = G + H, with E's shift,
+    sum in that order the live maps that declare a matrix; a part of one
+    map holds that map's own arrays, F is G where E declares none, and
+    None stands for no part.  D and E are the live maps among them that
+    declare no matrix, to be called one by one, or None."""
+    def declared(op):
+        return not op.is_zero and op.matrix is not None
+
+    g = None
+    for op in (prob.d, prob.k):
+        if declared(op):
+            g = LinearPart(op.matrix if g is None else g.matrix + op.matrix)
+    f = g
+    if declared(prob.e):
+        h = prob.e.matrix
+        f = LinearPart(h if g is None else g.matrix + h, prob.e.shift)
+    d, e = (None if op.is_zero or op.matrix is not None else op
+            for op in (prob.d, prob.e))
+    return g, f, d, e
+
+
+def _forward_value(f, e, x, dx):
+    """(D + K + E) x as the views sum it: dx, the value of a D without a
+    matrix, then F x, then E x of an E without one; None when no map is
+    live."""
+    out = dx
+    for part in (f, e):
+        if part is not None:
+            y = part(x)
+            out = y if out is None else out + y
+    return out
 
 
 class KernelSpec:
@@ -298,32 +354,33 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     P = W - L_D I (raising unless positive definite),
     beta = beta_E / lambda_min(P) and L_M = ||Q|| + L_D + ||K||.
 
-    The oracle starts the backward solve at its own x, and the kernel
-    difference at the oracle's own x array reuses its D x and, on a
-    nonlinear kernel, its Q x.  D and K are evaluated only where they are
-    not zero."""
+    The linear live maps are applied as F = D + K + H in the oracle and
+    G = D + K in the kernel.  The oracle starts the backward solve at
+    its own x, and the kernel difference at the oracle's own x array
+    reuses the oracle's D x of a D without a matrix and, on a nonlinear
+    kernel, its Q x."""
     spec.check(prob)
     l_d = prob.d.lipschitz_constant
     p = _less_l_d(spec.q_metric(prob), l_d)
     be = prob.e.inverse_cocoercivity
-    live_d, live_k = not prob.d.is_zero, not prob.k.is_zero
+    g, f, d, e = _forward_parts(prob)
     last = (None, None, None)
 
     def fb(x):
         nonlocal last
         x = np.asarray(x, dtype=float)
-        dx = prob.d(x) if live_d else None
+        dx = None if d is None else d(x)
         v = spec.q_apply(prob, x)
         last = (x, dx, v)
-        forward = prob._forward(x, dx)
+        forward = _forward_value(f, e, x, dx)
         return spec.resolvent(prob, v if forward is None else v - forward, x)
 
     def kernel(x):
         m = spec.q_apply(prob, x)
-        if live_d:
-            m = m - prob.d(x)
-        if live_k:
-            m = m - prob.k(x)
+        if d is not None:
+            m = m - d(x)
+        if g is not None:
+            m = m - g(x)
         return m
 
     def kernel_diff(x, x_hat):
@@ -335,11 +392,11 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         else:
             qx = last_qx if at_last else spec.q_apply(prob, x)
             m = qx - spec.q_apply(prob, x_hat)
-        if live_d:
-            dx = last_dx if at_last else prob.d(x)
-            m = m - (dx - prob.d(x_hat))
-        if live_k:
-            m = m - prob.k(diff)
+        if d is not None:
+            dx = last_dx if at_last else d(x)
+            m = m - (dx - d(x_hat))
+        if g is not None:
+            m = m - g(diff)
         return m
 
     return NofobProblem(
@@ -438,9 +495,10 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
     """
     if gamma <= 0:
         raise ContractViolation("gamma must be positive")
+    _, f, d, e = _forward_parts(prob)
 
     def fb(x):
-        forward = prob._forward(x, None)
+        forward = _forward_value(f, e, x, None if d is None else d(x))
         y = x if forward is None else x - gamma * forward
         return np.asarray(prob.b.evaluator(gamma, y), dtype=float)
 

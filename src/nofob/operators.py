@@ -1,6 +1,14 @@
 """Operator oracles: resolvents, Lipschitz/cocoercive maps, skew maps,
 and nonlinear strongly monotone kernels with a separable resolvent solver.
 
+A linear D or an affine E declares its matrix, and E its shift, when
+built through `LipschitzMap.linear(matrix, L)` or
+`CocoerciveMap.affine(matrix, shift, beta)`.  The evaluator is built
+from the same matrix, so the two cannot disagree, and the kernel views of
+`fourop` may sum declared matrices into one product.  A `SkewMap` always
+holds its matrix.  A map built from an evaluator alone declares none and
+is called as it is.
+
 The prox catalog covers the closed forms the problem generators use:
 zero, affine (linear solve), l1 soft-threshold, and a combined "l1 plus
 diagonal affine" used by the nonlinear-kernel demo.  Inverse operators
@@ -10,7 +18,7 @@ are always derived from the primal prox through Moreau's identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,19 +60,37 @@ class ProxOperator:
         return self.evaluator(gamma, y)
 
 
+def _square(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ContractViolation("a declared matrix must be square")
+    return a
+
+
 @dataclass(frozen=True)
 class LipschitzMap:
     """Single-valued map with a declared Lipschitz constant.
 
-    is_zero declares the map zero, so that callers may skip it.
+    is_zero declares the map zero, so that callers may skip it.  `matrix`
+    is set only by `linear`, and is None for a map given by its evaluator.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     lipschitz_constant: float
     is_zero: bool = False
+    matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
+
+    @classmethod
+    def linear(cls, matrix, lipschitz_constant: float) -> "LipschitzMap":
+        """x -> matrix @ x, with its matrix declared."""
+        a = _square(matrix)
+        out = cls(lambda x: a @ x, lipschitz_constant)
+        object.__setattr__(out, "matrix", a)
+        return out
 
 
 @dataclass(frozen=True)
@@ -73,15 +99,32 @@ class CocoerciveMap:
 
     <Ex - Ey, x - y> >= (1/beta) ||Ex - Ey||^2; beta = 0 forces the map
     to be constant.  is_zero declares the map zero, so that callers may
-    skip it.
+    skip it.  `matrix` and `shift` are set only by `affine`, and are None
+    for a map given by its evaluator.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     inverse_cocoercivity: float
     is_zero: bool = False
+    matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                         compare=False)
+    shift: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
+
+    @classmethod
+    def affine(cls, matrix, shift, inverse_cocoercivity: float) -> "CocoerciveMap":
+        """x -> matrix @ x + shift, with its matrix and shift declared."""
+        a = _square(matrix)
+        c = np.asarray(shift, dtype=float)
+        if c.shape != (a.shape[0],):
+            raise ContractViolation("the shift must be a vector of the matrix's size")
+        out = cls(lambda x: a @ x + c, inverse_cocoercivity)
+        object.__setattr__(out, "matrix", a)
+        object.__setattr__(out, "shift", c)
+        return out
 
 
 class SkewMap:

@@ -208,7 +208,9 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     """l1-regularized quadratic with optional monotone drift and skew coupling.
 
     E is a strongly convex quadratic gradient, D a strongly monotone
-    Lipschitz linear map, K a seeded skew map, B = lam * subdiff l1.
+    Lipschitz linear map, K a seeded skew map, B = lam * subdiff l1.  D
+    and E declare their matrices (and E its shift -b), so that the
+    kernel views may sum them.
     `split` zeroes pieces: fbs keeps B+E, fbhf keeps B+D+E, fbf keeps
     B+D+K, full keeps everything.
     """
@@ -229,10 +231,9 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     use_k = split in ("fbf", "full")
 
     beta_e = largest_eig(h) if use_e else 0.0
-    e = (CocoerciveMap(lambda x: h @ x - b_vec, beta_e)
-         if use_e else zero_cocoercive(n))
+    e = CocoerciveMap.affine(h, -b_vec, beta_e) if use_e else zero_cocoercive(n)
     l_d = spectral_norm(d_mat) if use_d else 0.0
-    d = (LipschitzMap(lambda x: d_mat @ x, l_d) if use_d else zero_forward(n))
+    d = LipschitzMap.linear(d_mat, l_d) if use_d else zero_forward(n)
     k = SkewMap(k_mat, k_norm) if use_k else SkewMap.zero(n)
 
     bundle = FourOpProblem(

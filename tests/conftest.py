@@ -7,8 +7,18 @@ import pytest
 
 from nofob.core import IterRecord, coincides, nofob_iterate, null_record, separation_fails
 from nofob.diagnostics import DEFAULT_TOL, _report
-from nofob.fourop import BlockDiag, StepParameterWarning, as_nofob, gamma_bound_conservative
+from nofob.fourop import (
+    BlockDiag,
+    FourOpProblem,
+    SeparableNonlinear,
+    StepParameterWarning,
+    as_nofob,
+    gamma_bound_conservative,
+    zero_cocoercive,
+)
 from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
+from nofob.operators import LipschitzMap, NonlinearKernel, SkewMap, l1_plus_diag_affine
+from nofob.problems import ProblemInstance
 from nofob.projective import ps_explicit_oracle
 from nofob.rng import Lcg64
 
@@ -327,6 +337,53 @@ def honesty_samplers():
         cocoercivity_deficit=_worst_cocoercivity_deficit,
         strong_monotonicity_deficit=_worst_strong_monotonicity_deficit,
     )
+
+
+# ---------------------------------------------------------------------------
+# a bundle with a nonlinear D and a planted solution
+
+_ARCTAN_KERNEL = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
+
+
+def _planted_nonlinear_drift(n, seed, w_square=0.3, lam=0.3):
+    """A bundle for the kernel phi - D - K, nonlinear and nonsymmetric at
+    once, with a planted solution z*; not a registered problem.
+
+    phi(t) = t + arctan t (sigma = 1, ell = 2).  D(x) = G x + W^T tanh(W x)
+    with G = 0.2 I + a skew part of norm 0.2: monotone, since W^T tanh(W x)
+    is the gradient of a convex function, and L_D = ||G|| + ||W||^2, about
+    0.58 at the default ||W||^2 = 0.3.  K is a seeded skew map, E = 0 and
+    B = lam subdiff ||.||_1 + diag(d) x - b.  With v in the subdifferential
+    of ||.||_1 at a sparse z*, b = lam v + d z* + D z* + K z* makes z* exact.
+    """
+    rng = Lcg64(seed)
+    r = rng.matrix(n, n)
+    g = 0.2 * np.eye(n) + 0.2 * (r - r.T) / np.linalg.norm(r - r.T, 2)
+    w = rng.matrix(n // 2, n)
+    w *= np.sqrt(w_square) / np.linalg.norm(w, 2)
+    l_d = float(np.linalg.norm(g, 2)) + w_square
+    d = LipschitzMap(lambda x: g @ x + w.T @ np.tanh(w @ x), l_d)
+    r = rng.matrix(n, n)
+    k = SkewMap(0.5 * (r - r.T) / np.sqrt(n))
+    picks = rng.vector(n)
+    z_star = np.where(np.abs(picks) > 0.5, 2.0 * picks, 0.0)
+    v = np.where(z_star != 0.0, np.sign(z_star), 0.9 * rng.vector(n))
+    d_diag = 0.5 + rng.vector(n) ** 2
+    b_vec = lam * v + d_diag * z_star + d(z_star) + k(z_star)
+    bundle = FourOpProblem(b=l1_plus_diag_affine(lam, d_diag, b_vec), d=d,
+                           e=zero_cocoercive(n), k=k, dim=n)
+    return ProblemInstance(
+        name="nonlinear-drift", n=n, bundle=bundle, oracle=z_star,
+        constants={"l_d": l_d, "beta_e": 0.0, "k_norm": k.operator_norm,
+                   "sigma": float(d_diag.min())},
+        seed=seed, x0=rng.vector(n), nonlinear_spec=SeparableNonlinear(_ARCTAN_KERNEL),
+    )
+
+
+@pytest.fixture
+def planted_nonlinear_drift():
+    """Builder of the nonlinear-drift bundle: a D that declares no matrix."""
+    return _planted_nonlinear_drift
 
 
 # ---------------------------------------------------------------------------

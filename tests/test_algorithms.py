@@ -6,7 +6,7 @@ from nofob.algorithms import ALGORITHMS, run_algorithm
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
 from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
-from nofob.operators import LipschitzMap, NonlinearKernel, SkewMap
+from nofob.operators import CocoerciveMap, LipschitzMap, NonlinearKernel, SkewMap
 from nofob.problems import REGISTRY, get_instance, make_saddle_pd
 from nofob.rng import Lcg64
 
@@ -21,27 +21,28 @@ def counting(monkeypatch, owner, attr, counts, key):
     monkeypatch.setattr(owner, attr, counted)
 
 
-# D and K evaluations per moving iteration: D at x in the oracle, which the
-# kernel difference reuses, and at x_hat in the kernel difference; K at x in
-# the oracle and at x - x_hat in the kernel difference.  A D or K that is
-# zero (regquad-fbhf's K, saddle's D) is never evaluated.
-FORWARD_EVALUATIONS = {
-    "regquad-fbf": {"d": 2, "k": 2},
-    "regquad-fbhf": {"d": 2, "k": 0},
-    "saddle": {"d": 0, "k": 2},
-}
-
-
-@pytest.mark.parametrize("problem, algorithm, solves", [
-    ("regquad-fbf", "fbf", None),
-    ("regquad-fbhf", "fbhf", None),
-    ("saddle", "afba-fixed", 1),
-])
-def test_evaluations_per_moving_iteration(monkeypatch, problem, algorithm, solves):
+# Evaluations per moving iteration.  The maps that declare a matrix are
+# applied as two summed products, F = D + K + H in the oracle and G = D + K
+# in the kernel difference, and are never called one by one; a single live
+# map (saddle's K) is its own product.  A D that declares no matrix (the
+# tanh drift) is called at x in the oracle, which the kernel difference
+# reuses, and at x_hat in the kernel difference.
+@pytest.mark.parametrize("problem, algorithm, expected", [
+    ("regquad-fbf", "fbf", {"fused": 2, "d": 0, "e": 0, "k": 0}),
+    ("regquad-fbhf", "fbhf", {"fused": 2, "d": 0, "e": 0, "k": 0}),
+    ("regquad-full", "four-op", {"fused": 2, "d": 0, "e": 0, "k": 0}),
     # the step solves the metric once for its direction
-    inst = get_instance(problem)
-    counts = {"d": 0, "k": 0, "solve": 0}
+    ("saddle", "afba-fixed", {"fused": 2, "d": 0, "e": 0, "k": 0, "solve": 1}),
+    ("nonlinear-drift", "four-op", {"fused": 2, "d": 2, "e": 0, "k": 0}),
+])
+def test_evaluations_per_moving_iteration(monkeypatch, planted_nonlinear_drift,
+                                          problem, algorithm, expected):
+    inst = (planted_nonlinear_drift(20, 0) if problem == "nonlinear-drift"
+            else get_instance(problem))
+    counts = dict.fromkeys(("fused", "d", "e", "k", "solve"), 0)
+    counting(monkeypatch, fourop.LinearPart, "__call__", counts, "fused")
     counting(monkeypatch, LipschitzMap, "__call__", counts, "d")
+    counting(monkeypatch, CocoerciveMap, "__call__", counts, "e")
     counting(monkeypatch, SkewMap, "__call__", counts, "k")
     counting(monkeypatch, SpdMetric, "solve", counts, "solve")
     per_budget = {}
@@ -52,10 +53,8 @@ def test_evaluations_per_moving_iteration(monkeypatch, problem, algorithm, solve
         assert out.trajectory.iterations == max_iter + 1
         assert all(rec.mu > 0.0 for rec in out.trajectory.records)
         per_budget[max_iter] = dict(counts)
-    per_iter = {key: (per_budget[20][key] - per_budget[10][key]) / 10 for key in counts}
-    assert {"d": per_iter["d"], "k": per_iter["k"]} == FORWARD_EVALUATIONS[problem]
-    if solves is not None:
-        assert per_iter["solve"] == solves
+    per_iter = {key: (per_budget[20][key] - per_budget[10][key]) / 10 for key in expected}
+    assert per_iter == expected
 
 
 def test_phi_evaluations_per_moving_iteration(monkeypatch):
@@ -266,3 +265,14 @@ def test_view_constants_are_honest(name, algorithm, seed, honesty_samplers):
     assert honesty_samplers.lipschitz_ratio(
         view.kernel_eval, view.kernel_lipschitz, inst.n, samples=200, seed=seed
     ) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(21), np.zeros((20, 1)), np.float64(0.0)])
+def test_an_x0_of_the_wrong_shape_is_rejected_before_the_loop(x0):
+    inst = get_instance("regquad-full")
+    assert inst.n == 20
+    with pytest.raises(ContractViolation, match="x0 must be a vector of length n"):
+        run_algorithm("four-op", inst, x0=x0)
+    # a list of the right length is accepted
+    out = run_algorithm("four-op", inst, x0=[0.0] * 20, max_iter=2)
+    assert out.trajectory.iterations == 3

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from nofob.fourop import (
     afba_fixed_step_check,
     as_nofob,
     epsbar_delta,
+    fbs_view,
     gamma_bound_conservative,
     gamma_bound_long,
     zero_cocoercive,
@@ -27,11 +30,10 @@ from nofob.operators import (
     NonlinearKernel,
     SkewMap,
     affine_operator,
-    l1_plus_diag_affine,
     l1_subdifferential,
     zero_operator,
 )
-from nofob.problems import ProblemInstance, fixed_point_residual, get_instance
+from nofob.problems import fixed_point_residual, get_instance, make_regularized_quadratic
 from nofob.rng import Lcg64
 
 
@@ -594,47 +596,10 @@ def test_separable_nonlinear_spec_takes_d_and_requires_a_separable_b():
         fb(dense, SeparableNonlinear(kernel), np.zeros(prob.dim))
 
 
-ARCTAN_KERNEL = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
-
-
-def planted_nonlinear_drift(n, seed, w_square=0.3, lam=0.3):
-    """A bundle for the kernel phi - D - K, nonlinear and nonsymmetric at
-    once, with a planted solution z*; not a registered problem.
-
-    phi(t) = t + arctan t (sigma = 1, ell = 2).  D(x) = G x + W^T tanh(W x)
-    with G = 0.2 I + a skew part of norm 0.2: monotone, since W^T tanh(W x)
-    is the gradient of a convex function, and L_D = ||G|| + ||W||^2, about
-    0.58 at the default ||W||^2 = 0.3.  K is a seeded skew map, E = 0 and
-    B = lam subdiff ||.||_1 + diag(d) x - b.  With v in the subdifferential
-    of ||.||_1 at a sparse z*, b = lam v + d z* + D z* + K z* makes z* exact.
-    """
-    rng = Lcg64(seed)
-    r = rng.matrix(n, n)
-    g = 0.2 * np.eye(n) + 0.2 * (r - r.T) / np.linalg.norm(r - r.T, 2)
-    w = rng.matrix(n // 2, n)
-    w *= np.sqrt(w_square) / np.linalg.norm(w, 2)
-    l_d = float(np.linalg.norm(g, 2)) + w_square
-    d = LipschitzMap(lambda x: g @ x + w.T @ np.tanh(w @ x), l_d)
-    r = rng.matrix(n, n)
-    k = SkewMap(0.5 * (r - r.T) / np.sqrt(n))
-    picks = rng.vector(n)
-    z_star = np.where(np.abs(picks) > 0.5, 2.0 * picks, 0.0)
-    v = np.where(z_star != 0.0, np.sign(z_star), 0.9 * rng.vector(n))
-    d_diag = 0.5 + rng.vector(n) ** 2
-    b_vec = lam * v + d_diag * z_star + d(z_star) + k(z_star)
-    bundle = FourOpProblem(b=l1_plus_diag_affine(lam, d_diag, b_vec), d=d,
-                           e=zero_cocoercive(n), k=k, dim=n)
-    return ProblemInstance(
-        name="nonlinear-drift", n=n, bundle=bundle, oracle=z_star,
-        constants={"l_d": l_d, "beta_e": 0.0, "k_norm": k.operator_norm,
-                   "sigma": float(d_diag.min())},
-        seed=seed, x0=rng.vector(n), nonlinear_spec=SeparableNonlinear(ARCTAN_KERNEL),
-    )
-
-
 @pytest.mark.parametrize("n", [20, 200])
 @pytest.mark.parametrize("seed", range(10))
-def test_four_op_on_a_nonlinear_nonsymmetric_kernel_reaches_the_planted_solution(seed, n):
+def test_four_op_on_a_nonlinear_nonsymmetric_kernel_reaches_the_planted_solution(
+        seed, n, planted_nonlinear_drift):
     inst = planted_nonlinear_drift(n, seed)
     assert 0.5 < inst.constants["l_d"] < 0.6
     assert fixed_point_residual(inst.bundle, inst.oracle) <= 1e-12
@@ -653,10 +618,10 @@ def test_four_op_on_a_nonlinear_nonsymmetric_kernel_reaches_the_planted_solution
     assert all(r.passed for r in reports), [r.line() for r in reports]
 
 
-def test_nonlinear_kernel_at_or_below_l_d_is_rejected():
+def test_nonlinear_kernel_at_or_below_l_d_is_rejected(planted_nonlinear_drift):
     # ||W||^2 = 0.8 puts L_D near 1.08, past the kernel's sigma = 1
     inst = planted_nonlinear_drift(20, 0, w_square=0.8)
-    assert inst.constants["l_d"] >= ARCTAN_KERNEL.sigma
+    assert inst.constants["l_d"] >= inst.nonlinear_spec.kernel.sigma
     with pytest.raises(ContractViolation, match="not positive definite"):
         run_algorithm("four-op", inst)
 
@@ -673,3 +638,82 @@ def test_separable_nonlinear_linear_phi_matches_scalar_kernel():
     a = fb(prob, SeparableNonlinear(kernel), x)
     b = fb(prob, ScalarStep(0.5), x)
     assert np.allclose(a, b, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the summed linear part against the maps one by one
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _gamma_m(m):
+    """m u / (1 - m u): the relative error bound of m rounded operations
+    in a row (Higham, "Accuracy and Stability of Numerical Algorithms",
+    2nd ed., 2002, Lemma 3.1)."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+@pytest.mark.parametrize("split", ["fbhf", "fbf", "full"])
+@pytest.mark.parametrize("n", [20, 200, 800])
+@pytest.mark.parametrize("seed", range(3))
+def test_summed_products_match_the_maps_one_by_one(split, n, seed):
+    # Both views sum F = D + K + H (with the shift -b) and G = D + K once.
+    # Against FourOpProblem.forward and Q d - (D x - D x_hat) - K d, map by
+    # map, they agree componentwise within 2 gamma_{n+6} times the sum of
+    # the absolute terms, which bounds the rounding of either side.
+    inst = make_regularized_quadratic(n=n, seed=seed, split=split)
+    prob, ex = inst.bundle, inst.extras
+    abs_g = sum(np.abs(ex[key]) for key, op in (("d_matrix", prob.d), ("k_matrix", prob.k))
+                if not op.is_zero)
+    abs_h = 0.0 if prob.e.is_zero else np.abs(ex["h_matrix"])
+    abs_b = 0.0 if prob.e.is_zero else np.abs(ex["b_vector"])
+    tol = 2.0 * _gamma_m(n + 6)
+    # on B = 0 with gamma = 1/4 the oracles return (4 x - F x) / 4 and
+    # x - F x / 4, each rounded as the same formula on the maps' sum
+    g = 0.25
+    s = SpdMetric.identity(n)
+    free = FourOpProblem(b=zero_operator(n), d=prob.d, e=prob.e, k=prob.k, dim=n)
+    view = as_nofob(free, ScalarStep(g), s)
+    fbs = fbs_view(free, g, s)
+    rng = Lcg64(100 + seed)
+    for scale in (1e-3, 1.0, 1e3):
+        x = scale * rng.vector(n)
+        absolute = 4.0 * np.abs(x) + (abs_g + abs_h) @ np.abs(x) + abs_b
+        forward = prob.forward(x)
+        assert np.all(np.abs(view.fb_oracle(x) - g * (x / g - forward)) <= tol * absolute)
+        assert np.all(np.abs(fbs.fb_oracle(x) - (x - g * forward)) <= tol * absolute)
+        # the kernel difference at the oracle's own x and at a copy of it
+        x_hat = as_nofob(prob, ScalarStep(g), s).fb_oracle(x)
+        for x_hat in (x_hat, scale * rng.vector(n)):
+            diff = x - x_hat
+            reference = diff / g
+            if not prob.d.is_zero:
+                reference = reference - (prob.d(x) - prob.d(x_hat))
+            if not prob.k.is_zero:
+                reference = reference - prob.k(diff)
+            absolute = (4.0 * np.abs(diff) + abs_g @ (np.abs(x) + np.abs(x_hat))
+                        + abs_g @ np.abs(diff))
+            view.fb_oracle(x)
+            for point in (x, x.copy()):
+                assert np.all(np.abs(view.kernel_difference(point, x_hat) - reference)
+                              <= tol * absolute)
+        reference = x / g - sum(op(x) for op in (prob.d, prob.k) if not op.is_zero)
+        assert np.all(np.abs(view.kernel_eval(x) - reference)
+                      <= tol * (4.0 * np.abs(x) + abs_g @ np.abs(x)))
+
+
+@pytest.mark.parametrize("algorithm", ["fbs", "fbhf-long", "four-op"])
+def test_one_live_map_is_its_own_product(algorithm):
+    # regquad-fbs has E alone: the views apply E's own matrix and shift,
+    # and the run is bit for bit that of E called as a map
+    inst = get_instance("regquad-fbs")
+    e = inst.bundle.e
+    assert e.matrix is inst.extras["h_matrix"]
+    plain = dataclasses.replace(inst, bundle=dataclasses.replace(
+        inst.bundle, e=CocoerciveMap(e.evaluator, e.inverse_cocoercivity)))
+    fused = run_algorithm(algorithm, inst).trajectory
+    mapped = run_algorithm(algorithm, plain).trajectory
+    assert fused.status == mapped.status == "converged"
+    assert fused.iterations == mapped.iterations
+    for a, b in zip(fused.records, mapped.records):
+        assert np.array_equal(a.x_next, b.x_next) and a.mu == b.mu

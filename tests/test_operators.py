@@ -446,3 +446,33 @@ def test_maps_are_callable_with_declared_constants():
     x = np.ones(3)
     assert np.allclose(lm(x), 0.5 * x)
     assert np.allclose(cm(x), x)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_declared_matrices_evaluate_as_the_lambdas_they_replace(seed):
+    # x -> h @ x + (-b) rounds as h @ x - b, and x -> d @ x as itself
+    rng = Lcg64(seed)
+    n = 7 + seed
+    h, d, b = rng.matrix(n, n), rng.matrix(n, n), rng.vector(n)
+    e = CocoerciveMap.affine(h, -b, 2.0)
+    lm = LipschitzMap.linear(d, 3.0)
+    assert e.matrix is h and np.array_equal(e.shift, -b) and lm.matrix is d
+    for _ in range(20):
+        x = 10.0 ** rng.uniform_signed() * rng.vector(n)
+        assert np.array_equal(e(x), h @ x - b)
+        assert np.array_equal(lm(x), d @ x)
+    assert (e.inverse_cocoercivity, lm.lipschitz_constant) == (2.0, 3.0)
+
+
+def test_only_the_constructors_declare_a_matrix():
+    assert LipschitzMap(lambda x: x, 1.0).matrix is None
+    e = CocoerciveMap(lambda x: x, 1.0)
+    assert e.matrix is None and e.shift is None
+    with pytest.raises(TypeError):
+        LipschitzMap(lambda x: x, 1.0, matrix=np.eye(2))
+    with pytest.raises(ContractViolation, match="square"):
+        LipschitzMap.linear(np.ones((2, 3)), 1.0)
+    with pytest.raises(ContractViolation, match="square"):
+        CocoerciveMap.affine(np.ones(3), np.ones(3), 1.0)
+    with pytest.raises(ContractViolation, match="shift"):
+        CocoerciveMap.affine(np.eye(3), np.ones(2), 1.0)
