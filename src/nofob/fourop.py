@@ -22,17 +22,18 @@ both views never evaluate it; the sums they skip would only add zeros.
 
 Both views apply the live maps that declare a matrix (a D built by
 `LipschitzMap.linear`, an E built by `CocoerciveMap.affine`, and K) as a
-`LinearPart`, summed once per view: F = D + K + H, with E's shift, in
-the oracle's forward step, and G = D + K in the kernel, so that one
-iteration makes two dense products and one audited kernel difference
-one.  A part of one map is that map's own matrix, not a sum.  A live D
-or E that declares no matrix, such as a nonlinear D, is still called
-map by map, and the kernel difference at the oracle's own x reuses the
-oracle's D x.  `FourOpProblem.forward` keeps its map-by-map sum: it
-serves the oracle certificate, where it is an independent cross-check of
-the summed matrices.  On the linear kernels (ScalarStep, BlockDiag,
-AffinePlusSkew) the kernel difference forms x - x_hat once and applies
-Q and G to it.
+`LinearPart`, summed once per bundle (`FourOpProblem.forward_parts`):
+F = D + K + H, with E's shift, in the oracle's forward step, and
+G = D + K in the kernel, so that one iteration makes two dense products
+and one audited kernel difference one.  A part of one map is that map's
+own matrix, not a sum.  A live D or E that declares no matrix, such as
+a nonlinear D, is still called map by map, and the kernel difference at
+the oracle's own x reuses the oracle's D x.  Each view composes its
+forward sum once, when it is built.  `FourOpProblem.forward` keeps its
+map-by-map sum: it serves the oracle certificate, where it is an
+independent cross-check of the summed matrices.  On the linear kernels
+(ScalarStep, BlockDiag, AffinePlusSkew) the kernel difference forms
+x - x_hat once and applies Q and G to it.
 Also provides the step-size bound formulas and the fixed-relaxation
 positive semidefiniteness check.
 """
@@ -40,6 +41,7 @@ positive semidefiniteness check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -109,6 +111,32 @@ class FourOpProblem:
                 out = op(x) if out is None else out + op(x)
         return np.zeros(self.dim) if out is None else out
 
+    @cached_property
+    def forward_parts(self):
+        """(G, F, D, E) of both views, summed once per bundle.
+
+        G = D + K and F = G + H, with E's shift, sum in that order the
+        live maps that declare a matrix; a part of one map holds that
+        map's own arrays, F is G where E declares none, and None stands
+        for no part.  D and E are the live maps among them that declare
+        no matrix, to be called one by one, or None.  The sums live as
+        long as the bundle: two n x n arrays where D, K and E all
+        declare one."""
+        def declared(op):
+            return not op.is_zero and op.matrix is not None
+
+        g = None
+        for op in (self.d, self.k):
+            if declared(op):
+                g = LinearPart(op.matrix if g is None else g.matrix + op.matrix)
+        f = g
+        if declared(self.e):
+            h = self.e.matrix
+            f = LinearPart(h if g is None else g.matrix + h, self.e.shift)
+        d, e = (None if op.is_zero or op.matrix is not None else op
+                for op in (self.d, self.e))
+        return g, f, d, e
+
 
 @dataclass(frozen=True)
 class LinearPart:
@@ -123,38 +151,23 @@ class LinearPart:
         return y if self.shift is None else y + self.shift
 
 
-def _forward_parts(prob: FourOpProblem):
-    """(G, F, D, E) of a view.  G = D + K and F = G + H, with E's shift,
-    sum in that order the live maps that declare a matrix; a part of one
-    map holds that map's own arrays, F is G where E declares none, and
-    None stands for no part.  D and E are the live maps among them that
-    declare no matrix, to be called one by one, or None."""
-    def declared(op):
-        return not op.is_zero and op.matrix is not None
+def _summed(maps):
+    """x -> the sum of the values at x of the maps that are not None,
+    left to right, composed once: a single map is itself, and no map
+    gives None.  The views sum (D + K + E) x as D x of a D without a
+    matrix, then F x, then E x of an E without one."""
+    maps = [op for op in maps if op is not None]
+    if len(maps) <= 1:
+        return maps[0] if maps else None
+    first, *rest = maps
 
-    g = None
-    for op in (prob.d, prob.k):
-        if declared(op):
-            g = LinearPart(op.matrix if g is None else g.matrix + op.matrix)
-    f = g
-    if declared(prob.e):
-        h = prob.e.matrix
-        f = LinearPart(h if g is None else g.matrix + h, prob.e.shift)
-    d, e = (None if op.is_zero or op.matrix is not None else op
-            for op in (prob.d, prob.e))
-    return g, f, d, e
+    def total(x):
+        out = first(x)
+        for op in rest:
+            out = out + op(x)
+        return out
 
-
-def _forward_value(f, e, x, dx):
-    """(D + K + E) x as the views sum it: dx, the value of a D without a
-    matrix, then F x, then E x of an E without one; None when no map is
-    live."""
-    out = dx
-    for part in (f, e):
-        if part is not None:
-            y = part(x)
-            out = y if out is None else out + y
-    return out
+    return total
 
 
 class KernelSpec:
@@ -363,20 +376,28 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     l_d = prob.d.lipschitz_constant
     p = _less_l_d(spec.q_metric(prob), l_d)
     be = prob.e.inverse_cocoercivity
-    g, f, d, e = _forward_parts(prob)
-    last = (None, None, None)
+    g, f, d, e = prob.forward_parts
+    q_apply, resolvent, linear = spec.q_apply, spec.resolvent, spec.linear
+    last = (None, None, None)  # the oracle's x, its D x and its Q x
+    oracle_dx = None
+
+    def d_at_oracle(x):
+        nonlocal oracle_dx
+        oracle_dx = d(x)
+        return oracle_dx
+
+    forward = _summed((None if d is None else d_at_oracle, f, e))
 
     def fb(x):
         nonlocal last
         x = np.asarray(x, dtype=float)
-        dx = None if d is None else d(x)
-        v = spec.q_apply(prob, x)
-        last = (x, dx, v)
-        forward = _forward_value(f, e, x, dx)
-        return spec.resolvent(prob, v if forward is None else v - forward, x)
+        v = q_apply(prob, x)
+        y = v if forward is None else v - forward(x)
+        last = (x, oracle_dx, v)
+        return resolvent(prob, y, x)
 
     def kernel(x):
-        m = spec.q_apply(prob, x)
+        m = q_apply(prob, x)
         if d is not None:
             m = m - d(x)
         if g is not None:
@@ -387,11 +408,11 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         last_x, last_dx, last_qx = last
         at_last = x is last_x
         diff = x - x_hat
-        if spec.linear:
-            m = spec.q_apply(prob, diff)
+        if linear:
+            m = q_apply(prob, diff)
         else:
-            qx = last_qx if at_last else spec.q_apply(prob, x)
-            m = qx - spec.q_apply(prob, x_hat)
+            qx = last_qx if at_last else q_apply(prob, x)
+            m = qx - q_apply(prob, x_hat)
         if d is not None:
             dx = last_dx if at_last else d(x)
             m = m - (dx - d(x_hat))
@@ -495,11 +516,11 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
     """
     if gamma <= 0:
         raise ContractViolation("gamma must be positive")
-    _, f, d, e = _forward_parts(prob)
+    _, f, d, e = prob.forward_parts
+    forward = _summed((d, f, e))
 
     def fb(x):
-        forward = _forward_value(f, e, x, None if d is None else d(x))
-        y = x if forward is None else x - gamma * forward
+        y = x if forward is None else x - gamma * forward(x)
         return np.asarray(prob.b.evaluator(gamma, y), dtype=float)
 
     def kernel(x):

@@ -4,10 +4,14 @@ Everything is finite-dimensional.  A dense SPD metric caches its
 Cholesky factor and extremal eigenvalues at construction, so weighted
 norms and inverse-metric solves inside the iteration loops are cheap
 and deterministic.  A scaled identity c I holds only its scalar c:
-`weighted_norm` and `solve` read c directly, with no `apply` call and
-no dense matrix, and skip the multiply or divide when c == 1.0, where
-it is exact.  Their results equal the dense metric's bit for bit
-wherever the dense route rounds once.  `weighted_row_norms` takes the
+its norm and `solve` read c directly, with no `apply` call and no
+dense matrix, and skip the multiply or divide when c == 1.0, where it
+is exact.  Their results equal the dense metric's bit for bit wherever
+the dense route rounds once.  Every metric binds its norm
+x -> sqrt(<x, W x>) once, at construction, for its kind (c = 1, c I or
+dense): `norm` makes no shape check and no dispatch on the kind, so
+the step's three norms cost one dot product each; `weighted_norm` is
+the same norm behind a dimension check.  `weighted_row_norms` takes the
 norms of all rows of a k x n stack at once, bit for bit the per-row
 `weighted_norm`.
 
@@ -24,6 +28,7 @@ are eigenvalues exactly and the run returns; it takes at most n steps.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal
@@ -148,7 +153,8 @@ class SpdMetric:
     the cached Cholesky factor.  `identity` and `scaled_identity` hold
     the scalar c of W = c I instead, so building, applying and solving
     cost O(1), O(n) and O(n); the dense matrix is formed only when
-    `matrix` is read.  At c = 1, `solve` returns v itself.
+    `matrix` is read.  At c = 1, `solve` returns v itself.  `norm(x)` is
+    ||x||_W for a vector x of length `dim`, which it does not check.
     """
 
     def __init__(self, matrix):
@@ -168,6 +174,7 @@ class SpdMetric:
         self.lam_min = lam_min
         self.lam_max = lam_max
         self._chol = cho_factor(w, lower=True)
+        self.norm = partial(_dense_norm, w)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -200,20 +207,34 @@ class SpdMetric:
         metric._scale = c
         metric.dim = int(n)
         metric.lam_min = metric.lam_max = c
+        metric.norm = _unit_norm if c == 1.0 else partial(_scaled_norm, c)
         return metric
 
 
+# The bound norms, sqrt(<x, W x>), bound to their metric by `partial`,
+# which keeps the metric picklable.  On vectors `a.dot(b)` rounds as
+# `a @ b` does (both are numpy's one vector dot) without the ufunc
+# dispatch of `@`; the clamp keeps Python's `max(d, 0.0)`, so a NaN
+# stays NaN.  For c I the sum is x @ (c x), as the dense W x rounds.
+
+
+def _unit_norm(x: np.ndarray) -> float:
+    return math.sqrt(max(x.dot(x), 0.0))
+
+
+def _scaled_norm(c: float, x: np.ndarray) -> float:
+    return math.sqrt(max(x.dot(c * x), 0.0))
+
+
+def _dense_norm(w: np.ndarray, x: np.ndarray) -> float:
+    return math.sqrt(max(x.dot(w @ x), 0.0))
+
+
 def weighted_norm(w: SpdMetric, x: np.ndarray) -> float:
-    """sqrt(<x, W x>); for W = c I summed as x @ (c x), as the dense
-    product W x rounds."""
+    """sqrt(<x, W x>): the metric's bound norm after a dimension check."""
     if x.shape[0] != w.dim:
         raise ContractViolation("dimension mismatch")
-    c = w._scale
-    if c is None:
-        wx = w.apply(x)
-    else:
-        wx = x if c == 1.0 else c * x
-    return math.sqrt(max(float(x @ wx), 0.0))
+    return w.norm(x)
 
 
 def weighted_row_norms(w: SpdMetric, rows: np.ndarray) -> np.ndarray:

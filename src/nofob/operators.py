@@ -11,9 +11,13 @@ is called as it is.
 
 The prox catalog covers the closed forms the problem generators use:
 zero, affine (linear solve), l1 soft-threshold, and a combined "l1 plus
-diagonal affine" used by the nonlinear-kernel demo.  Inverse operators
-are always derived from the primal prox through Moreau's identity
-(`inverse_via_moreau`), never specified independently.
+diagonal affine" used by the nonlinear-kernel demo.  A run calls a
+resolvent with one gamma throughout, so the affine and the l1 plus
+diagonal affine resolvents keep the arrays they form from gamma (such
+as I + gamma H) for the gamma of their last call, and form them again
+only when it changes.  Inverse operators are always derived from the
+primal prox through Moreau's identity (`inverse_via_moreau`), never
+specified independently.
 """
 
 from __future__ import annotations
@@ -244,9 +248,14 @@ def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
     if np.linalg.eigvalsh(sym)[0] < -1e-10 * max(1.0, np.abs(h).max()):
         raise ContractViolation("affine operator is not monotone")
     eye = np.eye(h.shape[0])
+    memo = (None, None, None)  # gamma, I + gamma H, gamma b
 
     def ev(gamma, y):
-        return np.linalg.solve(eye + gamma * h, np.asarray(y, float) - gamma * b)
+        nonlocal memo
+        if memo[0] != gamma:
+            memo = (gamma, eye + gamma * h, gamma * b)
+        _, lhs, shift = memo
+        return np.linalg.solve(lhs, np.asarray(y, float) - shift)
 
     return ProxOperator(evaluator=ev, descriptor="affine")
 
@@ -273,9 +282,14 @@ def l1_plus_diag_affine(lam: float, d: np.ndarray, b: np.ndarray) -> ProxOperato
     b = np.asarray(b, dtype=float)
     if lam < 0 or np.any(d < 0):
         raise ContractViolation("l1_plus_diag_affine needs lam >= 0, d >= 0")
+    memo = (None, None, None)  # gamma, gamma b, 1 + gamma d
 
     def ev(gamma, y):
-        return _soft(np.asarray(y, float) + gamma * b, gamma * lam) / (1.0 + gamma * d)
+        nonlocal memo
+        if memo[0] != gamma:
+            memo = (gamma, gamma * b, 1.0 + gamma * d)
+        _, shift, scale = memo
+        return _soft(np.asarray(y, float) + shift, gamma * lam) / scale
 
     def dev(steps, y):
         return _soft(np.asarray(y, float) + steps * b, steps * lam) / (1.0 + steps * d)
@@ -359,7 +373,7 @@ def separable_nonlinear_resolvent(
     if kernel.sigma <= 0:
         raise ContractViolation("kernel needs a positive strong-monotonicity modulus")
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ContractViolation("resolvent input must be finite")
     if start is None:
         x0 = y / kernel.sigma
@@ -367,7 +381,7 @@ def separable_nonlinear_resolvent(
         x0 = np.asarray(start, dtype=float)
         if x0.shape != y.shape:
             raise ContractViolation("resolvent start must have the input's shape")
-        if not np.all(np.isfinite(x0)):
+        if not np.isfinite(x0).all():
             raise ContractViolation("resolvent start must be finite")
 
     def resid(x):

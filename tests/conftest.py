@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -455,3 +456,51 @@ def audit_reference():
     """Per-record audits the array-form audits are checked against."""
     return SimpleNamespace(fejer=_fejer_reference, separation=_separation_reference,
                            mu_bounds=_mu_bounds_reference)
+
+
+# ---------------------------------------------------------------------------
+# the corrected step through the metrics' public `apply` (cross-check reference)
+
+
+def _reference_weighted_norm(w, x):
+    """sqrt(<x, W x>) with W x from the metric's public `apply`, after the
+    dimension check; c x for c I rounds as the dense product W x does."""
+    if x.shape[0] != w.dim:
+        raise ContractViolation("dimension mismatch")
+    return math.sqrt(max(float(x @ w.apply(x)), 0.0))
+
+
+def _reference_iterate(prob, k, x, theta, mu_hat=None):
+    """`core.nofob_iterate` as it was written before the metrics bound
+    their norms: a checked `weighted_norm` per norm, the kernel difference
+    through `NofobProblem.kernel_difference` and every inner product by
+    `@`.  The step must equal it bit for bit."""
+    if mu_hat is not None and not mu_hat > 0.0:
+        raise ContractViolation("mu_hat must be positive")
+    x = np.asarray(x, dtype=float)
+    x_hat = np.asarray(prob.fb_oracle(x), dtype=float)
+    diff = x - x_hat
+    residual = _reference_weighted_norm(prob.s_metric, diff)
+    x_norm = _reference_weighted_norm(prob.s_metric, x)
+    if coincides(residual, x_norm):
+        return null_record(k, x, x_hat, theta, residual)
+    m = prob.kernel_difference(x, x_hat)
+    pg = _reference_weighted_norm(prob.p_metric, diff)
+    num = float(m @ diff) - 0.25 * prob.beta * pg * pg
+    s_inv_m = prob.s_metric.solve(m)
+    den = float(m @ s_inv_m)
+    if separation_fails(num, den, residual, x_norm):
+        return null_record(k, x, x_hat, theta, residual)
+    mu = num / den
+    if mu_hat is None:
+        x_next = x - theta * mu * s_inv_m
+    else:
+        x_next = x - theta * mu_hat * s_inv_m
+        theta = theta * mu_hat / mu
+    return IterRecord(k, x, x_hat, x_next, mu, theta, residual, num, math.sqrt(den))
+
+
+@pytest.fixture
+def reference_iterate():
+    """The step transcription every record of the one step is checked against."""
+    return _reference_iterate

@@ -4,15 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
-from nofob.algorithms import run_algorithm
+from nofob import algorithms
+from nofob.algorithms import ALGORITHMS, run_algorithm
 from nofob.core import (
+    IterRecord,
     NofobProblem,
     nofob_iterate,
     clamp_theta,
     run_loop,
 )
 from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
-from nofob.problems import get_instance
+from nofob.problems import (
+    REGISTRY,
+    get_instance,
+    make_nonlinear_kernel_demo,
+    make_regularized_quadratic,
+)
 from nofob.rng import Lcg64
 
 
@@ -263,3 +270,131 @@ def test_failed_separation_is_null_at_noise_level_and_raises_above():
     assert np.array_equal(noise.x_next, x)
     with pytest.raises(ContractViolation, match="separation failed"):
         nofob_iterate(reversed_kernel(1e-6), 0, x, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the step bit for bit against its reference transcription
+
+
+def _outcome(name, inst, **kwargs):
+    """A run's status, final iterate and records, or the exception it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = run_algorithm(name, inst, **kwargs)
+    except ContractViolation as exc:
+        return f"raised {exc}"
+    traj = out.trajectory
+    return traj.status, traj.final_x, traj.records
+
+
+def _assert_same_run(got, expected, label):
+    """Every field of every record equal: arrays by bytes, floats by repr."""
+    assert type(got) is type(expected), label
+    if isinstance(got, str):
+        assert got == expected, label
+        return
+    assert got[0] == expected[0], label
+    assert got[1].tobytes() == expected[1].tobytes(), label
+    assert len(got[2]) == len(expected[2]), label
+    for a, b in zip(got[2], expected[2]):
+        for field in dataclasses.fields(IterRecord):
+            u, v = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(v, np.ndarray):
+                assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), \
+                    (label, a.k, field.name)
+            else:
+                assert repr(u) == repr(v), (label, a.k, field.name)
+
+
+def _runs_match_the_reference(monkeypatch, reference_iterate, cases):
+    """Each (label, instance, kwargs) through every algorithm, once with
+    the step and once with the reference transcription in its place."""
+    compared = 0
+    for label, inst, kwargs in cases:
+        for name in ALGORITHMS:
+            got = _outcome(name, inst, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(algorithms, "nofob_iterate", reference_iterate)
+                expected = _outcome(name, inst, **kwargs)
+            _assert_same_run(got, expected, f"{label} {name}")
+            compared += not isinstance(got, str)
+    return compared
+
+
+@pytest.mark.parametrize("problem", REGISTRY)
+def test_the_step_equals_its_reference_bit_for_bit_on_the_registry(
+        problem, monkeypatch, reference_iterate):
+    # seeds 0-4 through every algorithm the instance accepts, among them
+    # afba-fixed's unit step in its dense S = P and ps-explicit's oracle
+    cases = [(f"{problem}/{seed}", get_instance(problem, seed), {}) for seed in range(5)]
+    assert _runs_match_the_reference(monkeypatch, reference_iterate, cases) >= 5
+
+
+def test_the_step_equals_its_reference_bit_for_bit_at_n_200(monkeypatch, reference_iterate):
+    # the bisection-free nonlinear resolvent and the summed products at
+    # n = 200, and a given dense S on the scalar kernel
+    full = make_regularized_quadratic(n=200, seed=3, split="full")
+    a = Lcg64(7).matrix(200, 200)
+    dense_s = SpdMetric(a @ a.T / 200.0 + np.eye(200))
+    cases = [("nonlinear-kernel/n=200", make_nonlinear_kernel_demo(n=200, seed=3)[0], {}),
+             ("regquad-full/n=200", full, {}),
+             ("regquad-full/n=200/dense S", full, {"s_metric": dense_s})]
+    assert _runs_match_the_reference(monkeypatch, reference_iterate, cases) >= 8
+
+
+# ---------------------------------------------------------------------------
+# what the fast paths of the step and the loop must keep
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_entry_of_x_next_ends_the_run_at_that_record(value):
+    prob = identity_kernel_problem()
+
+    def step(k, x):
+        rec = nofob_iterate(prob, k, x, 1.0)
+        if k == 2:
+            rec.x_next = rec.x_next.copy()
+            rec.x_next[1] = value
+        return rec
+
+    traj = run_loop(step, np.ones(4), tol=0.0, max_iter=10)
+    assert (traj.status, traj.iterations) == ("error", 3)
+    np.testing.assert_equal(traj.records[-1].x_next[1], value)
+    assert traj.final_x is traj.records[-1].x
+
+
+def test_huge_finite_entries_of_x_next_do_not_end_the_run():
+    # their sum and their norm overflow; x_next is finite all the same
+    prob = identity_kernel_problem()
+    huge = np.array([1e308, -1e308, 1e308, 1e308])
+
+    def step(k, x):
+        rec = nofob_iterate(prob, k, x, 1.0)
+        if k == 2:
+            rec.x_next = huge.copy()
+        return rec
+
+    traj = run_loop(step, np.ones(4), tol=0.0, max_iter=2)
+    assert (traj.status, traj.iterations) == ("max_iter", 3)
+    assert np.array_equal(traj.records[-1].x_next, huge)
+
+
+@pytest.mark.parametrize("algorithm", ["four-op", "fbhf-long"])
+@pytest.mark.parametrize("kind", ["identity", "scaled", "dense"])
+def test_a_metric_of_the_wrong_dimension_is_rejected(algorithm, kind):
+    inst = get_instance("regquad-full", 0)
+    n = inst.bundle.dim - 1
+    s = {"identity": lambda: SpdMetric.identity(n),
+         "scaled": lambda: SpdMetric.scaled_identity(2.0, n),
+         "dense": lambda: SpdMetric(np.eye(n) + 0.1 * np.ones((n, n)))}[kind]()
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        run_algorithm(algorithm, inst, s_metric=s)
+
+
+def test_an_iterate_of_the_wrong_dimension_is_rejected_by_the_step():
+    prob = identity_kernel_problem()
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        nofob_iterate(prob, 0, np.ones(3), 1.0)
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        dataclasses.replace(prob, p_metric=SpdMetric.identity(3))

@@ -67,6 +67,26 @@ def test_l1_plus_diag_affine_closed_form():
             assert abs(yi + gamma * bi) <= gamma * lam + 1e-14
 
 
+def test_resolvents_that_keep_arrays_per_gamma_follow_a_new_gamma():
+    # the arrays formed from gamma are kept for the gamma of the last call;
+    # every call, after a change of gamma or not, equals the formula in full
+    rng = Lcg64(3)
+    n, lam = 6, 0.3
+    a = rng.matrix(n, n)
+    h = a @ a.T / n + np.eye(n)
+    b = rng.vector(n)
+    d = 0.5 + rng.vector(n) ** 2
+    affine = affine_operator(h, b)
+    l1_diag = l1_plus_diag_affine(lam, d, b)
+    y = rng.vector(n)
+    for gamma in (0.5, 2.0, 2.0, 0.5, 3.0):
+        assert np.array_equal(affine.evaluator(gamma, y),
+                              np.linalg.solve(np.eye(n) + gamma * h, y - gamma * b))
+        z = y + gamma * b
+        expected = np.sign(z) * np.maximum(np.abs(z) - gamma * lam, 0.0) / (1.0 + gamma * d)
+        assert np.array_equal(l1_diag.evaluator(gamma, y), expected)
+
+
 def moreau_dual(op, tau, z):
     """J_{tau^{-1} A^{-1}}(tau^{-1} z), the dual blocks' resolvent, through
     inverse_via_moreau."""
