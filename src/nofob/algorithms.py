@@ -46,6 +46,7 @@ it.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -106,7 +107,10 @@ def _step_sizes(name: str, tau, count: int) -> list:
         t = t * count
     if len(t) != count:
         raise ContractViolation(f"{name} needs {count} step sizes")
-    return [float(v) for v in t]
+    t = [float(v) for v in t]
+    if not all(0.0 < v < math.inf for v in t):
+        raise ContractViolation(f"{name} step sizes must be positive and finite")
+    return t
 
 
 def _takes_none(name: str, inst: ProblemInstance, **given):
@@ -154,12 +158,13 @@ def _scalar(kind: str, e_free: bool):
         if e_free and inst.bundle.e.inverse_cocoercivity != 0.0:
             raise ContractViolation(f"{name} requires a problem with E = 0")
         g = _gamma(inst, kind, gamma)
+        spec = ScalarStep(g)  # raises on a bad gamma before the warning
         if kind == "conservative" and g > _gamma_bound(inst, kind) + 1e-15:
             warnings.warn(
                 "gamma exceeds the sufficient conservative bound; proceeding",
                 StepParameterWarning, stacklevel=3,
             )
-        view = as_nofob(inst.bundle, ScalarStep(g), _s_or_identity(s, inst))
+        view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
         return Kernel(view, view, gamma=g)
 
     return kernel
@@ -204,13 +209,14 @@ def _fbs(name, inst, gamma, tau, s):
     bundle = inst.bundle
     s = _s_or_identity(s, inst)
     g = _gamma(inst, "fbs", gamma)
+    view = fbs_view(bundle, g, s)  # raises on a bad gamma before c is formed
     c = 1.0 - 0.25 * bundle.e.inverse_cocoercivity * g
     if c <= 0:
         raise ContractViolation("gamma at or beyond 4/beta_E")
     audit = None
     if bundle.d.lipschitz_constant == 0.0 and bundle.k.operator_norm == 0.0:
         audit = as_nofob(bundle, ScalarStep(g), s)
-    return Kernel(fbs_view(bundle, g, s), audit, gamma=g, c=c)
+    return Kernel(view, audit, gamma=g, c=c)
 
 
 def _natural(name, inst, gamma, tau, s):

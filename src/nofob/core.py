@@ -52,6 +52,14 @@ class NofobProblem:
     P lower-bounds the strong monotonicity of M; beta in [0, 4) is the
     inverse cocoercivity of C relative to P; S is the projection metric;
     kernel_lipschitz bounds M in the norm pair.
+
+    kernel_diff may carry its stacked form as the attribute `rows`:
+    rows(xs, x_hats) gives kernel_diff of every row pair of two k x n
+    stacks, bit for bit, in one call.  The step never calls it; the
+    separation audit does, and calls kernel_diff per record where it is
+    missing.  Held on the callable, it goes wherever kernel_diff goes
+    (`functools.wraps` copies it) and no further: a view rebuilt with
+    another kernel_diff has none.
     """
 
     fb_oracle: Callable[[np.ndarray], np.ndarray]

@@ -11,12 +11,16 @@ claims on strongly monotone instances.
 The checkers work on a whole trajectory at once: the iterates are
 stacked as the rows of k x n arrays, the recorded scalars collected into
 arrays, and every norm, inner product, guard and violation computed
-elementwise.  Only the kernel difference stays one call per record, so
-that a user's kernel sees the vectors it was written for.  The
-primitives (`linalg.weighted_row_norms`, `np.vecdot`, elementwise
-arithmetic in the per-record order) round as the per-record `x @ y` and
-`W @ x` do, so the reports equal those of the per-record transcriptions
-in `tests/conftest.py` bit for bit.
+elementwise.  The kernel differences Mx - Mx_hat come from the stacked
+form the view's `kernel_diff` carries as its attribute `rows`, one call
+per trajectory; a `kernel_diff` without one (a live D that declares no
+matrix, a user's own kernel) is called once per record, with the
+vectors it was written for.  The primitives (`linalg.weighted_row_norms`,
+`linalg.matvec_rows`, `np.vecdot`, elementwise arithmetic in the
+per-record order) round as the per-record `x @ y` and `W @ x` do, so
+the reports equal those of the per-record transcriptions in
+`tests/conftest.py` bit for bit.  A z* that is not a vector of the
+trajectory's dimension raises ContractViolation("dimension mismatch").
 """
 
 from __future__ import annotations
@@ -82,6 +86,15 @@ def _rows(arrays, k: int) -> np.ndarray:
     return np.concatenate(arrays).reshape(k, -1)
 
 
+def _solution(z_star, n: int) -> np.ndarray:
+    """z* as a float vector of length n; a scalar, which would broadcast,
+    or any other shape is a dimension mismatch."""
+    z = np.asarray(z_star, dtype=float)
+    if z.shape != (n,):
+        raise ContractViolation("dimension mismatch")
+    return z
+
+
 def _worse(a, b):
     """Elementwise max(a, b) as Python takes it (a unless b > a), except
     that a NaN in either wins."""
@@ -105,11 +118,11 @@ def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric,
     identity: a record whose x is the previous x_next array reuses it, and
     only the x of the other records are measured.
     """
+    z = _solution(z_star, s.dim)
     recs = traj.records
     k = len(recs)
     if k == 0:
         return _report("fejer", (), tol)
-    z = np.asarray(z_star, dtype=float)
     fresh = [0] + [i for i in range(1, k) if recs[i].x is not recs[i - 1].x_next]
     with np.errstate(over="ignore", invalid="ignore"):
         after = _squares(weighted_row_norms(s, _rows([r.x_next for r in recs], k) - z))
@@ -131,19 +144,26 @@ def check_separation(traj: Trajectory, prob: NofobProblem, z_star: np.ndarray,
 
     Requires psi(x) >= (1 - beta/4)||x - x_hat||_P^2 and psi(z*) <= 0 for
     psi(z) = <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2, both
-    recomputed from the kernel evaluator, one kernel difference per
-    record, rather than trusted from the records.  A NaN in either
-    condition fails.
+    recomputed from the kernel rather than trusted from the records.  The
+    kernel differences of all records are one call of the stacked form
+    `prob.kernel_diff.rows` where the view carries one, and one
+    `prob.kernel_difference` per record where it does not; both give the
+    same bits.  A NaN in either condition fails.
     """
+    z = _solution(z_star, prob.p_metric.dim)
     recs = traj.records
     k = len(recs)
     if k == 0:
         return _report("separation", (), tol)
-    z = np.asarray(z_star, dtype=float)
-    m = _rows([prob.kernel_difference(r.x, r.x_hat) for r in recs], k)
+    x = _rows([r.x for r in recs], k)
     x_hat = _rows([r.x_hat for r in recs], k)
+    rows = getattr(prob.kernel_diff, "rows", None)
+    if rows is None:
+        m = _rows([prob.kernel_difference(r.x, r.x_hat) for r in recs], k)
+    else:
+        m = rows(x, x_hat)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = _rows([r.x for r in recs], k) - x_hat
+        d = x - x_hat
         gap = weighted_row_norms(prob.p_metric, d)
         q = 0.25 * prob.beta * gap * gap
         at_x = np.vecdot(m, d) - q

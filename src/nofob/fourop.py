@@ -34,12 +34,24 @@ map-by-map sum: it serves the oracle certificate, where it is an
 independent cross-check of the summed matrices.  On the linear kernels
 (ScalarStep, BlockDiag, AffinePlusSkew) the kernel difference forms
 x - x_hat once and applies Q and G to it.
+
+Each view's kernel difference also comes stacked, as the attribute
+`rows` of its `kernel_diff` (see `core.NofobProblem`): M x - M x_hat of
+every row of a k x n stack in one call, for the separation audit.  Its
+parts round row by row as the per-vector ones do: x - x_hat, the
+division by gamma, BlockDiag's per-block weights and a coordinatewise
+phi are elementwise, and the dense products of G and of AffinePlusSkew's
+Q are stacked GEMVs (`linalg.matvec_rows`), not a GEMM.  A spec says how
+Q acts on a stack through `q_rows`; a spec without one, or a live D that
+declares no matrix, leaves the view without a stacked form.
+
 Also provides the step-size bound formulas and the fixed-relaxation
 positive semidefiniteness check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -47,7 +59,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import NofobProblem
-from .linalg import ContractViolation, SpdMetric
+from .linalg import ContractViolation, SpdMetric, matvec_rows
 from .operators import (
     BlockProx,
     CocoerciveMap,
@@ -150,6 +162,11 @@ class LinearPart:
         y = self.matrix @ x
         return y if self.shift is None else y + self.shift
 
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        """The map at every row of a k x n stack, bit for bit `self(row)`."""
+        y = matvec_rows(self.matrix, xs)
+        return y if self.shift is None else y + self.shift
+
 
 def _summed(maps):
     """x -> the sum of the values at x of the maps that are not None,
@@ -181,6 +198,9 @@ class KernelSpec:
     # Q is linear, so Q x - Q x_hat is evaluated as Q (x - x_hat), which
     # avoids catastrophic cancellation
     linear = False
+    # q_rows(prob, xs): Q at every row of a k x n stack, bit for bit
+    # q_apply of each row; None where the family has no stacked form
+    q_rows = None
 
     def check(self, prob: FourOpProblem) -> None:
         """Raise ContractViolation when the bundle does not fit the kernel."""
@@ -203,8 +223,8 @@ class KernelSpec:
 
 def _positive(value, what: str) -> float:
     v = float(value)
-    if not v > 0.0:
-        raise ContractViolation(f"{what} must be positive")
+    if not 0.0 < v < math.inf:
+        raise ContractViolation(f"{what} must be positive and finite")
     return v
 
 
@@ -218,6 +238,8 @@ class ScalarStep(KernelSpec):
 
     def q_apply(self, prob, x):
         return x / self.gamma
+
+    q_rows = q_apply  # elementwise
 
     def resolvent(self, prob, v, start=None):
         g = self.gamma
@@ -249,6 +271,11 @@ class BlockDiag(KernelSpec):
     def q_apply(self, prob, x):
         return np.concatenate([w * xb for w, xb in zip(self.weights, prob.b.split(x))])
 
+    def q_rows(self, prob, xs):
+        cut = prob.b.offsets
+        return np.concatenate([w * xs[:, a:b] for w, a, b
+                               in zip(self.weights, cut[:-1], cut[1:])], axis=1)
+
     def resolvent(self, prob, v, start=None):
         return prob.b.block_resolve(self.weights, v)
 
@@ -279,7 +306,8 @@ class AffinePlusSkew(KernelSpec):
         q[:m, :m] = tau1 * np.eye(m)
         q[m:, m:] = np.eye(n) / tau2
         q[m:, :m] = 2.0 * l.T
-        self.p = SpdMetric(0.5 * (q + q.T))
+        # the symmetric part as SpdMetric takes it, with no overflow
+        self.p = SpdMetric(0.5 * q + 0.5 * q.T)
         self.q_matrix = q
         self.dims = (m, n)
         self._w = (tau1, 1.0 / tau2)
@@ -293,6 +321,9 @@ class AffinePlusSkew(KernelSpec):
 
     def q_apply(self, prob, x):
         return self.q_matrix @ x
+
+    def q_rows(self, prob, xs):
+        return matvec_rows(self.q_matrix, xs)
 
     def resolvent(self, prob, v, start=None):
         ops = prob.b.ops
@@ -330,6 +361,8 @@ class SeparableNonlinear(KernelSpec):
 
     def q_apply(self, prob, x):
         return self.kernel(x)
+
+    q_rows = q_apply  # phi acts coordinatewise
 
     def resolvent(self, prob, v, start=None):
         return separable_nonlinear_resolvent(self.kernel, prob.b, v, start=start)
@@ -371,7 +404,8 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     G = D + K in the kernel.  The oracle starts the backward solve at
     its own x, and the kernel difference at the oracle's own x array
     reuses the oracle's D x of a D without a matrix and, on a nonlinear
-    kernel, its Q x."""
+    kernel, its Q x.  Where the spec has `q_rows` and D declares a
+    matrix or is zero, `kernel_diff.rows` is its stacked form."""
     spec.check(prob)
     l_d = prob.d.lipschitz_constant
     p = _less_l_d(spec.q_metric(prob), l_d)
@@ -419,6 +453,20 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         if g is not None:
             m = m - g(diff)
         return m
+
+    q_rows = spec.q_rows
+    if d is None and q_rows is not None:
+        def rows(xs, x_hats):
+            diff = xs - x_hats
+            if linear:
+                m = q_rows(prob, diff)
+            else:
+                m = q_rows(prob, xs) - q_rows(prob, x_hats)
+            if g is not None:
+                m = m - g.rows(diff)
+            return m
+
+        kernel_diff.rows = rows
 
     return NofobProblem(
         fb_oracle=fb,
@@ -514,8 +562,7 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
     plain forward-backward.  The halfspace separates only when D = K = 0;
     otherwise the whole forward part is treated as if it were cocoercive.
     """
-    if gamma <= 0:
-        raise ContractViolation("gamma must be positive")
+    _positive(gamma, "gamma")
     _, f, d, e = prob.forward_parts
     forward = _summed((d, f, e))
 
@@ -528,6 +575,8 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
 
     def kernel_diff(x, x_hat):
         return (x - x_hat) / gamma
+
+    kernel_diff.rows = kernel_diff  # elementwise
 
     return NofobProblem(
         fb_oracle=fb, kernel_eval=kernel, kernel_diff=kernel_diff,

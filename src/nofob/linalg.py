@@ -13,7 +13,12 @@ dense): `norm` makes no shape check and no dispatch on the kind, so
 the step's three norms cost one dot product each; `weighted_norm` is
 the same norm behind a dimension check.  `weighted_row_norms` takes the
 norms of all rows of a k x n stack at once, bit for bit the per-row
-`weighted_norm`.
+`weighted_norm`, and `matvec_rows` the product of a matrix with every
+row, bit for bit the per-row `a @ row`.  A metric or a matrix whose
+extremal eigenvalues are asked for must have finite entries: a NaN
+compares False, so it would pass the symmetry test and stop the
+eigensolver with a foreign error.  Symmetric parts are taken as
+0.5 w + 0.5 w^T, which cannot overflow on finite entries.
 
 `spectral_norm` and `largest_eig` read one extremal eigenvalue.  Below
 _LANCZOS_MIN_DIM they take it from a dense symmetric eigensolve; from
@@ -40,6 +45,7 @@ __all__ = [
     "SpdMetric",
     "weighted_norm",
     "weighted_row_norms",
+    "matvec_rows",
     "extremal_eig_bounds",
     "spectral_norm",
     "largest_eig",
@@ -66,18 +72,33 @@ class ContractViolation(ValueError):
     """Raised when an operation is called outside its contract."""
 
 
+def _finite_scale(w: np.ndarray, what: str) -> float:
+    """max(1, max |w_ij|), raising unless every entry is finite."""
+    top = float(np.abs(w).max())
+    if not top < math.inf:  # a NaN fails this test too
+        raise ContractViolation(f"{what} entries must be finite")
+    return max(1.0, top)
+
+
+def _symmetric_part(w: np.ndarray) -> np.ndarray:
+    """(w + w^T) / 2 as 0.5 w + 0.5 w^T: the same bits as 0.5 (w + w^T)
+    away from the subnormal range, and no overflow on finite entries."""
+    return 0.5 * w + 0.5 * w.T
+
+
 def extremal_eig_bounds(w: np.ndarray, tol: float = 1e-12) -> tuple[float, float]:
     """Extremal eigenvalues of a symmetric matrix.
 
-    Dense symmetric eigendecomposition.  Raises on non-symmetric input.
+    Dense symmetric eigendecomposition.  Raises on non-finite or
+    non-symmetric input.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ContractViolation("matrix must be square")
-    scale = max(1.0, float(np.abs(w).max()))
+    scale = _finite_scale(w, "matrix")
     if np.abs(w - w.T).max() > max(tol, 1e-12) * scale:
         raise ContractViolation("matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (w + w.T))
+    eigs = np.linalg.eigvalsh(_symmetric_part(w))
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -148,12 +169,13 @@ def largest_eig(w: np.ndarray) -> float:
 class SpdMetric:
     """Symmetric positive definite metric with cached factorization.
 
-    Input is symmetrized and rejected unless lambda_min > 1e-12 *
-    lambda_max.  `apply` computes W x and `solve` computes W^{-1} v via
-    the cached Cholesky factor.  `identity` and `scaled_identity` hold
-    the scalar c of W = c I instead, so building, applying and solving
-    cost O(1), O(n) and O(n); the dense matrix is formed only when
-    `matrix` is read.  At c = 1, `solve` returns v itself.  `norm(x)` is
+    Input is rejected unless its entries are finite, then symmetrized
+    and rejected unless lambda_min > 1e-12 * lambda_max; a scalar c must
+    be finite and positive.  `apply` computes W x and `solve` computes
+    W^{-1} v via the cached Cholesky factor.  `identity` and
+    `scaled_identity` hold the scalar c of W = c I instead, so building,
+    applying and solving cost O(1), O(n) and O(n); the dense matrix is
+    formed only when `matrix` is read.  At c = 1, `solve` returns v itself.  `norm(x)` is
     ||x||_W for a vector x of length `dim`, which it does not check.
     """
 
@@ -161,10 +183,10 @@ class SpdMetric:
         w = np.asarray(matrix, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ContractViolation("metric must be a square matrix")
-        scale = max(1.0, float(np.abs(w).max()))
+        scale = _finite_scale(w, "metric")
         if np.abs(w - w.T).max() > 1e-12 * scale:
             raise ContractViolation("metric is not symmetric to 1e-12 relative")
-        w = 0.5 * (w + w.T)
+        w = _symmetric_part(w)
         lam_min, lam_max = extremal_eig_bounds(w)
         if lam_min <= 1e-12 * lam_max or lam_max <= 0.0:
             raise ContractViolation("metric is not positive definite")
@@ -200,6 +222,8 @@ class SpdMetric:
     @classmethod
     def scaled_identity(cls, c: float, n: int) -> "SpdMetric":
         c = float(c)
+        if not c < math.inf:
+            raise ContractViolation("metric entries must be finite")
         if not c > 0.0:
             raise ContractViolation("metric is not positive definite")
         metric = cls.__new__(cls)
@@ -240,17 +264,28 @@ def weighted_norm(w: SpdMetric, x: np.ndarray) -> float:
 def weighted_row_norms(w: SpdMetric, rows: np.ndarray) -> np.ndarray:
     """`weighted_norm(w, row)` of every row of a k x n stack, bit for bit.
 
-    W x is `c * rows` (rows itself at c = 1) or one stacked matvec
-    `matmul(W, rows[:, :, None])`, and each <x, W x> an `np.vecdot`; both
-    round as the per-row `W @ x` and `x @ wx` do.  The clamp at 0 keeps
+    W x is `c * rows` (rows itself at c = 1) or `matvec_rows(W, rows)`,
+    and each <x, W x> an `np.vecdot`; both round as the per-row `W @ x`
+    and `x @ wx` do.  The clamp at 0 keeps
     Python's `max(d, 0.0)`, so a NaN stays NaN.
     """
     if rows.ndim != 2 or rows.shape[1] != w.dim:
         raise ContractViolation("dimension mismatch")
     c = w._scale
     if c is None:
-        wx = np.matmul(w._matrix, rows[:, :, None])[:, :, 0]
+        wx = matvec_rows(w._matrix, rows)
     else:
         wx = rows if c == 1.0 else c * rows
     d = np.vecdot(rows, wx)
     return np.sqrt(np.where(0.0 > d, 0.0, d))
+
+
+def matvec_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`a @ row` of every row of a k x n stack, bit for bit.
+
+    One stacked matrix-vector product, `matmul(a, rows[:, :, None])`,
+    which numpy runs as a GEMV per row, the routine of the per-row
+    `a @ row`.  The GEMM `rows @ a.T` computes the same values but can
+    round them differently.
+    """
+    return np.matmul(a, rows[:, :, None])[:, :, 0]

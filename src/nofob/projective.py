@@ -16,6 +16,7 @@ coincide to round-off; tests exploit this as a runtime oracle.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -60,8 +61,8 @@ class PsProblem:
         self.a_ops = tuple(a_ops)
         self.l_maps = tuple(mats)
         taus = tuple(float(t) for t in taus)
-        if not all(t > 0.0 for t in taus):
-            raise ContractViolation("step sizes must be positive")
+        if not all(0.0 < t < math.inf for t in taus):
+            raise ContractViolation("step sizes must be positive and finite")
         self.taus = taus
         self.primal_dim = int(primal_dim)
         self.dual_dims = tuple(m.shape[0] for m in mats)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,26 @@ def test_gamma_on_a_row_without_a_scalar_step_is_an_error(problem, algorithm, ga
                     "--gamma", gamma])
     assert code == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {algorithm} takes no gamma on {problem}\n"
+
+
+@pytest.mark.parametrize("problem, algorithm, flags, message", [
+    ("saddle", "afba", ["--tau", "inf,0.1"], "afba step sizes must be positive and finite"),
+    ("saddle", "afba-fixed", ["--tau", "1e308,1"], "metric is not positive definite"),
+    ("saddle", "ps-resolvent", ["--tau", "inf"],
+     "ps-resolvent step sizes must be positive and finite"),
+    ("rotation", "fbs", ["--gamma", "inf"], "gamma must be positive and finite"),
+    ("rotation", "fbf", ["--gamma", "inf"], "gamma must be positive and finite"),
+    ("regquad-full", "fbhf-long", ["--gamma", "inf"], "gamma must be positive and finite"),
+    ("regquad-full", "four-op", ["--gamma", "nan"], "gamma must be positive and finite"),
+])
+def test_a_non_finite_or_overflowing_step_size_is_a_one_line_error(
+        problem, algorithm, flags, message, capsys):
+    # no warning on the way either: the step size is refused before it is used
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["solve", "--problem", problem, "--algorithm", algorithm, *flags])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("theta", ["5", "2", "0", "-0.5", "nan"])

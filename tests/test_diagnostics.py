@@ -1,5 +1,5 @@
 import dataclasses
-from functools import cache
+from functools import cache, wraps
 
 import numpy as np
 import pytest
@@ -133,6 +133,23 @@ def test_separation_fails_on_a_nan_candidate():
     assert np.isnan(rep.max_violation) and rep.first_violating_iter == 3
 
 
+@pytest.mark.parametrize("z_star", [
+    lambda n: 0.0, lambda n: np.zeros(1), lambda n: np.zeros(n - 1),
+    lambda n: np.zeros(n + 1), lambda n: np.zeros((n, 1)), lambda n: np.zeros((1, n)),
+])
+def test_audits_reject_a_solution_of_the_wrong_shape(z_star):
+    # a scalar or a length-1 z* used to broadcast into a report measured
+    # against another point
+    out = run_algorithm("four-op", get_instance("regquad-full", 1))
+    traj, z = out.trajectory, z_star(out.z_star.shape[0])
+    empty = Trajectory([], out.trajectory.final_x, "converged")
+    for t in (traj, empty):
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            check_fejer(t, z, out.s_metric)
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            check_separation(t, out.nofob_view, z)
+
+
 def test_separation_fails_with_sign_flipped_kernel():
     out, inst = convergent_run()
     view = out.nofob_view
@@ -143,6 +160,37 @@ def test_separation_fails_with_sign_flipped_kernel():
     )
     rep = check_separation(out.trajectory, flipped, out.z_star)
     assert not rep.passed
+
+
+def test_replacing_the_kernel_difference_drops_its_stacked_form(audit_reference):
+    # the stacked form travels on the kernel_diff callable, so a view with
+    # another kernel_diff is audited record by record through it
+    out, _ = convergent_run()
+    view, traj, z = out.nofob_view, out.trajectory, out.z_star
+    kd = view.kernel_diff
+    doubled = dataclasses.replace(view, kernel_diff=lambda x, x_hat: 2.0 * kd(x, x_hat))
+    assert not hasattr(doubled.kernel_diff, "rows")
+    got = check_separation(traj, doubled, z)
+    _assert_same_report(got, audit_reference.separation(traj, doubled, z))
+    assert got != check_separation(traj, view, z)
+    # replacing another field keeps it, as ps-explicit's oracle does
+    assert dataclasses.replace(view, fb_oracle=view.fb_oracle).kernel_diff.rows is kd.rows
+
+
+def test_a_wrapped_kernel_difference_keeps_its_stacked_form():
+    # functools.wraps copies the attribute, as a tracing wrapper does
+    out, _ = convergent_run()
+    view, traj, z = out.nofob_view, out.trajectory, out.z_star
+    calls = []
+
+    @wraps(view.kernel_diff)
+    def counted(x, x_hat):
+        calls.append(1)
+        return view.kernel_diff(x, x_hat)
+
+    wrapped = dataclasses.replace(view, kernel_diff=counted)
+    assert check_separation(traj, wrapped, z) == check_separation(traj, view, z)
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +335,8 @@ def _assert_audits_match(out, audit_reference):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_audits_match_the_per_record_reference(seed, audit_reference):
+def test_audits_match_the_per_record_reference(seed, audit_reference,
+                                               planted_nonlinear_drift):
     runs = 0
     for name in REGISTRY:
         inst = get_instance(name, seed)
@@ -298,9 +347,19 @@ def test_audits_match_the_per_record_reference(seed, audit_reference):
                 # the algorithm does not accept this problem
                 assert "need" in str(exc) or "requires" in str(exc)
                 continue
+            if out.nofob_view is not None:
+                # every registered view audits through its stacked form
+                assert callable(out.nofob_view.kernel_diff.rows)
             _assert_audits_match(out, audit_reference)
             runs += 1
     assert runs >= 40
+    # the planted tanh D declares no matrix, so its view has no stacked
+    # form and the separation audit calls kernel_diff record by record
+    out = run_algorithm("four-op", planted_nonlinear_drift(20, seed))
+    assert not hasattr(out.nofob_view.kernel_diff, "rows")
+    _assert_audits_match(out, audit_reference)
+    _assert_audits_match(dataclasses.replace(out, trajectory=_corrupt(out.trajectory)),
+                         audit_reference)
 
 
 def test_audits_match_the_reference_on_records_that_do_not_chain(audit_reference):

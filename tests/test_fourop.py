@@ -155,6 +155,23 @@ def test_kernel_step_sizes_are_validated_at_construction():
         BlockDiag([1.0, 0.0])
 
 
+def test_non_finite_step_sizes_are_rejected_at_construction():
+    prob = trivial_problem()
+    s = SpdMetric.identity(prob.dim)
+    l_matrix = np.ones((2, 3))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ContractViolation, match="gamma must be positive and finite"):
+            ScalarStep(bad)
+        with pytest.raises(ContractViolation, match="gamma must be positive and finite"):
+            fbs_view(prob, bad, s)
+        with pytest.raises(ContractViolation, match="block weights must be positive and finite"):
+            BlockDiag([1.0, bad])
+        with pytest.raises(ContractViolation, match="tau1 must be positive and finite"):
+            AffinePlusSkew(l_matrix, bad, 0.1)
+        with pytest.raises(ContractViolation, match="tau2 must be positive and finite"):
+            AffinePlusSkew(l_matrix, 1.0, bad)
+
+
 # ---------------------------------------------------------------------------
 # specialization coherence
 
@@ -717,3 +734,59 @@ def test_one_live_map_is_its_own_product(algorithm):
     assert fused.iterations == mapped.iterations
     for a, b in zip(fused.records, mapped.records):
         assert np.array_equal(a.x_next, b.x_next) and a.mu == b.mu
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel difference the separation audit takes
+
+
+def _assert_stacked_is_per_row(view, records):
+    """`kernel_diff.rows` of the stacked records equals `kernel_diff` of
+    each record byte for byte, so signed zeros count."""
+    xs = np.array([r.x for r in records])
+    x_hats = np.array([r.x_hat for r in records])
+    stacked = view.kernel_diff.rows(xs, x_hats)
+    per_row = np.array([view.kernel_diff(r.x, r.x_hat) for r in records])
+    assert stacked.shape == per_row.shape == xs.shape
+    assert stacked.tobytes() == per_row.tobytes()
+
+
+@pytest.mark.parametrize("problem, algorithm, family, with_g", [
+    ("regquad-fbhf", "fbhf", ScalarStep, True),
+    ("regquad-fbf", "fbf-long", ScalarStep, True),
+    ("regquad-full", "four-op", ScalarStep, True),
+    ("rotation", "fbf", ScalarStep, True),
+    ("regquad-fbs", "fbhf-long", ScalarStep, False),
+    ("saddle", "four-op", BlockDiag, True),
+    ("saddle", "ps-resolvent", BlockDiag, True),
+    ("saddle", "afba", AffinePlusSkew, True),
+    ("nonlinear-kernel", "four-op", SeparableNonlinear, False),
+    ("regquad-fbs", "fbs", fbs_view, False),
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_kernel_difference_is_the_per_row_one_bit_for_bit(
+        problem, algorithm, family, with_g, seed):
+    inst = get_instance(problem, seed)
+    out = run_algorithm(algorithm, inst)
+    records = out.trajectory.records
+    assert len(records) > 1
+    if family is fbs_view:
+        view = fbs_view(inst.bundle, out.gamma, out.s_metric)
+    else:
+        view = out.nofob_view
+        bundle = inst.ps_view.stacked() if algorithm == "ps-resolvent" else inst.bundle
+        assert (bundle.forward_parts[0] is not None) == with_g
+    _assert_stacked_is_per_row(view, records)
+
+
+@pytest.mark.parametrize("n", [200, 800])
+@pytest.mark.parametrize("algorithm", ["four-op", "fbhf-long", "fbs-relaxed"])
+def test_stacked_kernel_difference_is_the_per_row_one_at_ladder_sizes(n, algorithm):
+    # dense n x n products: a GEMM `xs @ G.T` in place of the stacked GEMVs
+    # rounds differently here
+    inst = make_regularized_quadratic(n=n, seed=1, split="full")
+    out = run_algorithm(algorithm, inst)
+    view = out.nofob_view
+    if algorithm == "fbs-relaxed":
+        view = fbs_view(inst.bundle, out.gamma, out.s_metric)
+    _assert_stacked_is_per_row(view, out.trajectory.records)

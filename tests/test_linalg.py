@@ -9,6 +9,7 @@ from nofob.linalg import (
     SpdMetric,
     extremal_eig_bounds,
     largest_eig,
+    matvec_rows,
     spectral_norm,
     weighted_norm,
     weighted_row_norms,
@@ -195,6 +196,40 @@ def test_weighted_row_norms_are_the_per_row_norms_bit_for_bit(n):
         assert np.array_equal(got, expected, equal_nan=True)
     with pytest.raises(ContractViolation, match="dimension mismatch"):
         weighted_row_norms(SpdMetric.identity(n + 1), rows)
+
+
+@pytest.mark.parametrize("n", [3, 17, 300])
+def test_matvec_rows_are_the_per_row_products_bit_for_bit(n):
+    # the rows span magnitudes and include a zero and a negative-zero row
+    rng = Lcg64(n + 1)
+    rows = rng.matrix(40, n) * np.logspace(-8, 8, 40)[:, None]
+    rows[3] = 0.0
+    rows[4] = -0.0
+    a = rng.matrix(n, n)
+    expected = np.array([a @ row for row in rows])
+    assert matvec_rows(a, rows).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_and_eigenvalue_bounds_reject_non_finite_entries(bad):
+    # a NaN compares False, so it used to pass the symmetry test and stop
+    # the eigensolver with a LinAlgError
+    w = np.eye(3)
+    w[0, 1] = w[1, 0] = bad
+    with pytest.raises(ContractViolation, match="metric entries must be finite"):
+        SpdMetric(w)
+    with pytest.raises(ContractViolation, match="matrix entries must be finite"):
+        extremal_eig_bounds(w)
+    if bad > 0.0 or bad != bad:
+        with pytest.raises(ContractViolation, match="metric entries must be finite"):
+            SpdMetric.scaled_identity(bad, 3)
+
+
+def test_a_metric_near_the_overflow_threshold_is_built():
+    # w + w^T would overflow; the symmetric part 0.5 w + 0.5 w^T does not
+    w = SpdMetric(np.diag([1.5e308, 1.0e308]))
+    assert (w.lam_min, w.lam_max) == (1.0e308, 1.5e308)
+    assert extremal_eig_bounds(w.matrix) == (1.0e308, 1.5e308)
 
 
 def test_lcg64_is_deterministic_and_spread():

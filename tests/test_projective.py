@@ -46,6 +46,9 @@ def test_ps_problem_validation():
     for taus in ((1.0, -0.5), (1.0, float("nan"))):
         with pytest.raises(ContractViolation, match="step sizes must be positive"):
             zero_ps(taus=taus)
+    for taus in ((1.0, float("inf")), (float("inf"), 1.0)):
+        with pytest.raises(ContractViolation, match="step sizes must be positive and finite"):
+            zero_ps(taus=taus)
 
 
 # ---------------------------------------------------------------------------
