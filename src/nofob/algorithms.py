@@ -65,7 +65,7 @@ from .fourop import (
     gamma_bound_conservative,
     gamma_bound_long,
 )
-from .linalg import ContractViolation, SpdMetric
+from .linalg import GAMMA_BOUND_TOL, STOP_TOL, ContractViolation, SpdMetric
 from .problems import ProblemInstance
 from .projective import PsProblem, ps_explicit_oracle
 
@@ -159,7 +159,7 @@ def _scalar(kind: str, e_free: bool):
             raise ContractViolation(f"{name} requires a problem with E = 0")
         g = _gamma(inst, kind, gamma)
         spec = ScalarStep(g)  # raises on a bad gamma before the warning
-        if kind == "conservative" and g > _gamma_bound(inst, kind) + 1e-15:
+        if kind == "conservative" and g > _gamma_bound(inst, kind) + GAMMA_BOUND_TOL:
             warnings.warn(
                 "gamma exceeds the sufficient conservative bound; proceeding",
                 StepParameterWarning, stacklevel=3,
@@ -298,7 +298,7 @@ def run_algorithm(
     gamma: Optional[float] = None,
     tau=None,
     theta: Optional[float] = None,
-    tol: float = 1e-8,
+    tol: float = STOP_TOL,
     max_iter: int = 1000,
     s_metric: Optional[SpdMetric] = None,
     x0: Optional[np.ndarray] = None,

@@ -22,7 +22,7 @@ from .algorithms import ALGORITHMS, RunOutput, run_algorithm
 from .core import Trajectory
 from .diagnostics import (CheckReport, check_fejer, check_mu_bounds,
                           check_separation, fit_rate)
-from .linalg import ContractViolation, weighted_row_norms
+from .linalg import PS_EQUIVALENCE_TOL, STOP_TOL, ContractViolation, weighted_row_norms
 from .problems import DEFAULT_SEED, REGISTRY, get_instance
 
 EXIT_OK = 0
@@ -133,7 +133,8 @@ def cmd_check(args) -> int:
             float(np.max(np.abs(a.x_next - b.x_next)))
             for a, b in zip(traj.records[:n], twin.trajectory.records[:n])
         )
-        equiv = CheckReport("ps-equivalence", dev, None, dev <= 1e-10, 1e-10)
+        equiv = CheckReport("ps-equivalence", dev, None, dev <= PS_EQUIVALENCE_TOL,
+                            PS_EQUIVALENCE_TOL)
         reports.append(equiv)
         lines.append(equiv.line())
     print("\n".join(lines))
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", default=None)
         p.add_argument("--tau", default=None)
         p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=STOP_TOL)
         p.add_argument("--max-iter", type=int, default=1000)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

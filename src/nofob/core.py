@@ -9,7 +9,8 @@ relaxation.
 One tolerance policy covers coincidence and round-off: a residual at or
 below COINCIDENCE_TOL * (1 + ||x||) is a null step, and so is a failed
 separation at or below NOISE_TOL * (1 + ||x||); a failed separation
-above that raises.  Null steps, and only they, record mu = 0.
+above that raises.  Both constants are read from the tolerance table in
+`linalg`.  Null steps, and only they, record mu = 0.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .linalg import ContractViolation, SpdMetric
+# the tolerances are imported by name: `coincides` and `separation_fails`
+# run every iteration and read them as plain module globals
+from .linalg import COINCIDENCE_TOL, NOISE_TOL, ContractViolation, SpdMetric
 
 __all__ = [
     "NofobProblem",
     "IterRecord",
     "Trajectory",
-    "COINCIDENCE_TOL",
-    "NOISE_TOL",
     "coincides",
     "separation_fails",
     "null_record",
@@ -38,9 +39,6 @@ __all__ = [
 
 _THETA_MIN = 0.05
 _THETA_MAX = 1.95
-
-COINCIDENCE_TOL = 1e-14
-NOISE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,8 @@ class NofobProblem:
     def __post_init__(self):
         if not (0.0 <= self.beta < 4.0):
             raise ContractViolation("beta must lie in [0, 4)")
-        if self.kernel_lipschitz <= 0:
-            raise ContractViolation("kernel Lipschitz bound must be positive")
+        if not 0.0 < self.kernel_lipschitz < math.inf:  # a NaN fails this test too
+            raise ContractViolation("kernel Lipschitz bound must be positive and finite")
         if self.p_metric.dim != self.s_metric.dim:
             raise ContractViolation("dimension mismatch")
 

@@ -21,6 +21,10 @@ per-record order) round as the per-record `x @ y` and `W @ x` do, so
 the reports equal those of the per-record transcriptions in
 `tests/conftest.py` bit for bit.  A z* that is not a vector of the
 trajectory's dimension raises ContractViolation("dimension mismatch").
+
+The tolerances come from the tolerance table in `linalg`: AUDIT_TOL,
+absolute plus relative to the squared distance or gap, for Fejer and
+separation, and MU_BOUNDS_TOL, absolute, for the mu bounds.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import NofobProblem, Trajectory
-from .linalg import ContractViolation, SpdMetric, weighted_row_norms
+from .linalg import (AUDIT_TOL, MU_BOUNDS_TOL, ContractViolation, SpdMetric,
+                     weighted_row_norms)
 
 __all__ = [
     "CheckReport",
@@ -41,10 +46,7 @@ __all__ = [
     "check_separation",
     "check_mu_bounds",
     "fit_rate",
-    "DEFAULT_TOL",
 ]
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class CheckReport:
     max_violation: float
     first_violating_iter: Optional[int]
     passed: bool
-    tolerance: float = DEFAULT_TOL
+    tolerance: float = AUDIT_TOL
 
     def line(self) -> str:
         state = "pass" if self.passed else "FAIL"
@@ -108,8 +110,7 @@ def _squares(norms: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.pow, norms.tolist(), repeat(2.0)), float, len(norms))
 
 
-def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric,
-                tol: float = DEFAULT_TOL) -> CheckReport:
+def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric) -> CheckReport:
     """Distance decrease: ||x+ - z||_S^2 <= ||x - z||_S^2 - th(2-th) gap^2.
 
     The projection gap ||x - Pi_H x||_S is reconstructed from the
@@ -122,7 +123,7 @@ def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric,
     recs = traj.records
     k = len(recs)
     if k == 0:
-        return _report("fejer", (), tol)
+        return _report("fejer", (), AUDIT_TOL)
     fresh = [0] + [i for i in range(1, k) if recs[i].x is not recs[i - 1].x_next]
     with np.errstate(over="ignore", invalid="ignore"):
         after = _squares(weighted_row_norms(s, _rows([r.x_next for r in recs], k) - z))
@@ -133,13 +134,14 @@ def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric,
         mu = np.array([r.mu for r in recs], dtype=float)
         theta = np.array([r.theta for r in recs], dtype=float)
         gap = mu * np.array([r.normal_inv_norm for r in recs], dtype=float)
-        guard = tol * (1.0 + before)
-        violations = after - before + theta * (2.0 - theta) * gap * gap - guard + tol
-    return _report("fejer", violations, tol)
+        guard = AUDIT_TOL * (1.0 + before)
+        violations = (after - before + theta * (2.0 - theta) * gap * gap - guard
+                      + AUDIT_TOL)
+    return _report("fejer", violations, AUDIT_TOL)
 
 
-def check_separation(traj: Trajectory, prob: NofobProblem, z_star: np.ndarray,
-                     tol: float = DEFAULT_TOL) -> CheckReport:
+def check_separation(traj: Trajectory, prob: NofobProblem,
+                     z_star: np.ndarray) -> CheckReport:
     """The halfspace cuts off the iterate and contains the solution.
 
     Requires psi(x) >= (1 - beta/4)||x - x_hat||_P^2 and psi(z*) <= 0 for
@@ -154,7 +156,7 @@ def check_separation(traj: Trajectory, prob: NofobProblem, z_star: np.ndarray,
     recs = traj.records
     k = len(recs)
     if k == 0:
-        return _report("separation", (), tol)
+        return _report("separation", (), AUDIT_TOL)
     x = _rows([r.x for r in recs], k)
     x_hat = _rows([r.x_hat for r in recs], k)
     rows = getattr(prob.kernel_diff, "rows", None)
@@ -168,14 +170,14 @@ def check_separation(traj: Trajectory, prob: NofobProblem, z_star: np.ndarray,
         q = 0.25 * prob.beta * gap * gap
         at_x = np.vecdot(m, d) - q
         at_z = np.vecdot(m, z - x_hat) - q
-        guard = tol * (1.0 + gap * gap)
+        guard = AUDIT_TOL * (1.0 + gap * gap)
         lower = (1.0 - prob.beta / 4.0) * gap * gap
-        violations = _worse(lower - at_x - guard + tol, at_z - guard + tol)
-    return _report("separation", violations, tol)
+        violations = _worse(lower - at_x - guard + AUDIT_TOL, at_z - guard + AUDIT_TOL)
+    return _report("separation", violations, AUDIT_TOL)
 
 
 def check_mu_bounds(traj: Trajectory, beta: float, p: SpdMetric, s: SpdMetric,
-                    kernel_lipschitz: float, tol: float = 1e-10) -> CheckReport:
+                    kernel_lipschitz: float) -> CheckReport:
     """Step lengths stay within the a priori interval.
 
     mu in [(1 - beta/4) lam_min(P) / (L_M^2 lam_max(S^{-1})),
@@ -188,7 +190,7 @@ def check_mu_bounds(traj: Trajectory, beta: float, p: SpdMetric, s: SpdMetric,
     mu = np.array([r.mu for r in traj.records], dtype=float)
     moved = np.flatnonzero(mu != 0.0)
     mu = mu[moved]
-    return _report("mu-bounds", _worse(lo - mu, mu - hi), tol, moved)
+    return _report("mu-bounds", _worse(lo - mu, mu - hi), MU_BOUNDS_TOL, moved)
 
 
 def fit_rate(residuals: Sequence[float], tail_fraction: float = 0.5):

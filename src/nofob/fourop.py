@@ -59,7 +59,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import NofobProblem
-from .linalg import ContractViolation, SpdMetric, matvec_rows
+from .linalg import FIXED_STEP_TOL, ContractViolation, SpdMetric, matvec_rows
 from .operators import (
     BlockProx,
     CocoerciveMap,
@@ -537,7 +537,8 @@ def afba_fixed_step_check(
     """Whether (1 - beta/4) P - (Q - K)^T S^{-1} (Q - K)/(2 - eps_theta) >= 0.
 
     This is the operator condition under which unit step-through
-    (theta_k mu_k = 1) keeps the correction Fejer monotone.
+    (theta_k mu_k = 1) keeps the correction Fejer monotone; it holds when
+    the smallest eigenvalue is at least -FIXED_STEP_TOL.
     """
     if not (0.0 < eps_theta < 2.0):
         raise ContractViolation("eps_theta must lie in (0, 2)")
@@ -545,7 +546,7 @@ def afba_fixed_step_check(
     t = q - k.matrix
     expr = (1.0 - beta / 4.0) * p.matrix - (t.T @ s.solve(t)) / (2.0 - eps_theta)
     expr = 0.5 * (expr + expr.T)
-    return bool(np.linalg.eigvalsh(expr)[0] >= -1e-10)
+    return bool(np.linalg.eigvalsh(expr)[0] >= -FIXED_STEP_TOL)
 
 
 # ---------------------------------------------------------------------------

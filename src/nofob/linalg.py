@@ -1,4 +1,9 @@
-"""SPD metrics, weighted norms and spectral norms.
+"""SPD metrics, weighted norms, spectral norms and the tolerance table.
+
+The tolerance table is the block of `*_TOL` constants below: every
+round-off and contract tolerance of the package, each named once with
+its reason and read by name where it is used.  It lives here because
+every other module already imports `ContractViolation` from this one.
 
 Everything is finite-dimensional.  A dense SPD metric caches its
 Cholesky factor and extremal eigenvalues at construction, so weighted
@@ -41,6 +46,23 @@ from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal
 from .rng import Lcg64
 
 __all__ = [
+    "COINCIDENCE_TOL",
+    "NOISE_TOL",
+    "AUDIT_TOL",
+    "MU_BOUNDS_TOL",
+    "SYMMETRY_TOL",
+    "SPD_TOL",
+    "SKEW_TOL",
+    "MONOTONE_TOL",
+    "RESOLVENT_TOL",
+    "FIXED_STEP_TOL",
+    "CERTIFICATE_TOL",
+    "SUPPORT_TOL",
+    "SUBGRADIENT_TOL",
+    "GRAPH_TOL",
+    "PS_EQUIVALENCE_TOL",
+    "STOP_TOL",
+    "GAMMA_BOUND_TOL",
     "ContractViolation",
     "SpdMetric",
     "weighted_norm",
@@ -50,6 +72,44 @@ __all__ = [
     "spectral_norm",
     "largest_eig",
 ]
+
+# The tolerance table (see the module docstring): the paper's guarantees hold in
+# exact arithmetic, and these values decide what counts as round-off.
+# "Relative" scales a value by max(1, max |entry|) of the matrix tested.
+# Null step: ||x - x_hat||_S <= this * (1 + ||x||_S) is x_hat = x up to round-off.
+COINCIDENCE_TOL = 1e-14
+# A failed separation at a residual <= this * (1 + ||x||_S) is round-off; above, raise.
+NOISE_TOL = 1e-9
+# Fejer and separation audits: absolute slack, plus this times the squared norm.
+AUDIT_TOL = 1e-9
+# mu-bounds audit: absolute slack, as both ends of the interval are eigenvalue ratios.
+MU_BOUNDS_TOL = 1e-10
+# A metric or matrix is symmetric at max |w - w^T| <= this, relative.
+SYMMETRY_TOL = 1e-12
+# A metric is positive definite at lambda_min > this * lambda_max: condition below 1e12.
+SPD_TOL = 1e-12
+# A skew map's matrix is skew at max |k + k^T| <= this, relative.
+SKEW_TOL = 1e-12
+# An affine B x = H x + b is monotone at lambda_min((H + H^T) / 2) >= -this, relative.
+MONOTONE_TOL = 1e-10
+# The nonlinear resolvent stops at (1 + ell) max |r| <= this, its inclusion residual.
+RESOLVENT_TOL = 1e-12
+# AFBA's unit step passes its operator condition at lambda_min >= -this (O(1) entries).
+FIXED_STEP_TOL = 1e-10
+# An oracle z* is certified at a fixed-point residual <= this: closed forms, dense solves.
+CERTIFICATE_TOL = 1e-10
+# The active-set oracle's coordinates with |x_i| <= this are off the l1 support.
+SUPPORT_TOL = 1e-9
+# The active-set oracle meets its l1 subgradient inclusion to this, coordinatewise.
+SUBGRADIENT_TOL = 1e-8
+# A prox pair is on its operator's graph to this * (1 + ||point||).
+GRAPH_TOL = 1e-10
+# ps-explicit and ps-resolvent agree when no x_next entry differs by more than this.
+PS_EQUIVALENCE_TOL = 1e-10
+# The default stopping residual ||x - x_hat||_S of a run (run_algorithm and --tol).
+STOP_TOL = 1e-8
+# A gamma within this above the conservative bound, an ulp or so, does not warn.
+GAMMA_BOUND_TOL = 1e-15
 
 # The size from which Lanczos replaces the dense eigensolve, at the
 # measured crossover.  Timed with one BLAS thread on a 2-core host, in two
@@ -86,20 +146,30 @@ def _symmetric_part(w: np.ndarray) -> np.ndarray:
     return 0.5 * w + 0.5 * w.T
 
 
-def extremal_eig_bounds(w: np.ndarray, tol: float = 1e-12) -> tuple[float, float]:
+def _checked_symmetric_part(w: np.ndarray, what: str) -> np.ndarray:
+    """The symmetric part of w, raising unless w is square, has finite
+    entries and is symmetric to SYMMETRY_TOL relative."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ContractViolation(f"{what} must be square")
+    scale = _finite_scale(w, what)
+    if np.abs(w - w.T).max() > SYMMETRY_TOL * scale:
+        raise ContractViolation(f"{what} is not symmetric to {SYMMETRY_TOL:g} relative")
+    return _symmetric_part(w)
+
+
+def _eig_bounds(w: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric w by one dense eigensolve."""
+    eigs = np.linalg.eigvalsh(w)
+    return float(eigs[0]), float(eigs[-1])
+
+
+def extremal_eig_bounds(w: np.ndarray) -> tuple[float, float]:
     """Extremal eigenvalues of a symmetric matrix.
 
     Dense symmetric eigendecomposition.  Raises on non-finite or
     non-symmetric input.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ContractViolation("matrix must be square")
-    scale = _finite_scale(w, "matrix")
-    if np.abs(w - w.T).max() > max(tol, 1e-12) * scale:
-        raise ContractViolation("matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(_symmetric_part(w))
-    return float(eigs[0]), float(eigs[-1])
+    return _eig_bounds(_checked_symmetric_part(np.asarray(w, dtype=float), "matrix"))
 
 
 def _lanczos_max(matvec, n: int) -> float:
@@ -169,8 +239,9 @@ def largest_eig(w: np.ndarray) -> float:
 class SpdMetric:
     """Symmetric positive definite metric with cached factorization.
 
-    Input is rejected unless its entries are finite, then symmetrized
-    and rejected unless lambda_min > 1e-12 * lambda_max; a scalar c must
+    Input is rejected unless it is square, its entries are finite and it
+    is symmetric to SYMMETRY_TOL relative, then symmetrized and rejected
+    unless lambda_min > SPD_TOL * lambda_max; a scalar c must
     be finite and positive.  `apply` computes W x and `solve` computes
     W^{-1} v via the cached Cholesky factor.  `identity` and
     `scaled_identity` hold the scalar c of W = c I instead, so building,
@@ -180,15 +251,9 @@ class SpdMetric:
     """
 
     def __init__(self, matrix):
-        w = np.asarray(matrix, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ContractViolation("metric must be a square matrix")
-        scale = _finite_scale(w, "metric")
-        if np.abs(w - w.T).max() > 1e-12 * scale:
-            raise ContractViolation("metric is not symmetric to 1e-12 relative")
-        w = _symmetric_part(w)
-        lam_min, lam_max = extremal_eig_bounds(w)
-        if lam_min <= 1e-12 * lam_max or lam_max <= 0.0:
+        w = _checked_symmetric_part(np.asarray(matrix, dtype=float), "metric")
+        lam_min, lam_max = _eig_bounds(w)
+        if lam_min <= SPD_TOL * lam_max or lam_max <= 0.0:
             raise ContractViolation("metric is not positive definite")
         self._matrix = w
         self._scale = None
@@ -212,7 +277,9 @@ class SpdMetric:
     def solve(self, v: np.ndarray) -> np.ndarray:
         c = self._scale
         if c is None:
-            return cho_solve(self._chol, v)
+            # unchecked: a non-finite v gives a non-finite result, which
+            # the loop reports, where scipy's check would raise
+            return cho_solve(self._chol, v, check_finite=False)
         return v if c == 1.0 else v / c
 
     @classmethod

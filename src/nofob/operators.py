@@ -27,7 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import ContractViolation, spectral_norm
+from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation,
+                     spectral_norm)
 
 __all__ = [
     "ProxOperator",
@@ -146,8 +147,8 @@ class SkewMap:
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ContractViolation("skew map must be a square matrix")
         scale = max(1.0, float(np.abs(k).max()))
-        if np.abs(k + k.T).max() > 1e-12 * scale:
-            raise ContractViolation("matrix is not skew-adjoint to 1e-12")
+        if np.abs(k + k.T).max() > SKEW_TOL * scale:
+            raise ContractViolation(f"matrix is not skew-adjoint to {SKEW_TOL:g}")
         self._matrix = k
         self.dim = k.shape[0]
         self.is_zero = not k.any()
@@ -245,7 +246,7 @@ def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
     h = np.asarray(h, dtype=float)
     b = np.asarray(b, dtype=float)
     sym = 0.5 * (h + h.T)
-    if np.linalg.eigvalsh(sym)[0] < -1e-10 * max(1.0, np.abs(h).max()):
+    if np.linalg.eigvalsh(sym)[0] < -MONOTONE_TOL * max(1.0, np.abs(h).max()):
         raise ContractViolation("affine operator is not monotone")
     eye = np.eye(h.shape[0])
     memo = (None, None, None)  # gamma, I + gamma H, gamma b
@@ -319,8 +320,8 @@ def inverse_via_moreau(prox: ProxOperator) -> ProxOperator:
 # cap on the root-finding steps; bisection alone needs at most about 2100 to
 # reach adjacent doubles from any finite bracket
 _RESOLVENT_STEPS = 4000
-# steps before the round-off floor is tested; where tol can be met the secant
-# meets it in a few steps, so those solves never pay for the test
+# steps before the round-off floor is tested; where RESOLVENT_TOL can be met
+# the secant meets it in a few steps, so those solves never pay for the test
 _FLOOR_AFTER = 32
 
 
@@ -328,7 +329,6 @@ def separable_nonlinear_resolvent(
     kernel: NonlinearKernel,
     prox_spec: ProxOperator,
     y: np.ndarray,
-    tol: float = 1e-12,
     start: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Solve phi_i(x_i) + A_i(x_i) containing y_i, coordinatewise.
@@ -347,7 +347,8 @@ def separable_nonlinear_resolvent(
 
     (the error bound for strongly monotone inclusions; Bauschke and
     Combettes, "Convex Analysis and Monotone Operator Theory", 2nd ed.,
-    2017).  The solve returns u at once if (1 + ell) max|r0| <= tol.
+    2017).  The solve returns u at once if (1 + ell) max|r0| <= tol, where
+    tol is RESOLVENT_TOL from the tolerance table in `linalg`.
     Otherwise it evaluates r(u), which the same stopping rule may accept.
     Where r0 and r(u) share no strict sign, x0 and u bracket the root;
     elsewhere the a-priori end u - delta or u + delta, on the side r(u)
@@ -390,10 +391,10 @@ def separable_nonlinear_resolvent(
 
     slack = 1.0 + kernel.ell
     r0, u = resid(x0)
-    if slack * float(np.abs(r0).max()) <= tol:
+    if slack * float(np.abs(r0).max()) <= RESOLVENT_TOL:
         return u
     r_u, j_u = resid(u)
-    if slack * float(np.abs(r_u).max()) <= tol:
+    if slack * float(np.abs(r_u).max()) <= RESOLVENT_TOL:
         return j_u
     # a is the other bracket end: x0 where it brackets the root with u,
     # the a-priori end u -/+ delta on the side r(u) points to elsewhere
@@ -426,18 +427,18 @@ def separable_nonlinear_resolvent(
             # closed bracket: a solved coordinate (fb = 0) keeps x = b
             x = np.where((x - a) * (x - b) <= 0.0, x, 0.5 * (a + b))
             r, j = resid(x)
-            if slack * float(np.abs(r).max()) <= tol:
+            if slack * float(np.abs(r).max()) <= RESOLVENT_TOL:
                 break
             cross = np.signbit(r) != np.signbit(fb)
             a = np.where(cross, b, a)
             fa = np.where(cross, fb, 0.5 * fa)
             b, fb = x, r
             if step >= _FLOOR_AFTER and np.all(
-                    (slack * np.abs(r) <= tol) | (np.nextafter(a, b) == b)):
+                    (slack * np.abs(r) <= RESOLVENT_TOL) | (np.nextafter(a, b) == b)):
                 break
         else:
             raise RuntimeError(
-                f"nonlinear resolvent did not reach tol {tol:.1e} in "
+                f"nonlinear resolvent did not reach tol {RESOLVENT_TOL:.1e} in "
                 f"{_RESOLVENT_STEPS} steps"
             )
     return j

@@ -5,7 +5,8 @@ the realized matrices, not from construction targets; largest
 eigenvalues and spectral norms through `linalg.largest_eig` and
 `linalg.spectral_norm`) and certifies its oracle at construction
 time through the fixed-point identity of the forward-backward map: z*
-must be a fixed point of J_{gamma B}(z - gamma (D + K + E) z) to 1e-10.
+must be a fixed point of J_{gamma B}(z - gamma (D + K + E) z) to
+`linalg.CERTIFICATE_TOL`.
 The oracles are closed forms or dense solves, except the regquad-*
 ones, which come from a finite active-set (semismooth Newton) solve of
 the l1 inclusion and also pass a coordinatewise subgradient check.
@@ -29,7 +30,14 @@ from .fourop import (
     zero_cocoercive,
     zero_forward,
 )
-from .linalg import ContractViolation, largest_eig, spectral_norm
+from .linalg import (
+    CERTIFICATE_TOL,
+    SUBGRADIENT_TOL,
+    SUPPORT_TOL,
+    ContractViolation,
+    largest_eig,
+    spectral_norm,
+)
 from .operators import (
     CocoerciveMap,
     LipschitzMap,
@@ -88,7 +96,7 @@ def fixed_point_residual(bundle: FourOpProblem, z: np.ndarray,
 
 def _certify(inst: ProblemInstance):
     res = fixed_point_residual(inst.bundle, inst.oracle)
-    if not res <= 1e-10:  # a NaN residual fails too
+    if not res <= CERTIFICATE_TOL:  # a NaN residual fails too
         raise ContractViolation(
             f"oracle for {inst.name} fails the fixed-point certificate: {res:.3e}"
         )
@@ -196,9 +204,9 @@ def _check_subgradient_inclusion(x: np.ndarray, lam: float, forward: np.ndarray)
     """0 in lam * subdiff ||x||_1 + forward(x), coordinatewise."""
     u = -forward
     # every test states what must hold, so that a NaN in x or forward fails
-    off_support = np.abs(x) <= 1e-9
-    if not np.all(np.where(off_support, np.abs(u) <= lam + 1e-8,
-                           np.abs(u - lam * np.sign(x)) <= 1e-8)):
+    off_support = np.abs(x) <= SUPPORT_TOL
+    if not np.all(np.where(off_support, np.abs(u) <= lam + SUBGRADIENT_TOL,
+                           np.abs(u - lam * np.sign(x)) <= SUBGRADIENT_TOL)):
         raise ContractViolation("oracle fails the optimality inclusion")
 
 

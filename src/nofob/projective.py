@@ -22,7 +22,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .fourop import FourOpProblem, zero_cocoercive, zero_forward
-from .linalg import ContractViolation
+from .linalg import GRAPH_TOL, ContractViolation
 from .operators import BlockProx, ProxOperator, SkewMap, inverse_via_moreau
 
 __all__ = [
@@ -147,8 +147,9 @@ def ps_explicit_oracle(ps: PsProblem) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _assert_graph(op: ProxOperator, tau: float, point: np.ndarray, val: np.ndarray):
-    """Certify val is in A(point): J_{tau A}(point + tau val) must return point."""
+    """Certify val is in A(point): J_{tau A}(point + tau val) must return
+    point to GRAPH_TOL * (1 + ||point||)."""
     recon = np.asarray(op.evaluator(tau, point + tau * val), dtype=float)
     scale = 1.0 + float(np.linalg.norm(point))
-    if float(np.linalg.norm(recon - point)) > 1e-10 * scale:
+    if float(np.linalg.norm(recon - point)) > GRAPH_TOL * scale:
         raise ContractViolation("prox pair left the operator graph")

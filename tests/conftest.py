@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nofob.core import IterRecord, coincides, nofob_iterate, null_record, separation_fails
-from nofob.diagnostics import DEFAULT_TOL, _report
+from nofob.diagnostics import _report
 from nofob.fourop import (
     BlockDiag,
     FourOpProblem,
@@ -17,7 +17,14 @@ from nofob.fourop import (
     gamma_bound_conservative,
     zero_cocoercive,
 )
-from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
+from nofob.linalg import (
+    AUDIT_TOL,
+    MU_BOUNDS_TOL,
+    RESOLVENT_TOL,
+    ContractViolation,
+    SpdMetric,
+    weighted_norm,
+)
 from nofob.operators import LipschitzMap, NonlinearKernel, SkewMap, l1_plus_diag_affine
 from nofob.problems import ProblemInstance
 from nofob.projective import ps_explicit_oracle
@@ -141,7 +148,7 @@ def conservative_oracle():
 # bisection solve of the separable nonlinear resolvent (cross-check reference)
 
 
-def _bisection_resolvent(kernel, prox_spec, y, tol=1e-12):
+def _bisection_resolvent(kernel, prox_spec, y, tol=RESOLVENT_TOL):
     """phi_i(x_i) + A_i(x_i) containing y_i, by bisection on
     r(x) = x - J_A(x + y - phi(x)), one halving per step, to the stopping
     rule (1 + ell) max|r| <= tol of `separable_nonlinear_resolvent`.
@@ -399,7 +406,7 @@ def _psi_value(prob, x, x_hat, z):
     return float(m @ (z - x_hat)) - 0.25 * prob.beta * gap * gap
 
 
-def _fejer_reference(traj, z_star, s, tol=DEFAULT_TOL):
+def _fejer_reference(traj, z_star, s, tol=AUDIT_TOL):
     """`check_fejer` with both distances measured afresh on every record."""
     z = np.asarray(z_star, dtype=float)
     violations = []
@@ -419,7 +426,7 @@ def _worse(a, b):
     return b if b > a or b != b else a
 
 
-def _separation_reference(traj, prob, z_star, tol=DEFAULT_TOL):
+def _separation_reference(traj, prob, z_star, tol=AUDIT_TOL):
     """`check_separation` through `_psi_value`, at x and at z* separately."""
     z = np.asarray(z_star, dtype=float)
     violations = []
@@ -433,7 +440,7 @@ def _separation_reference(traj, prob, z_star, tol=DEFAULT_TOL):
     return _report("separation", violations, tol)
 
 
-def _mu_bounds_reference(traj, beta, p, s, kernel_lipschitz, tol=1e-10):
+def _mu_bounds_reference(traj, beta, p, s, kernel_lipschitz, tol=MU_BOUNDS_TOL):
     """`check_mu_bounds` one record at a time, skipping the null steps."""
     lo = (1.0 - beta / 4.0) * p.lam_min / (kernel_lipschitz ** 2 / s.lam_min)
     hi = s.lam_max / p.lam_min

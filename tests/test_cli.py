@@ -227,6 +227,18 @@ def test_a_non_finite_or_overflowing_step_size_is_a_one_line_error(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_an_overflowing_normal_in_a_dense_metric_ends_the_run_error(capsys):
+    # P has entries near 1e308 and is well conditioned, so it is built; the
+    # first normal overflows, and the dense solve passes the inf on to the
+    # loop's finiteness test instead of raising
+    code = run_cli(["solve", "--problem", "saddle", "--algorithm", "afba-fixed",
+                    "--tau", "1e308,1e-308"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert "error after 1 iterations, residual nan" in out
+    assert err == ""
+
+
 @pytest.mark.parametrize("theta", ["5", "2", "0", "-0.5", "nan"])
 def test_theta_outside_the_open_interval_is_a_usage_error(theta, capsys):
     code = run_cli(["solve", "--problem", "rotation", "--algorithm", "fbf-long",

@@ -154,6 +154,19 @@ def test_beta_out_of_range_rejected():
         )
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0, -1.0])
+def test_kernel_lipschitz_outside_the_open_half_line_rejected(bound):
+    with pytest.raises(ContractViolation, match="positive and finite"):
+        NofobProblem(
+            fb_oracle=lambda x: x,
+            kernel_eval=lambda x: x,
+            p_metric=SpdMetric.identity(2),
+            s_metric=SpdMetric.identity(2),
+            beta=0.0,
+            kernel_lipschitz=bound,
+        )
+
+
 def test_run_converges_on_contraction():
     prob = identity_kernel_problem()
     traj = run_loop(unit_step(prob), np.ones(4), tol=1e-10, max_iter=200)

@@ -127,6 +127,26 @@ def test_spd_metric_solve_inverts_apply():
     assert np.allclose(w.solve(w.apply(x)), x, atol=1e-12)
 
 
+@pytest.mark.parametrize("metric", [SpdMetric(np.diag([2.0, 3.0, 4.0])),
+                                    SpdMetric.scaled_identity(2.0, 3)])
+def test_metric_solve_passes_a_non_finite_vector_on(metric):
+    # the loop's finiteness test reports it; a raise would lose the run
+    with np.errstate(invalid="ignore"):
+        out = metric.solve(np.array([np.inf, 1.0, np.nan]))
+    assert not np.isfinite(out).all()
+
+
+def test_metric_eigenvalues_are_those_of_its_symmetrized_matrix_bit_for_bit():
+    # validated once: the bounds come from the one symmetric part, and equal
+    # a second symmetrize-and-solve of it (0.5 w + 0.5 w is w off the subnormals)
+    rng = Lcg64(11)
+    r = rng.matrix(7, 7)
+    m = r @ r.T + np.eye(7)
+    m[0, 1] += 1e-14  # asymmetric within the tolerance
+    w = SpdMetric(m)
+    assert (w.lam_min, w.lam_max) == extremal_eig_bounds(w.matrix)
+
+
 def test_weighted_norm_identity_is_euclidean():
     s = SpdMetric.identity(4)
     x = np.array([3.0, 0.0, 4.0, 0.0])

@@ -211,7 +211,7 @@ def test_separable_nonlinear_resolvent_arctan_kernel():
     kernel = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
     prox = l1_subdifferential(0.5)
     y = np.array([2.0, -0.2, 4.0])
-    x = separable_nonlinear_resolvent(kernel, prox, y, tol=1e-12)
+    x = separable_nonlinear_resolvent(kernel, prox, y)
     # certify the inclusion phi(x) + 0.5 sign(x) contains y where x != 0
     for xi, yi in zip(x, y):
         if abs(xi) > 1e-12:
@@ -440,7 +440,7 @@ def test_separable_nonlinear_resolvent_matches_bisection_on_edge_inputs(
 def test_separable_nonlinear_resolvent_needs_few_prox_evaluations(monkeypatch):
     calls = {"resolvent": 0, "prox": 0}
 
-    def counted(kernel, prox_spec, y, tol=1e-12, start=None):
+    def counted(kernel, prox_spec, y, start=None):
         def evaluator(gamma, v):
             calls["prox"] += 1
             return prox_spec.evaluator(gamma, v)
@@ -448,7 +448,7 @@ def test_separable_nonlinear_resolvent_needs_few_prox_evaluations(monkeypatch):
         calls["resolvent"] += 1
         wrapped = ProxOperator(evaluator=evaluator, descriptor=prox_spec.descriptor,
                                separable=True)
-        return separable_nonlinear_resolvent(kernel, wrapped, y, tol, start)
+        return separable_nonlinear_resolvent(kernel, wrapped, y, start)
 
     monkeypatch.setattr(fourop, "separable_nonlinear_resolvent", counted)
     inst, _ = make_nonlinear_kernel_demo(n=200, seed=1)
