@@ -37,11 +37,7 @@ from .fourop import (
     gamma_bound_conservative,
     gamma_bound_long,
 )
-from .linalg import (
-    ContractViolation,
-    SpdMetric,
-    weighted_norm,
-)
+from .linalg import ContractViolation, SpdMetric
 from .operators import (
     BlockProx,
     CocoerciveMap,

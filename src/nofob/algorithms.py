@@ -23,8 +23,8 @@ diagnostic checkers audit.  Names:
                      it were cocoercive, which is exactly what fails on
                      the rotation witness
   four-op            explicit step with the instance's natural kernel:
-                     nonlinear when the problem carries one,
-                     block-diagonal on stacked saddle problems, scalar
+                     nonlinear when the problem carries one, the
+                     ps-resolvent view on stacked problems, scalar
                      otherwise
   ps-explicit, ps-resolvent   synchronous projective splitting: the
                      explicit step on the block-diagonal view of the
@@ -219,21 +219,6 @@ def _fbs(name, inst, gamma, tau, s):
     return Kernel(view, audit, gamma=g, c=c)
 
 
-def _natural(name, inst, gamma, tau, s):
-    if inst.nonlinear_spec is not None:
-        _takes_none(name, inst, gamma=gamma, tau=tau)
-        spec = inst.nonlinear_spec
-    elif inst.ps_view is not None:
-        _takes_none(name, inst, gamma=gamma)
-        t1, t2 = _saddle_taus(name, inst.ps_view, tau)
-        spec = BlockDiag([t1, 1.0 / t2])
-    else:
-        _takes_none(name, inst, tau=tau)
-        spec = ScalarStep(_gamma(inst, "conservative", gamma))
-    view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
-    return Kernel(view, view)
-
-
 def _projective(explicit: bool):
     """The block-diagonal view of the stacked problem; `explicit` swaps in
     Johnstone and Eckstein's oracle for the stacked resolvent."""
@@ -253,6 +238,28 @@ def _projective(explicit: bool):
         return Kernel(view, view)
 
     return kernel
+
+
+_ps_resolvent = _projective(explicit=False)
+
+
+def _natural(name, inst, gamma, tau, s):
+    """The nonlinear kernel where the problem carries one; on a stacked
+    problem the ps-resolvent view, by default with the saddle kernels'
+    step sizes on two blocks and the problem's own on more; otherwise
+    the scalar kernel."""
+    if inst.nonlinear_spec is not None:
+        _takes_none(name, inst, gamma=gamma, tau=tau)
+        spec = inst.nonlinear_spec
+    elif inst.ps_view is not None:
+        if inst.ps_view.n == 2:
+            tau = _saddle_taus(name, inst.ps_view, tau)
+        return _ps_resolvent(name, inst, gamma, tau, s)
+    else:
+        _takes_none(name, inst, tau=tau)
+        spec = ScalarStep(_gamma(inst, "conservative", gamma))
+    view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
+    return Kernel(view, view)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +292,8 @@ ROWS = {
     "fbs": Row(_fbs, _GAMMA, _INVERSE_C, identity_s=True),
     "fbs-relaxed": Row(_fbs, _GAMMA, identity_s=True),
     "four-op": Row(_natural, _EXPLICIT),
-    "ps-explicit": Row(_projective(explicit=True), _EXPLICIT, identity_s=True),
-    "ps-resolvent": Row(_projective(explicit=False), _EXPLICIT),
+    "ps-explicit": Row(_projective(explicit=True), _EXPLICIT),
+    "ps-resolvent": Row(_ps_resolvent, _EXPLICIT),
 }
 
 ALGORITHMS = tuple(ROWS)

@@ -51,13 +51,17 @@ class NofobProblem:
     inverse cocoercivity of C relative to P; S is the projection metric;
     kernel_lipschitz bounds M in the norm pair.
 
-    kernel_diff may carry its stacked form as the attribute `rows`:
-    rows(xs, x_hats) gives kernel_diff of every row pair of two k x n
-    stacks, bit for bit, in one call.  The step never calls it; the
-    separation audit does, and calls kernel_diff per record where it is
-    missing.  Held on the callable, it goes wherever kernel_diff goes
-    (`functools.wraps` copies it) and no further: a view rebuilt with
-    another kernel_diff has none.
+    kernel_diff(x, x_hat) returns M x - M x_hat, the normal of the
+    halfspace, free of the cancellation the plain difference of two
+    kernel_eval values suffers (eps * ||x|| / ||x - x_hat|| digits); the
+    step and the separation audit both take it from here.  It may carry
+    its stacked form as the attribute `rows`: rows(xs, x_hats) gives
+    kernel_diff of every row pair of two k x n stacks, bit for bit, in
+    one call.  The step never calls it; the separation audit does, and
+    calls kernel_diff per record where it is missing.  Held on the
+    callable, it goes wherever kernel_diff goes (`functools.wraps`
+    copies it) and no further: a view rebuilt with another kernel_diff
+    has none.
     """
 
     fb_oracle: Callable[[np.ndarray], np.ndarray]
@@ -66,9 +70,7 @@ class NofobProblem:
     s_metric: SpdMetric
     beta: float
     kernel_lipschitz: float
-    # optional cancellation-free evaluation of M x - M x_hat; without
-    # it the plain difference loses eps * ||x|| / ||x - x_hat|| digits
-    kernel_diff: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    kernel_diff: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if not (0.0 <= self.beta < 4.0):
@@ -77,11 +79,6 @@ class NofobProblem:
             raise ContractViolation("kernel Lipschitz bound must be positive and finite")
         if self.p_metric.dim != self.s_metric.dim:
             raise ContractViolation("dimension mismatch")
-
-    def kernel_difference(self, x, x_hat) -> np.ndarray:
-        if self.kernel_diff is not None:
-            return self.kernel_diff(x, x_hat)
-        return self.kernel_eval(x) - self.kernel_eval(x_hat)
 
 
 # Slotted and not frozen: a frozen record pays object.__setattr__ per
@@ -169,11 +166,7 @@ def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
     x_norm = s.norm(x)
     if coincides(residual, x_norm):
         return null_record(k, x, x_hat, theta, residual)
-    kernel_diff = prob.kernel_diff
-    if kernel_diff is None:
-        m = prob.kernel_difference(x, x_hat)
-    else:
-        m = kernel_diff(x, x_hat)
+    m = prob.kernel_diff(x, x_hat)
     pg = prob.p_metric.norm(diff)
     num = float(m.dot(diff)) - 0.25 * prob.beta * pg * pg
     s_inv_m = s.solve(m)

@@ -104,7 +104,7 @@ def _worse(a, b):
 
 
 def _squares(norms: np.ndarray) -> np.ndarray:
-    """norm ** 2 by the C library's pow, as `weighted_norm(...) ** 2`
+    """norm ** 2 by the C library's pow, as the per-record `norm ** 2`
     rounds; for about 1 norm in 1000 it differs from norm * norm in the
     last bit."""
     return np.fromiter(map(math.pow, norms.tolist(), repeat(2.0)), float, len(norms))
@@ -149,8 +149,8 @@ def check_separation(traj: Trajectory, prob: NofobProblem,
     recomputed from the kernel rather than trusted from the records.  The
     kernel differences of all records are one call of the stacked form
     `prob.kernel_diff.rows` where the view carries one, and one
-    `prob.kernel_difference` per record where it does not; both give the
-    same bits.  A NaN in either condition fails.
+    `prob.kernel_diff` per record where it does not; both give the same
+    bits.  A NaN in either condition fails.
     """
     z = _solution(z_star, prob.p_metric.dim)
     recs = traj.records
@@ -159,9 +159,10 @@ def check_separation(traj: Trajectory, prob: NofobProblem,
         return _report("separation", (), AUDIT_TOL)
     x = _rows([r.x for r in recs], k)
     x_hat = _rows([r.x_hat for r in recs], k)
-    rows = getattr(prob.kernel_diff, "rows", None)
+    kernel_diff = prob.kernel_diff
+    rows = getattr(kernel_diff, "rows", None)
     if rows is None:
-        m = _rows([prob.kernel_difference(r.x, r.x_hat) for r in recs], k)
+        m = _rows([kernel_diff(r.x, r.x_hat) for r in recs], k)
     else:
         m = rows(x, x_hat)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -193,17 +194,16 @@ def check_mu_bounds(traj: Trajectory, beta: float, p: SpdMetric, s: SpdMetric,
     return _report("mu-bounds", _worse(lo - mu, mu - hi), MU_BOUNDS_TOL, moved)
 
 
-def fit_rate(residuals: Sequence[float], tail_fraction: float = 0.5):
-    """Least-squares slope of log(residual) against iteration on the tail.
+def fit_rate(residuals: Sequence[float]):
+    """Least-squares slope of log(residual) against iteration on the tail,
+    the second half of the residuals.
 
     Returns (slope, r_squared); a geometric sequence c^k yields slope
     ln c with r_squared 1.  Non-positive and non-finite residuals in the
     tail are dropped; fewer than 10 usable points is an error.
     """
-    if not (0.0 < tail_fraction <= 1.0):
-        raise ContractViolation("tail_fraction must lie in (0, 1]")
     r = np.asarray(residuals, dtype=float)
-    start = int(np.floor(len(r) * (1.0 - tail_fraction)))
+    start = len(r) // 2
     tail = r[start:]
     ks = np.arange(start, len(r))
     keep = np.isfinite(tail) & (tail > 0.0)

@@ -9,21 +9,19 @@ Everything is finite-dimensional.  A dense SPD metric caches its
 Cholesky factor and extremal eigenvalues at construction, so weighted
 norms and inverse-metric solves inside the iteration loops are cheap
 and deterministic.  A scaled identity c I holds only its scalar c:
-its norm and `solve` read c directly, with no `apply` call and no
-dense matrix, and skip the multiply or divide when c == 1.0, where it
-is exact.  Their results equal the dense metric's bit for bit wherever
-the dense route rounds once.  Every metric binds its norm
-x -> sqrt(<x, W x>) once, at construction, for its kind (c = 1, c I or
-dense): `norm` makes no shape check and no dispatch on the kind, so
-the step's three norms cost one dot product each; `weighted_norm` is
-the same norm behind a dimension check.  `weighted_row_norms` takes the
-norms of all rows of a k x n stack at once, bit for bit the per-row
-`weighted_norm`, and `matvec_rows` the product of a matrix with every
-row, bit for bit the per-row `a @ row`.  A metric or a matrix whose
-extremal eigenvalues are asked for must have finite entries: a NaN
-compares False, so it would pass the symmetry test and stop the
-eigensolver with a foreign error.  Symmetric parts are taken as
-0.5 w + 0.5 w^T, which cannot overflow on finite entries.
+its norm and `solve` read c directly, with no dense matrix, and skip
+the multiply or divide when c == 1.0, where it is exact.  Their results
+equal the dense metric's bit for bit wherever the dense route rounds
+once.  Every metric binds its norm x -> sqrt(<x, W x>) once, at
+construction, for its kind (c = 1, c I or dense): `norm` makes no shape
+check and no dispatch on the kind, so the step's three norms cost one
+dot product each.  `weighted_row_norms` takes the norms of all rows of
+a k x n stack at once, bit for bit the per-row `norm`, and
+`matvec_rows` the product of a matrix with every row, bit for bit the
+per-row `a @ row`.  A metric must have finite entries: a NaN compares
+False, so it would pass the symmetry test and stop the eigensolver
+with a foreign error.  Its symmetric part is taken as 0.5 w + 0.5 w^T,
+which cannot overflow on finite entries.
 
 `spectral_norm` and `largest_eig` read one extremal eigenvalue.  Below
 _LANCZOS_MIN_DIM they take it from a dense symmetric eigensolve; from
@@ -65,10 +63,8 @@ __all__ = [
     "GAMMA_BOUND_TOL",
     "ContractViolation",
     "SpdMetric",
-    "weighted_norm",
     "weighted_row_norms",
     "matvec_rows",
-    "extremal_eig_bounds",
     "spectral_norm",
     "largest_eig",
 ]
@@ -132,44 +128,19 @@ class ContractViolation(ValueError):
     """Raised when an operation is called outside its contract."""
 
 
-def _finite_scale(w: np.ndarray, what: str) -> float:
-    """max(1, max |w_ij|), raising unless every entry is finite."""
+def _symmetric_metric(w: np.ndarray) -> np.ndarray:
+    """The symmetric part of w as 0.5 w + 0.5 w^T, raising unless w is
+    square, has finite entries and is symmetric to SYMMETRY_TOL relative.
+    0.5 w + 0.5 w^T has the bits of 0.5 (w + w^T) away from the subnormal
+    range, and does not overflow on finite entries."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ContractViolation("metric must be square")
     top = float(np.abs(w).max())
     if not top < math.inf:  # a NaN fails this test too
-        raise ContractViolation(f"{what} entries must be finite")
-    return max(1.0, top)
-
-
-def _symmetric_part(w: np.ndarray) -> np.ndarray:
-    """(w + w^T) / 2 as 0.5 w + 0.5 w^T: the same bits as 0.5 (w + w^T)
-    away from the subnormal range, and no overflow on finite entries."""
+        raise ContractViolation("metric entries must be finite")
+    if np.abs(w - w.T).max() > SYMMETRY_TOL * max(1.0, top):
+        raise ContractViolation(f"metric is not symmetric to {SYMMETRY_TOL:g} relative")
     return 0.5 * w + 0.5 * w.T
-
-
-def _checked_symmetric_part(w: np.ndarray, what: str) -> np.ndarray:
-    """The symmetric part of w, raising unless w is square, has finite
-    entries and is symmetric to SYMMETRY_TOL relative."""
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ContractViolation(f"{what} must be square")
-    scale = _finite_scale(w, what)
-    if np.abs(w - w.T).max() > SYMMETRY_TOL * scale:
-        raise ContractViolation(f"{what} is not symmetric to {SYMMETRY_TOL:g} relative")
-    return _symmetric_part(w)
-
-
-def _eig_bounds(w: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric w by one dense eigensolve."""
-    eigs = np.linalg.eigvalsh(w)
-    return float(eigs[0]), float(eigs[-1])
-
-
-def extremal_eig_bounds(w: np.ndarray) -> tuple[float, float]:
-    """Extremal eigenvalues of a symmetric matrix.
-
-    Dense symmetric eigendecomposition.  Raises on non-finite or
-    non-symmetric input.
-    """
-    return _eig_bounds(_checked_symmetric_part(np.asarray(w, dtype=float), "matrix"))
 
 
 def _lanczos_max(matvec, n: int) -> float:
@@ -242,17 +213,18 @@ class SpdMetric:
     Input is rejected unless it is square, its entries are finite and it
     is symmetric to SYMMETRY_TOL relative, then symmetrized and rejected
     unless lambda_min > SPD_TOL * lambda_max; a scalar c must
-    be finite and positive.  `apply` computes W x and `solve` computes
-    W^{-1} v via the cached Cholesky factor.  `identity` and
-    `scaled_identity` hold the scalar c of W = c I instead, so building,
-    applying and solving cost O(1), O(n) and O(n); the dense matrix is
-    formed only when `matrix` is read.  At c = 1, `solve` returns v itself.  `norm(x)` is
-    ||x||_W for a vector x of length `dim`, which it does not check.
+    be finite and positive.  `solve` computes W^{-1} v via the cached
+    Cholesky factor.  `identity` and `scaled_identity` hold the scalar c
+    of W = c I instead, so building and solving cost O(1) and O(n); the
+    dense matrix is formed only when `matrix` is read.  At c = 1, `solve`
+    returns v itself.  `norm(x)` is ||x||_W for a vector x of length
+    `dim`, which it does not check.
     """
 
     def __init__(self, matrix):
-        w = _checked_symmetric_part(np.asarray(matrix, dtype=float), "metric")
-        lam_min, lam_max = _eig_bounds(w)
+        w = _symmetric_metric(np.asarray(matrix, dtype=float))
+        eigs = np.linalg.eigvalsh(w)
+        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
         if lam_min <= SPD_TOL * lam_max or lam_max <= 0.0:
             raise ContractViolation("metric is not positive definite")
         self._matrix = w
@@ -268,11 +240,6 @@ class SpdMetric:
         if self._matrix is None:
             self._matrix = self._scale * np.eye(self.dim)
         return self._matrix
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self._scale is None:
-            return self._matrix @ x
-        return self._scale * x
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         c = self._scale
@@ -321,15 +288,8 @@ def _dense_norm(w: np.ndarray, x: np.ndarray) -> float:
     return math.sqrt(max(x.dot(w @ x), 0.0))
 
 
-def weighted_norm(w: SpdMetric, x: np.ndarray) -> float:
-    """sqrt(<x, W x>): the metric's bound norm after a dimension check."""
-    if x.shape[0] != w.dim:
-        raise ContractViolation("dimension mismatch")
-    return w.norm(x)
-
-
 def weighted_row_norms(w: SpdMetric, rows: np.ndarray) -> np.ndarray:
-    """`weighted_norm(w, row)` of every row of a k x n stack, bit for bit.
+    """`w.norm(row)` of every row of a k x n stack, bit for bit.
 
     W x is `c * rows` (rows itself at c = 1) or `matvec_rows(W, rows)`,
     and each <x, W x> an `np.vecdot`; both round as the per-row `W @ x`

@@ -50,15 +50,15 @@ __all__ = [
 class ProxOperator:
     """Resolvent oracle for a maximally monotone set-valued operator B.
 
-    evaluator(gamma, y) computes (I + gamma*B)^{-1} y.  Separable
-    operators additionally expose diag_evaluator(steps, y) with one
-    positive step per coordinate.
+    evaluator(gamma, y) computes (I + gamma*B)^{-1} y.  `separable`
+    declares B coordinatewise, as the nonlinear resolvent requires.
     """
 
     evaluator: Callable[[float, np.ndarray], np.ndarray]
     descriptor: str
     separable: bool = False
-    # no solve path calls it; the benchmark's tracer hooks the field by name
+    # always None: no operator sets it, and the benchmark's tracer
+    # hooks the field by name
     diag_evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, gamma: float, y: np.ndarray) -> np.ndarray:
@@ -237,7 +237,6 @@ def zero_operator(n: int) -> ProxOperator:
         evaluator=lambda gamma, y: np.asarray(y, dtype=float).copy(),
         descriptor="zero",
         separable=True,
-        diag_evaluator=lambda steps, y: np.asarray(y, dtype=float).copy(),
     )
 
 
@@ -273,7 +272,6 @@ def l1_subdifferential(weight: float) -> ProxOperator:
         evaluator=lambda gamma, y: _soft(np.asarray(y, float), gamma * weight),
         descriptor="soft-threshold",
         separable=True,
-        diag_evaluator=lambda steps, y: _soft(np.asarray(y, float), steps * weight),
     )
 
 
@@ -292,13 +290,7 @@ def l1_plus_diag_affine(lam: float, d: np.ndarray, b: np.ndarray) -> ProxOperato
         _, shift, scale = memo
         return _soft(np.asarray(y, float) + shift, gamma * lam) / scale
 
-    def dev(steps, y):
-        return _soft(np.asarray(y, float) + steps * b, steps * lam) / (1.0 + steps * d)
-
-    return ProxOperator(
-        evaluator=ev, descriptor="l1-plus-diag-affine", separable=True,
-        diag_evaluator=dev,
-    )
+    return ProxOperator(evaluator=ev, descriptor="l1-plus-diag-affine", separable=True)
 
 
 def inverse_via_moreau(prox: ProxOperator) -> ProxOperator:

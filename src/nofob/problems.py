@@ -68,16 +68,34 @@ DEFAULT_SEED = 2026
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """A seeded problem: its bundle, its oracle solution z* and its start.
+
+    sigma is the declared strong-monotonicity modulus of the inclusion.
+    The other constants are the ones the bundle's maps declare, read
+    from them by `constants` rather than stated a second time.
+    """
+
     name: str
-    n: int
     bundle: FourOpProblem
     oracle: np.ndarray
-    constants: Dict[str, float]
+    sigma: float
     seed: int
     x0: np.ndarray
     ps_view: Optional[PsProblem] = None
     nonlinear_spec: Optional[SeparableNonlinear] = None
     extras: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return self.bundle.dim
+
+    @property
+    def constants(self) -> Dict[str, float]:
+        """l_d, beta_e and k_norm as the bundle's D, E and K declare them,
+        and sigma."""
+        b = self.bundle
+        return {"l_d": b.d.lipschitz_constant, "beta_e": b.e.inverse_cocoercivity,
+                "k_norm": b.k.operator_norm, "sigma": self.sigma}
 
 
 def fixed_point_residual(bundle: FourOpProblem, z: np.ndarray,
@@ -128,9 +146,7 @@ def make_rotation_vi(angle_deg: float = 90.0, scale: float = 1.0,
     x0 = Lcg64(seed).vector(n_even)
     x0 = x0 / max(np.linalg.norm(x0), 1e-12)
     return _certify(ProblemInstance(
-        name="rotation", n=n_even, bundle=bundle, oracle=np.zeros(n_even),
-        constants={"l_d": 0.0, "beta_e": 0.0, "k_norm": k.operator_norm,
-                   "sigma": 0.0},
+        name="rotation", bundle=bundle, oracle=np.zeros(n_even), sigma=0.0,
         seed=seed, x0=x0,
     ))
 
@@ -263,10 +279,7 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
              if use_e or use_d else 0.0)
     return _certify(ProblemInstance(
         name=f"regquad-{split}" if split != "full" else "regquad-full",
-        n=n, bundle=bundle, oracle=oracle,
-        constants={"l_d": l_d, "beta_e": beta_e, "k_norm": k.operator_norm,
-                   "sigma": sigma},
-        seed=seed, x0=x0,
+        bundle=bundle, oracle=oracle, sigma=sigma, seed=seed, x0=x0,
         extras={"h_matrix": h, "b_vector": b_vec, "d_matrix": d_mat,
                 "k_matrix": k_mat},
     ))
@@ -303,9 +316,8 @@ def make_saddle_pd(n: int = 8, m: int = 6, seed: int = DEFAULT_SEED) -> ProblemI
     oracle = np.concatenate([w_star, x_star])
     x0 = rng.vector(m + n)
     return _certify(ProblemInstance(
-        name="saddle", n=m + n, bundle=bundle, oracle=oracle,
-        constants={"l_d": 0.0, "beta_e": 0.0, "k_norm": bundle.k.operator_norm,
-                   "sigma": min(float(np.linalg.eigvalsh(h)[0]), 1.0 / largest_eig(g))},
+        name="saddle", bundle=bundle, oracle=oracle,
+        sigma=min(float(np.linalg.eigvalsh(h)[0]), 1.0 / largest_eig(g)),
         seed=seed, x0=x0, ps_view=ps,
         extras={"l_matrix": l_mat, "g_matrix": g, "g0_vector": g0,
                 "h_matrix": h, "b_vector": b_vec},
@@ -342,10 +354,8 @@ def make_nonlinear_kernel_demo(n: int = 12, lam: float = 0.3,
     )
     spec = SeparableNonlinear(kernel)
     inst = _certify(ProblemInstance(
-        name="nonlinear-kernel", n=n, bundle=bundle, oracle=oracle,
-        constants={"l_d": 0.0, "beta_e": 0.0, "k_norm": 0.0,
-                   "sigma": float(d_diag.min())},
-        seed=seed, x0=rng.vector(n), nonlinear_spec=spec,
+        name="nonlinear-kernel", bundle=bundle, oracle=oracle,
+        sigma=float(d_diag.min()), seed=seed, x0=rng.vector(n), nonlinear_spec=spec,
         extras={"d_vector": d_diag, "b_vector": b_vec},
     ))
     return inst, spec

@@ -23,7 +23,6 @@ from nofob.linalg import (
     RESOLVENT_TOL,
     ContractViolation,
     SpdMetric,
-    weighted_norm,
 )
 from nofob.operators import LipschitzMap, NonlinearKernel, SkewMap, l1_plus_diag_affine
 from nofob.problems import ProblemInstance
@@ -381,9 +380,7 @@ def _planted_nonlinear_drift(n, seed, w_square=0.3, lam=0.3):
     bundle = FourOpProblem(b=l1_plus_diag_affine(lam, d_diag, b_vec), d=d,
                            e=zero_cocoercive(n), k=k, dim=n)
     return ProblemInstance(
-        name="nonlinear-drift", n=n, bundle=bundle, oracle=z_star,
-        constants={"l_d": l_d, "beta_e": 0.0, "k_norm": k.operator_norm,
-                   "sigma": float(d_diag.min())},
+        name="nonlinear-drift", bundle=bundle, oracle=z_star, sigma=float(d_diag.min()),
         seed=seed, x0=rng.vector(n), nonlinear_spec=SeparableNonlinear(_ARCTAN_KERNEL),
     )
 
@@ -401,8 +398,8 @@ def planted_nonlinear_drift():
 def _psi_value(prob, x, x_hat, z):
     """Separating function <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2,
     with its own kernel difference and P-norm on every call."""
-    m = prob.kernel_difference(x, x_hat)
-    gap = weighted_norm(prob.p_metric, x - x_hat)
+    m = prob.kernel_diff(x, x_hat)
+    gap = prob.p_metric.norm(x - x_hat)
     return float(m @ (z - x_hat)) - 0.25 * prob.beta * gap * gap
 
 
@@ -411,8 +408,8 @@ def _fejer_reference(traj, z_star, s, tol=AUDIT_TOL):
     z = np.asarray(z_star, dtype=float)
     violations = []
     for rec in traj.records:
-        before = weighted_norm(s, rec.x - z) ** 2
-        after = weighted_norm(s, rec.x_next - z) ** 2
+        before = s.norm(rec.x - z) ** 2
+        after = s.norm(rec.x_next - z) ** 2
         gap = rec.mu * rec.normal_inv_norm
         guard = tol * (1.0 + before)
         violations.append(
@@ -431,7 +428,7 @@ def _separation_reference(traj, prob, z_star, tol=AUDIT_TOL):
     z = np.asarray(z_star, dtype=float)
     violations = []
     for rec in traj.records:
-        gap = weighted_norm(prob.p_metric, rec.x - rec.x_hat)
+        gap = prob.p_metric.norm(rec.x - rec.x_hat)
         at_x = _psi_value(prob, rec.x, rec.x_hat, rec.x)
         at_z = _psi_value(prob, rec.x, rec.x_hat, z)
         guard = tol * (1.0 + gap * gap)
@@ -466,22 +463,23 @@ def audit_reference():
 
 
 # ---------------------------------------------------------------------------
-# the corrected step through the metrics' public `apply` (cross-check reference)
+# the corrected step through the metrics' dense matrices (cross-check reference)
 
 
 def _reference_weighted_norm(w, x):
-    """sqrt(<x, W x>) with W x from the metric's public `apply`, after the
-    dimension check; c x for c I rounds as the dense product W x does."""
+    """sqrt(<x, W x>) with W x the product of the metric's dense `matrix`,
+    after the dimension check; for c I the product rounds as c x does,
+    since every other term of its sums is an exact zero."""
     if x.shape[0] != w.dim:
         raise ContractViolation("dimension mismatch")
-    return math.sqrt(max(float(x @ w.apply(x)), 0.0))
+    return math.sqrt(max(float(x @ (w.matrix @ x)), 0.0))
 
 
 def _reference_iterate(prob, k, x, theta, mu_hat=None):
     """`core.nofob_iterate` as it was written before the metrics bound
-    their norms: a checked `weighted_norm` per norm, the kernel difference
-    through `NofobProblem.kernel_difference` and every inner product by
-    `@`.  The step must equal it bit for bit."""
+    their norms: a checked norm through the dense metric per norm, the
+    view's `kernel_diff` and every inner product by `@`.  The step must
+    equal it bit for bit."""
     if mu_hat is not None and not mu_hat > 0.0:
         raise ContractViolation("mu_hat must be positive")
     x = np.asarray(x, dtype=float)
@@ -491,7 +489,7 @@ def _reference_iterate(prob, k, x, theta, mu_hat=None):
     x_norm = _reference_weighted_norm(prob.s_metric, x)
     if coincides(residual, x_norm):
         return null_record(k, x, x_hat, theta, residual)
-    m = prob.kernel_difference(x, x_hat)
+    m = prob.kernel_diff(x, x_hat)
     pg = _reference_weighted_norm(prob.p_metric, diff)
     num = float(m @ diff) - 0.25 * prob.beta * pg * pg
     s_inv_m = prob.s_metric.solve(m)

@@ -5,9 +5,11 @@ from nofob import fourop
 from nofob.algorithms import ALGORITHMS, run_algorithm
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
-from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
-from nofob.operators import CocoerciveMap, LipschitzMap, NonlinearKernel, SkewMap
-from nofob.problems import REGISTRY, get_instance, make_saddle_pd
+from nofob.linalg import PS_EQUIVALENCE_TOL, ContractViolation, SpdMetric
+from nofob.operators import (CocoerciveMap, LipschitzMap, NonlinearKernel, SkewMap,
+                             affine_operator)
+from nofob.problems import REGISTRY, ProblemInstance, get_instance, make_saddle_pd
+from nofob.projective import PsProblem
 from nofob.rng import Lcg64
 
 
@@ -91,22 +93,16 @@ def test_phi_evaluations_per_moving_iteration(monkeypatch):
 
 
 def test_rows_stepping_in_the_identity_reject_other_metrics():
-    rng = Lcg64(41)
-    for problem, algorithms in [
-        ("regquad-fbf", ("fbf", "fbhf", "fbs", "fbs-relaxed")),
-        ("saddle", ("ps-explicit",)),
-    ]:
-        inst = get_instance(problem)
-        n = inst.bundle.dim
-        r = rng.matrix(n, n)
-        s = SpdMetric(r @ r.T / n + np.eye(n))
-        for algorithm in algorithms:
-            with pytest.raises(ContractViolation, match="S = I"):
-                run_algorithm(algorithm, inst, s_metric=s)
-            # the identity is accepted however it is held
-            out = run_algorithm(algorithm, inst, s_metric=SpdMetric(np.eye(n)),
-                                max_iter=3)
-            assert out.trajectory.iterations == 4
+    inst = get_instance("regquad-fbf")
+    n = inst.bundle.dim
+    r = Lcg64(41).matrix(n, n)
+    s = SpdMetric(r @ r.T / n + np.eye(n))
+    for algorithm in ("fbf", "fbhf", "fbs", "fbs-relaxed"):
+        with pytest.raises(ContractViolation, match="S = I"):
+            run_algorithm(algorithm, inst, s_metric=s)
+        # the identity is accepted however it is held
+        out = run_algorithm(algorithm, inst, s_metric=SpdMetric(np.eye(n)), max_iter=3)
+        assert out.trajectory.iterations == 4
 
 
 def test_ps_resolvent_honours_the_metric():
@@ -121,6 +117,14 @@ def test_ps_resolvent_honours_the_metric():
     assert check_fejer(out.trajectory, out.z_star, s).passed
     plain = run_algorithm("ps-resolvent", inst, tol=1e-9, max_iter=5000)
     assert out.trajectory.iterations != plain.trajectory.iterations
+    # ps-explicit is the same step with another oracle: in the same S it
+    # follows ps-resolvent record by record
+    explicit = run_algorithm("ps-explicit", inst, s_metric=s, tol=1e-9, max_iter=5000)
+    assert explicit.s_metric is s and explicit.nofob_view.s_metric is s
+    assert explicit.trajectory.status == "converged"
+    assert explicit.trajectory.iterations == out.trajectory.iterations
+    for a, b in zip(explicit.trajectory.records, out.trajectory.records):
+        assert np.max(np.abs(a.x_next - b.x_next)) <= PS_EQUIVALENCE_TOL
 
 
 def test_conservative_rows_warn_beyond_their_bound():
@@ -220,6 +224,58 @@ def test_a_given_tau_reuses_the_stacked_problem(monkeypatch):
     assert view.p_metric.lam_min == 2.0
 
 
+def _three_block_instance(seed=0, n=6, dims=(4, 3)):
+    """A projective problem with three blocks, A_i w = G_i w + g_i on the
+    two dual spaces and A_3 x = H x - b on the primal one, with its
+    solution from a dense solve, as `make_saddle_pd` has it for two."""
+    rng = Lcg64(seed)
+
+    def spd(k):
+        r = rng.matrix(k, k)
+        return r @ r.T / k + 0.5 * np.eye(k)
+
+    h, b = spd(n), rng.vector(n)
+    gs = [spd(m) for m in dims]
+    g0s = [rng.vector(m) for m in dims]
+    ls = [rng.matrix(m, n) / np.sqrt(n) for m in dims]
+    x = np.linalg.solve(h + sum(l.T @ g @ l for l, g in zip(ls, gs)),
+                        b - sum(l.T @ g0 for l, g0 in zip(ls, g0s)))
+    ws = [g @ (l @ x) + g0 for l, g, g0 in zip(ls, gs, g0s)]
+    ps = PsProblem([*(affine_operator(g, g0) for g, g0 in zip(gs, g0s)),
+                    affine_operator(h, -b)], ls, taus=[1.0, 1.0, 1.0], primal_dim=n)
+    sigma = min(np.linalg.eigvalsh(h)[0], *(1.0 / np.linalg.eigvalsh(g)[-1] for g in gs))
+    return ProblemInstance(name="three-block", bundle=ps.stacked(),
+                           oracle=np.concatenate([*ws, x]), sigma=float(sigma), seed=seed,
+                           x0=rng.vector(sum(dims) + n), ps_view=ps)
+
+
+def test_four_op_on_three_blocks_is_the_ps_resolvent_run():
+    # with more than two blocks four-op takes the ps-resolvent view at the
+    # problem's own step sizes, and a given tau has one entry per block
+    inst = _three_block_instance()
+    runs = {a: run_algorithm(a, inst) for a in ("four-op", "ps-resolvent", "ps-explicit")}
+    for algorithm, out in runs.items():
+        traj, view = out.trajectory, out.nofob_view
+        assert traj.status == "converged", algorithm
+        assert (np.linalg.norm(traj.final_x - inst.oracle)
+                <= 1e-6 * (1.0 + np.linalg.norm(inst.oracle))), algorithm
+        assert check_fejer(traj, out.z_star, out.s_metric).passed, algorithm
+        assert check_separation(traj, view, out.z_star).passed, algorithm
+        assert check_mu_bounds(traj, view.beta, view.p_metric, out.s_metric,
+                               view.kernel_lipschitz).passed, algorithm
+    four_op, resolvent = (runs[a].trajectory.records for a in ("four-op", "ps-resolvent"))
+    assert len(four_op) == len(resolvent)
+    for a, b in zip(four_op, resolvent):
+        assert a.x_next.tobytes() == b.x_next.tobytes() and a.mu == b.mu
+    with pytest.raises(ContractViolation, match="four-op needs 3 step sizes"):
+        run_algorithm("four-op", inst, tau=[1.0, 1.0])
+    view = run_algorithm("four-op", inst, tau=[2.0, 1.0, 0.5], max_iter=0).nofob_view
+    assert view.p_metric.lam_min == 1.0  # the smallest of the weights (2, 1, 1 / 0.5)
+    for algorithm in ("afba", "afba-fixed"):
+        with pytest.raises(ContractViolation, match="needs a stacked saddle problem"):
+            run_algorithm(algorithm, inst)
+
+
 @pytest.mark.parametrize("algorithm", ["ps-resolvent", "afba-fixed"])
 def test_saddle_beyond_a_hundred_block_dimensions(algorithm):
     # no cap on the block dimensions: a 150-dual, 200-primal saddle
@@ -260,7 +316,7 @@ def test_view_constants_are_honest(name, algorithm, seed, honesty_samplers):
     for x, y in honesty_samplers.pairs(inst.n, 200, seed, 1.0):
         d = x - y
         inner = float((view.kernel_eval(x) - view.kernel_eval(y)) @ d)
-        worst = max(worst, (weighted_norm(view.p_metric, d) ** 2 - inner) / float(d @ d))
+        worst = max(worst, (view.p_metric.norm(d) ** 2 - inner) / float(d @ d))
     assert worst <= 1e-9
     assert honesty_samplers.lipschitz_ratio(
         view.kernel_eval, view.kernel_lipschitz, inst.n, samples=200, seed=seed

@@ -13,7 +13,7 @@ from nofob.core import (
     clamp_theta,
     run_loop,
 )
-from nofob.linalg import ContractViolation, SpdMetric, weighted_norm
+from nofob.linalg import ContractViolation, SpdMetric
 from nofob.problems import (
     REGISTRY,
     get_instance,
@@ -32,6 +32,7 @@ def identity_kernel_problem(n=4):
         s_metric=SpdMetric.identity(n),
         beta=0.0,
         kernel_lipschitz=1.0,
+        kernel_diff=lambda x, x_hat: x - x_hat,
     )
 
 
@@ -77,6 +78,7 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
         s_metric=s,
         beta=0.0,
         kernel_lipschitz=1.0,
+        kernel_diff=lambda x, x_hat: x - x_hat,
     )
     x = rng.vector(4)
     rec = nofob_iterate(prob, 0, x, 1.0)
@@ -84,7 +86,7 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
         0.0, abs=1e-12
     )
     normal = rec.x - rec.x_hat
-    step = s.apply(rec.x - rec.x_next)
+    step = s.matrix @ (rec.x - rec.x_next)
     assert np.allclose(step / np.linalg.norm(step), normal / np.linalg.norm(normal),
                        atol=1e-12)
 
@@ -99,14 +101,7 @@ def test_relaxation_scales_the_step():
 
 def test_coincidence_returns_identity_update():
     prob = identity_kernel_problem()
-    prob_fixed = NofobProblem(
-        fb_oracle=lambda x: x,
-        kernel_eval=prob.kernel_eval,
-        p_metric=prob.p_metric,
-        s_metric=prob.s_metric,
-        beta=0.0,
-        kernel_lipschitz=1.0,
-    )
+    prob_fixed = dataclasses.replace(prob, fb_oracle=lambda x: x)
     x = np.ones(4)
     rec = nofob_iterate(prob_fixed, 0, x, 1.3)
     assert rec.mu == 0.0
@@ -151,6 +146,20 @@ def test_beta_out_of_range_rejected():
             s_metric=SpdMetric.identity(2),
             beta=4.0,
             kernel_lipschitz=1.0,
+            kernel_diff=lambda x, x_hat: x - x_hat,
+        )
+
+
+def test_a_view_needs_its_kernel_difference():
+    # the step and the separation audit both take M x - M x_hat from it
+    with pytest.raises(TypeError, match="kernel_diff"):
+        NofobProblem(
+            fb_oracle=lambda x: x,
+            kernel_eval=lambda x: x,
+            p_metric=SpdMetric.identity(2),
+            s_metric=SpdMetric.identity(2),
+            beta=0.0,
+            kernel_lipschitz=1.0,
         )
 
 
@@ -164,6 +173,7 @@ def test_kernel_lipschitz_outside_the_open_half_line_rejected(bound):
             s_metric=SpdMetric.identity(2),
             beta=0.0,
             kernel_lipschitz=bound,
+            kernel_diff=lambda x, x_hat: x - x_hat,
         )
 
 
@@ -255,12 +265,13 @@ def test_fejer_decrease_in_custom_metric():
         s_metric=s,
         beta=0.0,
         kernel_lipschitz=1.0,
+        kernel_diff=lambda x, x_hat: x - x_hat,
     )
     x = rng.vector(4)
     z = np.zeros(4)
     for k in range(30):
         rec = nofob_iterate(prob, k, x, 1.4)
-        assert weighted_norm(s, rec.x_next - z) <= weighted_norm(s, x - z) + 1e-12
+        assert s.norm(rec.x_next - z) <= s.norm(x - z) + 1e-12
         x = rec.x_next
 
 
@@ -274,6 +285,7 @@ def test_failed_separation_is_null_at_noise_level_and_raises_above():
             s_metric=SpdMetric.identity(4),
             beta=0.0,
             kernel_lipschitz=1.0,
+            kernel_diff=lambda x, x_hat: x_hat - x,
         )
 
     x = np.ones(4)

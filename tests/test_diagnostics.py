@@ -25,6 +25,7 @@ def identity_kernel_problem(n=4):
         s_metric=SpdMetric.identity(n),
         beta=0.0,
         kernel_lipschitz=1.0,
+        kernel_diff=lambda x, x_hat: np.subtract(x, x_hat, dtype=float),
     )
 
 
@@ -156,7 +157,7 @@ def test_separation_fails_with_sign_flipped_kernel():
     flipped = dataclasses.replace(
         view,
         kernel_eval=lambda x: -view.kernel_eval(x),
-        kernel_diff=lambda x, x_hat: -view.kernel_difference(x, x_hat),
+        kernel_diff=lambda x, x_hat: -view.kernel_diff(x, x_hat),
     )
     rep = check_separation(out.trajectory, flipped, out.z_star)
     assert not rep.passed
@@ -272,7 +273,7 @@ def test_fit_rate_insufficient_data():
     with pytest.raises(ContractViolation):
         fit_rate([0.5] * 5)
     with pytest.raises(ContractViolation):
-        fit_rate([0.5] * 30 + [0.0] * 30, tail_fraction=0.5)
+        fit_rate([0.5] * 30 + [0.0] * 30)
 
 
 def test_fit_rate_drops_nonpositive_entries():

@@ -407,7 +407,7 @@ def test_kernel_strong_monotonicity_in_p_metric():
         x, y = rng.vector(prob.dim), rng.vector(prob.dim)
         diff = x - y
         lhs = float((view.kernel_eval(x) - view.kernel_eval(y)) @ diff)
-        rhs = float(diff @ p.apply(diff))
+        rhs = float(diff @ (p.matrix @ diff))
         assert lhs >= rhs - 1e-9
 
 
@@ -712,7 +712,7 @@ def test_summed_products_match_the_maps_one_by_one(split, n, seed):
                         + abs_g @ np.abs(diff))
             view.fb_oracle(x)
             for point in (x, x.copy()):
-                assert np.all(np.abs(view.kernel_difference(point, x_hat) - reference)
+                assert np.all(np.abs(view.kernel_diff(point, x_hat) - reference)
                               <= tol * absolute)
         reference = x / g - sum(op(x) for op in (prob.d, prob.k) if not op.is_zero)
         assert np.all(np.abs(view.kernel_eval(x) - reference)

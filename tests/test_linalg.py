@@ -7,11 +7,9 @@ from nofob import linalg
 from nofob.linalg import (
     ContractViolation,
     SpdMetric,
-    extremal_eig_bounds,
     largest_eig,
     matvec_rows,
     spectral_norm,
-    weighted_norm,
     weighted_row_norms,
 )
 from nofob.rng import Lcg64
@@ -20,15 +18,15 @@ from nofob.rng import Lcg64
 LANCZOS_N = linalg._LANCZOS_MIN_DIM
 
 
-def test_extremal_eig_bounds_diagonal():
-    lo, hi = extremal_eig_bounds(np.diag([2.0, 5.0, 1.0]))
-    assert lo == pytest.approx(1.0)
-    assert hi == pytest.approx(5.0)
+def test_metric_eigenvalue_bounds_diagonal():
+    w = SpdMetric(np.diag([2.0, 5.0, 1.0]))
+    assert w.lam_min == pytest.approx(1.0)
+    assert w.lam_max == pytest.approx(5.0)
 
 
-def test_extremal_eig_bounds_rejects_asymmetric():
-    with pytest.raises(ContractViolation):
-        extremal_eig_bounds(np.array([[1.0, 2.0], [0.0, 1.0]]))
+def test_spd_metric_rejects_asymmetric():
+    with pytest.raises(ContractViolation, match="not symmetric"):
+        SpdMetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("n", [2, 10, 200, LANCZOS_N, 400])
@@ -119,12 +117,12 @@ def test_spd_metric_rejects_indefinite():
         SpdMetric(np.diag([1.0, -1.0]))
 
 
-def test_spd_metric_solve_inverts_apply():
+def test_spd_metric_solve_inverts_the_matrix():
     rng = Lcg64(7)
     r = rng.matrix(6, 6)
     w = SpdMetric(r @ r.T + 2.0 * np.eye(6))
     x = rng.vector(6)
-    assert np.allclose(w.solve(w.apply(x)), x, atol=1e-12)
+    assert np.allclose(w.solve(w.matrix @ x), x, atol=1e-12)
 
 
 @pytest.mark.parametrize("metric", [SpdMetric(np.diag([2.0, 3.0, 4.0])),
@@ -144,18 +142,19 @@ def test_metric_eigenvalues_are_those_of_its_symmetrized_matrix_bit_for_bit():
     m = r @ r.T + np.eye(7)
     m[0, 1] += 1e-14  # asymmetric within the tolerance
     w = SpdMetric(m)
-    assert (w.lam_min, w.lam_max) == extremal_eig_bounds(w.matrix)
+    eigs = np.linalg.eigvalsh(w.matrix)
+    assert (w.lam_min, w.lam_max) == (eigs[0], eigs[-1])
 
 
-def test_weighted_norm_identity_is_euclidean():
+def test_identity_norm_is_euclidean():
     s = SpdMetric.identity(4)
     x = np.array([3.0, 0.0, 4.0, 0.0])
-    assert weighted_norm(s, x) == pytest.approx(5.0)
+    assert s.norm(x) == pytest.approx(5.0)
 
 
 def test_scaled_identity_matches_the_dense_metric():
     # same numbers as c * I held densely, bit for bit where the dense
-    # route rounds once (apply, and solve at c = 1)
+    # route rounds once (the norm, and solve at c = 1)
     rng = Lcg64(5)
     x = rng.vector(6)
     for c in (1.0, 0.37, 4.0):
@@ -163,39 +162,27 @@ def test_scaled_identity_matches_the_dense_metric():
         dense = SpdMetric(c * np.eye(6))
         assert scalar.dim == dense.dim == 6
         assert (scalar.lam_min, scalar.lam_max) == (dense.lam_min, dense.lam_max)
-        assert np.array_equal(scalar.apply(x), dense.apply(x))
-        assert weighted_norm(scalar, x) == weighted_norm(dense, x)
+        assert scalar.norm(x) == dense.norm(x)
         assert np.allclose(scalar.solve(x), dense.solve(x), rtol=1e-15, atol=0.0)
         assert np.array_equal(scalar.matrix, dense.matrix)
     identity = SpdMetric.identity(6)
     assert np.array_equal(identity.solve(x), SpdMetric(np.eye(6)).solve(x))
     with pytest.raises(ContractViolation, match="not positive definite"):
         SpdMetric.scaled_identity(0.0, 3)
-    with pytest.raises(ContractViolation):
-        weighted_norm(identity, np.ones(5))
 
 
 @pytest.mark.parametrize("c", [1.0, 4.0])
-def test_scalar_metric_norm_and_solve_read_the_scalar(monkeypatch, c):
+def test_scalar_metric_norm_and_solve_read_the_scalar(c):
     # bit for bit the numbers of c * I held densely (at c = 4 the Cholesky
-    # factor is 2 I, so the dense solve rounds once too), with no `apply`
-    # call on the scalar metric
+    # factor is 2 I, so the dense solve rounds once too), with no dense
+    # matrix formed for the scalar metric
     rng = Lcg64(6)
     x = rng.vector(7)
     dense = SpdMetric(c * np.eye(7))
-    expected = (weighted_norm(dense, x), dense.solve(x))
-    applied = []
-    original = SpdMetric.apply
-
-    def apply(self, v):
-        applied.append(self)
-        return original(self, v)
-
-    monkeypatch.setattr(SpdMetric, "apply", apply)
     scalar = SpdMetric.scaled_identity(c, 7)
-    assert weighted_norm(scalar, x) == expected[0]
-    assert np.array_equal(scalar.solve(x), expected[1])
-    assert scalar not in applied
+    assert scalar.norm(x) == dense.norm(x)
+    assert np.array_equal(scalar.solve(x), dense.solve(x))
+    assert scalar._matrix is None
 
 
 @pytest.mark.parametrize("n", [3, 17, 300])
@@ -212,7 +199,7 @@ def test_weighted_row_norms_are_the_per_row_norms_bit_for_bit(n):
               SpdMetric(a @ a.T + n * np.eye(n))):
         with np.errstate(invalid="ignore"):
             got = weighted_row_norms(w, rows)
-            expected = [weighted_norm(w, row) for row in rows]
+            expected = [w.norm(row) for row in rows]
         assert np.array_equal(got, expected, equal_nan=True)
     with pytest.raises(ContractViolation, match="dimension mismatch"):
         weighted_row_norms(SpdMetric.identity(n + 1), rows)
@@ -231,15 +218,13 @@ def test_matvec_rows_are_the_per_row_products_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_metrics_and_eigenvalue_bounds_reject_non_finite_entries(bad):
+def test_metrics_reject_non_finite_entries(bad):
     # a NaN compares False, so it used to pass the symmetry test and stop
     # the eigensolver with a LinAlgError
     w = np.eye(3)
     w[0, 1] = w[1, 0] = bad
     with pytest.raises(ContractViolation, match="metric entries must be finite"):
         SpdMetric(w)
-    with pytest.raises(ContractViolation, match="matrix entries must be finite"):
-        extremal_eig_bounds(w)
     if bad > 0.0 or bad != bad:
         with pytest.raises(ContractViolation, match="metric entries must be finite"):
             SpdMetric.scaled_identity(bad, 3)
@@ -249,7 +234,7 @@ def test_a_metric_near_the_overflow_threshold_is_built():
     # w + w^T would overflow; the symmetric part 0.5 w + 0.5 w^T does not
     w = SpdMetric(np.diag([1.5e308, 1.0e308]))
     assert (w.lam_min, w.lam_max) == (1.0e308, 1.5e308)
-    assert extremal_eig_bounds(w.matrix) == (1.0e308, 1.5e308)
+    assert np.linalg.eigvalsh(w.matrix).tolist() == [1.0e308, 1.5e308]
 
 
 def test_lcg64_is_deterministic_and_spread():

@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nofob
 from nofob.algorithms import run_algorithm
 from nofob.linalg import ContractViolation, spectral_norm
 from nofob.problems import (
@@ -44,6 +49,44 @@ def test_generation_is_deterministic(name):
     assert np.array_equal(a.oracle, b.oracle)
     assert np.array_equal(a.x0, b.x0)
     assert a.constants == b.constants
+
+
+# sha256 over the registry instances at seeds 0-5 and their four-op and
+# fbhf-long runs: oracle, start, constants, every record's scalars and
+# x_next, and each run's status and final iterate
+_REGISTRY_DIGEST = """
+import hashlib
+import numpy as np
+from nofob.algorithms import run_algorithm
+from nofob.problems import REGISTRY, get_instance
+h = hashlib.sha256()
+for seed in range(6):
+    for name in REGISTRY:
+        inst = get_instance(name, seed)
+        h.update(inst.oracle.tobytes() + inst.x0.tobytes() + repr(inst.constants).encode())
+        for algorithm in ("four-op", "fbhf-long"):
+            traj = run_algorithm(algorithm, inst).trajectory
+            h.update(traj.status.encode() + traj.final_x.tobytes())
+            for r in traj.records:
+                h.update(r.x_next.tobytes() + repr((r.mu, r.theta, r.residual_s)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_registry_runs_do_not_depend_on_the_blas_thread_count():
+    # the README's determinism claim: registry-size instances and runs are
+    # bit for bit the same under one and two BLAS threads (ladder sizes,
+    # n >= 200, are not)
+    src = str(Path(nofob.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _REGISTRY_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("name", REGISTRY)
