@@ -34,11 +34,7 @@ __all__ = [
     "null_record",
     "nofob_iterate",
     "run_loop",
-    "clamp_theta",
 ]
-
-_THETA_MIN = 0.05
-_THETA_MAX = 1.95
 
 
 @dataclass(frozen=True)
@@ -180,16 +176,6 @@ def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
         x_next = x - theta * mu_hat * s_inv_m
         theta = theta * mu_hat / mu
     return IterRecord(k, x, x_hat, x_next, mu, theta, residual, num, math.sqrt(den))
-
-
-def clamp_theta(theta: float) -> float:
-    """A derived relaxation clamped to (0, 2) with a safety margin.
-
-    For a theta computed from constants, such as 4 / (4 - beta), which
-    can leave (0, 2); `run_algorithm` rejects a given theta outside (0, 2)
-    instead of clamping it.
-    """
-    return min(max(float(theta), _THETA_MIN), _THETA_MAX)
 
 
 def run_loop(

@@ -19,7 +19,9 @@ vectors it was written for.  The primitives (`linalg.weighted_row_norms`,
 `linalg.matvec_rows`, `np.vecdot`, elementwise arithmetic in the
 per-record order) round as the per-record `x @ y` and `W @ x` do, so
 the reports equal those of the per-record transcriptions in
-`tests/conftest.py` bit for bit.  A z* that is not a vector of the
+`tests/conftest.py` bit for bit under one BLAS thread.  The dense
+products are row-blocked per-row GEMVs; a multithreaded BLAS may move
+odd sizes above the block by a few ulps.  A z* that is not a vector of the
 trajectory's dimension raises ContractViolation("dimension mismatch").
 
 The tolerances come from the tolerance table in `linalg`: AUDIT_TOL,

@@ -41,7 +41,9 @@ every row of a k x n stack in one call, for the separation audit.  Its
 parts round row by row as the per-vector ones do: x - x_hat, the
 division by gamma, BlockDiag's per-block weights and a coordinatewise
 phi are elementwise, and the dense products of G and of AffinePlusSkew's
-Q are stacked GEMVs (`linalg.matvec_rows`), not a GEMM.  A spec says how
+Q are row-blocked per-row GEMVs (`linalg.matvec_rows`), not a GEMM: bit
+for bit under one BLAS thread, while a multithreaded BLAS may move odd
+sizes above the block by a few ulps.  A spec says how
 Q acts on a stack through `q_rows`; a spec without one, or a live D that
 declares no matrix, leaves the view without a stacked form.
 

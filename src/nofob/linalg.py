@@ -18,7 +18,11 @@ check and no dispatch on the kind, so the step's three norms cost one
 dot product each.  `weighted_row_norms` takes the norms of all rows of
 a k x n stack at once, bit for bit the per-row `norm`, and
 `matvec_rows` the product of a matrix with every row, bit for bit the
-per-row `a @ row`.  A metric must have finite entries: a NaN compares
+per-row `a @ row`.  Their dense products are row-blocked per-row GEMVs:
+a matrix of more than _MATVEC_BLOCK_BYTES is taken in blocks of rows,
+each read from cache by every row of the stack.  They are bit for bit
+under one BLAS thread; a multithreaded BLAS may move odd sizes above
+the block by a few ulps.  A metric must have finite entries: a NaN compares
 False, so it would pass the symmetry test and stop the eigensolver
 with a foreign error.  Its symmetric part is taken as 0.5 w + 0.5 w^T,
 which cannot overflow on finite entries.
@@ -121,6 +125,13 @@ _LANCZOS_MIN_DIM = 300
 # equal row sums, so on a nonzero skew matrix with zero row sums (a
 # cyclic difference) the run breaks down at once and reads 0.
 _LANCZOS_SEED = 0
+# The size of `matvec_rows`' row blocks, rounded down to a multiple of 64
+# rows (at least 64): 128 rows at n = 800.  Timed with one BLAS thread on
+# a 2-core host with 2 MiB of L2 per core, median ms of 45 stacked rows,
+# unblocked against blocks of 512 KiB / 1 MiB / 1.5 MiB: n = 512, 2.75
+# against 2.14 / 2.15 / 2.22; n = 800, 9.89 against 4.61 / 4.53 / 4.65;
+# n = 1000, 15.2 against 7.80 / 7.71 / 7.87; at n <= 400 all within 5%.
+_MATVEC_BLOCK_BYTES = 1 << 20
 _EPS = float(np.finfo(float).eps)
 
 
@@ -308,11 +319,32 @@ def weighted_row_norms(w: SpdMetric, rows: np.ndarray) -> np.ndarray:
 
 
 def matvec_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`a @ row` of every row of a k x n stack, bit for bit.
+    """`a @ row` of every row of a k x n stack, bit for bit under one
+    BLAS thread.
 
-    One stacked matrix-vector product, `matmul(a, rows[:, :, None])`,
-    which numpy runs as a GEMV per row, the routine of the per-row
-    `a @ row`.  The GEMM `rows @ a.T` computes the same values but can
-    round them differently.
+    Stacked matrix-vector products, `matmul(a, rows[:, :, None])`, which
+    numpy runs as a GEMV per row, the routine of the per-row `a @ row`.
+    The GEMM `rows @ a.T` computes the same values but can round them
+    differently.  A C-contiguous `a` of more than _MATVEC_BLOCK_BYTES is
+    taken in blocks of a multiple of 64 rows, each against every row
+    before the next, so that each block is read from cache k times
+    rather than all of `a` from memory; the last block takes the
+    remainder, and a remainder of one row joins the block before it,
+    since numpy takes a one-row product as a dot product, which rounds
+    otherwise.  Each row of a block rounds as in the full GEMV, which
+    handles rows in groups that the 64-row edges do not cut.  A
+    multithreaded BLAS can split the full GEMV inside a group, so there
+    a product with more rows than a block can differ from the per-row
+    one by a few ulps (seen at n = 801 and 803 under two threads).
     """
-    return np.matmul(a, rows[:, :, None])[:, :, 0]
+    col = rows[:, :, None]
+    if not a.flags.c_contiguous or a.nbytes <= _MATVEC_BLOCK_BYTES:
+        return np.matmul(a, col)[:, :, 0]
+    m = a.shape[0]
+    b = max(64, _MATVEC_BLOCK_BYTES // (a.itemsize * a.shape[1]) // 64 * 64)
+    out = np.empty((rows.shape[0], m), dtype=np.result_type(a, rows))
+    start = 0
+    for stop in (*range(b, m - 1, b), m):
+        out[:, start:stop] = np.matmul(a[start:stop], col)[:, :, 0]
+        start = stop
+    return out

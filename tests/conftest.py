@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +55,19 @@ def _long_step_reference(prob, gamma, x, theta, s):
 def long_step_reference():
     """Independent transcription the generic scalar-kernel step is checked against."""
     return _long_step_reference
+
+
+def _clamp_theta(theta):
+    """A derived relaxation clamped to [0.05, 1.95], inside (0, 2) with a
+    safety margin: a theta computed from constants, such as
+    4 / (4 - beta), can leave (0, 2), where `run_algorithm` rejects it."""
+    return min(max(float(theta), 0.05), 1.95)
+
+
+@pytest.fixture
+def clamp_theta():
+    """The relaxation the long rows are given in the relaxation tests."""
+    return _clamp_theta
 
 
 # ---------------------------------------------------------------------------
@@ -509,3 +526,30 @@ def _reference_iterate(prob, k, x, theta, mu_hat=None):
 def reference_iterate():
     """The step transcription every record of the one step is checked against."""
     return _reference_iterate
+
+
+# ---------------------------------------------------------------------------
+# a fresh interpreter with a chosen BLAS thread count
+
+
+def _python_with_blas_threads(code, threads):
+    """Run `code` in a fresh interpreter with `threads` BLAS threads and
+    nofob's source and this directory on its path; its standard output,
+    after asserting that it exited 0."""
+    import nofob
+
+    src = Path(nofob.__file__).resolve().parent.parent
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (str(src), str(here), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.fixture
+def python_with_blas_threads():
+    """Runs code where the BLAS thread count, fixed when numpy loads, is set."""
+    return _python_with_blas_threads

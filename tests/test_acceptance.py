@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nofob.algorithms import run_algorithm
-from nofob.core import clamp_theta, nofob_iterate
+from nofob.core import nofob_iterate
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.fourop import (
     BlockDiag,
@@ -262,40 +262,64 @@ def test_step_size_formula_grid_and_mu_bound_sampling():
     passed("step-size formulas match hand values; mu bound holds on 2x10^4 pairs")
 
 
-def test_conservative_vs_explicit_dominance(conservative_reference):
-    budgets = {}
-    for name in ("rotation", "regquad-fbhf", "regquad-fbf", "regquad-fbs"):
-        inst = get_instance(name)
-        prob = inst.bundle
-        be = inst.constants["beta_e"]
-        ld = inst.constants["l_d"]
-        kn = inst.constants["k_norm"]
-        eps = 0.1
-        g = 0.9 * gamma_bound_conservative(be, ld, kn, eps)
-        _, delta = epsbar_delta(eps, be, ld, kn)
-        mu_hat = g / (2.0 - delta)
-        x = inst.x0.copy()
-        for k in range(150):
-            rec = conservative_reference(prob, g, k, x)
-            if rec.mu > 0.0:
-                assert mu_hat <= rec.mu + 1e-12, name
-            x = rec.x_next
+# The abstract's relaxation claim: standard FB(H)F relax their projections
+# less than NOFOB allows.  At equal gamma the long row, at the relaxation
+# NOFOB allows, takes no more iterations than the short row, on every seed
+# but one.
+RELAXATION_PROBLEMS = ("rotation", "regquad-fbf", "regquad-fbhf", "regquad-full",
+                       "regquad-fbs")
+RELAXATION_SEEDS = range(30)
+LONG_ROW_LOSES = {("regquad-fbhf", 5): "fbhf takes 31 iterations, fbhf-long 33"}
 
-        # long-step run at the same gamma.  With beta_E > 0 the explicit
-        # mu carries the cocoercivity penalty, so theta = 4/(4 - beta_eff)
-        # restores the plain forward-backward step length (exact in the
-        # pure FBS case, and equal to 1 when beta_E = 0); clamped, since it
-        # can leave (0, 2).
-        short_alg = "fbf" if be == 0.0 else "fbhf"
-        beta = as_nofob(prob, ScalarStep(g), SpdMetric.identity(prob.dim)).beta
-        th = clamp_theta(4.0 / (4.0 - beta))
-        a = run_algorithm(short_alg, inst, gamma=g, tol=1e-8, max_iter=3000)
-        b = run_algorithm(f"{short_alg}-long", inst, gamma=g, theta=th,
-                          tol=1e-8, max_iter=3000)
-        assert a.trajectory.status == b.trajectory.status == "converged"
-        assert b.trajectory.iterations <= a.trajectory.iterations
-        budgets[name] = (a.trajectory.iterations, b.trajectory.iterations)
-    passed(f"mu_hat <= mu everywhere; (short, long) iterations {budgets}")
+
+def _relaxation_cases():
+    for name in RELAXATION_PROBLEMS:
+        for seed in RELAXATION_SEEDS:
+            reason = LONG_ROW_LOSES.get((name, seed))
+            marks = () if reason is None else pytest.mark.xfail(strict=True, reason=reason)
+            yield pytest.param(name, seed, marks=marks, id=f"{name}-{seed}")
+
+
+def test_clamp_theta_keeps_inside_and_clamps_outside(clamp_theta):
+    assert clamp_theta(0.5) == 0.5
+    assert clamp_theta(1.5) == 1.5
+    assert clamp_theta(0.0) == 0.05
+    assert clamp_theta(5.0) == 1.95
+
+
+@pytest.mark.parametrize("name, seed", _relaxation_cases())
+def test_conservative_vs_explicit_dominance(name, seed, conservative_reference, clamp_theta):
+    inst = get_instance(name, seed)
+    prob = inst.bundle
+    be = inst.constants["beta_e"]
+    ld = inst.constants["l_d"]
+    kn = inst.constants["k_norm"]
+    eps = 0.1
+    g = 0.9 * gamma_bound_conservative(be, ld, kn, eps)
+    _, delta = epsbar_delta(eps, be, ld, kn)
+    mu_hat = g / (2.0 - delta)
+    x = inst.x0.copy()
+    for k in range(150):
+        rec = conservative_reference(prob, g, k, x)
+        if rec.mu > 0.0:
+            assert mu_hat <= rec.mu + 1e-12
+        x = rec.x_next
+
+    # long-step run at the same gamma.  With beta_E > 0 the explicit
+    # mu carries the cocoercivity penalty, so theta = 4/(4 - beta_eff)
+    # restores the plain forward-backward step length (exact in the
+    # pure FBS case, and equal to 1 when beta_E = 0); clamped, since it
+    # can leave (0, 2).
+    short_alg = "fbf" if be == 0.0 else "fbhf"
+    beta = as_nofob(prob, ScalarStep(g), SpdMetric.identity(prob.dim)).beta
+    th = clamp_theta(4.0 / (4.0 - beta))
+    a = run_algorithm(short_alg, inst, gamma=g, tol=1e-8, max_iter=3000)
+    b = run_algorithm(f"{short_alg}-long", inst, gamma=g, theta=th,
+                      tol=1e-8, max_iter=3000)
+    assert a.trajectory.status == b.trajectory.status == "converged"
+    counts = (a.trajectory.iterations, b.trajectory.iterations)
+    assert counts[1] <= counts[0], f"(short, long) iterations {counts}"
+    passed(f"{name} seed {seed}: mu_hat <= mu everywhere; (short, long) iterations {counts}")
 
 
 def test_extended_range_fbs():

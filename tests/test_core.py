@@ -10,7 +10,6 @@ from nofob.core import (
     IterRecord,
     NofobProblem,
     nofob_iterate,
-    clamp_theta,
     run_loop,
 )
 from nofob.linalg import ContractViolation, SpdMetric
@@ -245,13 +244,6 @@ def test_run_loop_rejects_a_negative_or_non_finite_tol(tol):
     prob = identity_kernel_problem()
     with pytest.raises(ContractViolation, match="tol must be finite and nonnegative"):
         run_loop(unit_step(prob), np.ones(4), tol=tol, max_iter=5)
-
-
-def test_clamp_theta_keeps_inside_and_clamps_outside():
-    assert clamp_theta(0.5) == 0.5
-    assert clamp_theta(1.5) == 1.5
-    assert clamp_theta(0.0) == 0.05
-    assert clamp_theta(5.0) == 1.95
 
 
 def test_fejer_decrease_in_custom_metric():

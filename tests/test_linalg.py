@@ -185,8 +185,25 @@ def test_scalar_metric_norm_and_solve_read_the_scalar(c):
     assert scalar._matrix is None
 
 
-@pytest.mark.parametrize("n", [3, 17, 300])
-def test_weighted_row_norms_are_the_per_row_norms_bit_for_bit(n):
+# Sizes for the stacked products: below one row block (3, 17, 300), in
+# full 128-row blocks (800), and with a ragged last block of one row joined
+# to the block before it (769) or of 35 rows (803).  A multithreaded BLAS
+# may split the full GEMV inside a row group at the odd sizes, so those run
+# in a subprocess with one BLAS thread.
+STACKED_SIZES = [3, 17, 300, 800, 769, 803]
+ONE_THREAD_SIZES = (769, 803)
+
+
+def _in_one_blas_thread(run_python, case, n):
+    """case(n) here, or for a size in ONE_THREAD_SIZES in a fresh
+    interpreter with one BLAS thread."""
+    if n in ONE_THREAD_SIZES:
+        run_python(f"import test_linalg; test_linalg.{case.__name__}({n})", 1)
+    else:
+        case(n)
+
+
+def _weighted_row_norms_case(n):
     # scaled identities at c = 1 and c != 1 and a dense metric; the rows
     # span magnitudes and include a zero, a NaN and an inf row
     rng = Lcg64(n)
@@ -205,16 +222,27 @@ def test_weighted_row_norms_are_the_per_row_norms_bit_for_bit(n):
         weighted_row_norms(SpdMetric.identity(n + 1), rows)
 
 
-@pytest.mark.parametrize("n", [3, 17, 300])
-def test_matvec_rows_are_the_per_row_products_bit_for_bit(n):
-    # the rows span magnitudes and include a zero and a negative-zero row
+@pytest.mark.parametrize("n", STACKED_SIZES)
+def test_weighted_row_norms_are_the_per_row_norms_bit_for_bit(n, python_with_blas_threads):
+    _in_one_blas_thread(python_with_blas_threads, _weighted_row_norms_case, n)
+
+
+def _matvec_rows_case(n):
+    # the rows span magnitudes and include a zero and a negative-zero row;
+    # the transpose is F-ordered, so it is taken in one stacked product
     rng = Lcg64(n + 1)
     rows = rng.matrix(40, n) * np.logspace(-8, 8, 40)[:, None]
     rows[3] = 0.0
     rows[4] = -0.0
     a = rng.matrix(n, n)
-    expected = np.array([a @ row for row in rows])
-    assert matvec_rows(a, rows).tobytes() == expected.tobytes()
+    for m in (a, a.T):
+        expected = np.array([m @ row for row in rows])
+        assert matvec_rows(m, rows).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", STACKED_SIZES)
+def test_matvec_rows_are_the_per_row_products_bit_for_bit(n, python_with_blas_threads):
+    _in_one_blas_thread(python_with_blas_threads, _matvec_rows_case, n)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

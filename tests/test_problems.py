@@ -1,13 +1,8 @@
 import dataclasses
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import nofob
 from nofob.algorithms import run_algorithm
 from nofob.linalg import ContractViolation, spectral_norm
 from nofob.problems import (
@@ -73,19 +68,12 @@ print(h.hexdigest())
 """
 
 
-def test_registry_runs_do_not_depend_on_the_blas_thread_count():
+def test_registry_runs_do_not_depend_on_the_blas_thread_count(python_with_blas_threads):
     # the README's determinism claim: registry-size instances and runs are
     # bit for bit the same under one and two BLAS threads (ladder sizes,
     # n >= 200, are not)
-    src = str(Path(nofob.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        done = subprocess.run([sys.executable, "-c", _REGISTRY_DIGEST], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        digests.append(done.stdout.strip())
+    digests = [python_with_blas_threads(_REGISTRY_DIGEST, threads).strip()
+               for threads in (1, 2)]
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 

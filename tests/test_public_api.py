@@ -20,7 +20,6 @@ PACKAGE = Path(nofob.__file__).parent
 # (module, name or Class.method) -> why it stays in the package unused
 KEPT = {
     ("fourop", "epsbar_delta"): "a paper constant under test",
-    ("core", "clamp_theta"): "the relaxation test uses it; its fate is open on the roadmap",
     ("rng", "Lcg64.uniform_signed"): "the one-at-a-time draw the block draws are checked against",
 }
 
