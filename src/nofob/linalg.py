@@ -35,6 +35,11 @@ when the Ritz residual beta_j |s_j| is at most 4 eps |theta|, which
 agrees with the dense value to about 1e-15 relative.  A breakdown
 (beta_j = 0) means the Krylov space is invariant, so its Ritz values
 are eigenvalues exactly and the run returns; it takes at most n steps.
+Each step's Ritz pair comes from LAPACK's dstebz and dstein, called
+directly with the arguments of scipy's `eigh_tridiagonal`, which returns
+the same bits but adds its checks and conversions to every step.  Both
+functions reject a matrix with a NaN or infinite entry, which the direct
+calls would not check.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ import math
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dstebz, dstein
 
 from .rng import Lcg64
 
@@ -162,6 +168,8 @@ def _lanczos_max(matvec, n: int) -> float:
     classical Gram-Schmidt passes.  Step j stops at the largest Ritz
     pair (theta, s) of the tridiagonal T_j once beta_j |s_j| <=
     4 eps |theta|; beta_j = 0 (breakdown) always stops, as does j = n.
+    The Ritz pair comes from `_top_ritz_pair`.  The map's values are not
+    checked: its callers reject a matrix with a non-finite entry first.
     """
     basis = np.empty((n, n))  # rows are touched only as the run reaches them
     start = Lcg64(_LANCZOS_SEED).vector(n)
@@ -176,13 +184,38 @@ def _lanczos_max(matvec, n: int) -> float:
         for _ in range(2):
             w -= done.T @ (done @ w)
         b = float(np.linalg.norm(w))
-        theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
-                                    select_range=(j, j))
-        theta = float(theta[0])
-        if b * abs(float(s[j, 0])) <= 4.0 * _EPS * abs(theta) or j + 1 == n:
+        theta, s_j = _top_ritz_pair(alpha[:j + 1], beta[:j])
+        if b * abs(s_j) <= 4.0 * _EPS * abs(theta) or j + 1 == n:
             return theta
         beta[j] = b
         basis[j + 1] = w / b
+
+
+def _top_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
+    """The largest eigenvalue of the k x k symmetric tridiagonal matrix
+    with diagonal alpha and off-diagonal beta, and the last entry of its
+    unit eigenvector: LAPACK's bisection (dstebz) for the k-th eigenvalue
+    and inverse iteration (dstein) for its vector, with the arguments
+    scipy's `eigh_tridiagonal(alpha, beta, select="i", select_range=(k - 1,
+    k - 1))` passes them, and its pair (alpha_0, 1) at k = 1, so bit for
+    bit its result, without its checks and array conversions (finite
+    float64 input)."""
+    k = len(alpha)
+    if k == 1:
+        return float(alpha[0]), 1.0
+    m, w, iblock, isplit, info = dstebz(alpha, beta, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info == 0:
+        z, info = dstein(alpha, beta, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info {info})")
+    return float(w[0]), float(z[-1, 0])
+
+
+def _require_finite(m: np.ndarray):
+    """Raise unless every entry of m is finite: a NaN or an infinity would
+    stop an eigensolver with a foreign error, or pass a test unseen."""
+    if not np.isfinite(m).all():
+        raise ContractViolation("matrix entries must be finite")
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -191,11 +224,13 @@ def spectral_norm(m: np.ndarray) -> float:
     Below _LANCZOS_MIN_DIM on the smaller side, one dense symmetric
     eigenvalue solve of the formed Gram matrix; from there on
     `_lanczos_max` on x -> M^T (M x), or M (M^T x) for a wide M, which
-    forms no Gram matrix.  An empty or zero matrix gives exactly 0.0.
+    forms no Gram matrix.  An empty or zero matrix gives exactly 0.0; a
+    non-finite entry raises ContractViolation.
     """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0.0
+    _require_finite(m)
     tall = m.shape[0] >= m.shape[1]
     if min(m.shape) < _LANCZOS_MIN_DIM:
         gram = m.T @ m if tall else m @ m.T
@@ -211,8 +246,10 @@ def largest_eig(w: np.ndarray) -> float:
     """lambda_max of a symmetric matrix (symmetry is not checked).
 
     Dense below _LANCZOS_MIN_DIM, `_lanczos_max` on x -> W x from there on.
+    A non-finite entry raises ContractViolation.
     """
     w = np.asarray(w, dtype=float)
+    _require_finite(w)
     if w.shape[0] < _LANCZOS_MIN_DIM:
         return float(np.linalg.eigvalsh(w)[-1])
     return _lanczos_max(lambda x: w @ x, w.shape[0])

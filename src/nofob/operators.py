@@ -138,6 +138,8 @@ class SkewMap:
     An all-zero map sets `is_zero`, so that callers may skip it, and
     `operator_norm` = 0.0 without a norm solve.  A caller that already
     knows ||K||_2 passes it as `norm`, and no norm solve runs either.
+    A matrix with a non-finite entry raises ContractViolation, with or
+    without a given norm.
     `zero(n)` builds it without forming, checking or storing an n x n
     matrix; `matrix` is formed only when it is read.
     """
@@ -146,8 +148,10 @@ class SkewMap:
         k = np.asarray(matrix, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ContractViolation("skew map must be a square matrix")
-        scale = max(1.0, float(np.abs(k).max()))
-        if np.abs(k + k.T).max() > SKEW_TOL * scale:
+        top = float(np.abs(k).max())
+        if not top < np.inf:  # a NaN fails this test too
+            raise ContractViolation("skew map entries must be finite")
+        if np.abs(k + k.T).max() > SKEW_TOL * max(1.0, top):
             raise ContractViolation(f"matrix is not skew-adjoint to {SKEW_TOL:g}")
         self._matrix = k
         self.dim = k.shape[0]

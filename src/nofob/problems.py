@@ -18,8 +18,8 @@ regquad-full, saddle, nonlinear-kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -70,15 +70,19 @@ DEFAULT_SEED = 2026
 class ProblemInstance:
     """A seeded problem: its bundle, its oracle solution z* and its start.
 
-    sigma is the declared strong-monotonicity modulus of the inclusion.
-    The other constants are the ones the bundle's maps declare, read
-    from them by `constants` rather than stated a second time.
+    `sigma` is the declared strong-monotonicity modulus of the inclusion.
+    No solve or audit reads it, and at ladder sizes it is a dense
+    eigensolve, so a builder passes the zero-argument callable `sigma_of`
+    that computes it; `sigma` calls it when first read and keeps the value
+    on the instance (`dataclasses.replace` passes the callable on).  The
+    other constants are the ones the bundle's maps declare, read from them
+    by `constants` rather than stated a second time.
     """
 
     name: str
     bundle: FourOpProblem
     oracle: np.ndarray
-    sigma: float
+    sigma_of: Callable[[], float]
     seed: int
     x0: np.ndarray
     ps_view: Optional[PsProblem] = None
@@ -91,11 +95,14 @@ class ProblemInstance:
 
     @property
     def constants(self) -> Dict[str, float]:
-        """l_d, beta_e and k_norm as the bundle's D, E and K declare them,
-        and sigma."""
+        """l_d, beta_e and k_norm as the bundle's D, E and K declare them."""
         b = self.bundle
         return {"l_d": b.d.lipschitz_constant, "beta_e": b.e.inverse_cocoercivity,
-                "k_norm": b.k.operator_norm, "sigma": self.sigma}
+                "k_norm": b.k.operator_norm}
+
+    @cached_property
+    def sigma(self) -> float:
+        return float(self.sigma_of())
 
 
 def fixed_point_residual(bundle: FourOpProblem, z: np.ndarray,
@@ -146,7 +153,7 @@ def make_rotation_vi(angle_deg: float = 90.0, scale: float = 1.0,
     x0 = Lcg64(seed).vector(n_even)
     x0 = x0 / max(np.linalg.norm(x0), 1e-12)
     return _certify(ProblemInstance(
-        name="rotation", bundle=bundle, oracle=np.zeros(n_even), sigma=0.0,
+        name="rotation", bundle=bundle, oracle=np.zeros(n_even), sigma_of=lambda: 0.0,
         seed=seed, x0=x0,
     ))
 
@@ -171,6 +178,15 @@ def _seeded_skew(rng: Lcg64, n: int, norm: float) -> tuple[np.ndarray, float]:
 # cap on the Newton steps of the active-set oracle solve; regquad-* instances
 # from n = 20 to 800 settle within 8
 _ORACLE_NEWTON_STEPS = 100
+# The active-set oracle's t, times 1 / (beta_E + L_D + ||K||).  t only
+# steers the Newton path (see `_oracle_by_active_set`), and 2 takes the
+# fewest linear solves.  Solves over the 1813 regquad instances of n = 20
+# x 4 splits x 441 seeds, n = 200 seeds 0-29, n = 400 seeds 0-9 and n = 800
+# seeds 0-8, at t = 1 / 1.5 / 2 / 3 / 4 over that sum: all 3684 / 3378 /
+# 3302 / 3355 / 3395; n = 200, 126 / 90 / 79 / 88 / 90; n = 400, 52 / 31 /
+# 30 / 29 / 30; n = 800, 53 / 32 / 29 / 32 / 33.  Every oracle was the same
+# to the byte at all five.
+_ORACLE_STEP = 2.0
 
 
 def _oracle_by_active_set(a_mat: np.ndarray, rhs: np.ndarray, lam: float,
@@ -188,6 +204,11 @@ def _oracle_by_active_set(a_mat: np.ndarray, rhs: np.ndarray, lam: float,
     between active sets.  A Newton point that reproduces its own active
     set and shift lam sign(u_I) (with lam = 0, every set of signs) solves
     the inclusion exactly and is returned as is.
+
+    At a solution with |(A x - rhs)_i| < lam off its support, the active
+    set is that support for every t > 0, so t steers only the path: the
+    returned point is the one solve on the support, and a t that finds
+    the support sooner takes fewer solves (see _ORACLE_STEP).
     """
     tl = t * lam
 
@@ -267,19 +288,22 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     a_mat = (h if use_e else 0.0) + (d_mat if use_d else 0.0) + (k_mat if use_k else 0.0)
     oracle = _oracle_by_active_set(
         a_mat, b_vec if use_e else np.zeros(n), lam,
-        1.0 / (beta_e + l_d + k.operator_norm),
+        _ORACLE_STEP / (beta_e + l_d + k.operator_norm),
     )
     _check_subgradient_inclusion(oracle, lam, bundle.forward(oracle))
 
-    # The smallest eigenvalue stays on the dense solve.  The spectrum of h
-    # crowds at its lower edge, and Lanczos for it ran all n steps at
-    # n = 800, seed 23 (0.67 s against 0.05 s dense).
-    sym_total = (h if use_e else 0.0) + (d_sym if use_d else 0.0)
-    sigma = (float(np.linalg.eigvalsh(np.atleast_2d(sym_total))[0])
-             if use_e or use_d else 0.0)
+    def sigma_of():
+        # The smallest eigenvalue stays on the dense solve.  The spectrum of
+        # h crowds at its lower edge, and Lanczos for it ran all n steps at
+        # n = 800, seed 23 (0.67 s against 0.05 s dense).
+        if not (use_e or use_d):
+            return 0.0
+        sym_total = (h if use_e else 0.0) + (d_sym if use_d else 0.0)
+        return float(np.linalg.eigvalsh(np.atleast_2d(sym_total))[0])
+
     return _certify(ProblemInstance(
         name=f"regquad-{split}" if split != "full" else "regquad-full",
-        bundle=bundle, oracle=oracle, sigma=sigma, seed=seed, x0=x0,
+        bundle=bundle, oracle=oracle, sigma_of=sigma_of, seed=seed, x0=x0,
         extras={"h_matrix": h, "b_vector": b_vec, "d_matrix": d_mat,
                 "k_matrix": k_mat},
     ))
@@ -317,7 +341,7 @@ def make_saddle_pd(n: int = 8, m: int = 6, seed: int = DEFAULT_SEED) -> ProblemI
     x0 = rng.vector(m + n)
     return _certify(ProblemInstance(
         name="saddle", bundle=bundle, oracle=oracle,
-        sigma=min(float(np.linalg.eigvalsh(h)[0]), 1.0 / largest_eig(g)),
+        sigma_of=lambda: min(float(np.linalg.eigvalsh(h)[0]), 1.0 / largest_eig(g)),
         seed=seed, x0=x0, ps_view=ps,
         extras={"l_matrix": l_mat, "g_matrix": g, "g0_vector": g0,
                 "h_matrix": h, "b_vector": b_vec},
@@ -355,7 +379,7 @@ def make_nonlinear_kernel_demo(n: int = 12, lam: float = 0.3,
     spec = SeparableNonlinear(kernel)
     inst = _certify(ProblemInstance(
         name="nonlinear-kernel", bundle=bundle, oracle=oracle,
-        sigma=float(d_diag.min()), seed=seed, x0=rng.vector(n), nonlinear_spec=spec,
+        sigma_of=lambda: float(d_diag.min()), seed=seed, x0=rng.vector(n), nonlinear_spec=spec,
         extras={"d_vector": d_diag, "b_vector": b_vec},
     ))
     return inst, spec

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from nofob.core import IterRecord, coincides, nofob_iterate, null_record, separation_fails
 from nofob.diagnostics import _report
@@ -27,6 +28,7 @@ from nofob.linalg import (
     RESOLVENT_TOL,
     ContractViolation,
     SpdMetric,
+    _LANCZOS_SEED,
 )
 from nofob.operators import LipschitzMap, NonlinearKernel, SkewMap, l1_plus_diag_affine
 from nofob.problems import ProblemInstance
@@ -397,8 +399,9 @@ def _planted_nonlinear_drift(n, seed, w_square=0.3, lam=0.3):
     bundle = FourOpProblem(b=l1_plus_diag_affine(lam, d_diag, b_vec), d=d,
                            e=zero_cocoercive(n), k=k, dim=n)
     return ProblemInstance(
-        name="nonlinear-drift", bundle=bundle, oracle=z_star, sigma=float(d_diag.min()),
-        seed=seed, x0=rng.vector(n), nonlinear_spec=SeparableNonlinear(_ARCTAN_KERNEL),
+        name="nonlinear-drift", bundle=bundle, oracle=z_star,
+        sigma_of=lambda: float(d_diag.min()), seed=seed, x0=rng.vector(n),
+        nonlinear_spec=SeparableNonlinear(_ARCTAN_KERNEL),
     )
 
 
@@ -526,6 +529,82 @@ def _reference_iterate(prob, k, x, theta, mu_hat=None):
 def reference_iterate():
     """The step transcription every record of the one step is checked against."""
     return _reference_iterate
+
+
+# ---------------------------------------------------------------------------
+# one-level block fill of the LCG stream (cross-check reference)
+
+
+def _block_fill_table(block):
+    """(A^j, C_j) for j = 1..block as uint64 arrays, C_j = C (A^(j-1) + ... + 1),
+    for the MMIX multiplier A and increment C."""
+    a, c, mult, add = 1, 0, [], []
+    for _ in range(block):
+        a = 6364136223846793005 * a % 2 ** 64
+        c = (6364136223846793005 * c + 1442695040888963407) % 2 ** 64
+        mult.append(a)
+        add.append(c)
+    return np.array(mult, dtype=np.uint64), np.array(add, dtype=np.uint64)
+
+
+_BLOCK_FILL_MULT, _BLOCK_FILL_ADD = _block_fill_table(512)
+
+
+def _block_fill(gen, n):
+    """`gen.vector(n)` by jump-ahead one 512-state block at a time, each
+    block from the last state of the one before: the fill `Lcg64.vector`
+    used before block starts came from a second table."""
+    states = np.empty(n, dtype=np.uint64)
+    s = gen.state
+    for start in range(0, n, 512):
+        block = states[start:start + 512]
+        m = len(block)
+        np.multiply(_BLOCK_FILL_MULT[:m], np.uint64(s), out=block)
+        block += _BLOCK_FILL_ADD[:m]
+        s = int(block[-1])
+    gen.state = s
+    return (states >> np.uint64(11)) * (1.0 / (1 << 52)) - 1.0
+
+
+@pytest.fixture
+def block_fill_reference():
+    """One-level block fill the two-level `Lcg64.vector` is checked against."""
+    return _block_fill
+
+
+# ---------------------------------------------------------------------------
+# Lanczos with scipy's tridiagonal eigensolver per step (cross-check reference)
+
+
+def _lanczos_reference(matvec, n):
+    """`linalg._lanczos_max` with the Ritz pair of every step from
+    `scipy.linalg.eigh_tridiagonal(select="i")`, the call it made before it
+    called LAPACK's dstebz and dstein itself; returns (theta, steps)."""
+    basis = np.empty((n, n))
+    start = Lcg64(_LANCZOS_SEED).vector(n)
+    basis[0] = start / np.linalg.norm(start)
+    alpha = np.empty(n)
+    beta = np.empty(n)
+    for j in range(n):
+        q = basis[j]
+        w = matvec(q)
+        alpha[j] = q @ w
+        done = basis[:j + 1]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+        b = float(np.linalg.norm(w))
+        theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i", select_range=(j, j))
+        theta = float(theta[0])
+        if b * abs(float(s[j, 0])) <= 4.0 * np.finfo(float).eps * abs(theta) or j + 1 == n:
+            return theta, j + 1
+        beta[j] = b
+        basis[j + 1] = w / b
+
+
+@pytest.fixture
+def lanczos_reference():
+    """Per-step eigh_tridiagonal Lanczos the direct LAPACK one is checked against."""
+    return _lanczos_reference
 
 
 # ---------------------------------------------------------------------------

@@ -243,10 +243,16 @@ def _three_block_instance(seed=0, n=6, dims=(4, 3)):
     ws = [g @ (l @ x) + g0 for l, g, g0 in zip(ls, gs, g0s)]
     ps = PsProblem([*(affine_operator(g, g0) for g, g0 in zip(gs, g0s)),
                     affine_operator(h, -b)], ls, taus=[1.0, 1.0, 1.0], primal_dim=n)
-    sigma = min(np.linalg.eigvalsh(h)[0], *(1.0 / np.linalg.eigvalsh(g)[-1] for g in gs))
-    return ProblemInstance(name="three-block", bundle=ps.stacked(),
-                           oracle=np.concatenate([*ws, x]), sigma=float(sigma), seed=seed,
-                           x0=rng.vector(sum(dims) + n), ps_view=ps)
+    return ProblemInstance(
+        name="three-block", bundle=ps.stacked(), oracle=np.concatenate([*ws, x]),
+        sigma_of=lambda: float(min(np.linalg.eigvalsh(h)[0],
+                                   *(1.0 / np.linalg.eigvalsh(g)[-1] for g in gs))),
+        seed=seed, x0=rng.vector(sum(dims) + n), ps_view=ps)
+
+
+def test_three_block_sigma_is_pinned():
+    # by repr, recorded when the builder still computed it eagerly
+    assert repr(_three_block_instance().sigma) == "0.5146252280586489"
 
 
 def test_four_op_on_three_blocks_is_the_ps_resolvent_run():

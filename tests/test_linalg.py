@@ -45,15 +45,20 @@ def test_spectral_norm_of_zero_and_empty_matrices_is_exactly_zero():
     assert spectral_norm(np.zeros((LANCZOS_N, LANCZOS_N + 5))) == 0.0
 
 
-def _counted(m):
-    """x -> M^T M x, counting its calls."""
+def _counting(matvec):
+    """matvec, counting its calls."""
     calls = []
 
-    def matvec(x):
+    def counted(x):
         calls.append(1)
-        return m.T @ (m @ x)
+        return matvec(x)
 
-    return matvec, calls
+    return counted, calls
+
+
+def _counted(m):
+    """x -> M^T M x, counting its calls."""
+    return _counting(lambda x: m.T @ (m @ x))
 
 
 def test_lanczos_stops_at_a_breakdown_with_the_exact_value():
@@ -272,3 +277,40 @@ def test_lcg64_is_deterministic_and_spread():
     assert not np.array_equal(a, Lcg64(124).vector(1000))
     assert np.all(np.abs(a) <= 1.0)
     assert abs(a.mean()) < 0.1
+
+
+@pytest.mark.parametrize("n", [3, LANCZOS_N])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_norms_reject_non_finite_matrices(n, bad):
+    # on the dense path (n = 3) and the Lanczos path (n = 300); these used
+    # to stop the eigensolver with LinAlgError or scipy's ValueError
+    m = np.eye(n)
+    m[0, 1] = bad
+    for norm in (spectral_norm, largest_eig):
+        with pytest.raises(ContractViolation, match="matrix entries must be finite"):
+            norm(m)
+
+
+@pytest.mark.parametrize("n", [LANCZOS_N, 400, 800])
+def test_lanczos_is_the_per_step_eigh_tridiagonal_run_bit_for_bit(n, lanczos_reference):
+    # the Gram map of a general and of a skew matrix, as spectral_norm runs
+    # it, and an SPD matrix, as largest_eig runs it: the same value to the
+    # bit after the same number of steps
+    r = Lcg64(n + 5).matrix(n, n)
+    sk = 0.5 * (r - r.T)
+    w = r @ r.T / n
+    for matvec in (lambda x: r.T @ (r @ x), lambda x: sk.T @ (sk @ x), lambda x: w @ x):
+        counted, calls = _counting(matvec)
+        theta = linalg._lanczos_max(counted, n)
+        assert (theta, len(calls)) == lanczos_reference(matvec, n)
+
+
+def test_lanczos_breakdowns_are_the_per_step_eigh_tridiagonal_run(lanczos_reference):
+    # the breakdown inputs of test_lanczos_stops_at_a_breakdown_with_the_exact_value
+    n = LANCZOS_N + 20
+    rng = Lcg64(3)
+    u, v = rng.vector(n + 7), rng.vector(n)
+    for m in (np.outer(u, v), 3.0 * np.eye(n), np.zeros((n, n))):
+        counted, calls = _counted(m)
+        theta = linalg._lanczos_max(counted, n)
+        assert (theta, len(calls)) == lanczos_reference(lambda x: m.T @ (m @ x), n)

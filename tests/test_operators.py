@@ -134,6 +134,19 @@ def test_skew_map_validation_and_norm():
         SkewMap(np.eye(2))
 
 
+@pytest.mark.parametrize("n", [3, 300])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_skew_map_rejects_non_finite_matrices(n, bad):
+    # with a given norm a NaN matrix used to be accepted silently; without
+    # one the norm solve raised LinAlgError (n = 3) or scipy's ValueError
+    # (n = 300, the Lanczos path)
+    k = np.zeros((n, n))
+    k[0, 1], k[1, 0] = bad, -bad
+    for norm in (None, 1.0):
+        with pytest.raises(ContractViolation, match="skew map entries must be finite"):
+            SkewMap(k, norm)
+
+
 @pytest.mark.parametrize("n", [2, 10, 200])
 def test_skew_map_operator_norm_matches_the_svd_norm(n):
     r = Lcg64(200 + n).matrix(n, n)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nofob.algorithms import run_algorithm
+from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.linalg import ContractViolation, spectral_norm
 from nofob.problems import (
     REGISTRY,
@@ -44,10 +45,11 @@ def test_generation_is_deterministic(name):
     assert np.array_equal(a.oracle, b.oracle)
     assert np.array_equal(a.x0, b.x0)
     assert a.constants == b.constants
+    assert repr(a.sigma) == repr(b.sigma)
 
 
 # sha256 over the registry instances at seeds 0-5 and their four-op and
-# fbhf-long runs: oracle, start, constants, every record's scalars and
+# fbhf-long runs: oracle, start, constants, sigma, every record's scalars and
 # x_next, and each run's status and final iterate
 _REGISTRY_DIGEST = """
 import hashlib
@@ -58,7 +60,8 @@ h = hashlib.sha256()
 for seed in range(6):
     for name in REGISTRY:
         inst = get_instance(name, seed)
-        h.update(inst.oracle.tobytes() + inst.x0.tobytes() + repr(inst.constants).encode())
+        h.update(inst.oracle.tobytes() + inst.x0.tobytes()
+                 + repr((inst.constants, inst.sigma)).encode())
         for algorithm in ("four-op", "fbhf-long"):
             traj = run_algorithm(algorithm, inst).trajectory
             h.update(traj.status.encode() + traj.final_x.tobytes())
@@ -75,6 +78,59 @@ def test_registry_runs_do_not_depend_on_the_blas_thread_count(python_with_blas_t
     digests = [python_with_blas_threads(_REGISTRY_DIGEST, threads).strip()
                for threads in (1, 2)]
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+# sigma of every registered problem at seeds 0-2, by repr, recorded when the
+# builders still computed it eagerly
+SIGMA_REPRS = {
+    "rotation": ("0.0", "0.0", "0.0"),
+    "regquad-fbs": ("0.5016292844763452", "0.5000157993368295", "0.5002020894100411"),
+    "regquad-fbhf": ("1.034382655471825", "1.024722829650636", "1.0285647565764036"),
+    "regquad-fbf": ("0.5000061120134768", "0.5004980566326667", "0.5004394404307815"),
+    "regquad-full": ("1.034382655471825", "1.024722829650636", "1.0285647565764036"),
+    "saddle": ("0.505035429187521", "0.5117936314608661", "0.5000631076624251"),
+    "nonlinear-kernel": ("0.5010209046232447", "0.5005961495644986", "0.5011565832167307"),
+}
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_registry_sigma_is_pinned(name):
+    for seed, expected in enumerate(SIGMA_REPRS[name]):
+        assert repr(get_instance.__wrapped__(name, seed).sigma) == expected, seed
+
+
+def test_planted_drift_sigma_is_pinned(planted_nonlinear_drift):
+    assert repr(planted_nonlinear_drift(20, 0).sigma) == "0.5001510257824372"
+
+
+def test_sigma_is_computed_on_first_read_only():
+    # no build, solve or audit reads sigma: a ladder-size build, its four
+    # ladder rows and their three audits leave it uncomputed
+    inst = make_regularized_quadratic(n=400, seed=2)
+    calls = []
+
+    def sigma_of():
+        calls.append(1)
+        return inst.sigma_of()
+
+    counted = dataclasses.replace(inst, sigma_of=sigma_of)
+    for algorithm in ("fbhf", "fbhf-long", "four-op", "fbs-relaxed"):
+        out = run_algorithm(algorithm, counted)
+        traj, view = out.trajectory, out.nofob_view
+        assert check_fejer(traj, out.z_star, out.s_metric).passed, algorithm
+        if view is not None:  # fbs-relaxed has no kernel view to audit
+            assert check_separation(traj, view, out.z_star).passed, algorithm
+            assert check_mu_bounds(traj, view.beta, view.p_metric, out.s_metric,
+                                   view.kernel_lipschitz).passed, algorithm
+    assert calls == [] and "sigma" not in vars(inst) and "sigma" not in vars(counted)
+    # read, it is computed once and kept; a replaced instance computes the same
+    assert counted.sigma == counted.sigma == inst.sigma
+    assert calls == [1]
+    moved = dataclasses.replace(counted, x0=np.zeros(400))
+    assert repr(moved.sigma) == repr(inst.sigma) and calls == [1, 1]
+    h, d = inst.extras["h_matrix"], inst.extras["d_matrix"]
+    assert inst.sigma == pytest.approx(float(np.linalg.eigvalsh(h + 0.5 * (d + d.T))[0]),
+                                       rel=1e-12)
 
 
 @pytest.mark.parametrize("name", REGISTRY)
@@ -107,7 +163,7 @@ def test_declared_constants_pass_honesty_samplers(name, honesty_samplers):
     else:
         selection = bundle.forward
     assert honesty_samplers.strong_monotonicity_deficit(
-        selection, c["sigma"], inst.n, samples=500, seed=inst.seed
+        selection, inst.sigma, inst.n, samples=500, seed=inst.seed
     ) <= 1e-9
 
 
@@ -170,6 +226,42 @@ def test_regquad_unregularized_matches_dense_solve():
     h = inst.extras["h_matrix"]
     b = inst.extras["b_vector"]
     assert np.array_equal(inst.oracle, np.linalg.solve(h, b))
+
+
+# sha256 of make_regularized_quadratic(n, seed=1) at the ladder sizes under
+# one BLAS thread: l_d, beta_e, k_norm and sigma by repr, the oracle, the
+# start and the extras by key, recorded before the set-up cuts (sigma on
+# first read, oracle t = 2 / L, the two-level RNG fill, direct LAPACK Ritz
+# pairs), which change no bit
+_LADDER_DIGESTS = """
+import hashlib
+from nofob.problems import make_regularized_quadratic
+for n in (200, 400, 800):
+    inst = make_regularized_quadratic(n=n, seed=1)
+    c = inst.constants
+    h = hashlib.sha256(repr((c["l_d"], c["beta_e"], c["k_norm"], inst.sigma)).encode())
+    h.update(inst.oracle.tobytes() + inst.x0.tobytes())
+    for key in sorted(inst.extras):
+        h.update(key.encode() + inst.extras[key].tobytes())
+    print(h.hexdigest())
+"""
+
+
+def test_ladder_instances_are_pinned_bit_for_bit(python_with_blas_threads):
+    assert python_with_blas_threads(_LADDER_DIGESTS, 1).split() == [
+        "912c985fc762c151411d34a076b5673d914c8a6298f4b85df04449703514e12d",
+        "32af51fecd6e1a45619510608b349ccf19c8f8af05eefc86101be3af64138440",
+        "6f351a87d153a9cda8f1bb159b5c72d0a39700d057dc6ad7745df1ff829a429d",
+    ]
+
+
+def test_ladder_oracle_takes_four_linear_solves(monkeypatch):
+    # n = 800, seed 1: five solves at t = 1 / L, four at t = 2 / L
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    make_regularized_quadratic(n=800, seed=1)
+    assert len(solves) == 4
 
 
 @pytest.mark.parametrize("n, split, seeds", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nofob.rng import _BLOCK, Lcg64
+from nofob.rng import _BLOCK, _SPAN, Lcg64
 
 # uint64 products must wrap silently, as the LCG's mod 2^64 does
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -42,3 +42,27 @@ def test_stream_is_pinned():
         "0x1.9c31af6a83f1ep-1", "0x1.0764b99626bc0p-5",
     ]
     assert rng.state == 9519926705357779058
+
+
+# a run of _BLOCK * _SPAN draws is one span: its block starts come from the
+# second jump table, and the draw after it starts a second span
+SPAN_LENGTHS = (_BLOCK * _SPAN - 1, _BLOCK * _SPAN, _BLOCK * _SPAN + 1)
+
+
+def test_vector_matches_the_block_fill_across_the_span_boundary(block_fill_reference):
+    for seed in (0, 2026, 2**64 - 1):
+        fast, ref = Lcg64(seed), Lcg64(seed)
+        for n in (*SPAN_LENGTHS, 3 * _BLOCK + 7, *SPAN_LENGTHS):
+            assert fast.vector(n).tobytes() == block_fill_reference(ref, n).tobytes(), (seed, n)
+            assert fast.state == ref.state, (seed, n)
+
+
+def test_vector_of_length_zero_keeps_the_state_and_negative_lengths_raise():
+    rng = Lcg64(5)
+    state = rng.state
+    assert rng.vector(0).shape == (0,) and rng.state == state
+    assert rng.matrix(0, 7).shape == (0, 7) and rng.state == state
+    for n in (-1, -_BLOCK - 1):
+        with pytest.raises(ValueError):
+            rng.vector(n)
+    assert rng.state == state
