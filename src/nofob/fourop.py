@@ -10,8 +10,10 @@ the run:
   AffinePlusSkew      AFBA's Q = [[tau1 I, 0], [2 L^T, tau2^{-1} I]] on
                       the stacked saddle problem, Gauss-Seidel sweep
   SeparableNonlinear  Q x = phi(x) coordinatewise, a bracketed secant
-                      (Illinois) solve started at the oracle's own x,
-                      inside a bracket strong monotonicity guarantees
+                      (Anderson-Bjorck) solve started at the oracle's
+                      own x with its phi(x), about 4.2 prox evaluations
+                      a call, inside a bracket strong monotonicity
+                      guarantees
 
 `as_nofob` views any of them as the kernel of the corrected step in
 core, and is the one place where a view's P, beta and L_M are derived;
@@ -211,9 +213,10 @@ class KernelSpec:
         raise NotImplementedError
 
     def resolvent(self, prob: FourOpProblem, v: np.ndarray,
-                  start: Optional[np.ndarray] = None) -> np.ndarray:
-        """(Q + B)^{-1} v; start is a point near which the answer lies,
-        which only an iterative solve uses."""
+                  start: Optional[np.ndarray] = None,
+                  q_start: Optional[np.ndarray] = None) -> np.ndarray:
+        """(Q + B)^{-1} v; start is a point near which the answer lies and
+        q_start is Q start, both of which only an iterative solve uses."""
         raise NotImplementedError
 
     def q_metric(self, prob: FourOpProblem) -> SpdMetric:
@@ -243,7 +246,7 @@ class ScalarStep(KernelSpec):
 
     q_rows = q_apply  # elementwise
 
-    def resolvent(self, prob, v, start=None):
+    def resolvent(self, prob, v, start=None, q_start=None):
         g = self.gamma
         return prob.b.evaluator(g, g * np.asarray(v, dtype=float))
 
@@ -278,7 +281,7 @@ class BlockDiag(KernelSpec):
         return np.concatenate([w * xs[:, a:b] for w, a, b
                                in zip(self.weights, cut[:-1], cut[1:])], axis=1)
 
-    def resolvent(self, prob, v, start=None):
+    def resolvent(self, prob, v, start=None, q_start=None):
         return prob.b.block_resolve(self.weights, v)
 
     def q_metric(self, prob):
@@ -327,7 +330,7 @@ class AffinePlusSkew(KernelSpec):
     def q_rows(self, prob, xs):
         return matvec_rows(self.q_matrix, xs)
 
-    def resolvent(self, prob, v, start=None):
+    def resolvent(self, prob, v, start=None, q_start=None):
         ops = prob.b.ops
         d1 = self.dims[0]
         w1, w2 = self._w
@@ -353,8 +356,7 @@ class SeparableNonlinear(KernelSpec):
     """
 
     def __init__(self, kernel: NonlinearKernel):
-        if kernel.sigma <= 0 or kernel.ell < kernel.sigma:
-            raise ContractViolation("kernel needs 0 < sigma <= ell")
+        # NonlinearKernel checks 0 < sigma <= ell < inf when it is built
         self.kernel = kernel
 
     def check(self, prob):
@@ -366,8 +368,9 @@ class SeparableNonlinear(KernelSpec):
 
     q_rows = q_apply  # phi acts coordinatewise
 
-    def resolvent(self, prob, v, start=None):
-        return separable_nonlinear_resolvent(self.kernel, prob.b, v, start=start)
+    def resolvent(self, prob, v, start=None, q_start=None):
+        return separable_nonlinear_resolvent(self.kernel, prob.b, v, start=start,
+                                             phi_start=q_start)
 
     def q_metric(self, prob):
         return SpdMetric.scaled_identity(self.kernel.sigma, prob.dim)
@@ -404,10 +407,11 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
 
     The linear live maps are applied as F = D + K + H in the oracle and
     G = D + K in the kernel.  The oracle starts the backward solve at
-    its own x, and the kernel difference at the oracle's own x array
-    reuses the oracle's D x of a D without a matrix and, on a nonlinear
-    kernel, its Q x.  Where the spec has `q_rows` and D declares a
-    matrix or is zero, `kernel_diff.rows` is its stacked form."""
+    its own x and hands it its Q x, and the kernel difference at the
+    oracle's own x array reuses the oracle's D x of a D without a matrix
+    and, on a nonlinear kernel, its Q x.  Where the spec has `q_rows`
+    and D declares a matrix or is zero, `kernel_diff.rows` is its
+    stacked form."""
     spec.check(prob)
     l_d = prob.d.lipschitz_constant
     p = _less_l_d(spec.q_metric(prob), l_d)
@@ -430,7 +434,7 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         v = q_apply(prob, x)
         y = v if forward is None else v - forward(x)
         last = (x, oracle_dx, v)
-        return resolvent(prob, y, x)
+        return resolvent(prob, y, x, v)
 
     def kernel(x):
         m = q_apply(prob, x)

@@ -174,8 +174,9 @@ def _bisection_resolvent(kernel, prox_spec, y, tol=RESOLVENT_TOL):
     The bracket is grown geometrically around y / sigma from a start of
     half-width max(1, |y / sigma|), with no start point and no a-priori
     bound, so this is an independent cross-check of the solver's warm
-    start and its bracket, not a copy of them.  It has no round-off-floor
-    stop: where tol cannot be met, it does not converge."""
+    start and its bracket, not a copy of them.  Where tol cannot be met,
+    as for roots of |x| above about 1e3, it stops once every coordinate
+    above tol has a bracket of two adjacent doubles."""
     y = np.asarray(y, dtype=float)
 
     def resid(x):
@@ -200,7 +201,8 @@ def _bisection_resolvent(kernel, prox_spec, y, tol=RESOLVENT_TOL):
     mid = 0.5 * (lo + hi)
     for _ in range(4000):
         r = resid(mid)
-        if slack * float(np.abs(r).max()) <= tol:
+        met = slack * np.abs(r) <= tol
+        if met.all() or np.all(met | (np.nextafter(lo, hi) == hi)):
             return prox_spec.evaluator(1.0, mid + y - kernel(mid))
         lo = np.where(r < 0.0, mid, lo)
         hi = np.where(r >= 0.0, mid, hi)
