@@ -50,14 +50,17 @@ class NofobProblem:
     kernel_diff(x, x_hat) returns M x - M x_hat, the normal of the
     halfspace, free of the cancellation the plain difference of two
     kernel_eval values suffers (eps * ||x|| / ||x - x_hat|| digits); the
-    step and the separation audit both take it from here.  It may carry
-    its stacked form as the attribute `rows`: rows(xs, x_hats) gives
-    kernel_diff of every row pair of two k x n stacks, bit for bit, in
-    one call.  The step never calls it; the separation audit does, and
-    calls kernel_diff per record where it is missing.  Held on the
-    callable, it goes wherever kernel_diff goes (`functools.wraps`
-    copies it) and no further: a view rebuilt with another kernel_diff
-    has none.
+    step and the separation audit both take it from here.  A view may
+    have it reuse the oracle's work at the oracle's own x array (the
+    four-op views do), so it is a function of its arguments alone as
+    long as nothing writes to x between the two calls; the step never
+    does.  It may carry its stacked form as the attribute `rows`:
+    rows(xs, x_hats) gives kernel_diff of every row pair of two k x n
+    stacks, bit for bit, in one call.  The step never calls it; the
+    separation audit does, and calls kernel_diff per record where it is
+    missing.  Held on the callable, it goes wherever kernel_diff goes
+    (`functools.wraps` copies it) and no further: a view rebuilt with
+    another kernel_diff has none.
     """
 
     fb_oracle: Callable[[np.ndarray], np.ndarray]

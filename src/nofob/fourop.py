@@ -37,17 +37,16 @@ independent cross-check of the summed matrices.  On the linear kernels
 (ScalarStep, BlockDiag, AffinePlusSkew) the kernel difference forms
 x - x_hat once and applies Q and G to it.
 
-Each view's kernel difference also comes stacked, as the attribute
-`rows` of its `kernel_diff` (see `core.NofobProblem`): M x - M x_hat of
-every row of a k x n stack in one call, for the separation audit.  Its
-parts round row by row as the per-vector ones do: x - x_hat, the
-division by gamma, BlockDiag's per-block weights and a coordinatewise
-phi are elementwise, and the dense products of G and of AffinePlusSkew's
-Q are row-blocked per-row GEMVs (`linalg.matvec_rows`), not a GEMM: bit
-for bit under one BLAS thread, while a multithreaded BLAS may move odd
-sizes above the block by a few ulps.  A spec says how
-Q acts on a stack through `q_rows`; a spec without one, or a live D that
-declares no matrix, leaves the view without a stacked form.
+Every kernel map, Q and a `LinearPart`, takes a vector or a k x n stack
+of rows, so one kernel difference body serves the step and, on stacks,
+the separation audit (the attribute `rows` of `kernel_diff`, see
+`core.NofobProblem`).  Each row rounds as the vector does: x - x_hat,
+the division by gamma, BlockDiag's per-block weights and a
+coordinatewise phi are elementwise, and a dense product on a stack is
+row-blocked per-row GEMVs (`linalg.matvec_rows`), not a GEMM: bit for
+bit under one BLAS thread, while a multithreaded BLAS may move odd
+sizes above the block by a few ulps.  A live D that declares no matrix
+leaves the view without a stacked form.
 
 Also provides the step-size bound formulas and the fixed-relaxation
 positive semidefiniteness check.
@@ -56,6 +55,7 @@ positive semidefiniteness check.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -163,12 +163,8 @@ class LinearPart:
     shift: Optional[np.ndarray] = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = self.matrix @ x
-        return y if self.shift is None else y + self.shift
-
-    def rows(self, xs: np.ndarray) -> np.ndarray:
-        """The map at every row of a k x n stack, bit for bit `self(row)`."""
-        y = matvec_rows(self.matrix, xs)
+        """The map at a vector, or at every row of a k x n stack."""
+        y = self.matrix @ x if x.ndim == 1 else matvec_rows(self.matrix, x)
         return y if self.shift is None else y + self.shift
 
 
@@ -202,14 +198,13 @@ class KernelSpec:
     # Q is linear, so Q x - Q x_hat is evaluated as Q (x - x_hat), which
     # avoids catastrophic cancellation
     linear = False
-    # q_rows(prob, xs): Q at every row of a k x n stack, bit for bit
-    # q_apply of each row; None where the family has no stacked form
-    q_rows = None
 
     def check(self, prob: FourOpProblem) -> None:
         """Raise ContractViolation when the bundle does not fit the kernel."""
 
     def q_apply(self, prob: FourOpProblem, x: np.ndarray) -> np.ndarray:
+        """Q x at a vector, or at every row of a k x n stack, each row
+        bit for bit the vector's value."""
         raise NotImplementedError
 
     def resolvent(self, prob: FourOpProblem, v: np.ndarray,
@@ -244,8 +239,6 @@ class ScalarStep(KernelSpec):
     def q_apply(self, prob, x):
         return x / self.gamma
 
-    q_rows = q_apply  # elementwise
-
     def resolvent(self, prob, v, start=None, q_start=None):
         g = self.gamma
         return prob.b.evaluator(g, g * np.asarray(v, dtype=float))
@@ -274,15 +267,15 @@ class BlockDiag(KernelSpec):
             raise ContractViolation("one weight per B block required")
 
     def q_apply(self, prob, x):
-        return np.concatenate([w * xb for w, xb in zip(self.weights, prob.b.split(x))])
-
-    def q_rows(self, prob, xs):
         cut = prob.b.offsets
-        return np.concatenate([w * xs[:, a:b] for w, a, b
-                               in zip(self.weights, cut[:-1], cut[1:])], axis=1)
+        return np.concatenate([w * x[..., a:b] for w, a, b
+                               in zip(self.weights, cut[:-1], cut[1:])], axis=-1)
 
     def resolvent(self, prob, v, start=None, q_start=None):
-        return prob.b.block_resolve(self.weights, v)
+        """Per block (w_i I + B_i)^{-1} v_i = J_{B_i / w_i}(v_i / w_i); the
+        weights are positive and one per block since the view was built."""
+        return np.concatenate([op.evaluator(1.0 / w, vb / w) for w, op, vb
+                               in zip(self.weights, prob.b.ops, prob.b.split(v))])
 
     def q_metric(self, prob):
         return SpdMetric.scaled_identity(min(self.weights), prob.dim)
@@ -325,10 +318,7 @@ class AffinePlusSkew(KernelSpec):
             raise ContractViolation("B block dims do not match the kernel blocks")
 
     def q_apply(self, prob, x):
-        return self.q_matrix @ x
-
-    def q_rows(self, prob, xs):
-        return matvec_rows(self.q_matrix, xs)
+        return self.q_matrix @ x if x.ndim == 1 else matvec_rows(self.q_matrix, x)
 
     def resolvent(self, prob, v, start=None, q_start=None):
         ops = prob.b.ops
@@ -364,9 +354,7 @@ class SeparableNonlinear(KernelSpec):
             raise ContractViolation("nonlinear kernels require a separable B")
 
     def q_apply(self, prob, x):
-        return self.kernel(x)
-
-    q_rows = q_apply  # phi acts coordinatewise
+        return self.kernel(x)  # phi acts coordinatewise
 
     def resolvent(self, prob, v, start=None, q_start=None):
         return separable_nonlinear_resolvent(self.kernel, prob.b, v, start=start,
@@ -409,9 +397,10 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     G = D + K in the kernel.  The oracle starts the backward solve at
     its own x and hands it its Q x, and the kernel difference at the
     oracle's own x array reuses the oracle's D x of a D without a matrix
-    and, on a nonlinear kernel, its Q x.  Where the spec has `q_rows`
-    and D declares a matrix or is zero, `kernel_diff.rows` is its
-    stacked form."""
+    and, on a nonlinear kernel, its Q x.  So kernel_diff depends on its
+    arguments alone only while nothing writes to that array between the
+    two calls; the step never does.  Where D declares a matrix or is
+    zero, `kernel_diff.rows` is the same body on stacks of rows."""
     spec.check(prob)
     l_d = prob.d.lipschitz_constant
     p = _less_l_d(spec.q_metric(prob), l_d)
@@ -437,6 +426,7 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         return resolvent(prob, y, x, v)
 
     def kernel(x):
+        x = np.asarray(x, dtype=float)
         m = q_apply(prob, x)
         if d is not None:
             m = m - d(x)
@@ -460,19 +450,12 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
             m = m - g(diff)
         return m
 
-    q_rows = spec.q_rows
-    if d is None and q_rows is not None:
-        def rows(xs, x_hats):
-            diff = xs - x_hats
-            if linear:
-                m = q_rows(prob, diff)
-            else:
-                m = q_rows(prob, xs) - q_rows(prob, x_hats)
-            if g is not None:
-                m = m - g.rows(diff)
-            return m
-
-        kernel_diff.rows = rows
+    if d is None:
+        # a second function over the same code and cells: `kernel_diff.rows
+        # = kernel_diff` would be a reference cycle, which keeps the
+        # bundle alive until the cyclic collector runs
+        kernel_diff.rows = types.FunctionType(
+            kernel_diff.__code__, kernel_diff.__globals__, closure=kernel_diff.__closure__)
 
     return NofobProblem(
         fb_oracle=fb,
@@ -574,6 +557,7 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
     forward = _summed((d, f, e))
 
     def fb(x):
+        x = np.asarray(x, dtype=float)
         y = x if forward is None else x - gamma * forward(x)
         return np.asarray(prob.b.evaluator(gamma, y), dtype=float)
 

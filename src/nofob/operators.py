@@ -252,17 +252,6 @@ class BlockProx:
             [op.evaluator(gamma, yb) for op, yb in zip(self.ops, self.split(y))]
         )
 
-    def block_resolve(self, weights, v: np.ndarray) -> np.ndarray:
-        """Per-block (w_i I + B_i)^{-1} v_i = J_{B_i / w_i}(v_i / w_i)."""
-        if len(weights) != len(self.ops):
-            raise ContractViolation("one weight per block required")
-        out = []
-        for w, op, vb in zip(weights, self.ops, self.split(v)):
-            if w <= 0:
-                raise ContractViolation("block weights must be positive")
-            out.append(op.evaluator(1.0 / w, vb / w))
-        return np.concatenate(out)
-
 
 # ---------------------------------------------------------------------------
 # prox catalog
@@ -308,9 +297,9 @@ def _soft(z: np.ndarray, t) -> np.ndarray:
 
 
 def l1_subdifferential(weight: float) -> ProxOperator:
-    """B = weight * subdifferential of the l1 norm (soft threshold)."""
-    if weight < 0:
-        raise ContractViolation("l1 weight must be nonnegative")
+    """B = weight * subdifferential of the l1 norm (soft threshold), with
+    weight finite and nonnegative."""
+    _declared(weight, "l1 weight")
     return ProxOperator(
         evaluator=lambda gamma, y: _soft(np.asarray(y, float), gamma * weight),
         descriptor="soft-threshold",
@@ -319,11 +308,13 @@ def l1_subdifferential(weight: float) -> ProxOperator:
 
 
 def l1_plus_diag_affine(lam: float, d: np.ndarray, b: np.ndarray) -> ProxOperator:
-    """B x = lam * subdiff ||x||_1 + diag(d) x - b, d >= 0 elementwise."""
+    """B x = lam * subdiff ||x||_1 + diag(d) x - b, with lam and every
+    entry of d finite and nonnegative."""
     d = np.asarray(d, dtype=float)
     b = np.asarray(b, dtype=float)
-    if lam < 0 or np.any(d < 0):
-        raise ContractViolation("l1_plus_diag_affine needs lam >= 0, d >= 0")
+    _declared(lam, "lam")
+    if not np.all((0.0 <= d) & (d < math.inf)):  # a NaN fails this test too
+        raise ContractViolation("every entry of d must be finite and nonnegative")
     memo = (None, None, None)  # gamma, gamma b, 1 + gamma d
 
     def ev(gamma, y):

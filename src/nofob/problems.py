@@ -17,6 +17,7 @@ regquad-full, saddle, nonlinear-kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional
@@ -259,8 +260,8 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     `split` zeroes pieces: fbs keeps B+E, fbhf keeps B+D+E, fbf keeps
     B+D+K, full keeps everything.
     """
-    if n < 2 or lam < 0:
-        raise ContractViolation("need n >= 2 and lam >= 0")
+    if n < 2 or not 0.0 <= lam < math.inf:  # a NaN fails this test too
+        raise ContractViolation("need n >= 2 and a finite lam >= 0")
     if split not in ("fbs", "fbhf", "fbf", "full"):
         raise ContractViolation("split must be one of fbs, fbhf, fbf, full")
     rng = Lcg64(seed)
@@ -360,8 +361,8 @@ def make_nonlinear_kernel_demo(n: int = 12, lam: float = 0.3,
 
     Returns (instance, kernel spec).
     """
-    if n < 1 or lam < 0:
-        raise ContractViolation("need n >= 1 and lam >= 0")
+    if n < 1 or not 0.0 <= lam < math.inf:  # a NaN fails this test too
+        raise ContractViolation("need n >= 1 and a finite lam >= 0")
     rng = Lcg64(seed)
     d_diag = 0.5 + rng.vector(n) ** 2
     b_vec = 2.0 * rng.vector(n)

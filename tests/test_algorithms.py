@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nofob import fourop
+from nofob import algorithms, fourop
 from nofob.algorithms import ALGORITHMS, run_algorithm
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import StepParameterWarning, gamma_bound_conservative
@@ -308,6 +308,24 @@ def _accepts(algorithm, inst):
 
 VIEW_ROWS = [(name, algorithm, seed) for name in REGISTRY for algorithm in ALGORITHMS
              if _accepts(algorithm, get_instance(name)) for seed in range(3)]
+
+
+@pytest.mark.parametrize("name, algorithm", sorted({row[:2] for row in VIEW_ROWS}))
+def test_the_step_never_writes_to_its_iterate(monkeypatch, name, algorithm):
+    # the four-op views reuse the oracle's D x and phi(x) at the oracle's
+    # own x array in the kernel difference, which is right only while
+    # nothing writes to that array between the two calls: every x the
+    # step gets here is read-only, so a write would raise
+    step = algorithms.nofob_iterate
+
+    def read_only_step(view, k, x, theta, mu_hat=None):
+        x.flags.writeable = False
+        return step(view, k, x, theta, mu_hat)
+
+    monkeypatch.setattr(algorithms, "nofob_iterate", read_only_step)
+    out = run_algorithm(algorithm, get_instance(name), max_iter=20)
+    assert out.trajectory.status != "error"
+    assert not out.trajectory.records[0].x.flags.writeable
 
 
 @pytest.mark.parametrize("name, algorithm, seed", VIEW_ROWS)

@@ -350,7 +350,8 @@ def test_audits_match_the_per_record_reference(seed, audit_reference,
                 continue
             if out.nofob_view is not None:
                 # every registered view audits through its stacked form
-                assert callable(out.nofob_view.kernel_diff.rows)
+                kernel_diff = out.nofob_view.kernel_diff
+                assert callable(kernel_diff.rows) and kernel_diff.rows is not kernel_diff
             _assert_audits_match(out, audit_reference)
             runs += 1
     assert runs >= 40

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from nofob.fourop import (
     AffinePlusSkew,
     BlockDiag,
     FourOpProblem,
+    LinearPart,
     ScalarStep,
     SeparableNonlinear,
     StepParameterWarning,
@@ -790,3 +793,35 @@ def test_stacked_kernel_difference_is_the_per_row_one_at_ladder_sizes(n, algorit
     if algorithm == "fbs-relaxed":
         view = fbs_view(inst.bundle, out.gamma, out.s_metric)
     _assert_stacked_is_per_row(view, out.trajectory.records)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("n", [20, 800])
+def test_a_linear_part_on_a_stack_is_the_per_row_map_bit_for_bit(n, shifted):
+    # F carries E's shift, G none; at n = 800 the stacked product is taken
+    # in row blocks.  The rows span magnitudes and include a zero and a
+    # negative-zero row
+    rng = Lcg64(n + 2)
+    rows = rng.matrix(40, n) * np.logspace(-8, 8, 40)[:, None]
+    rows[3] = 0.0
+    rows[4] = -0.0
+    part = LinearPart(rng.matrix(n, n), rng.vector(n) if shifted else None)
+    expected = np.array([part(row) for row in rows])
+    assert part(rows).tobytes() == expected.tobytes()
+
+
+def test_a_dropped_view_frees_its_kernel_difference_without_the_cyclic_collector():
+    # `kernel_diff.rows` is a second function over the same body; were it
+    # `kernel_diff` itself, the self-reference would keep the view's
+    # closures and bundle alive until the cyclic collector ran
+    view = run_algorithm("four-op", get_instance("regquad-full"), max_iter=3).nofob_view
+    assert view.kernel_diff.rows is not view.kernel_diff
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        freed = weakref.ref(view.kernel_diff)
+        del view
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()

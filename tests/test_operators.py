@@ -67,6 +67,21 @@ def test_l1_plus_diag_affine_closed_form():
             assert abs(yi + gamma * bi) <= gamma * lam + 1e-14
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_l1_weights_must_be_finite_and_nonnegative(bad):
+    # a NaN compares False with 0, so `weight < 0` let it through, and the
+    # resolvents returned NaN
+    b = np.ones(2)
+    builds = [lambda: l1_subdifferential(bad),
+              lambda: l1_plus_diag_affine(bad, np.ones(2), b),
+              lambda: l1_plus_diag_affine(1.0, [1.0, bad], b),
+              lambda: problems.make_regularized_quadratic(lam=bad),
+              lambda: make_nonlinear_kernel_demo(lam=bad)]
+    for build in builds:
+        with pytest.raises(ContractViolation, match="finite"):
+            build()
+
+
 def test_resolvents_that_keep_arrays_per_gamma_follow_a_new_gamma():
     # the arrays formed from gamma are kept for the gamma of the last call;
     # every call, after a change of gamma or not, equals the formula in full
@@ -173,7 +188,9 @@ def test_block_prox_split_and_resolve():
     out = bp.evaluator(1.0, y)
     assert np.allclose(out, [2.0, 0.0, 1.0, 2.0])
     # (w I + B)^{-1} with w = 2: soft threshold at 1/2 of y/2
-    out2 = bp.block_resolve([2.0, 1.0], y)
+    bundle = fourop.FourOpProblem(b=bp, d=fourop.zero_forward(4), e=fourop.zero_cocoercive(4),
+                                  k=SkewMap.zero(4), dim=4)
+    out2 = fourop.BlockDiag([2.0, 1.0]).resolvent(bundle, y)
     assert np.allclose(out2[:2], [1.0, 0.0])
     assert np.allclose(out2[2:], y[2:])
 

@@ -97,8 +97,7 @@ def test_stack_dual_blocks_resolve_through_moreau():
         a_ops=[l1_subdifferential(1.0), zero_operator(1)],
         l_maps=[np.zeros((1, 1))], taus=[1.0, 1.0], primal_dim=1,
     )
-    block = stack_primal_dual(ps).b
-    out = block.block_resolve([1.0, 1.0], np.array([3.0, 5.0]))
+    out = BlockDiag([1.0, 1.0]).resolvent(stack_primal_dual(ps), np.array([3.0, 5.0]))
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(5.0)
 
@@ -166,7 +165,8 @@ def test_resolvent_matches_blockdiag_four_op_view():
         rec = ps_resolvent_iterate(ps, k, p_vec, 1.0)
         weights = ps.q_weights
         q_p = np.concatenate([w * xb for w, xb in zip(weights, block.split(p_vec))])
-        p_hat = block.block_resolve(weights, q_p - kmap(p_vec))
+        p_hat = np.concatenate([op.evaluator(1.0 / w, vb / w) for w, op, vb
+                                in zip(weights, block.ops, block.split(q_p - kmap(p_vec)))])
         assert np.array_equal(rec.x_hat, p_hat)
         diff = p_vec - p_hat
         q_diff = np.concatenate([w * xb for w, xb in zip(weights, block.split(diff))])
