@@ -74,7 +74,6 @@ __all__ = ["RunOutput", "ALGORITHMS", "run_algorithm"]
 
 @dataclass(frozen=True)
 class RunOutput:
-    instance: ProblemInstance
     algorithm: str
     trajectory: Trajectory
     s_metric: SpdMetric  # the metric the step projected in
@@ -332,5 +331,5 @@ def run_algorithm(
     view, step_theta, mu_hat = ker.view, th * ker.c, row.mu_hat(ker)
     traj = run_loop(lambda k, x: nofob_iterate(view, k, x, step_theta, mu_hat),
                     x0, tol, max_iter)
-    return RunOutput(inst, name, traj, ker.view.s_metric, inst.oracle, ker.audit,
+    return RunOutput(name, traj, ker.view.s_metric, inst.oracle, ker.audit,
                      gamma=ker.gamma, theta=th)

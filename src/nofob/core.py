@@ -42,34 +42,35 @@ class NofobProblem:
     """Data defining one solve: the backward oracle, the kernel, and metrics.
 
     The kernel M is fixed for the run.  fb_oracle(x) returns
-    x_hat = (M + A)^{-1} (M - C) x, and kernel_eval(x) returns M x.
-    P lower-bounds the strong monotonicity of M; beta in [0, 4) is the
-    inverse cocoercivity of C relative to P; S is the projection metric;
-    kernel_lipschitz bounds M in the norm pair.
+    x_hat = (M + A)^{-1} (M - C) x.  P lower-bounds the strong
+    monotonicity of M; beta in [0, 4) is the inverse cocoercivity of C
+    relative to P; S is the projection metric; kernel_lipschitz bounds M
+    in the norm pair.
 
-    kernel_diff(x, x_hat) returns M x - M x_hat, the normal of the
-    halfspace, free of the cancellation the plain difference of two
-    kernel_eval values suffers (eps * ||x|| / ||x - x_hat|| digits); the
-    step and the separation audit both take it from here.  A view may
-    have it reuse the oracle's work at the oracle's own x array (the
-    four-op views do), so it is a function of its arguments alone as
-    long as nothing writes to x between the two calls; the step never
-    does.  It may carry its stacked form as the attribute `rows`:
-    rows(xs, x_hats) gives kernel_diff of every row pair of two k x n
-    stacks, bit for bit, in one call.  The step never calls it; the
-    separation audit does, and calls kernel_diff per record where it is
-    missing.  Held on the callable, it goes wherever kernel_diff goes
-    (`functools.wraps` copies it) and no further: a view rebuilt with
-    another kernel_diff has none.
+    M enters the step only through kernel_diff(x, x_hat), which returns
+    M x - M x_hat, the normal of the halfspace, free of the cancellation
+    the plain difference of M x and M x_hat suffers
+    (eps * ||x|| / ||x - x_hat|| digits); the step and the separation
+    audit both take it from here.  A view may have it reuse the oracle's
+    work at the oracle's own x array (the four-op views do), so it is a
+    function of its arguments alone as long as nothing writes to x
+    between the two calls; the step never does.  It may carry its stacked
+    form as the attribute `rows`: rows(xs, x_hats) gives kernel_diff of
+    every row pair of two k x n stacks, bit for bit, in one call.  The
+    step never calls it; the separation audit does, and calls kernel_diff
+    per record where it is missing.  Held on the callable, it goes
+    wherever kernel_diff goes (`functools.wraps` copies it) and no
+    further: a view rebuilt with another kernel_diff has none.
     """
 
     fb_oracle: Callable[[np.ndarray], np.ndarray]
-    kernel_eval: Callable[[np.ndarray], np.ndarray]
     p_metric: SpdMetric
     s_metric: SpdMetric
     beta: float
     kernel_lipschitz: float
     kernel_diff: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # not a field and always None: perfbench/tracing.py hooks it by name
+    kernel_eval = None
 
     def __post_init__(self):
         if not (0.0 <= self.beta < 4.0):

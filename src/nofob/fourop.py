@@ -207,9 +207,8 @@ class KernelSpec:
         bit for bit the vector's value."""
         raise NotImplementedError
 
-    def resolvent(self, prob: FourOpProblem, v: np.ndarray,
-                  start: Optional[np.ndarray] = None,
-                  q_start: Optional[np.ndarray] = None) -> np.ndarray:
+    def resolvent(self, prob: FourOpProblem, v: np.ndarray, start: np.ndarray,
+                  q_start: np.ndarray) -> np.ndarray:
         """(Q + B)^{-1} v; start is a point near which the answer lies and
         q_start is Q start, both of which only an iterative solve uses."""
         raise NotImplementedError
@@ -239,7 +238,7 @@ class ScalarStep(KernelSpec):
     def q_apply(self, prob, x):
         return x / self.gamma
 
-    def resolvent(self, prob, v, start=None, q_start=None):
+    def resolvent(self, prob, v, start, q_start):
         g = self.gamma
         return prob.b.evaluator(g, g * np.asarray(v, dtype=float))
 
@@ -271,7 +270,7 @@ class BlockDiag(KernelSpec):
         return np.concatenate([w * x[..., a:b] for w, a, b
                                in zip(self.weights, cut[:-1], cut[1:])], axis=-1)
 
-    def resolvent(self, prob, v, start=None, q_start=None):
+    def resolvent(self, prob, v, start, q_start):
         """Per block (w_i I + B_i)^{-1} v_i = J_{B_i / w_i}(v_i / w_i); the
         weights are positive and one per block since the view was built."""
         return np.concatenate([op.evaluator(1.0 / w, vb / w) for w, op, vb
@@ -320,7 +319,7 @@ class AffinePlusSkew(KernelSpec):
     def q_apply(self, prob, x):
         return self.q_matrix @ x if x.ndim == 1 else matvec_rows(self.q_matrix, x)
 
-    def resolvent(self, prob, v, start=None, q_start=None):
+    def resolvent(self, prob, v, start, q_start):
         ops = prob.b.ops
         d1 = self.dims[0]
         w1, w2 = self._w
@@ -356,7 +355,7 @@ class SeparableNonlinear(KernelSpec):
     def q_apply(self, prob, x):
         return self.kernel(x)  # phi acts coordinatewise
 
-    def resolvent(self, prob, v, start=None, q_start=None):
+    def resolvent(self, prob, v, start, q_start):
         return separable_nonlinear_resolvent(self.kernel, prob.b, v, start=start,
                                              phi_start=q_start)
 
@@ -388,18 +387,20 @@ def _less_l_d(w: SpdMetric, l_d: float) -> SpdMetric:
 def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProblem:
     """View the four-operator method as a corrected forward-backward solve.
 
-    The kernel is M = Q - D - K.  The spec's check runs once, here, and
-    the constants come from the spec's metric W and bound ||Q||:
+    The kernel is M = Q - D - K, and the view holds it only as the
+    difference kernel_diff(x, x_hat) = M x - M x_hat, the one form the
+    step reads.  The spec's check runs once, here, and the constants
+    come from the spec's metric W and bound ||Q||:
     P = W - L_D I (raising unless positive definite),
     beta = beta_E / lambda_min(P) and L_M = ||Q|| + L_D + ||K||.
 
     The linear live maps are applied as F = D + K + H in the oracle and
-    G = D + K in the kernel.  The oracle starts the backward solve at
-    its own x and hands it its Q x, and the kernel difference at the
-    oracle's own x array reuses the oracle's D x of a D without a matrix
-    and, on a nonlinear kernel, its Q x.  So kernel_diff depends on its
-    arguments alone only while nothing writes to that array between the
-    two calls; the step never does.  Where D declares a matrix or is
+    G = D + K in the kernel difference.  The oracle starts the backward
+    solve at its own x and hands it its Q x, and the kernel difference at
+    the oracle's own x array reuses the oracle's D x of a D without a
+    matrix and, on a nonlinear kernel, its Q x.  So kernel_diff depends
+    on its arguments alone only while nothing writes to that array
+    between the two calls; the step never does.  Where D declares a matrix or is
     zero, `kernel_diff.rows` is the same body on stacks of rows."""
     spec.check(prob)
     l_d = prob.d.lipschitz_constant
@@ -424,15 +425,6 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         y = v if forward is None else v - forward(x)
         last = (x, oracle_dx, v)
         return resolvent(prob, y, x, v)
-
-    def kernel(x):
-        x = np.asarray(x, dtype=float)
-        m = q_apply(prob, x)
-        if d is not None:
-            m = m - d(x)
-        if g is not None:
-            m = m - g(x)
-        return m
 
     def kernel_diff(x, x_hat):
         last_x, last_dx, last_qx = last
@@ -459,7 +451,6 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
 
     return NofobProblem(
         fb_oracle=fb,
-        kernel_eval=kernel,
         p_metric=p,
         s_metric=s,
         beta=0.0 if be == 0.0 else be / p.lam_min,
@@ -561,16 +552,13 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
         y = x if forward is None else x - gamma * forward(x)
         return np.asarray(prob.b.evaluator(gamma, y), dtype=float)
 
-    def kernel(x):
-        return x / gamma
-
     def kernel_diff(x, x_hat):
         return (x - x_hat) / gamma
 
     kernel_diff.rows = kernel_diff  # elementwise
 
     return NofobProblem(
-        fb_oracle=fb, kernel_eval=kernel, kernel_diff=kernel_diff,
+        fb_oracle=fb, kernel_diff=kernel_diff,
         p_metric=SpdMetric.scaled_identity(1.0 / gamma, prob.dim), s_metric=s,
         beta=prob.e.inverse_cocoercivity * gamma, kernel_lipschitz=1.0 / gamma,
     )

@@ -67,12 +67,8 @@ class ProxOperator:
     evaluator: Callable[[float, np.ndarray], np.ndarray]
     descriptor: str
     separable: bool = False
-    # always None: no operator sets it, and the benchmark's tracer
-    # hooks the field by name
-    diag_evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def __call__(self, gamma: float, y: np.ndarray) -> np.ndarray:
-        return self.evaluator(gamma, y)
+    # not a field and always None: perfbench/tracing.py hooks it by name
+    diag_evaluator = None
 
 
 def _declared(value, what: str) -> None:

@@ -91,10 +91,6 @@ class ProblemInstance:
     extras: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
-    def n(self) -> int:
-        return self.bundle.dim
-
-    @property
     def constants(self) -> Dict[str, float]:
         """l_d, beta_e and k_norm as the bundle's D, E and K declare them."""
         b = self.bundle
@@ -106,15 +102,13 @@ class ProblemInstance:
         return float(self.sigma_of())
 
 
-def fixed_point_residual(bundle: FourOpProblem, z: np.ndarray,
-                         gamma: Optional[float] = None) -> float:
+def fixed_point_residual(bundle: FourOpProblem, z: np.ndarray) -> float:
     """||J_{gamma B}(z - gamma (D+K+E) z) - z|| at a safe gamma."""
-    if gamma is None:
-        bound = gamma_bound_conservative(
-            bundle.e.inverse_cocoercivity, bundle.d.lipschitz_constant,
-            bundle.k.operator_norm, 0.0,
-        )
-        gamma = 1.0 if not np.isfinite(bound) else 0.45 * bound
+    bound = gamma_bound_conservative(
+        bundle.e.inverse_cocoercivity, bundle.d.lipschitz_constant,
+        bundle.k.operator_norm, 0.0,
+    )
+    gamma = 1.0 if not np.isfinite(bound) else 0.45 * bound
     z = np.asarray(z, dtype=float)
     step = bundle.b.evaluator(gamma, z - gamma * bundle.forward(z))
     return float(np.linalg.norm(np.asarray(step) - z))

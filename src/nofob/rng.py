@@ -5,9 +5,10 @@ MMIX constants,
 
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64,
 
-and uniform doubles taken from the top 53 bits.  Problem generators and
-samplers use this instead of library RNGs so that instances are
-reproducible from the seed alone, independent of any library version.
+and uniform doubles in [-1, 1) taken from the top 53 bits of each
+state.  Problem generators and samplers use this instead of library
+RNGs so that instances are reproducible from the seed alone,
+independent of any library version.
 
 Arrays are filled by jump-ahead (Brown 1994, "Random number generation
 with arbitrary strides"): j steps from state s land on A_j s + C_j
@@ -18,7 +19,7 @@ state to the first block of _BLOCK states, one uint64 multiply-add;
 block b, one broadcast multiply-add over the (blocks x _BLOCK) array.
 A run of more than _BLOCK * _SPAN draws repeats this from the last
 state.  Products wrap mod 2^64 as the LCG does, so the stream is bit
-for bit the one that repeated uniform() calls give.
+for bit the one that stepping the LCG once per double gives.
 """
 
 from __future__ import annotations
@@ -49,33 +50,22 @@ _SPAN_MULT, _SPAN_ADD = _jump_table(int(_JUMP_MULT[-1]), int(_JUMP_ADD[-1]), _SP
 
 
 class Lcg64:
-    """64-bit LCG yielding uniform doubles and arrays."""
+    """64-bit LCG yielding arrays of uniform doubles."""
 
     def __init__(self, seed: int):
         self.state = (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK
         # warm up so that small seeds decorrelate
         for _ in range(4):
-            self._next()
-
-    def _next(self) -> int:
-        self.state = (_A * self.state + _C) & _MASK
-        return self.state
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self._next() >> 11) * (1.0 / (1 << 53))
-
-    def uniform_signed(self) -> float:
-        """Uniform double in [-1, 1)."""
-        return 2.0 * self.uniform() - 1.0
+            self.state = (_A * self.state + _C) & _MASK
 
     def vector(self, n: int) -> np.ndarray:
         """Array of n uniform doubles in [-1, 1).
 
-        Equal bit for bit to n calls of uniform_signed(): the top 53
-        bits k of each state give k 2^-52 - 1, and scaling by a power of
-        two is exact.  Past the first block the last one is filled whole
-        and its states past n are dropped.  A negative n raises ValueError.
+        Equal bit for bit to n steps of the LCG, each state's top 53
+        bits k giving 2 (k 2^-53) - 1 = k 2^-52 - 1: scaling by a power
+        of two is exact.  Past the first block the last one is filled
+        whole and its states past n are dropped.  A negative n raises
+        ValueError.
         """
         if n < 0:
             raise ValueError("negative dimensions are not allowed")

@@ -534,6 +534,29 @@ def reference_iterate():
 
 
 # ---------------------------------------------------------------------------
+# the LCG stepped once per draw (cross-check reference)
+
+
+def _uniform(gen):
+    """Uniform double in [0, 1) from the top 53 bits of the next state:
+    one step of the MMIX LCG, s <- (A s + C) mod 2^64, on `gen.state`."""
+    gen.state = (6364136223846793005 * gen.state + 1442695040888963407) % 2 ** 64
+    return (gen.state >> 11) * (1.0 / (1 << 53))
+
+
+def _uniform_signed(gen):
+    """Uniform double in [-1, 1): the one-at-a-time draw `Lcg64.vector`
+    is checked against."""
+    return 2.0 * _uniform(gen) - 1.0
+
+
+@pytest.fixture
+def scalar_draws():
+    """Single draws from an `Lcg64`, one LCG step each, sharing its state."""
+    return SimpleNamespace(uniform=_uniform, uniform_signed=_uniform_signed)
+
+
+# ---------------------------------------------------------------------------
 # one-level block fill of the LCG stream (cross-check reference)
 
 

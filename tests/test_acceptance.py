@@ -200,14 +200,14 @@ def test_projective_splitting_equivalence(ps_explicit_step):
     )
 
 
-def test_step_size_formula_grid_and_mu_bound_sampling():
-    rng = Lcg64(101)
+def test_step_size_formula_grid_and_mu_bound_sampling(scalar_draws):
+    rng, uniform = Lcg64(101), scalar_draws.uniform
     checked = 0
     for _ in range(10):
-        be = 3.0 * rng.uniform()
-        ld = 2.0 * rng.uniform()
-        kn = 2.0 * rng.uniform()
-        eps = 0.05 + 0.4 * rng.uniform()
+        be = 3.0 * uniform(rng)
+        ld = 2.0 * uniform(rng)
+        kn = 2.0 * uniform(rng)
+        eps = 0.05 + 0.4 * uniform(rng)
         # independent transcriptions of the published formulas
         long_ref = min((4.0 - eps) / (be + 4.0 * ld), 1.0 / eps)
         root = np.sqrt(be**2 + 16.0 * (ld + kn) ** 2)
@@ -252,7 +252,7 @@ def test_step_size_formula_grid_and_mu_bound_sampling():
         pair_rng = Lcg64(202)
         for _ in range(10000):
             x, y = pair_rng.vector(prob.dim), pair_rng.vector(prob.dim)
-            m = view.kernel_eval(x) - view.kernel_eval(y)
+            m = view.kernel_diff(x, y)
             den = float(m @ m)
             if den == 0.0:
                 continue

@@ -331,26 +331,29 @@ def test_the_step_never_writes_to_its_iterate(monkeypatch, name, algorithm):
 @pytest.mark.parametrize("name, algorithm, seed", VIEW_ROWS)
 def test_view_constants_are_honest(name, algorithm, seed, honesty_samplers):
     # the kernel M of every audited view is strongly monotone in its P and
-    # L_M-Lipschitz, on sampled pairs
+    # L_M-Lipschitz, on sampled pairs, through the normal the step reads:
+    # kernel_diff(x, y) = M x - M y, right after the oracle at x (which it
+    # may reuse) and at a copy of x (which it may not)
     inst = get_instance(name, seed)
     view = run_algorithm(algorithm, inst, max_iter=1).nofob_view
     if view is None:
         pytest.skip("fbs with D or K nonzero: the step has no separation to audit")
-    worst = -np.inf
-    for x, y in honesty_samplers.pairs(inst.n, 200, seed, 1.0):
+    monotone, lipschitz = -np.inf, 0.0
+    for x, y in honesty_samplers.pairs(inst.bundle.dim, 200, seed, 1.0):
         d = x - y
-        inner = float((view.kernel_eval(x) - view.kernel_eval(y)) @ d)
-        worst = max(worst, (view.p_metric.norm(d) ** 2 - inner) / float(d @ d))
-    assert worst <= 1e-9
-    assert honesty_samplers.lipschitz_ratio(
-        view.kernel_eval, view.kernel_lipschitz, inst.n, samples=200, seed=seed
-    ) <= 1.0 + 1e-9
+        view.fb_oracle(x)
+        for m in (view.kernel_diff(x, y), view.kernel_diff(x.copy(), y)):
+            monotone = max(monotone, (view.p_metric.norm(d) ** 2 - float(m @ d)) / float(d @ d))
+            lipschitz = max(lipschitz, float(np.linalg.norm(m))
+                            / (view.kernel_lipschitz * float(np.linalg.norm(d))))
+    assert monotone <= 1e-9
+    assert lipschitz <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(21), np.zeros((20, 1)), np.float64(0.0)])
 def test_an_x0_of_the_wrong_shape_is_rejected_before_the_loop(x0):
     inst = get_instance("regquad-full")
-    assert inst.n == 20
+    assert inst.bundle.dim == 20
     with pytest.raises(ContractViolation, match="x0 must be a vector of length n"):
         run_algorithm("four-op", inst, x0=x0)
     # a list of the right length is accepted

@@ -26,7 +26,6 @@ def identity_kernel_problem(n=4):
     """A x = x, C = 0, M = I: x_hat = x / 2 and mu is identically 1."""
     return NofobProblem(
         fb_oracle=lambda x: x / 2.0,
-        kernel_eval=lambda x: x,
         p_metric=SpdMetric.identity(n),
         s_metric=SpdMetric.identity(n),
         beta=0.0,
@@ -72,7 +71,6 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
     s = SpdMetric(r @ r.T + np.eye(4))
     prob = NofobProblem(
         fb_oracle=lambda x: x / 2.0,
-        kernel_eval=lambda x: x,
         p_metric=SpdMetric.identity(4),
         s_metric=s,
         beta=0.0,
@@ -140,7 +138,6 @@ def test_beta_out_of_range_rejected():
     with pytest.raises(ContractViolation):
         NofobProblem(
             fb_oracle=lambda x: x,
-            kernel_eval=lambda x: x,
             p_metric=SpdMetric.identity(2),
             s_metric=SpdMetric.identity(2),
             beta=4.0,
@@ -154,7 +151,6 @@ def test_a_view_needs_its_kernel_difference():
     with pytest.raises(TypeError, match="kernel_diff"):
         NofobProblem(
             fb_oracle=lambda x: x,
-            kernel_eval=lambda x: x,
             p_metric=SpdMetric.identity(2),
             s_metric=SpdMetric.identity(2),
             beta=0.0,
@@ -167,7 +163,6 @@ def test_kernel_lipschitz_outside_the_open_half_line_rejected(bound):
     with pytest.raises(ContractViolation, match="positive and finite"):
         NofobProblem(
             fb_oracle=lambda x: x,
-            kernel_eval=lambda x: x,
             p_metric=SpdMetric.identity(2),
             s_metric=SpdMetric.identity(2),
             beta=0.0,
@@ -252,7 +247,6 @@ def test_fejer_decrease_in_custom_metric():
     s = SpdMetric(r @ r.T + 2.0 * np.eye(4))
     prob = NofobProblem(
         fb_oracle=lambda x: x / 2.0,
-        kernel_eval=lambda x: x,
         p_metric=SpdMetric.identity(4),
         s_metric=s,
         beta=0.0,
@@ -272,7 +266,6 @@ def test_failed_separation_is_null_at_noise_level_and_raises_above():
     def reversed_kernel(shift):
         return NofobProblem(
             fb_oracle=lambda x: x - shift,
-            kernel_eval=lambda x: -x,
             p_metric=SpdMetric.identity(4),
             s_metric=SpdMetric.identity(4),
             beta=0.0,

@@ -20,7 +20,6 @@ def identity_kernel_problem(n=4):
     # A = I, C = 0, M = I: x_hat = (I + I)^{-1} x = x / 2
     return NofobProblem(
         fb_oracle=lambda x: np.asarray(x) / 2.0,
-        kernel_eval=lambda x: np.asarray(x, dtype=float),
         p_metric=SpdMetric.identity(n),
         s_metric=SpdMetric.identity(n),
         beta=0.0,
@@ -156,7 +155,6 @@ def test_separation_fails_with_sign_flipped_kernel():
     view = out.nofob_view
     flipped = dataclasses.replace(
         view,
-        kernel_eval=lambda x: -view.kernel_eval(x),
         kernel_diff=lambda x, x_hat: -view.kernel_diff(x, x_hat),
     )
     rep = check_separation(out.trajectory, flipped, out.z_star)

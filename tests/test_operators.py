@@ -190,7 +190,7 @@ def test_block_prox_split_and_resolve():
     # (w I + B)^{-1} with w = 2: soft threshold at 1/2 of y/2
     bundle = fourop.FourOpProblem(b=bp, d=fourop.zero_forward(4), e=fourop.zero_cocoercive(4),
                                   k=SkewMap.zero(4), dim=4)
-    out2 = fourop.BlockDiag([2.0, 1.0]).resolvent(bundle, y)
+    out2 = fourop.BlockDiag([2.0, 1.0]).resolvent(bundle, y, None, None)  # no start needed
     assert np.allclose(out2[:2], [1.0, 0.0])
     assert np.allclose(out2[2:], y[2:])
 
@@ -535,7 +535,7 @@ def test_maps_are_callable_with_declared_constants():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_declared_matrices_evaluate_as_the_lambdas_they_replace(seed):
+def test_declared_matrices_evaluate_as_the_lambdas_they_replace(seed, scalar_draws):
     # x -> h @ x + (-b) rounds as h @ x - b, and x -> d @ x as itself
     rng = Lcg64(seed)
     n = 7 + seed
@@ -544,7 +544,7 @@ def test_declared_matrices_evaluate_as_the_lambdas_they_replace(seed):
     lm = LipschitzMap.linear(d, 3.0)
     assert e.matrix is h and np.array_equal(e.shift, -b) and lm.matrix is d
     for _ in range(20):
-        x = 10.0 ** rng.uniform_signed() * rng.vector(n)
+        x = 10.0 ** scalar_draws.uniform_signed(rng) * rng.vector(n)
         assert np.array_equal(e(x), h @ x - b)
         assert np.array_equal(lm(x), d @ x)
     assert (e.inverse_cocoercivity, lm.lipschitz_constant) == (2.0, 3.0)

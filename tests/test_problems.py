@@ -139,10 +139,10 @@ def test_declared_constants_pass_honesty_samplers(name, honesty_samplers):
     bundle = inst.bundle
     c = inst.constants
     assert honesty_samplers.lipschitz_ratio(
-        bundle.d, c["l_d"], inst.n, samples=500, seed=inst.seed
+        bundle.d, c["l_d"], inst.bundle.dim, samples=500, seed=inst.seed
     ) <= 1.0 + 1e-9
     assert honesty_samplers.cocoercivity_deficit(
-        bundle.e, c["beta_e"], inst.n, samples=500, seed=inst.seed
+        bundle.e, c["beta_e"], inst.bundle.dim, samples=500, seed=inst.seed
     ) <= 1e-9
     assert abs(bundle.k.operator_norm - c["k_norm"]) <= 1e-12
     if name == "nonlinear-kernel":
@@ -163,7 +163,7 @@ def test_declared_constants_pass_honesty_samplers(name, honesty_samplers):
     else:
         selection = bundle.forward
     assert honesty_samplers.strong_monotonicity_deficit(
-        selection, inst.sigma, inst.n, samples=500, seed=inst.seed
+        selection, inst.sigma, inst.bundle.dim, samples=500, seed=inst.seed
     ) <= 1e-9
 
 
@@ -287,7 +287,7 @@ def test_inclusion_check_rejects_an_oracle_moved_by_1e6(split):
     _check_subgradient_inclusion(z, lam, inst.bundle.forward(z))
     # coordinates on and off the support: both branches of the check
     assert np.any(z == 0.0) and np.any(z != 0.0)
-    for j in range(inst.n):
+    for j in range(inst.bundle.dim):
         for shift in (1e-6, -1e-6):
             moved = z.copy()
             moved[j] += shift

@@ -97,12 +97,12 @@ def test_stack_dual_blocks_resolve_through_moreau():
         a_ops=[l1_subdifferential(1.0), zero_operator(1)],
         l_maps=[np.zeros((1, 1))], taus=[1.0, 1.0], primal_dim=1,
     )
-    out = BlockDiag([1.0, 1.0]).resolvent(stack_primal_dual(ps), np.array([3.0, 5.0]))
+    out = BlockDiag([1.0, 1.0]).resolvent(stack_primal_dual(ps), np.array([3.0, 5.0]), None, None)
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(5.0)
 
 
-def test_moreau_dual_resolvent_examples():
+def test_moreau_dual_resolvent_examples(scalar_draws):
     # J_{tau^{-1} A^{-1}}(tau^{-1} z), as the stacked dual blocks evaluate it
     def dual(op, tau, z):
         return inverse_via_moreau(op).evaluator(1.0 / tau, z / tau)
@@ -114,7 +114,7 @@ def test_moreau_dual_resolvent_examples():
     rng = Lcg64(32)
     for _ in range(20):
         z = rng.vector(4)
-        tau = 0.5 + rng.uniform()
+        tau = 0.5 + scalar_draws.uniform(rng)
         j = ab.evaluator(tau, z)
         assert np.allclose(j + tau * dual(ab, tau, z), z, atol=1e-12)
 

@@ -1,26 +1,43 @@
 """One entry point per operation: every public name of the package is used
 by the package itself.
 
-A name in a module's `__all__`, or a public method of a public class,
-must be referenced somewhere in `src/` outside its own definition.  A
-reference is a name or an attribute read in the source's syntax tree (a
-method only as an attribute), so a use inside an f-string counts, and
-one in a docstring or an `__all__` string does not; an import is not a
-use.  Code that only tests call belongs in the tests, unless it is
-listed in KEPT with its reason.
+A name in a module's `__all__`, or a public member of a public class (a
+method, or a name annotated or assigned in the class body, such as a
+dataclass field), must be referenced somewhere in `src/` outside its
+own definition.  A reference is a name or an attribute read in the
+source's syntax tree (a member only as an attribute), so a use inside
+an f-string counts, and one in a docstring or an `__all__` string does
+not; an import, a constructor keyword or a write is not a use.  Code
+and state that only tests use belong in the tests, unless listed in
+KEPT with the reason.
+
+References count by name, not by owner, so two members of one name
+pass together when either is read: a dead member can hide behind a
+live one.  `ProblemInstance.n` hid behind `PsProblem.n` until it was
+deleted, and `ProblemInstance.sigma` passes only because
+`NonlinearKernel.sigma` is read.
 """
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import nofob
+from nofob.core import NofobProblem
+from nofob.linalg import SpdMetric
+from nofob.operators import ProxOperator
 
 PACKAGE = Path(nofob.__file__).parent
-# (module, name or Class.method) -> why it stays in the package unused
+# (module, name or Class.member) -> why it stays in the package unused
 KEPT = {
     ("fourop", "epsbar_delta"): "a paper constant under test",
-    ("rng", "Lcg64.uniform_signed"): "the one-at-a-time draw the block draws are checked against",
+    ("problems", "ProblemInstance.extras"): "read by perfbench/workloads.py",
+    # class-level None, not fields: perfbench/tracing.py hooks both by name
+    ("core", "NofobProblem.kernel_eval"): "hooked by perfbench/tracing.py",
+    ("operators", "ProxOperator.diag_evaluator"): "hooked by perfbench/tracing.py",
 }
 
 
@@ -37,7 +54,7 @@ def _references(node) -> Counter:
 
 
 def _uses(refs: Counter, name: str) -> int:
-    """References to a top-level name, or to Class.method as an attribute."""
+    """References to a top-level name, or to Class.member as an attribute."""
     owner, _, key = name.rpartition(".")
     return refs["attr", key] + (0 if owner else refs["name", key])
 
@@ -50,22 +67,29 @@ def _exported(tree) -> list:
     return []
 
 
+def _bound_names(node) -> list:
+    """The names a def, an annotated assignment or an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.AnnAssign):
+        return [node.target.id] if isinstance(node.target, ast.Name) else []
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return []
+
+
 def _definitions(tree) -> dict:
-    """Top-level name -> its statement, and Class.method -> its def, for
-    the public classes' public methods."""
+    """Top-level name -> its statement, and Class.member -> its statement,
+    for the public members of the public classes."""
     found = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found[node.name] = node
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    found[target.id] = node
+        for name in _bound_names(node):
+            found[name] = node
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for member in node.body:
-                if (isinstance(member, ast.FunctionDef)
-                        and not member.name.startswith("_")):
-                    found[f"{node.name}.{member.name}"] = member
+                for name in _bound_names(member):
+                    if not name.startswith("_"):
+                        found[f"{node.name}.{name}"] = member
     return found
 
 
@@ -99,3 +123,16 @@ def test_every_kept_name_still_exists():
     entries, _ = _public_entries()
     defined = {(module, name) for module, name, _ in entries}
     assert set(KEPT) <= defined, sorted(set(KEPT) - defined)
+
+
+def test_the_tracer_hooks_are_class_level_none_and_no_constructor_takes_them():
+    view = dict(fb_oracle=lambda x: x, p_metric=SpdMetric.identity(2),
+                s_metric=SpdMetric.identity(2), beta=0.0, kernel_lipschitz=1.0,
+                kernel_diff=lambda x, x_hat: x - x_hat)
+    prox = dict(evaluator=lambda gamma, y: y, descriptor="zero")
+    for cls, name, kwargs in ((NofobProblem, "kernel_eval", view),
+                              (ProxOperator, "diag_evaluator", prox)):
+        assert getattr(cls, name) is None and getattr(cls(**kwargs), name) is None
+        assert name not in {f.name for f in dataclasses.fields(cls)}
+        with pytest.raises(TypeError, match=name):
+            cls(**kwargs, **{name: None})

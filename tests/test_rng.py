@@ -10,23 +10,20 @@ SEEDS = list(range(200)) + [2**64 - 1, -1, -(2**63), 2026]
 LENGTHS = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
 
 
-def scalar_vector(rng, n):
-    """Reference: one uniform_signed() call per double."""
-    return np.array([rng.uniform_signed() for _ in range(n)], dtype=float)
-
-
-def test_vector_matches_the_scalar_stream():
+def test_vector_matches_the_scalar_stream(scalar_draws):
     for seed in SEEDS:
         fast, ref = Lcg64(seed), Lcg64(seed)
         for n in LENGTHS:
-            assert fast.vector(n).tobytes() == scalar_vector(ref, n).tobytes(), (seed, n)
+            # reference: one LCG step per double
+            scalar = np.array([scalar_draws.uniform_signed(ref) for _ in range(n)], dtype=float)
+            assert fast.vector(n).tobytes() == scalar.tobytes(), (seed, n)
             assert fast.state == ref.state, (seed, n)
-            assert fast.uniform() == ref.uniform(), (seed, n)
+            assert scalar_draws.uniform(fast) == scalar_draws.uniform(ref), (seed, n)
             assert fast.state == ref.state, (seed, n)
 
 
 def test_stream_is_pinned():
-    # recorded from the scalar generator (one uniform_signed() per double)
+    # recorded from the scalar generator (one LCG step per double)
     rng = Lcg64(2026)
     assert [float.hex(v) for v in rng.vector(8)] == [
         "-0x1.5f99a3b805ce0p-1", "0x1.c5ced5eb65f08p-2",
