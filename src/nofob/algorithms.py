@@ -74,13 +74,11 @@ __all__ = ["RunOutput", "ALGORITHMS", "run_algorithm"]
 
 @dataclass(frozen=True)
 class RunOutput:
-    algorithm: str
     trajectory: Trajectory
     s_metric: SpdMetric  # the metric the step projected in
     z_star: np.ndarray
-    nofob_view: Optional[NofobProblem]
+    nofob_view: Optional[NofobProblem]  # the view the audits read
     gamma: Optional[float] = None
-    theta: Optional[float] = None
 
 
 def _gamma_bound(inst: ProblemInstance, kind: str) -> float:
@@ -202,20 +200,18 @@ def _saddle(fixed: bool):
 
 
 def _fbs(name, inst, gamma, tau, s):
-    """The audits get the gamma^{-1} I - D - K view, the same kernel, when
-    D = K = 0; otherwise the step has no separation to audit."""
+    """The audits get the step's own view when D = K = 0, where its kernel
+    gamma^{-1} I is gamma^{-1} I - D - K; otherwise the step has no
+    separation to audit."""
     _takes_none(name, inst, tau=tau)
     bundle = inst.bundle
-    s = _s_or_identity(s, inst)
     g = _gamma(inst, "fbs", gamma)
-    view = fbs_view(bundle, g, s)  # raises on a bad gamma before c is formed
+    view = fbs_view(bundle, g, _s_or_identity(s, inst))  # raises on a bad gamma
+    # the view's beta check, beta_E gamma < 4, guarantees c > 0, as the
+    # scaling by 0.25 is exact
     c = 1.0 - 0.25 * bundle.e.inverse_cocoercivity * g
-    if c <= 0:
-        raise ContractViolation("gamma at or beyond 4/beta_E")
-    audit = None
-    if bundle.d.lipschitz_constant == 0.0 and bundle.k.operator_norm == 0.0:
-        audit = as_nofob(bundle, ScalarStep(g), s)
-    return Kernel(view, audit, gamma=g, c=c)
+    separates = bundle.d.lipschitz_constant == 0.0 and bundle.k.operator_norm == 0.0
+    return Kernel(view, view if separates else None, gamma=g, c=c)
 
 
 def _projective(explicit: bool):
@@ -329,7 +325,5 @@ def run_algorithm(
     else:
         th = row.relax(ker.c)
     view, step_theta, mu_hat = ker.view, th * ker.c, row.mu_hat(ker)
-    traj = run_loop(lambda k, x: nofob_iterate(view, k, x, step_theta, mu_hat),
-                    x0, tol, max_iter)
-    return RunOutput(name, traj, ker.view.s_metric, inst.oracle, ker.audit,
-                     gamma=ker.gamma, theta=th)
+    traj = run_loop(lambda x: nofob_iterate(view, x, step_theta, mu_hat), x0, tol, max_iter)
+    return RunOutput(traj, ker.view.s_metric, inst.oracle, ker.audit, gamma=ker.gamma)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 converged (or all checks passed), 2 iteration budget
 exhausted, 1 runtime or check failure, 64 usage error, 73 output path
-not writable.  NOFOB_SEED overrides --seed when set.
+not writable.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import traceback
 from typing import List, Optional
@@ -43,9 +42,9 @@ def _csv_rows(out: RunOutput) -> List[str]:
     records = out.trajectory.records
     points = np.concatenate([rec.x for rec in records]).reshape(len(records), -1)
     dists = weighted_row_norms(out.s_metric, points - out.z_star).tolist()
-    for rec, dist in zip(records, dists):
+    for k, (rec, dist) in enumerate(zip(records, dists)):
         rows.append(",".join([
-            str(rec.k), _fmt(rec.residual_s), _fmt(dist), _fmt(rec.mu),
+            str(k), _fmt(rec.residual_s), _fmt(dist), _fmt(rec.mu),
             _fmt(rec.theta), _fmt(rec.psi_at_x),
         ]))
     return rows
@@ -102,7 +101,7 @@ def _corrupt(traj: Trajectory) -> Trajectory:
         records[idx - 1] = dataclasses.replace(
             records[idx - 1], x_next=records[idx - 1].x_next + 1.0
         )
-    return Trajectory(records, traj.final_x, traj.status)
+    return Trajectory(records, traj.status)
 
 
 def cmd_check(args) -> int:
@@ -244,13 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    env_seed = os.environ.get("NOFOB_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print("NOFOB_SEED must be an integer", file=sys.stderr)
-            return EXIT_USAGE
     # solve and check take one gamma; bench sweeps a list of them
     if getattr(args, "gamma", None) is not None and args.command != "bench":
         try:

@@ -87,7 +87,6 @@ class NofobProblem:
 # the step returns it; `dataclasses.replace` builds a new one.
 @dataclass(slots=True)
 class IterRecord:
-    k: int
     x: np.ndarray
     x_hat: np.ndarray
     x_next: np.ndarray
@@ -100,13 +99,19 @@ class IterRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A run's records, record k being iteration k, and how it ended."""
+
     records: List[IterRecord]
-    final_x: np.ndarray
     status: str  # converged | max_iter | error
 
     @property
     def iterations(self) -> int:
         return len(self.records)
+
+    @property
+    def final_x(self) -> np.ndarray:
+        """The last record's x; run_loop keeps at least one record."""
+        return self.records[-1].x
 
 
 def coincides(residual: float, x_norm: float) -> bool:
@@ -135,14 +140,15 @@ def separation_fails(num: float, den: float, residual: float, x_norm: float) -> 
     return False
 
 
-def null_record(k: int, x, x_hat, theta: float, residual: float) -> IterRecord:
+def null_record(x, x_hat, theta: float, residual: float) -> IterRecord:
     """The record of a step that leaves x where it is."""
-    return IterRecord(k, x, x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0)
+    return IterRecord(x, x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0)
 
 
-def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
+def nofob_iterate(prob: NofobProblem, x: np.ndarray, theta: float,
                   mu_hat: Optional[float] = None) -> IterRecord:
-    """One corrected step: oracle, separation, relaxed metric projection.
+    """One corrected step from x: oracle, separation, relaxed metric
+    projection.  The record's iteration is its place in the trajectory.
 
     x_next = x - theta * t * S^{-1}(Mx - Mx_hat), where the step length t
     is the explicit projection length mu, or mu_hat when one is given.
@@ -165,31 +171,31 @@ def nofob_iterate(prob: NofobProblem, k: int, x: np.ndarray, theta: float,
     residual = s.norm(diff)
     x_norm = s.norm(x)
     if coincides(residual, x_norm):
-        return null_record(k, x, x_hat, theta, residual)
+        return null_record(x, x_hat, theta, residual)
     m = prob.kernel_diff(x, x_hat)
     pg = prob.p_metric.norm(diff)
     num = float(m.dot(diff)) - 0.25 * prob.beta * pg * pg
     s_inv_m = s.solve(m)
     den = float(m.dot(s_inv_m))
     if separation_fails(num, den, residual, x_norm):
-        return null_record(k, x, x_hat, theta, residual)
+        return null_record(x, x_hat, theta, residual)
     mu = num / den
     if mu_hat is None:
         x_next = x - theta * mu * s_inv_m
     else:
         x_next = x - theta * mu_hat * s_inv_m
         theta = theta * mu_hat / mu
-    return IterRecord(k, x, x_hat, x_next, mu, theta, residual, num, math.sqrt(den))
+    return IterRecord(x, x_hat, x_next, mu, theta, residual, num, math.sqrt(den))
 
 
 def run_loop(
-    step: Callable[[int, np.ndarray], IterRecord],
+    step: Callable[[np.ndarray], IterRecord],
     x0: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> Trajectory:
-    """Drive any per-iteration step from the vector x0 to the residual
-    tolerance.
+    """Drive a step, a function of the current iterate alone, from the
+    vector x0 to the residual tolerance.
 
     Convergence is checked on the oracle residual of the current
     iterate before the update is applied, so a point that already
@@ -210,17 +216,15 @@ def run_loop(
     zeros = np.zeros(x.shape)
     records: List[IterRecord] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max_iter + 1):
-            rec = step(k, x)
+        for _ in range(max_iter + 1):
+            rec = step(x)
             records.append(rec)
             if not (math.isfinite(rec.residual_s) and math.isfinite(rec.mu)
                     and math.isfinite(rec.psi_at_x)
                     and math.isfinite(rec.normal_inv_norm)
                     and math.isfinite(rec.x_next.dot(zeros))):
-                return Trajectory(records, x, "error")
+                return Trajectory(records, "error")
             if rec.residual_s <= tol:
-                return Trajectory(records, x, "converged")
-            if k == max_iter:
-                break
+                return Trajectory(records, "converged")
             x = rec.x_next
-    return Trajectory(records, x, "max_iter")
+    return Trajectory(records, "max_iter")

@@ -351,20 +351,19 @@ def separable_nonlinear_resolvent(
     kernel: NonlinearKernel,
     prox_spec: ProxOperator,
     y: np.ndarray,
-    start: Optional[np.ndarray] = None,
-    phi_start: Optional[np.ndarray] = None,
+    start: np.ndarray,
+    phi_start: np.ndarray,
 ) -> np.ndarray:
     """Solve phi_i(x_i) + A_i(x_i) containing y_i, coordinatewise.
 
     Finds the root x* of r(x) = x - J_A(x + y - phi(x)), which is
     increasing for nondecreasing phi and a firmly nonexpansive separable
     resolvent J_A.  The search starts at `start`, a point near which the
-    root is expected (by default y / sigma), and needs no bracket from
-    the caller: one residual anywhere bounds the root.  A caller that
-    already holds phi(start) passes it as `phi_start`, and the first
-    residual does not evaluate phi again; the result is then bit for bit
-    the one without it.  Take any x0 and u = J_A(x0 + y - phi(x0)), so
-    r0 = r(x0) = x0 - u.  Then y - e lies in (phi + A)(u), with
+    root is expected, and needs no bracket from the caller: one residual
+    anywhere bounds the root.  The caller hands in phi(start) as
+    `phi_start`, so the first residual does not evaluate phi again.  Take
+    any x0 and u = J_A(x0 + y - phi(x0)), so r0 = r(x0) = x0 - u.  Then
+    y - e lies in (phi + A)(u), with
     e = (u - x0) + (phi(x0) - phi(u)) and |e| <= (1 + ell)|r0|.  phi + A
     is sigma-strongly monotone, so coordinatewise
 
@@ -404,16 +403,11 @@ def separable_nonlinear_resolvent(
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
         raise ContractViolation("resolvent input must be finite")
-    if start is None:
-        if phi_start is not None:
-            raise ContractViolation("phi_start needs the start it was evaluated at")
-        x0 = y / kernel.sigma
-    else:
-        x0 = np.asarray(start, dtype=float)
-        if x0.shape != y.shape:
-            raise ContractViolation("resolvent start must have the input's shape")
-        if not np.isfinite(x0).all():
-            raise ContractViolation("resolvent start must be finite")
+    x0 = np.asarray(start, dtype=float)
+    if x0.shape != y.shape:
+        raise ContractViolation("resolvent start must have the input's shape")
+    if not np.isfinite(x0).all():
+        raise ContractViolation("resolvent start must be finite")
     phi, prox = kernel.phi, prox_spec.evaluator
 
     def resid(x):
@@ -421,9 +415,7 @@ def separable_nonlinear_resolvent(
         return x - j, j
 
     slack = 1.0 + kernel.ell
-    if phi_start is None:
-        phi_start = phi(x0)
-    elif np.shape(phi_start) != y.shape:
+    if np.shape(phi_start) != y.shape:
         raise ContractViolation("phi_start must have the input's shape")
     u = prox(1.0, x0 + y - phi_start)
     r0 = x0 - u

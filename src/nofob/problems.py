@@ -69,7 +69,8 @@ DEFAULT_SEED = 2026
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A seeded problem: its bundle, its oracle solution z* and its start.
+    """A seeded problem: its bundle, its oracle solution z* and its start,
+    not the seed, which only its builder reads.
 
     `sigma` is the declared strong-monotonicity modulus of the inclusion.
     No solve or audit reads it, and at ladder sizes it is a dense
@@ -84,7 +85,6 @@ class ProblemInstance:
     bundle: FourOpProblem
     oracle: np.ndarray
     sigma_of: Callable[[], float]
-    seed: int
     x0: np.ndarray
     ps_view: Optional[PsProblem] = None
     nonlinear_spec: Optional[SeparableNonlinear] = None
@@ -148,8 +148,7 @@ def make_rotation_vi(angle_deg: float = 90.0, scale: float = 1.0,
     x0 = Lcg64(seed).vector(n_even)
     x0 = x0 / max(np.linalg.norm(x0), 1e-12)
     return _certify(ProblemInstance(
-        name="rotation", bundle=bundle, oracle=np.zeros(n_even), sigma_of=lambda: 0.0,
-        seed=seed, x0=x0,
+        name="rotation", bundle=bundle, oracle=np.zeros(n_even), sigma_of=lambda: 0.0, x0=x0,
     ))
 
 
@@ -298,7 +297,7 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
 
     return _certify(ProblemInstance(
         name=f"regquad-{split}" if split != "full" else "regquad-full",
-        bundle=bundle, oracle=oracle, sigma_of=sigma_of, seed=seed, x0=x0,
+        bundle=bundle, oracle=oracle, sigma_of=sigma_of, x0=x0,
         extras={"h_matrix": h, "b_vector": b_vec, "d_matrix": d_mat,
                 "k_matrix": k_mat},
     ))
@@ -337,7 +336,7 @@ def make_saddle_pd(n: int = 8, m: int = 6, seed: int = DEFAULT_SEED) -> ProblemI
     return _certify(ProblemInstance(
         name="saddle", bundle=bundle, oracle=oracle,
         sigma_of=lambda: min(float(np.linalg.eigvalsh(h)[0]), 1.0 / largest_eig(g)),
-        seed=seed, x0=x0, ps_view=ps,
+        x0=x0, ps_view=ps,
         extras={"l_matrix": l_mat, "g_matrix": g, "g0_vector": g0,
                 "h_matrix": h, "b_vector": b_vec},
     ))
@@ -374,7 +373,7 @@ def make_nonlinear_kernel_demo(n: int = 12, lam: float = 0.3,
     spec = SeparableNonlinear(kernel)
     inst = _certify(ProblemInstance(
         name="nonlinear-kernel", bundle=bundle, oracle=oracle,
-        sigma_of=lambda: float(d_diag.min()), seed=seed, x0=rng.vector(n), nonlinear_spec=spec,
+        sigma_of=lambda: float(d_diag.min()), x0=rng.vector(n), nonlinear_spec=spec,
         extras={"d_vector": d_diag, "b_vector": b_vec},
     ))
     return inst, spec

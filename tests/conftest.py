@@ -82,7 +82,7 @@ def _scalar_kernel_diff(prob, gamma, x, x_hat):
     return diff / gamma - (prob.d(x) - prob.d(x_hat)) - prob.k(diff)
 
 
-def _conservative_iterate(prob, gamma, k, x):
+def _conservative_iterate(prob, gamma, x):
     """Short-step variant: x_next = x_hat - gamma ((D+K) x_hat - (D+K) x).
 
     Tseng's forward-backward-forward step, and with E != 0 the
@@ -109,7 +109,7 @@ def _conservative_iterate(prob, gamma, k, x):
     residual = float(np.linalg.norm(x - x_hat))
     x_norm = float(np.linalg.norm(x))
     if coincides(residual, x_norm):
-        return null_record(k, x, x_hat, 1.0, residual)
+        return null_record(x, x_hat, 1.0, residual)
     dk_gap = (prob.d(x_hat) + prob.k(x_hat)) - (prob.d(x) + prob.k(x))
     x_next = x_hat - gamma * dk_gap
     diff = x - x_hat
@@ -117,10 +117,10 @@ def _conservative_iterate(prob, gamma, k, x):
     num = float(m @ diff) - 0.25 * prob.e.inverse_cocoercivity * float(diff @ diff)
     den = float(m @ m)
     if separation_fails(num, den, residual, x_norm):
-        return null_record(k, x, x_hat, 1.0, residual)
+        return null_record(x, x_hat, 1.0, residual)
     mu = num / den
     return IterRecord(
-        k=k, x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=gamma / mu,
+        x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=gamma / mu,
         residual_s=residual, psi_at_x=num, normal_inv_norm=float(np.sqrt(den)),
     )
 
@@ -138,8 +138,8 @@ def _conservative_oracle(bundle, x0):
     gamma = 1.0 if not np.isfinite(bound) else 0.5 * bound
     x = np.asarray(x0, dtype=float).copy()
     best, best_res, stale = None, np.inf, 0
-    for k in range(200000):
-        rec = _conservative_iterate(bundle, gamma, k, x)
+    for _ in range(200000):
+        rec = _conservative_iterate(bundle, gamma, x)
         if rec.residual_s < best_res:
             best, best_res, stale = rec.x_hat, rec.residual_s, 0
         else:
@@ -287,13 +287,12 @@ def ps_mu_terms_reference():
 # the explicit projective-splitting step, shared by the equivalence tests
 
 
-def _ps_explicit_step(ps, k, p, theta):
+def _ps_explicit_step(ps, p, theta):
     """One `ps-explicit` step from the stacked vector p, as the row takes it:
     the corrected step in S = I on the block-diagonal view, with
     Johnstone and Eckstein's explicit oracle swapped in."""
     view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
-    return nofob_iterate(dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps)),
-                         k, p, theta)
+    return nofob_iterate(dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps)), p, theta)
 
 
 @pytest.fixture
@@ -402,7 +401,7 @@ def _planted_nonlinear_drift(n, seed, w_square=0.3, lam=0.3):
                            e=zero_cocoercive(n), k=k, dim=n)
     return ProblemInstance(
         name="nonlinear-drift", bundle=bundle, oracle=z_star,
-        sigma_of=lambda: float(d_diag.min()), seed=seed, x0=rng.vector(n),
+        sigma_of=lambda: float(d_diag.min()), x0=rng.vector(n),
         nonlinear_spec=SeparableNonlinear(_ARCTAN_KERNEL),
     )
 
@@ -497,7 +496,7 @@ def _reference_weighted_norm(w, x):
     return math.sqrt(max(float(x @ (w.matrix @ x)), 0.0))
 
 
-def _reference_iterate(prob, k, x, theta, mu_hat=None):
+def _reference_iterate(prob, x, theta, mu_hat=None):
     """`core.nofob_iterate` as it was written before the metrics bound
     their norms: a checked norm through the dense metric per norm, the
     view's `kernel_diff` and every inner product by `@`.  The step must
@@ -510,21 +509,21 @@ def _reference_iterate(prob, k, x, theta, mu_hat=None):
     residual = _reference_weighted_norm(prob.s_metric, diff)
     x_norm = _reference_weighted_norm(prob.s_metric, x)
     if coincides(residual, x_norm):
-        return null_record(k, x, x_hat, theta, residual)
+        return null_record(x, x_hat, theta, residual)
     m = prob.kernel_diff(x, x_hat)
     pg = _reference_weighted_norm(prob.p_metric, diff)
     num = float(m @ diff) - 0.25 * prob.beta * pg * pg
     s_inv_m = prob.s_metric.solve(m)
     den = float(m @ s_inv_m)
     if separation_fails(num, den, residual, x_norm):
-        return null_record(k, x, x_hat, theta, residual)
+        return null_record(x, x_hat, theta, residual)
     mu = num / den
     if mu_hat is None:
         x_next = x - theta * mu * s_inv_m
     else:
         x_next = x - theta * mu_hat * s_inv_m
         theta = theta * mu_hat / mu
-    return IterRecord(k, x, x_hat, x_next, mu, theta, residual, num, math.sqrt(den))
+    return IterRecord(x, x_hat, x_next, mu, theta, residual, num, math.sqrt(den))
 
 
 @pytest.fixture

@@ -153,9 +153,9 @@ def test_specialization_coherence_everywhere(long_step_reference):
         s = SpdMetric.identity(prob.dim)
         view = as_nofob(prob, ScalarStep(g), s)
         x = inst.x0.copy()
-        for k in range(100):
+        for _ in range(100):
             ref_next, _ = long_step_reference(prob, g, x, 1.0, s)
-            rec = nofob_iterate(view, k, x, 1.0)
+            rec = nofob_iterate(view, x, 1.0)
             worst = max(worst, float(np.max(np.abs(ref_next - rec.x_next))))
             x = rec.x_next
     assert worst <= 1e-12
@@ -172,9 +172,9 @@ def test_fbs_redundant_projection_identity(fbs_relaxed_reference):
     view = as_nofob(prob, ScalarStep(g), m_metric)
     x = inst.x0.copy()
     worst = 0.0
-    for k in range(100):
+    for _ in range(100):
         direct = fbs_relaxed_reference(prob.b, prob.e, g, theta, x)
-        generic = nofob_iterate(view, k, x, theta)
+        generic = nofob_iterate(view, x, theta)
         worst = max(worst, float(np.max(np.abs(direct - generic.x_next))))
         x = direct
     assert worst <= 1e-12
@@ -187,9 +187,9 @@ def test_projective_splitting_equivalence(ps_explicit_step):
     view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
     a = b = inst.x0
     worst = 0.0
-    for k in range(200):
-        a = ps_explicit_step(ps, k, a, 1.0).x_next
-        b = nofob_iterate(view, k, b, 1.0).x_next
+    for _ in range(200):
+        a = ps_explicit_step(ps, a, 1.0).x_next
+        b = nofob_iterate(view, b, 1.0).x_next
         worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-10
     dist = float(np.linalg.norm(a - inst.oracle))
@@ -299,8 +299,8 @@ def test_conservative_vs_explicit_dominance(name, seed, conservative_reference, 
     _, delta = epsbar_delta(eps, be, ld, kn)
     mu_hat = g / (2.0 - delta)
     x = inst.x0.copy()
-    for k in range(150):
-        rec = conservative_reference(prob, g, k, x)
+    for _ in range(150):
+        rec = conservative_reference(prob, g, x)
         if rec.mu > 0.0:
             assert mu_hat <= rec.mu + 1e-12
         x = rec.x_next

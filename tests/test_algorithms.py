@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -205,9 +207,25 @@ def test_rows_with_a_fixed_relaxation_reject_a_theta(algorithm, problem):
 
 
 def test_fbs_relaxed_keeps_its_theta():
+    # a record carries the relaxation its step applied, theta c gamma / mu,
+    # and the default theta is 1: halving it halves that exactly
     inst = get_instance("regquad-fbs")
-    assert run_algorithm("fbs-relaxed", inst, theta=0.5, max_iter=2).theta == 0.5
-    assert run_algorithm("fbs-relaxed", inst, max_iter=2).theta == 1.0
+    half = run_algorithm("fbs-relaxed", inst, theta=0.5, max_iter=2).trajectory.records[0]
+    unit = run_algorithm("fbs-relaxed", inst, max_iter=2).trajectory.records[0]
+    assert half.mu == unit.mu > 0.0 and half.theta == 0.5 * unit.theta
+
+
+def test_fbs_audits_the_view_its_step_ran_on():
+    # where D = K = 0 the audits read the step's own view, so they check
+    # the beta the step used, beta_E gamma, and its P = gamma^{-1} I; a
+    # second view with beta_E / (1 / gamma) differs in the last bit at seed 8
+    for seed, algorithm in itertools.product(range(10), ("fbs", "fbs-relaxed")):
+        inst = get_instance("regquad-fbs", seed)
+        out = run_algorithm(algorithm, inst, max_iter=2)
+        view = out.nofob_view
+        assert view.beta == inst.bundle.e.inverse_cocoercivity * out.gamma
+        assert view.kernel_lipschitz == 1.0 / out.gamma
+        assert view.s_metric is out.s_metric
 
 
 def test_a_given_tau_reuses_the_stacked_problem(monkeypatch):
@@ -247,7 +265,7 @@ def _three_block_instance(seed=0, n=6, dims=(4, 3)):
         name="three-block", bundle=ps.stacked(), oracle=np.concatenate([*ws, x]),
         sigma_of=lambda: float(min(np.linalg.eigvalsh(h)[0],
                                    *(1.0 / np.linalg.eigvalsh(g)[-1] for g in gs))),
-        seed=seed, x0=rng.vector(sum(dims) + n), ps_view=ps)
+        x0=rng.vector(sum(dims) + n), ps_view=ps)
 
 
 def test_three_block_sigma_is_pinned():
@@ -318,9 +336,9 @@ def test_the_step_never_writes_to_its_iterate(monkeypatch, name, algorithm):
     # step gets here is read-only, so a write would raise
     step = algorithms.nofob_iterate
 
-    def read_only_step(view, k, x, theta, mu_hat=None):
+    def read_only_step(view, x, theta, mu_hat=None):
         x.flags.writeable = False
-        return step(view, k, x, theta, mu_hat)
+        return step(view, x, theta, mu_hat)
 
     monkeypatch.setattr(algorithms, "nofob_iterate", read_only_step)
     out = run_algorithm(algorithm, get_instance(name), max_iter=20)

@@ -113,17 +113,6 @@ def test_csv_byte_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_seed_env_var_overrides_flag(tmp_path, monkeypatch):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    base = ["solve", "--problem", "regquad-fbs", "--algorithm", "fbs"]
-    monkeypatch.setenv("NOFOB_SEED", "7")
-    run_cli(base + ["--seed", "123", "--csv", str(a)])
-    monkeypatch.delenv("NOFOB_SEED")
-    run_cli(base + ["--seed", "7", "--csv", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # check
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -35,13 +36,13 @@ def identity_kernel_problem(n=4):
 
 
 def unit_step(prob):
-    return lambda k, x: nofob_iterate(prob, k, x, 1.0)
+    return lambda x: nofob_iterate(prob, x, 1.0)
 
 
 def test_identity_kernel_mu_is_one():
     prob = identity_kernel_problem()
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    rec = nofob_iterate(prob, 0, x, 1.0)
+    rec = nofob_iterate(prob, x, 1.0)
     assert rec.mu == pytest.approx(1.0)
     assert np.allclose(rec.x_next, x / 2.0, atol=1e-14)
 
@@ -57,7 +58,7 @@ def test_psi_value_matches_manual_formula(psi_value):
 def test_unit_relaxation_lands_on_hyperplane(psi_value):
     prob = identity_kernel_problem()
     x = np.array([2.0, 0.0, -1.0, 1.0])
-    rec = nofob_iterate(prob, 0, x, 1.0)
+    rec = nofob_iterate(prob, x, 1.0)
     assert psi_value(prob, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -78,7 +79,7 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
         kernel_diff=lambda x, x_hat: x - x_hat,
     )
     x = rng.vector(4)
-    rec = nofob_iterate(prob, 0, x, 1.0)
+    rec = nofob_iterate(prob, x, 1.0)
     assert psi_value(prob, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -91,8 +92,8 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
 def test_relaxation_scales_the_step():
     prob = identity_kernel_problem()
     x = np.array([2.0, 0.0, -1.0, 1.0])
-    full = nofob_iterate(prob, 0, x, 1.0)
-    half = nofob_iterate(prob, 0, x, 0.5)
+    full = nofob_iterate(prob, x, 1.0)
+    half = nofob_iterate(prob, x, 0.5)
     assert np.allclose(x - 0.5 * (x - full.x_next), half.x_next, atol=1e-14)
 
 
@@ -100,7 +101,7 @@ def test_coincidence_returns_identity_update():
     prob = identity_kernel_problem()
     prob_fixed = dataclasses.replace(prob, fb_oracle=lambda x: x)
     x = np.ones(4)
-    rec = nofob_iterate(prob_fixed, 0, x, 1.3)
+    rec = nofob_iterate(prob_fixed, x, 1.3)
     assert rec.mu == 0.0
     assert np.array_equal(rec.x_next, x)
 
@@ -108,7 +109,7 @@ def test_coincidence_returns_identity_update():
 def test_conservative_step_length_and_effective_relaxation():
     prob = identity_kernel_problem()
     x = np.array([4.0, 0.0, 0.0, 0.0])
-    rec = nofob_iterate(prob, 0, x, 1.0, mu_hat=0.4)
+    rec = nofob_iterate(prob, x, 1.0, mu_hat=0.4)
     assert rec.mu == pytest.approx(1.0)
     assert rec.theta == pytest.approx(0.4)
     # x_next = x - theta * mu_hat * (Mx - Mx_hat) = x - 0.4 * x/2
@@ -118,10 +119,10 @@ def test_conservative_step_length_and_effective_relaxation():
 def test_conservative_midpoint_and_explicit_agreement():
     prob = identity_kernel_problem()
     x = np.array([4.0, -1.0, 2.0, 0.5])
-    full = nofob_iterate(prob, 0, x, 1.0)
-    same = nofob_iterate(prob, 0, x, 1.0, mu_hat=full.mu)
+    full = nofob_iterate(prob, x, 1.0)
+    same = nofob_iterate(prob, x, 1.0, mu_hat=full.mu)
     assert np.allclose(same.x_next, full.x_next, atol=1e-14)
-    half = nofob_iterate(prob, 0, x, 1.0, mu_hat=full.mu / 2)
+    half = nofob_iterate(prob, x, 1.0, mu_hat=full.mu / 2)
     assert np.allclose(half.x_next, 0.5 * (x + full.x_next), atol=1e-14)
 
 
@@ -129,9 +130,9 @@ def test_conservative_rejects_bad_parameters():
     prob = identity_kernel_problem()
     x = np.ones(4)
     with pytest.raises(ContractViolation):
-        nofob_iterate(prob, 0, x, 1.0, mu_hat=-0.5)
+        nofob_iterate(prob, x, 1.0, mu_hat=-0.5)
     with pytest.raises(ContractViolation):
-        nofob_iterate(prob, 0, x, 1.0, mu_hat=0.0)
+        nofob_iterate(prob, x, 1.0, mu_hat=0.0)
 
 
 def test_beta_out_of_range_rejected():
@@ -192,11 +193,22 @@ def test_run_loop_max_iter_status():
     assert traj.iterations == 11  # iterations 0..max_iter inclusive
 
 
+def test_run_loop_keeps_a_record_at_max_iter_zero():
+    # final_x reads the last record, so even a run with no step past x0
+    # keeps the record of x0, and its x is the iterate the run ends at
+    prob = identity_kernel_problem()
+    x0 = np.arange(1.0, 5.0)
+    traj = run_loop(unit_step(prob), x0, tol=0.0, max_iter=0)
+    assert (traj.status, traj.iterations) == ("max_iter", 1)
+    assert traj.final_x is traj.records[0].x
+    assert np.array_equal(traj.final_x, x0)
+
+
 def test_run_loop_flags_non_finite_states():
-    def bad_step(k, x):
-        rec = nofob_iterate(identity_kernel_problem(), k, x, 1.0)
+    def bad_step(x):
+        rec = nofob_iterate(identity_kernel_problem(), x, 1.0)
         return type(rec)(
-            k=rec.k, x=rec.x, x_hat=rec.x_hat, x_next=rec.x_next * np.inf,
+            x=rec.x, x_hat=rec.x_hat, x_next=rec.x_next * np.inf,
             mu=rec.mu, theta=rec.theta, residual_s=rec.residual_s,
             psi_at_x=rec.psi_at_x, normal_inv_norm=rec.normal_inv_norm,
         )
@@ -210,9 +222,11 @@ def test_run_loop_flags_non_finite_states():
 def test_run_loop_ends_at_a_non_finite_residual_or_step_length(field, value):
     prob = identity_kernel_problem()
 
-    def step(k, x):
-        rec = nofob_iterate(prob, k, x, 1.0)
-        return dataclasses.replace(rec, **{field: value}) if k == 2 else rec
+    calls = itertools.count()
+
+    def step(x):
+        rec = nofob_iterate(prob, x, 1.0)
+        return dataclasses.replace(rec, **{field: value}) if next(calls) == 2 else rec
 
     traj = run_loop(step, np.ones(4), tol=0.0, max_iter=10)
     assert (traj.status, traj.iterations) == ("error", 3)
@@ -255,8 +269,8 @@ def test_fejer_decrease_in_custom_metric():
     )
     x = rng.vector(4)
     z = np.zeros(4)
-    for k in range(30):
-        rec = nofob_iterate(prob, k, x, 1.4)
+    for _ in range(30):
+        rec = nofob_iterate(prob, x, 1.4)
         assert s.norm(rec.x_next - z) <= s.norm(x - z) + 1e-12
         x = rec.x_next
 
@@ -274,12 +288,12 @@ def test_failed_separation_is_null_at_noise_level_and_raises_above():
         )
 
     x = np.ones(4)
-    noise = nofob_iterate(reversed_kernel(1e-10), 0, x, 1.0)
+    noise = nofob_iterate(reversed_kernel(1e-10), x, 1.0)
     assert noise.residual_s > 1e-14 * (1.0 + 2.0)
     assert noise.mu == 0.0
     assert np.array_equal(noise.x_next, x)
     with pytest.raises(ContractViolation, match="separation failed"):
-        nofob_iterate(reversed_kernel(1e-6), 0, x, 1.0)
+        nofob_iterate(reversed_kernel(1e-6), x, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +321,14 @@ def _assert_same_run(got, expected, label):
     assert got[0] == expected[0], label
     assert got[1].tobytes() == expected[1].tobytes(), label
     assert len(got[2]) == len(expected[2]), label
-    for a, b in zip(got[2], expected[2]):
+    for k, (a, b) in enumerate(zip(got[2], expected[2])):
         for field in dataclasses.fields(IterRecord):
             u, v = getattr(a, field.name), getattr(b, field.name)
             if isinstance(v, np.ndarray):
                 assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), \
-                    (label, a.k, field.name)
+                    (label, k, field.name)
             else:
-                assert repr(u) == repr(v), (label, a.k, field.name)
+                assert repr(u) == repr(v), (label, k, field.name)
 
 
 def _runs_match_the_reference(monkeypatch, reference_iterate, cases):
@@ -361,9 +375,11 @@ def test_the_step_equals_its_reference_bit_for_bit_at_n_200(monkeypatch, referen
 def test_a_non_finite_entry_of_x_next_ends_the_run_at_that_record(value):
     prob = identity_kernel_problem()
 
-    def step(k, x):
-        rec = nofob_iterate(prob, k, x, 1.0)
-        if k == 2:
+    calls = itertools.count()
+
+    def step(x):
+        rec = nofob_iterate(prob, x, 1.0)
+        if next(calls) == 2:
             rec.x_next = rec.x_next.copy()
             rec.x_next[1] = value
         return rec
@@ -379,9 +395,11 @@ def test_huge_finite_entries_of_x_next_do_not_end_the_run():
     prob = identity_kernel_problem()
     huge = np.array([1e308, -1e308, 1e308, 1e308])
 
-    def step(k, x):
-        rec = nofob_iterate(prob, k, x, 1.0)
-        if k == 2:
+    calls = itertools.count()
+
+    def step(x):
+        rec = nofob_iterate(prob, x, 1.0)
+        if next(calls) == 2:
             rec.x_next = huge.copy()
         return rec
 
@@ -405,6 +423,6 @@ def test_a_metric_of_the_wrong_dimension_is_rejected(algorithm, kind):
 def test_an_iterate_of_the_wrong_dimension_is_rejected_by_the_step():
     prob = identity_kernel_problem()
     with pytest.raises(ContractViolation, match="dimension mismatch"):
-        nofob_iterate(prob, 0, np.ones(3), 1.0)
+        nofob_iterate(prob, np.ones(3), 1.0)
     with pytest.raises(ContractViolation, match="dimension mismatch"):
         dataclasses.replace(prob, p_metric=SpdMetric.identity(3))

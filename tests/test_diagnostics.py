@@ -29,7 +29,7 @@ def identity_kernel_problem(n=4):
 
 
 def unit_step(prob):
-    return lambda k, x: nofob_iterate(prob, k, x, 1.0)
+    return lambda x: nofob_iterate(prob, x, 1.0)
 
 
 def convergent_run(name="regquad-full", algorithm="four-op", **kw):
@@ -87,7 +87,7 @@ def test_fejer_fails_on_a_non_finite_record_in_either_order(value, bad_first):
     good = run_loop(unit_step(prob), np.ones(4), tol=0.0, max_iter=1).records[0]
     bad = dataclasses.replace(good, x_next=np.full(4, value))
     recs = [bad, good] if bad_first else [good, bad]
-    traj = Trajectory(records=recs, final_x=bad.x_next, status="max_iter")
+    traj = Trajectory(records=recs, status="max_iter")
     rep = check_fejer(traj, z, prob.s_metric)
     assert not rep.passed
     assert str(rep.max_violation) == str(value)
@@ -127,7 +127,7 @@ def test_separation_fails_on_a_nan_candidate():
     out, _ = convergent_run()
     records = list(out.trajectory.records)
     records[3] = dataclasses.replace(records[3], x_hat=np.full(records[3].x.shape, np.nan))
-    traj = Trajectory(records, out.trajectory.final_x, "converged")
+    traj = Trajectory(records, "converged")
     rep = check_separation(traj, out.nofob_view, out.z_star)
     assert not rep.passed
     assert np.isnan(rep.max_violation) and rep.first_violating_iter == 3
@@ -142,7 +142,7 @@ def test_audits_reject_a_solution_of_the_wrong_shape(z_star):
     # against another point
     out = run_algorithm("four-op", get_instance("regquad-full", 1))
     traj, z = out.trajectory, z_star(out.z_star.shape[0])
-    empty = Trajectory([], out.trajectory.final_x, "converged")
+    empty = Trajectory([], "converged")
     for t in (traj, empty):
         with pytest.raises(ContractViolation, match="dimension mismatch"):
             check_fejer(t, z, out.s_metric)
@@ -224,8 +224,8 @@ def test_mu_bounds_index_counts_the_null_steps():
     # the violation sits in record 1, after a null step
     prob = identity_kernel_problem()
     x = np.ones(4)
-    moved = dataclasses.replace(nofob_iterate(prob, 1, x, 1.0), mu=50.0)
-    traj = Trajectory([null_record(0, x, x, 1.0, 0.0), moved], x, "max_iter")
+    moved = dataclasses.replace(nofob_iterate(prob, x, 1.0), mu=50.0)
+    traj = Trajectory([null_record(x, x, 1.0, 0.0), moved], "max_iter")
     rep = check_mu_bounds(traj, 0.0, prob.p_metric, prob.s_metric, 1.0)
     assert (rep.first_violating_iter, rep.max_violation, rep.passed) == (1, 49.0, False)
 
@@ -347,9 +347,15 @@ def test_audits_match_the_per_record_reference(seed, audit_reference,
                 assert "need" in str(exc) or "requires" in str(exc)
                 continue
             if out.nofob_view is not None:
-                # every registered view audits through its stacked form
+                # every registered view audits through its stacked form: a
+                # second function on as_nofob's views, and on fbs_view, the
+                # audit view of the fbs rows, its elementwise kernel
+                # difference itself, whose closure holds only gamma
                 kernel_diff = out.nofob_view.kernel_diff
-                assert callable(kernel_diff.rows) and kernel_diff.rows is not kernel_diff
+                if algorithm in ("fbs", "fbs-relaxed"):
+                    assert kernel_diff.rows is kernel_diff
+                else:
+                    assert callable(kernel_diff.rows) and kernel_diff.rows is not kernel_diff
             _assert_audits_match(out, audit_reference)
             runs += 1
     assert runs >= 40
@@ -369,7 +375,7 @@ def test_audits_match_the_reference_on_records_that_do_not_chain(audit_reference
     out, _ = convergent_run()
     records = list(out.trajectory.records)
     records[4] = dataclasses.replace(records[4], x_next=out.z_star.copy())
-    for traj in (_corrupt(out.trajectory), Trajectory(records, out.trajectory.final_x, "converged")):
+    for traj in (_corrupt(out.trajectory), Trajectory(records, "converged")):
         assert traj.records[5].x is not traj.records[4].x_next
         _assert_audits_match(dataclasses.replace(out, trajectory=traj), audit_reference)
 

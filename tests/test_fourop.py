@@ -188,7 +188,7 @@ def test_trivial_specialization_matches_core_resolvent_step():
     g = 0.8
     view = as_nofob(prob, ScalarStep(g), SpdMetric.identity(n))
     x = np.array([2.0, -0.5, 1.5, 0.0])
-    rec = nofob_iterate(view, 0, x, 1.0)
+    rec = nofob_iterate(view, x, 1.0)
     assert rec.mu == pytest.approx(g, rel=1e-15)
     assert np.allclose(rec.x_next, prob.b.evaluator(g, x), atol=1e-15)
 
@@ -223,9 +223,9 @@ def test_gamma_iterate_matches_generic_path_over_100_iterations(long_step_refere
     view = as_nofob(prob, ScalarStep(g), s)
     x = Lcg64(1).vector(prob.dim)
     worst = 0.0
-    for k in range(100):
+    for _ in range(100):
         ref_next, ref_mu = long_step_reference(prob, g, x, 1.2, s)
-        rec = nofob_iterate(view, k, x, 1.2)
+        rec = nofob_iterate(view, x, 1.2)
         worst = max(worst, float(np.max(np.abs(ref_next - rec.x_next))))
         # mu is a ratio of O(residual^2) quantities, so its relative
         # accuracy degrades as the square of the residual; compare only
@@ -244,7 +244,7 @@ def test_gamma_iterate_in_non_identity_metric(long_step_reference):
     g = 0.3
     x = rng.vector(prob.dim)
     ref_next, _ = long_step_reference(prob, g, x, 1.0, s)
-    rec = nofob_iterate(as_nofob(prob, ScalarStep(g), s), 0, x, 1.0)
+    rec = nofob_iterate(as_nofob(prob, ScalarStep(g), s), x, 1.0)
     assert np.allclose(ref_next, rec.x_next, atol=1e-12)
 
 
@@ -254,15 +254,15 @@ def test_conservative_identity_both_algebraic_routes(conservative_reference):
     s = SpdMetric.identity(prob.dim)
     view = as_nofob(prob, ScalarStep(g), s)
     x = Lcg64(2).vector(prob.dim)
-    for k in range(50):
-        rec = conservative_reference(prob, g, k, x)
+    for _ in range(50):
+        rec = conservative_reference(prob, g, x)
         # route 1: x_hat - gamma ((D+K) x_hat - (D+K) x) is what rec holds
         # route 2: x - gamma (Mx - M x_hat)
         m_gap = view.kernel_diff(x, rec.x_hat)
         route2 = x - g * m_gap
         assert np.max(np.abs(rec.x_next - route2)) <= 1e-13
         # route 3: the generic conservative step with mu_hat = gamma, S = I
-        rec3 = nofob_iterate(view, k, x, 1.0, mu_hat=g)
+        rec3 = nofob_iterate(view, x, 1.0, mu_hat=g)
         assert np.max(np.abs(rec.x_next - rec3.x_next)) <= 1e-13
         x = rec.x_next
 
@@ -270,7 +270,7 @@ def test_conservative_identity_both_algebraic_routes(conservative_reference):
 def test_conservative_with_plain_forward_backward_degenerates(conservative_reference):
     prob = seeded_problem(with_d=False, with_k=False)
     x = Lcg64(4).vector(prob.dim)
-    rec = conservative_reference(prob, 0.5, 0, x)
+    rec = conservative_reference(prob, 0.5, x)
     assert np.array_equal(rec.x_next, rec.x_hat)
 
 
@@ -283,7 +283,7 @@ def test_conservative_rotation_closed_form(conservative_reference):
     )
     g = 0.7
     x = np.array([1.0, 2.0])
-    rec = conservative_reference(prob, g, 0, x)
+    rec = conservative_reference(prob, g, x)
     expected = ((1.0 - g * g) * np.eye(2) - g * kmat) @ x
     assert np.allclose(rec.x_next, expected, atol=1e-14)
     factor = np.linalg.norm(rec.x_next) / np.linalg.norm(x)
@@ -444,7 +444,7 @@ def test_step_bound_warnings(conservative_reference):
     x = np.ones(prob.dim)
     g_cons = 1.05 * gamma_bound_conservative(be, ld, kn, 0.0)
     with pytest.warns(StepParameterWarning):
-        conservative_reference(prob, g_cons, 0, x)
+        conservative_reference(prob, g_cons, x)
     # the long-step bound is where the scalar kernel's beta reaches 4, so
     # beyond it the kernel view itself is rejected
     g_long = 1.05 * gamma_bound_long(be, ld, 0.0)
@@ -584,9 +584,9 @@ def test_fbs_redundant_projection_identity_over_100_iterations(fbs_relaxed_refer
     view = as_nofob(prob, ScalarStep(g), s)
     theta = 1.3
     worst = 0.0
-    for k in range(100):
+    for _ in range(100):
         direct = fbs_relaxed_reference(b, e, g, theta, x)
-        generic = nofob_iterate(view, k, x, theta)
+        generic = nofob_iterate(view, x, theta)
         worst = max(worst, float(np.max(np.abs(direct - generic.x_next))))
         # closed-form step length of the reduction; the kernel difference
         # Mx - Mx_hat loses eps * |x| / residual relative digits, so the

@@ -229,11 +229,18 @@ def test_cocoercivity_zero_beta_conventions(honesty_samplers):
     assert honesty_samplers.cocoercivity_deficit(moving, 0.0, 3, 50, seed=5) == np.inf
 
 
+def _solve(kernel, prox, y, start=None):
+    """The solve from `start`, by default the cold start y / sigma, with
+    phi(start) handed in as the four-op oracle hands it in."""
+    start = y / kernel.sigma if start is None else start
+    return separable_nonlinear_resolvent(kernel, prox, y, start, kernel(start))
+
+
 def test_separable_nonlinear_resolvent_linear_kernel():
     # phi(t) = 2t with B = 0 solves 2x = y exactly
     kernel = NonlinearKernel(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0)
     y = np.array([1.0, -3.0, 0.0])
-    x = separable_nonlinear_resolvent(kernel, zero_operator(3), y)
+    x = _solve(kernel, zero_operator(3), y)
     assert np.allclose(x, y / 2.0, atol=1e-11)
 
 
@@ -241,7 +248,7 @@ def test_separable_nonlinear_resolvent_arctan_kernel():
     kernel = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
     prox = l1_subdifferential(0.5)
     y = np.array([2.0, -0.2, 4.0])
-    x = separable_nonlinear_resolvent(kernel, prox, y)
+    x = _solve(kernel, prox, y)
     # certify the inclusion phi(x) + 0.5 sign(x) contains y where x != 0
     for xi, yi in zip(x, y):
         if abs(xi) > 1e-12:
@@ -255,7 +262,7 @@ def test_separable_nonlinear_resolvent_requires_separable_prox():
     kernel = NonlinearKernel(phi=lambda x: x, sigma=1.0, ell=1.0)
     dense = affine_operator(np.eye(2), np.zeros(2))
     with pytest.raises(ContractViolation):
-        separable_nonlinear_resolvent(kernel, dense, np.zeros(2))
+        _solve(kernel, dense, np.zeros(2))
 
 
 ARCTAN = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
@@ -264,22 +271,20 @@ ARCTAN = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_separable_nonlinear_resolvent_rejects_non_finite_input(bad):
     with pytest.raises(ContractViolation, match="must be finite"):
-        separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.5),
-                                      np.array([1.0, bad, -2.0]))
+        _solve(ARCTAN, l1_subdifferential(0.5), np.array([1.0, bad, -2.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_separable_nonlinear_resolvent_rejects_a_non_finite_start(bad):
     with pytest.raises(ContractViolation, match="start must be finite"):
-        separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.5),
-                                      np.array([1.0, 0.5, -2.0]),
-                                      start=np.array([0.0, bad, 1.0]))
+        _solve(ARCTAN, l1_subdifferential(0.5), np.array([1.0, 0.5, -2.0]),
+               start=np.array([0.0, bad, 1.0]))
 
 
 def test_separable_nonlinear_resolvent_rejects_a_start_of_another_shape():
     with pytest.raises(ContractViolation, match="input's shape"):
-        separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.5),
-                                      np.array([1.0, 0.5, -2.0]), start=np.zeros(2))
+        _solve(ARCTAN, l1_subdifferential(0.5), np.array([1.0, 0.5, -2.0]),
+               start=np.zeros(2))
 
 
 def _bound_cases():
@@ -350,7 +355,7 @@ def test_separable_nonlinear_resolvent_agrees_with_bisection_from_any_start(
         "-1e8": np.full(n, -1e8),
         "kinks": np.zeros(n),
     }[start]
-    got = separable_nonlinear_resolvent(kernel, prox, y, start=x0)
+    got = _solve(kernel, prox, y, start=x0)
     assert _agrees(got, ref), np.abs(got - ref).max()
 
 
@@ -365,7 +370,7 @@ def test_an_a_priori_end_that_fails_to_round_off_is_moved_out():
     def resid(x):
         return x - prox.evaluator(1.0, x + y - ARCTAN(x))
 
-    root = separable_nonlinear_resolvent(ARCTAN, prox, y)
+    root = _solve(ARCTAN, prox, y)
     x0 = root + 3.0 * np.spacing(root)
     u = x0 - resid(x0)
     r_u = resid(u)
@@ -373,7 +378,7 @@ def test_an_a_priori_end_that_fails_to_round_off_is_moved_out():
     end = u - np.sign(r_u) * delta
     outside = np.sign(resid(x0)) * np.sign(r_u) > 0.0
     assert np.any(outside & (np.sign(resid(end)) * np.sign(r_u) > 0.0))
-    got = separable_nonlinear_resolvent(ARCTAN, prox, y, start=x0)
+    got = _solve(ARCTAN, prox, y, start=x0)
     # tol cannot be met at this scale: both solves stop at the round-off floor
     assert np.all(np.abs(resid(got)) <= 4.0 * np.spacing(np.abs(got) + np.abs(y)))
     assert _agrees(got, root)
@@ -395,7 +400,7 @@ def test_an_a_priori_end_from_an_overstated_modulus_is_moved_out(
     u = x0 - resid(x0)
     end = u - np.sign(resid(u)) * 2.1 * np.abs(x0 - u)
     assert np.all((np.sign(resid(end)) * np.sign(resid(u)) > 0.0)[:3])
-    got = separable_nonlinear_resolvent(kernel, prox, y, start=x0)
+    got = _solve(kernel, prox, y, start=x0)
     assert _agrees(got, bisection_resolvent_reference(kernel, prox, y))
 
 
@@ -410,7 +415,7 @@ def test_separable_nonlinear_resolvent_stops_at_the_round_off_floor(y):
     inst = make_nonlinear_kernel_demo(n=6, seed=3)[0]
     kernel, prox = inst.nonlinear_spec.kernel, inst.bundle.b
     y = np.array(y)
-    x = separable_nonlinear_resolvent(kernel, prox, y)
+    x = _solve(kernel, prox, y)
     r = x - prox.evaluator(1.0, x + y - kernel(x))
     assert np.all(np.abs(r) <= 4.0 * np.spacing(np.abs(x) + np.abs(y)))
 
@@ -436,25 +441,12 @@ def test_separable_nonlinear_resolvent_matches_bisection_on_demo_inputs(
     for seed, kernel, prox, v, x in _demo_inputs(n):
         ref = bisection_resolvent_reference(kernel, prox, v)
         for start in (None, x):
-            got = separable_nonlinear_resolvent(kernel, prox, v, start=start)
+            got = _solve(kernel, prox, v, start=start)
             assert _agrees(got, ref), (seed, np.abs(got - ref).max())
 
 
-@pytest.mark.parametrize("n", [12, 200])
-def test_a_handed_in_phi_start_gives_the_plain_calls_bytes(n):
-    # the four-op oracle hands in the phi(x) it already holds
-    for seed, kernel, prox, v, x in _demo_inputs(n):
-        plain = separable_nonlinear_resolvent(kernel, prox, v, start=x)
-        handed = separable_nonlinear_resolvent(kernel, prox, v, start=x,
-                                               phi_start=kernel(x))
-        assert handed.tobytes() == plain.tobytes(), seed
-
-
-def test_phi_start_needs_its_start_and_the_inputs_shape():
+def test_phi_start_needs_the_inputs_shape():
     y = np.array([1.0, 0.5, -2.0])
-    with pytest.raises(ContractViolation, match="needs the start"):
-        separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.5), y,
-                                      phi_start=ARCTAN(y))
     with pytest.raises(ContractViolation, match="phi_start must have"):
         separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.5), y,
                                       start=y, phi_start=np.zeros(2))
@@ -487,7 +479,7 @@ def _edge_cases():
 def test_separable_nonlinear_resolvent_matches_bisection_on_edge_inputs(
         case, bisection_resolvent_reference):
     kernel, prox, y = _edge_cases()[case]
-    got = separable_nonlinear_resolvent(kernel, prox, y)
+    got = _solve(kernel, prox, y)
     ref = bisection_resolvent_reference(kernel, prox, y)
     assert _agrees(got, ref), np.abs(got - ref).max()
     if case == "doublings":
@@ -503,7 +495,7 @@ def test_separable_nonlinear_resolvent_matches_bisection_on_edge_inputs(
 def test_separable_nonlinear_resolvent_needs_few_prox_evaluations(monkeypatch):
     calls = {"resolvent": 0, "prox": 0}
 
-    def counted(kernel, prox_spec, y, start=None, phi_start=None):
+    def counted(kernel, prox_spec, y, start, phi_start):
         def evaluator(gamma, v):
             calls["prox"] += 1
             return prox_spec.evaluator(gamma, v)

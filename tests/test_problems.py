@@ -7,6 +7,7 @@ from nofob.algorithms import run_algorithm
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.linalg import ContractViolation, spectral_norm
 from nofob.problems import (
+    DEFAULT_SEED,
     REGISTRY,
     _certify,
     _check_subgradient_inclusion,
@@ -33,13 +34,13 @@ def test_every_instance_passes_fixed_point_certificate(name):
 def test_generation_is_deterministic(name):
     a = get_instance(name)
     builder = {
-        "rotation": lambda: make_rotation_vi(seed=a.seed),
-        "regquad-fbs": lambda: make_regularized_quadratic(split="fbs", seed=a.seed),
-        "regquad-fbhf": lambda: make_regularized_quadratic(split="fbhf", seed=a.seed),
-        "regquad-fbf": lambda: make_regularized_quadratic(split="fbf", seed=a.seed),
-        "regquad-full": lambda: make_regularized_quadratic(split="full", seed=a.seed),
-        "saddle": lambda: make_saddle_pd(seed=a.seed),
-        "nonlinear-kernel": lambda: make_nonlinear_kernel_demo(seed=a.seed)[0],
+        "rotation": lambda: make_rotation_vi(seed=DEFAULT_SEED),
+        "regquad-fbs": lambda: make_regularized_quadratic(split="fbs", seed=DEFAULT_SEED),
+        "regquad-fbhf": lambda: make_regularized_quadratic(split="fbhf", seed=DEFAULT_SEED),
+        "regquad-fbf": lambda: make_regularized_quadratic(split="fbf", seed=DEFAULT_SEED),
+        "regquad-full": lambda: make_regularized_quadratic(split="full", seed=DEFAULT_SEED),
+        "saddle": lambda: make_saddle_pd(seed=DEFAULT_SEED),
+        "nonlinear-kernel": lambda: make_nonlinear_kernel_demo(seed=DEFAULT_SEED)[0],
     }[name]
     b = builder()
     assert np.array_equal(a.oracle, b.oracle)
@@ -139,10 +140,10 @@ def test_declared_constants_pass_honesty_samplers(name, honesty_samplers):
     bundle = inst.bundle
     c = inst.constants
     assert honesty_samplers.lipschitz_ratio(
-        bundle.d, c["l_d"], inst.bundle.dim, samples=500, seed=inst.seed
+        bundle.d, c["l_d"], inst.bundle.dim, samples=500, seed=DEFAULT_SEED
     ) <= 1.0 + 1e-9
     assert honesty_samplers.cocoercivity_deficit(
-        bundle.e, c["beta_e"], inst.bundle.dim, samples=500, seed=inst.seed
+        bundle.e, c["beta_e"], inst.bundle.dim, samples=500, seed=DEFAULT_SEED
     ) <= 1e-9
     assert abs(bundle.k.operator_norm - c["k_norm"]) <= 1e-12
     if name == "nonlinear-kernel":
@@ -163,7 +164,7 @@ def test_declared_constants_pass_honesty_samplers(name, honesty_samplers):
     else:
         selection = bundle.forward
     assert honesty_samplers.strong_monotonicity_deficit(
-        selection, inst.sigma, inst.bundle.dim, samples=500, seed=inst.seed
+        selection, inst.sigma, inst.bundle.dim, samples=500, seed=DEFAULT_SEED
     ) <= 1e-9
 
 

@@ -15,10 +15,10 @@ from nofob.projective import PsProblem, stack_primal_dual
 from nofob.rng import Lcg64
 
 
-def ps_resolvent_iterate(ps, k, p, theta):
+def ps_resolvent_iterate(ps, p, theta):
     """One resolvent-form step: the corrected step on the block-diagonal view."""
     view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
-    return nofob_iterate(view, k, p, theta)
+    return nofob_iterate(view, p, theta)
 
 
 def zero_ps(n_dual=2, n_primal=3, l=None, taus=(1.0, 1.0)):
@@ -127,7 +127,7 @@ def test_resolvent_all_zero_is_identity():
     # zero dual part: any x is a zero of the primal block, so p is fixed
     ps = zero_ps()
     p = np.array([0.0, 0.0, 0.5, 0.0, 3.0])
-    rec = ps_resolvent_iterate(ps, 0, p, 1.0)
+    rec = ps_resolvent_iterate(ps, p, 1.0)
     assert np.array_equal(rec.x_next, p)
     assert rec.mu == 0.0
 
@@ -145,7 +145,7 @@ def test_resolvent_zero_stacked_blocks_match_dense_solve():
     q = np.eye(5)
     p_vec = rng.vector(5)
     p_hat_oracle = np.linalg.solve(q, (q - kmap.matrix) @ p_vec)
-    rec = ps_resolvent_iterate(ps, 0, p_vec, 1.0)
+    rec = ps_resolvent_iterate(ps, p_vec, 1.0)
     assert np.allclose(rec.x_hat, p_hat_oracle, atol=1e-13)
     diff = p_vec - p_hat_oracle
     m = (q - kmap.matrix) @ diff
@@ -161,8 +161,8 @@ def test_resolvent_matches_blockdiag_four_op_view():
     ps = inst.ps_view
     block, kmap = ps.stacked().b, ps.stacked().k
     p_vec = inst.x0
-    for k in range(30):
-        rec = ps_resolvent_iterate(ps, k, p_vec, 1.0)
+    for _ in range(30):
+        rec = ps_resolvent_iterate(ps, p_vec, 1.0)
         weights = ps.q_weights
         q_p = np.concatenate([w * xb for w, xb in zip(weights, block.split(p_vec))])
         p_hat = np.concatenate([op.evaluator(1.0 / w, vb / w) for w, op, vb
@@ -185,8 +185,8 @@ def test_explicit_zero_operators_match_resolvent(ps_explicit_step):
     l = rng.matrix(2, 3)
     ps = zero_ps(l=l, taus=(0.7, 1.3))
     p = np.concatenate([rng.vector(2), rng.vector(3)])
-    rec_a = ps_explicit_step(ps, 0, p, 1.0)
-    rec_b = ps_resolvent_iterate(ps, 0, p, 1.0)
+    rec_a = ps_explicit_step(ps, p, 1.0)
+    rec_b = ps_resolvent_iterate(ps, p, 1.0)
     assert rec_a.x is p
     assert np.allclose(rec_a.x_next, rec_b.x_next, atol=1e-12)
     assert rec_a.mu == pytest.approx(rec_b.mu, rel=1e-10)
@@ -197,7 +197,7 @@ def test_explicit_hand_formulas_on_zero_operators(ps_explicit_step):
     l = rng.matrix(2, 3)
     ps = zero_ps(l=l, taus=(0.7, 1.3))
     w, x = rng.vector(2), rng.vector(3)
-    rec = ps_explicit_step(ps, 0, np.concatenate([w, x]), 1.0)
+    rec = ps_explicit_step(ps, np.concatenate([w, x]), 1.0)
     # with A_i = 0 the resolvents are identities
     x_hat = x - 1.3 * (l.T @ w)
     v_hat = l @ x + 0.7 * w
@@ -223,9 +223,9 @@ def test_equivalence_on_saddle_for_200_iterations(ps_explicit_step, seed, n, m):
     ps = inst.ps_view
     p_a = p_b = inst.x0
     worst = 0.0
-    for k in range(200):
-        p_a = ps_explicit_step(ps, k, p_a, 1.0).x_next
-        p_b = ps_resolvent_iterate(ps, k, p_b, 1.0).x_next
+    for _ in range(200):
+        p_a = ps_explicit_step(ps, p_a, 1.0).x_next
+        p_b = ps_resolvent_iterate(ps, p_b, 1.0).x_next
         worst = max(worst, float(np.max(np.abs(p_a - p_b))))
     assert worst <= 1e-13
     assert np.max(np.abs(p_a - inst.oracle)) <= 1e-7
@@ -236,8 +236,8 @@ def test_explicit_numerator_and_denominator_identities(ps_mu_terms_reference, ps
     ps = inst.ps_view
     p = inst.x0
     checked = 0
-    for k in range(60):
-        rec = ps_explicit_step(ps, k, p, 1.0)
+    for _ in range(60):
+        rec = ps_explicit_step(ps, p, 1.0)
         if rec.residual_s > 1e-3:
             num_pub, num_w, den_e, den_w = ps_mu_terms_reference(ps, p, rec.x_hat)
             assert num_pub == pytest.approx(num_w, rel=1e-9)
@@ -252,7 +252,7 @@ def test_explicit_numerator_and_denominator_identities(ps_mu_terms_reference, ps
 def test_explicit_fixed_point_at_oracle(ps_explicit_step):
     inst = get_instance("saddle")
     ps = inst.ps_view
-    rec = ps_explicit_step(ps, 0, inst.oracle, 1.0)
+    rec = ps_explicit_step(ps, inst.oracle, 1.0)
     assert np.max(np.abs(rec.x_next - inst.oracle)) <= 1e-9
     assert rec.mu == 0.0
 
@@ -270,7 +270,7 @@ def test_no_coupled_step_size_restriction():
     p = inst.x0
     res = None
     for k in range(3000):
-        rec = ps_resolvent_iterate(ps, k, p, 1.0)
+        rec = ps_resolvent_iterate(ps, p, 1.0)
         res = rec.residual_s
         if res <= 1e-8:
             break

@@ -13,9 +13,13 @@ KEPT with the reason.
 
 References count by name, not by owner, so two members of one name
 pass together when either is read: a dead member can hide behind a
-live one.  `ProblemInstance.n` hid behind `PsProblem.n` until it was
-deleted, and `ProblemInstance.sigma` passes only because
-`NonlinearKernel.sigma` is read.
+live one.  `ProblemInstance.n` hid behind `PsProblem.n`,
+`ProblemInstance.seed` behind `args.seed`, `RunOutput.algorithm`
+behind `args.algorithm` and `RunOutput.theta` behind `rec.theta`, each
+until it was deleted; `ProblemInstance.sigma` passes only because
+`NonlinearKernel.sigma` is read.  For the result types the last test
+checks by owner: it traces which fields of `RunOutput`, `Trajectory`
+and `IterRecord` the command line reads.
 """
 
 import ast
@@ -26,7 +30,9 @@ from pathlib import Path
 import pytest
 
 import nofob
-from nofob.core import NofobProblem
+from nofob import cli
+from nofob.algorithms import RunOutput
+from nofob.core import IterRecord, NofobProblem, Trajectory
 from nofob.linalg import SpdMetric
 from nofob.operators import ProxOperator
 
@@ -35,6 +41,7 @@ PACKAGE = Path(nofob.__file__).parent
 KEPT = {
     ("fourop", "epsbar_delta"): "a paper constant under test",
     ("problems", "ProblemInstance.extras"): "read by perfbench/workloads.py",
+    ("core", "Trajectory.final_x"): "read by perfbench/workloads.py",
     # class-level None, not fields: perfbench/tracing.py hooks both by name
     ("core", "NofobProblem.kernel_eval"): "hooked by perfbench/tracing.py",
     ("operators", "ProxOperator.diag_evaluator"): "hooked by perfbench/tracing.py",
@@ -136,3 +143,21 @@ def test_the_tracer_hooks_are_class_level_none_and_no_constructor_takes_them():
         assert name not in {f.name for f in dataclasses.fields(cls)}
         with pytest.raises(TypeError, match=name):
             cls(**kwargs, **{name: None})
+
+
+def test_the_command_line_reads_every_field_of_the_result_types(monkeypatch, tmp_path, capsys):
+    read = {cls: set() for cls in (RunOutput, Trajectory, IterRecord)}
+    for cls, names in read.items():
+        def traced(obj, name, names=names):
+            names.add(name)
+            return object.__getattribute__(obj, name)
+
+        monkeypatch.setattr(cls, "__getattribute__", traced)
+    run = ["--problem", "saddle", "--algorithm", "afba"]
+    for argv in (["solve", *run, "--csv", str(tmp_path / "run.csv")], ["check", *run],
+                 ["bench", *run]):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    capsys.readouterr()
+    unread = [f"{cls.__name__}.{f.name}" for cls, names in read.items()
+              for f in dataclasses.fields(cls) if f.name not in names]
+    assert unread == []
