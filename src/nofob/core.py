@@ -54,13 +54,10 @@ class NofobProblem:
     audit both take it from here.  A view may have it reuse the oracle's
     work at the oracle's own x array (the four-op views do), so it is a
     function of its arguments alone as long as nothing writes to x
-    between the two calls; the step never does.  It may carry its stacked
-    form as the attribute `rows`: rows(xs, x_hats) gives kernel_diff of
-    every row pair of two k x n stacks, bit for bit, in one call.  The
-    step never calls it; the separation audit does, and calls kernel_diff
-    per record where it is missing.  Held on the callable, it goes
-    wherever kernel_diff goes (`functools.wraps` copies it) and no
-    further: a view rebuilt with another kernel_diff has none.
+    between the two calls; the step never does.  It takes two vectors, or
+    two k x n stacks that it treats row by row, each row bit for bit the
+    vector's value: the step calls it on vectors, the separation audit
+    once on the stacked records of a trajectory.
     """
 
     fb_oracle: Callable[[np.ndarray], np.ndarray]

@@ -11,18 +11,16 @@ claims on strongly monotone instances.
 The checkers work on a whole trajectory at once: the iterates are
 stacked as the rows of k x n arrays, the recorded scalars collected into
 arrays, and every norm, inner product, guard and violation computed
-elementwise.  The kernel differences Mx - Mx_hat come from the stacked
-form the view's `kernel_diff` carries as its attribute `rows`, one call
-per trajectory; a `kernel_diff` without one (a live D that declares no
-matrix, a user's own kernel) is called once per record, with the
-vectors it was written for.  The primitives (`linalg.weighted_row_norms`,
-`linalg.matvec_rows`, `np.vecdot`, elementwise arithmetic in the
-per-record order) round as the per-record `x @ y` and `W @ x` do, so
-the reports equal those of the per-record transcriptions in
-`tests/conftest.py` bit for bit under one BLAS thread.  The dense
-products are row-blocked per-row GEMVs; a multithreaded BLAS may move
-odd sizes above the block by a few ulps.  A z* that is not a vector of the
-trajectory's dimension raises ContractViolation("dimension mismatch").
+elementwise.  The kernel differences Mx - Mx_hat are one `kernel_diff`
+call on the stacks per trajectory.  The primitives
+(`linalg.weighted_row_norms`, `linalg.matvec_rows`, `np.vecdot`,
+elementwise arithmetic in the per-record order) round as the per-record
+`x @ y` and `W @ x` do, so the reports equal those of the per-record
+transcriptions in `tests/conftest.py` bit for bit under one BLAS thread.
+The dense products are row-blocked per-row GEMVs; a multithreaded BLAS
+may move odd sizes above the block by a few ulps.  A z* or a recorded
+iterate that is not a vector of the metric's dimension raises
+ContractViolation("dimension mismatch") before any product.
 
 The tolerances come from the tolerance table in `linalg`: AUDIT_TOL,
 absolute plus relative to the squared distance or gap, for Fejer and
@@ -85,9 +83,13 @@ def _report(name, violations, tol, index=None):
     return CheckReport(name, worst, first, first is None, tol)
 
 
-def _rows(arrays, k: int) -> np.ndarray:
-    """k equal-length vectors as the rows of a k x n array."""
-    return np.concatenate(arrays).reshape(k, -1)
+def _rows(arrays, k: int, n: int) -> np.ndarray:
+    """k vectors of length n as the rows of a k x n array; any other
+    length is a dimension mismatch."""
+    flat = np.concatenate(arrays)
+    if flat.shape != (k * n,):
+        raise ContractViolation("dimension mismatch")
+    return flat.reshape(k, n)
 
 
 def _solution(z_star, n: int) -> np.ndarray:
@@ -128,11 +130,11 @@ def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric) -> CheckRepo
         return _report("fejer", (), AUDIT_TOL)
     fresh = [0] + [i for i in range(1, k) if recs[i].x is not recs[i - 1].x_next]
     with np.errstate(over="ignore", invalid="ignore"):
-        after = _squares(weighted_row_norms(s, _rows([r.x_next for r in recs], k) - z))
+        after = _squares(weighted_row_norms(s, _rows([r.x_next for r in recs], k, s.dim) - z))
         before = np.empty(k)
         before[1:] = after[:-1]
         before[fresh] = _squares(weighted_row_norms(
-            s, _rows([recs[i].x for i in fresh], len(fresh)) - z))
+            s, _rows([recs[i].x for i in fresh], len(fresh), s.dim) - z))
         mu = np.array([r.mu for r in recs], dtype=float)
         theta = np.array([r.theta for r in recs], dtype=float)
         gap = mu * np.array([r.normal_inv_norm for r in recs], dtype=float)
@@ -148,25 +150,19 @@ def check_separation(traj: Trajectory, prob: NofobProblem,
 
     Requires psi(x) >= (1 - beta/4)||x - x_hat||_P^2 and psi(z*) <= 0 for
     psi(z) = <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2, both
-    recomputed from the kernel rather than trusted from the records.  The
-    kernel differences of all records are one call of the stacked form
-    `prob.kernel_diff.rows` where the view carries one, and one
-    `prob.kernel_diff` per record where it does not; both give the same
-    bits.  A NaN in either condition fails.
+    recomputed from the kernel rather than trusted from the records, by
+    one `prob.kernel_diff` call on the stacked records.  A NaN in either
+    condition fails.
     """
     z = _solution(z_star, prob.p_metric.dim)
     recs = traj.records
     k = len(recs)
     if k == 0:
         return _report("separation", (), AUDIT_TOL)
-    x = _rows([r.x for r in recs], k)
-    x_hat = _rows([r.x_hat for r in recs], k)
-    kernel_diff = prob.kernel_diff
-    rows = getattr(kernel_diff, "rows", None)
-    if rows is None:
-        m = _rows([kernel_diff(r.x, r.x_hat) for r in recs], k)
-    else:
-        m = rows(x, x_hat)
+    n = prob.p_metric.dim
+    x = _rows([r.x for r in recs], k, n)
+    x_hat = _rows([r.x_hat for r in recs], k, n)
+    m = prob.kernel_diff(x, x_hat)
     with np.errstate(over="ignore", invalid="ignore"):
         d = x - x_hat
         gap = weighted_row_norms(prob.p_metric, d)

@@ -39,14 +39,13 @@ x - x_hat once and applies Q and G to it.
 
 Every kernel map, Q and a `LinearPart`, takes a vector or a k x n stack
 of rows, so one kernel difference body serves the step and, on stacks,
-the separation audit (the attribute `rows` of `kernel_diff`, see
-`core.NofobProblem`).  Each row rounds as the vector does: x - x_hat,
-the division by gamma, BlockDiag's per-block weights and a
-coordinatewise phi are elementwise, and a dense product on a stack is
-row-blocked per-row GEMVs (`linalg.matvec_rows`), not a GEMM: bit for
-bit under one BLAS thread, while a multithreaded BLAS may move odd
-sizes above the block by a few ulps.  A live D that declares no matrix
-leaves the view without a stacked form.
+the separation audit (see `core.NofobProblem`).  Each row rounds as the
+vector does: x - x_hat, the division by gamma, BlockDiag's per-block
+weights and a coordinatewise phi are elementwise, and a dense product on
+a stack is row-blocked per-row GEMVs (`linalg.matvec_rows`), not a GEMM:
+bit for bit under one BLAS thread, while a multithreaded BLAS may move
+odd sizes above the block by a few ulps.  A live D that declares no
+matrix takes only vectors, and the view applies it to a stack row by row.
 
 Also provides the step-size bound formulas and the fixed-relaxation
 positive semidefiniteness check.
@@ -55,7 +54,6 @@ positive semidefiniteness check.
 from __future__ import annotations
 
 import math
-import types
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -255,7 +253,7 @@ class BlockDiag(KernelSpec):
     linear = True
 
     def __init__(self, weights: Sequence[float]):
-        if not weights:
+        if len(weights) == 0:
             raise ContractViolation("at least one block weight required")
         self.weights = tuple(_positive(w, "block weights") for w in weights)
 
@@ -400,8 +398,7 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     the oracle's own x array reuses the oracle's D x of a D without a
     matrix and, on a nonlinear kernel, its Q x.  So kernel_diff depends
     on its arguments alone only while nothing writes to that array
-    between the two calls; the step never does.  Where D declares a matrix or is
-    zero, `kernel_diff.rows` is the same body on stacks of rows."""
+    between the two calls; the step never does."""
     spec.check(prob)
     l_d = prob.d.lipschitz_constant
     p = _less_l_d(spec.q_metric(prob), l_d)
@@ -415,6 +412,9 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         nonlocal oracle_dx
         oracle_dx = d(x)
         return oracle_dx
+
+    def d_of(x):
+        return d(x) if x.ndim == 1 else np.array([d(row) for row in x])
 
     forward = _summed((None if d is None else d_at_oracle, f, e))
 
@@ -436,18 +436,11 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
             qx = last_qx if at_last else q_apply(prob, x)
             m = qx - q_apply(prob, x_hat)
         if d is not None:
-            dx = last_dx if at_last else d(x)
-            m = m - (dx - d(x_hat))
+            dx = last_dx if at_last else d_of(x)
+            m = m - (dx - d_of(x_hat))
         if g is not None:
             m = m - g(diff)
         return m
-
-    if d is None:
-        # a second function over the same code and cells: `kernel_diff.rows
-        # = kernel_diff` would be a reference cycle, which keeps the
-        # bundle alive until the cyclic collector runs
-        kernel_diff.rows = types.FunctionType(
-            kernel_diff.__code__, kernel_diff.__globals__, closure=kernel_diff.__closure__)
 
     return NofobProblem(
         fb_oracle=fb,
@@ -554,8 +547,6 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
 
     def kernel_diff(x, x_hat):
         return (x - x_hat) / gamma
-
-    kernel_diff.rows = kernel_diff  # elementwise
 
     return NofobProblem(
         fb_oracle=fb, kernel_diff=kernel_diff,

@@ -408,7 +408,8 @@ def _planted_nonlinear_drift(n, seed, w_square=0.3, lam=0.3):
 
 @pytest.fixture
 def planted_nonlinear_drift():
-    """Builder of the nonlinear-drift bundle: a D that declares no matrix."""
+    """Builder of the nonlinear-drift bundle: a D that declares no matrix,
+    which the view applies to the audit's stacks row by row."""
     return _planted_nonlinear_drift
 
 

@@ -150,6 +150,22 @@ def test_audits_reject_a_solution_of_the_wrong_shape(z_star):
             check_separation(t, out.nofob_view, z)
 
 
+def test_audits_reject_a_trajectory_of_the_wrong_dimension():
+    # records of another dimension used to fail inside numpy, in a
+    # broadcast or a matmul; the kernel difference never sees them
+    runs = {name: run_algorithm("four-op", get_instance(name, 1))
+            for name in ("regquad-full", "saddle", "rotation")}
+    for audited, other in [("regquad-full", "saddle"), ("regquad-full", "rotation"),
+                           ("saddle", "regquad-full")]:
+        out, traj = runs[audited], runs[other].trajectory
+        view = dataclasses.replace(out.nofob_view,
+                                   kernel_diff=lambda x, x_hat: pytest.fail("kernel_diff called"))
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            check_fejer(traj, out.z_star, out.s_metric)
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            check_separation(traj, view, out.z_star)
+
+
 def test_separation_fails_with_sign_flipped_kernel():
     out, inst = convergent_run()
     view = out.nofob_view
@@ -161,35 +177,40 @@ def test_separation_fails_with_sign_flipped_kernel():
     assert not rep.passed
 
 
-def test_replacing_the_kernel_difference_drops_its_stacked_form(audit_reference):
-    # the stacked form travels on the kernel_diff callable, so a view with
-    # another kernel_diff is audited record by record through it
+def test_the_audit_reads_the_replaced_kernel_difference(audit_reference):
     out, _ = convergent_run()
     view, traj, z = out.nofob_view, out.trajectory, out.z_star
     kd = view.kernel_diff
     doubled = dataclasses.replace(view, kernel_diff=lambda x, x_hat: 2.0 * kd(x, x_hat))
-    assert not hasattr(doubled.kernel_diff, "rows")
     got = check_separation(traj, doubled, z)
     _assert_same_report(got, audit_reference.separation(traj, doubled, z))
     assert got != check_separation(traj, view, z)
-    # replacing another field keeps it, as ps-explicit's oracle does
-    assert dataclasses.replace(view, fb_oracle=view.fb_oracle).kernel_diff.rows is kd.rows
 
 
-def test_a_wrapped_kernel_difference_keeps_its_stacked_form():
-    # functools.wraps copies the attribute, as a tracing wrapper does
-    out, _ = convergent_run()
+@pytest.mark.parametrize("algorithm, problem", [
+    ("four-op", "regquad-full"), ("fbs", "regquad-fbs"), ("four-op", "nonlinear-drift"),
+])
+def test_a_wrapped_kernel_difference_is_called_once_on_the_stacks(
+        algorithm, problem, planted_nonlinear_drift):
+    # a functools.wraps wrapper, as a tracing one is, sees the one call
+    # the separation audit makes per trajectory
+    inst = (planted_nonlinear_drift(20, 0) if problem == "nonlinear-drift"
+            else get_instance(problem))
+    out = run_algorithm(algorithm, inst)
     view, traj, z = out.nofob_view, out.trajectory, out.z_star
     calls = []
 
     @wraps(view.kernel_diff)
     def counted(x, x_hat):
-        calls.append(1)
+        calls.append((x, x_hat))
         return view.kernel_diff(x, x_hat)
 
     wrapped = dataclasses.replace(view, kernel_diff=counted)
     assert check_separation(traj, wrapped, z) == check_separation(traj, view, z)
-    assert not calls
+    assert len(calls) == 1
+    x, x_hat = calls[0]
+    assert np.array_equal(x, [r.x for r in traj.records])
+    assert np.array_equal(x_hat, [r.x_hat for r in traj.records])
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +367,12 @@ def test_audits_match_the_per_record_reference(seed, audit_reference,
                 # the algorithm does not accept this problem
                 assert "need" in str(exc) or "requires" in str(exc)
                 continue
-            if out.nofob_view is not None:
-                # every registered view audits through its stacked form: a
-                # second function on as_nofob's views, and on fbs_view, the
-                # audit view of the fbs rows, its elementwise kernel
-                # difference itself, whose closure holds only gamma
-                kernel_diff = out.nofob_view.kernel_diff
-                if algorithm in ("fbs", "fbs-relaxed"):
-                    assert kernel_diff.rows is kernel_diff
-                else:
-                    assert callable(kernel_diff.rows) and kernel_diff.rows is not kernel_diff
             _assert_audits_match(out, audit_reference)
             runs += 1
     assert runs >= 40
-    # the planted tanh D declares no matrix, so its view has no stacked
-    # form and the separation audit calls kernel_diff record by record
+    # the planted tanh D declares no matrix: the view applies it to the
+    # stacks row by row
     out = run_algorithm("four-op", planted_nonlinear_drift(20, seed))
-    assert not hasattr(out.nofob_view.kernel_diff, "rows")
     _assert_audits_match(out, audit_reference)
     _assert_audits_match(dataclasses.replace(out, trajectory=_corrupt(out.trajectory)),
                          audit_reference)

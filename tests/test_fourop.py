@@ -153,6 +153,10 @@ def test_kernel_step_sizes_are_validated_at_construction():
             ScalarStep(gamma)
     with pytest.raises(ContractViolation, match="at least one block weight"):
         BlockDiag([])
+    # an array of weights is tested by its length, not by its truth value
+    with pytest.raises(ContractViolation, match="at least one block weight"):
+        BlockDiag(np.array([]))
+    assert BlockDiag(np.array([1.0, 2.0])).weights == (1.0, 2.0)
     with pytest.raises(ContractViolation, match="block weights must be positive"):
         BlockDiag([1.0, 0.0])
 
@@ -740,11 +744,11 @@ def test_one_live_map_is_its_own_product(algorithm):
 
 
 def _assert_stacked_is_per_row(view, records):
-    """`kernel_diff.rows` of the stacked records equals `kernel_diff` of
-    each record byte for byte, so signed zeros count."""
+    """`kernel_diff` of the stacked records equals `kernel_diff` of each
+    record byte for byte, so signed zeros count."""
     xs = np.array([r.x for r in records])
     x_hats = np.array([r.x_hat for r in records])
-    stacked = view.kernel_diff.rows(xs, x_hats)
+    stacked = view.kernel_diff(xs, x_hats)
     per_row = np.array([view.kernel_diff(r.x, r.x_hat) for r in records])
     assert stacked.shape == per_row.shape == xs.shape
     assert stacked.tobytes() == per_row.tobytes()
@@ -761,11 +765,14 @@ def _assert_stacked_is_per_row(view, records):
     ("saddle", "afba", AffinePlusSkew, True),
     ("nonlinear-kernel", "four-op", SeparableNonlinear, False),
     ("regquad-fbs", "fbs", fbs_view, False),
+    # a D that declares no matrix, applied to the stacks row by row
+    ("nonlinear-drift", "four-op", SeparableNonlinear, True),
 ])
 @pytest.mark.parametrize("seed", range(3))
 def test_stacked_kernel_difference_is_the_per_row_one_bit_for_bit(
-        problem, algorithm, family, with_g, seed):
-    inst = get_instance(problem, seed)
+        problem, algorithm, family, with_g, seed, planted_nonlinear_drift):
+    inst = (planted_nonlinear_drift(20, seed) if problem == "nonlinear-drift"
+            else get_instance(problem, seed))
     out = run_algorithm(algorithm, inst)
     records = out.trajectory.records
     assert len(records) > 1
@@ -806,12 +813,18 @@ def test_a_linear_part_on_a_stack_is_the_per_row_map_bit_for_bit(n, shifted):
     assert part(rows).tobytes() == expected.tobytes()
 
 
-def test_a_dropped_view_frees_its_kernel_difference_without_the_cyclic_collector():
-    # `kernel_diff.rows` is a second function over the same body; were it
-    # `kernel_diff` itself, the self-reference would keep the view's
-    # closures and bundle alive until the cyclic collector ran
-    view = run_algorithm("four-op", get_instance("regquad-full"), max_iter=3).nofob_view
-    assert view.kernel_diff.rows is not view.kernel_diff
+@pytest.mark.parametrize("algorithm, problem", [
+    ("four-op", "regquad-full"), ("fbs", "regquad-fbs"),
+    ("fbs-relaxed", "regquad-fbs"), ("four-op", "nonlinear-drift"),
+])
+def test_a_dropped_view_frees_its_kernel_difference_without_the_cyclic_collector(
+        algorithm, problem, planted_nonlinear_drift):
+    # a reference cycle through kernel_diff, such as an attribute that
+    # refers to it, would keep the view's closures and bundle alive until
+    # the cyclic collector ran
+    inst = (planted_nonlinear_drift(20, 0) if problem == "nonlinear-drift"
+            else get_instance(problem))
+    view = run_algorithm(algorithm, inst, max_iter=3).nofob_view
     enabled = gc.isenabled()
     gc.disable()
     try:
