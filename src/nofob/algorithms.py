@@ -215,7 +215,8 @@ def _fbs(name, inst, gamma, tau, s):
 
 
 def _projective(explicit: bool):
-    """The block-diagonal view of the stacked problem; `explicit` swaps in
+    """The block-diagonal view of the stacked problem, with weights (tau_1,
+    ..., 1/tau_n) at unit or given step sizes; `explicit` swaps in
     Johnstone and Eckstein's oracle for the stacked resolvent."""
 
     def kernel(name, inst, gamma, tau, s):
@@ -223,13 +224,13 @@ def _projective(explicit: bool):
         if ps is None:
             raise ContractViolation(f"{name} needs a problem with a projective view")
         _takes_none(name, inst, gamma=gamma)
-        if tau is not None:
-            ps = ps.with_taus(_step_sizes(name, tau, ps.n))
-        view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), _s_or_identity(s, inst))
+        taus = (1.0,) * ps.n if tau is None else _step_sizes(name, tau, ps.n)
+        weights = BlockDiag((*taus[:-1], 1.0 / taus[-1]))
+        view = as_nofob(ps.stacked, weights, _s_or_identity(s, inst))
         if explicit:
             # the view's kernel-difference cache of the oracle's x is never
             # read: the stacked problem has D = 0 and BlockDiag is linear
-            view = dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps))
+            view = dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps, taus))
         return Kernel(view, view)
 
     return kernel
@@ -241,7 +242,7 @@ _ps_resolvent = _projective(explicit=False)
 def _natural(name, inst, gamma, tau, s):
     """The nonlinear kernel where the problem carries one; on a stacked
     problem the ps-resolvent view, by default with the saddle kernels'
-    step sizes on two blocks and the problem's own on more; otherwise
+    step sizes on two blocks and unit step sizes on more; otherwise
     the scalar kernel."""
     if inst.nonlinear_spec is not None:
         _takes_none(name, inst, gamma=gamma, tau=tau)

@@ -71,6 +71,31 @@ def _numbers(text: str) -> List[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
+def _checked(convert, reason: str, ok=lambda v: True):
+    """An argparse type: `convert` the text and accept it if `ok`; either
+    failing is the usage error `argument --flag: reason`."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(reason)
+
+    return parse
+
+
+_NUMBER = _checked(float, "must be a number")
+_NUMBER_LIST = _checked(_numbers, "must be a number or a comma-separated list of numbers")
+_THETA = _checked(float, "must lie in (0, 2)", lambda v: 0.0 < v < 2.0)
+_TOLERANCE = _checked(float, "must be finite and nonnegative", lambda v: 0.0 <= v < math.inf)
+_MAX_ITER = _checked(int, "must be a nonnegative integer", lambda v: v >= 0)
+# least to most severe: one errored run outranks any number out of budget
+_SEVERITY = (EXIT_OK, EXIT_MAX_ITER, EXIT_ERROR)
+
+
 def _run_from_args(args, algorithm: str, gamma: Optional[float]) -> RunOutput:
     inst = get_instance(args.problem, args.seed)
     return run_algorithm(
@@ -167,7 +192,7 @@ def cmd_bench(args) -> int:
             except (ContractViolation, KeyError) as exc:
                 print(f"{algo:<14}{g if g is not None else '-':>10}"
                       f"{'error':>12}{'-':>8}{'-':>10}  {exc}")
-                worst = max(worst, EXIT_ERROR)
+                worst = max(worst, EXIT_ERROR, key=_SEVERITY.index)
                 continue
             traj = out.trajectory
             try:
@@ -179,11 +204,13 @@ def cmd_bench(args) -> int:
             print(f"{algo:<14}{gtxt:>10}{traj.status:>12}"
                   f"{traj.iterations:>8}{rate:>10}")
             if args.csv:
-                path = f"{args.csv}.{algo}.{gtxt}.csv"
+                # full precision, so no two gammas of a grid share a file
+                gname = _fmt(out.gamma) if out.gamma is not None else "-"
+                path = f"{args.csv}.{algo}.{gname}.csv"
                 code = _write_text(path, "\n".join(_csv_rows(out)) + "\n")
                 if code is not None:
                     return code
-            worst = max(worst, _status_code(traj))
+            worst = max(worst, _status_code(traj), key=_SEVERITY.index)
     return worst
 
 
@@ -204,14 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, algorithms=ALGORITHMS, gamma=_NUMBER):
+        # bench sweeps comma-separated algorithms and gammas
         p.add_argument("--problem", required=True, choices=sorted(REGISTRY))
-        p.add_argument("--algorithm", required=True)
-        p.add_argument("--gamma", default=None)
-        p.add_argument("--tau", default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--tol", type=float, default=STOP_TOL)
-        p.add_argument("--max-iter", type=int, default=1000)
+        p.add_argument("--algorithm", required=True, choices=algorithms)
+        p.add_argument("--gamma", type=gamma, default=None)
+        p.add_argument("--tau", type=_NUMBER_LIST, default=None)
+        p.add_argument("--theta", type=_THETA, default=None)
+        p.add_argument("--tol", type=_TOLERANCE, default=STOP_TOL)
+        p.add_argument("--max-iter", type=_MAX_ITER, default=1000)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_solve = sub.add_parser("solve", help="run one algorithm on one problem")
@@ -228,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_bench = sub.add_parser("bench", help="sweep algorithms and step sizes")
-    add_common(p_bench)
+    add_common(p_bench, algorithms=None, gamma=_NUMBER_LIST)
     p_bench.add_argument("--csv", default=None)
     p_bench.set_defaults(fn=cmd_bench)
 
@@ -243,35 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    # solve and check take one gamma; bench sweeps a list of them
-    if getattr(args, "gamma", None) is not None and args.command != "bench":
-        try:
-            args.gamma = float(args.gamma)
-        except ValueError:
-            print("--gamma must be a number", file=sys.stderr)
-            return EXIT_USAGE
-    for flag in ("gamma", "tau"):
-        if isinstance(getattr(args, flag, None), str):
-            try:
-                setattr(args, flag, _numbers(getattr(args, flag)))
-            except ValueError:
-                print(f"--{flag} must be a number or a comma-separated list of numbers",
-                      file=sys.stderr)
-                return EXIT_USAGE
-    theta = getattr(args, "theta", None)
-    if theta is not None and not 0.0 < theta < 2.0:
-        print("--theta must lie in (0, 2)", file=sys.stderr)
-        return EXIT_USAGE
-    if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
-        print("--tol must be finite and nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "max_iter", 0) < 0:
-        print("--max-iter must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "algorithm", None) is not None \
-            and args.command != "bench" and args.algorithm not in ALGORITHMS:
-        print(f"unknown algorithm {args.algorithm!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except (ContractViolation, KeyError) as exc:

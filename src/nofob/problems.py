@@ -329,8 +329,8 @@ def make_saddle_pd(n: int = 8, m: int = 6, seed: int = DEFAULT_SEED) -> ProblemI
 
     a1 = affine_operator(g, g0)
     a2 = affine_operator(h, -b_vec)
-    ps = PsProblem(a_ops=[a1, a2], l_maps=[l_mat], taus=[1.0, 1.0], primal_dim=n)
-    bundle = ps.stacked()
+    ps = PsProblem(a_ops=[a1, a2], l_maps=[l_mat], primal_dim=n)
+    bundle = ps.stacked
     oracle = np.concatenate([w_star, x_star])
     x0 = rng.vector(m + n)
     return _certify(ProblemInstance(

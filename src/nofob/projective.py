@@ -5,19 +5,20 @@ flat vector p = (w_1, ..., w_{n-1}, x), with B carrying the dual inverses
 (realized through Moreau's identity) and K the skew coupling built from
 the L_i.  `PsProblem` owns that stacked problem (`stacked`, built once by
 `stack_primal_dual`), and every step splits p with its `BlockProx.split`.
-Both forms are the corrected step of core on the block-diagonal kernel
-view of the stacked problem (`as_nofob(ps.stacked(), BlockDiag(ps.q_weights),
-s)`), and they differ only in the oracle.  The resolvent form
-(`ps-resolvent`) resolves the stacked B.  The explicit form of Johnstone
-and Eckstein (`ps-explicit`) swaps in `ps_explicit_oracle`, which
-touches only the primal resolvents and the L_i maps.  Their trajectories
+The step sizes tau_i are the run's.  Both forms are the corrected step
+of core on the block-diagonal kernel view of the stacked problem
+(`as_nofob(ps.stacked, BlockDiag((tau_1, ..., 1 / tau_n)), s)`), and they
+differ only in the oracle.  The resolvent form (`ps-resolvent`) resolves
+the stacked B.  The explicit form of Johnstone and Eckstein
+(`ps-explicit`) swaps in `ps_explicit_oracle`, which touches only the
+primal resolvents and the L_i maps.  Their trajectories
 coincide to round-off; tests exploit this as a runtime oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,17 +38,15 @@ class PsProblem:
 
     a_ops[i] is the resolvent oracle of A_{i+1}; the last entry acts on
     the primal space.  l_maps[i] maps the primal space into the space
-    of A_{i+1}.  taus are per-block positive step sizes, fixed for the
-    run.
+    of A_{i+1}.  The step sizes are the run's, not the problem's.
     """
 
-    def __init__(self, a_ops: Sequence[ProxOperator], l_maps: Sequence,
-                 taus: Sequence, primal_dim: int):
+    def __init__(self, a_ops: Sequence[ProxOperator], l_maps: Sequence, primal_dim: int):
         n = len(a_ops)
         if n < 1:
             raise ContractViolation("at least one block required")
-        if len(l_maps) != n - 1 or len(taus) != n:
-            raise ContractViolation("need n-1 coupling maps and n step sizes")
+        if len(l_maps) != n - 1:
+            raise ContractViolation("need n-1 coupling maps")
         if primal_dim < 1:
             raise ContractViolation("block dimensions must be positive")
         mats = []
@@ -60,35 +59,10 @@ class PsProblem:
             mats.append(m)
         self.a_ops = tuple(a_ops)
         self.l_maps = tuple(mats)
-        taus = tuple(float(t) for t in taus)
-        if not all(0.0 < t < math.inf for t in taus):
-            raise ContractViolation("step sizes must be positive and finite")
-        self.taus = taus
         self.primal_dim = int(primal_dim)
         self.dual_dims = tuple(m.shape[0] for m in mats)
         self.n = n
-        self._stacked = None
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dual_dims) + self.primal_dim
-
-    @property
-    def q_weights(self) -> Tuple[float, ...]:
-        """Kernel block weights (tau_1, ..., tau_{n-1}, 1/tau_n)."""
-        return (*self.taus[:-1], 1.0 / self.taus[-1])
-
-    def stacked(self) -> FourOpProblem:
-        if self._stacked is None:
-            self._stacked = stack_primal_dual(self)
-        return self._stacked
-
-    def with_taus(self, taus: Sequence) -> "PsProblem":
-        """The same problem with other step sizes.  It shares the stacked
-        problem, which does not depend on them."""
-        other = PsProblem(self.a_ops, self.l_maps, taus, self.primal_dim)
-        other._stacked = self.stacked()
-        return other
+        self.stacked = stack_primal_dual(self)
 
 
 def stack_primal_dual(ps: PsProblem) -> FourOpProblem:
@@ -99,8 +73,8 @@ def stack_primal_dual(ps: PsProblem) -> FourOpProblem:
     """
     ops = [inverse_via_moreau(op) for op in ps.a_ops[:-1]] + [ps.a_ops[-1]]
     block = BlockProx(ops, list(ps.dual_dims) + [ps.primal_dim])
-    total = ps.total_dim
-    h0 = total - ps.primal_dim
+    h0 = sum(ps.dual_dims)
+    total = h0 + ps.primal_dim
     kmat = np.zeros((total, total))
     row = 0
     for m in ps.l_maps:
@@ -112,8 +86,9 @@ def stack_primal_dual(ps: PsProblem) -> FourOpProblem:
                          k=SkewMap(kmat), dim=total)
 
 
-def ps_explicit_oracle(ps: PsProblem) -> Callable[[np.ndarray], np.ndarray]:
-    """Johnstone and Eckstein's explicit candidate, p -> p_hat.
+def ps_explicit_oracle(ps: PsProblem, taus: Sequence) -> Callable[[np.ndarray], np.ndarray]:
+    """Johnstone and Eckstein's explicit candidate, p -> p_hat, at the
+    per-block step sizes taus, one positive and finite tau per block.
 
     It touches only the primal proxes and the L_i maps: x_hat from A_n's
     prox, each v_hat_i from A_i's prox, and w_hat_i read off the dual
@@ -124,9 +99,12 @@ def ps_explicit_oracle(ps: PsProblem) -> Callable[[np.ndarray], np.ndarray]:
     and the corrected step's normal (Q - K)(p - p_hat) is the published
     (t_1, ..., t_{n-1}, t*).
     """
-    taus, l_maps, a_ops = ps.taus, ps.l_maps, ps.a_ops
+    taus = tuple(float(t) for t in taus)
+    if len(taus) != ps.n or not all(0.0 < t < math.inf for t in taus):
+        raise ContractViolation("need one positive and finite step size per block")
+    l_maps, a_ops = ps.l_maps, ps.a_ops
     tau_n, a_n = taus[-1], a_ops[-1]
-    split = ps.stacked().b.split
+    split = ps.stacked.b.split
     zero = np.zeros(ps.primal_dim)
 
     def oracle(p):

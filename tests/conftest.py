@@ -242,9 +242,9 @@ def fbs_relaxed_reference():
 # published explicit projective-splitting numerator (cross-check reference)
 
 
-def _ps_mu_terms(ps, p, p_hat):
+def _ps_mu_terms(ps, p, p_hat, taus=None):
     """The values behind one explicit step from the stacked vector p with
-    candidate p_hat:
+    candidate p_hat, at the per-block step sizes taus (by default all 1):
     (num_published, num_weighted, den_explicit, den_weighted).
 
     num_published is Johnstone and Eckstein's inner-product combination
@@ -255,13 +255,14 @@ def _ps_mu_terms(ps, p, p_hat):
     is sum_i ||t_i||^2 + ||t*||^2 and den_weighted ||(Q - K)(p - p_hat)||^2.
     All four agree pairwise in exact arithmetic.
     """
-    split = ps.stacked().b.split
+    taus = (1.0,) * ps.n if taus is None else tuple(taus)
+    split = ps.stacked.b.split
     *duals, x = split(p)
     *w_hats, x_hat = split(p_hat)
     lsw = sum(m.T @ w for m, w in zip(ps.l_maps, duals))
-    y_hat = (x - x_hat) / ps.taus[-1] - lsw
+    y_hat = (x - x_hat) / taus[-1] - lsw
     v_hats = [m @ x + tau * (w - wh)
-              for m, tau, w, wh in zip(ps.l_maps, ps.taus, duals, w_hats)]
+              for m, tau, w, wh in zip(ps.l_maps, taus, duals, w_hats)]
     t_list = [vh - m @ x_hat for vh, m in zip(v_hats, ps.l_maps)]
     t_star = y_hat + sum(m.T @ wh for m, wh in zip(ps.l_maps, w_hats))
     num_published = (
@@ -272,8 +273,9 @@ def _ps_mu_terms(ps, p, p_hat):
     den_explicit = sum(float(t @ t) for t in t_list) + float(t_star @ t_star)
 
     diff = p - p_hat
-    q_diff = np.concatenate([w * xb for w, xb in zip(ps.q_weights, split(diff))])
-    m_vec = q_diff - ps.stacked().k(diff)
+    weights = (*taus[:-1], 1.0 / taus[-1])
+    q_diff = np.concatenate([w * xb for w, xb in zip(weights, split(diff))])
+    m_vec = q_diff - ps.stacked.k(diff)
     return num_published, float(q_diff @ diff), den_explicit, float(m_vec @ m_vec)
 
 
@@ -287,12 +289,16 @@ def ps_mu_terms_reference():
 # the explicit projective-splitting step, shared by the equivalence tests
 
 
-def _ps_explicit_step(ps, p, theta):
-    """One `ps-explicit` step from the stacked vector p, as the row takes it:
-    the corrected step in S = I on the block-diagonal view, with
-    Johnstone and Eckstein's explicit oracle swapped in."""
-    view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
-    return nofob_iterate(dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps)), p, theta)
+def _ps_explicit_step(ps, p, theta, taus=None):
+    """One `ps-explicit` step from the stacked vector p at the per-block
+    step sizes taus (by default all 1), as the row takes it: the
+    corrected step in S = I on the block-diagonal view, with Johnstone
+    and Eckstein's explicit oracle swapped in."""
+    taus = (1.0,) * ps.n if taus is None else tuple(taus)
+    view = as_nofob(ps.stacked, BlockDiag((*taus[:-1], 1.0 / taus[-1])),
+                    SpdMetric.identity(ps.stacked.dim))
+    return nofob_iterate(dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps, taus)),
+                         p, theta)
 
 
 @pytest.fixture

@@ -184,7 +184,7 @@ def test_fbs_redundant_projection_identity(fbs_relaxed_reference):
 def test_projective_splitting_equivalence(ps_explicit_step):
     inst = get_instance("saddle")
     ps = inst.ps_view
-    view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
+    view = as_nofob(ps.stacked, BlockDiag([1.0, 1.0]), SpdMetric.identity(ps.stacked.dim))
     a = b = inst.x0
     worst = 0.0
     for _ in range(200):

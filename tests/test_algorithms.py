@@ -260,9 +260,9 @@ def _three_block_instance(seed=0, n=6, dims=(4, 3)):
                         b - sum(l.T @ g0 for l, g0 in zip(ls, g0s)))
     ws = [g @ (l @ x) + g0 for l, g, g0 in zip(ls, gs, g0s)]
     ps = PsProblem([*(affine_operator(g, g0) for g, g0 in zip(gs, g0s)),
-                    affine_operator(h, -b)], ls, taus=[1.0, 1.0, 1.0], primal_dim=n)
+                    affine_operator(h, -b)], ls, primal_dim=n)
     return ProblemInstance(
-        name="three-block", bundle=ps.stacked(), oracle=np.concatenate([*ws, x]),
+        name="three-block", bundle=ps.stacked, oracle=np.concatenate([*ws, x]),
         sigma_of=lambda: float(min(np.linalg.eigvalsh(h)[0],
                                    *(1.0 / np.linalg.eigvalsh(g)[-1] for g in gs))),
         x0=rng.vector(sum(dims) + n), ps_view=ps)
@@ -274,8 +274,8 @@ def test_three_block_sigma_is_pinned():
 
 
 def test_four_op_on_three_blocks_is_the_ps_resolvent_run():
-    # with more than two blocks four-op takes the ps-resolvent view at the
-    # problem's own step sizes, and a given tau has one entry per block
+    # with more than two blocks four-op takes the ps-resolvent view at
+    # unit step sizes, and a given tau has one entry per block
     inst = _three_block_instance()
     runs = {a: run_algorithm(a, inst) for a in ("four-op", "ps-resolvent", "ps-explicit")}
     for algorithm, out in runs.items():

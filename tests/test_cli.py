@@ -171,7 +171,17 @@ def test_tau_that_is_not_a_number_is_a_usage_error(capsys):
                     "--tau", "x"])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "--tau must be a number" in err and "Traceback" not in err
+    assert ("argument --tau: must be a number or a comma-separated list of numbers" in err
+            and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_gamma_that_is_not_a_number_is_a_usage_error(command, capsys):
+    code = run_cli([command, "--problem", "rotation", "--algorithm", "fbf",
+                    "--gamma", "0.5,0.7"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --gamma: must be a number" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("problem, algorithm", [
@@ -233,20 +243,21 @@ def test_theta_outside_the_open_interval_is_a_usage_error(theta, capsys):
     code = run_cli(["solve", "--problem", "rotation", "--algorithm", "fbf-long",
                     "--theta", theta])
     assert code == EXIT_USAGE
-    assert "--theta must lie in (0, 2)" in capsys.readouterr().err
+    assert "argument --theta: must lie in (0, 2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "check", "bench"])
-@pytest.mark.parametrize("flag, value, message", [
-    ("--tol", "inf", "--tol must be finite and nonnegative"),
-    ("--tol", "nan", "--tol must be finite and nonnegative"),
-    ("--tol", "-1", "--tol must be finite and nonnegative"),
-    ("--max-iter", "-1", "--max-iter must be nonnegative"),
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--tol", "inf", "must be finite and nonnegative"),
+    ("--tol", "nan", "must be finite and nonnegative"),
+    ("--tol", "-1", "must be finite and nonnegative"),
+    ("--max-iter", "-1", "must be a nonnegative integer"),
+    ("--max-iter", "1.5", "must be a nonnegative integer"),
 ])
-def test_bad_tol_or_max_iter_is_a_usage_error(command, flag, value, message, capsys):
+def test_bad_tol_or_max_iter_is_a_usage_error(command, flag, value, reason, capsys):
     code = run_cli([command, "--problem", "rotation", "--algorithm", "fbf", flag, value])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {reason}\n")
 
 
 def test_zero_tol_is_valid():
@@ -313,7 +324,29 @@ def test_bench_gamma_that_is_not_a_number_list_is_a_usage_error(capsys):
                     "--gamma", "0.5,x"])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "--gamma must be a number" in err and "Traceback" not in err
+    assert ("argument --gamma: must be a number or a comma-separated list of numbers" in err
+            and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("algorithms", ["fbf,fbs", "fbs,fbf"])
+def test_bench_an_errored_run_outranks_an_exhausted_budget(algorithms, capsys):
+    # fbf raises on regquad-full (E != 0) and fbs runs out of budget there;
+    # the sweep exits with the error code, whichever row comes first
+    code = run_cli(["bench", "--problem", "regquad-full", "--algorithm", algorithms,
+                    "--max-iter", "5"])
+    out = capsys.readouterr().out
+    assert code == EXIT_ERROR
+    assert "requires a problem with E = 0" in out and "max_iter" in out
+
+
+def test_bench_csv_names_each_gamma_in_full_precision(tmp_path, capsys):
+    # the printed table rounds both to 0.7; the files must not share a name
+    code = run_cli(["bench", "--problem", "rotation", "--algorithm", "fbf",
+                    "--gamma", "0.70001,0.70002", "--max-iter", "5",
+                    "--csv", str(tmp_path / "sweep")])
+    assert code == EXIT_MAX_ITER
+    assert sorted(p.name for p in tmp_path.glob("sweep.*.csv")) == [
+        "sweep.fbf.0.70001000000000002.csv", "sweep.fbf.0.70001999999999998.csv"]
 
 
 def test_bench_empty_grid_is_usage_error():

@@ -780,7 +780,7 @@ def test_stacked_kernel_difference_is_the_per_row_one_bit_for_bit(
         view = fbs_view(inst.bundle, out.gamma, out.s_metric)
     else:
         view = out.nofob_view
-        bundle = inst.ps_view.stacked() if algorithm == "ps-resolvent" else inst.bundle
+        bundle = inst.ps_view.stacked if algorithm == "ps-resolvent" else inst.bundle
         assert (bundle.forward_parts[0] is not None) == with_g
     _assert_stacked_is_per_row(view, records)
 

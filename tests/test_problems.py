@@ -391,7 +391,7 @@ def test_saddle_stacked_kernel_is_skew():
     inst = make_saddle_pd(seed=3)
     kmat = inst.bundle.k.matrix
     assert np.max(np.abs(kmat + kmat.T)) <= 1e-12
-    assert inst.bundle is inst.ps_view.stacked()
+    assert inst.bundle is inst.ps_view.stacked
 
 
 # ---------------------------------------------------------------------------

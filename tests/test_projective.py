@@ -11,21 +11,28 @@ from nofob.operators import (
     zero_operator,
 )
 from nofob.problems import get_instance, make_saddle_pd
-from nofob.projective import PsProblem, stack_primal_dual
+from nofob.projective import PsProblem, ps_explicit_oracle, stack_primal_dual
 from nofob.rng import Lcg64
 
 
-def ps_resolvent_iterate(ps, p, theta):
-    """One resolvent-form step: the corrected step on the block-diagonal view."""
-    view = as_nofob(ps.stacked(), BlockDiag(ps.q_weights), SpdMetric.identity(ps.total_dim))
+def q_weights(taus):
+    """The block-diagonal kernel's weights (tau_1, ..., tau_{n-1}, 1/tau_n)."""
+    return (*taus[:-1], 1.0 / taus[-1])
+
+
+def ps_resolvent_iterate(ps, p, theta, taus=None):
+    """One resolvent-form step at the per-block step sizes taus (by default
+    all 1): the corrected step on the block-diagonal view."""
+    taus = (1.0,) * ps.n if taus is None else tuple(taus)
+    view = as_nofob(ps.stacked, BlockDiag(q_weights(taus)), SpdMetric.identity(ps.stacked.dim))
     return nofob_iterate(view, p, theta)
 
 
-def zero_ps(n_dual=2, n_primal=3, l=None, taus=(1.0, 1.0)):
+def zero_ps(n_dual=2, n_primal=3, l=None):
     lmat = np.zeros((n_dual, n_primal)) if l is None else np.asarray(l, float)
     return PsProblem(
         a_ops=[zero_operator(n_dual), zero_operator(n_primal)],
-        l_maps=[lmat], taus=list(taus), primal_dim=n_primal,
+        l_maps=[lmat], primal_dim=n_primal,
     )
 
 
@@ -34,21 +41,23 @@ def zero_ps(n_dual=2, n_primal=3, l=None, taus=(1.0, 1.0)):
 
 
 def test_ps_problem_validation():
-    with pytest.raises(ContractViolation):
-        PsProblem([zero_operator(2)], [np.zeros((2, 3))], [1.0], 3)
-    with pytest.raises(ContractViolation):
-        PsProblem(
-            [zero_operator(2), zero_operator(3)],
-            [np.zeros((2, 4))], [1.0, 1.0], 3,
-        )
+    with pytest.raises(ContractViolation, match="need n-1 coupling maps"):
+        PsProblem([zero_operator(2)], [np.zeros((2, 3))], 3)
+    with pytest.raises(ContractViolation, match="primal_dim columns"):
+        PsProblem([zero_operator(2), zero_operator(3)], [np.zeros((2, 4))], 3)
     with pytest.raises(ContractViolation, match="block dimensions must be positive"):
-        PsProblem([zero_operator(1), zero_operator(3)], [np.zeros((0, 3))], [1.0, 1.0], 3)
-    for taus in ((1.0, -0.5), (1.0, float("nan"))):
-        with pytest.raises(ContractViolation, match="step sizes must be positive"):
-            zero_ps(taus=taus)
-    for taus in ((1.0, float("inf")), (float("inf"), 1.0)):
-        with pytest.raises(ContractViolation, match="step sizes must be positive and finite"):
-            zero_ps(taus=taus)
+        PsProblem([zero_operator(1), zero_operator(3)], [np.zeros((0, 3))], 3)
+
+
+@pytest.mark.parametrize("taus", [
+    (1.0,), (1.0, 1.0, 1.0), (),  # not one per block
+    (1.0, 0.0), (1.0, -0.5), (1.0, float("nan")),
+    (1.0, float("inf")), (float("inf"), 1.0),
+])
+def test_explicit_oracle_takes_one_positive_finite_step_size_per_block(taus):
+    with pytest.raises(ContractViolation,
+                       match="need one positive and finite step size per block"):
+        ps_explicit_oracle(zero_ps(), taus)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +88,7 @@ def test_stack_three_blocks_entrywise():
     l2 = rng.matrix(3, 4)
     ps = PsProblem(
         a_ops=[zero_operator(2), zero_operator(3), zero_operator(4)],
-        l_maps=[l1, l2], taus=[1.0, 1.0, 1.0], primal_dim=4,
+        l_maps=[l1, l2], primal_dim=4,
     )
     kmap = stack_primal_dual(ps).k
     kmat = kmap.matrix
@@ -95,7 +104,7 @@ def test_stack_dual_blocks_resolve_through_moreau():
     # dual resolvent of |.| at weight 1 projects onto [-1, 1]
     ps = PsProblem(
         a_ops=[l1_subdifferential(1.0), zero_operator(1)],
-        l_maps=[np.zeros((1, 1))], taus=[1.0, 1.0], primal_dim=1,
+        l_maps=[np.zeros((1, 1))], primal_dim=1,
     )
     out = BlockDiag([1.0, 1.0]).resolvent(stack_primal_dual(ps), np.array([3.0, 5.0]), None, None)
     assert out[0] == pytest.approx(1.0)
@@ -139,7 +148,7 @@ def test_resolvent_zero_stacked_blocks_match_dense_solve():
     cone_of_zero = ProxOperator(lambda gamma, y: np.zeros_like(y), "normal-cone-of-0")
     ps = PsProblem(
         a_ops=[cone_of_zero, zero_operator(3)],
-        l_maps=[l], taus=[1.0, 1.0], primal_dim=3,
+        l_maps=[l], primal_dim=3,
     )
     kmap = stack_primal_dual(ps).k
     q = np.eye(5)
@@ -159,11 +168,11 @@ def test_resolvent_matches_blockdiag_four_op_view():
     # over ||(Q - K)(p - p_hat)||^2
     inst = get_instance("saddle")
     ps = inst.ps_view
-    block, kmap = ps.stacked().b, ps.stacked().k
+    block, kmap = ps.stacked.b, ps.stacked.k
+    weights = q_weights((1.0, 1.0))
     p_vec = inst.x0
     for _ in range(30):
         rec = ps_resolvent_iterate(ps, p_vec, 1.0)
-        weights = ps.q_weights
         q_p = np.concatenate([w * xb for w, xb in zip(weights, block.split(p_vec))])
         p_hat = np.concatenate([op.evaluator(1.0 / w, vb / w) for w, op, vb
                                 in zip(weights, block.ops, block.split(q_p - kmap(p_vec)))])
@@ -183,10 +192,10 @@ def test_resolvent_matches_blockdiag_four_op_view():
 def test_explicit_zero_operators_match_resolvent(ps_explicit_step):
     rng = Lcg64(34)
     l = rng.matrix(2, 3)
-    ps = zero_ps(l=l, taus=(0.7, 1.3))
+    ps = zero_ps(l=l)
     p = np.concatenate([rng.vector(2), rng.vector(3)])
-    rec_a = ps_explicit_step(ps, p, 1.0)
-    rec_b = ps_resolvent_iterate(ps, p, 1.0)
+    rec_a = ps_explicit_step(ps, p, 1.0, taus=(0.7, 1.3))
+    rec_b = ps_resolvent_iterate(ps, p, 1.0, taus=(0.7, 1.3))
     assert rec_a.x is p
     assert np.allclose(rec_a.x_next, rec_b.x_next, atol=1e-12)
     assert rec_a.mu == pytest.approx(rec_b.mu, rel=1e-10)
@@ -195,9 +204,9 @@ def test_explicit_zero_operators_match_resolvent(ps_explicit_step):
 def test_explicit_hand_formulas_on_zero_operators(ps_explicit_step):
     rng = Lcg64(35)
     l = rng.matrix(2, 3)
-    ps = zero_ps(l=l, taus=(0.7, 1.3))
+    ps = zero_ps(l=l)
     w, x = rng.vector(2), rng.vector(3)
-    rec = ps_explicit_step(ps, np.concatenate([w, x]), 1.0)
+    rec = ps_explicit_step(ps, np.concatenate([w, x]), 1.0, taus=(0.7, 1.3))
     # with A_i = 0 the resolvents are identities
     x_hat = x - 1.3 * (l.T @ w)
     v_hat = l @ x + 0.7 * w
@@ -214,18 +223,20 @@ def test_explicit_hand_formulas_on_zero_operators(ps_explicit_step):
     )
 
 
+@pytest.mark.parametrize("taus", [None, (0.7, 1.3)], ids=["unit", "given"])
 @pytest.mark.parametrize("seed, n, m", [(2026, 8, 6), (24, 19, 2), (16, 5, 3)])
-def test_equivalence_on_saddle_for_200_iterations(ps_explicit_step, seed, n, m):
+def test_equivalence_on_saddle_for_200_iterations(ps_explicit_step, seed, n, m, taus):
     # the explicit and resolvent oracles agree to round-off all the way
     # down to the floor, on the registry instance and on the two that
-    # left the mu bounds there while the explicit form had its own step
+    # left the mu bounds there while the explicit form had its own step,
+    # at unit step sizes and at given ones
     inst = make_saddle_pd(n=n, m=m, seed=seed)
     ps = inst.ps_view
     p_a = p_b = inst.x0
     worst = 0.0
     for _ in range(200):
-        p_a = ps_explicit_step(ps, p_a, 1.0).x_next
-        p_b = ps_resolvent_iterate(ps, p_b, 1.0).x_next
+        p_a = ps_explicit_step(ps, p_a, 1.0, taus=taus).x_next
+        p_b = ps_resolvent_iterate(ps, p_b, 1.0, taus=taus).x_next
         worst = max(worst, float(np.max(np.abs(p_a - p_b))))
     assert worst <= 1e-13
     assert np.max(np.abs(p_a - inst.oracle)) <= 1e-7
@@ -260,17 +271,16 @@ def test_explicit_fixed_point_at_oracle(ps_explicit_step):
 def test_no_coupled_step_size_restriction():
     # tau pair violating tau1 * tau2 * |L|^2 < 1 still converges
     inst = get_instance("saddle")
-    base = inst.ps_view
+    ps = inst.ps_view
     l = inst.extras["l_matrix"]
     l_norm = float(np.linalg.norm(l, 2))
     t1 = 2.0 / l_norm
     t2 = 2.0 / l_norm
     assert t1 * t2 * l_norm**2 > 1.0
-    ps = PsProblem(base.a_ops, [l], [t1, t2], base.primal_dim)
     p = inst.x0
     res = None
     for k in range(3000):
-        rec = ps_resolvent_iterate(ps, p, 1.0)
+        rec = ps_resolvent_iterate(ps, p, 1.0, taus=(t1, t2))
         res = rec.residual_s
         if res <= 1e-8:
             break
