@@ -21,7 +21,11 @@ diagnostic checkers audit.  Names:
                      is x_next = (1 - theta c) x + theta c x_hat; plain
                      fbs (theta = 1/c) treats the whole forward part as if
                      it were cocoercive, which is exactly what fails on
-                     the rotation witness
+                     the rotation witness.  At theta <= 2 the update is
+                     nonexpansive when that premise holds, so its residual
+                     cannot rise; the loop ends a run `violated` at the
+                     first rise (core.run_loop), and the divergence
+                     witnesses stop there rather than using up their budget
   four-op            explicit step with the instance's natural kernel:
                      nonlinear when the problem carries one, the
                      ps-resolvent view on stacked problems, scalar
@@ -276,6 +280,9 @@ class Row:
     mu_hat: Callable
     relax: Optional[Callable] = None
     identity_s: bool = False  # the step is taken in S = I; no other S is accepted
+    # the step is nonexpansive at theta <= 2 under the row's premise, so
+    # the loop checks that its residual never rises (core.run_loop)
+    nonexpansive: bool = False
 
 
 ROWS = {
@@ -285,8 +292,8 @@ ROWS = {
     "fbhf-long": Row(_scalar("long", e_free=False), _EXPLICIT),
     "afba": Row(_saddle(fixed=False), _EXPLICIT),
     "afba-fixed": Row(_saddle(fixed=True), _UNIT_STEP, _UNIT),
-    "fbs": Row(_fbs, _GAMMA, _INVERSE_C, identity_s=True),
-    "fbs-relaxed": Row(_fbs, _GAMMA, identity_s=True),
+    "fbs": Row(_fbs, _GAMMA, _INVERSE_C, identity_s=True, nonexpansive=True),
+    "fbs-relaxed": Row(_fbs, _GAMMA, identity_s=True, nonexpansive=True),
     "four-op": Row(_natural, _EXPLICIT),
     "ps-explicit": Row(_projective(explicit=True), _EXPLICIT),
     "ps-resolvent": Row(_ps_resolvent, _EXPLICIT),
@@ -326,5 +333,6 @@ def run_algorithm(
     else:
         th = row.relax(ker.c)
     view, step_theta, mu_hat = ker.view, th * ker.c, row.mu_hat(ker)
-    traj = run_loop(lambda x: nofob_iterate(view, x, step_theta, mu_hat), x0, tol, max_iter)
+    traj = run_loop(lambda x: nofob_iterate(view, x, step_theta, mu_hat), x0, tol, max_iter,
+                    monotone_residual=row.nonexpansive and th <= 2.0)
     return RunOutput(traj, ker.view.s_metric, inst.oracle, ker.audit, gamma=ker.gamma)

@@ -1,8 +1,8 @@
 """Command-line driver: solve, check, bench, list.
 
 Exit codes: 0 converged (or all checks passed), 2 iteration budget
-exhausted, 1 runtime or check failure, 64 usage error, 73 output path
-not writable.
+exhausted, 1 runtime or check failure or a run that ended `error` or
+`violated`, 64 usage error, 73 output path not writable.
 """
 
 from __future__ import annotations
@@ -92,6 +92,11 @@ _NUMBER_LIST = _checked(_numbers, "must be a number or a comma-separated list of
 _THETA = _checked(float, "must lie in (0, 2)", lambda v: 0.0 < v < 2.0)
 _TOLERANCE = _checked(float, "must be finite and nonnegative", lambda v: 0.0 <= v < math.inf)
 _MAX_ITER = _checked(int, "must be a nonnegative integer", lambda v: v >= 0)
+_ALGORITHM_LIST = _checked(
+    lambda text: [a for a in text.split(",") if a.strip()],
+    f"must be a comma-separated list of algorithms from {', '.join(ALGORITHMS)}",
+    lambda names: all(a in ALGORITHMS for a in names),
+)
 # least to most severe: one errored run outranks any number out of budget
 _SEVERITY = (EXIT_OK, EXIT_MAX_ITER, EXIT_ERROR)
 
@@ -177,20 +182,23 @@ def cmd_check(args) -> int:
     return _status_code(out.trajectory)
 
 
+def _gamma_text(gamma: Optional[float]) -> str:
+    return f"{gamma:.4g}" if gamma is not None else "-"
+
+
 def cmd_bench(args) -> int:
-    algorithms = [a for a in (args.algorithm or "").split(",") if a.strip()]
     gammas = [None] if args.gamma is None else args.gamma
-    if not algorithms or not gammas:
+    if not args.algorithm or not gammas:
         print("bench needs at least one algorithm and one gamma", file=sys.stderr)
         return EXIT_USAGE
     worst = EXIT_OK
     print(f"{'algorithm':<14}{'gamma':>10}{'status':>12}{'iters':>8}{'rate':>10}")
-    for algo in algorithms:
+    for algo in args.algorithm:
         for g in gammas:
             try:
                 out = _run_from_args(args, algo, g)
-            except (ContractViolation, KeyError) as exc:
-                print(f"{algo:<14}{g if g is not None else '-':>10}"
+            except ContractViolation as exc:
+                print(f"{algo:<14}{_gamma_text(g):>10}"
                       f"{'error':>12}{'-':>8}{'-':>10}  {exc}")
                 worst = max(worst, EXIT_ERROR, key=_SEVERITY.index)
                 continue
@@ -200,8 +208,7 @@ def cmd_bench(args) -> int:
                 rate = f"{slope:+.3f}"
             except ContractViolation:
                 rate = "-"
-            gtxt = f"{out.gamma:.4g}" if out.gamma is not None else "-"
-            print(f"{algo:<14}{gtxt:>10}{traj.status:>12}"
+            print(f"{algo:<14}{_gamma_text(out.gamma):>10}{traj.status:>12}"
                   f"{traj.iterations:>8}{rate:>10}")
             if args.csv:
                 # full precision, so no two gammas of a grid share a file
@@ -231,11 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, algorithms=ALGORITHMS, gamma=_NUMBER):
+    def add_common(p, sweep=False):
         # bench sweeps comma-separated algorithms and gammas
         p.add_argument("--problem", required=True, choices=sorted(REGISTRY))
-        p.add_argument("--algorithm", required=True, choices=algorithms)
-        p.add_argument("--gamma", type=gamma, default=None)
+        if sweep:
+            p.add_argument("--algorithm", required=True, type=_ALGORITHM_LIST)
+        else:
+            p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+        p.add_argument("--gamma", type=_NUMBER_LIST if sweep else _NUMBER, default=None)
         p.add_argument("--tau", type=_NUMBER_LIST, default=None)
         p.add_argument("--theta", type=_THETA, default=None)
         p.add_argument("--tol", type=_TOLERANCE, default=STOP_TOL)
@@ -256,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_bench = sub.add_parser("bench", help="sweep algorithms and step sizes")
-    add_common(p_bench, algorithms=None, gamma=_NUMBER_LIST)
+    add_common(p_bench, sweep=True)
     p_bench.add_argument("--csv", default=None)
     p_bench.set_defaults(fn=cmd_bench)
 
@@ -273,7 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ContractViolation, KeyError) as exc:
+    except ContractViolation as exc:  # argparse has already checked every name
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception:  # surfaced as runtime failure, with where it came from

@@ -9,8 +9,10 @@ relaxation.
 One tolerance policy covers coincidence and round-off: a residual at or
 below COINCIDENCE_TOL * (1 + ||x||) is a null step, and so is a failed
 separation at or below NOISE_TOL * (1 + ||x||); a failed separation
-above that raises.  Both constants are read from the tolerance table in
-`linalg`.  Null steps, and only they, record mu = 0.
+above that raises.  A run whose step is certified nonexpansive may see
+its residual r rise by NOISE_TOL * (1 + r) from one record to the next;
+a larger rise ends it `violated`.  Both constants are read from the
+tolerance table in `linalg`.  Null steps, and only they, record mu = 0.
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ class Trajectory:
     """A run's records, record k being iteration k, and how it ended."""
 
     records: List[IterRecord]
-    status: str  # converged | max_iter | error
+    # converged | max_iter | error (a non-finite value) | violated (a
+    # residual rose where the step is certified nonexpansive; see run_loop)
+    status: str
 
     @property
     def iterations(self) -> int:
@@ -190,6 +194,7 @@ def run_loop(
     x0: np.ndarray,
     tol: float,
     max_iter: int,
+    monotone_residual: bool = False,
 ) -> Trajectory:
     """Drive a step, a function of the current iterate alone, from the
     vector x0 to the residual tolerance.
@@ -201,6 +206,24 @@ def run_loop(
     step length, separation value, normal norm or next iterate is not
     finite, and keeps that record; numpy's overflow and invalid-value
     warnings are silenced for the run, since that status reports them.
+
+    With `monotone_residual` the caller certifies that the step is a
+    nonexpansive map R, x_next = R x, whose residual x - x_next is a
+    fixed multiple of the recorded x - x_hat.  Then
+    ||x_{k+1} - R x_{k+1}|| = ||R x_k - R x_{k+1}|| <= ||x_k - x_{k+1}||,
+    so the recorded residual cannot rise, and the run ends `violated` at
+    the first record whose residual exceeds the previous one by more
+    than NOISE_TOL * (1 + r_{k-1}), keeping that record: the rise proves
+    the premise of the certificate false, with no z* to compare against.
+    The relaxed forward-backward map R = (1 - theta c) I + theta c T,
+    T = J_{gamma B}(I - gamma F), is such a map whenever F is
+    1/beta_E-cocoercive, beta_E gamma < 4 and theta <= 2: T is conically
+    1/(2c)-averaged with c = 1 - beta_E gamma / 4 (Combettes and Yamada,
+    J. Math. Anal. Appl. 425, 2015, for beta_E gamma < 2; Bartz, Dao and
+    Phan, "Conical averagedness and convergence analysis of fixed point
+    algorithms", J. Global Optim. 82, 2022, up to 4), so
+    R = (1 - theta / 2) I + (theta / 2) N with N nonexpansive.  A run
+    that never rises computes exactly what it computes unchecked.
     """
     if max_iter < 0:
         raise ContractViolation("max_iter must be nonnegative")
@@ -212,6 +235,7 @@ def run_loop(
     # or a norm would overflow on them)
     zeros = np.zeros(x.shape)
     records: List[IterRecord] = []
+    ceiling = math.inf  # the highest residual the next record may have
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter + 1):
             rec = step(x)
@@ -223,5 +247,9 @@ def run_loop(
                 return Trajectory(records, "error")
             if rec.residual_s <= tol:
                 return Trajectory(records, "converged")
+            if rec.residual_s > ceiling:
+                return Trajectory(records, "violated")
+            if monotone_residual:
+                ceiling = rec.residual_s + NOISE_TOL * (1.0 + rec.residual_s)
             x = rec.x_next
     return Trajectory(records, "max_iter")

@@ -85,6 +85,7 @@ __all__ = [
 # Null step: ||x - x_hat||_S <= this * (1 + ||x||_S) is x_hat = x up to round-off.
 COINCIDENCE_TOL = 1e-14
 # A failed separation at a residual <= this * (1 + ||x||_S) is round-off; above, raise.
+# So is a rise of at most this * (1 + r) in a certified-nonexpansive run's residual r.
 NOISE_TOL = 1e-9
 # Fejer and separation audits: absolute slack, plus this times the squared norm.
 AUDIT_TOL = 1e-9

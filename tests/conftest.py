@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from nofob.core import IterRecord, coincides, nofob_iterate, null_record, separation_fails
+from nofob.core import (IterRecord, coincides, nofob_iterate, null_record, run_loop,
+                        separation_fails)
 from nofob.diagnostics import _report
 from nofob.fourop import (
     BlockDiag,
@@ -19,6 +20,7 @@ from nofob.fourop import (
     SeparableNonlinear,
     StepParameterWarning,
     as_nofob,
+    fbs_view,
     gamma_bound_conservative,
     zero_cocoercive,
 )
@@ -26,6 +28,7 @@ from nofob.linalg import (
     AUDIT_TOL,
     MU_BOUNDS_TOL,
     RESOLVENT_TOL,
+    STOP_TOL,
     ContractViolation,
     SpdMetric,
     _LANCZOS_SEED,
@@ -236,6 +239,27 @@ def _fbs_relaxed_step(b, e, gamma, theta, x):
 def fbs_relaxed_reference():
     """Relaxed forward-backward transcription the corrected step is checked against."""
     return _fbs_relaxed_step
+
+
+def _fbs_unchecked(inst, gamma=None, theta=None, tol=STOP_TOL, max_iter=1000):
+    """The `fbs` run (`fbs-relaxed` at a given theta) with the loop's
+    residual check off: run_loop on fourop.fbs_view with the default step
+    size 0.9 * 2 / beta_E (1 when beta_E = 0), the step length gamma and
+    the relaxation theta c that run_algorithm applies, theta = 1/c by
+    default."""
+    beta_e = inst.constants["beta_e"]
+    if gamma is None:
+        gamma = 1.0 if beta_e == 0.0 else 0.9 * (2.0 / beta_e)
+    c = 1.0 - 0.25 * inst.bundle.e.inverse_cocoercivity * gamma
+    th = 1.0 / c if theta is None else theta
+    view = fbs_view(inst.bundle, gamma, SpdMetric.identity(inst.bundle.dim))
+    return run_loop(lambda x: nofob_iterate(view, x, th * c, gamma), inst.x0, tol, max_iter)
+
+
+@pytest.fixture
+def fbs_unchecked():
+    """The fbs rows' loop as it runs without the monotone-residual check."""
+    return _fbs_unchecked
 
 
 # ---------------------------------------------------------------------------

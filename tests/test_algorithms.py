@@ -10,7 +10,8 @@ from nofob.fourop import StepParameterWarning, gamma_bound_conservative
 from nofob.linalg import PS_EQUIVALENCE_TOL, ContractViolation, SpdMetric
 from nofob.operators import (CocoerciveMap, LipschitzMap, NonlinearKernel, SkewMap,
                              affine_operator)
-from nofob.problems import REGISTRY, ProblemInstance, get_instance, make_saddle_pd
+from nofob.problems import (REGISTRY, ProblemInstance, get_instance,
+                            make_regularized_quadratic, make_saddle_pd)
 from nofob.projective import PsProblem
 from nofob.rng import Lcg64
 
@@ -377,3 +378,89 @@ def test_an_x0_of_the_wrong_shape_is_rejected_before_the_loop(x0):
     # a list of the right length is accepted
     out = run_algorithm("four-op", inst, x0=[0.0] * 20, max_iter=2)
     assert out.trajectory.iterations == 3
+
+
+# ---------------------------------------------------------------------------
+# the fbs rows' monotone-residual check
+
+FBS_ROWS = ("fbs", "fbs-relaxed")
+# the (problem, row) pairs whose residual rises at every registry seed
+# 0-59; D or K is nonzero there, so the nonexpansive premise fails, yet
+# fbs-relaxed still converges on regquad-fbhf and regquad-full
+VIOLATED = (("rotation", "fbs"), ("rotation", "fbs-relaxed"),
+            ("regquad-fbhf", "fbs"), ("regquad-full", "fbs"))
+
+
+def assert_same_records(a, b):
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        for field in ("x", "x_hat", "x_next"):
+            assert np.array_equal(getattr(ra, field), getattr(rb, field))
+        for field in ("mu", "theta", "residual_s", "psi_at_x", "normal_inv_norm"):
+            assert getattr(ra, field) == getattr(rb, field)
+
+
+@pytest.mark.parametrize("algorithm", FBS_ROWS)
+@pytest.mark.parametrize("name", REGISTRY)
+def test_fbs_rows_converge_or_end_violated_within_50_records(name, algorithm):
+    # a converged run never met the check, so it is the unchecked run; the
+    # witnesses' runs, which use up their budget unchecked, stop by record
+    # 46 (0.1-0.3 s per case)
+    for seed in range(60):
+        traj = run_algorithm(algorithm, get_instance(name, seed)).trajectory
+        if (name, algorithm) in VIOLATED:
+            assert traj.status == "violated" and traj.iterations <= 50, seed
+            assert traj.records[-1].residual_s > traj.records[-2].residual_s, seed
+        else:
+            assert traj.status == "converged", seed
+
+
+@pytest.mark.parametrize("name, algorithm", VIOLATED)
+def test_a_violated_fbs_run_keeps_the_unchecked_records(name, algorithm, fbs_unchecked):
+    # every record up to and with the first rise is the unchecked loop's,
+    # bit for bit; over the full budget, on seeds 0-9, the unchecked run
+    # does not converge, so the check cut only runs that fail anyway
+    # (0.1-0.4 s per case)
+    for seed in range(60):
+        inst = get_instance(name, seed)
+        traj = run_algorithm(algorithm, inst).trajectory
+        theta = None if algorithm == "fbs" else 1.0  # each row's default relaxation
+        prefix = fbs_unchecked(inst, theta=theta, max_iter=traj.iterations - 1)
+        assert prefix.status == "max_iter", seed
+        assert_same_records(traj.records, prefix.records)
+        if seed < 10:
+            assert fbs_unchecked(inst, theta=theta).status in ("max_iter", "error"), seed
+
+
+def test_the_check_never_fires_on_the_ladders_fbs_relaxed_runs():
+    # regquad-full at n = 200, where D and K are nonzero but the relaxed
+    # step converges (0.9 s, mostly the instance builds)
+    for seed in range(9):
+        inst = make_regularized_quadratic(n=200, seed=seed, split="full")
+        assert run_algorithm("fbs-relaxed", inst).trajectory.status == "converged", seed
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 1.9])
+@pytest.mark.parametrize("gamma_beta", [0.5, 1.8, 3.0, 3.9])
+@pytest.mark.parametrize("name", ["regquad-fbs", "nonlinear-kernel"])
+def test_the_check_stays_silent_at_the_round_off_floor(name, gamma_beta, theta):
+    # D = K = 0, so the premise holds, and at tol 0 the run stays at its
+    # round-off floor to the budget; on nonlinear-kernel beta_E = 0 and the
+    # step size is gamma_beta itself (0.03-0.06 s per case)
+    inst = get_instance(name)
+    beta_e = inst.constants["beta_e"]
+    gamma = gamma_beta / beta_e if beta_e else gamma_beta
+    traj = run_algorithm("fbs-relaxed", inst, gamma=gamma, theta=theta, tol=0.0,
+                         max_iter=3000).trajectory
+    assert (traj.status, traj.iterations) == ("max_iter", 3001)
+
+
+def test_plain_fbs_past_gamma_beta_2_is_not_checked(fbs_unchecked):
+    # at gamma beta_E = 3 plain fbs relaxes by 1/c = 4 > 2, where the
+    # theorem gives no nonexpansive map: the run ends as it does unchecked,
+    # overflowing at record 512 (0.03 s)
+    inst = get_instance("regquad-fbs")
+    gamma = 3.0 / inst.constants["beta_e"]
+    traj = run_algorithm("fbs", inst, gamma=gamma).trajectory
+    assert (traj.status, traj.iterations) == ("error", 513)
+    assert_same_records(traj.records, fbs_unchecked(inst, gamma=gamma).records)

@@ -41,20 +41,19 @@ def test_solve_rotation_fbf_converges(tmp_path, capsys):
     assert len(lines) - 1 <= 500
 
 
-def test_solve_divergent_plain_fb_hits_max_iter(tmp_path):
+def test_solve_plain_fb_on_rotation_ends_violated_at_the_first_rise(tmp_path, capsys):
+    # the forward step grows the residual by sqrt(1 + gamma^2), which a
+    # nonexpansive map cannot do: the run stops at record 1 and fails
     out = tmp_path / "run.csv"
     code = run_cli([
         "solve", "--problem", "rotation", "--algorithm", "fbs",
-        "--gamma", "0.7", "--max-iter", "200", "--csv", str(out),
+        "--gamma", "0.7", "--csv", str(out),
     ])
-    assert code == EXIT_MAX_ITER
+    assert code == EXIT_ERROR
+    assert "violated after 2 iterations" in capsys.readouterr().out
     rows = list(csv.DictReader(out.read_text().splitlines()))
-    res = [float(r["residual_S"]) for r in rows]
-    assert res[-1] > res[0]
-    # growth factor of the forward step is sqrt(1 + gamma^2)
-    tail = np.array(res[-50:])
-    factors = tail[1:] / tail[:-1]
-    assert np.allclose(factors, np.sqrt(1 + 0.49), rtol=0.01)
+    r0, r1 = (float(r["residual_S"]) for r in rows)
+    assert r1 / r0 == pytest.approx(np.sqrt(1.49), rel=1e-12)
 
 
 def test_solve_from_oracle_writes_one_row(tmp_path):
@@ -328,15 +327,33 @@ def test_bench_gamma_that_is_not_a_number_list_is_a_usage_error(capsys):
             and "Traceback" not in err)
 
 
-@pytest.mark.parametrize("algorithms", ["fbf,fbs", "fbs,fbf"])
+@pytest.mark.parametrize("algorithms", ["fbf,fbhf", "fbhf,fbf"])
 def test_bench_an_errored_run_outranks_an_exhausted_budget(algorithms, capsys):
-    # fbf raises on regquad-full (E != 0) and fbs runs out of budget there;
+    # fbf raises on regquad-full (E != 0) and fbhf runs out of budget there;
     # the sweep exits with the error code, whichever row comes first
     code = run_cli(["bench", "--problem", "regquad-full", "--algorithm", algorithms,
                     "--max-iter", "5"])
     out = capsys.readouterr().out
     assert code == EXIT_ERROR
     assert "requires a problem with E = 0" in out and "max_iter" in out
+
+
+def test_bench_unknown_algorithm_is_a_usage_error(capsys):
+    code = run_cli(["bench", "--problem", "rotation", "--algorithm", "fbf,nope",
+                    "--gamma", "0.7"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --algorithm: must be a comma-separated list of algorithms from fbf,"
+            in captured.err and "Traceback" not in captured.err)
+
+
+def test_bench_an_errored_row_prints_its_gamma_to_four_digits(capsys):
+    code = run_cli(["bench", "--problem", "regquad-full", "--algorithm", "fbf",
+                    "--gamma", "0.700011"])
+    assert code == EXIT_ERROR
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.split()[:3] == ["fbf", "0.7", "error"]
 
 
 def test_bench_csv_names_each_gamma_in_full_precision(tmp_path, capsys):

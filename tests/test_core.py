@@ -13,7 +13,7 @@ from nofob.core import (
     nofob_iterate,
     run_loop,
 )
-from nofob.linalg import ContractViolation, SpdMetric
+from nofob.linalg import NOISE_TOL, ContractViolation, SpdMetric
 from nofob.problems import (
     REGISTRY,
     get_instance,
@@ -233,19 +233,39 @@ def test_run_loop_ends_at_a_non_finite_residual_or_step_length(field, value):
     assert np.array_equal(traj.final_x, traj.records[-1].x)
 
 
-def test_run_loop_ends_an_overflowing_run_at_once():
-    # plain forward-backward diverges on this witness; its residual
-    # overflows at k = 954 and the run ends there, keeping that record,
-    # with no numpy warning on the way: the `error` status reports it
+def test_run_loop_ends_an_overflowing_run_at_once(fbs_unchecked):
+    # plain forward-backward diverges on this witness; without the fbs
+    # rows' residual check its residual overflows at k = 954 and the run
+    # ends there, keeping that record, with no numpy warning on the way:
+    # the `error` status reports it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = run_algorithm("fbs", get_instance("regquad-fbhf", 12), max_iter=1000)
+        traj = fbs_unchecked(get_instance("regquad-fbhf", 12), max_iter=1000)
     assert [str(w.message) for w in caught] == []
-    traj = out.trajectory
     assert (traj.status, traj.iterations) == ("error", 955)
     assert traj.records[-1].residual_s == np.inf
     assert all(np.isfinite(rec.residual_s) for rec in traj.records[:-1])
     assert np.isfinite(traj.final_x).all()
+
+
+def scripted_step(residuals):
+    """A step that records the next scripted residual and moves x by 1."""
+    script = iter(residuals)
+    return lambda x: IterRecord(x, x, x + 1.0, 1.0, 1.0, next(script), 1.0, 1.0)
+
+
+def test_run_loop_ends_a_monotone_run_violated_at_its_first_rise():
+    # a rise up to NOISE_TOL * (1 + r) is round-off; the first larger one
+    # ends the run and keeps its record, and unchecked the same steps run on
+    r = 0.5
+    tie = r + NOISE_TOL * (1.0 + r)
+    residuals = [r, tie, tie, np.nextafter(tie + NOISE_TOL * (1.0 + tie), np.inf), 0.1]
+    traj = run_loop(scripted_step(residuals), np.zeros(2), 0.0, 10, monotone_residual=True)
+    assert (traj.status, traj.iterations) == ("violated", 4)
+    assert [rec.residual_s for rec in traj.records] == residuals[:4]
+    assert np.array_equal(traj.final_x, [3.0, 3.0])
+    traj = run_loop(scripted_step(residuals), np.zeros(2), 0.0, 4)
+    assert (traj.status, traj.iterations) == ("max_iter", 5)
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.inf, np.nan])
