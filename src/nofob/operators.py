@@ -18,9 +18,13 @@ diagonal affine" used by the nonlinear-kernel demo.  A run calls a
 resolvent with one gamma throughout, so the affine and the l1 plus
 diagonal affine resolvents keep the arrays they form from gamma (such
 as I + gamma H) for the gamma of their last call, and form them again
-only when it changes.  Inverse operators are always derived from the
-primal prox through Moreau's identity (`inverse_via_moreau`), never
-specified independently.
+only when it changes.  The affine resolvent solves with numpy's `solve1`
+gufunc, the one `np.linalg.solve` runs on a float64 vector, called
+directly: the same bits without the wrapper's per-call checks.  Its
+first solve at each gamma goes through `np.linalg.solve`, which raises
+LinAlgError on a singular I + gamma H.  Inverse operators are always
+derived from the primal prox through Moreau's identity
+(`inverse_via_moreau`), never specified independently.
 
 The separable nonlinear resolvent is a bracketed Anderson-Bjorck secant
 solve, per coordinate, inside a bracket that strong monotonicity gives
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation,
                      spectral_norm)
@@ -270,20 +275,29 @@ def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
     if np.linalg.eigvalsh(sym)[0] < -MONOTONE_TOL * max(1.0, np.abs(h).max()):
         raise ContractViolation("affine operator is not monotone")
     eye = np.eye(h.shape[0])
-    # the LU factors of I + gamma H are not kept: scipy's lu_factor +
-    # lu_solve (dgetrf + dgetrs) round differently from np.linalg.solve in
+    # Each solve calls the gufunc np.linalg.solve runs on a float64 vector,
+    # so it gives the wrapper's bits: on the 6 x 6 and 8 x 8 saddle blocks
+    # the wrapper takes 7.6 and 9.3 us, the gufunc alone 2.0 and 3.7 (one
+    # BLAS thread, 2-vCPU host).  The bare gufunc returns NaN with a
+    # RuntimeWarning on a singular matrix, where the wrapper raises
+    # LinAlgError; singularity depends on I + gamma H alone, so the first
+    # solve at each gamma goes through the wrapper and a raise keeps that
+    # gamma out of the memo.  The LU factors are not kept: scipy's
+    # lu_factor + lu_solve (dgetrf + dgetrs) round differently from gesv in
     # 1050 of 60000 solves on the saddle matrices (seeds 0-19, both blocks,
     # gamma 1, 0.37 and 2.5, 500 seeded right-hand sides each, one BLAS
-    # thread), so a kept factor would break the bit-for-bit runs of a new
-    # gamma
+    # thread), so a kept factor would break the bit-for-bit runs.
     memo = (None, None, None)  # gamma, I + gamma H, gamma b
 
     def ev(gamma, y):
         nonlocal memo
-        if memo[0] != gamma:
-            memo = (gamma, eye + gamma * h, gamma * b)
-        _, lhs, shift = memo
-        return np.linalg.solve(lhs, np.asarray(y, float) - shift)
+        if memo[0] == gamma:
+            _, lhs, shift = memo
+            return solve1(lhs, np.asarray(y, float) - shift, signature="dd->d")
+        lhs, shift = eye + gamma * h, gamma * b
+        x = np.linalg.solve(lhs, np.asarray(y, float) - shift)
+        memo = (gamma, lhs, shift)
+        return x
 
     return ProxOperator(evaluator=ev, descriptor="affine")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from nofob import linalg
 from nofob.linalg import (
@@ -128,6 +129,28 @@ def test_spd_metric_solve_inverts_the_matrix():
     w = SpdMetric(r @ r.T + 2.0 * np.eye(6))
     x = rng.vector(6)
     assert np.allclose(w.solve(w.matrix @ x), x, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 6, 8, 14, 40])
+def test_dense_metric_solve_is_cho_solve_bit_for_bit(n):
+    # the direct dpotrs call against scipy's wrapper, on a vector and on the
+    # n x n matrix afba_fixed_step_check solves with (C-ordered, and as a
+    # strided view), so a scipy whose cho_solve stops calling dpotrs fails
+    # here
+    rng = Lcg64(30 + n)
+    for _ in range(4):
+        r = rng.matrix(n, n)
+        m = SpdMetric(r @ r.T + 0.1 * np.eye(n))
+        wide = rng.matrix(n, 2 * n)
+        for v in (rng.vector(n), rng.matrix(n, n), wide[:, ::2]):
+            assert np.array_equal(m.solve(v), cho_solve(m._chol, v, check_finite=False))
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (2, 3), (4, 3)])
+def test_dense_metric_solve_rejects_another_length(shape):
+    m = SpdMetric(np.diag([2.0, 3.0, 4.0]))
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        m.solve(np.ones(shape))
 
 
 @pytest.mark.parametrize("metric", [SpdMetric(np.diag([2.0, 3.0, 4.0])),

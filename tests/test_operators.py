@@ -51,6 +51,33 @@ def test_affine_operator_rejects_nonmonotone():
         affine_operator(np.array([[-1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
 
 
+def test_affine_resolvent_raises_on_a_singular_matrix_at_every_call():
+    # H = -2^-40 passes the monotonicity test (lambda_min >= -MONOTONE_TOL),
+    # and at gamma = 2^40, I + gamma H = 0; the raise keeps that gamma out
+    # of the memo, so the next call at it raises too
+    op = affine_operator(np.array([[-2.0**-40]]), np.zeros(1))
+    assert np.array_equal(op.evaluator(1.0, np.ones(1)), [1.0 / (1.0 - 2.0**-40)])
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            op.evaluator(2.0**40, np.ones(1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("y", [[np.inf, 1.0], [np.inf, -np.inf], [np.nan, 1.0]])
+def test_affine_resolvent_passes_a_non_finite_input_on(y):
+    # the first call at a gamma and the memo's calls alike give the
+    # wrapper's result, with no warning and no raise
+    rng = Lcg64(4)
+    a = rng.matrix(2, 2)
+    h = a @ a.T + np.eye(2)
+    b = rng.vector(2)
+    op = affine_operator(h, b)
+    expected = np.linalg.solve(np.eye(2) + 0.7 * h, np.array(y) - 0.7 * b)
+    assert not np.isfinite(expected).all()
+    for _ in range(2):
+        assert np.array_equal(op.evaluator(0.7, np.array(y)), expected, equal_nan=True)
+
+
 def test_l1_plus_diag_affine_closed_form():
     lam, d, b = 0.5, np.array([1.0, 2.0]), np.array([2.0, -0.1])
     op = l1_plus_diag_affine(lam, d, b)
@@ -100,6 +127,27 @@ def test_resolvents_that_keep_arrays_per_gamma_follow_a_new_gamma():
         z = y + gamma * b
         expected = np.sign(z) * np.maximum(np.abs(z) - gamma * lam, 0.0) / (1.0 + gamma * d)
         assert np.array_equal(l1_diag.evaluator(gamma, y), expected)
+    # the affine solves after the first at a gamma call np.linalg.solve's
+    # gufunc directly, so they are its bits on the saddle G and H too, as
+    # themselves and through inverse_via_moreau; a numpy whose wrapper stops
+    # calling that gufunc fails here; gamma repeats and changes, and takes
+    # the reciprocals inverse_via_moreau passes
+    gammas = (0.37, 0.37, 1.0, 2.5, 2.5, 0.37, 1.0 / 0.37, 1.0 / 2.5, 1.0, 1.0 / 0.37)
+    for seed in (0, 1, 2, 7):
+        extras = problems.make_saddle_pd(seed=seed).extras
+        for h, b in ((extras["g_matrix"], extras["g0_vector"]),
+                     (extras["h_matrix"], -extras["b_vector"])):
+            n = len(b)
+            affine = affine_operator(h, b)
+            dual = inverse_via_moreau(affine_operator(h, b))
+            for gamma in gammas:
+                for _ in range(25):
+                    y = 4.0 * rng.vector(n)
+                    assert np.array_equal(affine.evaluator(gamma, y), np.linalg.solve(
+                        np.eye(n) + gamma * h, y - gamma * b))
+                    inner = np.linalg.solve(np.eye(n) + (1.0 / gamma) * h,
+                                            y / gamma - (1.0 / gamma) * b)
+                    assert np.array_equal(dual.evaluator(gamma, y), y - gamma * inner)
 
 
 def moreau_dual(op, tau, z):
