@@ -8,7 +8,10 @@ diagnostic checkers audit.  Names:
 
   fbf, fbhf          conservative short step: mu_hat = gamma, unit
                      relaxation (fbf requires E = 0)
-  fbf-long, fbhf-long    explicit long projection step
+  fbf-long, fbhf-long    explicit long projection step, by default
+                     relaxed by min(4 / (4 - beta), LONG_THETA_CAP) at
+                     the view's beta, which offsets the explicit mu's
+                     beta / 4 penalty and is exactly 1 when E = 0
   afba, afba-fixed   AFBA's constant kernel Q = P + G, built from the
                      coupling L of the stacked saddle problem (the
                      instance's ps_view) and (tau1, tau2); -fixed takes
@@ -44,7 +47,8 @@ those that take no scalar step size (the saddle kernels, the projective
 rows, four-op on the saddle family and on a nonlinear kernel) on a
 given gamma.  A given theta must lie in (0, 2) and is used as is;
 the rows whose relaxation is fixed (fbf, fbhf, afba-fixed, fbs) raise on
-it.
+it.  Without one, the rows that take a theta relax by 1, the long rows
+by the rule above.
 """
 
 from __future__ import annotations
@@ -268,17 +272,27 @@ _EXPLICIT = lambda ker: None
 _GAMMA = lambda ker: ker.gamma
 _UNIT_STEP = lambda ker: 1.0
 
-# fixed relaxations: c -> theta reported; the step applies theta * c.
-# The rows without one (relax None) take the given theta, by default 1.
-_UNIT = lambda c: 1.0
-_INVERSE_C = lambda c: 1.0 / c
+# relaxations: Kernel -> theta reported; the step applies theta * c.
+_UNIT = lambda ker: 1.0
+_INVERSE_C = lambda ker: 1.0 / ker.c
+
+# keeps the long rows' default relaxation inside NOFOB's (0, 2), with a margin
+LONG_THETA_CAP = 1.95
+
+
+def _long_theta(ker: Kernel) -> float:
+    """4 / (4 - beta): it offsets the explicit mu's beta / 4 penalty, so that
+    in the pure forward-backward case theta mu is the plain step length; 1
+    exactly when E = 0."""
+    return min(4.0 / (4.0 - ker.view.beta), LONG_THETA_CAP)
 
 
 @dataclass(frozen=True)
 class Row:
     kernel: Callable
     mu_hat: Callable
-    relax: Optional[Callable] = None
+    relax: Callable = _UNIT  # the relaxation when no theta is given
+    fixed_relax: bool = False  # the row takes no theta
     identity_s: bool = False  # the step is taken in S = I; no other S is accepted
     # the step is nonexpansive at theta <= 2 under the row's premise, so
     # the loop checks that its residual never rises (core.run_loop)
@@ -286,13 +300,16 @@ class Row:
 
 
 ROWS = {
-    "fbf": Row(_scalar("conservative", e_free=True), _GAMMA, _UNIT, identity_s=True),
-    "fbhf": Row(_scalar("conservative", e_free=False), _GAMMA, _UNIT, identity_s=True),
-    "fbf-long": Row(_scalar("long", e_free=True), _EXPLICIT),
-    "fbhf-long": Row(_scalar("long", e_free=False), _EXPLICIT),
+    "fbf": Row(_scalar("conservative", e_free=True), _GAMMA, fixed_relax=True,
+               identity_s=True),
+    "fbhf": Row(_scalar("conservative", e_free=False), _GAMMA, fixed_relax=True,
+                identity_s=True),
+    "fbf-long": Row(_scalar("long", e_free=True), _EXPLICIT, _long_theta),
+    "fbhf-long": Row(_scalar("long", e_free=False), _EXPLICIT, _long_theta),
     "afba": Row(_saddle(fixed=False), _EXPLICIT),
-    "afba-fixed": Row(_saddle(fixed=True), _UNIT_STEP, _UNIT),
-    "fbs": Row(_fbs, _GAMMA, _INVERSE_C, identity_s=True, nonexpansive=True),
+    "afba-fixed": Row(_saddle(fixed=True), _UNIT_STEP, fixed_relax=True),
+    "fbs": Row(_fbs, _GAMMA, _INVERSE_C, fixed_relax=True, identity_s=True,
+               nonexpansive=True),
     "fbs-relaxed": Row(_fbs, _GAMMA, identity_s=True, nonexpansive=True),
     "four-op": Row(_natural, _EXPLICIT),
     "ps-explicit": Row(_projective(explicit=True), _EXPLICIT),
@@ -322,16 +339,13 @@ def run_algorithm(
         raise ContractViolation(f"{name} steps in S = I and takes no other metric")
     if theta is not None and not 0.0 < theta < 2.0:
         raise ContractViolation(f"theta must lie in (0, 2), got {theta}")
-    if row.relax is not None:
+    if row.fixed_relax:
         _takes_none(name, inst, theta=theta)
     x0 = inst.x0 if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (inst.bundle.dim,):
         raise ContractViolation("x0 must be a vector of length n")
     ker = row.kernel(name, inst, gamma, tau, s_metric)
-    if row.relax is None:
-        th = 1.0 if theta is None else float(theta)
-    else:
-        th = row.relax(ker.c)
+    th = row.relax(ker) if theta is None else float(theta)
     view, step_theta, mu_hat = ker.view, th * ker.c, row.mu_hat(ker)
     traj = run_loop(lambda x: nofob_iterate(view, x, step_theta, mu_hat), x0, tol, max_iter,
                     monotone_residual=row.nonexpansive and th <= 2.0)

@@ -268,7 +268,7 @@ class SpdMetric:
     unless lambda_min > SPD_TOL * lambda_max; a scalar c must
     be finite and positive.  `solve` computes W^{-1} v for a vector v, or
     W^{-1} V for an n x k matrix V, by one dpotrs call on the cached
-    Cholesky factor, bit for bit `cho_solve`; a dense metric raises
+    Cholesky factor, bit for bit `cho_solve`; every metric raises
     ContractViolation("dimension mismatch") for a v of another length.
     `identity` and `scaled_identity` hold the scalar c of W = c I
     instead, so building and solving cost O(1) and O(n); the dense matrix
@@ -298,10 +298,10 @@ class SpdMetric:
         return self._matrix
 
     def solve(self, v: np.ndarray) -> np.ndarray:
+        if len(v) != self.dim:
+            raise ContractViolation("dimension mismatch")
         c = self._scale
         if c is None:
-            if len(v) != self.dim:
-                raise ContractViolation("dimension mismatch")
             # no finiteness check: a non-finite v gives a non-finite
             # result, which the loop reports
             return dpotrs(self._chol[0], v, lower=1)[0]

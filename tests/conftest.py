@@ -62,19 +62,6 @@ def long_step_reference():
     return _long_step_reference
 
 
-def _clamp_theta(theta):
-    """A derived relaxation clamped to [0.05, 1.95], inside (0, 2) with a
-    safety margin: a theta computed from constants, such as
-    4 / (4 - beta), can leave (0, 2), where `run_algorithm` rejects it."""
-    return min(max(float(theta), 0.05), 1.95)
-
-
-@pytest.fixture
-def clamp_theta():
-    """The relaxation the long rows are given in the relaxation tests."""
-    return _clamp_theta
-
-
 # ---------------------------------------------------------------------------
 # conservative short step written out by hand (cross-check transcription)
 

@@ -6,11 +6,12 @@ pass/fail line per criterion.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nofob.algorithms import run_algorithm
+from nofob.algorithms import ROWS, run_algorithm
 from nofob.core import nofob_iterate
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.fourop import (
@@ -282,15 +283,22 @@ def _relaxation_cases():
             yield pytest.param(name, seed, marks=marks, id=f"{name}-{seed}")
 
 
-def test_clamp_theta_keeps_inside_and_clamps_outside(clamp_theta):
-    assert clamp_theta(0.5) == 0.5
-    assert clamp_theta(1.5) == 1.5
-    assert clamp_theta(0.0) == 0.05
-    assert clamp_theta(5.0) == 1.95
+def test_clamp_theta_keeps_inside_and_clamps_outside():
+    # the long rows' default relaxation, min(4 / (4 - beta), 1.95), read
+    # from the row table; it cannot fall below 1, so no lower clamp
+    for name in ("fbf-long", "fbhf-long"):
+        rule = ROWS[name].relax
+        for beta, theta in ((0.0, 1.0), (1.0, 4.0 / 3.0), (3.6, 1.95)):
+            assert rule(SimpleNamespace(view=SimpleNamespace(beta=beta))) == theta, name
+    inst = get_instance("regquad-fbs")  # beta = 3.6 at the default gamma
+    default = run_algorithm("fbhf-long", inst, max_iter=3)
+    given = run_algorithm("fbhf-long", inst, theta=0.5, max_iter=3)
+    assert {rec.theta for rec in default.trajectory.records} == {1.95}
+    assert {rec.theta for rec in given.trajectory.records} == {0.5}
 
 
 @pytest.mark.parametrize("name, seed", _relaxation_cases())
-def test_conservative_vs_explicit_dominance(name, seed, conservative_reference, clamp_theta):
+def test_conservative_vs_explicit_dominance(name, seed, conservative_reference):
     inst = get_instance(name, seed)
     prob = inst.bundle
     be = inst.constants["beta_e"]
@@ -307,21 +315,73 @@ def test_conservative_vs_explicit_dominance(name, seed, conservative_reference, 
             assert mu_hat <= rec.mu + 1e-12
         x = rec.x_next
 
-    # long-step run at the same gamma.  With beta_E > 0 the explicit
-    # mu carries the cocoercivity penalty, so theta = 4/(4 - beta_eff)
-    # restores the plain forward-backward step length (exact in the
-    # pure FBS case, and equal to 1 when beta_E = 0); clamped, since it
-    # can leave (0, 2).
+    # long-step run at the same gamma, at the long row's default
+    # relaxation.  With beta_E > 0 the explicit mu carries the
+    # cocoercivity penalty, so theta = 4/(4 - beta) restores the plain
+    # forward-backward step length (exact in the pure FBS case, and equal
+    # to 1 when beta_E = 0), capped at 1.95.
     short_alg = "fbf" if be == 0.0 else "fbhf"
     beta = as_nofob(prob, ScalarStep(g), SpdMetric.identity(prob.dim)).beta
-    th = clamp_theta(4.0 / (4.0 - beta))
     a = run_algorithm(short_alg, inst, gamma=g, tol=1e-8, max_iter=3000)
-    b = run_algorithm(f"{short_alg}-long", inst, gamma=g, theta=th,
-                      tol=1e-8, max_iter=3000)
+    b = run_algorithm(f"{short_alg}-long", inst, gamma=g, tol=1e-8, max_iter=3000)
+    assert {rec.theta for rec in b.trajectory.records} == {min(4.0 / (4.0 - beta), 1.95)}
     assert a.trajectory.status == b.trajectory.status == "converged"
     counts = (a.trajectory.iterations, b.trajectory.iterations)
     assert counts[1] <= counts[0], f"(short, long) iterations {counts}"
     passed(f"{name} seed {seed}: mu_hat <= mu everywhere; (short, long) iterations {counts}")
+
+
+# The long rows' default relaxation across registry seeds.  At E != 0 it
+# over-relaxes, and must still converge to the oracle through all three
+# audits in no more iterations than theta = 1; at E = 0 it is exactly 1,
+# so the run is the theta = 1 run bit for bit.  The 360 runs at E != 0
+# take about 0.7 s on a 2-core host, the 320 at E = 0 on seeds 0-19 about 1 s.
+DEFAULT_THETA_SEEDS = range(60)
+# perfbench's limit: ||x_final - z*|| <= ORACLE_DISTANCE (1 + ||z*||)
+ORACLE_DISTANCE = 1e-6
+
+
+def _audits_pass(out):
+    view = out.nofob_view
+    return (check_fejer(out.trajectory, out.z_star, out.s_metric).passed
+            and check_separation(out.trajectory, view, out.z_star).passed
+            and check_mu_bounds(out.trajectory, view.beta, view.p_metric, out.s_metric,
+                                view.kernel_lipschitz).passed)
+
+
+@pytest.mark.parametrize("name", ["regquad-fbs", "regquad-fbhf", "regquad-full"])
+def test_long_default_theta_beats_unit_theta_where_e_is_nonzero(name):
+    counts = []
+    for seed in DEFAULT_THETA_SEEDS:
+        inst = get_instance(name, seed)
+        out = run_algorithm("fbhf-long", inst)
+        unit = run_algorithm("fbhf-long", inst, theta=1.0)
+        traj = out.trajectory
+        assert traj.status == "converged", seed
+        z = out.z_star
+        dist = np.linalg.norm(traj.final_x - z) / (1.0 + np.linalg.norm(z))
+        assert dist <= ORACLE_DISTANCE, seed
+        assert _audits_pass(out), seed
+        assert traj.iterations <= unit.trajectory.iterations, seed
+        counts.append((traj.iterations, unit.trajectory.iterations))
+    total = tuple(map(sum, zip(*counts)))
+    passed(f"{name} seeds 0-59: (default, theta = 1) iterations {total}")
+
+
+def _record_bytes(traj):
+    return [tuple(v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+                  for v in dataclasses.astuple(rec)) for rec in traj.records]
+
+
+@pytest.mark.parametrize("name", ["rotation", "regquad-fbf", "saddle", "nonlinear-kernel"])
+@pytest.mark.parametrize("algorithm", ["fbf-long", "fbhf-long"])
+def test_long_default_theta_is_unit_where_e_is_zero(name, algorithm):
+    for seed in DEFAULT_THETA_SEEDS[:20]:
+        inst = get_instance(name, seed)
+        out = run_algorithm(algorithm, inst)
+        unit = run_algorithm(algorithm, inst, theta=1.0)
+        assert out.trajectory.status == unit.trajectory.status, seed
+        assert _record_bytes(out.trajectory) == _record_bytes(unit.trajectory), seed
 
 
 def test_extended_range_fbs():

@@ -275,7 +275,7 @@ def test_theta_on_a_row_with_a_fixed_relaxation_is_an_error(problem, algorithm, 
 
 
 def test_a_given_theta_is_used_unclamped(capsys):
-    # 1.99 lies beyond the 1.95 that the relaxation tests' clamp_theta gives
+    # 1.99 lies beyond LONG_THETA_CAP, the cap on the long rows' default
     code = run_cli(["solve", "--problem", "rotation", "--algorithm", "fbf-long",
                     "--theta", "1.99", "--max-iter", "3"])
     assert code == EXIT_MAX_ITER

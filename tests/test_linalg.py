@@ -146,11 +146,13 @@ def test_dense_metric_solve_is_cho_solve_bit_for_bit(n):
             assert np.array_equal(m.solve(v), cho_solve(m._chol, v, check_finite=False))
 
 
+@pytest.mark.parametrize("metric", [SpdMetric.identity(3), SpdMetric.scaled_identity(2.0, 3),
+                                    SpdMetric(np.diag([2.0, 3.0, 4.0]))],
+                         ids=["identity", "scaled", "dense"])
 @pytest.mark.parametrize("shape", [(2,), (4,), (2, 3), (4, 3)])
-def test_dense_metric_solve_rejects_another_length(shape):
-    m = SpdMetric(np.diag([2.0, 3.0, 4.0]))
+def test_metric_solve_rejects_another_length(metric, shape):
     with pytest.raises(ContractViolation, match="dimension mismatch"):
-        m.solve(np.ones(shape))
+        metric.solve(np.ones(shape))
 
 
 @pytest.mark.parametrize("metric", [SpdMetric(np.diag([2.0, 3.0, 4.0])),

@@ -355,8 +355,11 @@ def test_ladder_size_regquad_constants_and_iterations():
         assert abs(c[name] - ref) <= 1e-13 * ref, name
     assert abs(c["k_norm"] - spectral_norm(k)) <= 1e-14
     iterations = {a: run_algorithm(a, inst).trajectory.iterations
-                  for a in ("fbhf", "fbhf-long", "four-op", "fbs-relaxed")}
+                  for a in ("fbhf", "four-op", "fbs-relaxed")}
+    # fbhf-long at theta = 1, and at its default min(4 / (4 - beta), 1.95)
+    iterations["fbhf-long"] = run_algorithm("fbhf-long", inst, theta=1.0).trajectory.iterations
     assert iterations == {"fbhf": 37, "fbhf-long": 48, "four-op": 42, "fbs-relaxed": 26}
+    assert run_algorithm("fbhf-long", inst).trajectory.iterations == 19
 
 
 # ---------------------------------------------------------------------------
