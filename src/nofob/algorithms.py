@@ -1,7 +1,7 @@
 """Named algorithm runners over registered problem instances.
 
 Every runner is a row of ROWS: a kernel view, a step length, a
-relaxation and the contract checks, fed to the one corrected step
+relaxation and the instance contract, fed to the one corrected step
 core.nofob_iterate through the shared loop.  A run returns the
 trajectory together with the metric, the oracle, and the view the
 diagnostic checkers audit.  Names:
@@ -38,6 +38,14 @@ diagnostic checkers audit.  Names:
                      stacked problem; ps-explicit swaps in Johnstone and
                      Eckstein's explicit oracle, which touches only the
                      primal proxes and the coupling maps
+
+Each row states its instance contract as data: `rejects(inst)` says
+why the row cannot run on an instance (fbf and fbf-long need E = 0, the
+afba rows the two-block saddle form, the ps rows a projective view),
+and `no_audit(inst)` why its step has no separation to audit (fbs and
+fbs-relaxed where D or K is nonzero; the run's `nofob_view` is then
+None).  `run_algorithm` raises the rejection before it reads any given
+parameter.
 
 On the saddle family a given tau is one step size per block of the
 stacked problem (two: the dual block, then the primal one); a single
@@ -85,7 +93,7 @@ class RunOutput:
     trajectory: Trajectory
     s_metric: SpdMetric  # the metric the step projected in
     z_star: np.ndarray
-    nofob_view: Optional[NofobProblem]  # the view the audits read
+    nofob_view: Optional[NofobProblem]  # the view the audits read; None on no_audit
     gamma: Optional[float] = None
 
 
@@ -145,13 +153,12 @@ def _s_or_identity(s: Optional[SpdMetric], inst: ProblemInstance) -> SpdMetric:
 class Kernel:
     """The kernel view a row builds for one run."""
 
-    view: NofobProblem  # the step runs on it
-    audit: Optional[NofobProblem]  # the audits get it
+    view: NofobProblem  # the step runs on it; the audits get it too
     gamma: Optional[float] = None  # the scalar step size, reported
     c: float = 1.0  # fbs: 1 - beta_E gamma / 4, a factor of the relaxation
 
 
-def _scalar(kind: str, e_free: bool):
+def _scalar(kind: str):
     """gamma^{-1} I - D - K; the conservative rows warn beyond their bound.
 
     The long rows need no warning: past the long-step bound the view
@@ -160,8 +167,6 @@ def _scalar(kind: str, e_free: bool):
 
     def kernel(name, inst, gamma, tau, s):
         _takes_none(name, inst, tau=tau)
-        if e_free and inst.bundle.e.inverse_cocoercivity != 0.0:
-            raise ContractViolation(f"{name} requires a problem with E = 0")
         g = _gamma(inst, kind, gamma)
         spec = ScalarStep(g)  # raises on a bad gamma before the warning
         if kind == "conservative" and g > _gamma_bound(inst, kind) + GAMMA_BOUND_TOL:
@@ -170,7 +175,7 @@ def _scalar(kind: str, e_free: bool):
                 StepParameterWarning, stacklevel=3,
             )
         view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
-        return Kernel(view, view, gamma=g)
+        return Kernel(view, gamma=g)
 
     return kernel
 
@@ -191,8 +196,6 @@ def _saddle(fixed: bool):
 
     def kernel(name, inst, gamma, tau, s):
         ps = inst.ps_view
-        if ps is None or ps.n != 2:
-            raise ContractViolation(f"{name} needs a stacked saddle problem")
         _takes_none(name, inst, gamma=gamma)
         spec = AffinePlusSkew(ps.l_maps[0], *_saddle_taus(name, ps, tau))
         view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
@@ -202,15 +205,12 @@ def _saddle(fixed: bool):
             if not afba_fixed_step_check(view.p_metric, spec.q_matrix, inst.bundle.k,
                                          view.s_metric, view.beta, 0.05):
                 raise ContractViolation("the unit step fails the fixed-step check in S")
-        return Kernel(view, view)
+        return Kernel(view)
 
     return kernel
 
 
 def _fbs(name, inst, gamma, tau, s):
-    """The audits get the step's own view when D = K = 0, where its kernel
-    gamma^{-1} I is gamma^{-1} I - D - K; otherwise the step has no
-    separation to audit."""
     _takes_none(name, inst, tau=tau)
     bundle = inst.bundle
     g = _gamma(inst, "fbs", gamma)
@@ -218,8 +218,7 @@ def _fbs(name, inst, gamma, tau, s):
     # the view's beta check, beta_E gamma < 4, guarantees c > 0, as the
     # scaling by 0.25 is exact
     c = 1.0 - 0.25 * bundle.e.inverse_cocoercivity * g
-    separates = bundle.d.lipschitz_constant == 0.0 and bundle.k.operator_norm == 0.0
-    return Kernel(view, view if separates else None, gamma=g, c=c)
+    return Kernel(view, gamma=g, c=c)
 
 
 def _projective(explicit: bool):
@@ -229,8 +228,6 @@ def _projective(explicit: bool):
 
     def kernel(name, inst, gamma, tau, s):
         ps = inst.ps_view
-        if ps is None:
-            raise ContractViolation(f"{name} needs a problem with a projective view")
         _takes_none(name, inst, gamma=gamma)
         taus = (1.0,) * ps.n if tau is None else _step_sizes(name, tau, ps.n)
         weights = BlockDiag((*taus[:-1], 1.0 / taus[-1]))
@@ -239,7 +236,7 @@ def _projective(explicit: bool):
             # the view's kernel-difference cache of the oracle's x is never
             # read: the stacked problem has D = 0 and BlockDiag is linear
             view = dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps, taus))
-        return Kernel(view, view)
+        return Kernel(view)
 
     return kernel
 
@@ -263,7 +260,7 @@ def _natural(name, inst, gamma, tau, s):
         _takes_none(name, inst, tau=tau)
         spec = ScalarStep(_gamma(inst, "conservative", gamma))
     view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
-    return Kernel(view, view)
+    return Kernel(view)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +284,34 @@ def _long_theta(ker: Kernel) -> float:
     return min(4.0 / (4.0 - ker.view.beta), LONG_THETA_CAP)
 
 
+# ---------------------------------------------------------------------------
+# instance contracts: ProblemInstance -> the reason, or None
+_NEVER = lambda inst: None
+
+
+def _needs_e_free(inst: ProblemInstance) -> Optional[str]:
+    # Tseng's FBF has no cocoercive term
+    return "requires a problem with E = 0" if inst.bundle.e.inverse_cocoercivity else None
+
+
+def _needs_saddle(inst: ProblemInstance) -> Optional[str]:
+    # AFBA's kernel is built from the coupling L of the two-block saddle form
+    ps = inst.ps_view
+    return "needs a stacked saddle problem" if ps is None or ps.n != 2 else None
+
+
+def _needs_ps_view(inst: ProblemInstance) -> Optional[str]:
+    return "needs a problem with a projective view" if inst.ps_view is None else None
+
+
+def _fbs_no_audit(inst: ProblemInstance) -> Optional[str]:
+    # the step's kernel gamma^{-1} I is gamma^{-1} I - D - K only where D = K = 0
+    bundle = inst.bundle
+    if bundle.d.lipschitz_constant or bundle.k.operator_norm:
+        return "D or K is nonzero, so the step has no separation to audit"
+    return None
+
+
 @dataclass(frozen=True)
 class Row:
     kernel: Callable
@@ -297,23 +322,26 @@ class Row:
     # the step is nonexpansive at theta <= 2 under the row's premise, so
     # the loop checks that its residual never rises (core.run_loop)
     nonexpansive: bool = False
+    rejects: Callable = _NEVER  # why the row cannot run on an instance
+    no_audit: Callable = _NEVER  # why its step has no separation to audit there
 
 
 ROWS = {
-    "fbf": Row(_scalar("conservative", e_free=True), _GAMMA, fixed_relax=True,
-               identity_s=True),
-    "fbhf": Row(_scalar("conservative", e_free=False), _GAMMA, fixed_relax=True,
-                identity_s=True),
-    "fbf-long": Row(_scalar("long", e_free=True), _EXPLICIT, _long_theta),
-    "fbhf-long": Row(_scalar("long", e_free=False), _EXPLICIT, _long_theta),
-    "afba": Row(_saddle(fixed=False), _EXPLICIT),
-    "afba-fixed": Row(_saddle(fixed=True), _UNIT_STEP, fixed_relax=True),
+    "fbf": Row(_scalar("conservative"), _GAMMA, fixed_relax=True, identity_s=True,
+               rejects=_needs_e_free),
+    "fbhf": Row(_scalar("conservative"), _GAMMA, fixed_relax=True, identity_s=True),
+    "fbf-long": Row(_scalar("long"), _EXPLICIT, _long_theta, rejects=_needs_e_free),
+    "fbhf-long": Row(_scalar("long"), _EXPLICIT, _long_theta),
+    "afba": Row(_saddle(fixed=False), _EXPLICIT, rejects=_needs_saddle),
+    "afba-fixed": Row(_saddle(fixed=True), _UNIT_STEP, fixed_relax=True,
+                      rejects=_needs_saddle),
     "fbs": Row(_fbs, _GAMMA, _INVERSE_C, fixed_relax=True, identity_s=True,
-               nonexpansive=True),
-    "fbs-relaxed": Row(_fbs, _GAMMA, identity_s=True, nonexpansive=True),
+               nonexpansive=True, no_audit=_fbs_no_audit),
+    "fbs-relaxed": Row(_fbs, _GAMMA, identity_s=True, nonexpansive=True,
+                       no_audit=_fbs_no_audit),
     "four-op": Row(_natural, _EXPLICIT),
-    "ps-explicit": Row(_projective(explicit=True), _EXPLICIT),
-    "ps-resolvent": Row(_ps_resolvent, _EXPLICIT),
+    "ps-explicit": Row(_projective(explicit=True), _EXPLICIT, rejects=_needs_ps_view),
+    "ps-resolvent": Row(_ps_resolvent, _EXPLICIT, rejects=_needs_ps_view),
 }
 
 ALGORITHMS = tuple(ROWS)
@@ -333,6 +361,9 @@ def run_algorithm(
     row = ROWS.get(name)
     if row is None:
         raise KeyError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
+    reason = row.rejects(inst)
+    if reason is not None:
+        raise ContractViolation(f"{name} {reason}")
     # an SPD metric with all eigenvalues 1 is the identity
     if (row.identity_s and s_metric is not None
             and not s_metric.lam_min == s_metric.lam_max == 1.0):
@@ -349,4 +380,5 @@ def run_algorithm(
     view, step_theta, mu_hat = ker.view, th * ker.c, row.mu_hat(ker)
     traj = run_loop(lambda x: nofob_iterate(view, x, step_theta, mu_hat), x0, tol, max_iter,
                     monotone_residual=row.nonexpansive and th <= 2.0)
-    return RunOutput(traj, ker.view.s_metric, inst.oracle, ker.audit, gamma=ker.gamma)
+    audit = ker.view if row.no_audit(inst) is None else None
+    return RunOutput(traj, ker.view.s_metric, inst.oracle, audit, gamma=ker.gamma)

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, RunOutput, run_algorithm
+from .algorithms import ALGORITHMS, ROWS, RunOutput, run_algorithm
 from .core import Trajectory
 from .diagnostics import (CheckReport, check_fejer, check_mu_bounds,
                           check_separation, fit_rate)
@@ -145,7 +145,8 @@ def cmd_check(args) -> int:
             traj, view.beta, view.p_metric, out.s_metric, view.kernel_lipschitz
         ))
     else:
-        print("separation/mu-bounds skipped: no kernel view for this runner")
+        reason = ROWS[args.algorithm].no_audit(get_instance(args.problem, args.seed))
+        print(f"separation/mu-bounds skipped: {args.algorithm} on {args.problem}: {reason}")
     lines = [r.line() for r in reports]
     residuals = [rec.residual_s for rec in traj.records]
     try:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from nofob.algorithms import ROWS
 from nofob.core import (IterRecord, coincides, nofob_iterate, null_record, run_loop,
                         separation_fails)
 from nofob.diagnostics import _report
@@ -37,6 +38,15 @@ from nofob.operators import LipschitzMap, NonlinearKernel, SkewMap, l1_plus_diag
 from nofob.problems import ProblemInstance
 from nofob.projective import ps_explicit_oracle
 from nofob.rng import Lcg64
+
+
+def accepted(inst, audited=False) -> tuple:
+    """The rows of the row table that run on `inst`, in table order; with
+    `audited`, only those whose step also has a separation to audit there.
+    A plain function, not a fixture, so that parametrize lists can call it:
+    `from conftest import accepted`."""
+    return tuple(name for name, row in ROWS.items() if row.rejects(inst) is None
+                 and (not audited or row.no_audit(inst) is None))
 
 
 def _long_step_reference(prob, gamma, x, theta, s):

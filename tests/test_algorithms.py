@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from nofob.problems import (REGISTRY, ProblemInstance, get_instance,
                             make_regularized_quadratic, make_saddle_pd)
 from nofob.projective import PsProblem
 from nofob.rng import Lcg64
+
+from conftest import accepted
 
 
 def counting(monkeypatch, owner, attr, counts, key):
@@ -315,21 +320,70 @@ def test_saddle_beyond_a_hundred_block_dimensions(algorithm):
                            view.kernel_lipschitz).passed
 
 
-def _accepts(algorithm, inst):
-    """What a row's contract admits: the saddle rows need the stacked
-    problem, and fbf and fbf-long need E = 0."""
-    if algorithm.startswith(("afba", "ps-")):
-        return inst.ps_view is not None
-    if algorithm in ("fbf", "fbf-long"):
-        return inst.bundle.e.inverse_cocoercivity == 0.0
-    return True
+RUN_ROWS = sorted((name, algorithm) for name in REGISTRY
+                  for algorithm in accepted(get_instance(name)))
+AUDITED_ROWS = [(name, algorithm, seed) for seed in range(3) for name in REGISTRY
+                for algorithm in accepted(get_instance(name, seed), audited=True)]
+# plain forward-backward where D or K is nonzero: its kernel gamma^{-1} I is
+# not gamma^{-1} I - D - K, so its step has no separation to audit
+UNAUDITED = {(name, algorithm) for algorithm in ("fbs", "fbs-relaxed")
+             for name in ("rotation", "regquad-fbhf", "regquad-fbf", "regquad-full", "saddle")}
 
 
-VIEW_ROWS = [(name, algorithm, seed) for name in REGISTRY for algorithm in ALGORITHMS
-             if _accepts(algorithm, get_instance(name)) for seed in range(3)]
+@pytest.mark.parametrize("seed", range(3))
+def test_only_plain_forward_backward_with_d_or_k_nonzero_has_no_audit_view(seed):
+    runs = {(name, algorithm): run_algorithm(algorithm, get_instance(name, seed), max_iter=0)
+            for name in REGISTRY for algorithm in accepted(get_instance(name, seed))}
+    assert len(runs) == 47
+    assert {pair for pair, out in runs.items() if out.nofob_view is None} == UNAUDITED
 
 
-@pytest.mark.parametrize("name, algorithm", sorted({row[:2] for row in VIEW_ROWS}))
+@pytest.mark.parametrize("seed", range(3))
+def test_a_rejected_pair_raises_the_same_message_whatever_is_given(seed):
+    # the structural reason comes before every check of a given parameter
+    rejected = 0
+    for name in REGISTRY:
+        inst = get_instance(name, seed)
+        n = inst.bundle.dim
+        given = [{"gamma": 0.5}, {"tau": [1.0]}, {"theta": 0.5}, {"theta": 5.0},
+                 {"s_metric": SpdMetric(2.0 * np.eye(n))}, {"x0": np.zeros(n + 1)}]
+        for algorithm in set(ALGORITHMS) - set(accepted(inst)):
+            with pytest.raises(ContractViolation) as bare:
+                run_algorithm(algorithm, inst)
+            assert str(bare.value) in {f"{algorithm} needs a stacked saddle problem",
+                                       f"{algorithm} requires a problem with E = 0",
+                                       f"{algorithm} needs a problem with a projective view"}
+            for kwargs in given:
+                with pytest.raises(ContractViolation) as exc:
+                    run_algorithm(algorithm, inst, **kwargs)
+                assert str(exc.value) == str(bare.value), (name, algorithm, kwargs)
+            rejected += 1
+    assert rejected == 7 * len(ALGORITHMS) - 47
+
+
+def test_perfbench_accepts_the_pairs_the_row_table_accepts(monkeypatch):
+    """A drift guard on `perfbench/workloads.accepts`, which restates the
+    rows' instance contract; it goes when perfbench reads the row table.
+    The module is loaded from its file, and no bytecode is written beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for seed in range(3):
+        count = 0
+        for name in REGISTRY:
+            inst = get_instance(name, seed)
+            ours = accepted(inst)
+            for algorithm in ALGORITHMS:
+                assert workloads.accepts(algorithm, inst) == (algorithm in ours), \
+                    (name, algorithm, seed)
+            count += len(ours)
+        assert count == 47, seed
+
+
+@pytest.mark.parametrize("name, algorithm", RUN_ROWS)
 def test_the_step_never_writes_to_its_iterate(monkeypatch, name, algorithm):
     # the four-op views reuse the oracle's D x and phi(x) at the oracle's
     # own x array in the kernel difference, which is right only while
@@ -347,7 +401,7 @@ def test_the_step_never_writes_to_its_iterate(monkeypatch, name, algorithm):
     assert not out.trajectory.records[0].x.flags.writeable
 
 
-@pytest.mark.parametrize("name, algorithm, seed", VIEW_ROWS)
+@pytest.mark.parametrize("name, algorithm, seed", AUDITED_ROWS)
 def test_view_constants_are_honest(name, algorithm, seed, honesty_samplers):
     # the kernel M of every audited view is strongly monotone in its P and
     # L_M-Lipschitz, on sampled pairs, through the normal the step reads:
@@ -355,8 +409,6 @@ def test_view_constants_are_honest(name, algorithm, seed, honesty_samplers):
     # may reuse) and at a copy of x (which it may not)
     inst = get_instance(name, seed)
     view = run_algorithm(algorithm, inst, max_iter=1).nofob_view
-    if view is None:
-        pytest.skip("fbs with D or K nonzero: the step has no separation to audit")
     monotone, lipschitz = -np.inf, 0.0
     for x, y in honesty_samplers.pairs(inst.bundle.dim, 200, seed, 1.0):
         d = x - y

@@ -123,6 +123,18 @@ def test_check_passes_on_matched_pair(capsys):
     assert "fejer" in out and "pass" in out
 
 
+def test_check_names_why_it_skips_the_separation_audits(capsys):
+    # plain forward-backward converges on regquad-fbhf, but with D nonzero
+    # its step has no separation to audit
+    code = run_cli(["check", "--problem", "regquad-fbhf", "--algorithm", "fbs-relaxed"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == (
+        "separation/mu-bounds skipped: fbs-relaxed on regquad-fbhf: "
+        "D or K is nonzero, so the step has no separation to audit")
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["fejer", "rate-fit"]
+
+
 def test_check_corrupt_negative_control(capsys):
     code = run_cli([
         "check", "--problem", "regquad-full", "--algorithm", "four-op",
@@ -272,6 +284,18 @@ def test_theta_on_a_row_with_a_fixed_relaxation_is_an_error(problem, algorithm, 
                     "--theta", "0.5"])
     assert code == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {algorithm} takes no theta on {problem}\n"
+
+
+@pytest.mark.parametrize("problem, algorithm, flags, message", [
+    ("rotation", "afba-fixed", ["--theta", "0.5"], "needs a stacked saddle problem"),
+    ("regquad-fbhf", "fbf", ["--tau", "1"], "requires a problem with E = 0"),
+    ("regquad-fbhf", "fbf", ["--theta", "0.5"], "requires a problem with E = 0"),
+])
+def test_a_row_that_cannot_run_says_so_before_it_reads_a_flag(problem, algorithm, flags,
+                                                              message, capsys):
+    code = run_cli(["solve", "--problem", problem, "--algorithm", algorithm, *flags])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {algorithm} {message}\n"
 
 
 def test_a_given_theta_is_used_unclamped(capsys):

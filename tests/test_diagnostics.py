@@ -1,12 +1,12 @@
 import dataclasses
-from functools import cache, wraps
+from functools import wraps
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nofob.algorithms import ALGORITHMS, run_algorithm
+from nofob.algorithms import run_algorithm
 from nofob.cli import _corrupt
 from nofob.core import NofobProblem, Trajectory, nofob_iterate, null_record, run_loop
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
@@ -14,6 +14,8 @@ from nofob.linalg import ContractViolation, SpdMetric
 from nofob.problems import (REGISTRY, get_instance, make_regularized_quadratic,
                             make_saddle_pd)
 from nofob.rng import Lcg64
+
+from conftest import accepted
 
 
 def identity_kernel_problem(n=4):
@@ -360,13 +362,8 @@ def test_audits_match_the_per_record_reference(seed, audit_reference,
     runs = 0
     for name in REGISTRY:
         inst = get_instance(name, seed)
-        for algorithm in ALGORITHMS:
-            try:
-                out = run_algorithm(algorithm, inst)
-            except ContractViolation as exc:
-                # the algorithm does not accept this problem
-                assert "need" in str(exc) or "requires" in str(exc)
-                continue
+        for algorithm in accepted(inst):
+            out = run_algorithm(algorithm, inst)
             _assert_audits_match(out, audit_reference)
             runs += 1
     assert runs >= 40
@@ -402,25 +399,12 @@ def _build(name, seed, n, m):
     return get_instance(name, seed)
 
 
-@cache
-def _accepted(name):
-    """The algorithms whose contract the registered problem meets."""
-    inst = get_instance(name)
-    accepted = []
-    for algorithm in ALGORITHMS:
-        try:
-            run_algorithm(algorithm, inst, max_iter=0)
-        except ContractViolation:
-            continue
-        accepted.append(algorithm)
-    return tuple(accepted)
-
-
 @st.composite
 def _cases(draw):
     name = draw(st.sampled_from(REGISTRY))
     sized = name.startswith("regquad-") or name == "saddle"
-    return (name, draw(st.sampled_from(_accepted(name))), draw(st.integers(0, 59)),
+    algorithm = draw(st.sampled_from(accepted(get_instance(name))))
+    return (name, algorithm, draw(st.integers(0, 59)),
             draw(st.integers(2, 20)) if sized else None,
             draw(st.integers(1, 12)) if name == "saddle" else None,
             # at tol = 0 a run reaches the round-off floor and takes null steps
@@ -442,8 +426,8 @@ def test_array_audits_match_the_references_and_pass(audit_reference, case):
     reports = _assert_audits_match(out, audit_reference)
     _assert_audits_match(dataclasses.replace(out, trajectory=_corrupt(out.trajectory)),
                          audit_reference)
-    c = inst.constants
-    if algorithm in ("fbs", "fbs-relaxed") and (c["l_d"] > 0.0 or c["k_norm"] > 0.0):
-        return  # plain forward-backward has no guarantee on these instances
-    assert all(r.passed for r in reports), [r.line() for r in reports]
+    if algorithm in accepted(inst, audited=True):
+        # the unaudited rows are plain forward-backward, which has no
+        # guarantee where its step has no separation
+        assert all(r.passed for r in reports), [r.line() for r in reports]
 

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from nofob.algorithms import ALGORITHMS, run_algorithm
+from nofob.algorithms import run_algorithm
 from nofob.core import nofob_iterate
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import (
@@ -38,6 +38,8 @@ from nofob.operators import (
 )
 from nofob.problems import fixed_point_residual, get_instance, make_regularized_quadratic
 from nofob.rng import Lcg64
+
+from conftest import accepted
 
 
 def trivial_problem(n=3):
@@ -95,9 +97,7 @@ def test_zero_forward_maps_are_never_evaluated(monkeypatch, problem):
             return original(self, x)
 
         monkeypatch.setattr(cls, "__call__", guarded)
-    algorithms = [a for a in ALGORITHMS
-                  if inst.ps_view is not None or not a.startswith(("afba", "ps-"))]
-    for algorithm in algorithms:
+    for algorithm in accepted(inst):
         out = run_algorithm(algorithm, inst, max_iter=50)
         traj = out.trajectory
         check_fejer(traj, out.z_star, out.s_metric)
