@@ -16,8 +16,7 @@ diagnostic checkers audit.  Names:
                      coupling L of the stacked saddle problem (the
                      instance's ps_view) and (tau1, tau2); -fixed takes
                      the unit step (mu_hat = 1, theta = 1) in S = P,
-                     AFBA's own metric, unless an S is given, after the
-                     fixed-step check
+                     AFBA's own metric, after the fixed-step check
   fbs, fbs-relaxed   (relaxed) forward-backward: the kernel gamma^{-1} I
                      with D, K and E all forward, mu_hat = gamma and
                      relaxation theta c, c = 1 - beta_E gamma / 4, which
@@ -57,6 +56,9 @@ given gamma.  A given theta must lie in (0, 2) and is used as is;
 the rows whose relaxation is fixed (fbf, fbhf, afba-fixed, fbs) raise on
 it.  Without one, the rows that take a theta relax by 1, the long rows
 by the rule above.
+
+A run starts at the instance's x0 and projects in the row's metric:
+S = P for afba-fixed, S = I for every other row.
 """
 
 from __future__ import annotations
@@ -142,11 +144,7 @@ def _saddle_taus(name: str, ps: PsProblem, tau) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# kernels: (name, instance, gamma, tau, S or None) -> Kernel
-
-
-def _s_or_identity(s: Optional[SpdMetric], inst: ProblemInstance) -> SpdMetric:
-    return SpdMetric.identity(inst.bundle.dim) if s is None else s
+# kernels: (name, instance, gamma, tau) -> Kernel
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,7 @@ def _scalar(kind: str):
     itself is rejected, as beta or 1/gamma - L_D leaves its range.
     """
 
-    def kernel(name, inst, gamma, tau, s):
+    def kernel(name, inst, gamma, tau):
         _takes_none(name, inst, tau=tau)
         g = _gamma(inst, kind, gamma)
         spec = ScalarStep(g)  # raises on a bad gamma before the warning
@@ -174,7 +172,7 @@ def _scalar(kind: str):
                 "gamma exceeds the sufficient conservative bound; proceeding",
                 StepParameterWarning, stacklevel=3,
             )
-        view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
+        view = as_nofob(inst.bundle, spec, SpdMetric.identity(inst.bundle.dim))
         return Kernel(view, gamma=g)
 
     return kernel
@@ -185,36 +183,35 @@ def _saddle(fixed: bool):
 
     `fixed` is AFBA (Latafat and Patrinos, "Asymmetric forward-backward-
     adjoint splitting", Comput. Optim. Appl. 68, 2017): the unit step
-    projected in S = P, its symmetric part, unless an S is given.  Here
-    Q - K = P and E = 0, so afba_fixed_step_check on the view's P and
-    beta = 0 reads P - P / (2 - eps) >= 0 and passes for every tau1, tau2
-    that make P positive definite, and the step lands on
+    projected in S = P, its symmetric part.  Here Q - K = P and E = 0, so
+    afba_fixed_step_check on the view's P and beta = 0 reads
+    P - P / (2 - eps) >= 0 and passes for every tau1, tau2 that make P
+    positive definite, and the step lands on
     x_next = x - P^{-1}(Q - K)(x - x_hat) = x_hat, AFBA's x+ = x_hat (on
     saddle seeds 0-59 every recorded mu is 1 within 5.6e-16 and x_next is
-    x_hat within 2.4e-15).  A given S that fails the check raises.
+    x_hat within 2.4e-15).  The run still makes the check, and raises if
+    round-off fails it.
     """
 
-    def kernel(name, inst, gamma, tau, s):
+    def kernel(name, inst, gamma, tau):
         ps = inst.ps_view
         _takes_none(name, inst, gamma=gamma)
         spec = AffinePlusSkew(ps.l_maps[0], *_saddle_taus(name, ps, tau))
-        view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
-        if fixed:
-            if s is None:
-                view = dataclasses.replace(view, s_metric=view.p_metric)
-            if not afba_fixed_step_check(view.p_metric, spec.q_matrix, inst.bundle.k,
-                                         view.s_metric, view.beta, 0.05):
-                raise ContractViolation("the unit step fails the fixed-step check in S")
+        s = spec.p if fixed else SpdMetric.identity(inst.bundle.dim)
+        view = as_nofob(inst.bundle, spec, s)
+        if fixed and not afba_fixed_step_check(view.p_metric, spec.q_matrix, inst.bundle.k,
+                                               s, view.beta, 0.05):
+            raise ContractViolation("the unit step fails the fixed-step check in S")
         return Kernel(view)
 
     return kernel
 
 
-def _fbs(name, inst, gamma, tau, s):
+def _fbs(name, inst, gamma, tau):
     _takes_none(name, inst, tau=tau)
     bundle = inst.bundle
     g = _gamma(inst, "fbs", gamma)
-    view = fbs_view(bundle, g, _s_or_identity(s, inst))  # raises on a bad gamma
+    view = fbs_view(bundle, g)  # raises on a bad gamma
     # the view's beta check, beta_E gamma < 4, guarantees c > 0, as the
     # scaling by 0.25 is exact
     c = 1.0 - 0.25 * bundle.e.inverse_cocoercivity * g
@@ -226,12 +223,12 @@ def _projective(explicit: bool):
     ..., 1/tau_n) at unit or given step sizes; `explicit` swaps in
     Johnstone and Eckstein's oracle for the stacked resolvent."""
 
-    def kernel(name, inst, gamma, tau, s):
+    def kernel(name, inst, gamma, tau):
         ps = inst.ps_view
         _takes_none(name, inst, gamma=gamma)
         taus = (1.0,) * ps.n if tau is None else _step_sizes(name, tau, ps.n)
         weights = BlockDiag((*taus[:-1], 1.0 / taus[-1]))
-        view = as_nofob(ps.stacked, weights, _s_or_identity(s, inst))
+        view = as_nofob(ps.stacked, weights, SpdMetric.identity(ps.stacked.dim))
         if explicit:
             # the view's kernel-difference cache of the oracle's x is never
             # read: the stacked problem has D = 0 and BlockDiag is linear
@@ -244,7 +241,7 @@ def _projective(explicit: bool):
 _ps_resolvent = _projective(explicit=False)
 
 
-def _natural(name, inst, gamma, tau, s):
+def _natural(name, inst, gamma, tau):
     """The nonlinear kernel where the problem carries one; on a stacked
     problem the ps-resolvent view, by default with the saddle kernels'
     step sizes on two blocks and unit step sizes on more; otherwise
@@ -255,11 +252,11 @@ def _natural(name, inst, gamma, tau, s):
     elif inst.ps_view is not None:
         if inst.ps_view.n == 2:
             tau = _saddle_taus(name, inst.ps_view, tau)
-        return _ps_resolvent(name, inst, gamma, tau, s)
+        return _ps_resolvent(name, inst, gamma, tau)
     else:
         _takes_none(name, inst, tau=tau)
         spec = ScalarStep(_gamma(inst, "conservative", gamma))
-    view = as_nofob(inst.bundle, spec, _s_or_identity(s, inst))
+    view = as_nofob(inst.bundle, spec, SpdMetric.identity(inst.bundle.dim))
     return Kernel(view)
 
 
@@ -318,7 +315,6 @@ class Row:
     mu_hat: Callable
     relax: Callable = _UNIT  # the relaxation when no theta is given
     fixed_relax: bool = False  # the row takes no theta
-    identity_s: bool = False  # the step is taken in S = I; no other S is accepted
     # the step is nonexpansive at theta <= 2 under the row's premise, so
     # the loop checks that its residual never rises (core.run_loop)
     nonexpansive: bool = False
@@ -327,18 +323,16 @@ class Row:
 
 
 ROWS = {
-    "fbf": Row(_scalar("conservative"), _GAMMA, fixed_relax=True, identity_s=True,
-               rejects=_needs_e_free),
-    "fbhf": Row(_scalar("conservative"), _GAMMA, fixed_relax=True, identity_s=True),
+    "fbf": Row(_scalar("conservative"), _GAMMA, fixed_relax=True, rejects=_needs_e_free),
+    "fbhf": Row(_scalar("conservative"), _GAMMA, fixed_relax=True),
     "fbf-long": Row(_scalar("long"), _EXPLICIT, _long_theta, rejects=_needs_e_free),
     "fbhf-long": Row(_scalar("long"), _EXPLICIT, _long_theta),
     "afba": Row(_saddle(fixed=False), _EXPLICIT, rejects=_needs_saddle),
     "afba-fixed": Row(_saddle(fixed=True), _UNIT_STEP, fixed_relax=True,
                       rejects=_needs_saddle),
-    "fbs": Row(_fbs, _GAMMA, _INVERSE_C, fixed_relax=True, identity_s=True,
-               nonexpansive=True, no_audit=_fbs_no_audit),
-    "fbs-relaxed": Row(_fbs, _GAMMA, identity_s=True, nonexpansive=True,
-                       no_audit=_fbs_no_audit),
+    "fbs": Row(_fbs, _GAMMA, _INVERSE_C, fixed_relax=True, nonexpansive=True,
+               no_audit=_fbs_no_audit),
+    "fbs-relaxed": Row(_fbs, _GAMMA, nonexpansive=True, no_audit=_fbs_no_audit),
     "four-op": Row(_natural, _EXPLICIT),
     "ps-explicit": Row(_projective(explicit=True), _EXPLICIT, rejects=_needs_ps_view),
     "ps-resolvent": Row(_ps_resolvent, _EXPLICIT, rejects=_needs_ps_view),
@@ -355,8 +349,6 @@ def run_algorithm(
     theta: Optional[float] = None,
     tol: float = STOP_TOL,
     max_iter: int = 1000,
-    s_metric: Optional[SpdMetric] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> RunOutput:
     row = ROWS.get(name)
     if row is None:
@@ -364,21 +356,14 @@ def run_algorithm(
     reason = row.rejects(inst)
     if reason is not None:
         raise ContractViolation(f"{name} {reason}")
-    # an SPD metric with all eigenvalues 1 is the identity
-    if (row.identity_s and s_metric is not None
-            and not s_metric.lam_min == s_metric.lam_max == 1.0):
-        raise ContractViolation(f"{name} steps in S = I and takes no other metric")
     if theta is not None and not 0.0 < theta < 2.0:
         raise ContractViolation(f"theta must lie in (0, 2), got {theta}")
     if row.fixed_relax:
         _takes_none(name, inst, theta=theta)
-    x0 = inst.x0 if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (inst.bundle.dim,):
-        raise ContractViolation("x0 must be a vector of length n")
-    ker = row.kernel(name, inst, gamma, tau, s_metric)
+    ker = row.kernel(name, inst, gamma, tau)
     th = row.relax(ker) if theta is None else float(theta)
     view, step_theta, mu_hat = ker.view, th * ker.c, row.mu_hat(ker)
-    traj = run_loop(lambda x: nofob_iterate(view, x, step_theta, mu_hat), x0, tol, max_iter,
-                    monotone_residual=row.nonexpansive and th <= 2.0)
+    traj = run_loop(lambda x: nofob_iterate(view, x, step_theta, mu_hat), inst.x0, tol,
+                    max_iter, monotone_residual=row.nonexpansive and th <= 2.0)
     audit = ker.view if row.no_audit(inst) is None else None
     return RunOutput(traj, ker.view.s_metric, inst.oracle, audit, gamma=ker.gamma)

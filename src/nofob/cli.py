@@ -138,6 +138,7 @@ def cmd_check(args) -> int:
     out = _run_from_args(args, args.algorithm, args.gamma)
     traj = _corrupt(out.trajectory) if args.corrupt else out.trajectory
     reports = [check_fejer(traj, out.z_star, out.s_metric)]
+    skipped = None  # why the separation and mu-bounds audits are skipped
     if out.nofob_view is not None:
         view = out.nofob_view
         reports.append(check_separation(traj, view, out.z_star))
@@ -145,8 +146,8 @@ def cmd_check(args) -> int:
             traj, view.beta, view.p_metric, out.s_metric, view.kernel_lipschitz
         ))
     else:
-        reason = ROWS[args.algorithm].no_audit(get_instance(args.problem, args.seed))
-        print(f"separation/mu-bounds skipped: {args.algorithm} on {args.problem}: {reason}")
+        skipped = ROWS[args.algorithm].no_audit(get_instance(args.problem, args.seed))
+        print(f"separation/mu-bounds skipped: {args.algorithm} on {args.problem}: {skipped}")
     lines = [r.line() for r in reports]
     residuals = [rec.residual_s for rec in traj.records]
     try:
@@ -171,7 +172,7 @@ def cmd_check(args) -> int:
     if args.report:
         payload = {
             "problem": args.problem, "algorithm": args.algorithm,
-            "status": traj.status,
+            "status": traj.status, "skipped": skipped,
             "checks": [dataclasses.asdict(r) for r in reports],
         }
         code = _write_text(args.report, json.dumps(payload, indent=2) + "\n")

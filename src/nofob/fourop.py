@@ -526,15 +526,16 @@ def afba_fixed_step_check(
 # relaxed forward-backward
 
 
-def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
+def fbs_view(prob: FourOpProblem, gamma: float) -> NofobProblem:
     """Forward-backward as a kernel view: M = gamma^{-1} I, D, K, E forward.
 
-    P = gamma^{-1} I and beta = beta_E gamma.  The corrected step on this
-    view with step length mu_hat = gamma and relaxation theta c, where
+    P = gamma^{-1} I, S = I and beta = beta_E gamma.  The corrected step on
+    this view with step length mu_hat = gamma and relaxation theta c, where
     c = 1 - beta_E gamma / 4, is x_next = (1 - theta c) x + theta c x_hat,
-    the relaxed forward-backward update in the metric I; theta = 1/c gives
-    plain forward-backward.  The halfspace separates only when D = K = 0;
-    otherwise the whole forward part is treated as if it were cocoercive.
+    the relaxed forward-backward update, which holds only in the metric
+    S = I; theta = 1/c gives plain forward-backward.  The halfspace
+    separates only when D = K = 0; otherwise the whole forward part is
+    treated as if it were cocoercive.
     """
     _positive(gamma, "gamma")
     _, f, d, e = prob.forward_parts
@@ -550,6 +551,7 @@ def fbs_view(prob: FourOpProblem, gamma: float, s: SpdMetric) -> NofobProblem:
 
     return NofobProblem(
         fb_oracle=fb, kernel_diff=kernel_diff,
-        p_metric=SpdMetric.scaled_identity(1.0 / gamma, prob.dim), s_metric=s,
+        p_metric=SpdMetric.scaled_identity(1.0 / gamma, prob.dim),
+        s_metric=SpdMetric.identity(prob.dim),
         beta=prob.e.inverse_cocoercivity * gamma, kernel_lipschitz=1.0 / gamma,
     )

@@ -249,7 +249,7 @@ def _fbs_unchecked(inst, gamma=None, theta=None, tol=STOP_TOL, max_iter=1000):
         gamma = 1.0 if beta_e == 0.0 else 0.9 * (2.0 / beta_e)
     c = 1.0 - 0.25 * inst.bundle.e.inverse_cocoercivity * gamma
     th = 1.0 / c if theta is None else theta
-    view = fbs_view(inst.bundle, gamma, SpdMetric.identity(inst.bundle.dim))
+    view = fbs_view(inst.bundle, gamma)
     return run_loop(lambda x: nofob_iterate(view, x, th * c, gamma), inst.x0, tol, max_iter)
 
 
@@ -310,14 +310,14 @@ def ps_mu_terms_reference():
 # the explicit projective-splitting step, shared by the equivalence tests
 
 
-def _ps_explicit_step(ps, p, theta, taus=None):
+def _ps_explicit_step(ps, p, theta, taus=None, s=None):
     """One `ps-explicit` step from the stacked vector p at the per-block
-    step sizes taus (by default all 1), as the row takes it: the
-    corrected step in S = I on the block-diagonal view, with Johnstone
-    and Eckstein's explicit oracle swapped in."""
+    step sizes taus (by default all 1): the corrected step in the metric
+    s (by default S = I, as the row takes it) on the block-diagonal view,
+    with Johnstone and Eckstein's explicit oracle swapped in."""
     taus = (1.0,) * ps.n if taus is None else tuple(taus)
-    view = as_nofob(ps.stacked, BlockDiag((*taus[:-1], 1.0 / taus[-1])),
-                    SpdMetric.identity(ps.stacked.dim))
+    s = SpdMetric.identity(ps.stacked.dim) if s is None else s
+    view = as_nofob(ps.stacked, BlockDiag((*taus[:-1], 1.0 / taus[-1])), s)
     return nofob_iterate(dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps, taus)),
                          p, theta)
 

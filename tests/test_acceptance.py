@@ -54,7 +54,8 @@ def test_fixed_point_certificates():
     worst = 0.0
     for name, algo in convergent_pairs():
         inst = get_instance(name)
-        out = run_algorithm(algo, inst, x0=inst.oracle, tol=1e-9, max_iter=5)
+        out = run_algorithm(algo, dataclasses.replace(inst, x0=inst.oracle),
+                            tol=1e-9, max_iter=5)
         assert out.trajectory.status == "converged", f"{name}/{algo}"
         worst = max(worst, out.trajectory.records[0].residual_s)
     assert worst <= 1e-9

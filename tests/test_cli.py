@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import warnings
@@ -58,7 +59,7 @@ def test_solve_plain_fb_on_rotation_ends_violated_at_the_first_rise(tmp_path, ca
 
 def test_solve_from_oracle_writes_one_row(tmp_path):
     inst = get_instance("regquad-full")
-    out = run_algorithm("four-op", inst, x0=inst.oracle)
+    out = run_algorithm("four-op", dataclasses.replace(inst, x0=inst.oracle))
     assert out.trajectory.status == "converged"
     assert len(out.trajectory.records) == 1
 
@@ -123,16 +124,21 @@ def test_check_passes_on_matched_pair(capsys):
     assert "fejer" in out and "pass" in out
 
 
-def test_check_names_why_it_skips_the_separation_audits(capsys):
+def test_check_names_why_it_skips_the_separation_audits(capsys, tmp_path):
     # plain forward-backward converges on regquad-fbhf, but with D nonzero
-    # its step has no separation to audit
-    code = run_cli(["check", "--problem", "regquad-fbhf", "--algorithm", "fbs-relaxed"])
+    # its step has no separation to audit; the report says so too
+    report = tmp_path / "report.json"
+    code = run_cli(["check", "--problem", "regquad-fbhf", "--algorithm", "fbs-relaxed",
+                    "--report", str(report)])
     out = capsys.readouterr().out
     assert code == EXIT_OK
+    reason = "D or K is nonzero, so the step has no separation to audit"
     assert out.splitlines()[0] == (
-        "separation/mu-bounds skipped: fbs-relaxed on regquad-fbhf: "
-        "D or K is nonzero, so the step has no separation to audit")
+        f"separation/mu-bounds skipped: fbs-relaxed on regquad-fbhf: {reason}")
     assert [line.split()[0] for line in out.splitlines()[1:]] == ["fejer", "rate-fit"]
+    payload = json.loads(report.read_text())
+    assert payload["skipped"] == reason
+    assert [c["name"] for c in payload["checks"]] == ["fejer"]
 
 
 def test_check_corrupt_negative_control(capsys):
@@ -154,6 +160,7 @@ def test_check_ps_equivalence_line(capsys, tmp_path):
     assert code == EXIT_OK
     assert "equivalence" in out
     payload = json.loads(report.read_text())
+    assert payload["skipped"] is None  # all three audits ran
     eq = [c for c in payload["checks"] if "equivalence" in c["name"]]
     assert eq and eq[0]["passed"]
     assert eq[0]["max_violation"] <= 1e-10

@@ -13,12 +13,14 @@ from nofob.core import (
     nofob_iterate,
     run_loop,
 )
+from nofob.fourop import ScalarStep, as_nofob, gamma_bound_conservative, gamma_bound_long
 from nofob.linalg import NOISE_TOL, ContractViolation, SpdMetric
 from nofob.problems import (
     REGISTRY,
     get_instance,
     make_nonlinear_kernel_demo,
     make_regularized_quadratic,
+    make_saddle_pd,
 )
 from nofob.rng import Lcg64
 
@@ -320,12 +322,12 @@ def test_failed_separation_is_null_at_noise_level_and_raises_above():
 # the step bit for bit against its reference transcription
 
 
-def _outcome(name, inst, **kwargs):
+def _outcome(name, inst):
     """A run's status, final iterate and records, or the exception it raised."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = run_algorithm(name, inst, **kwargs)
+            out = run_algorithm(name, inst)
     except ContractViolation as exc:
         return f"raised {exc}"
     traj = out.trajectory
@@ -352,15 +354,15 @@ def _assert_same_run(got, expected, label):
 
 
 def _runs_match_the_reference(monkeypatch, reference_iterate, cases):
-    """Each (label, instance, kwargs) through every algorithm, once with
-    the step and once with the reference transcription in its place."""
+    """Each (label, instance) through every algorithm, once with the step
+    and once with the reference transcription in its place."""
     compared = 0
-    for label, inst, kwargs in cases:
+    for label, inst in cases:
         for name in ALGORITHMS:
-            got = _outcome(name, inst, **kwargs)
+            got = _outcome(name, inst)
             with monkeypatch.context() as m:
                 m.setattr(algorithms, "nofob_iterate", reference_iterate)
-                expected = _outcome(name, inst, **kwargs)
+                expected = _outcome(name, inst)
             _assert_same_run(got, expected, f"{label} {name}")
             compared += not isinstance(got, str)
     return compared
@@ -371,20 +373,17 @@ def test_the_step_equals_its_reference_bit_for_bit_on_the_registry(
         problem, monkeypatch, reference_iterate):
     # seeds 0-4 through every algorithm the instance accepts, among them
     # afba-fixed's unit step in its dense S = P and ps-explicit's oracle
-    cases = [(f"{problem}/{seed}", get_instance(problem, seed), {}) for seed in range(5)]
+    cases = [(f"{problem}/{seed}", get_instance(problem, seed)) for seed in range(5)]
     assert _runs_match_the_reference(monkeypatch, reference_iterate, cases) >= 5
 
 
 def test_the_step_equals_its_reference_bit_for_bit_at_n_200(monkeypatch, reference_iterate):
     # the bisection-free nonlinear resolvent and the summed products at
-    # n = 200, and a given dense S on the scalar kernel
-    full = make_regularized_quadratic(n=200, seed=3, split="full")
-    a = Lcg64(7).matrix(200, 200)
-    dense_s = SpdMetric(a @ a.T / 200.0 + np.eye(200))
-    cases = [("nonlinear-kernel/n=200", make_nonlinear_kernel_demo(n=200, seed=3)[0], {}),
-             ("regquad-full/n=200", full, {}),
-             ("regquad-full/n=200/dense S", full, {"s_metric": dense_s})]
-    assert _runs_match_the_reference(monkeypatch, reference_iterate, cases) >= 8
+    # n = 200, and afba-fixed's unit step in its dense S = P of dimension 350
+    cases = [("nonlinear-kernel/n=200", make_nonlinear_kernel_demo(n=200, seed=3)[0]),
+             ("regquad-full/n=200", make_regularized_quadratic(n=200, seed=3, split="full")),
+             ("saddle/n=200,m=150", make_saddle_pd(n=200, m=150, seed=3))]
+    assert _runs_match_the_reference(monkeypatch, reference_iterate, cases) >= 23
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +430,20 @@ def test_huge_finite_entries_of_x_next_do_not_end_the_run():
 @pytest.mark.parametrize("algorithm", ["four-op", "fbhf-long"])
 @pytest.mark.parametrize("kind", ["identity", "scaled", "dense"])
 def test_a_metric_of_the_wrong_dimension_is_rejected(algorithm, kind):
+    # the scalar kernel the row builds on regquad-full, at its default gamma
     inst = get_instance("regquad-full", 0)
-    n = inst.bundle.dim - 1
-    s = {"identity": lambda: SpdMetric.identity(n),
-         "scaled": lambda: SpdMetric.scaled_identity(2.0, n),
-         "dense": lambda: SpdMetric(np.eye(n) + 0.1 * np.ones((n, n)))}[kind]()
+    c = inst.constants
+    bound = {"four-op": gamma_bound_conservative(c["beta_e"], c["l_d"], c["k_norm"], 0.0),
+             "fbhf-long": gamma_bound_long(c["beta_e"], c["l_d"], 0.0)}[algorithm]
+    spec = ScalarStep(0.9 * bound)
+    n = inst.bundle.dim
+    row_p = run_algorithm(algorithm, inst, max_iter=0).nofob_view.p_metric
+    assert as_nofob(inst.bundle, spec, SpdMetric.identity(n)).p_metric.lam_min == row_p.lam_min
+    s = {"identity": lambda: SpdMetric.identity(n - 1),
+         "scaled": lambda: SpdMetric.scaled_identity(2.0, n - 1),
+         "dense": lambda: SpdMetric(np.eye(n - 1) + 0.1 * np.ones((n - 1, n - 1)))}[kind]()
     with pytest.raises(ContractViolation, match="dimension mismatch"):
-        run_algorithm(algorithm, inst, s_metric=s)
+        as_nofob(inst.bundle, spec, s)
 
 
 def test_an_iterate_of_the_wrong_dimension_is_rejected_by_the_step():

@@ -169,7 +169,7 @@ def test_non_finite_step_sizes_are_rejected_at_construction():
         with pytest.raises(ContractViolation, match="gamma must be positive and finite"):
             ScalarStep(bad)
         with pytest.raises(ContractViolation, match="gamma must be positive and finite"):
-            fbs_view(prob, bad, s)
+            fbs_view(prob, bad)
         with pytest.raises(ContractViolation, match="block weights must be positive and finite"):
             BlockDiag([1.0, bad])
         with pytest.raises(ContractViolation, match="tau1 must be positive and finite"):
@@ -697,7 +697,7 @@ def test_summed_products_match_the_maps_one_by_one(split, n, seed):
     s = SpdMetric.identity(n)
     free = FourOpProblem(b=zero_operator(n), d=prob.d, e=prob.e, k=prob.k, dim=n)
     view = as_nofob(free, ScalarStep(g), s)
-    fbs = fbs_view(free, g, s)
+    fbs = fbs_view(free, g)
     rng = Lcg64(100 + seed)
     for scale in (1e-3, 1.0, 1e3):
         x = scale * rng.vector(n)
@@ -777,7 +777,7 @@ def test_stacked_kernel_difference_is_the_per_row_one_bit_for_bit(
     records = out.trajectory.records
     assert len(records) > 1
     if family is fbs_view:
-        view = fbs_view(inst.bundle, out.gamma, out.s_metric)
+        view = fbs_view(inst.bundle, out.gamma)
     else:
         view = out.nofob_view
         bundle = inst.ps_view.stacked if algorithm == "ps-resolvent" else inst.bundle
@@ -794,7 +794,7 @@ def test_stacked_kernel_difference_is_the_per_row_one_at_ladder_sizes(n, algorit
     out = run_algorithm(algorithm, inst)
     view = out.nofob_view
     if algorithm == "fbs-relaxed":
-        view = fbs_view(inst.bundle, out.gamma, out.s_metric)
+        view = fbs_view(inst.bundle, out.gamma)
     _assert_stacked_is_per_row(view, out.trajectory.records)
 
 

@@ -24,6 +24,7 @@ and `IterRecord` the command line reads.
 
 import ast
 import dataclasses
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -31,7 +32,7 @@ import pytest
 
 import nofob
 from nofob import cli
-from nofob.algorithms import RunOutput
+from nofob.algorithms import RunOutput, run_algorithm
 from nofob.core import IterRecord, NofobProblem, Trajectory
 from nofob.linalg import SpdMetric
 from nofob.operators import ProxOperator
@@ -161,3 +162,17 @@ def test_the_command_line_reads_every_field_of_the_result_types(monkeypatch, tmp
     unread = [f"{cls.__name__}.{f.name}" for cls, names in read.items()
               for f in dataclasses.fields(cls) if f.name not in names]
     assert unread == []
+
+
+def test_the_command_line_sets_every_option_of_a_run():
+    """A run option exists only if the command line can set it: every
+    parameter of `run_algorithm` after the instance is passed by keyword
+    in cli.py."""
+    params = list(inspect.signature(run_algorithm).parameters)
+    options = params[params.index("inst") + 1:]
+    calls = [node for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run_algorithm"]
+    assert calls
+    passed = {kw.arg for call in calls for kw in call.keywords}
+    assert [name for name in options if name not in passed] == []
