@@ -1,10 +1,10 @@
 """Named algorithm runners over registered problem instances.
 
 Every runner is a row of ROWS: a kernel view, a step length, a
-relaxation and the instance contract, fed to the one corrected step
-core.nofob_iterate through the shared loop.  A run returns the
-trajectory together with the metric, the oracle, and the view the
-diagnostic checkers audit.  Names:
+relaxation and the instance contract, fed to the one corrected step,
+bound once per run by core.corrected_step, through the shared loop.  A
+run returns the trajectory together with the metric, the oracle, and
+the view the diagnostic checkers audit.  Names:
 
   fbf, fbhf          conservative short step: mu_hat = gamma, unit
                      relaxation (fbf requires E = 0)
@@ -71,7 +71,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import NofobProblem, Trajectory, nofob_iterate, run_loop
+from .core import NofobProblem, Trajectory, corrected_step, run_loop
 from .fourop import (
     AffinePlusSkew,
     BlockDiag,
@@ -245,7 +245,8 @@ def _natural(name, inst, gamma, tau):
     """The nonlinear kernel where the problem carries one; on a stacked
     problem the ps-resolvent view, by default with the saddle kernels'
     step sizes on two blocks and unit step sizes on more; otherwise
-    the scalar kernel."""
+    the scalar kernel, whose step size it reports."""
+    g = None
     if inst.nonlinear_spec is not None:
         _takes_none(name, inst, gamma=gamma, tau=tau)
         spec = inst.nonlinear_spec
@@ -255,9 +256,10 @@ def _natural(name, inst, gamma, tau):
         return _ps_resolvent(name, inst, gamma, tau)
     else:
         _takes_none(name, inst, tau=tau)
-        spec = ScalarStep(_gamma(inst, "conservative", gamma))
+        g = _gamma(inst, "conservative", gamma)
+        spec = ScalarStep(g)
     view = as_nofob(inst.bundle, spec, SpdMetric.identity(inst.bundle.dim))
-    return Kernel(view)
+    return Kernel(view, gamma=g)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,7 @@ def run_algorithm(
     ker = row.kernel(name, inst, gamma, tau)
     th = row.relax(ker) if theta is None else float(theta)
     view, step_theta, mu_hat = ker.view, th * ker.c, row.mu_hat(ker)
-    traj = run_loop(lambda x: nofob_iterate(view, x, step_theta, mu_hat), inst.x0, tol,
-                    max_iter, monotone_residual=row.nonexpansive and th <= 2.0)
+    traj = run_loop(corrected_step(view, step_theta, mu_hat), inst.x0, tol, max_iter,
+                    monotone_residual=row.nonexpansive and th <= 2.0)
     audit = ker.view if row.no_audit(inst) is None else None
     return RunOutput(traj, ker.view.s_metric, inst.oracle, audit, gamma=ker.gamma)

@@ -34,6 +34,7 @@ __all__ = [
     "coincides",
     "separation_fails",
     "null_record",
+    "corrected_step",
     "nofob_iterate",
     "run_loop",
 ]
@@ -49,17 +50,19 @@ class NofobProblem:
     relative to P; S is the projection metric; kernel_lipschitz bounds M
     in the norm pair.
 
-    M enters the step only through kernel_diff(x, x_hat), which returns
-    M x - M x_hat, the normal of the halfspace, free of the cancellation
-    the plain difference of M x and M x_hat suffers
+    M enters the step only through kernel_diff(x, x_hat, d), which
+    returns M x - M x_hat, the normal of the halfspace, free of the
+    cancellation the plain difference of M x and M x_hat suffers
     (eps * ||x|| / ||x - x_hat|| digits); the step and the separation
-    audit both take it from here.  A view may have it reuse the oracle's
-    work at the oracle's own x array (the four-op views do), so it is a
-    function of its arguments alone as long as nothing writes to x
-    between the two calls; the step never does.  It takes two vectors, or
-    two k x n stacks that it treats row by row, each row bit for bit the
-    vector's value: the step calls it on vectors, the separation audit
-    once on the stacked records of a trajectory.
+    audit both take it from here.  d is x - x_hat as the caller formed
+    it, so that a linear kernel applies M to d and forms no difference
+    of its own.  A view may have it reuse the oracle's work at the
+    oracle's own x array (the four-op views do), so it is a function of
+    its arguments alone as long as nothing writes to x between the two
+    calls; the step never does.  It takes vectors, or k x n stacks that
+    it treats row by row, each row bit for bit the vector's value: the
+    step calls it on vectors, the separation audit once on the stacked
+    records of a trajectory.
     """
 
     fb_oracle: Callable[[np.ndarray], np.ndarray]
@@ -67,7 +70,7 @@ class NofobProblem:
     s_metric: SpdMetric
     beta: float
     kernel_lipschitz: float
-    kernel_diff: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    kernel_diff: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     # not a field and always None: perfbench/tracing.py hooks it by name
     kernel_eval = None
 
@@ -146,10 +149,11 @@ def null_record(x, x_hat, theta: float, residual: float) -> IterRecord:
     return IterRecord(x, x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0)
 
 
-def nofob_iterate(prob: NofobProblem, x: np.ndarray, theta: float,
-                  mu_hat: Optional[float] = None) -> IterRecord:
-    """One corrected step from x: oracle, separation, relaxed metric
-    projection.  The record's iteration is its place in the trajectory.
+def corrected_step(prob: NofobProblem, theta: float,
+                   mu_hat: Optional[float] = None) -> Callable[[np.ndarray], IterRecord]:
+    """The corrected step on one view, bound once: x -> the IterRecord of
+    one step from x (oracle, separation, relaxed metric projection).  The
+    record's iteration is its place in the trajectory.
 
     x_next = x - theta * t * S^{-1}(Mx - Mx_hat), where the step length t
     is the explicit projection length mu, or mu_hat when one is given.
@@ -157,36 +161,59 @@ def nofob_iterate(prob: NofobProblem, x: np.ndarray, theta: float,
     the record then stores the explicit mu and the effective relaxation
     theta * mu_hat / mu, so the Fejer and step-bound checkers stay exact.
 
-    The norms are the metrics' bound ones; the one dimension check
-    compares x - x_hat with S, and the view checked P against S.  On
-    vectors `a.dot(b)` rounds as `a @ b`, without its ufunc dispatch.
+    The view's oracle, kernel difference, bound norms, S's dimension and
+    beta / 4 are read here, once per run, and mu_hat is checked here.
+    Each step makes one dimension check, of x - x_hat against S (the view
+    checked P against S), and hands that difference to `kernel_diff`.  In
+    S = I, S^{-1} m is m itself, which is what `SpdMetric.solve` returns
+    there, so the step skips the call; m.dot(x - x_hat) has already
+    required m to be of that length.  On vectors `a.dot(b)` rounds as
+    `a @ b`, without its ufunc dispatch.
     """
     if mu_hat is not None and not mu_hat > 0.0:
         raise ContractViolation("mu_hat must be positive")
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(prob.fb_oracle(x), dtype=float)
-    diff = x - x_hat
+    oracle, kernel_diff, asarray = prob.fb_oracle, prob.kernel_diff, np.asarray
     s = prob.s_metric
-    if diff.shape[0] != s.dim:
-        raise ContractViolation("dimension mismatch")
-    residual = s.norm(diff)
-    x_norm = s.norm(x)
-    if coincides(residual, x_norm):
-        return null_record(x, x_hat, theta, residual)
-    m = prob.kernel_diff(x, x_hat)
-    pg = prob.p_metric.norm(diff)
-    num = float(m.dot(diff)) - 0.25 * prob.beta * pg * pg
-    s_inv_m = s.solve(m)
-    den = float(m.dot(s_inv_m))
-    if separation_fails(num, den, residual, x_norm):
-        return null_record(x, x_hat, theta, residual)
-    mu = num / den
-    if mu_hat is None:
-        x_next = x - theta * mu * s_inv_m
-    else:
-        x_next = x - theta * mu_hat * s_inv_m
-        theta = theta * mu_hat / mu
-    return IterRecord(x, x_hat, x_next, mu, theta, residual, num, math.sqrt(den))
+    s_norm, p_norm, dim = s.norm, prob.p_metric.norm, s.dim
+    s_solve = None if s.is_unit else s.solve
+    # q * pg * pg rounds as 0.25 * beta * pg * pg, left to right
+    q = 0.25 * prob.beta
+
+    def step(x: np.ndarray) -> IterRecord:
+        x = asarray(x, dtype=float)
+        x_hat = asarray(oracle(x), dtype=float)
+        diff = x - x_hat
+        if diff.shape[0] != dim:
+            raise ContractViolation("dimension mismatch")
+        residual = s_norm(diff)
+        x_norm = s_norm(x)
+        if coincides(residual, x_norm):
+            return null_record(x, x_hat, theta, residual)
+        m = kernel_diff(x, x_hat, diff)
+        pg = p_norm(diff)
+        num = float(m.dot(diff)) - q * pg * pg
+        s_inv_m = m if s_solve is None else s_solve(m)
+        den = float(m.dot(s_inv_m))
+        if separation_fails(num, den, residual, x_norm):
+            return null_record(x, x_hat, theta, residual)
+        mu = num / den
+        if mu_hat is None:
+            return IterRecord(x, x_hat, x - theta * mu * s_inv_m, mu, theta, residual,
+                              num, math.sqrt(den))
+        return IterRecord(x, x_hat, x - theta * mu_hat * s_inv_m, mu, theta * mu_hat / mu,
+                          residual, num, math.sqrt(den))
+
+    return step
+
+
+def nofob_iterate(prob: NofobProblem, x: np.ndarray, theta: float,
+                  mu_hat: Optional[float] = None) -> IterRecord:
+    """One corrected step from x: `corrected_step(prob, theta, mu_hat)(x)`.
+
+    A run binds the step once (`corrected_step`) and calls it per
+    iteration; this binds it for a single step.
+    """
+    return corrected_step(prob, theta, mu_hat)(x)
 
 
 def run_loop(

@@ -151,7 +151,8 @@ def check_separation(traj: Trajectory, prob: NofobProblem,
     Requires psi(x) >= (1 - beta/4)||x - x_hat||_P^2 and psi(z*) <= 0 for
     psi(z) = <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2, both
     recomputed from the kernel rather than trusted from the records, by
-    one `prob.kernel_diff` call on the stacked records.  A NaN in either
+    one `prob.kernel_diff` call on the stacked records, handed the
+    stacked x - x_hat that the gap is measured on.  A NaN in either
     condition fails.
     """
     z = _solution(z_star, prob.p_metric.dim)
@@ -162,9 +163,9 @@ def check_separation(traj: Trajectory, prob: NofobProblem,
     n = prob.p_metric.dim
     x = _rows([r.x for r in recs], k, n)
     x_hat = _rows([r.x_hat for r in recs], k, n)
-    m = prob.kernel_diff(x, x_hat)
     with np.errstate(over="ignore", invalid="ignore"):
         d = x - x_hat
+        m = prob.kernel_diff(x, x_hat, d)
         gap = weighted_row_norms(prob.p_metric, d)
         q = 0.25 * prob.beta * gap * gap
         at_x = np.vecdot(m, d) - q

@@ -33,9 +33,11 @@ a nonlinear D, is still called map by map, and the kernel difference at
 the oracle's own x reuses the oracle's D x.  Each view composes its
 forward sum once, when it is built.  `FourOpProblem.forward` keeps its
 map-by-map sum: it serves the oracle certificate, where it is an
-independent cross-check of the summed matrices.  On the linear kernels
-(ScalarStep, BlockDiag, AffinePlusSkew) the kernel difference forms
-x - x_hat once and applies Q and G to it.
+independent cross-check of the summed matrices.  The kernel difference
+forms x - x_hat once: the step and the separation audit form it and
+hand it in, and the linear kernels (ScalarStep, BlockDiag,
+AffinePlusSkew) and G apply to that difference; a nonlinear Q and a D
+without a matrix read x and x_hat.
 
 Every kernel map, Q and a `LinearPart`, takes a vector or a k x n stack
 of rows, so one kernel difference body serves the step and, on stacks,
@@ -386,9 +388,11 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     """View the four-operator method as a corrected forward-backward solve.
 
     The kernel is M = Q - D - K, and the view holds it only as the
-    difference kernel_diff(x, x_hat) = M x - M x_hat, the one form the
-    step reads.  The spec's check runs once, here, and the constants
-    come from the spec's metric W and bound ||Q||:
+    difference kernel_diff(x, x_hat, d) = M x - M x_hat, with d the
+    caller's x - x_hat, the one form the step reads.  A linear Q and G
+    apply to d; a nonlinear Q and a D without a matrix read x and x_hat.
+    The spec's check runs once, here, and the constants come from the
+    spec's metric W and bound ||Q||:
     P = W - L_D I (raising unless positive definite),
     beta = beta_E / lambda_min(P) and L_M = ||Q|| + L_D + ||K||.
 
@@ -403,20 +407,20 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     l_d = prob.d.lipschitz_constant
     p = _less_l_d(spec.q_metric(prob), l_d)
     be = prob.e.inverse_cocoercivity
-    g, f, d, e = prob.forward_parts
+    g, f, d_map, e = prob.forward_parts
     q_apply, resolvent, linear = spec.q_apply, spec.resolvent, spec.linear
     last = (None, None, None)  # the oracle's x, its D x and its Q x
     oracle_dx = None
 
     def d_at_oracle(x):
         nonlocal oracle_dx
-        oracle_dx = d(x)
+        oracle_dx = d_map(x)
         return oracle_dx
 
     def d_of(x):
-        return d(x) if x.ndim == 1 else np.array([d(row) for row in x])
+        return d_map(x) if x.ndim == 1 else np.array([d_map(row) for row in x])
 
-    forward = _summed((None if d is None else d_at_oracle, f, e))
+    forward = _summed((None if d_map is None else d_at_oracle, f, e))
 
     def fb(x):
         nonlocal last
@@ -426,20 +430,19 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         last = (x, oracle_dx, v)
         return resolvent(prob, y, x, v)
 
-    def kernel_diff(x, x_hat):
+    def kernel_diff(x, x_hat, d):
         last_x, last_dx, last_qx = last
         at_last = x is last_x
-        diff = x - x_hat
         if linear:
-            m = q_apply(prob, diff)
+            m = q_apply(prob, d)
         else:
             qx = last_qx if at_last else q_apply(prob, x)
             m = qx - q_apply(prob, x_hat)
-        if d is not None:
+        if d_map is not None:
             dx = last_dx if at_last else d_of(x)
             m = m - (dx - d_of(x_hat))
         if g is not None:
-            m = m - g(diff)
+            m = m - g(d)
         return m
 
     return NofobProblem(
@@ -535,7 +538,9 @@ def fbs_view(prob: FourOpProblem, gamma: float) -> NofobProblem:
     the relaxed forward-backward update, which holds only in the metric
     S = I; theta = 1/c gives plain forward-backward.  The halfspace
     separates only when D = K = 0; otherwise the whole forward part is
-    treated as if it were cocoercive.
+    treated as if it were cocoercive.  The kernel difference
+    kernel_diff(x, x_hat, d) is d / gamma, d being the caller's
+    x - x_hat.
     """
     _positive(gamma, "gamma")
     _, f, d, e = prob.forward_parts
@@ -546,8 +551,8 @@ def fbs_view(prob: FourOpProblem, gamma: float) -> NofobProblem:
         y = x if forward is None else x - gamma * forward(x)
         return np.asarray(prob.b.evaluator(gamma, y), dtype=float)
 
-    def kernel_diff(x, x_hat):
-        return (x - x_hat) / gamma
+    def kernel_diff(x, x_hat, d):
+        return d / gamma
 
     return NofobProblem(
         fb_oracle=fb, kernel_diff=kernel_diff,

@@ -292,6 +292,11 @@ class SpdMetric:
         self.norm = partial(_dense_norm, w)
 
     @property
+    def is_unit(self) -> bool:
+        """Whether W is I held as the scalar 1, where `solve` returns v itself."""
+        return self._scale == 1.0
+
+    @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             self._matrix = self._scale * np.eye(self.dim)

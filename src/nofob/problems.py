@@ -17,6 +17,7 @@ regquad-full, saddle, nonlinear-kernel.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -241,6 +242,11 @@ def _check_subgradient_inclusion(x: np.ndarray, lam: float, forward: np.ndarray)
         raise ContractViolation("oracle fails the optimality inclusion")
 
 
+def _d_symmetric_part(rng: Lcg64, n: int) -> np.ndarray:
+    """The symmetric part of regquad's D, 0.5 I + 0.2 R R^T / n."""
+    return 0.5 * np.eye(n) + 0.2 * _seeded_spd(rng, n, 0.0)
+
+
 def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
                                seed: int = DEFAULT_SEED,
                                split: str = "full") -> ProblemInstance:
@@ -251,7 +257,9 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     and E declare their matrices (and E its shift -b), so that the
     kernel views may sum them.
     `split` zeroes pieces: fbs keeps B+E, fbhf keeps B+D+E, fbf keeps
-    B+D+K, full keeps everything.
+    B+D+K, full keeps everything.  `sigma_of` draws D's symmetric part
+    again, from a copy of the generator taken just before it was drawn,
+    so the instance keeps no n x n array that only sigma reads.
     """
     if n < 2 or not 0.0 <= lam < math.inf:  # a NaN fails this test too
         raise ContractViolation("need n >= 2 and a finite lam >= 0")
@@ -260,8 +268,10 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     rng = Lcg64(seed)
     h = _seeded_spd(rng, n, 0.5)
     b_vec = rng.vector(n)
-    d_sym = 0.5 * np.eye(n) + 0.2 * _seeded_spd(rng, n, 0.0)
-    d_mat = d_sym + _seeded_skew(rng, n, 0.4)[0]
+    # D's symmetric part is drawn again from this copy when sigma is read
+    d_sym_rng = copy.copy(rng)
+    d_mat = _d_symmetric_part(rng, n)
+    d_mat += _seeded_skew(rng, n, 0.4)[0]
     k_mat, k_norm = _seeded_skew(rng, n, 0.3)
     x0 = rng.vector(n)
 
@@ -292,7 +302,8 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
         # n = 800, seed 23 (0.67 s against 0.05 s dense).
         if not (use_e or use_d):
             return 0.0
-        sym_total = (h if use_e else 0.0) + (d_sym if use_d else 0.0)
+        d_sym = _d_symmetric_part(copy.copy(d_sym_rng), n) if use_d else 0.0
+        sym_total = (h if use_e else 0.0) + d_sym
         return float(np.linalg.eigvalsh(np.atleast_2d(sym_total))[0])
 
     return _certify(ProblemInstance(

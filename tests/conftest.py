@@ -447,7 +447,7 @@ def planted_nonlinear_drift():
 def _psi_value(prob, x, x_hat, z):
     """Separating function <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2,
     with its own kernel difference and P-norm on every call."""
-    m = prob.kernel_diff(x, x_hat)
+    m = prob.kernel_diff(x, x_hat, x - x_hat)
     gap = prob.p_metric.norm(x - x_hat)
     return float(m @ (z - x_hat)) - 0.25 * prob.beta * gap * gap
 
@@ -538,7 +538,7 @@ def _reference_iterate(prob, x, theta, mu_hat=None):
     x_norm = _reference_weighted_norm(prob.s_metric, x)
     if coincides(residual, x_norm):
         return null_record(x, x_hat, theta, residual)
-    m = prob.kernel_diff(x, x_hat)
+    m = prob.kernel_diff(x, x_hat, diff)
     pg = _reference_weighted_norm(prob.p_metric, diff)
     num = float(m @ diff) - 0.25 * prob.beta * pg * pg
     s_inv_m = prob.s_metric.solve(m)

@@ -256,7 +256,7 @@ def test_step_size_formula_grid_and_mu_bound_sampling(scalar_draws):
         pair_rng = Lcg64(202)
         for _ in range(10000):
             x, y = pair_rng.vector(prob.dim), pair_rng.vector(prob.dim)
-            m = view.kernel_diff(x, y)
+            m = view.kernel_diff(x, y, x - y)
             den = float(m @ m)
             if den == 0.0:
                 continue

@@ -134,6 +134,22 @@ def test_conservative_rows_warn_beyond_their_bound():
     assert caught[0].filename == __file__
 
 
+@pytest.mark.parametrize("name", REGISTRY)
+def test_four_op_reports_its_scalar_step_size(name):
+    # on a scalar kernel four-op steps at 0.9 times the conservative bound
+    # by default, or at the given gamma, and reports it as fbhf does; its
+    # other kernels take no scalar step size
+    inst = get_instance(name)
+    default = run_algorithm("four-op", inst, max_iter=0).gamma
+    if inst.nonlinear_spec is not None or inst.ps_view is not None:
+        assert default is None
+        return
+    c = inst.constants
+    bound = gamma_bound_conservative(c["beta_e"], c["l_d"], c["k_norm"], 0.0)
+    assert default == 0.9 * bound == run_algorithm("fbhf", inst, max_iter=0).gamma
+    assert run_algorithm("four-op", inst, gamma=0.3, max_iter=0).gamma == 0.3
+
+
 @pytest.mark.parametrize("seed", [0, 6, 19, 27, 32, 33, 38, 39, 42])
 def test_afba_fixed_steps_in_its_own_metric(seed):
     # on these seeds the unit step fails the fixed-step check in S = I;
@@ -370,13 +386,18 @@ def test_the_step_never_writes_to_its_iterate(monkeypatch, name, algorithm):
     # own x array in the kernel difference, which is right only while
     # nothing writes to that array between the two calls: every x the
     # step gets here is read-only, so a write would raise
-    step = algorithms.nofob_iterate
+    bind = algorithms.corrected_step
 
-    def read_only_step(view, x, theta, mu_hat=None):
-        x.flags.writeable = False
-        return step(view, x, theta, mu_hat)
+    def read_only_step(view, theta, mu_hat=None):
+        step = bind(view, theta, mu_hat)
 
-    monkeypatch.setattr(algorithms, "nofob_iterate", read_only_step)
+        def read_only(x):
+            x.flags.writeable = False
+            return step(x)
+
+        return read_only
+
+    monkeypatch.setattr(algorithms, "corrected_step", read_only_step)
     out = run_algorithm(algorithm, get_instance(name), max_iter=20)
     assert out.trajectory.status != "error"
     assert not out.trajectory.records[0].x.flags.writeable
@@ -394,7 +415,7 @@ def test_view_constants_are_honest(name, algorithm, seed, honesty_samplers):
     for x, y in honesty_samplers.pairs(inst.bundle.dim, 200, seed, 1.0):
         d = x - y
         view.fb_oracle(x)
-        for m in (view.kernel_diff(x, y), view.kernel_diff(x.copy(), y)):
+        for m in (view.kernel_diff(x, y, d), view.kernel_diff(x.copy(), y, d)):
             monotone = max(monotone, (view.p_metric.norm(d) ** 2 - float(m @ d)) / float(d @ d))
             lipschitz = max(lipschitz, float(np.linalg.norm(m))
                             / (view.kernel_lipschitz * float(np.linalg.norm(d))))

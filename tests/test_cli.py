@@ -397,6 +397,19 @@ def test_bench_csv_names_each_gamma_in_full_precision(tmp_path, capsys):
         "sweep.fbf.0.70001000000000002.csv", "sweep.fbf.0.70001999999999998.csv"]
 
 
+def test_bench_four_op_on_a_scalar_kernel_writes_one_csv_per_gamma(tmp_path, capsys):
+    # four-op reports the scalar step size it ran at, so each run of the
+    # sweep prints its gamma and gets its own file
+    code = run_cli(["bench", "--problem", "regquad-full", "--algorithm", "four-op",
+                    "--gamma", "0.3,0.5", "--csv", str(tmp_path / "sw")])
+    assert code == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["four-op", "0.3", "converged"],
+                                         ["four-op", "0.5", "converged"]]
+    assert sorted(p.name for p in tmp_path.glob("sw.*.csv")) == [
+        "sw.four-op.0.29999999999999999.csv", "sw.four-op.0.5.csv"]
+
+
 def test_bench_empty_grid_is_usage_error():
     assert run_cli(
         ["bench", "--problem", "rotation", "--algorithm", "", "--gamma", "0.5"]

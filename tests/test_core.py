@@ -24,6 +24,8 @@ from nofob.problems import (
 )
 from nofob.rng import Lcg64
 
+from conftest import accepted
+
 
 def identity_kernel_problem(n=4):
     """A x = x, C = 0, M = I: x_hat = x / 2 and mu is identically 1."""
@@ -33,7 +35,7 @@ def identity_kernel_problem(n=4):
         s_metric=SpdMetric.identity(n),
         beta=0.0,
         kernel_lipschitz=1.0,
-        kernel_diff=lambda x, x_hat: x - x_hat,
+        kernel_diff=lambda x, x_hat, d: x - x_hat,
     )
 
 
@@ -78,7 +80,7 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
         s_metric=s,
         beta=0.0,
         kernel_lipschitz=1.0,
-        kernel_diff=lambda x, x_hat: x - x_hat,
+        kernel_diff=lambda x, x_hat, d: x - x_hat,
     )
     x = rng.vector(4)
     rec = nofob_iterate(prob, x, 1.0)
@@ -145,7 +147,7 @@ def test_beta_out_of_range_rejected():
             s_metric=SpdMetric.identity(2),
             beta=4.0,
             kernel_lipschitz=1.0,
-            kernel_diff=lambda x, x_hat: x - x_hat,
+            kernel_diff=lambda x, x_hat, d: x - x_hat,
         )
 
 
@@ -170,7 +172,7 @@ def test_kernel_lipschitz_outside_the_open_half_line_rejected(bound):
             s_metric=SpdMetric.identity(2),
             beta=0.0,
             kernel_lipschitz=bound,
-            kernel_diff=lambda x, x_hat: x - x_hat,
+            kernel_diff=lambda x, x_hat, d: x - x_hat,
         )
 
 
@@ -287,7 +289,7 @@ def test_fejer_decrease_in_custom_metric():
         s_metric=s,
         beta=0.0,
         kernel_lipschitz=1.0,
-        kernel_diff=lambda x, x_hat: x - x_hat,
+        kernel_diff=lambda x, x_hat, d: x - x_hat,
     )
     x = rng.vector(4)
     z = np.zeros(4)
@@ -306,7 +308,7 @@ def test_failed_separation_is_null_at_noise_level_and_raises_above():
             s_metric=SpdMetric.identity(4),
             beta=0.0,
             kernel_lipschitz=1.0,
-            kernel_diff=lambda x, x_hat: x_hat - x,
+            kernel_diff=lambda x, x_hat, d: x_hat - x,
         )
 
     x = np.ones(4)
@@ -361,7 +363,8 @@ def _runs_match_the_reference(monkeypatch, reference_iterate, cases):
         for name in ALGORITHMS:
             got = _outcome(name, inst)
             with monkeypatch.context() as m:
-                m.setattr(algorithms, "nofob_iterate", reference_iterate)
+                m.setattr(algorithms, "corrected_step", lambda view, theta, mu_hat=None:
+                          lambda x: reference_iterate(view, x, theta, mu_hat))
                 expected = _outcome(name, inst)
             _assert_same_run(got, expected, f"{label} {name}")
             compared += not isinstance(got, str)
@@ -384,6 +387,28 @@ def test_the_step_equals_its_reference_bit_for_bit_at_n_200(monkeypatch, referen
              ("regquad-full/n=200", make_regularized_quadratic(n=200, seed=3, split="full")),
              ("saddle/n=200,m=150", make_saddle_pd(n=200, m=150, seed=3))]
     assert _runs_match_the_reference(monkeypatch, reference_iterate, cases) >= 23
+
+
+@pytest.mark.parametrize("problem", REGISTRY)
+def test_a_run_equals_a_loop_of_nofob_iterate_bit_for_bit(problem, monkeypatch):
+    # run_algorithm binds the step once per run; every record must be the
+    # one that nofob_iterate, which binds it afresh at each step, gives
+    inst = get_instance(problem, 0)
+    bound = []
+
+    def per_step(view, theta, mu_hat=None):
+        bound.append(view)
+        return lambda x: nofob_iterate(view, x, theta, mu_hat)
+
+    rows = accepted(inst)
+    for name in rows:
+        got = _outcome(name, inst)
+        with monkeypatch.context() as m:
+            m.setattr(algorithms, "corrected_step", per_step)
+            expected = _outcome(name, inst)
+        assert not isinstance(got, str), (problem, name, got)
+        _assert_same_run(got, expected, f"{problem} {name}")
+    assert len(bound) == len(rows)
 
 
 # ---------------------------------------------------------------------------

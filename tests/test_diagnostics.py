@@ -26,7 +26,7 @@ def identity_kernel_problem(n=4):
         s_metric=SpdMetric.identity(n),
         beta=0.0,
         kernel_lipschitz=1.0,
-        kernel_diff=lambda x, x_hat: np.subtract(x, x_hat, dtype=float),
+        kernel_diff=lambda x, x_hat, d: np.subtract(x, x_hat, dtype=float),
     )
 
 
@@ -160,8 +160,8 @@ def test_audits_reject_a_trajectory_of_the_wrong_dimension():
     for audited, other in [("regquad-full", "saddle"), ("regquad-full", "rotation"),
                            ("saddle", "regquad-full")]:
         out, traj = runs[audited], runs[other].trajectory
-        view = dataclasses.replace(out.nofob_view,
-                                   kernel_diff=lambda x, x_hat: pytest.fail("kernel_diff called"))
+        view = dataclasses.replace(
+            out.nofob_view, kernel_diff=lambda x, x_hat, d: pytest.fail("kernel_diff called"))
         with pytest.raises(ContractViolation, match="dimension mismatch"):
             check_fejer(traj, out.z_star, out.s_metric)
         with pytest.raises(ContractViolation, match="dimension mismatch"):
@@ -173,7 +173,7 @@ def test_separation_fails_with_sign_flipped_kernel():
     view = out.nofob_view
     flipped = dataclasses.replace(
         view,
-        kernel_diff=lambda x, x_hat: -view.kernel_diff(x, x_hat),
+        kernel_diff=lambda x, x_hat, d: -view.kernel_diff(x, x_hat, d),
     )
     rep = check_separation(out.trajectory, flipped, out.z_star)
     assert not rep.passed
@@ -183,7 +183,7 @@ def test_the_audit_reads_the_replaced_kernel_difference(audit_reference):
     out, _ = convergent_run()
     view, traj, z = out.nofob_view, out.trajectory, out.z_star
     kd = view.kernel_diff
-    doubled = dataclasses.replace(view, kernel_diff=lambda x, x_hat: 2.0 * kd(x, x_hat))
+    doubled = dataclasses.replace(view, kernel_diff=lambda x, x_hat, d: 2.0 * kd(x, x_hat, d))
     got = check_separation(traj, doubled, z)
     _assert_same_report(got, audit_reference.separation(traj, doubled, z))
     assert got != check_separation(traj, view, z)
@@ -203,16 +203,17 @@ def test_a_wrapped_kernel_difference_is_called_once_on_the_stacks(
     calls = []
 
     @wraps(view.kernel_diff)
-    def counted(x, x_hat):
-        calls.append((x, x_hat))
-        return view.kernel_diff(x, x_hat)
+    def counted(x, x_hat, d):
+        calls.append((x, x_hat, d))
+        return view.kernel_diff(x, x_hat, d)
 
     wrapped = dataclasses.replace(view, kernel_diff=counted)
     assert check_separation(traj, wrapped, z) == check_separation(traj, view, z)
     assert len(calls) == 1
-    x, x_hat = calls[0]
+    x, x_hat, d = calls[0]
     assert np.array_equal(x, [r.x for r in traj.records])
     assert np.array_equal(x_hat, [r.x_hat for r in traj.records])
+    assert np.array_equal(d, x - x_hat)
 
 
 # ---------------------------------------------------------------------------

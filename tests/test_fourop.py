@@ -213,9 +213,9 @@ def test_kernel_difference_reuses_the_oracle_d_only_at_its_own_x():
     x = Lcg64(7).vector(prob.dim)
     x_hat = view.fb_oracle(x)
     calls.clear()
-    same = view.kernel_diff(x, x_hat)
+    same = view.kernel_diff(x, x_hat, x - x_hat)
     assert len(calls) == 1
-    copied = view.kernel_diff(x.copy(), x_hat)
+    copied = view.kernel_diff(x.copy(), x_hat, x - x_hat)
     assert len(calls) == 3
     assert np.array_equal(copied, same)
 
@@ -262,7 +262,7 @@ def test_conservative_identity_both_algebraic_routes(conservative_reference):
         rec = conservative_reference(prob, g, x)
         # route 1: x_hat - gamma ((D+K) x_hat - (D+K) x) is what rec holds
         # route 2: x - gamma (Mx - M x_hat)
-        m_gap = view.kernel_diff(x, rec.x_hat)
+        m_gap = view.kernel_diff(x, rec.x_hat, x - rec.x_hat)
         route2 = x - g * m_gap
         assert np.max(np.abs(rec.x_next - route2)) <= 1e-13
         # route 3: the generic conservative step with mu_hat = gamma, S = I
@@ -399,7 +399,7 @@ def test_kernel_lipschitz_values_and_sampling():
         gap = np.linalg.norm(x - y)
         if gap == 0:
             continue
-        ratio = np.linalg.norm(view.kernel_diff(x, y)) / gap
+        ratio = np.linalg.norm(view.kernel_diff(x, y, x - y)) / gap
         assert ratio <= bound + 1e-8
 
 
@@ -412,7 +412,7 @@ def test_kernel_strong_monotonicity_in_p_metric():
     for _ in range(2000):
         x, y = rng.vector(prob.dim), rng.vector(prob.dim)
         diff = x - y
-        lhs = float(view.kernel_diff(x, y) @ diff)
+        lhs = float(view.kernel_diff(x, y, diff) @ diff)
         rhs = float(diff @ (p.matrix @ diff))
         assert lhs >= rhs - 1e-9
 
@@ -431,7 +431,7 @@ def test_mu_lower_bound_sampling_over_pairs():
     rng = Lcg64(16)
     for _ in range(10000):
         x, y = rng.vector(prob.dim), rng.vector(prob.dim)
-        m = view.kernel_diff(x, y)
+        m = view.kernel_diff(x, y, x - y)
         den = float(m @ m)
         if den == 0.0:
             continue
@@ -718,7 +718,7 @@ def test_summed_products_match_the_maps_one_by_one(split, n, seed):
                         + abs_g @ np.abs(diff))
             view.fb_oracle(x)
             for point in (x, x.copy()):
-                assert np.all(np.abs(view.kernel_diff(point, x_hat) - reference)
+                assert np.all(np.abs(view.kernel_diff(point, x_hat, diff) - reference)
                               <= tol * absolute)
 
 
@@ -748,8 +748,8 @@ def _assert_stacked_is_per_row(view, records):
     record byte for byte, so signed zeros count."""
     xs = np.array([r.x for r in records])
     x_hats = np.array([r.x_hat for r in records])
-    stacked = view.kernel_diff(xs, x_hats)
-    per_row = np.array([view.kernel_diff(r.x, r.x_hat) for r in records])
+    stacked = view.kernel_diff(xs, x_hats, xs - x_hats)
+    per_row = np.array([view.kernel_diff(r.x, r.x_hat, r.x - r.x_hat) for r in records])
     assert stacked.shape == per_row.shape == xs.shape
     assert stacked.tobytes() == per_row.tobytes()
 
@@ -783,6 +783,52 @@ def test_stacked_kernel_difference_is_the_per_row_one_bit_for_bit(
         bundle = inst.ps_view.stacked if algorithm == "ps-resolvent" else inst.bundle
         assert (bundle.forward_parts[0] is not None) == with_g
     _assert_stacked_is_per_row(view, records)
+
+
+def _linear_kernel(problem, algorithm):
+    """A linear view and its Q and G as dense matrices, written out from
+    the instance: M = Q - G."""
+    inst = get_instance(problem, 2)
+    bundle = inst.bundle
+    n = bundle.dim
+    if algorithm == "fbs":
+        gamma = 0.7
+        return fbs_view(bundle, gamma), np.eye(n) / gamma, np.zeros((n, n))
+    if algorithm == "ps-resolvent":
+        stacked = inst.ps_view.stacked
+        out = run_algorithm(algorithm, inst, tau=[0.5, 4.0], max_iter=0)
+        m = stacked.b.offsets[1]
+        q = np.diag(np.r_[np.full(m, 0.5), np.full(stacked.dim - m, 0.25)])
+        return out.nofob_view, q, stacked.k.matrix
+    if algorithm == "afba":
+        out = run_algorithm(algorithm, inst, tau=[2.0, 0.25], max_iter=0)
+        l = inst.ps_view.l_maps[0]
+        m = l.shape[0]
+        q = np.diag(np.r_[np.full(m, 2.0), np.full(n - m, 4.0)])
+        q[m:, :m] = 2.0 * l.T
+        return out.nofob_view, q, bundle.k.matrix
+    out = run_algorithm(algorithm, inst, max_iter=0)
+    g = sum(op.matrix for op in (bundle.d, bundle.k) if not op.is_zero)
+    return out.nofob_view, np.eye(n) / out.gamma, g
+
+
+@pytest.mark.parametrize("problem, algorithm", [
+    ("regquad-full", "four-op"), ("regquad-fbhf", "fbhf"), ("regquad-fbs", "fbs"),
+    ("saddle", "ps-resolvent"), ("saddle", "afba"),
+])
+def test_a_linear_kernel_difference_applies_q_and_g_to_the_given_difference(
+        problem, algorithm):
+    # the step and the audit hand in x - x_hat as they formed it; a linear
+    # view applies Q and G to that d, here one that is not x - x_hat
+    view, q, g = _linear_kernel(problem, algorithm)
+    rng = Lcg64(5)
+    n = q.shape[0]
+    x, x_hat, d = rng.vector(n), rng.vector(n), rng.vector(n)
+    m = view.kernel_diff(x, x_hat, d)
+    np.testing.assert_allclose(m, q @ d - g @ d, rtol=1e-13, atol=1e-13)
+    own = view.kernel_diff(x, x_hat, x - x_hat)
+    np.testing.assert_allclose(own, (q - g) @ (x - x_hat), rtol=1e-13, atol=1e-13)
+    assert not np.allclose(m, own)
 
 
 @pytest.mark.parametrize("n", [200, 800])

@@ -134,6 +134,17 @@ def test_sigma_is_computed_on_first_read_only():
                                        rel=1e-12)
 
 
+@pytest.mark.parametrize("split", ["fbs", "fbhf", "fbf", "full"])
+def test_regquad_sigma_holds_no_array_of_its_own(split):
+    # sigma_of draws D's symmetric part again when sigma is read, so every
+    # ndarray its closure holds is one the instance holds anyway
+    inst = make_regularized_quadratic(n=30, seed=4, split=split)
+    held = {id(a) for a in (*inst.extras.values(), inst.oracle, inst.x0)}
+    cells = [cell.cell_contents for cell in inst.sigma_of.__closure__]
+    arrays = [value for value in cells if isinstance(value, np.ndarray)]
+    assert arrays and all(id(a) in held for a in arrays)
+
+
 @pytest.mark.parametrize("name", REGISTRY)
 def test_declared_constants_pass_honesty_samplers(name, honesty_samplers):
     inst = get_instance(name)

@@ -41,6 +41,8 @@ PACKAGE = Path(nofob.__file__).parent
 # (module, name or Class.member) -> why it stays in the package unused
 KEPT = {
     ("fourop", "epsbar_delta"): "a paper constant under test",
+    # a run binds the step once with corrected_step; this takes one step
+    ("core", "nofob_iterate"): "the paper's corrected step, one step at a time",
     ("problems", "ProblemInstance.extras"): "read by perfbench/workloads.py",
     ("core", "Trajectory.final_x"): "read by perfbench/workloads.py",
     # class-level None, not fields: perfbench/tracing.py hooks both by name
@@ -136,7 +138,7 @@ def test_every_kept_name_still_exists():
 def test_the_tracer_hooks_are_class_level_none_and_no_constructor_takes_them():
     view = dict(fb_oracle=lambda x: x, p_metric=SpdMetric.identity(2),
                 s_metric=SpdMetric.identity(2), beta=0.0, kernel_lipschitz=1.0,
-                kernel_diff=lambda x, x_hat: x - x_hat)
+                kernel_diff=lambda x, x_hat, d: x - x_hat)
     prox = dict(evaluator=lambda gamma, y: y, descriptor="zero")
     for cls, name, kwargs in ((NofobProblem, "kernel_eval", view),
                               (ProxOperator, "diag_evaluator", prox)):
