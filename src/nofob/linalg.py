@@ -152,11 +152,11 @@ class ContractViolation(ValueError):
 
 def _symmetric_metric(w: np.ndarray) -> np.ndarray:
     """The symmetric part of w as 0.5 w + 0.5 w^T, raising unless w is
-    square, has finite entries and is symmetric to SYMMETRY_TOL relative.
+    square and nonempty, has finite entries and is symmetric to
+    SYMMETRY_TOL relative.
     0.5 w + 0.5 w^T has the bits of 0.5 (w + w^T) away from the subnormal
     range, and does not overflow on finite entries."""
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ContractViolation("metric must be square")
+    _require_square(w, "metric")
     top = float(np.abs(w).max())
     if not top < math.inf:  # a NaN fails this test too
         raise ContractViolation("metric entries must be finite")
@@ -216,6 +216,15 @@ def _top_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(z[-1, 0])
 
 
+def _require_square(m: np.ndarray, what: str):
+    """Raise unless m is a nonempty square matrix: an eigensolver would
+    stop on any other with a foreign error."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ContractViolation(f"{what} must be square")
+    if m.size == 0:
+        raise ContractViolation(f"{what} must not be empty")
+
+
 def _require_finite(m: np.ndarray):
     """Raise unless every entry of m is finite: a NaN or an infinity would
     stop an eigensolver with a foreign error, or pass a test unseen."""
@@ -251,9 +260,11 @@ def largest_eig(w: np.ndarray) -> float:
     """lambda_max of a symmetric matrix (symmetry is not checked).
 
     Dense below _LANCZOS_MIN_DIM, `_lanczos_max` on x -> W x from there on.
-    A non-finite entry raises ContractViolation.
+    A matrix that is not square, is empty or has a non-finite entry
+    raises ContractViolation.
     """
     w = np.asarray(w, dtype=float)
+    _require_square(w, "matrix")
     _require_finite(w)
     if w.shape[0] < _LANCZOS_MIN_DIM:
         return float(np.linalg.eigvalsh(w)[-1])

@@ -161,8 +161,8 @@ class SkewMap:
     An all-zero map sets `is_zero`, so that callers may skip it, and
     `operator_norm` = 0.0 without a norm solve.  A caller that already
     knows ||K||_2 passes it as `norm`, and no norm solve runs either.
-    A matrix with a non-finite entry, or a given norm that is not finite
-    and nonnegative, raises ContractViolation.
+    An empty matrix, a matrix with a non-finite entry, or a given norm
+    that is not finite and nonnegative, raises ContractViolation.
     `zero(n)` builds it without forming, checking or storing an n x n
     matrix; `matrix` is formed only when it is read.
     """
@@ -173,6 +173,8 @@ class SkewMap:
         k = np.asarray(matrix, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ContractViolation("skew map must be a square matrix")
+        if k.size == 0:
+            raise ContractViolation("skew map must not be empty")
         top = float(np.abs(k).max())
         if not top < np.inf:  # a NaN fails this test too
             raise ContractViolation("skew map entries must be finite")

@@ -154,34 +154,59 @@ def make_rotation_vi(angle_deg: float = 90.0, scale: float = 1.0,
 
 
 def _seeded_spd(rng: Lcg64, n: int, shift: float) -> np.ndarray:
-    r = rng.matrix(n, n)
-    return (r @ r.T) / n + shift * np.eye(n)
+    """R R^T / n + shift I for a seeded n x n R, formed in place with the
+    bits of `(r @ r.T) / n + shift * np.eye(n)`: that sum adds +0.0 off
+    the diagonal, which turns a -0.0 into +0.0, and so does `g += 0.0`."""
+    g = rng.matrix(n, n)
+    g = g @ g.T
+    g /= n
+    g += 0.0
+    g.flat[::n + 1] += shift
+    return g
 
 
 def _seeded_skew(rng: Lcg64, n: int, norm: float) -> tuple[np.ndarray, float]:
     """A seeded skew matrix scaled to spectral norm `norm`, and its norm as
     the one computed before scaling times the scale factor."""
     r = rng.matrix(n, n)
-    sk = 0.5 * (r - r.T)
+    sk = r - r.T
+    sk *= 0.5
     cur = spectral_norm(sk)
     if cur == 0.0:
         return sk, 0.0
     scale = norm / cur
-    return sk * scale, cur * scale
+    sk *= scale
+    return sk, cur * scale
 
 
 # cap on the Newton steps of the active-set oracle solve; regquad-* instances
-# from n = 20 to 800 settle within 8
+# from n = 20 to 800 settle within 8 from x = 0, and the ladder sizes of the
+# _ORACLE_FB_STEPS table within 2 from the warm start
 _ORACLE_NEWTON_STEPS = 100
 # The active-set oracle's t, times 1 / (beta_E + L_D + ||K||).  t only
-# steers the Newton path (see `_oracle_by_active_set`), and 2 takes the
-# fewest linear solves.  Solves over the 1813 regquad instances of n = 20
-# x 4 splits x 441 seeds, n = 200 seeds 0-29, n = 400 seeds 0-9 and n = 800
-# seeds 0-8, at t = 1 / 1.5 / 2 / 3 / 4 over that sum: all 3684 / 3378 /
-# 3302 / 3355 / 3395; n = 200, 126 / 90 / 79 / 88 / 90; n = 400, 52 / 31 /
-# 30 / 29 / 30; n = 800, 53 / 32 / 29 / 32 / 33.  Every oracle was the same
-# to the byte at all five.
+# steers the path (see `_oracle_by_active_set`), and 2 takes the fewest
+# linear solves from x = 0.  Solves over the 1813 regquad instances of
+# n = 20 x 4 splits x 441 seeds, n = 200 seeds 0-29, n = 400 seeds 0-9 and
+# n = 800 seeds 0-8, at t = 1 / 1.5 / 2 / 3 / 4 over that sum: all 3684 /
+# 3378 / 3302 / 3355 / 3395; n = 200, 126 / 90 / 79 / 88 / 90; n = 400, 52 /
+# 31 / 30 / 29 / 30; n = 800, 53 / 32 / 29 / 32 / 33.  Every oracle was the
+# same to the byte at all five.
 _ORACLE_STEP = 2.0
+# The forward-backward steps x <- soft(x - t (A x - rhs), t lam) the Newton
+# path starts from, at the same t.  Full solves and ms per oracle (one BLAS
+# thread, 2-core host) at 0 / 5 / 10 / 20 steps: n = 200 seeds 0-9, 24 /
+# 10 / 10 / 10 solves, 1.23 / 0.53 / 0.58 / 0.70 ms; n = 400 seeds 0-4, 16
+# / 8 / 5 / 5, 7.2 / 3.4 / 2.3 / 2.7 ms; n = 800 seeds 0-3, 13 / 6 / 5 / 4,
+# 36.4 / 18.4 / 16.6 / 16.2 ms.  Every oracle was the same to the byte, as
+# were the 1813 of the _ORACLE_STEP scan with the warm start forced on at
+# every n (solves from x = 0 against 10 steps: n = 200, 79 / 30; n = 400,
+# 30 / 10; n = 800, 29 / 10).
+_ORACLE_FB_STEPS = 10
+# The smallest n the warm start runs at.  Below it the solves are cheaper
+# than the steps: ms per oracle over n x 4 splits x seeds 0-39, from x = 0
+# against warm, n = 20, 0.082 / 0.116; n = 40, 0.108 / 0.129; n = 50, 0.132
+# / 0.157; n = 75, 0.193 / 0.179; n = 100, 0.358 / 0.259.
+_ORACLE_WARM_MIN_DIM = 75
 
 
 def _oracle_by_active_set(a_mat: np.ndarray, rhs: np.ndarray, lam: float,
@@ -200,19 +225,34 @@ def _oracle_by_active_set(a_mat: np.ndarray, rhs: np.ndarray, lam: float,
     set and shift lam sign(u_I) (with lam = 0, every set of signs) solves
     the inclusion exactly and is returned as is.
 
-    At a solution with |(A x - rhs)_i| < lam off its support, the active
-    set is that support for every t > 0, so t steers only the path: the
-    returned point is the one solve on the support, and a t that finds
-    the support sooner takes fewer solves (see _ORACLE_STEP).
+    The path starts at x = 0, or from n = _ORACLE_WARM_MIN_DIM on at the
+    point _ORACLE_FB_STEPS forward-backward steps x <- soft(u, t lam) take
+    from 0, if its ||F|| is below the one at 0.  At a solution with
+    |(A x - rhs)_i| < lam off its support, the active set is that support
+    for every t > 0, so t and the start steer only the path: the returned
+    point is the one solve on the support, and a path that finds the
+    support sooner takes fewer solves (see _ORACLE_STEP and
+    _ORACLE_FB_STEPS).
     """
     tl = t * lam
 
-    def u_and_residual(x):
+    def u_and_fb_point(x):
         u = x - t * (a_mat @ x - rhs)
-        return u, float(np.linalg.norm(x - np.sign(u) * np.maximum(np.abs(u) - tl, 0.0)))
+        return u, np.sign(u) * np.maximum(np.abs(u) - tl, 0.0)
+
+    def u_and_residual(x):
+        u, fb = u_and_fb_point(x)
+        return u, float(np.linalg.norm(x - fb))
 
     x = np.zeros_like(rhs)
     u, f_norm = u_and_residual(x)
+    if len(rhs) >= _ORACLE_WARM_MIN_DIM:
+        y = x
+        for _ in range(_ORACLE_FB_STEPS):
+            y = u_and_fb_point(y)[1]
+        u_y, f_y = u_and_residual(y)
+        if f_y < f_norm:
+            x, u, f_norm = y, u_y, f_y
     for _ in range(_ORACLE_NEWTON_STEPS):
         act = np.abs(u) > tl
         shift = lam * np.sign(u[act])
@@ -243,8 +283,15 @@ def _check_subgradient_inclusion(x: np.ndarray, lam: float, forward: np.ndarray)
 
 
 def _d_symmetric_part(rng: Lcg64, n: int) -> np.ndarray:
-    """The symmetric part of regquad's D, 0.5 I + 0.2 R R^T / n."""
-    return 0.5 * np.eye(n) + 0.2 * _seeded_spd(rng, n, 0.0)
+    """The symmetric part of regquad's D, 0.5 I + 0.2 R R^T / n, formed in
+    place with the bits of `0.5 * np.eye(n) + 0.2 * _seeded_spd(rng, n,
+    0.0)`: as there, +0.0 off the diagonal and 0.5 on it follow the
+    scaling."""
+    s = _seeded_spd(rng, n, 0.0)
+    s *= 0.2
+    s += 0.0
+    s.flat[::n + 1] += 0.5
+    return s
 
 
 def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
@@ -289,7 +336,9 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
         b=l1_subdifferential(lam) if lam > 0 else zero_operator(n),
         d=d, e=e, k=k, dim=n,
     )
-    a_mat = (h if use_e else 0.0) + (d_mat if use_d else 0.0) + (k_mat if use_k else 0.0)
+    # every split keeps E or D, so the first sum is a new array
+    a_mat = (h if use_e else 0.0) + (d_mat if use_d else 0.0)
+    a_mat += k_mat if use_k else 0.0
     oracle = _oracle_by_active_set(
         a_mat, b_vec if use_e else np.zeros(n), lam,
         _ORACLE_STEP / (beta_e + l_d + k.operator_norm),

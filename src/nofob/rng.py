@@ -83,7 +83,10 @@ class Lcg64:
         states = states.ravel()[:n]
         if n:
             self.state = int(states[-1])
-        return (states >> np.uint64(11)) * (1.0 / (1 << 52)) - 1.0
+        states >>= np.uint64(11)
+        out = states * (1.0 / (1 << 52))
+        out -= 1.0
+        return out
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.vector(rows * cols).reshape(rows, cols)

@@ -660,6 +660,45 @@ def lanczos_reference():
 
 
 # ---------------------------------------------------------------------------
+# the active-set oracle's Newton path from x = 0 (cross-check transcription)
+
+
+def _cold_start_oracle(a_mat, rhs, lam, t):
+    """`problems._oracle_by_active_set` as it ran before its forward-backward
+    warm start: damped semismooth Newton on F(x) = x - soft(u, t lam),
+    u = x - t (A x - rhs), from x = 0.  Returns (x, full solves)."""
+    tl = t * lam
+
+    def u_and_residual(x):
+        u = x - t * (a_mat @ x - rhs)
+        return u, float(np.linalg.norm(x - np.sign(u) * np.maximum(np.abs(u) - tl, 0.0)))
+
+    x = np.zeros_like(rhs)
+    u, f_norm = u_and_residual(x)
+    for solves in range(1, 101):
+        act = np.abs(u) > tl
+        shift = lam * np.sign(u[act])
+        x_n = np.zeros_like(rhs)
+        x_n[act] = np.linalg.solve(a_mat[np.ix_(act, act)], rhs[act] - shift)
+        u_t, f_t = u_and_residual(x_n)
+        if np.array_equal(np.abs(u_t) > tl, act) and np.array_equal(lam * np.sign(u_t[act]), shift):
+            return x_n, solves
+        x_t, alpha = x_n, 1.0
+        while f_t > (1.0 - 1e-4 * alpha) * f_norm and alpha >= 1e-9:
+            alpha *= 0.5
+            x_t = x + alpha * (x_n - x)
+            u_t, f_t = u_and_residual(x_t)
+        x, u, f_norm = x_t, u_t, f_t
+    raise AssertionError("the cold-start path did not settle in 100 Newton steps")
+
+
+@pytest.fixture
+def cold_start_oracle():
+    """The Newton path from x = 0 the warm-started oracle is checked against."""
+    return _cold_start_oracle
+
+
+# ---------------------------------------------------------------------------
 # a fresh interpreter with a chosen BLAS thread count
 
 

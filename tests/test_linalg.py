@@ -99,6 +99,23 @@ def test_largest_eig_matches_the_dense_solve(n):
         assert abs(largest_eig(w) - ref) <= 1e-14 * ref
 
 
+@pytest.mark.parametrize("w, message", [
+    (np.zeros((0, 0)), "matrix must not be empty"),
+    (np.ones(3), "matrix must be square"),
+    (np.ones((2, 3)), "matrix must be square"),
+], ids=["empty", "vector", "wide"])
+def test_largest_eig_rejects_what_is_not_a_nonempty_square_matrix(w, message):
+    # these used to raise IndexError (empty) and numpy's LinAlgError
+    with pytest.raises(ContractViolation, match=message):
+        largest_eig(w)
+
+
+def test_a_dense_metric_rejects_an_empty_matrix():
+    # numpy's ValueError from the empty max before
+    with pytest.raises(ContractViolation, match="metric must not be empty"):
+        SpdMetric(np.zeros((0, 0)))
+
+
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(
     kind=st.sampled_from(["tall", "wide", "skew"]),

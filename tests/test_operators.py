@@ -210,6 +210,13 @@ def test_skew_map_rejects_non_finite_matrices(n, bad):
             SkewMap(k, norm)
 
 
+def test_skew_map_rejects_an_empty_matrix():
+    # numpy's ValueError from the empty max before
+    for norm in (None, 0.0):
+        with pytest.raises(ContractViolation, match="skew map must not be empty"):
+            SkewMap(np.zeros((0, 0)), norm)
+
+
 @pytest.mark.parametrize("n", [2, 10, 200])
 def test_skew_map_operator_norm_matches_the_svd_norm(n):
     r = Lcg64(200 + n).matrix(n, n)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nofob import problems
 from nofob.algorithms import run_algorithm
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.linalg import ContractViolation, spectral_norm
@@ -267,13 +268,66 @@ def test_ladder_instances_are_pinned_bit_for_bit(python_with_blas_threads):
     ]
 
 
-def test_ladder_oracle_takes_four_linear_solves(monkeypatch):
-    # n = 800, seed 1: five solves at t = 1 / L, four at t = 2 / L
+def test_ladder_oracle_takes_two_linear_solves(monkeypatch):
+    # n = 800, seed 1: four solves from x = 0 at t = 2 / L, two from the
+    # forward-backward warm start
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
     make_regularized_quadratic(n=800, seed=1)
-    assert len(solves) == 4
+    assert len(solves) == 2
+
+
+def _oracle_runs(monkeypatch, build):
+    """(oracle arguments, oracle, full solves) of every `_oracle_by_active_set`
+    call that `build()` makes."""
+    runs = []
+    oracle = problems._oracle_by_active_set
+
+    def counted(*args):
+        solves = []
+        solve = np.linalg.solve
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+            x = oracle(*args)
+        runs.append((args, x, len(solves)))
+        return x
+
+    with monkeypatch.context() as m:
+        m.setattr(problems, "_oracle_by_active_set", counted)
+        build()
+    return runs
+
+
+@pytest.mark.parametrize("n, split, seeds, lam", [
+    *[(20, split, range(60), 0.1) for split in ("fbs", "fbhf", "fbf", "full")],
+    (200, "full", range(5), 0.1), (400, "full", (1,), 0.1), (800, "full", (1,), 0.1),
+    (20, "full", range(5), 0.0), (200, "full", (0,), 0.0),
+], ids=["n20-fbs", "n20-fbhf", "n20-fbf", "n20-full", "n200-full", "n400-full",
+        "n800-full", "n20-lam0", "n200-lam0"])
+def test_oracle_matches_the_cold_start_path(n, split, seeds, lam, cold_start_oracle,
+                                            monkeypatch):
+    # the oracle is the one exact solve on the solution's support, so the
+    # warm start (from n = _ORACLE_WARM_MIN_DIM; the n = 20 cases run the
+    # cold path itself) may shorten the path but not move a bit
+    for seed in seeds:
+        (args, x, solves), = _oracle_runs(monkeypatch, lambda: make_regularized_quadratic(
+            n=n, lam=lam, seed=seed, split=split))
+        ref, ref_solves = cold_start_oracle(*args)
+        assert x.tobytes() == ref.tobytes(), seed
+        assert solves <= ref_solves, (seed, solves, ref_solves)
+
+
+def test_warm_start_keeps_the_oracle_bits_at_n_20(cold_start_oracle, monkeypatch):
+    # forced below _ORACLE_WARM_MIN_DIM, where it costs more time than it
+    # saves; its solves may rise there (fbhf seed 24: one from x = 0, two
+    # from the warm start), its bits may not
+    monkeypatch.setattr(problems, "_ORACLE_WARM_MIN_DIM", 0)
+    for split in ("fbs", "fbhf", "fbf", "full"):
+        for seed in range(60):
+            (args, x, _), = _oracle_runs(monkeypatch, lambda: make_regularized_quadratic(
+                n=20, seed=seed, split=split))
+            assert x.tobytes() == cold_start_oracle(*args)[0].tobytes(), (split, seed)
 
 
 @pytest.mark.parametrize("n, split, seeds", [
@@ -281,9 +335,10 @@ def test_ladder_oracle_takes_four_linear_solves(monkeypatch):
     (200, "full", range(3)),
 ], ids=["n20-fbs", "n20-fbhf", "n20-fbf", "n20-full", "n200-full"])
 def test_active_set_oracle_matches_reference_run(n, split, seeds, conservative_oracle):
-    # from x = 0 the undamped Newton iteration cycles between active sets on
-    # n = 20 fbs seeds 5, 54, 56, 59 and full seed 9, and on n = 200 full
-    # seed 1, so these cases also pin the Armijo damping
+    # from x = 0, the start below _ORACLE_WARM_MIN_DIM, the undamped Newton
+    # iteration cycles between active sets on n = 20 fbs seeds 5, 54, 56, 59
+    # and full seed 9, so these cases also pin the Armijo damping; at n = 200
+    # the warm start lands on the support with its first solve
     for seed in seeds:
         inst = make_regularized_quadratic(n=n, seed=seed, split=split)
         ref = conservative_oracle(inst.bundle, inst.x0)
