@@ -14,7 +14,6 @@ from .core import (
     IterRecord,
     NofobProblem,
     Trajectory,
-    nofob_iterate,
     run_loop,
 )
 from .diagnostics import (
@@ -42,7 +41,6 @@ from .operators import (
     BlockProx,
     CocoerciveMap,
     LipschitzMap,
-    NonlinearKernel,
     ProxOperator,
     SkewMap,
     separable_nonlinear_resolvent,
@@ -59,7 +57,6 @@ from .problems import (
 from .projective import (
     PsProblem,
     ps_explicit_oracle,
-    stack_primal_dual,
 )
 from .rng import Lcg64
 

@@ -35,7 +35,6 @@ __all__ = [
     "separation_fails",
     "null_record",
     "corrected_step",
-    "nofob_iterate",
     "run_loop",
 ]
 
@@ -204,16 +203,6 @@ def corrected_step(prob: NofobProblem, theta: float,
                           residual, num, math.sqrt(den))
 
     return step
-
-
-def nofob_iterate(prob: NofobProblem, x: np.ndarray, theta: float,
-                  mu_hat: Optional[float] = None) -> IterRecord:
-    """One corrected step from x: `corrected_step(prob, theta, mu_hat)(x)`.
-
-    A run binds the step once (`corrected_step`) and calls it per
-    iteration; this binds it for a single step.
-    """
-    return corrected_step(prob, theta, mu_hat)(x)
 
 
 def run_loop(

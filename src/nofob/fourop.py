@@ -1,15 +1,17 @@
 """Splitting for inclusions 0 in Bx + Dx + Ex + Kx.
 
 B has a cheap resolvent, D is Lipschitz, E is cocoercive, K is linear
-skew-adjoint.  D, E, K are all handled forward; the backward step
-solves (Q + B)^{-1} for one of four kernel families, each fixed for
-the run:
+skew-adjoint.  The bundle's dimension is K's (`SkewMap.zero(n)` or K's
+matrix states it), and the bundle rejects a declared part of another
+size.  D, E, K are all handled forward; the backward step solves
+(Q + B)^{-1} for one of four kernel families, each fixed for the run:
 
   ScalarStep          Q = gamma^{-1} I, plain prox
   BlockDiag           Q = blockdiag(w_i I), per-block prox
   AffinePlusSkew      AFBA's Q = [[tau1 I, 0], [2 L^T, tau2^{-1} I]] on
                       the stacked saddle problem, Gauss-Seidel sweep
-  SeparableNonlinear  Q x = phi(x) coordinatewise, a bracketed secant
+  SeparableNonlinear  Q x = phi(x) coordinatewise, phi with its declared
+                      moduli sigma and ell; a bracketed secant
                       (Anderson-Bjorck) solve started at the oracle's
                       own x with its phi(x), about 4.2 prox evaluations
                       a call, inside a bracket strong monotonicity
@@ -31,13 +33,14 @@ and one audited kernel difference one.  A part of one map is that map's
 own matrix, not a sum.  A live D or E that declares no matrix, such as
 a nonlinear D, is still called map by map, and the kernel difference at
 the oracle's own x reuses the oracle's D x.  Each view composes its
-forward sum once, when it is built.  `FourOpProblem.forward` keeps its
-map-by-map sum: it serves the oracle certificate, where it is an
-independent cross-check of the summed matrices.  The kernel difference
-forms x - x_hat once: the step and the separation audit form it and
-hand it in, and the linear kernels (ScalarStep, BlockDiag,
-AffinePlusSkew) and G apply to that difference; a nonlinear Q and a D
-without a matrix read x and x_hat.
+forward sum once, when it is built.  `FourOpProblem.forward` keeps a
+map-by-map sum, composed by `_summed` as the views compose theirs: it
+serves the oracle certificate, where it is an independent cross-check
+of the summed matrices.  The kernel difference forms x - x_hat once:
+the step and the separation audit form it and hand it in, and the
+linear kernels (ScalarStep, BlockDiag, AffinePlusSkew) and G apply to
+that difference; a nonlinear Q and a D without a matrix read x and
+x_hat.
 
 Every kernel map, Q and a `LinearPart`, takes a vector or a k x n stack
 of rows, so one kernel difference body serves the step and, on stacks,
@@ -58,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,7 +71,6 @@ from .operators import (
     BlockProx,
     CocoerciveMap,
     LipschitzMap,
-    NonlinearKernel,
     ProxOperator,
     SkewMap,
     separable_nonlinear_resolvent,
@@ -98,21 +100,37 @@ class StepParameterWarning(UserWarning):
     """Step size outside its sufficient convergence bound."""
 
 
-def zero_forward(n: int) -> LipschitzMap:
-    return LipschitzMap(lambda x: np.zeros(n), 0.0, is_zero=True)
+def zero_forward() -> LipschitzMap:
+    return LipschitzMap(np.zeros_like, 0.0, is_zero=True)
 
 
-def zero_cocoercive(n: int) -> CocoerciveMap:
-    return CocoerciveMap(lambda x: np.zeros(n), 0.0, is_zero=True)
+def zero_cocoercive() -> CocoerciveMap:
+    return CocoerciveMap(np.zeros_like, 0.0, is_zero=True)
 
 
 @dataclass(frozen=True)
 class FourOpProblem:
+    """0 in Bx + Dx + Ex + Kx on R^n, where n is K's dimension.
+
+    A declared D or E matrix, E's shift and the `dim` of a `BlockProx` B
+    must be of that size, or the bundle raises ContractViolation when it
+    is built; a map that declares no matrix is not checked."""
+
     b: Union[ProxOperator, BlockProx]
     d: LipschitzMap
     e: CocoerciveMap
     k: SkewMap
-    dim: int
+
+    def __post_init__(self):
+        n = self.dim
+        declared = (self.d.matrix, self.e.matrix, self.e.shift)
+        if getattr(self.b, "dim", n) != n or any(
+                a is not None and len(a) != n for a in declared):
+            raise ContractViolation(f"every part of the bundle must be of K's dimension {n}")
+
+    @property
+    def dim(self) -> int:
+        return self.k.dim
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(D + K + E) x, summed map by map in that order over the maps
@@ -121,11 +139,8 @@ class FourOpProblem:
         The views apply the linear maps as summed matrices instead; this
         sum serves the oracle certificate, where it stays an independent
         cross-check of theirs."""
-        out = None
-        for op in (self.d, self.k, self.e):
-            if not op.is_zero:
-                out = op(x) if out is None else out + op(x)
-        return np.zeros(self.dim) if out is None else out
+        total = _summed(None if op.is_zero else op for op in (self.d, self.k, self.e))
+        return np.zeros(self.dim) if total is None else total(x)
 
     @cached_property
     def forward_parts(self):
@@ -335,35 +350,47 @@ class AffinePlusSkew(KernelSpec):
         return float(np.linalg.norm(self.q_matrix, 2))
 
 
+@dataclass(frozen=True)
 class SeparableNonlinear(KernelSpec):
     """Coordinatewise nonlinear kernel Q x = phi(x).
 
-    Requires a coordinate-separable B so that the backward step
-    phi(x) + Bx containing v splits into scalar root problems.  D and K
-    stay forward: the resolvent never sees them, and `as_nofob` takes
-    L_D off the metric.
+    phi acts elementwise; each coordinate function is nondecreasing with
+    strong-monotonicity modulus sigma and Lipschitz constant ell,
+    declared with 0 < sigma <= ell < inf; other values raise
+    ContractViolation.  Requires a coordinate-separable B so that the
+    backward step phi(x) + Bx containing v splits into scalar root
+    problems.  D and K stay forward: the resolvent never sees them, and
+    `as_nofob` takes L_D off the metric.
     """
 
-    def __init__(self, kernel: NonlinearKernel):
-        # NonlinearKernel checks 0 < sigma <= ell < inf when it is built
-        self.kernel = kernel
+    phi: Callable[[np.ndarray], np.ndarray]
+    sigma: float
+    ell: float
+
+    def __post_init__(self):
+        if not 0.0 < float(self.sigma) < math.inf:
+            raise ContractViolation(
+                f"kernel sigma must be positive and finite, got {self.sigma!r}")
+        if not self.sigma <= float(self.ell) < math.inf:
+            raise ContractViolation(
+                f"kernel ell must be finite and at least sigma, got {self.ell!r}")
 
     def check(self, prob):
         if not getattr(prob.b, "separable", False):
             raise ContractViolation("nonlinear kernels require a separable B")
 
     def q_apply(self, prob, x):
-        return self.kernel(x)  # phi acts coordinatewise
+        return self.phi(x)
 
     def resolvent(self, prob, v, start, q_start):
-        return separable_nonlinear_resolvent(self.kernel, prob.b, v, start=start,
+        return separable_nonlinear_resolvent(self, prob.b, v, start=start,
                                              phi_start=q_start)
 
     def q_metric(self, prob):
-        return SpdMetric.scaled_identity(self.kernel.sigma, prob.dim)
+        return SpdMetric.scaled_identity(self.sigma, prob.dim)
 
     def q_norm(self):
-        return self.kernel.ell
+        return self.ell
 
 
 # ---------------------------------------------------------------------------

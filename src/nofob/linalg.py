@@ -238,10 +238,12 @@ def spectral_norm(m: np.ndarray) -> float:
     Below _LANCZOS_MIN_DIM on the smaller side, one dense symmetric
     eigenvalue solve of the formed Gram matrix; from there on
     `_lanczos_max` on x -> M^T (M x), or M (M^T x) for a wide M, which
-    forms no Gram matrix.  An empty or zero matrix gives exactly 0.0; a
-    non-finite entry raises ContractViolation.
+    forms no Gram matrix.  An empty or zero matrix gives exactly 0.0; an
+    array that is not 2-D, or a non-finite entry, raises ContractViolation.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ContractViolation("spectral norm needs a 2-D matrix")
     if m.size == 0:
         return 0.0
     _require_finite(m)
@@ -274,12 +276,13 @@ def largest_eig(w: np.ndarray) -> float:
 class SpdMetric:
     """Symmetric positive definite metric with cached factorization.
 
-    Input is rejected unless it is square, its entries are finite and it
-    is symmetric to SYMMETRY_TOL relative, then symmetrized and rejected
-    unless lambda_min > SPD_TOL * lambda_max; a scalar c must
-    be finite and positive.  `solve` computes W^{-1} v for a vector v, or
-    W^{-1} V for an n x k matrix V, by one dpotrs call on the cached
-    Cholesky factor, bit for bit `cho_solve`; every metric raises
+    Input is rejected unless it is square and nonempty, its entries are
+    finite and it is symmetric to SYMMETRY_TOL relative, then symmetrized
+    and rejected unless lambda_min > SPD_TOL * lambda_max; a scalar c
+    must be finite and positive, and its size n at least 1.  `solve`
+    computes W^{-1} v for a vector v, or W^{-1} V for an n x k matrix V,
+    by one dpotrs call on the cached Cholesky factor, bit for bit
+    `cho_solve`; every metric raises
     ContractViolation("dimension mismatch") for a v of another length.
     `identity` and `scaled_identity` hold the scalar c of W = c I
     instead, so building and solving cost O(1) and O(n); the dense matrix
@@ -329,6 +332,8 @@ class SpdMetric:
 
     @classmethod
     def scaled_identity(cls, c: float, n: int) -> "SpdMetric":
+        if n < 1:
+            raise ContractViolation("metric must not be empty")
         c = float(c)
         if not c < math.inf:
             raise ContractViolation("metric entries must be finite")

@@ -1,5 +1,5 @@
 """Operator oracles: resolvents, Lipschitz/cocoercive maps, skew maps,
-and nonlinear strongly monotone kernels with a separable resolvent solver.
+and the separable resolvent solver of a nonlinear kernel.
 
 A linear D or an affine E declares its matrix, and E its shift, when
 built through `LipschitzMap.linear(matrix, L)` or
@@ -8,9 +8,8 @@ from the same matrix, so the two cannot disagree, and the kernel views of
 `fourop` may sum declared matrices into one product.  A `SkewMap` always
 holds its matrix.  A map built from an evaluator alone declares none and
 is called as it is.  A declared constant (a Lipschitz constant, an
-inverse cocoercivity, a given skew norm, a kernel's sigma and ell) that
-is not finite, or out of its range, raises ContractViolation when the
-map is built.
+inverse cocoercivity, a given skew norm) that is not finite, or out of
+its range, raises ContractViolation when the map is built.
 
 The prox catalog covers the closed forms the problem generators use:
 zero, affine (linear solve), l1 soft-threshold, and a combined "l1 plus
@@ -28,9 +27,11 @@ derived from the primal prox through Moreau's identity
 
 The separable nonlinear resolvent is a bracketed Anderson-Bjorck secant
 solve, per coordinate, inside a bracket that strong monotonicity gives
-from one residual.  Started at the four-op oracle's own x, with the
-phi(x) the oracle holds handed in, it takes about 4.2 prox evaluations
-per call on the nonlinear-kernel demo.
+from one residual.  It reads phi, sigma and ell from the kernel spec
+(`fourop.SeparableNonlinear`), which declares and checks them.  Started
+at the four-op oracle's own x, with the phi(x) the oracle holds handed
+in, it takes about 4.2 prox evaluations per call on the
+nonlinear-kernel demo.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "LipschitzMap",
     "CocoerciveMap",
     "SkewMap",
-    "NonlinearKernel",
     "BlockProx",
     "zero_operator",
     "affine_operator",
@@ -164,7 +164,8 @@ class SkewMap:
     An empty matrix, a matrix with a non-finite entry, or a given norm
     that is not finite and nonnegative, raises ContractViolation.
     `zero(n)` builds it without forming, checking or storing an n x n
-    matrix; `matrix` is formed only when it is read.
+    matrix, and raises like an empty matrix for n < 1; `matrix` is formed
+    only when it is read.
     """
 
     def __init__(self, matrix, norm: Optional[float] = None):
@@ -199,38 +200,14 @@ class SkewMap:
 
     @classmethod
     def zero(cls, n: int) -> "SkewMap":
+        if n < 1:
+            raise ContractViolation("skew map must not be empty")
         k = cls.__new__(cls)
         k._matrix = None
         k.dim = int(n)
         k.is_zero = True
         k.operator_norm = 0.0
         return k
-
-
-@dataclass(frozen=True)
-class NonlinearKernel:
-    """Coordinatewise scalar kernel phi with declared moduli.
-
-    phi is applied elementwise; each coordinate function is
-    nondecreasing with strong-monotonicity modulus sigma and Lipschitz
-    constant ell, declared with 0 < sigma <= ell < inf; other values
-    raise ContractViolation.
-    """
-
-    phi: Callable[[np.ndarray], np.ndarray]
-    sigma: float
-    ell: float
-
-    def __post_init__(self):
-        if not 0.0 < float(self.sigma) < math.inf:
-            raise ContractViolation(
-                f"kernel sigma must be positive and finite, got {self.sigma!r}")
-        if not self.sigma <= float(self.ell) < math.inf:
-            raise ContractViolation(
-                f"kernel ell must be finite and at least sigma, got {self.ell!r}")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.phi(np.asarray(x, dtype=float))
 
 
 class BlockProx:
@@ -364,7 +341,7 @@ _FLOOR_AFTER = 32
 
 
 def separable_nonlinear_resolvent(
-    kernel: NonlinearKernel,
+    spec,
     prox_spec: ProxOperator,
     y: np.ndarray,
     start: np.ndarray,
@@ -372,14 +349,16 @@ def separable_nonlinear_resolvent(
 ) -> np.ndarray:
     """Solve phi_i(x_i) + A_i(x_i) containing y_i, coordinatewise.
 
-    Finds the root x* of r(x) = x - J_A(x + y - phi(x)), which is
-    increasing for nondecreasing phi and a firmly nonexpansive separable
-    resolvent J_A.  The search starts at `start`, a point near which the
-    root is expected, and needs no bracket from the caller: one residual
-    anywhere bounds the root.  The caller hands in phi(start) as
-    `phi_start`, so the first residual does not evaluate phi again.  Take
-    any x0 and u = J_A(x0 + y - phi(x0)), so r0 = r(x0) = x0 - u.  Then
-    y - e lies in (phi + A)(u), with
+    `spec` is the kernel (`fourop.SeparableNonlinear`): phi, its modulus
+    sigma and its Lipschitz constant ell are read from it.  Finds the
+    root x* of r(x) = x - J_A(x + y - phi(x)), which is increasing for
+    nondecreasing phi and a firmly nonexpansive separable resolvent J_A.
+    The search starts at `start`, a point near which the root is
+    expected, and needs no bracket from the caller: one residual anywhere
+    bounds the root.  The caller hands in phi(start) as `phi_start`, so
+    the first residual does not evaluate phi again.  Take any x0 and
+    u = J_A(x0 + y - phi(x0)), so r0 = r(x0) = x0 - u.  Then y - e lies
+    in (phi + A)(u), with
     e = (u - x0) + (phi(x0) - phi(u)) and |e| <= (1 + ell)|r0|.  phi + A
     is sigma-strongly monotone, so coordinatewise
 
@@ -424,13 +403,13 @@ def separable_nonlinear_resolvent(
         raise ContractViolation("resolvent start must have the input's shape")
     if not np.isfinite(x0).all():
         raise ContractViolation("resolvent start must be finite")
-    phi, prox = kernel.phi, prox_spec.evaluator
+    phi, prox = spec.phi, prox_spec.evaluator
 
     def resid(x):
         j = prox(1.0, x + y - phi(x))
         return x - j, j
 
-    slack = 1.0 + kernel.ell
+    slack = 1.0 + spec.ell
     if np.shape(phi_start) != y.shape:
         raise ContractViolation("phi_start must have the input's shape")
     u = prox(1.0, x0 + y - phi_start)
@@ -447,7 +426,7 @@ def separable_nonlinear_resolvent(
     outside = np.sign(r0) * np.sign(r_u) > 0.0
     if outside.any():
         side = np.sign(r_u)
-        delta = np.maximum(slack * np.abs(r0) / kernel.sigma, np.spacing(np.abs(u)))
+        delta = np.maximum(slack * np.abs(r0) / spec.sigma, np.spacing(np.abs(u)))
         doublings = 0
         while True:
             a = np.where(outside, u - side * delta, x0)

@@ -43,7 +43,6 @@ from .linalg import (
 from .operators import (
     CocoerciveMap,
     LipschitzMap,
-    NonlinearKernel,
     ProxOperator,
     SkewMap,
     affine_operator,
@@ -141,11 +140,8 @@ def make_rotation_vi(angle_deg: float = 90.0, scale: float = 1.0,
     for i in range(0, n_even, 2):
         kmat[i, i + 1] = -s
         kmat[i + 1, i] = s
-    k = SkewMap(kmat)
-    bundle = FourOpProblem(
-        b=zero_operator(n_even), d=zero_forward(n_even),
-        e=zero_cocoercive(n_even), k=k, dim=n_even,
-    )
+    bundle = FourOpProblem(b=zero_operator(n_even), d=zero_forward(), e=zero_cocoercive(),
+                           k=SkewMap(kmat))
     x0 = Lcg64(seed).vector(n_even)
     x0 = x0 / max(np.linalg.norm(x0), 1e-12)
     return _certify(ProblemInstance(
@@ -327,14 +323,14 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     use_k = split in ("fbf", "full")
 
     beta_e = largest_eig(h) if use_e else 0.0
-    e = CocoerciveMap.affine(h, -b_vec, beta_e) if use_e else zero_cocoercive(n)
+    e = CocoerciveMap.affine(h, -b_vec, beta_e) if use_e else zero_cocoercive()
     l_d = spectral_norm(d_mat) if use_d else 0.0
-    d = LipschitzMap.linear(d_mat, l_d) if use_d else zero_forward(n)
+    d = LipschitzMap.linear(d_mat, l_d) if use_d else zero_forward()
     k = SkewMap(k_mat, k_norm) if use_k else SkewMap.zero(n)
 
     bundle = FourOpProblem(
         b=l1_subdifferential(lam) if lam > 0 else zero_operator(n),
-        d=d, e=e, k=k, dim=n,
+        d=d, e=e, k=k,
     )
     # every split keeps E or D, so the first sum is a new array
     a_mat = (h if use_e else 0.0) + (d_mat if use_d else 0.0)
@@ -422,15 +418,9 @@ def make_nonlinear_kernel_demo(n: int = 12, lam: float = 0.3,
     c = 1.0
 
     prox = l1_plus_diag_affine(lam, d_diag, b_vec)
-    bundle = FourOpProblem(
-        b=prox, d=zero_forward(n), e=zero_cocoercive(n),
-        k=SkewMap.zero(n), dim=n,
-    )
+    bundle = FourOpProblem(b=prox, d=zero_forward(), e=zero_cocoercive(), k=SkewMap.zero(n))
     oracle = np.sign(b_vec) * np.maximum(np.abs(b_vec) - lam, 0.0) / d_diag
-    kernel = NonlinearKernel(
-        phi=lambda x: c * x + np.arctan(x), sigma=c, ell=c + 1.0
-    )
-    spec = SeparableNonlinear(kernel)
+    spec = SeparableNonlinear(phi=lambda x: c * x + np.arctan(x), sigma=c, ell=c + 1.0)
     inst = _certify(ProblemInstance(
         name="nonlinear-kernel", bundle=bundle, oracle=oracle,
         sigma_of=lambda: float(d_diag.min()), x0=rng.vector(n), nonlinear_spec=spec,

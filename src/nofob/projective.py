@@ -3,8 +3,8 @@
 The problem is stacked into a primal-dual inclusion 0 in Bp + Kp over the
 flat vector p = (w_1, ..., w_{n-1}, x), with B carrying the dual inverses
 (realized through Moreau's identity) and K the skew coupling built from
-the L_i.  `PsProblem` owns that stacked problem (`stacked`, built once by
-`stack_primal_dual`), and every step splits p with its `BlockProx.split`.
+the L_i.  `PsProblem` builds that stacked problem once (`stacked`), and
+every step splits p with its `BlockProx.split`.
 The step sizes tau_i are the run's.  Both forms are the corrected step
 of core on the block-diagonal kernel view of the stacked problem
 (`as_nofob(ps.stacked, BlockDiag((tau_1, ..., 1 / tau_n)), s)`), and they
@@ -28,7 +28,6 @@ from .operators import BlockProx, ProxOperator, SkewMap, inverse_via_moreau
 
 __all__ = [
     "PsProblem",
-    "stack_primal_dual",
     "ps_explicit_oracle",
 ]
 
@@ -62,28 +61,18 @@ class PsProblem:
         self.primal_dim = int(primal_dim)
         self.dual_dims = tuple(m.shape[0] for m in mats)
         self.n = n
-        self.stacked = stack_primal_dual(self)
-
-
-def stack_primal_dual(ps: PsProblem) -> FourOpProblem:
-    """The stacked primal-dual inclusion 0 in Bp + Kp, with D = E = 0.
-
-    B blocks are (A_1^{-1}, ..., A_{n-1}^{-1}, A_n); K holds -L_i in
-    the last block column and L_i* in the last block row.
-    """
-    ops = [inverse_via_moreau(op) for op in ps.a_ops[:-1]] + [ps.a_ops[-1]]
-    block = BlockProx(ops, list(ps.dual_dims) + [ps.primal_dim])
-    h0 = sum(ps.dual_dims)
-    total = h0 + ps.primal_dim
-    kmat = np.zeros((total, total))
-    row = 0
-    for m in ps.l_maps:
-        g = m.shape[0]
-        kmat[row:row + g, h0:] = -m
-        kmat[h0:, row:row + g] = m.T
-        row += g
-    return FourOpProblem(b=block, d=zero_forward(total), e=zero_cocoercive(total),
-                         k=SkewMap(kmat), dim=total)
+        # The stacked primal-dual inclusion 0 in Bp + Kp, with D = E = 0.
+        # B blocks are (A_1^{-1}, ..., A_{n-1}^{-1}, A_n); K holds -L_i in
+        # the last block column and L_i* in the last block row.
+        ops = [inverse_via_moreau(op) for op in self.a_ops[:-1]] + [self.a_ops[-1]]
+        block = BlockProx(ops, self.dual_dims + (self.primal_dim,))
+        cut = block.offsets
+        kmat = np.zeros((block.dim, block.dim))
+        for m, a, b in zip(mats, cut, cut[1:]):
+            kmat[a:b, cut[-2]:] = -m
+            kmat[cut[-2]:, a:b] = m.T
+        self.stacked = FourOpProblem(b=block, d=zero_forward(), e=zero_cocoercive(),
+                                     k=SkewMap(kmat))
 
 
 def ps_explicit_oracle(ps: PsProblem, taus: Sequence) -> Callable[[np.ndarray], np.ndarray]:

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from nofob.algorithms import ROWS
-from nofob.core import (IterRecord, coincides, nofob_iterate, null_record, run_loop,
+from nofob.core import (IterRecord, coincides, corrected_step, null_record, run_loop,
                         separation_fails)
 from nofob.diagnostics import _report
 from nofob.fourop import (
@@ -34,7 +34,7 @@ from nofob.linalg import (
     SpdMetric,
     _LANCZOS_SEED,
 )
-from nofob.operators import LipschitzMap, NonlinearKernel, SkewMap, l1_plus_diag_affine
+from nofob.operators import LipschitzMap, SkewMap, l1_plus_diag_affine
 from nofob.problems import ProblemInstance
 from nofob.projective import ps_explicit_oracle
 from nofob.rng import Lcg64
@@ -180,7 +180,7 @@ def _bisection_resolvent(kernel, prox_spec, y, tol=RESOLVENT_TOL):
     y = np.asarray(y, dtype=float)
 
     def resid(x):
-        return x - prox_spec.evaluator(1.0, x + y - kernel(x))
+        return x - prox_spec.evaluator(1.0, x + y - kernel.phi(x))
 
     center = y / kernel.sigma
     half = np.maximum(1.0, np.abs(center))
@@ -203,7 +203,7 @@ def _bisection_resolvent(kernel, prox_spec, y, tol=RESOLVENT_TOL):
         r = resid(mid)
         met = slack * np.abs(r) <= tol
         if met.all() or np.all(met | (np.nextafter(lo, hi) == hi)):
-            return prox_spec.evaluator(1.0, mid + y - kernel(mid))
+            return prox_spec.evaluator(1.0, mid + y - kernel.phi(mid))
         lo = np.where(r < 0.0, mid, lo)
         hi = np.where(r >= 0.0, mid, hi)
         mid = 0.5 * (lo + hi)
@@ -250,7 +250,7 @@ def _fbs_unchecked(inst, gamma=None, theta=None, tol=STOP_TOL, max_iter=1000):
     c = 1.0 - 0.25 * inst.bundle.e.inverse_cocoercivity * gamma
     th = 1.0 / c if theta is None else theta
     view = fbs_view(inst.bundle, gamma)
-    return run_loop(lambda x: nofob_iterate(view, x, th * c, gamma), inst.x0, tol, max_iter)
+    return run_loop(corrected_step(view, th * c, gamma), inst.x0, tol, max_iter)
 
 
 @pytest.fixture
@@ -318,8 +318,8 @@ def _ps_explicit_step(ps, p, theta, taus=None, s=None):
     taus = (1.0,) * ps.n if taus is None else tuple(taus)
     s = SpdMetric.identity(ps.stacked.dim) if s is None else s
     view = as_nofob(ps.stacked, BlockDiag((*taus[:-1], 1.0 / taus[-1])), s)
-    return nofob_iterate(dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps, taus)),
-                         p, theta)
+    view = dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps, taus))
+    return corrected_step(view, theta)(p)
 
 
 @pytest.fixture
@@ -396,7 +396,7 @@ def honesty_samplers():
 # ---------------------------------------------------------------------------
 # a bundle with a nonlinear D and a planted solution
 
-_ARCTAN_KERNEL = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
+_ARCTAN_KERNEL = SeparableNonlinear(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
 
 
 def _planted_nonlinear_drift(n, seed, w_square=0.3, lam=0.3):
@@ -425,11 +425,11 @@ def _planted_nonlinear_drift(n, seed, w_square=0.3, lam=0.3):
     d_diag = 0.5 + rng.vector(n) ** 2
     b_vec = lam * v + d_diag * z_star + d(z_star) + k(z_star)
     bundle = FourOpProblem(b=l1_plus_diag_affine(lam, d_diag, b_vec), d=d,
-                           e=zero_cocoercive(n), k=k, dim=n)
+                           e=zero_cocoercive(), k=k)
     return ProblemInstance(
         name="nonlinear-drift", bundle=bundle, oracle=z_star,
         sigma_of=lambda: float(d_diag.min()), x0=rng.vector(n),
-        nonlinear_spec=SeparableNonlinear(_ARCTAN_KERNEL),
+        nonlinear_spec=_ARCTAN_KERNEL,
     )
 
 
@@ -525,7 +525,7 @@ def _reference_weighted_norm(w, x):
 
 
 def _reference_iterate(prob, x, theta, mu_hat=None):
-    """`core.nofob_iterate` as it was written before the metrics bound
+    """One corrected step as `core` wrote it before the metrics bound
     their norms: a checked norm through the dense metric per norm, the
     view's `kernel_diff` and every inner product by `@`.  The step must
     equal it bit for bit."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nofob.algorithms import ROWS, run_algorithm
-from nofob.core import nofob_iterate
+from nofob.core import corrected_step
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.fourop import (
     BlockDiag,
@@ -159,7 +159,7 @@ def test_specialization_coherence_everywhere(long_step_reference):
         x = inst.x0.copy()
         for _ in range(100):
             ref_next, _ = long_step_reference(prob, g, x, 1.0, s)
-            rec = nofob_iterate(view, x, 1.0)
+            rec = corrected_step(view, 1.0)(x)
             worst = max(worst, float(np.max(np.abs(ref_next - rec.x_next))))
             x = rec.x_next
     assert worst <= 1e-12
@@ -178,7 +178,7 @@ def test_fbs_redundant_projection_identity(fbs_relaxed_reference):
     worst = 0.0
     for _ in range(100):
         direct = fbs_relaxed_reference(prob.b, prob.e, g, theta, x)
-        generic = nofob_iterate(view, x, theta)
+        generic = corrected_step(view, theta)(x)
         worst = max(worst, float(np.max(np.abs(direct - generic.x_next))))
         x = direct
     assert worst <= 1e-12
@@ -193,7 +193,7 @@ def test_projective_splitting_equivalence(ps_explicit_step):
     worst = 0.0
     for _ in range(200):
         a = ps_explicit_step(ps, a, 1.0).x_next
-        b = nofob_iterate(view, b, 1.0).x_next
+        b = corrected_step(view, 1.0)(b).x_next
         worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-10
     dist = float(np.linalg.norm(a - inst.oracle))
@@ -233,7 +233,7 @@ def test_step_size_formula_grid_and_mu_bound_sampling(scalar_draws):
         declared = FourOpProblem(
             b=zero_operator(2), d=LipschitzMap(np.zeros_like, ld),
             e=CocoerciveMap(np.zeros_like, be),
-            k=SkewMap(kn * np.array([[0.0, -1.0], [1.0, 0.0]])), dim=2,
+            k=SkewMap(kn * np.array([[0.0, -1.0], [1.0, 0.0]])),
         )
         view = as_nofob(declared, ScalarStep(g), SpdMetric.identity(2))
         assert view.beta == pytest.approx(be / (1.0 / g - ld), abs=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import sys
@@ -8,12 +9,11 @@ import pytest
 
 from nofob import algorithms, fourop
 from nofob.algorithms import ALGORITHMS, run_algorithm
-from nofob.core import nofob_iterate, run_loop
+from nofob.core import corrected_step, run_loop
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import BlockDiag, StepParameterWarning, as_nofob, gamma_bound_conservative
 from nofob.linalg import PS_EQUIVALENCE_TOL, ContractViolation, SpdMetric
-from nofob.operators import (CocoerciveMap, LipschitzMap, NonlinearKernel, SkewMap,
-                             affine_operator)
+from nofob.operators import CocoerciveMap, LipschitzMap, SkewMap, affine_operator
 from nofob.problems import (REGISTRY, ProblemInstance, get_instance,
                             make_regularized_quadratic, make_saddle_pd)
 from nofob.projective import PsProblem
@@ -75,12 +75,12 @@ def test_phi_evaluations_per_moving_iteration(monkeypatch):
     inst = get_instance("nonlinear-kernel")
     counts = {"phi": 0}
     in_solve = [False]
-    phi = NonlinearKernel.__call__
+    spec = inst.nonlinear_spec
     solve = fourop.separable_nonlinear_resolvent
 
-    def counted_phi(kernel, x):
+    def counted_phi(x):
         counts["phi"] += not in_solve[0]
-        return phi(kernel, x)
+        return spec.phi(x)
 
     def flagged_solve(*args, **kwargs):
         in_solve[0] = True
@@ -89,7 +89,8 @@ def test_phi_evaluations_per_moving_iteration(monkeypatch):
         finally:
             in_solve[0] = False
 
-    monkeypatch.setattr(NonlinearKernel, "__call__", counted_phi)
+    inst = dataclasses.replace(
+        inst, nonlinear_spec=dataclasses.replace(spec, phi=counted_phi))
     monkeypatch.setattr(fourop, "separable_nonlinear_resolvent", flagged_solve)
     per_budget = {}
     for max_iter in (10, 20):
@@ -110,7 +111,7 @@ def test_ps_resolvent_honours_the_metric(ps_explicit_step):
     s = SpdMetric(r @ r.T / n + np.eye(n))
     view = as_nofob(ps.stacked, BlockDiag((1.0, 1.0)), s)
     assert view.s_metric is s
-    traj = run_loop(lambda x: nofob_iterate(view, x, 1.0), inst.x0, 1e-9, 5000)
+    traj = run_loop(corrected_step(view, 1.0), inst.x0, 1e-9, 5000)
     assert traj.status == "converged"
     assert np.max(np.abs(traj.final_x - inst.oracle)) <= 1e-6
     assert check_fejer(traj, inst.oracle, s).passed

@@ -10,7 +10,7 @@ from nofob.algorithms import ALGORITHMS, run_algorithm
 from nofob.core import (
     IterRecord,
     NofobProblem,
-    nofob_iterate,
+    corrected_step,
     run_loop,
 )
 from nofob.fourop import ScalarStep, as_nofob, gamma_bound_conservative, gamma_bound_long
@@ -40,13 +40,13 @@ def identity_kernel_problem(n=4):
 
 
 def unit_step(prob):
-    return lambda x: nofob_iterate(prob, x, 1.0)
+    return corrected_step(prob, 1.0)
 
 
 def test_identity_kernel_mu_is_one():
     prob = identity_kernel_problem()
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    rec = nofob_iterate(prob, x, 1.0)
+    rec = corrected_step(prob, 1.0)(x)
     assert rec.mu == pytest.approx(1.0)
     assert np.allclose(rec.x_next, x / 2.0, atol=1e-14)
 
@@ -62,7 +62,7 @@ def test_psi_value_matches_manual_formula(psi_value):
 def test_unit_relaxation_lands_on_hyperplane(psi_value):
     prob = identity_kernel_problem()
     x = np.array([2.0, 0.0, -1.0, 1.0])
-    rec = nofob_iterate(prob, x, 1.0)
+    rec = corrected_step(prob, 1.0)(x)
     assert psi_value(prob, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -83,7 +83,7 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
         kernel_diff=lambda x, x_hat, d: x - x_hat,
     )
     x = rng.vector(4)
-    rec = nofob_iterate(prob, x, 1.0)
+    rec = corrected_step(prob, 1.0)(x)
     assert psi_value(prob, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -96,8 +96,8 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
 def test_relaxation_scales_the_step():
     prob = identity_kernel_problem()
     x = np.array([2.0, 0.0, -1.0, 1.0])
-    full = nofob_iterate(prob, x, 1.0)
-    half = nofob_iterate(prob, x, 0.5)
+    full = corrected_step(prob, 1.0)(x)
+    half = corrected_step(prob, 0.5)(x)
     assert np.allclose(x - 0.5 * (x - full.x_next), half.x_next, atol=1e-14)
 
 
@@ -105,7 +105,7 @@ def test_coincidence_returns_identity_update():
     prob = identity_kernel_problem()
     prob_fixed = dataclasses.replace(prob, fb_oracle=lambda x: x)
     x = np.ones(4)
-    rec = nofob_iterate(prob_fixed, x, 1.3)
+    rec = corrected_step(prob_fixed, 1.3)(x)
     assert rec.mu == 0.0
     assert np.array_equal(rec.x_next, x)
 
@@ -113,7 +113,7 @@ def test_coincidence_returns_identity_update():
 def test_conservative_step_length_and_effective_relaxation():
     prob = identity_kernel_problem()
     x = np.array([4.0, 0.0, 0.0, 0.0])
-    rec = nofob_iterate(prob, x, 1.0, mu_hat=0.4)
+    rec = corrected_step(prob, 1.0, mu_hat=0.4)(x)
     assert rec.mu == pytest.approx(1.0)
     assert rec.theta == pytest.approx(0.4)
     # x_next = x - theta * mu_hat * (Mx - Mx_hat) = x - 0.4 * x/2
@@ -123,10 +123,10 @@ def test_conservative_step_length_and_effective_relaxation():
 def test_conservative_midpoint_and_explicit_agreement():
     prob = identity_kernel_problem()
     x = np.array([4.0, -1.0, 2.0, 0.5])
-    full = nofob_iterate(prob, x, 1.0)
-    same = nofob_iterate(prob, x, 1.0, mu_hat=full.mu)
+    full = corrected_step(prob, 1.0)(x)
+    same = corrected_step(prob, 1.0, mu_hat=full.mu)(x)
     assert np.allclose(same.x_next, full.x_next, atol=1e-14)
-    half = nofob_iterate(prob, x, 1.0, mu_hat=full.mu / 2)
+    half = corrected_step(prob, 1.0, mu_hat=full.mu / 2)(x)
     assert np.allclose(half.x_next, 0.5 * (x + full.x_next), atol=1e-14)
 
 
@@ -134,9 +134,9 @@ def test_conservative_rejects_bad_parameters():
     prob = identity_kernel_problem()
     x = np.ones(4)
     with pytest.raises(ContractViolation):
-        nofob_iterate(prob, x, 1.0, mu_hat=-0.5)
+        corrected_step(prob, 1.0, mu_hat=-0.5)(x)
     with pytest.raises(ContractViolation):
-        nofob_iterate(prob, x, 1.0, mu_hat=0.0)
+        corrected_step(prob, 1.0, mu_hat=0.0)(x)
 
 
 def test_beta_out_of_range_rejected():
@@ -210,7 +210,7 @@ def test_run_loop_keeps_a_record_at_max_iter_zero():
 
 def test_run_loop_flags_non_finite_states():
     def bad_step(x):
-        rec = nofob_iterate(identity_kernel_problem(), x, 1.0)
+        rec = corrected_step(identity_kernel_problem(), 1.0)(x)
         return type(rec)(
             x=rec.x, x_hat=rec.x_hat, x_next=rec.x_next * np.inf,
             mu=rec.mu, theta=rec.theta, residual_s=rec.residual_s,
@@ -229,7 +229,7 @@ def test_run_loop_ends_at_a_non_finite_residual_or_step_length(field, value):
     calls = itertools.count()
 
     def step(x):
-        rec = nofob_iterate(prob, x, 1.0)
+        rec = corrected_step(prob, 1.0)(x)
         return dataclasses.replace(rec, **{field: value}) if next(calls) == 2 else rec
 
     traj = run_loop(step, np.ones(4), tol=0.0, max_iter=10)
@@ -294,7 +294,7 @@ def test_fejer_decrease_in_custom_metric():
     x = rng.vector(4)
     z = np.zeros(4)
     for _ in range(30):
-        rec = nofob_iterate(prob, x, 1.4)
+        rec = corrected_step(prob, 1.4)(x)
         assert s.norm(rec.x_next - z) <= s.norm(x - z) + 1e-12
         x = rec.x_next
 
@@ -312,12 +312,12 @@ def test_failed_separation_is_null_at_noise_level_and_raises_above():
         )
 
     x = np.ones(4)
-    noise = nofob_iterate(reversed_kernel(1e-10), x, 1.0)
+    noise = corrected_step(reversed_kernel(1e-10), 1.0)(x)
     assert noise.residual_s > 1e-14 * (1.0 + 2.0)
     assert noise.mu == 0.0
     assert np.array_equal(noise.x_next, x)
     with pytest.raises(ContractViolation, match="separation failed"):
-        nofob_iterate(reversed_kernel(1e-6), x, 1.0)
+        corrected_step(reversed_kernel(1e-6), 1.0)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +392,13 @@ def test_the_step_equals_its_reference_bit_for_bit_at_n_200(monkeypatch, referen
 @pytest.mark.parametrize("problem", REGISTRY)
 def test_a_run_equals_a_loop_of_nofob_iterate_bit_for_bit(problem, monkeypatch):
     # run_algorithm binds the step once per run; every record must be the
-    # one that nofob_iterate, which binds it afresh at each step, gives
+    # one a step bound afresh at each iteration gives
     inst = get_instance(problem, 0)
     bound = []
 
     def per_step(view, theta, mu_hat=None):
         bound.append(view)
-        return lambda x: nofob_iterate(view, x, theta, mu_hat)
+        return lambda x: corrected_step(view, theta, mu_hat)(x)
 
     rows = accepted(inst)
     for name in rows:
@@ -422,7 +422,7 @@ def test_a_non_finite_entry_of_x_next_ends_the_run_at_that_record(value):
     calls = itertools.count()
 
     def step(x):
-        rec = nofob_iterate(prob, x, 1.0)
+        rec = corrected_step(prob, 1.0)(x)
         if next(calls) == 2:
             rec.x_next = rec.x_next.copy()
             rec.x_next[1] = value
@@ -442,7 +442,7 @@ def test_huge_finite_entries_of_x_next_do_not_end_the_run():
     calls = itertools.count()
 
     def step(x):
-        rec = nofob_iterate(prob, x, 1.0)
+        rec = corrected_step(prob, 1.0)(x)
         if next(calls) == 2:
             rec.x_next = huge.copy()
         return rec
@@ -474,6 +474,6 @@ def test_a_metric_of_the_wrong_dimension_is_rejected(algorithm, kind):
 def test_an_iterate_of_the_wrong_dimension_is_rejected_by_the_step():
     prob = identity_kernel_problem()
     with pytest.raises(ContractViolation, match="dimension mismatch"):
-        nofob_iterate(prob, np.ones(3), 1.0)
+        corrected_step(prob, 1.0)(np.ones(3))
     with pytest.raises(ContractViolation, match="dimension mismatch"):
         dataclasses.replace(prob, p_metric=SpdMetric.identity(3))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nofob.algorithms import run_algorithm
 from nofob.cli import _corrupt
-from nofob.core import NofobProblem, Trajectory, nofob_iterate, null_record, run_loop
+from nofob.core import NofobProblem, Trajectory, corrected_step, null_record, run_loop
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
 from nofob.linalg import ContractViolation, SpdMetric
 from nofob.problems import (REGISTRY, get_instance, make_regularized_quadratic,
@@ -31,7 +31,7 @@ def identity_kernel_problem(n=4):
 
 
 def unit_step(prob):
-    return lambda x: nofob_iterate(prob, x, 1.0)
+    return corrected_step(prob, 1.0)
 
 
 def convergent_run(name="regquad-full", algorithm="four-op", **kw):
@@ -248,7 +248,7 @@ def test_mu_bounds_index_counts_the_null_steps():
     # the violation sits in record 1, after a null step
     prob = identity_kernel_problem()
     x = np.ones(4)
-    moved = dataclasses.replace(nofob_iterate(prob, x, 1.0), mu=50.0)
+    moved = dataclasses.replace(corrected_step(prob, 1.0)(x), mu=50.0)
     traj = Trajectory([null_record(x, x, 1.0, 0.0), moved], "max_iter")
     rep = check_mu_bounds(traj, 0.0, prob.p_metric, prob.s_metric, 1.0)
     assert (rep.first_violating_iter, rep.max_violation, rep.passed) == (1, 49.0, False)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nofob.algorithms import run_algorithm
-from nofob.core import nofob_iterate
+from nofob.core import corrected_step
 from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation
 from nofob.fourop import (
     AffinePlusSkew,
@@ -30,7 +30,6 @@ from nofob.operators import (
     BlockProx,
     CocoerciveMap,
     LipschitzMap,
-    NonlinearKernel,
     SkewMap,
     affine_operator,
     l1_subdifferential,
@@ -44,8 +43,8 @@ from conftest import accepted
 
 def trivial_problem(n=3):
     return FourOpProblem(
-        b=zero_operator(n), d=zero_forward(n), e=zero_cocoercive(n),
-        k=SkewMap.zero(n), dim=n,
+        b=zero_operator(n), d=zero_forward(), e=zero_cocoercive(),
+        k=SkewMap.zero(n),
     )
 
 
@@ -65,15 +64,32 @@ def seeded_problem(n=8, seed=42, with_e=True, with_d=True, with_k=True):
     k_mat = 0.25 * (r3 - r3.T)
     beta_e = float(np.linalg.eigvalsh(h)[-1]) if with_e else 0.0
     e = (CocoerciveMap(lambda x: h @ x - b_vec, beta_e) if with_e
-         else zero_cocoercive(n))
+         else zero_cocoercive())
     l_d = float(np.linalg.norm(d_mat, 2)) if with_d else 0.0
-    d = LipschitzMap(lambda x: d_mat @ x, l_d) if with_d else zero_forward(n)
+    d = LipschitzMap(lambda x: d_mat @ x, l_d) if with_d else zero_forward()
     k = SkewMap(k_mat) if with_k else SkewMap.zero(n)
-    return FourOpProblem(b=l1_subdifferential(0.1), d=d, e=e, k=k, dim=n)
+    return FourOpProblem(b=l1_subdifferential(0.1), d=d, e=e, k=k)
 
 
 # ---------------------------------------------------------------------------
 # forward-backward map
+
+
+@pytest.mark.parametrize("part", ["d", "e", "b"])
+def test_a_bundle_rejects_a_part_of_another_size_than_k(part):
+    # a 3 x 3 D or E, or a three-coordinate BlockProx B, beside a 2 x 2 K:
+    # numpy's broadcast or matmul ValueError at the first step before
+    parts = dict(b=zero_operator(2), d=zero_forward(), e=zero_cocoercive(),
+                 k=SkewMap(np.array([[0.0, -1.0], [1.0, 0.0]])))
+    parts[part] = {"d": LipschitzMap.linear(np.eye(3), 1.0),
+                   "e": CocoerciveMap.affine(np.eye(3), np.ones(3), 1.0),
+                   "b": BlockProx([zero_operator(1), zero_operator(2)], [1, 2])}[part]
+    with pytest.raises(ContractViolation, match="K's dimension 2"):
+        FourOpProblem(**parts)
+    # a map that declares no matrix, or a B that declares no size, is not checked
+    parts[part] = {"d": LipschitzMap(lambda x: x, 1.0), "e": CocoerciveMap(lambda x: x, 1.0),
+                   "b": zero_operator(3)}[part]
+    assert FourOpProblem(**parts).dim == 2
 
 
 def test_fb_with_all_zero_operators_is_identity():
@@ -113,8 +129,8 @@ def test_scalar_fb_is_proximal_gradient():
     h = np.diag([1.0, 2.0])
     b = np.array([1.0, -3.0])
     prob = FourOpProblem(
-        b=l1_subdifferential(1.0), d=zero_forward(2),
-        e=CocoerciveMap(lambda x: h @ x - b, 2.0), k=SkewMap.zero(2), dim=2,
+        b=l1_subdifferential(1.0), d=zero_forward(),
+        e=CocoerciveMap(lambda x: h @ x - b, 2.0), k=SkewMap.zero(2),
     )
     x = np.array([0.5, 1.0])
     g = 0.5
@@ -133,7 +149,7 @@ def test_blockdiag_fb_with_zero_blocks_is_linear():
     kmat[2:, :2] = l.T
     prob = FourOpProblem(
         b=BlockProx([zero_operator(2), zero_operator(3)], [2, 3]),
-        d=zero_forward(5), e=zero_cocoercive(5), k=SkewMap(kmat), dim=5,
+        d=zero_forward(), e=zero_cocoercive(), k=SkewMap(kmat),
     )
     spec = BlockDiag([1.0, 1.0])
     p = rng.vector(5)
@@ -186,13 +202,13 @@ def test_trivial_specialization_matches_core_resolvent_step():
     # D = E = K = 0: mu = gamma and the unit step lands on the prox point
     n = 4
     prob = FourOpProblem(
-        b=l1_subdifferential(1.0), d=zero_forward(n), e=zero_cocoercive(n),
-        k=SkewMap.zero(n), dim=n,
+        b=l1_subdifferential(1.0), d=zero_forward(), e=zero_cocoercive(),
+        k=SkewMap.zero(n),
     )
     g = 0.8
     view = as_nofob(prob, ScalarStep(g), SpdMetric.identity(n))
     x = np.array([2.0, -0.5, 1.5, 0.0])
-    rec = nofob_iterate(view, x, 1.0)
+    rec = corrected_step(view, 1.0)(x)
     assert rec.mu == pytest.approx(g, rel=1e-15)
     assert np.allclose(rec.x_next, prob.b.evaluator(g, x), atol=1e-15)
 
@@ -208,7 +224,7 @@ def test_kernel_difference_reuses_the_oracle_d_only_at_its_own_x():
         return base.d(x)
 
     prob = FourOpProblem(b=base.b, d=LipschitzMap(d, base.d.lipschitz_constant),
-                         e=base.e, k=base.k, dim=base.dim)
+                         e=base.e, k=base.k)
     view = as_nofob(prob, ScalarStep(0.5), SpdMetric.identity(prob.dim))
     x = Lcg64(7).vector(prob.dim)
     x_hat = view.fb_oracle(x)
@@ -229,7 +245,7 @@ def test_gamma_iterate_matches_generic_path_over_100_iterations(long_step_refere
     worst = 0.0
     for _ in range(100):
         ref_next, ref_mu = long_step_reference(prob, g, x, 1.2, s)
-        rec = nofob_iterate(view, x, 1.2)
+        rec = corrected_step(view, 1.2)(x)
         worst = max(worst, float(np.max(np.abs(ref_next - rec.x_next))))
         # mu is a ratio of O(residual^2) quantities, so its relative
         # accuracy degrades as the square of the residual; compare only
@@ -248,7 +264,7 @@ def test_gamma_iterate_in_non_identity_metric(long_step_reference):
     g = 0.3
     x = rng.vector(prob.dim)
     ref_next, _ = long_step_reference(prob, g, x, 1.0, s)
-    rec = nofob_iterate(as_nofob(prob, ScalarStep(g), s), x, 1.0)
+    rec = corrected_step(as_nofob(prob, ScalarStep(g), s), 1.0)(x)
     assert np.allclose(ref_next, rec.x_next, atol=1e-12)
 
 
@@ -266,7 +282,7 @@ def test_conservative_identity_both_algebraic_routes(conservative_reference):
         route2 = x - g * m_gap
         assert np.max(np.abs(rec.x_next - route2)) <= 1e-13
         # route 3: the generic conservative step with mu_hat = gamma, S = I
-        rec3 = nofob_iterate(view, x, 1.0, mu_hat=g)
+        rec3 = corrected_step(view, 1.0, mu_hat=g)(x)
         assert np.max(np.abs(rec.x_next - rec3.x_next)) <= 1e-13
         x = rec.x_next
 
@@ -282,8 +298,8 @@ def test_conservative_rotation_closed_form(conservative_reference):
     # B=E=D=0, K 90-degree rotation: x_next = ((1-g^2) I - g K) x
     kmat = np.array([[0.0, -1.0], [1.0, 0.0]])
     prob = FourOpProblem(
-        b=zero_operator(2), d=zero_forward(2), e=zero_cocoercive(2),
-        k=SkewMap(kmat), dim=2,
+        b=zero_operator(2), d=zero_forward(), e=zero_cocoercive(),
+        k=SkewMap(kmat),
     )
     g = 0.7
     x = np.array([1.0, 2.0])
@@ -355,7 +371,7 @@ def declared(beta_e, l_d, k_norm=0.0):
     return FourOpProblem(
         b=zero_operator(2), d=LipschitzMap(np.zeros_like, l_d),
         e=CocoerciveMap(np.zeros_like, beta_e),
-        k=SkewMap(k_norm * np.array([[0.0, -1.0], [1.0, 0.0]])), dim=2,
+        k=SkewMap(k_norm * np.array([[0.0, -1.0], [1.0, 0.0]])),
     )
 
 
@@ -505,7 +521,7 @@ def test_affine_plus_skew_gauss_seidel_solves_the_block_system():
     q = spec.q_matrix
     prob = FourOpProblem(
         b=BlockProx([zero_operator(2), zero_operator(2)], [2, 2]),
-        d=zero_forward(4), e=zero_cocoercive(4), k=SkewMap.zero(4), dim=4,
+        d=zero_forward(), e=zero_cocoercive(), k=SkewMap.zero(4),
     )
     v = rng.vector(4)
     out = spec.resolvent(prob, v, None, None)  # a linear kernel ignores the start
@@ -516,8 +532,8 @@ def two_block_with_d(l_d=0.8):
     """Two zero blocks of size 2 with D = l_d I."""
     return FourOpProblem(
         b=BlockProx([zero_operator(2), zero_operator(2)], [2, 2]),
-        d=LipschitzMap(lambda x: l_d * x, l_d), e=zero_cocoercive(4),
-        k=SkewMap.zero(4), dim=4,
+        d=LipschitzMap(lambda x: l_d * x, l_d), e=zero_cocoercive(),
+        k=SkewMap.zero(4),
     )
 
 
@@ -571,9 +587,8 @@ def test_fbs_theta_cancellation_gives_plain_forward_backward(fbs_relaxed_referen
 
 
 def test_fbs_beta_zero_theta_one_is_resolvent_step(fbs_relaxed_reference):
-    n = 4
     b = l1_subdifferential(0.5)
-    e = zero_cocoercive(n)
+    e = zero_cocoercive()
     x = np.array([2.0, -0.1, 0.7, 0.0])
     out = fbs_relaxed_reference(b, e, 0.9, 1.0, x)
     assert np.allclose(out, b.evaluator(0.9, x), atol=1e-15)
@@ -582,7 +597,7 @@ def test_fbs_beta_zero_theta_one_is_resolvent_step(fbs_relaxed_reference):
 def test_fbs_redundant_projection_identity_over_100_iterations(fbs_relaxed_reference):
     b, e, beta_e, x = fbs_fixture()
     n = x.shape[0]
-    prob = FourOpProblem(b=b, d=zero_forward(n), e=e, k=SkewMap.zero(n), dim=n)
+    prob = FourOpProblem(b=b, d=zero_forward(), e=e, k=SkewMap.zero(n))
     s = SpdMetric.identity(n)
     g = 1.2 / beta_e
     view = as_nofob(prob, ScalarStep(g), s)
@@ -590,7 +605,7 @@ def test_fbs_redundant_projection_identity_over_100_iterations(fbs_relaxed_refer
     worst = 0.0
     for _ in range(100):
         direct = fbs_relaxed_reference(b, e, g, theta, x)
-        generic = nofob_iterate(view, x, theta)
+        generic = corrected_step(view, theta)(x)
         worst = max(worst, float(np.max(np.abs(direct - generic.x_next))))
         # closed-form step length of the reduction; the kernel difference
         # Mx - Mx_hat loses eps * |x| / residual relative digits, so the
@@ -609,14 +624,14 @@ def test_fbs_redundant_projection_identity_over_100_iterations(fbs_relaxed_refer
 
 def test_separable_nonlinear_spec_takes_d_and_requires_a_separable_b():
     prob = seeded_problem(with_e=False)  # D != 0 with L_D < 1, K != 0, separable B
-    kernel = NonlinearKernel(phi=lambda x: x, sigma=1.0, ell=1.0)
-    view = as_nofob(prob, SeparableNonlinear(kernel), SpdMetric.identity(prob.dim))
+    kernel = SeparableNonlinear(phi=lambda x: x, sigma=1.0, ell=1.0)
+    view = as_nofob(prob, kernel, SpdMetric.identity(prob.dim))
     assert view.p_metric.lam_min == pytest.approx(1.0 - prob.d.lipschitz_constant,
                                                   rel=1e-14)
     dense = FourOpProblem(b=affine_operator(np.eye(prob.dim), np.zeros(prob.dim)),
-                          d=prob.d, e=prob.e, k=prob.k, dim=prob.dim)
+                          d=prob.d, e=prob.e, k=prob.k)
     with pytest.raises(ContractViolation, match="separable B"):
-        fb(dense, SeparableNonlinear(kernel), np.zeros(prob.dim))
+        fb(dense, kernel, np.zeros(prob.dim))
 
 
 @pytest.mark.parametrize("n", [20, 200])
@@ -644,7 +659,7 @@ def test_four_op_on_a_nonlinear_nonsymmetric_kernel_reaches_the_planted_solution
 def test_nonlinear_kernel_at_or_below_l_d_is_rejected(planted_nonlinear_drift):
     # ||W||^2 = 0.8 puts L_D near 1.08, past the kernel's sigma = 1
     inst = planted_nonlinear_drift(20, 0, w_square=0.8)
-    assert inst.constants["l_d"] >= inst.nonlinear_spec.kernel.sigma
+    assert inst.constants["l_d"] >= inst.nonlinear_spec.sigma
     with pytest.raises(ContractViolation, match="not positive definite"):
         run_algorithm("four-op", inst)
 
@@ -652,13 +667,13 @@ def test_nonlinear_kernel_at_or_below_l_d_is_rejected(planted_nonlinear_drift):
 def test_separable_nonlinear_linear_phi_matches_scalar_kernel():
     n = 4
     prob = FourOpProblem(
-        b=l1_subdifferential(0.3), d=zero_forward(n), e=zero_cocoercive(n),
-        k=SkewMap.zero(n), dim=n,
+        b=l1_subdifferential(0.3), d=zero_forward(), e=zero_cocoercive(),
+        k=SkewMap.zero(n),
     )
     # phi(t) = 2 t is the scalar kernel with gamma = 1/2
-    kernel = NonlinearKernel(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0)
+    kernel = SeparableNonlinear(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0)
     x = np.array([1.0, -0.4, 0.0, 2.0])
-    a = fb(prob, SeparableNonlinear(kernel), x)
+    a = fb(prob, kernel, x)
     b = fb(prob, ScalarStep(0.5), x)
     assert np.allclose(a, b, atol=1e-10)
 
@@ -695,7 +710,7 @@ def test_summed_products_match_the_maps_one_by_one(split, n, seed):
     # x - F x / 4, each rounded as the same formula on the maps' sum
     g = 0.25
     s = SpdMetric.identity(n)
-    free = FourOpProblem(b=zero_operator(n), d=prob.d, e=prob.e, k=prob.k, dim=n)
+    free = FourOpProblem(b=zero_operator(n), d=prob.d, e=prob.e, k=prob.k)
     view = as_nofob(free, ScalarStep(g), s)
     fbs = fbs_view(free, g)
     rng = Lcg64(100 + seed)

@@ -43,6 +43,7 @@ def test_spectral_norm_matches_the_svd_norm(n):
 def test_spectral_norm_of_zero_and_empty_matrices_is_exactly_zero():
     assert spectral_norm(np.zeros((4, 4))) == 0.0
     assert spectral_norm(np.zeros((0, 0))) == 0.0
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
     assert spectral_norm(np.zeros((LANCZOS_N, LANCZOS_N + 5))) == 0.0
 
 
@@ -114,6 +115,22 @@ def test_a_dense_metric_rejects_an_empty_matrix():
     # numpy's ValueError from the empty max before
     with pytest.raises(ContractViolation, match="metric must not be empty"):
         SpdMetric(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("build", [lambda: SpdMetric.scaled_identity(1.0, 0),
+                                   lambda: SpdMetric.identity(-1)],
+                         ids=["scaled-identity-0", "identity-minus-1"])
+def test_a_scalar_metric_rejects_a_size_below_one(build):
+    # these built metrics of dim 0 and -1 before
+    with pytest.raises(ContractViolation, match="metric must not be empty"):
+        build()
+
+
+@pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2))], ids=["vector", "3-d"])
+def test_spectral_norm_rejects_what_is_not_a_matrix(m):
+    # IndexError (vector) and TypeError (3-d) before
+    with pytest.raises(ContractViolation, match="2-D matrix"):
+        spectral_norm(m)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from nofob import fourop, operators, problems
 from nofob.algorithms import run_algorithm
+from nofob.fourop import SeparableNonlinear
 from nofob.linalg import ContractViolation
 from nofob.operators import (
     BlockProx,
     CocoerciveMap,
     LipschitzMap,
-    NonlinearKernel,
     ProxOperator,
     SkewMap,
     affine_operator,
@@ -215,6 +215,10 @@ def test_skew_map_rejects_an_empty_matrix():
     for norm in (None, 0.0):
         with pytest.raises(ContractViolation, match="skew map must not be empty"):
             SkewMap(np.zeros((0, 0)), norm)
+    # SkewMap.zero built maps of dim 0 and -2 before
+    for n in (0, -2):
+        with pytest.raises(ContractViolation, match="skew map must not be empty"):
+            SkewMap.zero(n)
 
 
 @pytest.mark.parametrize("n", [2, 10, 200])
@@ -243,8 +247,8 @@ def test_block_prox_split_and_resolve():
     out = bp.evaluator(1.0, y)
     assert np.allclose(out, [2.0, 0.0, 1.0, 2.0])
     # (w I + B)^{-1} with w = 2: soft threshold at 1/2 of y/2
-    bundle = fourop.FourOpProblem(b=bp, d=fourop.zero_forward(4), e=fourop.zero_cocoercive(4),
-                                  k=SkewMap.zero(4), dim=4)
+    bundle = fourop.FourOpProblem(b=bp, d=fourop.zero_forward(), e=fourop.zero_cocoercive(),
+                                  k=SkewMap.zero(4))
     out2 = fourop.BlockDiag([2.0, 1.0]).resolvent(bundle, y, None, None)  # no start needed
     assert np.allclose(out2[:2], [1.0, 0.0])
     assert np.allclose(out2[2:], y[2:])
@@ -288,19 +292,19 @@ def _solve(kernel, prox, y, start=None):
     """The solve from `start`, by default the cold start y / sigma, with
     phi(start) handed in as the four-op oracle hands it in."""
     start = y / kernel.sigma if start is None else start
-    return separable_nonlinear_resolvent(kernel, prox, y, start, kernel(start))
+    return separable_nonlinear_resolvent(kernel, prox, y, start, kernel.phi(start))
 
 
 def test_separable_nonlinear_resolvent_linear_kernel():
     # phi(t) = 2t with B = 0 solves 2x = y exactly
-    kernel = NonlinearKernel(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0)
+    kernel = SeparableNonlinear(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0)
     y = np.array([1.0, -3.0, 0.0])
     x = _solve(kernel, zero_operator(3), y)
     assert np.allclose(x, y / 2.0, atol=1e-11)
 
 
 def test_separable_nonlinear_resolvent_arctan_kernel():
-    kernel = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
+    kernel = SeparableNonlinear(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
     prox = l1_subdifferential(0.5)
     y = np.array([2.0, -0.2, 4.0])
     x = _solve(kernel, prox, y)
@@ -314,13 +318,13 @@ def test_separable_nonlinear_resolvent_arctan_kernel():
 
 
 def test_separable_nonlinear_resolvent_requires_separable_prox():
-    kernel = NonlinearKernel(phi=lambda x: x, sigma=1.0, ell=1.0)
+    kernel = SeparableNonlinear(phi=lambda x: x, sigma=1.0, ell=1.0)
     dense = affine_operator(np.eye(2), np.zeros(2))
     with pytest.raises(ContractViolation):
         _solve(kernel, dense, np.zeros(2))
 
 
-ARCTAN = NonlinearKernel(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
+ARCTAN = SeparableNonlinear(phi=lambda x: x + np.arctan(x), sigma=1.0, ell=2.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -349,8 +353,8 @@ def _bound_cases():
         rng = Lcg64(500 + seed)
         n = 8
         c = (0.1, 1.0, 3.0)[seed % 3]
-        kernel = NonlinearKernel(phi=lambda x, c=c: c * x + np.arctan(x),
-                                 sigma=c, ell=c + 1.0)
+        kernel = SeparableNonlinear(phi=lambda x, c=c: c * x + np.arctan(x),
+                                    sigma=c, ell=c + 1.0)
         prox = (l1_plus_diag_affine(0.3, 0.5 + rng.vector(n) ** 2, 2.0 * rng.vector(n)),
                 l1_subdifferential(0.5), zero_operator(n))[seed // 3 % 3]
         y = 10.0 ** (seed % 4 - 1) * rng.vector(n)
@@ -365,7 +369,7 @@ def test_the_root_lies_within_the_a_priori_bound(bisection_resolvent_reference):
     tight = 0.0
     for kernel, prox, y, x0 in _bound_cases():
         ref = bisection_resolvent_reference(kernel, prox, y)
-        u = prox.evaluator(1.0, x0 + y - kernel(x0))
+        u = prox.evaluator(1.0, x0 + y - kernel.phi(x0))
         delta = (1.0 + kernel.ell) * np.abs(x0 - u) / kernel.sigma
         guard = 1e-11 * (1.0 + np.abs(ref))
         assert np.all(np.abs(ref - u) <= delta + guard)
@@ -391,7 +395,7 @@ def test_separable_nonlinear_resolvent_agrees_with_bisection_from_any_start(
     rng = Lcg64(seed)
     lam = 0.3
     b = 2.0 * rng.vector(n)
-    kernel = NonlinearKernel(phi=lambda x: c * x + np.arctan(x), sigma=c, ell=c + 1.0)
+    kernel = SeparableNonlinear(phi=lambda x: c * x + np.arctan(x), sigma=c, ell=c + 1.0)
     prox = {"l1-plus-diag-affine": l1_plus_diag_affine(lam, 0.5 + rng.vector(n) ** 2, b),
             "l1": l1_subdifferential(lam),
             "zero": zero_operator(n)}[family]
@@ -423,7 +427,7 @@ def test_an_a_priori_end_that_fails_to_round_off_is_moved_out():
     y = 1e7 * rng.vector(6)
 
     def resid(x):
-        return x - prox.evaluator(1.0, x + y - ARCTAN(x))
+        return x - prox.evaluator(1.0, x + y - ARCTAN.phi(x))
 
     root = _solve(ARCTAN, prox, y)
     x0 = root + 3.0 * np.spacing(root)
@@ -444,13 +448,13 @@ def test_an_a_priori_end_from_an_overstated_modulus_is_moved_out(
     # phi(t) = 0.1 t + arctan(t) declared 1-strongly monotone, ten times its
     # modulus far from 0: there u and x0 lie on the same side of the root
     # and u -/+ delta falls short of it; doubling moves the end past it
-    kernel = NonlinearKernel(phi=lambda x: 0.1 * x + np.arctan(x), sigma=1.0, ell=1.1)
+    kernel = SeparableNonlinear(phi=lambda x: 0.1 * x + np.arctan(x), sigma=1.0, ell=1.1)
     prox = l1_subdifferential(0.5)
     y = np.array([40.0, -25.0, 3.0, 0.2])
     x0 = np.array([10.0, -5.0, 0.0, 1.0])
 
     def resid(x):
-        return x - prox.evaluator(1.0, x + y - kernel(x))
+        return x - prox.evaluator(1.0, x + y - kernel.phi(x))
 
     u = x0 - resid(x0)
     end = u - np.sign(resid(u)) * 2.1 * np.abs(x0 - u)
@@ -468,10 +472,10 @@ def test_separable_nonlinear_resolvent_stops_at_the_round_off_floor(y):
     # only where rounding lands on r = 0; elsewhere the bracket closes to
     # two adjacent doubles, and the solve stops there
     inst = make_nonlinear_kernel_demo(n=6, seed=3)[0]
-    kernel, prox = inst.nonlinear_spec.kernel, inst.bundle.b
+    kernel, prox = inst.nonlinear_spec, inst.bundle.b
     y = np.array(y)
     x = _solve(kernel, prox, y)
-    r = x - prox.evaluator(1.0, x + y - kernel(x))
+    r = x - prox.evaluator(1.0, x + y - kernel.phi(x))
     assert np.all(np.abs(r) <= 4.0 * np.spacing(np.abs(x) + np.abs(y)))
 
 
@@ -486,7 +490,7 @@ def _demo_inputs(n):
         inst, spec = make_nonlinear_kernel_demo(n=n, seed=seed)
         prob = inst.bundle
         for x in (inst.x0, inst.oracle, 0.5 * (inst.x0 + inst.oracle)):
-            yield seed, spec.kernel, prob.b, spec.kernel(x) - prob.forward(x), x
+            yield seed, spec, prob.b, spec.phi(x) - prob.forward(x), x
 
 
 @pytest.mark.parametrize("n", [12, 200])
@@ -525,7 +529,7 @@ def _edge_cases():
                                                   -2.5 * big), big),
         "mixed-scales": (ARCTAN, l1_plus_diag_affine(lam, d, b),
                          np.array([1e-300, -2.5e3, 1e-12, 40.0])),
-        "linear": (NonlinearKernel(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0),
+        "linear": (SeparableNonlinear(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0),
                    zero_operator(6), np.array([1.0, -3.0, 0.0, 0.75, 1e8, 2.0 ** -20])),
     }
 
@@ -628,13 +632,13 @@ def test_a_kernel_sigma_must_be_positive_and_finite(bad):
     # a NaN sigma used to spin the resolvent's 4000 steps and raise
     # "did not reach tol"
     with pytest.raises(ContractViolation, match="kernel sigma"):
-        NonlinearKernel(phi=lambda x: x, sigma=bad, ell=2.0)
+        SeparableNonlinear(phi=lambda x: x, sigma=bad, ell=2.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
 def test_a_kernel_ell_must_be_finite_and_at_least_sigma(bad):
     with pytest.raises(ContractViolation, match="kernel ell"):
-        NonlinearKernel(phi=lambda x: x, sigma=1.0, ell=bad)
+        SeparableNonlinear(phi=lambda x: x, sigma=1.0, ell=bad)
 
 
 def test_only_the_constructors_declare_a_matrix():

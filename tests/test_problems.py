@@ -473,8 +473,8 @@ def test_nonlinear_demo_closed_form_oracle():
     b = inst.extras["b_vector"]
     expected = np.sign(b) * np.maximum(np.abs(b) - 0.4, 0.0) / d
     assert np.allclose(inst.oracle, expected, atol=1e-12)
-    assert spec.kernel.sigma == pytest.approx(1.0)
-    assert spec.kernel.ell == pytest.approx(2.0)
+    assert spec.sigma == pytest.approx(1.0)
+    assert spec.ell == pytest.approx(2.0)
 
 
 def test_nonlinear_demo_unregularized_identity_affine():
@@ -487,7 +487,7 @@ def test_nonlinear_demo_unregularized_identity_affine():
 
 def test_nonlinear_kernel_modulus_sampling():
     _, spec = make_nonlinear_kernel_demo(n=4, seed=8)
-    phi = spec.kernel.phi
+    phi = spec.phi
     from nofob.rng import Lcg64
 
     rng = Lcg64(41)
@@ -497,7 +497,7 @@ def test_nonlinear_kernel_modulus_sampling():
         if not np.any(gap):
             continue
         lhs = float((phi(x) - phi(y)) @ gap)
-        assert lhs >= spec.kernel.sigma * float(gap @ gap) - 1e-12
+        assert lhs >= spec.sigma * float(gap @ gap) - 1e-12
         assert np.linalg.norm(phi(x) - phi(y)) <= (
-            spec.kernel.ell * np.linalg.norm(gap) + 1e-12
+            spec.ell * np.linalg.norm(gap) + 1e-12
         )

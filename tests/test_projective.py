@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nofob.core import nofob_iterate
+from nofob.core import corrected_step
 from nofob.fourop import BlockDiag, as_nofob
 from nofob.linalg import ContractViolation, SpdMetric
 from nofob.operators import (
@@ -11,7 +11,7 @@ from nofob.operators import (
     zero_operator,
 )
 from nofob.problems import get_instance, make_saddle_pd
-from nofob.projective import PsProblem, ps_explicit_oracle, stack_primal_dual
+from nofob.projective import PsProblem, ps_explicit_oracle
 from nofob.rng import Lcg64
 
 
@@ -25,7 +25,7 @@ def ps_resolvent_iterate(ps, p, theta, taus=None):
     all 1): the corrected step on the block-diagonal view."""
     taus = (1.0,) * ps.n if taus is None else tuple(taus)
     view = as_nofob(ps.stacked, BlockDiag(q_weights(taus)), SpdMetric.identity(ps.stacked.dim))
-    return nofob_iterate(view, p, theta)
+    return corrected_step(view, theta)(p)
 
 
 def zero_ps(n_dual=2, n_primal=3, l=None):
@@ -65,7 +65,7 @@ def test_explicit_oracle_takes_one_positive_finite_step_size_per_block(taus):
 
 
 def test_stack_zero_coupling_gives_zero_skew():
-    stacked = stack_primal_dual(zero_ps())
+    stacked = zero_ps().stacked
     assert np.allclose(stacked.k.matrix, 0.0)
     assert stacked.b.dims == (2, 3) and stacked.dim == 5
     p = np.arange(5.0)
@@ -74,7 +74,7 @@ def test_stack_zero_coupling_gives_zero_skew():
 
 def test_stack_identity_coupling_is_canonical_symplectic():
     ps = zero_ps(n_dual=2, n_primal=2, l=np.eye(2))
-    kmap = stack_primal_dual(ps).k
+    kmap = ps.stacked.k
     expected = np.block([
         [np.zeros((2, 2)), -np.eye(2)],
         [np.eye(2), np.zeros((2, 2))],
@@ -90,7 +90,7 @@ def test_stack_three_blocks_entrywise():
         a_ops=[zero_operator(2), zero_operator(3), zero_operator(4)],
         l_maps=[l1, l2], primal_dim=4,
     )
-    kmap = stack_primal_dual(ps).k
+    kmap = ps.stacked.k
     kmat = kmap.matrix
     assert np.array_equal(kmat[0:2, 5:9], -l1)
     assert np.array_equal(kmat[2:5, 5:9], -l2)
@@ -106,7 +106,7 @@ def test_stack_dual_blocks_resolve_through_moreau():
         a_ops=[l1_subdifferential(1.0), zero_operator(1)],
         l_maps=[np.zeros((1, 1))], primal_dim=1,
     )
-    out = BlockDiag([1.0, 1.0]).resolvent(stack_primal_dual(ps), np.array([3.0, 5.0]), None, None)
+    out = BlockDiag([1.0, 1.0]).resolvent(ps.stacked, np.array([3.0, 5.0]), None, None)
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(5.0)
 
@@ -150,7 +150,7 @@ def test_resolvent_zero_stacked_blocks_match_dense_solve():
         a_ops=[cone_of_zero, zero_operator(3)],
         l_maps=[l], primal_dim=3,
     )
-    kmap = stack_primal_dual(ps).k
+    kmap = ps.stacked.k
     q = np.eye(5)
     p_vec = rng.vector(5)
     p_hat_oracle = np.linalg.solve(q, (q - kmap.matrix) @ p_vec)

@@ -17,7 +17,7 @@ live one.  `ProblemInstance.n` hid behind `PsProblem.n`,
 `ProblemInstance.seed` behind `args.seed`, `RunOutput.algorithm`
 behind `args.algorithm` and `RunOutput.theta` behind `rec.theta`, each
 until it was deleted; `ProblemInstance.sigma` passes only because
-`NonlinearKernel.sigma` is read.  For the result types the last test
+`SeparableNonlinear.sigma` is read.  For the result types the last test
 checks by owner: it traces which fields of `RunOutput`, `Trajectory`
 and `IterRecord` the command line reads.
 """
@@ -41,8 +41,6 @@ PACKAGE = Path(nofob.__file__).parent
 # (module, name or Class.member) -> why it stays in the package unused
 KEPT = {
     ("fourop", "epsbar_delta"): "a paper constant under test",
-    # a run binds the step once with corrected_step; this takes one step
-    ("core", "nofob_iterate"): "the paper's corrected step, one step at a time",
     ("problems", "ProblemInstance.extras"): "read by perfbench/workloads.py",
     ("core", "Trajectory.final_x"): "read by perfbench/workloads.py",
     # class-level None, not fields: perfbench/tracing.py hooks both by name
