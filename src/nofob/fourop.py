@@ -17,8 +17,11 @@ size.  D, E, K are all handled forward; the backward step solves
                       a call, inside a bracket strong monotonicity
                       guarantees
 
-`as_nofob` views any of them as the kernel of the corrected step in
-core, and is the one place where a view's P, beta and L_M are derived;
+A kernel family is four methods: `check` (the bundle fits it), `bind`
+(Q and the resolvent, with the family's per-run constants read once),
+`q_metric` and `q_norm`.  `as_nofob` views any of them as the kernel of
+the corrected step in core, runs the check and binds once per view, and
+is the one place where a view's P, beta and L_M are derived;
 `fbs_view` views relaxed forward-backward as one.  A D, E or K that is
 zero by construction (`zero_forward`, `zero_cocoercive`, an all-zero
 `SkewMap`) says so through `is_zero`, and `FourOpProblem.forward` and
@@ -32,8 +35,10 @@ G = D + K in the kernel, so that one iteration makes two dense products
 and one audited kernel difference one.  A part of one map is that map's
 own matrix, not a sum.  A live D or E that declares no matrix, such as
 a nonlinear D, is still called map by map, and the kernel difference at
-the oracle's own x reuses the oracle's D x.  Each view composes its
-forward sum once, when it is built.  `FourOpProblem.forward` keeps a
+the oracle's own x reuses the oracle's D x.  A view with a linear Q and
+a D that declares a matrix or is zero keeps no state between its oracle
+and its kernel difference.  Each view composes its forward sum once,
+when it is built.  `FourOpProblem.forward` keeps a
 map-by-map sum, composed by `_summed` as the views compose theirs: it
 serves the oracle certificate, where it is an independent cross-check
 of the summed matrices.  The kernel difference forms x - x_hat once:
@@ -42,15 +47,16 @@ linear kernels (ScalarStep, BlockDiag, AffinePlusSkew) and G apply to
 that difference; a nonlinear Q and a D without a matrix read x and
 x_hat.
 
-Every kernel map, Q and a `LinearPart`, takes a vector or a k x n stack
-of rows, so one kernel difference body serves the step and, on stacks,
-the separation audit (see `core.NofobProblem`).  Each row rounds as the
-vector does: x - x_hat, the division by gamma, BlockDiag's per-block
-weights and a coordinatewise phi are elementwise, and a dense product on
-a stack is row-blocked per-row GEMVs (`linalg.matvec_rows`), not a GEMM:
-bit for bit under one BLAS thread, while a multithreaded BLAS may move
-odd sizes above the block by a few ulps.  A live D that declares no
-matrix takes only vectors, and the view applies it to a stack row by row.
+Every kernel map, a bound Q and a `LinearPart`, takes a vector or a
+k x n stack of rows, so one kernel difference body serves the step and,
+on stacks, the separation audit (see `core.NofobProblem`).  Each row
+rounds as the vector does: x - x_hat, the division by gamma, BlockDiag's
+per-block weights and a coordinatewise phi are elementwise, and a dense
+product on a stack is row-blocked per-row GEMVs (`linalg.matvec_rows`),
+not a GEMM: bit for bit under one BLAS thread, while a multithreaded
+BLAS may move odd sizes above the block by a few ulps.  A live D that
+declares no matrix takes only vectors, and the view applies it to a
+stack row by row.
 
 Also provides the step-size bound formulas and the fixed-relaxation
 positive semidefiniteness check.
@@ -203,12 +209,12 @@ def _summed(maps):
 
 
 class KernelSpec:
-    """What one kernel family supplies: the map Q, the resolvent
-    (Q + B)^{-1}, a lower metric W of Q's symmetric part
-    (<Qx - Qy, x - y> >= ||x - y||_W^2), a bound on Q's Lipschitz
-    constant, and a structural check on the bundle.  `as_nofob` runs the
-    check once and derives the view's constants from the rest; q_apply
-    and resolvent assume a bundle that passed it."""
+    """What one kernel family supplies: a structural check on the bundle,
+    the map Q and the resolvent (Q + B)^{-1} bound to a bundle, a lower
+    metric W of Q's symmetric part (<Qx - Qy, x - y> >= ||x - y||_W^2)
+    and a bound on Q's Lipschitz constant.  `as_nofob` runs the check
+    once, then binds once, and derives the view's constants from the
+    rest."""
 
     # Q is linear, so Q x - Q x_hat is evaluated as Q (x - x_hat), which
     # avoids catastrophic cancellation
@@ -217,15 +223,13 @@ class KernelSpec:
     def check(self, prob: FourOpProblem) -> None:
         """Raise ContractViolation when the bundle does not fit the kernel."""
 
-    def q_apply(self, prob: FourOpProblem, x: np.ndarray) -> np.ndarray:
-        """Q x at a vector, or at every row of a k x n stack, each row
-        bit for bit the vector's value."""
-        raise NotImplementedError
-
-    def resolvent(self, prob: FourOpProblem, v: np.ndarray, start: np.ndarray,
-                  q_start: np.ndarray) -> np.ndarray:
-        """(Q + B)^{-1} v; start is a point near which the answer lies and
-        q_start is Q start, both of which only an iterative solve uses."""
+    def bind(self, prob: FourOpProblem):
+        """(q, resolvent) for a bundle that passed the check, with the
+        per-run constants read once.  q(x) is Q x at a vector, or at every
+        row of a k x n stack, each row bit for bit the vector's value.
+        resolvent(v, start, q_start) is (Q + B)^{-1} v at a vector; start
+        is a point near which the answer lies and q_start is Q start, both
+        of which only an iterative solve uses."""
         raise NotImplementedError
 
     def q_metric(self, prob: FourOpProblem) -> SpdMetric:
@@ -250,12 +254,9 @@ class ScalarStep(KernelSpec):
     def __init__(self, gamma: float):
         self.gamma = _positive(gamma, "gamma")
 
-    def q_apply(self, prob, x):
-        return x / self.gamma
-
-    def resolvent(self, prob, v, start, q_start):
-        g = self.gamma
-        return prob.b.evaluator(g, g * np.asarray(v, dtype=float))
+    def bind(self, prob):
+        g, ev = self.gamma, prob.b.evaluator
+        return (lambda x: x / g), (lambda v, start, q_start: ev(g, g * v))
 
     def q_metric(self, prob):
         return SpdMetric.scaled_identity(1.0 / self.gamma, prob.dim)
@@ -280,16 +281,16 @@ class BlockDiag(KernelSpec):
         if len(prob.b.ops) != len(self.weights):
             raise ContractViolation("one weight per B block required")
 
-    def q_apply(self, prob, x):
-        cut = prob.b.offsets
-        return np.concatenate([w * x[..., a:b] for w, a, b
-                               in zip(self.weights, cut[:-1], cut[1:])], axis=-1)
-
-    def resolvent(self, prob, v, start, q_start):
+    def bind(self, prob):
         """Per block (w_i I + B_i)^{-1} v_i = J_{B_i / w_i}(v_i / w_i); the
-        weights are positive and one per block since the view was built."""
-        return np.concatenate([op.evaluator(1.0 / w, vb / w) for w, op, vb
-                               in zip(self.weights, prob.b.ops, prob.b.split(v))])
+        weights are positive and one per block since the check."""
+        blocks = [(w, 1.0 / w, ev, cut) for w, (ev, cut) in zip(self.weights, prob.b.blocks)]
+
+        def resolvent(v, start, q_start):
+            return np.concatenate([ev(r, v[cut] / w) for w, r, ev, cut in blocks])
+
+        return (lambda x: np.concatenate([w * x[..., cut] for w, _, _, cut in blocks], axis=-1),
+                resolvent)
 
     def q_metric(self, prob):
         return SpdMetric.scaled_identity(min(self.weights), prob.dim)
@@ -322,8 +323,6 @@ class AffinePlusSkew(KernelSpec):
         self.p = SpdMetric(0.5 * q + 0.5 * q.T)
         self.q_matrix = q
         self.dims = (m, n)
-        self._w = (tau1, 1.0 / tau2)
-        self._q21 = q[m:, :m]
 
     def check(self, prob):
         if not isinstance(prob.b, BlockProx) or len(prob.b.ops) != 2:
@@ -331,17 +330,18 @@ class AffinePlusSkew(KernelSpec):
         if prob.b.dims != self.dims:
             raise ContractViolation("B block dims do not match the kernel blocks")
 
-    def q_apply(self, prob, x):
-        return self.q_matrix @ x if x.ndim == 1 else matvec_rows(self.q_matrix, x)
+    def bind(self, prob):
+        # Q's diagonal blocks are w1 I and w2 I: w1 = tau1, w2 = 1 / tau2
+        qm, d1 = self.q_matrix, self.dims[0]
+        w1, w2, q21 = qm[0, 0], qm[d1, d1], qm[d1:, :d1]
+        r1, r2 = 1.0 / w1, 1.0 / w2
+        (ev1, _), (ev2, _) = prob.b.blocks
 
-    def resolvent(self, prob, v, start, q_start):
-        ops = prob.b.ops
-        d1 = self.dims[0]
-        w1, w2 = self._w
-        v = np.asarray(v, dtype=float)
-        x1 = ops[0].evaluator(1.0 / w1, v[:d1] / w1)
-        x2 = ops[1].evaluator(1.0 / w2, (v[d1:] - self._q21 @ x1) / w2)
-        return np.concatenate([x1, x2])
+        def resolvent(v, start, q_start):
+            x1 = ev1(r1, v[:d1] / w1)
+            return np.concatenate([x1, ev2(r2, (v[d1:] - q21 @ x1) / w2)])
+
+        return (lambda x: qm @ x if x.ndim == 1 else matvec_rows(qm, x)), resolvent
 
     def q_metric(self, prob):
         return self.p
@@ -379,12 +379,10 @@ class SeparableNonlinear(KernelSpec):
         if not getattr(prob.b, "separable", False):
             raise ContractViolation("nonlinear kernels require a separable B")
 
-    def q_apply(self, prob, x):
-        return self.phi(x)
-
-    def resolvent(self, prob, v, start, q_start):
-        return separable_nonlinear_resolvent(self, prob.b, v, start=start,
-                                             phi_start=q_start)
+    def bind(self, prob):
+        # the solve is looked up at each call, where a tracer may have replaced it
+        return self.phi, lambda v, start, q_start: separable_nonlinear_resolvent(
+            self, prob.b, v, start=start, phi_start=q_start)
 
     def q_metric(self, prob):
         return SpdMetric.scaled_identity(self.sigma, prob.dim)
@@ -424,19 +422,21 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     beta = beta_E / lambda_min(P) and L_M = ||Q|| + L_D + ||K||.
 
     The linear live maps are applied as F = D + K + H in the oracle and
-    G = D + K in the kernel difference.  The oracle starts the backward
-    solve at its own x and hands it its Q x, and the kernel difference at
-    the oracle's own x array reuses the oracle's D x of a D without a
-    matrix and, on a nonlinear kernel, its Q x.  So kernel_diff depends
-    on its arguments alone only while nothing writes to that array
-    between the two calls; the step never does."""
+    G = D + K in the kernel difference.  The spec binds its Q and its
+    resolvent once, here.  The oracle starts the backward solve at its
+    own x and hands it its Q x.  Where Q is linear and D declares a
+    matrix or is zero, the view keeps no state.  Elsewhere the kernel
+    difference at the oracle's own x array reuses the oracle's D x of a
+    D without a matrix and, on a nonlinear kernel, its Q x, so it
+    depends on its arguments alone only while nothing writes to that
+    array between the two calls; the step never does."""
     spec.check(prob)
+    q, resolvent = spec.bind(prob)
     l_d = prob.d.lipschitz_constant
     p = _less_l_d(spec.q_metric(prob), l_d)
     be = prob.e.inverse_cocoercivity
     g, f, d_map, e = prob.forward_parts
-    q_apply, resolvent, linear = spec.q_apply, spec.resolvent, spec.linear
-    last = (None, None, None)  # the oracle's x, its D x and its Q x
+    linear = spec.linear
     oracle_dx = None
 
     def d_at_oracle(x):
@@ -444,33 +444,42 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         oracle_dx = d_map(x)
         return oracle_dx
 
-    def d_of(x):
-        return d_map(x) if x.ndim == 1 else np.array([d_map(row) for row in x])
-
     forward = _summed((None if d_map is None else d_at_oracle, f, e))
+    if linear and d_map is None:
+        def fb(x):
+            x = np.asarray(x, dtype=float)
+            v = q(x)
+            return resolvent(v if forward is None else v - forward(x), x, v)
 
-    def fb(x):
-        nonlocal last
-        x = np.asarray(x, dtype=float)
-        v = q_apply(prob, x)
-        y = v if forward is None else v - forward(x)
-        last = (x, oracle_dx, v)
-        return resolvent(prob, y, x, v)
+        def kernel_diff(x, x_hat, d):
+            return q(d) if g is None else q(d) - g(d)
+    else:
+        last = (None, None, None)  # the oracle's x, its D x and its Q x
 
-    def kernel_diff(x, x_hat, d):
-        last_x, last_dx, last_qx = last
-        at_last = x is last_x
-        if linear:
-            m = q_apply(prob, d)
-        else:
-            qx = last_qx if at_last else q_apply(prob, x)
-            m = qx - q_apply(prob, x_hat)
-        if d_map is not None:
-            dx = last_dx if at_last else d_of(x)
-            m = m - (dx - d_of(x_hat))
-        if g is not None:
-            m = m - g(d)
-        return m
+        def d_of(x):
+            return d_map(x) if x.ndim == 1 else np.array([d_map(row) for row in x])
+
+        def fb(x):
+            nonlocal last
+            x = np.asarray(x, dtype=float)
+            v = q(x)
+            y = v if forward is None else v - forward(x)
+            last = (x, oracle_dx, v)
+            return resolvent(y, x, v)
+
+        def kernel_diff(x, x_hat, d):
+            last_x, last_dx, last_qx = last
+            at_last = x is last_x
+            if linear:
+                m = q(d)
+            else:
+                m = (last_qx if at_last else q(x)) - q(x_hat)
+            if d_map is not None:
+                dx = last_dx if at_last else d_of(x)
+                m = m - (dx - d_of(x_hat))
+            if g is not None:
+                m = m - g(d)
+            return m
 
     return NofobProblem(
         fb_oracle=fb,
@@ -571,12 +580,12 @@ def fbs_view(prob: FourOpProblem, gamma: float) -> NofobProblem:
     """
     _positive(gamma, "gamma")
     _, f, d, e = prob.forward_parts
-    forward = _summed((d, f, e))
+    forward, ev = _summed((d, f, e)), prob.b.evaluator
 
     def fb(x):
         x = np.asarray(x, dtype=float)
         y = x if forward is None else x - gamma * forward(x)
-        return np.asarray(prob.b.evaluator(gamma, y), dtype=float)
+        return np.asarray(ev(gamma, y), dtype=float)
 
     def kernel_diff(x, x_hat, d):
         return d / gamma

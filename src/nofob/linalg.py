@@ -216,6 +216,16 @@ def _top_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(z[-1, 0])
 
 
+def _size(n, what: str) -> int:
+    """n as an int, raising ContractViolation unless it is a Python or
+    numpy integer of at least 1: int() would truncate a float."""
+    if not isinstance(n, (int, np.integer)):
+        raise ContractViolation(f"{what} size must be an integer, got {n!r}")
+    if n < 1:
+        raise ContractViolation(f"{what} must not be empty")
+    return int(n)
+
+
 def _require_square(m: np.ndarray, what: str):
     """Raise unless m is a nonempty square matrix: an eigensolver would
     stop on any other with a foreign error."""
@@ -279,7 +289,8 @@ class SpdMetric:
     Input is rejected unless it is square and nonempty, its entries are
     finite and it is symmetric to SYMMETRY_TOL relative, then symmetrized
     and rejected unless lambda_min > SPD_TOL * lambda_max; a scalar c
-    must be finite and positive, and its size n at least 1.  `solve`
+    must be finite and positive, and its size n a Python or numpy
+    integer of at least 1.  `solve`
     computes W^{-1} v for a vector v, or W^{-1} V for an n x k matrix V,
     by one dpotrs call on the cached Cholesky factor, bit for bit
     `cho_solve`; every metric raises
@@ -332,8 +343,7 @@ class SpdMetric:
 
     @classmethod
     def scaled_identity(cls, c: float, n: int) -> "SpdMetric":
-        if n < 1:
-            raise ContractViolation("metric must not be empty")
+        n = _size(n, "metric")
         c = float(c)
         if not c < math.inf:
             raise ContractViolation("metric entries must be finite")
@@ -342,7 +352,7 @@ class SpdMetric:
         metric = cls.__new__(cls)
         metric._matrix = None
         metric._scale = c
-        metric.dim = int(n)
+        metric.dim = n
         metric.lam_min = metric.lam_max = c
         metric.norm = _unit_norm if c == 1.0 else partial(_scaled_norm, c)
         return metric

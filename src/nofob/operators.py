@@ -21,7 +21,11 @@ only when it changes.  The affine resolvent solves with numpy's `solve1`
 gufunc, the one `np.linalg.solve` runs on a float64 vector, called
 directly: the same bits without the wrapper's per-call checks.  Its
 first solve at each gamma goes through `np.linalg.solve`, which raises
-LinAlgError on a singular I + gamma H.  Inverse operators are always
+LinAlgError on a singular I + gamma H.  The soft threshold forms its
+value in the buffer of |z|, with the bits of the plain expression, and
+the l1 plus diagonal affine resolvent scales that buffer in place.  A
+`BlockProx` forms its block slices once, when it is built, and rejects
+a vector of another length.  Inverse operators are always
 derived from the primal prox through Moreau's identity
 (`inverse_via_moreau`), never specified independently.
 
@@ -43,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg._umath_linalg import solve1
 
-from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation,
+from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation, _size,
                      spectral_norm)
 
 __all__ = [
@@ -164,8 +168,9 @@ class SkewMap:
     An empty matrix, a matrix with a non-finite entry, or a given norm
     that is not finite and nonnegative, raises ContractViolation.
     `zero(n)` builds it without forming, checking or storing an n x n
-    matrix, and raises like an empty matrix for n < 1; `matrix` is formed
-    only when it is read.
+    matrix, and raises ContractViolation unless n is a Python or numpy
+    integer, and like an empty matrix for n < 1; `matrix` is formed only
+    when it is read.
     """
 
     def __init__(self, matrix, norm: Optional[float] = None):
@@ -200,18 +205,21 @@ class SkewMap:
 
     @classmethod
     def zero(cls, n: int) -> "SkewMap":
-        if n < 1:
-            raise ContractViolation("skew map must not be empty")
         k = cls.__new__(cls)
         k._matrix = None
-        k.dim = int(n)
+        k.dim = _size(n, "skew map")
         k.is_zero = True
         k.operator_norm = 0.0
         return k
 
 
 class BlockProx:
-    """Blockwise-separable monotone operator given by per-block resolvents."""
+    """Blockwise-separable monotone operator given by per-block resolvents.
+
+    The block slices and the (evaluator, slice) pairs are formed once,
+    when it is built.  `split` and `evaluator` take a vector of length
+    `dim`, and raise ContractViolation("dimension mismatch") on another
+    length."""
 
     def __init__(self, ops, dims):
         if len(ops) != len(dims) or not ops:
@@ -222,15 +230,20 @@ class BlockProx:
         self.dims = tuple(int(d) for d in dims)
         self.offsets = tuple(np.cumsum((0,) + self.dims))
         self.dim = int(sum(self.dims))
+        self.blocks = tuple((op.evaluator, slice(a, b)) for op, a, b
+                            in zip(self.ops, self.offsets[:-1], self.offsets[1:]))
 
     def split(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        return [x[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+        if len(x) != self.dim:
+            raise ContractViolation("dimension mismatch")
+        return [x[cut] for _, cut in self.blocks]
 
     def evaluator(self, gamma: float, y: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [op.evaluator(gamma, yb) for op, yb in zip(self.ops, self.split(y))]
-        )
+        y = np.asarray(y, dtype=float)
+        if len(y) != self.dim:
+            raise ContractViolation("dimension mismatch")
+        return np.concatenate([ev(gamma, y[cut]) for ev, cut in self.blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +253,7 @@ class BlockProx:
 def zero_operator(n: int) -> ProxOperator:
     """B = 0; the resolvent is the identity."""
     return ProxOperator(
-        evaluator=lambda gamma, y: np.asarray(y, dtype=float).copy(),
+        evaluator=lambda gamma, y: np.array(y, dtype=float),
         descriptor="zero",
         separable=True,
     )
@@ -282,7 +295,13 @@ def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
 
 
 def _soft(z: np.ndarray, t) -> np.ndarray:
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    """sign(z) max(|z| - t, 0) for an array z of at least one dimension,
+    formed in the buffer of |z|: the bits of the plain expression, with
+    sign(z) kept as the first factor, so a NaN keeps its payload and
+    z = -0.0 gives +0.0."""
+    a = np.abs(z)
+    a -= t
+    return np.multiply(np.sign(z), np.maximum(a, 0.0, out=a), out=a)
 
 
 def l1_subdifferential(weight: float) -> ProxOperator:
@@ -311,7 +330,8 @@ def l1_plus_diag_affine(lam: float, d: np.ndarray, b: np.ndarray) -> ProxOperato
         if memo[0] != gamma:
             memo = (gamma, gamma * b, 1.0 + gamma * d)
         _, shift, scale = memo
-        return _soft(np.asarray(y, float) + shift, gamma * lam) / scale
+        x = _soft(np.asarray(y, float) + shift, gamma * lam)
+        return np.divide(x, scale, out=x)
 
     return ProxOperator(evaluator=ev, descriptor="l1-plus-diag-affine", separable=True)
 

@@ -217,6 +217,22 @@ def bisection_resolvent_reference():
 
 
 # ---------------------------------------------------------------------------
+# soft threshold (cross-check reference)
+
+
+def _soft_threshold(z, t):
+    """sign(z) max(|z| - t, 0) as one plain expression, with its
+    temporaries; the in-place `operators._soft` must give the same bytes."""
+    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+
+@pytest.fixture
+def soft_threshold_reference():
+    """Plain soft-threshold transcription the l1 resolvents are checked against."""
+    return _soft_threshold
+
+
+# ---------------------------------------------------------------------------
 # relaxed forward-backward step in the metric I (cross-check reference)
 
 

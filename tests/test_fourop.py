@@ -524,8 +524,36 @@ def test_affine_plus_skew_gauss_seidel_solves_the_block_system():
         d=zero_forward(), e=zero_cocoercive(), k=SkewMap.zero(4),
     )
     v = rng.vector(4)
-    out = spec.resolvent(prob, v, None, None)  # a linear kernel ignores the start
+    spec.check(prob)
+    _, resolvent = spec.bind(prob)
+    out = resolvent(v, None, None)  # a linear kernel ignores the start
     assert np.allclose(out, np.linalg.solve(q, v), atol=1e-12)
+
+
+@pytest.mark.parametrize("problem, algorithm, family", [
+    ("regquad-full", "four-op", ScalarStep),
+    ("saddle", "four-op", BlockDiag),
+    ("saddle", "afba", AffinePlusSkew),
+    ("nonlinear-kernel", "four-op", SeparableNonlinear),
+])
+def test_as_nofob_binds_its_kernel_once_per_view(monkeypatch, problem, algorithm, family):
+    # the view binds when it is built; no step and no audit binds again
+    binds = []
+    bind = family.bind
+
+    def counted(spec, prob):
+        binds.append(prob)
+        return bind(spec, prob)
+
+    monkeypatch.setattr(family, "bind", counted)
+    out = run_algorithm(algorithm, get_instance(problem), tol=0.0, max_iter=20)
+    view = out.nofob_view
+    assert len(binds) == 1 and out.trajectory.iterations == 21
+    traj = out.trajectory
+    assert check_separation(traj, view, out.z_star).passed
+    assert check_mu_bounds(traj, view.beta, view.p_metric, out.s_metric,
+                           view.kernel_lipschitz).passed
+    assert len(binds) == 1
 
 
 def two_block_with_d(l_d=0.8):

@@ -126,6 +126,22 @@ def test_a_scalar_metric_rejects_a_size_below_one(build):
         build()
 
 
+@pytest.mark.parametrize("build", [SpdMetric.identity,
+                                   lambda n: SpdMetric.scaled_identity(2.0, n)],
+                         ids=["identity", "scaled-identity"])
+@pytest.mark.parametrize("n", [2.7, float("nan"), float("inf")], ids=["non-integral", "nan", "inf"])
+def test_a_scalar_metric_rejects_a_size_that_is_not_an_integer(build, n):
+    # dim 2 from 2.7 before
+    with pytest.raises(ContractViolation, match="metric size must be an integer"):
+        build(n)
+
+
+def test_a_scalar_metric_takes_python_and_numpy_integers():
+    for n in (4, np.int64(4), np.int32(4)):
+        for metric in (SpdMetric.identity(n), SpdMetric.scaled_identity(2.0, n)):
+            assert metric.dim == 4 and type(metric.dim) is int
+
+
 @pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2))], ids=["vector", "3-d"])
 def test_spectral_norm_rejects_what_is_not_a_matrix(m):
     # IndexError (vector) and TypeError (3-d) before

@@ -221,6 +221,19 @@ def test_skew_map_rejects_an_empty_matrix():
             SkewMap.zero(n)
 
 
+@pytest.mark.parametrize("n", [2.5, float("nan"), float("inf")], ids=["non-integral", "nan", "inf"])
+def test_skew_map_zero_rejects_a_size_that_is_not_an_integer(n):
+    # dim 2 from 2.5 and numpy's ValueError from NaN before
+    with pytest.raises(ContractViolation, match="skew map size must be an integer"):
+        SkewMap.zero(n)
+
+
+def test_skew_map_zero_takes_python_and_numpy_integers():
+    for n in (3, np.int64(3), np.int32(3)):
+        k = SkewMap.zero(n)
+        assert k.dim == 3 and type(k.dim) is int
+
+
 @pytest.mark.parametrize("n", [2, 10, 200])
 def test_skew_map_operator_norm_matches_the_svd_norm(n):
     r = Lcg64(200 + n).matrix(n, n)
@@ -249,9 +262,51 @@ def test_block_prox_split_and_resolve():
     # (w I + B)^{-1} with w = 2: soft threshold at 1/2 of y/2
     bundle = fourop.FourOpProblem(b=bp, d=fourop.zero_forward(), e=fourop.zero_cocoercive(),
                                   k=SkewMap.zero(4))
-    out2 = fourop.BlockDiag([2.0, 1.0]).resolvent(bundle, y, None, None)  # no start needed
+    _, resolvent = fourop.BlockDiag([2.0, 1.0]).bind(bundle)
+    out2 = resolvent(y, None, None)  # no start needed
     assert np.allclose(out2[:2], [1.0, 0.0])
     assert np.allclose(out2[2:], y[2:])
+
+
+@pytest.mark.parametrize("length", [6, 3], ids=["longer", "shorter"])
+def test_block_prox_rejects_a_vector_of_another_length(length):
+    # a length-6 input mapped to 4 entries before, a length-3 input to 3,
+    # with a 1-entry last block
+    bp = BlockProx([l1_subdifferential(1.0), zero_operator(2)], [2, 2])
+    y = np.arange(float(length))
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        bp.evaluator(1.0, y)
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        bp.split(y)
+    assert bp.evaluator(1.0, np.zeros(4)).shape == (4,)
+
+
+def test_the_saddle_bundle_rejects_a_vector_of_another_length():
+    # returned shape (14,) before
+    b = problems.get_instance("saddle", 0).bundle.b
+    for y in (np.zeros(20), np.zeros(b.dim - 1)):
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            b.evaluator(1.0, y)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
+             np.nan, -np.nan]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, np.inf])
+def test_soft_threshold_bits_match_the_plain_expression(soft_threshold_reference, t):
+    # bytes, not values: a copysign form gives -0.0 at z = -0.0, where the
+    # plain expression gives +0.0, and NaNs keep their payload
+    z = np.array(EDGE_VALUES + [t, -t])
+    # lam = 1, d = 0 and b = -0.0, so the shift z + t * b keeps every z at
+    # finite t
+    d, b = np.zeros(len(z)), np.full(len(z), -0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 are NaN
+        out = l1_subdifferential(1.0).evaluator(t, z)
+        assert out.tobytes() == soft_threshold_reference(z, t * 1.0).tobytes()
+        out = l1_plus_diag_affine(1.0, d, b).evaluator(t, z)
+        expected = soft_threshold_reference(z + t * b, t * 1.0) / (1.0 + t * d)
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_batched_samplers_match_the_per_sample_draws(honesty_samplers):

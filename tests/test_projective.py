@@ -106,7 +106,8 @@ def test_stack_dual_blocks_resolve_through_moreau():
         a_ops=[l1_subdifferential(1.0), zero_operator(1)],
         l_maps=[np.zeros((1, 1))], primal_dim=1,
     )
-    out = BlockDiag([1.0, 1.0]).resolvent(ps.stacked, np.array([3.0, 5.0]), None, None)
+    _, resolvent = BlockDiag([1.0, 1.0]).bind(ps.stacked)
+    out = resolvent(np.array([3.0, 5.0]), None, None)
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(5.0)
 
