@@ -230,8 +230,8 @@ def _projective(explicit: bool):
         weights = BlockDiag((*taus[:-1], 1.0 / taus[-1]))
         view = as_nofob(ps.stacked, weights, SpdMetric.identity(ps.stacked.dim))
         if explicit:
-            # the view keeps no state of its oracle's: the stacked problem
-            # has D = 0 and BlockDiag is linear
+            # the view's kernel-difference cache of the oracle's x is never
+            # read: the stacked problem has D = 0 and BlockDiag is linear
             view = dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps, taus))
         return Kernel(view)
 

@@ -35,10 +35,8 @@ G = D + K in the kernel, so that one iteration makes two dense products
 and one audited kernel difference one.  A part of one map is that map's
 own matrix, not a sum.  A live D or E that declares no matrix, such as
 a nonlinear D, is still called map by map, and the kernel difference at
-the oracle's own x reuses the oracle's D x.  A view with a linear Q and
-a D that declares a matrix or is zero keeps no state between its oracle
-and its kernel difference.  Each view composes its forward sum once,
-when it is built.  `FourOpProblem.forward` keeps a
+the oracle's own x reuses the oracle's D x.  Each view composes its
+forward sum once, when it is built.  `FourOpProblem.forward` keeps a
 map-by-map sum, composed by `_summed` as the views compose theirs: it
 serves the oracle certificate, where it is an independent cross-check
 of the summed matrices.  The kernel difference forms x - x_hat once:
@@ -424,12 +422,11 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     The linear live maps are applied as F = D + K + H in the oracle and
     G = D + K in the kernel difference.  The spec binds its Q and its
     resolvent once, here.  The oracle starts the backward solve at its
-    own x and hands it its Q x.  Where Q is linear and D declares a
-    matrix or is zero, the view keeps no state.  Elsewhere the kernel
-    difference at the oracle's own x array reuses the oracle's D x of a
-    D without a matrix and, on a nonlinear kernel, its Q x, so it
-    depends on its arguments alone only while nothing writes to that
-    array between the two calls; the step never does."""
+    own x and hands it its Q x, and the kernel difference at the
+    oracle's own x array reuses the oracle's D x of a D without a matrix
+    and, on a nonlinear kernel, its Q x.  So kernel_diff depends on its
+    arguments alone only while nothing writes to that array between the
+    two calls; the step never does."""
     spec.check(prob)
     q, resolvent = spec.bind(prob)
     l_d = prob.d.lipschitz_constant
@@ -437,6 +434,7 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
     be = prob.e.inverse_cocoercivity
     g, f, d_map, e = prob.forward_parts
     linear = spec.linear
+    last = (None, None, None)  # the oracle's x, its D x and its Q x
     oracle_dx = None
 
     def d_at_oracle(x):
@@ -444,42 +442,32 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         oracle_dx = d_map(x)
         return oracle_dx
 
+    def d_of(x):
+        return d_map(x) if x.ndim == 1 else np.array([d_map(row) for row in x])
+
     forward = _summed((None if d_map is None else d_at_oracle, f, e))
-    if linear and d_map is None:
-        def fb(x):
-            x = np.asarray(x, dtype=float)
-            v = q(x)
-            return resolvent(v if forward is None else v - forward(x), x, v)
 
-        def kernel_diff(x, x_hat, d):
-            return q(d) if g is None else q(d) - g(d)
-    else:
-        last = (None, None, None)  # the oracle's x, its D x and its Q x
+    def fb(x):
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        v = q(x)
+        y = v if forward is None else v - forward(x)
+        last = (x, oracle_dx, v)
+        return resolvent(y, x, v)
 
-        def d_of(x):
-            return d_map(x) if x.ndim == 1 else np.array([d_map(row) for row in x])
-
-        def fb(x):
-            nonlocal last
-            x = np.asarray(x, dtype=float)
-            v = q(x)
-            y = v if forward is None else v - forward(x)
-            last = (x, oracle_dx, v)
-            return resolvent(y, x, v)
-
-        def kernel_diff(x, x_hat, d):
-            last_x, last_dx, last_qx = last
-            at_last = x is last_x
-            if linear:
-                m = q(d)
-            else:
-                m = (last_qx if at_last else q(x)) - q(x_hat)
-            if d_map is not None:
-                dx = last_dx if at_last else d_of(x)
-                m = m - (dx - d_of(x_hat))
-            if g is not None:
-                m = m - g(d)
-            return m
+    def kernel_diff(x, x_hat, d):
+        last_x, last_dx, last_qx = last
+        at_last = x is last_x
+        if linear:
+            m = q(d)
+        else:
+            m = (last_qx if at_last else q(x)) - q(x_hat)
+        if d_map is not None:
+            dx = last_dx if at_last else d_of(x)
+            m = m - (dx - d_of(x_hat))
+        if g is not None:
+            m = m - g(d)
+        return m
 
     return NofobProblem(
         fb_oracle=fb,

@@ -295,11 +295,13 @@ def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
 
 
 def _soft(z: np.ndarray, t) -> np.ndarray:
-    """sign(z) max(|z| - t, 0) for an array z of at least one dimension,
-    formed in the buffer of |z|: the bits of the plain expression, with
-    sign(z) kept as the first factor, so a NaN keeps its payload and
-    z = -0.0 gives +0.0."""
+    """sign(z) max(|z| - t, 0), formed in the buffer of |z|: the bits of
+    the plain expression, with sign(z) kept as the first factor, so a NaN
+    keeps its payload and z = -0.0 gives +0.0.  A 0-d z, whose |z| is a
+    scalar without a buffer, takes the plain expression."""
     a = np.abs(z)
+    if a.ndim == 0:
+        return np.sign(z) * np.maximum(a - t, 0.0)
     a -= t
     return np.multiply(np.sign(z), np.maximum(a, 0.0, out=a), out=a)
 
@@ -331,7 +333,8 @@ def l1_plus_diag_affine(lam: float, d: np.ndarray, b: np.ndarray) -> ProxOperato
             memo = (gamma, gamma * b, 1.0 + gamma * d)
         _, shift, scale = memo
         x = _soft(np.asarray(y, float) + shift, gamma * lam)
-        return np.divide(x, scale, out=x)
+        x /= scale  # in place, except on a scalar
+        return x
 
     return ProxOperator(evaluator=ev, descriptor="l1-plus-diag-affine", separable=True)
 

@@ -309,6 +309,18 @@ def test_soft_threshold_bits_match_the_plain_expression(soft_threshold_reference
     assert out.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("y", [-0.0, 0.2, -1.5, np.array(-0.7), np.array([-0.7])])
+def test_soft_threshold_takes_scalars_and_0d_arrays(soft_threshold_reference, y):
+    # the in-place form has no buffer for a scalar |z|; it keeps the
+    # plain expression's value and type there
+    t = 0.3
+    expected = soft_threshold_reference(np.asarray(y, float), t)
+    for out in (l1_subdifferential(1.0).evaluator(t, y),
+                l1_plus_diag_affine(1.0, 0.0, -0.0).evaluator(t, y)):
+        assert type(out) is type(expected)
+        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+
+
 def test_batched_samplers_match_the_per_sample_draws(honesty_samplers):
     # reference: one rng.vector call per sample, as the samplers drew before
     n, samples = 7, 90
