@@ -17,15 +17,18 @@ size.  D, E, K are all handled forward; the backward step solves
                       a call, inside a bracket strong monotonicity
                       guarantees
 
-A kernel family is four methods: `check` (the bundle fits it), `bind`
-(Q and the resolvent, with the family's per-run constants read once),
-`q_metric` and `q_norm`.  `as_nofob` views any of them as the kernel of
-the corrected step in core, runs the check and binds once per view, and
-is the one place where a view's P, beta and L_M are derived;
-`fbs_view` views relaxed forward-backward as one.  A D, E or K that is
-zero by construction (`zero_forward`, `zero_cocoercive`, an all-zero
-`SkewMap`) says so through `is_zero`, and `FourOpProblem.forward` and
-both views never evaluate it; the sums they skip would only add zeros.
+A kernel family is one method, `bind(prob)`: it raises ContractViolation
+where the bundle does not fit, and otherwise returns a `BoundKernel` of
+Q, the resolvent, a lower metric W of Q's symmetric part, a bound on
+||Q|| and whether Q is linear, with the family's per-run constants read
+once.  `as_nofob` views any family as the kernel of the corrected step
+in core; it binds once per view and derives the view's P, beta and L_M
+from that record.  `fbs_view` views relaxed forward-backward as one and
+derives its own (P = gamma^{-1} I, beta = beta_E gamma, L_M = 1/gamma).
+A D, E or K that is zero by construction (`zero_forward`,
+`zero_cocoercive`, an all-zero `SkewMap`) says so through `is_zero`, and
+`FourOpProblem.forward` and both views never evaluate it; the sums they
+skip would only add zeros.
 
 Both views apply the live maps that declare a matrix (a D built by
 `LipschitzMap.linear`, an E built by `CocoerciveMap.affine`, and K) as a
@@ -82,7 +85,7 @@ from .operators import (
 
 __all__ = [
     "FourOpProblem",
-    "KernelSpec",
+    "BoundKernel",
     "ScalarStep",
     "BlockDiag",
     "AffinePlusSkew",
@@ -206,35 +209,24 @@ def _summed(maps):
     return total
 
 
-class KernelSpec:
-    """What one kernel family supplies: a structural check on the bundle,
-    the map Q and the resolvent (Q + B)^{-1} bound to a bundle, a lower
-    metric W of Q's symmetric part (<Qx - Qy, x - y> >= ||x - y||_W^2)
-    and a bound on Q's Lipschitz constant.  `as_nofob` runs the check
-    once, then binds once, and derives the view's constants from the
-    rest."""
+@dataclass(frozen=True)
+class BoundKernel:
+    """A kernel family bound to a bundle: all that `as_nofob` reads of it.
 
-    # Q is linear, so Q x - Q x_hat is evaluated as Q (x - x_hat), which
-    # avoids catastrophic cancellation
-    linear = False
+    q(x) is Q x at a vector, or at every row of a k x n stack, each row
+    bit for bit the vector's value.  resolvent(v, start, q_start) is
+    (Q + B)^{-1} v at a vector; start is a point near which the answer
+    lies and q_start is Q start, both of which only an iterative solve
+    uses.  w is a lower metric W of Q's symmetric part
+    (<Qx - Qy, x - y> >= ||x - y||_W^2), q_norm a bound on Q's Lipschitz
+    constant, and linear says Q x - Q x_hat may be evaluated as
+    Q (x - x_hat), which avoids catastrophic cancellation."""
 
-    def check(self, prob: FourOpProblem) -> None:
-        """Raise ContractViolation when the bundle does not fit the kernel."""
-
-    def bind(self, prob: FourOpProblem):
-        """(q, resolvent) for a bundle that passed the check, with the
-        per-run constants read once.  q(x) is Q x at a vector, or at every
-        row of a k x n stack, each row bit for bit the vector's value.
-        resolvent(v, start, q_start) is (Q + B)^{-1} v at a vector; start
-        is a point near which the answer lies and q_start is Q start, both
-        of which only an iterative solve uses."""
-        raise NotImplementedError
-
-    def q_metric(self, prob: FourOpProblem) -> SpdMetric:
-        raise NotImplementedError
-
-    def q_norm(self) -> float:
-        raise NotImplementedError
+    q: Callable[[np.ndarray], np.ndarray]
+    resolvent: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    w: SpdMetric
+    q_norm: float
+    linear: bool
 
 
 def _positive(value, what: str) -> float:
@@ -244,62 +236,47 @@ def _positive(value, what: str) -> float:
     return v
 
 
-class ScalarStep(KernelSpec):
+class ScalarStep:
     """Q = gamma^{-1} I."""
-
-    linear = True
 
     def __init__(self, gamma: float):
         self.gamma = _positive(gamma, "gamma")
 
-    def bind(self, prob):
+    def bind(self, prob: FourOpProblem) -> BoundKernel:
         g, ev = self.gamma, prob.b.evaluator
-        return (lambda x: x / g), (lambda v, start, q_start: ev(g, g * v))
-
-    def q_metric(self, prob):
-        return SpdMetric.scaled_identity(1.0 / self.gamma, prob.dim)
-
-    def q_norm(self):
-        return 1.0 / self.gamma
+        return BoundKernel(lambda x: x / g, lambda v, start, q_start: ev(g, g * v),
+                           SpdMetric.scaled_identity(1.0 / g, prob.dim), 1.0 / g, linear=True)
 
 
-class BlockDiag(KernelSpec):
+class BlockDiag:
     """Q = blockdiag(w_i I) over the blocks of a BlockProx B."""
-
-    linear = True
 
     def __init__(self, weights: Sequence[float]):
         if len(weights) == 0:
             raise ContractViolation("at least one block weight required")
         self.weights = tuple(_positive(w, "block weights") for w in weights)
 
-    def check(self, prob):
+    def bind(self, prob: FourOpProblem) -> BoundKernel:
+        """Per block (w_i I + B_i)^{-1} v_i = J_{B_i / w_i}(v_i / w_i)."""
         if not isinstance(prob.b, BlockProx):
             raise ContractViolation("BlockDiag kernels need a block-separable B")
         if len(prob.b.ops) != len(self.weights):
             raise ContractViolation("one weight per B block required")
-
-    def bind(self, prob):
-        """Per block (w_i I + B_i)^{-1} v_i = J_{B_i / w_i}(v_i / w_i); the
-        weights are positive and one per block since the check."""
         blocks = [(w, 1.0 / w, ev, cut) for w, (ev, cut) in zip(self.weights, prob.b.blocks)]
 
         def resolvent(v, start, q_start):
             return np.concatenate([ev(r, v[cut] / w) for w, r, ev, cut in blocks])
 
-        return (lambda x: np.concatenate([w * x[..., cut] for w, _, _, cut in blocks], axis=-1),
-                resolvent)
-
-    def q_metric(self, prob):
-        return SpdMetric.scaled_identity(min(self.weights), prob.dim)
-
-    def q_norm(self):
-        return max(self.weights)
+        return BoundKernel(
+            lambda x: np.concatenate([w * x[..., cut] for w, _, _, cut in blocks], axis=-1),
+            resolvent, SpdMetric.scaled_identity(min(self.weights), prob.dim),
+            max(self.weights), linear=True)
 
 
-class AffinePlusSkew(KernelSpec):
+class AffinePlusSkew:
     """AFBA's constant kernel on the stacked saddle problem p = (w, x):
-    Q = [[tau1 I, 0], [2 L^T, tau2^{-1} I]], with L: R^n -> R^m.
+    Q = [[tau1 I, 0], [2 L^T, tau2^{-1} I]], with L: R^n -> R^m a
+    nonempty m x n matrix.
 
     Q = P + G with P its symmetric part, positive definite exactly when
     tau1^{-1} tau2 ||L||^2 < 1, and G its skew part.  Q is
@@ -307,11 +284,11 @@ class AffinePlusSkew(KernelSpec):
     scalar diagonal blocks, so (Q + B)^{-1} is one Gauss-Seidel sweep.
     """
 
-    linear = True
-
     def __init__(self, l_matrix, tau1: float, tau2: float):
         tau1, tau2 = _positive(tau1, "tau1"), _positive(tau2, "tau2")
         l = np.asarray(l_matrix, dtype=float)
+        if l.ndim != 2 or l.size == 0:
+            raise ContractViolation("the coupling L must be a nonempty matrix")
         m, n = l.shape
         q = np.zeros((m + n, m + n))
         q[:m, :m] = tau1 * np.eye(m)
@@ -322,13 +299,11 @@ class AffinePlusSkew(KernelSpec):
         self.q_matrix = q
         self.dims = (m, n)
 
-    def check(self, prob):
+    def bind(self, prob: FourOpProblem) -> BoundKernel:
         if not isinstance(prob.b, BlockProx) or len(prob.b.ops) != 2:
             raise ContractViolation("Gauss-Seidel solver needs a two-block B")
         if prob.b.dims != self.dims:
             raise ContractViolation("B block dims do not match the kernel blocks")
-
-    def bind(self, prob):
         # Q's diagonal blocks are w1 I and w2 I: w1 = tau1, w2 = 1 / tau2
         qm, d1 = self.q_matrix, self.dims[0]
         w1, w2, q21 = qm[0, 0], qm[d1, d1], qm[d1:, :d1]
@@ -339,17 +314,12 @@ class AffinePlusSkew(KernelSpec):
             x1 = ev1(r1, v[:d1] / w1)
             return np.concatenate([x1, ev2(r2, (v[d1:] - q21 @ x1) / w2)])
 
-        return (lambda x: qm @ x if x.ndim == 1 else matvec_rows(qm, x)), resolvent
-
-    def q_metric(self, prob):
-        return self.p
-
-    def q_norm(self):
-        return float(np.linalg.norm(self.q_matrix, 2))
+        return BoundKernel(lambda x: qm @ x if x.ndim == 1 else matvec_rows(qm, x),
+                           resolvent, self.p, float(np.linalg.norm(qm, 2)), linear=True)
 
 
 @dataclass(frozen=True)
-class SeparableNonlinear(KernelSpec):
+class SeparableNonlinear:
     """Coordinatewise nonlinear kernel Q x = phi(x).
 
     phi acts elementwise; each coordinate function is nondecreasing with
@@ -373,20 +343,14 @@ class SeparableNonlinear(KernelSpec):
             raise ContractViolation(
                 f"kernel ell must be finite and at least sigma, got {self.ell!r}")
 
-    def check(self, prob):
+    def bind(self, prob: FourOpProblem) -> BoundKernel:
         if not getattr(prob.b, "separable", False):
             raise ContractViolation("nonlinear kernels require a separable B")
-
-    def bind(self, prob):
         # the solve is looked up at each call, where a tracer may have replaced it
-        return self.phi, lambda v, start, q_start: separable_nonlinear_resolvent(
-            self, prob.b, v, start=start, phi_start=q_start)
-
-    def q_metric(self, prob):
-        return SpdMetric.scaled_identity(self.sigma, prob.dim)
-
-    def q_norm(self):
-        return self.ell
+        return BoundKernel(
+            self.phi, lambda v, start, q_start: separable_nonlinear_resolvent(
+                self, prob.b, v, start=start, phi_start=q_start),
+            SpdMetric.scaled_identity(self.sigma, prob.dim), self.ell, linear=False)
 
 
 # ---------------------------------------------------------------------------
@@ -407,33 +371,33 @@ def _less_l_d(w: SpdMetric, l_d: float) -> SpdMetric:
     return SpdMetric(w.matrix - l_d * np.eye(w.dim))
 
 
-def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProblem:
+def as_nofob(prob: FourOpProblem, spec, s: SpdMetric) -> NofobProblem:
     """View the four-operator method as a corrected forward-backward solve.
 
     The kernel is M = Q - D - K, and the view holds it only as the
     difference kernel_diff(x, x_hat, d) = M x - M x_hat, with d the
     caller's x - x_hat, the one form the step reads.  A linear Q and G
     apply to d; a nonlinear Q and a D without a matrix read x and x_hat.
-    The spec's check runs once, here, and the constants come from the
-    spec's metric W and bound ||Q||:
+    `spec.bind(prob)`, for any kernel family, is the one call on the
+    spec, made once, here: it raises ContractViolation where the bundle
+    does not fit the family, and the view's constants come from the
+    metric W and the bound ||Q|| of the record it returns:
     P = W - L_D I (raising unless positive definite),
     beta = beta_E / lambda_min(P) and L_M = ||Q|| + L_D + ||K||.
 
     The linear live maps are applied as F = D + K + H in the oracle and
-    G = D + K in the kernel difference.  The spec binds its Q and its
-    resolvent once, here.  The oracle starts the backward solve at its
-    own x and hands it its Q x, and the kernel difference at the
-    oracle's own x array reuses the oracle's D x of a D without a matrix
-    and, on a nonlinear kernel, its Q x.  So kernel_diff depends on its
-    arguments alone only while nothing writes to that array between the
-    two calls; the step never does."""
-    spec.check(prob)
-    q, resolvent = spec.bind(prob)
+    G = D + K in the kernel difference.  The oracle starts the backward
+    solve at its own x and hands it its Q x, and the kernel difference
+    at the oracle's own x array reuses the oracle's D x of a D without a
+    matrix and, on a nonlinear kernel, its Q x.  So kernel_diff depends
+    on its arguments alone only while nothing writes to that array
+    between the two calls; the step never does."""
+    kernel = spec.bind(prob)
+    q, resolvent, linear = kernel.q, kernel.resolvent, kernel.linear
     l_d = prob.d.lipschitz_constant
-    p = _less_l_d(spec.q_metric(prob), l_d)
+    p = _less_l_d(kernel.w, l_d)
     be = prob.e.inverse_cocoercivity
     g, f, d_map, e = prob.forward_parts
-    linear = spec.linear
     last = (None, None, None)  # the oracle's x, its D x and its Q x
     oracle_dx = None
 
@@ -474,7 +438,7 @@ def as_nofob(prob: FourOpProblem, spec: KernelSpec, s: SpdMetric) -> NofobProble
         p_metric=p,
         s_metric=s,
         beta=0.0 if be == 0.0 else be / p.lam_min,
-        kernel_lipschitz=spec.q_norm() + l_d + prob.k.operator_norm,
+        kernel_lipschitz=kernel.q_norm + l_d + prob.k.operator_norm,
         kernel_diff=kernel_diff,
     )
 

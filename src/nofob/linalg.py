@@ -216,13 +216,14 @@ def _top_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(z[-1, 0])
 
 
-def _size(n, what: str) -> int:
+def _size(n, what: str, below_one: str = "") -> int:
     """n as an int, raising ContractViolation unless it is a Python or
-    numpy integer of at least 1: int() would truncate a float."""
+    numpy integer of at least 1: int() would truncate a float.  Below 1
+    the message is `below_one`, by default that `what` must not be empty."""
     if not isinstance(n, (int, np.integer)):
         raise ContractViolation(f"{what} size must be an integer, got {n!r}")
     if n < 1:
-        raise ContractViolation(f"{what} must not be empty")
+        raise ContractViolation(below_one or f"{what} must not be empty")
     return int(n)
 
 

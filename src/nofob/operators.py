@@ -7,9 +7,11 @@ built through `LipschitzMap.linear(matrix, L)` or
 from the same matrix, so the two cannot disagree, and the kernel views of
 `fourop` may sum declared matrices into one product.  A `SkewMap` always
 holds its matrix.  A map built from an evaluator alone declares none and
-is called as it is.  A declared constant (a Lipschitz constant, an
-inverse cocoercivity, a given skew norm) that is not finite, or out of
-its range, raises ContractViolation when the map is built.
+is called as it is.  A declared matrix, and the H of an affine
+resolvent, must be square, nonempty and finite, as a `SkewMap`'s must.
+A declared constant (a Lipschitz constant, an inverse cocoercivity, a
+given skew norm) that is not finite, or out of its range, raises
+ContractViolation when the map is built.
 
 The prox catalog covers the closed forms the problem generators use:
 zero, affine (linear solve), l1 soft-threshold, and a combined "l1 plus
@@ -47,8 +49,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg._umath_linalg import solve1
 
-from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation, _size,
-                     spectral_norm)
+from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation,
+                     _require_finite, _require_square, _size, spectral_norm)
 
 __all__ = [
     "ProxOperator",
@@ -86,13 +88,6 @@ def _declared(value, what: str) -> None:
         raise ContractViolation(f"{what} must be finite and nonnegative, got {value!r}")
 
 
-def _square(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolation("a declared matrix must be square")
-    return a
-
-
 @dataclass(frozen=True)
 class LipschitzMap:
     """Single-valued map with a declared Lipschitz constant.
@@ -115,8 +110,11 @@ class LipschitzMap:
 
     @classmethod
     def linear(cls, matrix, lipschitz_constant: float) -> "LipschitzMap":
-        """x -> matrix @ x, with its matrix declared."""
-        a = _square(matrix)
+        """x -> matrix @ x, with its matrix declared: square, nonempty and
+        finite."""
+        a = np.asarray(matrix, dtype=float)
+        _require_square(a, "a declared matrix")
+        _require_finite(a)
         out = cls(lambda x: a @ x, lipschitz_constant)
         object.__setattr__(out, "matrix", a)
         return out
@@ -148,8 +146,11 @@ class CocoerciveMap:
 
     @classmethod
     def affine(cls, matrix, shift, inverse_cocoercivity: float) -> "CocoerciveMap":
-        """x -> matrix @ x + shift, with its matrix and shift declared."""
-        a = _square(matrix)
+        """x -> matrix @ x + shift, with its matrix declared, square,
+        nonempty and finite, and its shift of the matrix's size."""
+        a = np.asarray(matrix, dtype=float)
+        _require_square(a, "a declared matrix")
+        _require_finite(a)
         c = np.asarray(shift, dtype=float)
         if c.shape != (a.shape[0],):
             raise ContractViolation("the shift must be a vector of the matrix's size")
@@ -224,12 +225,11 @@ class BlockProx:
     def __init__(self, ops, dims):
         if len(ops) != len(dims) or not ops:
             raise ContractViolation("one prox per block required")
-        if any(d < 1 for d in dims):
-            raise ContractViolation("block dimensions must be positive")
+        self.dims = tuple(_size(d, "block", below_one="block dimensions must be positive")
+                          for d in dims)
         self.ops = tuple(ops)
-        self.dims = tuple(int(d) for d in dims)
         self.offsets = tuple(np.cumsum((0,) + self.dims))
-        self.dim = int(sum(self.dims))
+        self.dim = sum(self.dims)
         self.blocks = tuple((op.evaluator, slice(a, b)) for op, a, b
                             in zip(self.ops, self.offsets[:-1], self.offsets[1:]))
 
@@ -250,7 +250,7 @@ class BlockProx:
 # prox catalog
 
 
-def zero_operator(n: int) -> ProxOperator:
+def zero_operator() -> ProxOperator:
     """B = 0; the resolvent is the identity."""
     return ProxOperator(
         evaluator=lambda gamma, y: np.array(y, dtype=float),
@@ -260,9 +260,14 @@ def zero_operator(n: int) -> ProxOperator:
 
 
 def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
-    """B x = H x + b with H + H^T positive semidefinite (monotone)."""
+    """B x = H x + b with H square, nonempty and finite, H + H^T positive
+    semidefinite (monotone), and b of H's size."""
     h = np.asarray(h, dtype=float)
+    _require_square(h, "a declared matrix")
+    _require_finite(h)
     b = np.asarray(b, dtype=float)
+    if b.shape != (h.shape[0],):
+        raise ContractViolation("the shift b must be a vector of H's size")
     sym = 0.5 * (h + h.T)
     if np.linalg.eigvalsh(sym)[0] < -MONOTONE_TOL * max(1.0, np.abs(h).max()):
         raise ContractViolation("affine operator is not monotone")

@@ -140,7 +140,7 @@ def make_rotation_vi(angle_deg: float = 90.0, scale: float = 1.0,
     for i in range(0, n_even, 2):
         kmat[i, i + 1] = -s
         kmat[i + 1, i] = s
-    bundle = FourOpProblem(b=zero_operator(n_even), d=zero_forward(), e=zero_cocoercive(),
+    bundle = FourOpProblem(b=zero_operator(), d=zero_forward(), e=zero_cocoercive(),
                            k=SkewMap(kmat))
     x0 = Lcg64(seed).vector(n_even)
     x0 = x0 / max(np.linalg.norm(x0), 1e-12)
@@ -329,7 +329,7 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     k = SkewMap(k_mat, k_norm) if use_k else SkewMap.zero(n)
 
     bundle = FourOpProblem(
-        b=l1_subdifferential(lam) if lam > 0 else zero_operator(n),
+        b=l1_subdifferential(lam) if lam > 0 else zero_operator(),
         d=d, e=e, k=k,
     )
     # every split keeps E or D, so the first sum is a new array

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fourop import FourOpProblem, zero_cocoercive, zero_forward
-from .linalg import GRAPH_TOL, ContractViolation
+from .linalg import GRAPH_TOL, ContractViolation, _size
 from .operators import BlockProx, ProxOperator, SkewMap, inverse_via_moreau
 
 __all__ = [
@@ -46,8 +46,7 @@ class PsProblem:
             raise ContractViolation("at least one block required")
         if len(l_maps) != n - 1:
             raise ContractViolation("need n-1 coupling maps")
-        if primal_dim < 1:
-            raise ContractViolation("block dimensions must be positive")
+        primal_dim = _size(primal_dim, "primal", below_one="block dimensions must be positive")
         mats = []
         for l in l_maps:
             m = np.asarray(l, dtype=float)
@@ -58,7 +57,7 @@ class PsProblem:
             mats.append(m)
         self.a_ops = tuple(a_ops)
         self.l_maps = tuple(mats)
-        self.primal_dim = int(primal_dim)
+        self.primal_dim = primal_dim
         self.dual_dims = tuple(m.shape[0] for m in mats)
         self.n = n
         # The stacked primal-dual inclusion 0 in Bp + Kp, with D = E = 0.

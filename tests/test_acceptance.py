@@ -231,7 +231,7 @@ def test_step_size_formula_grid_and_mu_bound_sampling(scalar_draws):
         # the effective beta and L_M of the scalar kernel, from the declared
         # constants alone; K is kn times a quarter turn
         declared = FourOpProblem(
-            b=zero_operator(2), d=LipschitzMap(np.zeros_like, ld),
+            b=zero_operator(), d=LipschitzMap(np.zeros_like, ld),
             e=CocoerciveMap(np.zeros_like, be),
             k=SkewMap(kn * np.array([[0.0, -1.0], [1.0, 0.0]])),
         )

@@ -43,7 +43,7 @@ from conftest import accepted
 
 def trivial_problem(n=3):
     return FourOpProblem(
-        b=zero_operator(n), d=zero_forward(), e=zero_cocoercive(),
+        b=zero_operator(), d=zero_forward(), e=zero_cocoercive(),
         k=SkewMap.zero(n),
     )
 
@@ -79,16 +79,16 @@ def seeded_problem(n=8, seed=42, with_e=True, with_d=True, with_k=True):
 def test_a_bundle_rejects_a_part_of_another_size_than_k(part):
     # a 3 x 3 D or E, or a three-coordinate BlockProx B, beside a 2 x 2 K:
     # numpy's broadcast or matmul ValueError at the first step before
-    parts = dict(b=zero_operator(2), d=zero_forward(), e=zero_cocoercive(),
+    parts = dict(b=zero_operator(), d=zero_forward(), e=zero_cocoercive(),
                  k=SkewMap(np.array([[0.0, -1.0], [1.0, 0.0]])))
     parts[part] = {"d": LipschitzMap.linear(np.eye(3), 1.0),
                    "e": CocoerciveMap.affine(np.eye(3), np.ones(3), 1.0),
-                   "b": BlockProx([zero_operator(1), zero_operator(2)], [1, 2])}[part]
+                   "b": BlockProx([zero_operator(), zero_operator()], [1, 2])}[part]
     with pytest.raises(ContractViolation, match="K's dimension 2"):
         FourOpProblem(**parts)
     # a map that declares no matrix, or a B that declares no size, is not checked
     parts[part] = {"d": LipschitzMap(lambda x: x, 1.0), "e": CocoerciveMap(lambda x: x, 1.0),
-                   "b": zero_operator(3)}[part]
+                   "b": zero_operator()}[part]
     assert FourOpProblem(**parts).dim == 2
 
 
@@ -148,7 +148,7 @@ def test_blockdiag_fb_with_zero_blocks_is_linear():
     kmat[:2, 2:] = -l
     kmat[2:, :2] = l.T
     prob = FourOpProblem(
-        b=BlockProx([zero_operator(2), zero_operator(3)], [2, 3]),
+        b=BlockProx([zero_operator(), zero_operator()], [2, 3]),
         d=zero_forward(), e=zero_cocoercive(), k=SkewMap(kmat),
     )
     spec = BlockDiag([1.0, 1.0])
@@ -161,6 +161,27 @@ def test_blockdiag_requires_block_separable_b():
     prob = trivial_problem()
     with pytest.raises(ContractViolation):
         fb(prob, BlockDiag([1.0]), np.zeros(3))
+
+
+@pytest.mark.parametrize("family, b, match", [
+    ("block-diag", zero_operator(), "BlockDiag kernels need a block-separable B"),
+    ("block-diag", BlockProx([zero_operator(), zero_operator()], [1, 2]),
+     "one weight per B block required"),
+    ("affine-plus-skew", zero_operator(), "Gauss-Seidel solver needs a two-block B"),
+    ("affine-plus-skew", BlockProx([zero_operator(), zero_operator()], [2, 1]),
+     "B block dims do not match the kernel blocks"),
+    ("separable-nonlinear", affine_operator(np.eye(3), np.zeros(3)),
+     "nonlinear kernels require a separable B"),
+], ids=["not-blocks", "block-count", "not-two-blocks", "block-dims", "not-separable"])
+def test_bind_rejects_a_bundle_the_family_does_not_fit(family, b, match):
+    spec = {"block-diag": BlockDiag([1.0]),
+            "affine-plus-skew": AffinePlusSkew(np.ones((1, 2)), 1.0, 0.1),
+            "separable-nonlinear": SeparableNonlinear(lambda x: x, 1.0, 1.0)}[family]
+    prob = FourOpProblem(b=b, d=zero_forward(), e=zero_cocoercive(), k=SkewMap.zero(3))
+    with pytest.raises(ContractViolation, match=match):
+        spec.bind(prob)
+    with pytest.raises(ContractViolation, match=match):
+        as_nofob(prob, spec, SpdMetric.identity(3))
 
 
 def test_kernel_step_sizes_are_validated_at_construction():
@@ -298,7 +319,7 @@ def test_conservative_rotation_closed_form(conservative_reference):
     # B=E=D=0, K 90-degree rotation: x_next = ((1-g^2) I - g K) x
     kmat = np.array([[0.0, -1.0], [1.0, 0.0]])
     prob = FourOpProblem(
-        b=zero_operator(2), d=zero_forward(), e=zero_cocoercive(),
+        b=zero_operator(), d=zero_forward(), e=zero_cocoercive(),
         k=SkewMap(kmat),
     )
     g = 0.7
@@ -369,7 +390,7 @@ def declared(beta_e, l_d, k_norm=0.0):
     """A problem whose E and D carry only their declared constants, and a
     K = k_norm times a quarter turn in R^2."""
     return FourOpProblem(
-        b=zero_operator(2), d=LipschitzMap(np.zeros_like, l_d),
+        b=zero_operator(), d=LipschitzMap(np.zeros_like, l_d),
         e=CocoerciveMap(np.zeros_like, beta_e),
         k=SkewMap(k_norm * np.array([[0.0, -1.0], [1.0, 0.0]])),
     )
@@ -513,6 +534,15 @@ def test_affine_plus_skew_builds_the_afba_kernel():
         AffinePlusSkew(l, 1.0, 1.5 / np.linalg.norm(l, 2) ** 2)
 
 
+@pytest.mark.parametrize("l", [np.ones(3), np.zeros((0, 3)), np.zeros((3, 0))],
+                         ids=["1-d", "0x3", "3x0"])
+def test_affine_plus_skew_rejects_an_l_that_is_not_a_nonempty_matrix(l):
+    # numpy's "not enough values to unpack" on a 1-D L before; an empty L
+    # built a kernel that no bundle fits
+    with pytest.raises(ContractViolation, match="coupling L must be a nonempty matrix"):
+        AffinePlusSkew(l, 1.0, 0.5)
+
+
 def test_affine_plus_skew_gauss_seidel_solves_the_block_system():
     # with B = 0 the resolvent must equal a dense linear solve
     rng = Lcg64(19)
@@ -520,12 +550,11 @@ def test_affine_plus_skew_gauss_seidel_solves_the_block_system():
     spec = AffinePlusSkew(l, 1.0, 0.7 / np.linalg.norm(l, 2) ** 2)
     q = spec.q_matrix
     prob = FourOpProblem(
-        b=BlockProx([zero_operator(2), zero_operator(2)], [2, 2]),
+        b=BlockProx([zero_operator(), zero_operator()], [2, 2]),
         d=zero_forward(), e=zero_cocoercive(), k=SkewMap.zero(4),
     )
     v = rng.vector(4)
-    spec.check(prob)
-    _, resolvent = spec.bind(prob)
+    resolvent = spec.bind(prob).resolvent
     out = resolvent(v, None, None)  # a linear kernel ignores the start
     assert np.allclose(out, np.linalg.solve(q, v), atol=1e-12)
 
@@ -559,7 +588,7 @@ def test_as_nofob_binds_its_kernel_once_per_view(monkeypatch, problem, algorithm
 def two_block_with_d(l_d=0.8):
     """Two zero blocks of size 2 with D = l_d I."""
     return FourOpProblem(
-        b=BlockProx([zero_operator(2), zero_operator(2)], [2, 2]),
+        b=BlockProx([zero_operator(), zero_operator()], [2, 2]),
         d=LipschitzMap(lambda x: l_d * x, l_d), e=zero_cocoercive(),
         k=SkewMap.zero(4),
     )
@@ -738,7 +767,7 @@ def test_summed_products_match_the_maps_one_by_one(split, n, seed):
     # x - F x / 4, each rounded as the same formula on the maps' sum
     g = 0.25
     s = SpdMetric.identity(n)
-    free = FourOpProblem(b=zero_operator(n), d=prob.d, e=prob.e, k=prob.k)
+    free = FourOpProblem(b=zero_operator(), d=prob.d, e=prob.e, k=prob.k)
     view = as_nofob(free, ScalarStep(g), s)
     fbs = fbs_view(free, g)
     rng = Lcg64(100 + seed)

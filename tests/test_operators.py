@@ -25,7 +25,7 @@ from nofob.rng import Lcg64
 
 
 def test_zero_operator_resolvent_is_identity():
-    z = zero_operator(3)
+    z = zero_operator()
     y = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(z.evaluator(0.7, y), y)
 
@@ -173,7 +173,7 @@ def test_moreau_dual_resolvent_l1_projects_onto_ball():
 
 
 def test_moreau_dual_of_zero_operator_is_zero():
-    out = moreau_dual(zero_operator(3), 0.7, np.array([1.0, -2.0, 0.3]))
+    out = moreau_dual(zero_operator(), 0.7, np.array([1.0, -2.0, 0.3]))
     assert np.allclose(out, 0.0)
 
 
@@ -234,6 +234,49 @@ def test_skew_map_zero_takes_python_and_numpy_integers():
         assert k.dim == 3 and type(k.dim) is int
 
 
+DECLARING = {
+    "lipschitz-linear": lambda a: LipschitzMap.linear(a, 1.0),
+    "cocoercive-affine": lambda a: CocoerciveMap.affine(a, np.zeros(len(a)), 1.0),
+    "affine-operator": lambda a: affine_operator(a, np.zeros(len(a))),
+}
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix entries must be finite"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+    (np.zeros((0, 0)), "a declared matrix must not be empty"),
+    (np.ones((2, 3)), "a declared matrix must be square"),
+], ids=["nan", "inf", "empty", "non-square"])
+@pytest.mark.parametrize("constructor", list(DECLARING))
+def test_a_declared_matrix_is_square_nonempty_and_finite(constructor, bad, match):
+    # as SkewMap and SpdMetric require; before, LipschitzMap.linear took a
+    # NaN and an empty matrix, CocoerciveMap.affine an infinite one, and
+    # affine_operator a NaN H, with numpy's ValueError on a non-square H
+    with pytest.raises(ContractViolation, match=match):
+        DECLARING[constructor](bad)
+
+
+def test_affine_operator_rejects_a_shift_of_another_size():
+    # accepted before, failing only at the first resolvent call
+    with pytest.raises(ContractViolation, match="shift b must be a vector of H's size"):
+        affine_operator(np.eye(3), np.ones(2))
+
+
+@pytest.mark.parametrize("size", [2.5, float("nan"), np.float64(2.0)],
+                         ids=["non-integral", "nan", "numpy-float"])
+def test_block_prox_rejects_a_size_that_is_not_an_integer(size):
+    # dim 2 from 2.5 and numpy's ValueError from NaN before
+    with pytest.raises(ContractViolation, match="block size must be an integer"):
+        BlockProx([zero_operator()], [size])
+
+
+def test_block_prox_takes_python_and_numpy_integer_sizes():
+    bp = BlockProx([zero_operator(), zero_operator()], [2, np.int64(3)])
+    assert bp.dims == (2, 3) and bp.dim == 5 and type(bp.dims[1]) is int
+    with pytest.raises(ContractViolation, match="block dimensions must be positive"):
+        BlockProx([zero_operator()], [0])
+
+
 @pytest.mark.parametrize("n", [2, 10, 200])
 def test_skew_map_operator_norm_matches_the_svd_norm(n):
     r = Lcg64(200 + n).matrix(n, n)
@@ -255,14 +298,14 @@ def test_regquad_k_norm_is_computed_once(monkeypatch):
 
 
 def test_block_prox_split_and_resolve():
-    bp = BlockProx([l1_subdifferential(1.0), zero_operator(2)], [2, 2])
+    bp = BlockProx([l1_subdifferential(1.0), zero_operator()], [2, 2])
     y = np.array([3.0, -0.5, 1.0, 2.0])
     out = bp.evaluator(1.0, y)
     assert np.allclose(out, [2.0, 0.0, 1.0, 2.0])
     # (w I + B)^{-1} with w = 2: soft threshold at 1/2 of y/2
     bundle = fourop.FourOpProblem(b=bp, d=fourop.zero_forward(), e=fourop.zero_cocoercive(),
                                   k=SkewMap.zero(4))
-    _, resolvent = fourop.BlockDiag([2.0, 1.0]).bind(bundle)
+    resolvent = fourop.BlockDiag([2.0, 1.0]).bind(bundle).resolvent
     out2 = resolvent(y, None, None)  # no start needed
     assert np.allclose(out2[:2], [1.0, 0.0])
     assert np.allclose(out2[2:], y[2:])
@@ -272,7 +315,7 @@ def test_block_prox_split_and_resolve():
 def test_block_prox_rejects_a_vector_of_another_length(length):
     # a length-6 input mapped to 4 entries before, a length-3 input to 3,
     # with a 1-entry last block
-    bp = BlockProx([l1_subdifferential(1.0), zero_operator(2)], [2, 2])
+    bp = BlockProx([l1_subdifferential(1.0), zero_operator()], [2, 2])
     y = np.arange(float(length))
     with pytest.raises(ContractViolation, match="dimension mismatch"):
         bp.evaluator(1.0, y)
@@ -366,7 +409,7 @@ def test_separable_nonlinear_resolvent_linear_kernel():
     # phi(t) = 2t with B = 0 solves 2x = y exactly
     kernel = SeparableNonlinear(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0)
     y = np.array([1.0, -3.0, 0.0])
-    x = _solve(kernel, zero_operator(3), y)
+    x = _solve(kernel, zero_operator(), y)
     assert np.allclose(x, y / 2.0, atol=1e-11)
 
 
@@ -423,7 +466,7 @@ def _bound_cases():
         kernel = SeparableNonlinear(phi=lambda x, c=c: c * x + np.arctan(x),
                                     sigma=c, ell=c + 1.0)
         prox = (l1_plus_diag_affine(0.3, 0.5 + rng.vector(n) ** 2, 2.0 * rng.vector(n)),
-                l1_subdifferential(0.5), zero_operator(n))[seed // 3 % 3]
+                l1_subdifferential(0.5), zero_operator())[seed // 3 % 3]
         y = 10.0 ** (seed % 4 - 1) * rng.vector(n)
         for spread in (1e-6, 1.0, 1e3):
             yield kernel, prox, y, spread * rng.vector(n)
@@ -465,7 +508,7 @@ def test_separable_nonlinear_resolvent_agrees_with_bisection_from_any_start(
     kernel = SeparableNonlinear(phi=lambda x: c * x + np.arctan(x), sigma=c, ell=c + 1.0)
     prox = {"l1-plus-diag-affine": l1_plus_diag_affine(lam, 0.5 + rng.vector(n) ** 2, b),
             "l1": l1_subdifferential(lam),
-            "zero": zero_operator(n)}[family]
+            "zero": zero_operator()}[family]
     y = scale * rng.vector(n)
     if start == "kinks":
         # roots on the kink x = 0 of the l1 term, and the solve starts there;
@@ -597,7 +640,7 @@ def _edge_cases():
         "mixed-scales": (ARCTAN, l1_plus_diag_affine(lam, d, b),
                          np.array([1e-300, -2.5e3, 1e-12, 40.0])),
         "linear": (SeparableNonlinear(phi=lambda x: 2.0 * x, sigma=2.0, ell=2.0),
-                   zero_operator(6), np.array([1.0, -3.0, 0.0, 0.75, 1e8, 2.0 ** -20])),
+                   zero_operator(), np.array([1.0, -3.0, 0.0, 0.75, 1e8, 2.0 ** -20])),
     }
 
 

@@ -31,7 +31,7 @@ def ps_resolvent_iterate(ps, p, theta, taus=None):
 def zero_ps(n_dual=2, n_primal=3, l=None):
     lmat = np.zeros((n_dual, n_primal)) if l is None else np.asarray(l, float)
     return PsProblem(
-        a_ops=[zero_operator(n_dual), zero_operator(n_primal)],
+        a_ops=[zero_operator(), zero_operator()],
         l_maps=[lmat], primal_dim=n_primal,
     )
 
@@ -42,11 +42,25 @@ def zero_ps(n_dual=2, n_primal=3, l=None):
 
 def test_ps_problem_validation():
     with pytest.raises(ContractViolation, match="need n-1 coupling maps"):
-        PsProblem([zero_operator(2)], [np.zeros((2, 3))], 3)
+        PsProblem([zero_operator()], [np.zeros((2, 3))], 3)
     with pytest.raises(ContractViolation, match="primal_dim columns"):
-        PsProblem([zero_operator(2), zero_operator(3)], [np.zeros((2, 4))], 3)
+        PsProblem([zero_operator(), zero_operator()], [np.zeros((2, 4))], 3)
     with pytest.raises(ContractViolation, match="block dimensions must be positive"):
-        PsProblem([zero_operator(1), zero_operator(3)], [np.zeros((0, 3))], 3)
+        PsProblem([zero_operator(), zero_operator()], [np.zeros((0, 3))], 3)
+
+
+@pytest.mark.parametrize("size", [2.5, float("nan")], ids=["non-integral", "nan"])
+def test_ps_problem_rejects_a_primal_size_that_is_not_an_integer(size):
+    # primal_dim 2 from 2.5 and numpy's ValueError from NaN before
+    with pytest.raises(ContractViolation, match="primal size must be an integer"):
+        PsProblem([zero_operator()], [], size)
+
+
+def test_ps_problem_takes_a_numpy_integer_primal_size():
+    ps = PsProblem([zero_operator()], [], np.int64(3))
+    assert ps.primal_dim == 3 and type(ps.primal_dim) is int
+    with pytest.raises(ContractViolation, match="block dimensions must be positive"):
+        PsProblem([zero_operator()], [], 0)
 
 
 @pytest.mark.parametrize("taus", [
@@ -87,7 +101,7 @@ def test_stack_three_blocks_entrywise():
     l1 = rng.matrix(2, 4)
     l2 = rng.matrix(3, 4)
     ps = PsProblem(
-        a_ops=[zero_operator(2), zero_operator(3), zero_operator(4)],
+        a_ops=[zero_operator(), zero_operator(), zero_operator()],
         l_maps=[l1, l2], primal_dim=4,
     )
     kmap = ps.stacked.k
@@ -103,10 +117,10 @@ def test_stack_three_blocks_entrywise():
 def test_stack_dual_blocks_resolve_through_moreau():
     # dual resolvent of |.| at weight 1 projects onto [-1, 1]
     ps = PsProblem(
-        a_ops=[l1_subdifferential(1.0), zero_operator(1)],
+        a_ops=[l1_subdifferential(1.0), zero_operator()],
         l_maps=[np.zeros((1, 1))], primal_dim=1,
     )
-    _, resolvent = BlockDiag([1.0, 1.0]).bind(ps.stacked)
+    resolvent = BlockDiag([1.0, 1.0]).bind(ps.stacked).resolvent
     out = resolvent(np.array([3.0, 5.0]), None, None)
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(5.0)
@@ -117,7 +131,7 @@ def test_moreau_dual_resolvent_examples(scalar_draws):
     def dual(op, tau, z):
         return inverse_via_moreau(op).evaluator(1.0 / tau, z / tau)
 
-    zero = zero_operator(1)
+    zero = zero_operator()
     assert dual(zero, 1.0, np.array([2.5]))[0] == 0.0
     ab = l1_subdifferential(1.0)
     assert dual(ab, 1.0, np.array([3.0]))[0] == pytest.approx(1.0)
@@ -148,7 +162,7 @@ def test_resolvent_zero_stacked_blocks_match_dense_solve():
     l = rng.matrix(2, 3)
     cone_of_zero = ProxOperator(lambda gamma, y: np.zeros_like(y), "normal-cone-of-0")
     ps = PsProblem(
-        a_ops=[cone_of_zero, zero_operator(3)],
+        a_ops=[cone_of_zero, zero_operator()],
         l_maps=[l], primal_dim=3,
     )
     kmap = ps.stacked.k
