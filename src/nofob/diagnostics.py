@@ -12,7 +12,12 @@ The checkers work on a whole trajectory at once: the iterates are
 stacked as the rows of k x n arrays, the recorded scalars collected into
 arrays, and every norm, inner product, guard and violation computed
 elementwise.  The kernel differences Mx - Mx_hat are one `kernel_diff`
-call on the stacks per trajectory.  The primitives
+call on the stacks per trajectory.  Fejer measures the k + 1 points of
+a chained trajectory, x_0 and every x_next, in one stack, and the mu
+bounds build no record index when no record is a null step.  A report
+whose violations all pass costs two reductions, their max and min; only
+a report with a failing, NaN or infinite violation tests each violation
+to find the first.  The primitives
 (`linalg.weighted_row_norms`, `linalg.matvec_rows`, `np.vecdot`,
 elementwise arithmetic in the per-record order) round as the per-record
 `x @ y` and `W @ x` do, so the reports equal those of the per-record
@@ -69,11 +74,17 @@ def _report(name, violations, tol, index=None):
     """A non-finite violation fails and is reported as inf or nan.
 
     index gives the record of each violation when the checker skipped
-    records; without it the violations are the records in order.
+    records; without it the violations are the records in order.  A
+    passing trajectory costs two reductions: when the largest violation
+    is at most tol and the smallest is not -inf, no violation is NaN or
+    infinite, so the report is the largest one and no record fails.
     """
     v = np.asarray(violations, dtype=float)
     if v.size == 0:
         return CheckReport(name, 0.0, None, True, tol)
+    worst = v.max()
+    if worst <= tol and v.min() > -math.inf:
+        return CheckReport(name, float(worst), None, True, tol)
     finite = np.isfinite(v)
     failing = ~finite | (v > tol)
     first = int(np.argmax(failing)) if failing.any() else None
@@ -120,21 +131,25 @@ def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric) -> CheckRepo
     The projection gap ||x - Pi_H x||_S is reconstructed from the
     recorded step length as mu * ||Mx - Mx_hat||_{S^{-1}}, which is
     exact for the halfspace projection formula.  Distances chain by object
-    identity: a record whose x is the previous x_next array reuses it, and
-    only the x of the other records are measured.
+    identity: the k + 1 points x_0, x_1+, ..., x_k+ are measured in one
+    stack, and record i's distance before is the one after record i - 1.
+    A record whose x is not the previous x_next array (a trajectory
+    edited after the run) has its own x measured, written into a copy.
     """
     z = _solution(z_star, s.dim)
     recs = traj.records
     k = len(recs)
     if k == 0:
         return _report("fejer", (), AUDIT_TOL)
-    fresh = [0] + [i for i in range(1, k) if recs[i].x is not recs[i - 1].x_next]
+    fresh = [i for i in range(1, k) if recs[i].x is not recs[i - 1].x_next]
     with np.errstate(over="ignore", invalid="ignore"):
-        after = _squares(weighted_row_norms(s, _rows([r.x_next for r in recs], k, s.dim) - z))
-        before = np.empty(k)
-        before[1:] = after[:-1]
-        before[fresh] = _squares(weighted_row_norms(
-            s, _rows([recs[i].x for i in fresh], len(fresh), s.dim) - z))
+        points = _rows([recs[0].x] + [r.x_next for r in recs], k + 1, s.dim)
+        sq = _squares(weighted_row_norms(s, points - z))
+        before, after = sq[:-1], sq[1:]
+        if fresh:
+            before = before.copy()  # a view of sq, which after shares
+            before[fresh] = _squares(weighted_row_norms(
+                s, _rows([recs[i].x for i in fresh], len(fresh), s.dim) - z))
         mu = np.array([r.mu for r in recs], dtype=float)
         theta = np.array([r.theta for r in recs], dtype=float)
         gap = mu * np.array([r.normal_inv_norm for r in recs], dtype=float)
@@ -183,13 +198,21 @@ def check_mu_bounds(traj: Trajectory, beta: float, p: SpdMetric, s: SpdMetric,
     mu in [(1 - beta/4) lam_min(P) / (L_M^2 lam_max(S^{-1})),
            lam_max(S) / lam_min(P)] for every iteration that moved.  The
     steps that did not move are the null steps of core's tolerance
-    policy (core.null_record), the only records with mu = 0.
+    policy (core.null_record), the only records with mu = 0; a trajectory
+    without one is checked whole, with no record index.  An L_M^2 that
+    overflows is inf, and lo is 0.
     """
-    lo = (1.0 - beta / 4.0) * p.lam_min / (kernel_lipschitz ** 2 / s.lam_min)
+    try:
+        lipschitz_sq = kernel_lipschitz ** 2
+    except OverflowError:
+        lipschitz_sq = math.inf
+    lo = (1.0 - beta / 4.0) * p.lam_min / (lipschitz_sq / s.lam_min)
     hi = s.lam_max / p.lam_min
     mu = np.array([r.mu for r in traj.records], dtype=float)
-    moved = np.flatnonzero(mu != 0.0)
-    mu = mu[moved]
+    moved = None
+    if not mu.all():
+        moved = np.flatnonzero(mu)
+        mu = mu[moved]
     return _report("mu-bounds", _worse(lo - mu, mu - hi), MU_BOUNDS_TOL, moved)
 
 

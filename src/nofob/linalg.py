@@ -218,9 +218,10 @@ def _top_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
 
 def _size(n, what: str, below_one: str = "") -> int:
     """n as an int, raising ContractViolation unless it is a Python or
-    numpy integer of at least 1: int() would truncate a float.  Below 1
-    the message is `below_one`, by default that `what` must not be empty."""
-    if not isinstance(n, (int, np.integer)):
+    numpy integer of at least 1: int() would truncate a float, and a bool,
+    which is an int, is not a size.  Below 1 the message is `below_one`,
+    by default that `what` must not be empty."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ContractViolation(f"{what} size must be an integer, got {n!r}")
     if n < 1:
         raise ContractViolation(below_one or f"{what} must not be empty")
@@ -291,7 +292,7 @@ class SpdMetric:
     finite and it is symmetric to SYMMETRY_TOL relative, then symmetrized
     and rejected unless lambda_min > SPD_TOL * lambda_max; a scalar c
     must be finite and positive, and its size n a Python or numpy
-    integer of at least 1.  `solve`
+    integer of at least 1, not a bool.  `solve`
     computes W^{-1} v for a vector v, or W^{-1} V for an n x k matrix V,
     by one dpotrs call on the cached Cholesky factor, bit for bit
     `cho_solve`; every metric raises

@@ -147,13 +147,16 @@ class CocoerciveMap:
     @classmethod
     def affine(cls, matrix, shift, inverse_cocoercivity: float) -> "CocoerciveMap":
         """x -> matrix @ x + shift, with its matrix declared, square,
-        nonempty and finite, and its shift of the matrix's size."""
+        nonempty and finite, and its shift a finite vector of the
+        matrix's size."""
         a = np.asarray(matrix, dtype=float)
         _require_square(a, "a declared matrix")
         _require_finite(a)
         c = np.asarray(shift, dtype=float)
         if c.shape != (a.shape[0],):
             raise ContractViolation("the shift must be a vector of the matrix's size")
+        if not np.isfinite(c).all():
+            raise ContractViolation("shift entries must be finite")
         out = cls(lambda x: a @ x + c, inverse_cocoercivity)
         object.__setattr__(out, "matrix", a)
         object.__setattr__(out, "shift", c)
@@ -170,7 +173,7 @@ class SkewMap:
     that is not finite and nonnegative, raises ContractViolation.
     `zero(n)` builds it without forming, checking or storing an n x n
     matrix, and raises ContractViolation unless n is a Python or numpy
-    integer, and like an empty matrix for n < 1; `matrix` is formed only
+    integer other than a bool, and like an empty matrix for n < 1; `matrix` is formed only
     when it is read.
     """
 
@@ -261,13 +264,15 @@ def zero_operator() -> ProxOperator:
 
 def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
     """B x = H x + b with H square, nonempty and finite, H + H^T positive
-    semidefinite (monotone), and b of H's size."""
+    semidefinite (monotone), and b a finite vector of H's size."""
     h = np.asarray(h, dtype=float)
     _require_square(h, "a declared matrix")
     _require_finite(h)
     b = np.asarray(b, dtype=float)
     if b.shape != (h.shape[0],):
         raise ContractViolation("the shift b must be a vector of H's size")
+    if not np.isfinite(b).all():
+        raise ContractViolation("shift b entries must be finite")
     sym = 0.5 * (h + h.T)
     if np.linalg.eigvalsh(sym)[0] < -MONOTONE_TOL * max(1.0, np.abs(h).max()):
         raise ContractViolation("affine operator is not monotone")
@@ -324,12 +329,14 @@ def l1_subdifferential(weight: float) -> ProxOperator:
 
 def l1_plus_diag_affine(lam: float, d: np.ndarray, b: np.ndarray) -> ProxOperator:
     """B x = lam * subdiff ||x||_1 + diag(d) x - b, with lam and every
-    entry of d finite and nonnegative."""
+    entry of d finite and nonnegative, and every entry of b finite."""
     d = np.asarray(d, dtype=float)
     b = np.asarray(b, dtype=float)
     _declared(lam, "lam")
     if not np.all((0.0 <= d) & (d < math.inf)):  # a NaN fails this test too
         raise ContractViolation("every entry of d must be finite and nonnegative")
+    if not np.isfinite(b).all():
+        raise ContractViolation("every entry of b must be finite")
     memo = (None, None, None)  # gamma, gamma b, 1 + gamma d
 
     def ev(gamma, y):

@@ -14,7 +14,7 @@ from scipy.linalg import eigh_tridiagonal
 from nofob.algorithms import ROWS
 from nofob.core import (IterRecord, coincides, corrected_step, null_record, run_loop,
                         separation_fails)
-from nofob.diagnostics import _report
+from nofob.diagnostics import CheckReport
 from nofob.fourop import (
     BlockDiag,
     FourOpProblem,
@@ -460,6 +460,23 @@ def planted_nonlinear_drift():
 # per-record audits written out term by term (cross-check references)
 
 
+def _report(name, violations, tol, index=None):
+    """The report assembly of `diagnostics._report` with no fast path:
+    every violation is tested for finiteness and against tol, the first
+    failing one found by argmax, and the worst taken over the finite
+    violations and the magnitudes of the others."""
+    v = np.asarray(violations, dtype=float)
+    if v.size == 0:
+        return CheckReport(name, 0.0, None, True, tol)
+    finite = np.isfinite(v)
+    failing = ~finite | (v > tol)
+    first = int(np.argmax(failing)) if failing.any() else None
+    if first is not None and index is not None:
+        first = int(index[first])
+    worst = float(np.max(np.where(finite, v, np.abs(v))))
+    return CheckReport(name, worst, first, first is None, tol)
+
+
 def _psi_value(prob, x, x_hat, z):
     """Separating function <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2,
     with its own kernel difference and P-norm on every call."""
@@ -522,9 +539,10 @@ def psi_value():
 
 @pytest.fixture
 def audit_reference():
-    """Per-record audits the array-form audits are checked against."""
+    """Per-record audits the array-form audits are checked against, and
+    the report assembly `diagnostics._report` is checked against."""
     return SimpleNamespace(fejer=_fejer_reference, separation=_separation_reference,
-                           mu_bounds=_mu_bounds_reference)
+                           mu_bounds=_mu_bounds_reference, report=_report)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,19 @@ def test_an_overflowing_normal_in_a_dense_metric_ends_the_run_error(capsys):
     assert err == ""
 
 
+def test_a_check_on_an_overflowing_run_reports_every_audit(capsys):
+    # the run above, checked: L_M ** 2 overflows, which raised
+    # OverflowError out of the mu-bounds audit before; every audit fails
+    # on the NaN record 0
+    code = run_cli(["check", "--problem", "saddle", "--algorithm", "afba-fixed",
+                    "--tau", "1e308,1e-308"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    fails = [line.split()[0] for line in out.splitlines() if " FAIL " in line]
+    assert fails == ["fejer", "separation", "mu-bounds"]
+    assert err == ""
+
+
 @pytest.mark.parametrize("theta", ["5", "2", "0", "-0.5", "nan"])
 def test_theta_outside_the_open_interval_is_a_usage_error(theta, capsys):
     code = run_cli(["solve", "--problem", "rotation", "--algorithm", "fbf-long",

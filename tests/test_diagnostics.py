@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from functools import wraps
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from nofob.algorithms import run_algorithm
 from nofob.cli import _corrupt
 from nofob.core import NofobProblem, Trajectory, corrected_step, null_record, run_loop
-from nofob.diagnostics import check_fejer, check_mu_bounds, check_separation, fit_rate
+from nofob.diagnostics import (_report, check_fejer, check_mu_bounds, check_separation,
+                               fit_rate)
 from nofob.linalg import ContractViolation, SpdMetric
 from nofob.problems import (REGISTRY, get_instance, make_regularized_quadratic,
                             make_saddle_pd)
@@ -274,6 +276,65 @@ def test_mu_bounds_fail_when_lipschitz_understated():
     assert not rep.passed
 
 
+def test_mu_bounds_report_an_overflowing_lipschitz_constant():
+    # L_M ** 2 overflows to inf, so the lower bound is 0; it raised
+    # OverflowError before
+    prob = identity_kernel_problem()
+    traj = run_loop(unit_step(prob), np.ones(4), tol=1e-10, max_iter=20)
+    rep = check_mu_bounds(traj, 0.0, prob.p_metric, prob.s_metric, 1e200)
+    # every mu is 1, at the upper bound 1
+    assert rep.passed and rep.max_violation == 0.0
+    # the run the CLI's overflow control makes: P has entries near 1e308,
+    # the first normal overflows, and its NaN mu fails the report
+    out = run_algorithm("afba-fixed", get_instance("saddle"), tau=(1e308, 1e-308))
+    view = out.nofob_view
+    rep = check_mu_bounds(out.trajectory, view.beta, view.p_metric, out.s_metric,
+                          view.kernel_lipschitz)
+    assert view.kernel_lipschitz > 1e154  # its square is not a double
+    assert not rep.passed and rep.first_violating_iter == 0
+    assert math.isnan(rep.max_violation)
+
+
+# ---------------------------------------------------------------------------
+# the report assembly
+
+
+_ABOVE_TOL = math.nextafter(1e-9, math.inf)
+
+# violations and the position of the first failing one
+REPORT_CASES = {
+    "empty": ([], None),
+    "passing": ([-1.0, 5e-10, -3.0, 0.0], None),
+    "at-tol": ([-1.0, 1e-9, 0.0], None),
+    "above-tol": ([-1.0, 1e-9, _ABOVE_TOL, 2.0], 2),
+    "minus-inf": ([-1.0, 0.0, -math.inf, -2.0], 2),
+    "plus-inf": ([-1.0, math.inf, 0.0], 1),
+    "nan": ([-1.0, 0.0, 1.0, math.nan], 2),
+    "nan-first": ([math.nan, -1.0, math.inf], 0),
+    "signed-zeros": ([-0.0, 0.0, -0.0], None),
+    "signed-zeros-reversed": ([0.0, -0.0, 0.0, -0.0], None),
+}
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["records", "indexed"])
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_report_matches_the_full_assembly(audit_reference, case, indexed):
+    violations, first = REPORT_CASES[case]
+    index = np.arange(len(violations)) * 3 + 1 if indexed else None
+    got = _report("audit", np.array(violations), 1e-9, index)
+    _assert_same_report(got, audit_reference.report("audit", violations, 1e-9, index))
+    if first is not None and indexed:
+        first = int(index[first])
+    assert (got.first_violating_iter, got.passed) == (first, first is None)
+    finite = [v for v in violations if math.isfinite(v)]
+    if len(finite) < len(violations):
+        # the worst of a non-finite set is inf, or NaN where one is NaN
+        assert repr(got.max_violation) == ("nan" if any(map(math.isnan, violations))
+                                           else "inf")
+    elif finite:
+        assert got.max_violation == max(finite)
+
+
 # ---------------------------------------------------------------------------
 # rate fitting
 
@@ -338,9 +399,10 @@ def test_checkers_are_pure():
 
 
 def _assert_same_report(got, ref):
-    # every field equal; a NaN violation equals a NaN and nothing else
-    for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(ref)):
-        assert a == b or (a != a and b != b), (got, ref)
+    # every field equal by repr: -0.0 is not 0.0, and a NaN violation
+    # equals a NaN and nothing else
+    assert list(map(repr, dataclasses.astuple(got))) == \
+        list(map(repr, dataclasses.astuple(ref))), (got, ref)
 
 
 def _assert_audits_match(out, audit_reference):
@@ -386,6 +448,19 @@ def test_audits_match_the_reference_on_records_that_do_not_chain(audit_reference
     for traj in (_corrupt(out.trajectory), Trajectory(records, "converged")):
         assert traj.records[5].x is not traj.records[4].x_next
         _assert_audits_match(dataclasses.replace(out, trajectory=traj), audit_reference)
+
+
+def test_fejer_measures_a_record_that_does_not_chain_on_its_own(audit_reference):
+    # record 4 ends on z* and record 5 starts far from it: record 4's
+    # distance after is 0, not record 5's distance before, and both pass
+    out, _ = convergent_run()
+    records = list(out.trajectory.records)
+    records[4] = dataclasses.replace(records[4], x_next=out.z_star.copy())
+    records[5] = dataclasses.replace(records[5], x=records[5].x + 100.0)
+    traj = Trajectory(records, "converged")
+    rep = check_fejer(traj, out.z_star, out.s_metric)
+    _assert_same_report(rep, audit_reference.fejer(traj, out.z_star, out.s_metric))
+    assert rep.passed
 
 
 # ---------------------------------------------------------------------------

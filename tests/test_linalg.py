@@ -129,9 +129,10 @@ def test_a_scalar_metric_rejects_a_size_below_one(build):
 @pytest.mark.parametrize("build", [SpdMetric.identity,
                                    lambda n: SpdMetric.scaled_identity(2.0, n)],
                          ids=["identity", "scaled-identity"])
-@pytest.mark.parametrize("n", [2.7, float("nan"), float("inf")], ids=["non-integral", "nan", "inf"])
+@pytest.mark.parametrize("n", [2.7, float("nan"), float("inf"), True, False, np.True_],
+                         ids=["non-integral", "nan", "inf", "true", "false", "numpy-bool"])
 def test_a_scalar_metric_rejects_a_size_that_is_not_an_integer(build, n):
-    # dim 2 from 2.7 before
+    # dim 2 from 2.7, and dim 1 from True (a bool is an int) before
     with pytest.raises(ContractViolation, match="metric size must be an integer"):
         build(n)
 

@@ -221,9 +221,11 @@ def test_skew_map_rejects_an_empty_matrix():
             SkewMap.zero(n)
 
 
-@pytest.mark.parametrize("n", [2.5, float("nan"), float("inf")], ids=["non-integral", "nan", "inf"])
+@pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), True, False, np.True_],
+                         ids=["non-integral", "nan", "inf", "true", "false", "numpy-bool"])
 def test_skew_map_zero_rejects_a_size_that_is_not_an_integer(n):
-    # dim 2 from 2.5 and numpy's ValueError from NaN before
+    # dim 2 from 2.5, numpy's ValueError from NaN, and dim 1 from True
+    # (a bool is an int) before
     with pytest.raises(ContractViolation, match="skew map size must be an integer"):
         SkewMap.zero(n)
 
@@ -262,10 +264,12 @@ def test_affine_operator_rejects_a_shift_of_another_size():
         affine_operator(np.eye(3), np.ones(2))
 
 
-@pytest.mark.parametrize("size", [2.5, float("nan"), np.float64(2.0)],
-                         ids=["non-integral", "nan", "numpy-float"])
+@pytest.mark.parametrize("size", [2.5, float("nan"), np.float64(2.0), True, False, np.True_],
+                         ids=["non-integral", "nan", "numpy-float", "true", "false",
+                              "numpy-bool"])
 def test_block_prox_rejects_a_size_that_is_not_an_integer(size):
-    # dim 2 from 2.5 and numpy's ValueError from NaN before
+    # dim 2 from 2.5, numpy's ValueError from NaN, and dims (1,) from True
+    # (a bool is an int) before
     with pytest.raises(ContractViolation, match="block size must be an integer"):
         BlockProx([zero_operator()], [size])
 
@@ -275,6 +279,27 @@ def test_block_prox_takes_python_and_numpy_integer_sizes():
     assert bp.dims == (2, 3) and bp.dim == 5 and type(bp.dims[1]) is int
     with pytest.raises(ContractViolation, match="block dimensions must be positive"):
         BlockProx([zero_operator()], [0])
+
+
+SHIFTED = {
+    "cocoercive-affine": (lambda b: CocoerciveMap.affine(np.eye(2), b, 1.0),
+                          "shift entries must be finite"),
+    "affine-operator": (lambda b: affine_operator(np.eye(2), b),
+                        "shift b entries must be finite"),
+    "l1-plus-diag-affine": (lambda b: l1_plus_diag_affine(0.1, [1.0, 1.0], b),
+                            "every entry of b must be finite"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("constructor", list(SHIFTED))
+def test_a_declared_shift_is_finite(constructor, bad):
+    # before, CocoerciveMap.affine kept a NaN shift, affine_operator's
+    # resolvent returned [nan, nan] at 0 for an infinite b, and
+    # l1_plus_diag_affine's returned [nan, 0] for a NaN b
+    build, match = SHIFTED[constructor]
+    with pytest.raises(ContractViolation, match=match):
+        build([bad, 0.0])
 
 
 @pytest.mark.parametrize("n", [2, 10, 200])

@@ -49,9 +49,11 @@ def test_ps_problem_validation():
         PsProblem([zero_operator(), zero_operator()], [np.zeros((0, 3))], 3)
 
 
-@pytest.mark.parametrize("size", [2.5, float("nan")], ids=["non-integral", "nan"])
+@pytest.mark.parametrize("size", [2.5, float("nan"), True, False, np.True_],
+                         ids=["non-integral", "nan", "true", "false", "numpy-bool"])
 def test_ps_problem_rejects_a_primal_size_that_is_not_an_integer(size):
-    # primal_dim 2 from 2.5 and numpy's ValueError from NaN before
+    # primal_dim 2 from 2.5, numpy's ValueError from NaN, and primal_dim 1
+    # from True (a bool is an int) before
     with pytest.raises(ContractViolation, match="primal size must be an integer"):
         PsProblem([zero_operator()], [], size)
 
