@@ -38,15 +38,12 @@ def _fmt(v: float) -> str:
 
 
 def _csv_rows(out: RunOutput) -> List[str]:
+    traj = out.trajectory
+    dists = weighted_row_norms(out.s_metric, traj.x[:-1] - out.z_star)
+    columns = (traj.residual_s, dists, traj.mu, traj.theta, traj.psi_at_x)
     rows = [CSV_HEADER]
-    records = out.trajectory.records
-    points = np.concatenate([rec.x for rec in records]).reshape(len(records), -1)
-    dists = weighted_row_norms(out.s_metric, points - out.z_star).tolist()
-    for k, (rec, dist) in enumerate(zip(records, dists)):
-        rows.append(",".join([
-            str(k), _fmt(rec.residual_s), _fmt(dist), _fmt(rec.mu),
-            _fmt(rec.theta), _fmt(rec.psi_at_x),
-        ]))
+    for k, row in enumerate(zip(*(c.tolist() for c in columns))):
+        rows.append(",".join([str(k), *map(_fmt, row)]))
     return rows
 
 
@@ -115,23 +112,18 @@ def cmd_solve(args) -> int:
         code = _write_text(args.csv, "\n".join(_csv_rows(out)) + "\n")
         if code is not None:
             return code
-    last = out.trajectory.records[-1]
-    print(f"{args.problem} x {args.algorithm}: {out.trajectory.status} "
-          f"after {out.trajectory.iterations} iterations, "
-          f"residual {last.residual_s:.3e}")
+    traj = out.trajectory
+    print(f"{args.problem} x {args.algorithm}: {traj.status} "
+          f"after {traj.iterations} iterations, "
+          f"residual {traj.residual_s[-1]:.3e}")
     return _status_code(out.trajectory)
 
 
 def _corrupt(traj: Trajectory) -> Trajectory:
     """Perturb one trajectory point on both records that carry it."""
-    idx = min(5, len(traj.records) - 1)
-    records = list(traj.records)
-    records[idx] = dataclasses.replace(records[idx], x=records[idx].x + 1.0)
-    if idx > 0:
-        records[idx - 1] = dataclasses.replace(
-            records[idx - 1], x_next=records[idx - 1].x_next + 1.0
-        )
-    return Trajectory(records, traj.status)
+    x = traj.x.copy()
+    x[min(5, traj.iterations - 1)] += 1.0
+    return dataclasses.replace(traj, x=x)
 
 
 def cmd_check(args) -> int:
@@ -149,9 +141,8 @@ def cmd_check(args) -> int:
         skipped = ROWS[args.algorithm].no_audit(get_instance(args.problem, args.seed))
         print(f"separation/mu-bounds skipped: {args.algorithm} on {args.problem}: {skipped}")
     lines = [r.line() for r in reports]
-    residuals = [rec.residual_s for rec in traj.records]
     try:
-        slope, r2 = fit_rate(residuals)
+        slope, r2 = fit_rate(traj.residual_s)
         lines.append(f"{'rate-fit':<16} info  slope {slope:+.4f} (r2 {r2:.3f})")
     except ContractViolation:
         lines.append(f"{'rate-fit':<16} info  insufficient data")
@@ -159,11 +150,9 @@ def cmd_check(args) -> int:
         other = ("ps-resolvent" if args.algorithm == "ps-explicit"
                  else "ps-explicit")
         twin = _run_from_args(args, other, args.gamma)
-        n = min(len(traj.records), len(twin.trajectory.records))
-        dev = max(
-            float(np.max(np.abs(a.x_next - b.x_next)))
-            for a, b in zip(traj.records[:n], twin.trajectory.records[:n])
-        )
+        # record k's x_next is row k + 1 of the chain
+        rows = min(traj.iterations, twin.trajectory.iterations) + 1
+        dev = float(np.max(np.abs(traj.x[1:rows] - twin.trajectory.x[1:rows])))
         equiv = CheckReport("ps-equivalence", dev, None, dev <= PS_EQUIVALENCE_TOL,
                             PS_EQUIVALENCE_TOL)
         reports.append(equiv)
@@ -206,7 +195,7 @@ def cmd_bench(args) -> int:
                 continue
             traj = out.trajectory
             try:
-                slope, _ = fit_rate([r.residual_s for r in traj.records])
+                slope, _ = fit_rate(traj.residual_s)
                 rate = f"{slope:+.3f}"
             except ContractViolation:
                 rate = "-"

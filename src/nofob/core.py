@@ -6,6 +6,11 @@ x_hat, then relax-project the current iterate onto it in the metric S.
 Every named algorithm is this step with its own kernel, step length and
 relaxation.
 
+The step returns a plain tuple, and the loop keeps the run as arrays: a
+Trajectory holds the (k + 1) x n chain of iterates, the k x n candidates
+and one column per record scalar, each written once when the run ends.
+Its `records` are row views built on access.
+
 One tolerance policy covers coincidence and round-off: a residual at or
 below COINCIDENCE_TOL * (1 + ||x||) is a null step, and so is a failed
 separation at or below NOISE_TOL * (1 + ||x||); a failed separation
@@ -60,8 +65,8 @@ class NofobProblem:
     its arguments alone as long as nothing writes to x between the two
     calls; the step never does.  It takes vectors, or k x n stacks that
     it treats row by row, each row bit for bit the vector's value: the
-    step calls it on vectors, the separation audit once on the stacked
-    records of a trajectory.
+    step calls it on vectors, the separation audit once on a trajectory's
+    iterates and candidates as k x n stacks.
     """
 
     fb_oracle: Callable[[np.ndarray], np.ndarray]
@@ -84,8 +89,8 @@ class NofobProblem:
 
 # Slotted and not frozen: a frozen record pays object.__setattr__ per
 # field, which made building one cost about 1.5 us against 0.3 us on a
-# 2-vCPU x86 host, once per iteration.  Nothing writes to a record after
-# the step returns it; `dataclasses.replace` builds a new one.
+# 2-vCPU x86 host.  A trajectory builds its records only when they are
+# read; `dataclasses.replace` builds a new one.
 @dataclass(slots=True)
 class IterRecord:
     x: np.ndarray
@@ -100,21 +105,51 @@ class IterRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A run's records, record k being iteration k, and how it ended."""
+    """A run as arrays, row k being iteration k, and how it ended.
 
-    records: List[IterRecord]
+    x is the (k + 1) x n chain of iterates: record k steps from x[k] to
+    x[k + 1], so each point is stored once.  x_hat is k x n, and mu,
+    theta, residual_s, psi_at_x and normal_inv_norm are length-k columns
+    of the record scalars.  Each array run_loop builds owns exactly its
+    rows.  Arrays of other shapes raise ContractViolation("dimension
+    mismatch").
+    """
+
+    x: np.ndarray
+    x_hat: np.ndarray
+    mu: np.ndarray
+    theta: np.ndarray
+    residual_s: np.ndarray
+    psi_at_x: np.ndarray
+    normal_inv_norm: np.ndarray
     # converged | max_iter | error (a non-finite value) | violated (a
     # residual rose where the step is certified nonexpansive; see run_loop)
     status: str
 
+    def __post_init__(self):
+        k, n = len(self.mu), self.x.shape[-1]
+        if not (self.x.shape == (k + 1, n) and self.x_hat.shape == (k, n)
+                and self.mu.shape == self.theta.shape == self.residual_s.shape
+                == self.psi_at_x.shape == self.normal_inv_norm.shape == (k,)):
+            raise ContractViolation("dimension mismatch")
+
     @property
     def iterations(self) -> int:
-        return len(self.records)
+        return len(self.mu)
 
     @property
     def final_x(self) -> np.ndarray:
         """The last record's x; run_loop keeps at least one record."""
-        return self.records[-1].x
+        return self.x[-2]
+
+    @property
+    def records(self) -> List[IterRecord]:
+        """The records as row views, built on each access: record k holds
+        x[k], x_hat[k], x[k + 1] and the k-th scalars."""
+        x, x_hat = self.x, self.x_hat
+        scalars = zip(self.mu.tolist(), self.theta.tolist(), self.residual_s.tolist(),
+                      self.psi_at_x.tolist(), self.normal_inv_norm.tolist())
+        return [IterRecord(x[k], x_hat[k], x[k + 1], *row) for k, row in enumerate(scalars)]
 
 
 def coincides(residual: float, x_norm: float) -> bool:
@@ -143,47 +178,52 @@ def separation_fails(num: float, den: float, residual: float, x_norm: float) -> 
     return False
 
 
-def null_record(x, x_hat, theta: float, residual: float) -> IterRecord:
-    """The record of a step that leaves x where it is."""
-    return IterRecord(x, x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0)
+def null_record(x, x_hat, theta: float, residual: float) -> tuple:
+    """The step tuple of a step that leaves x where it is."""
+    return x_hat, x.copy(), 0.0, theta, residual, 0.0, 0.0
 
 
 def corrected_step(prob: NofobProblem, theta: float,
-                   mu_hat: Optional[float] = None) -> Callable[[np.ndarray], IterRecord]:
-    """The corrected step on one view, bound once: x -> the IterRecord of
-    one step from x (oracle, separation, relaxed metric projection).  The
-    record's iteration is its place in the trajectory.
+                   mu_hat: Optional[float] = None) -> Callable[[np.ndarray], tuple]:
+    """The corrected step on one view, bound once: x -> one step from x
+    (oracle, separation, relaxed metric projection) as the tuple
+    (x_hat, x_next, mu, theta, residual_s, psi_at_x, normal_inv_norm),
+    the fields of an IterRecord after x: `IterRecord(x, *step(x))` is the
+    record of the step.  A tuple costs about a quarter of a record to
+    build.
 
     x_next = x - theta * t * S^{-1}(Mx - Mx_hat), where the step length t
     is the explicit projection length mu, or mu_hat when one is given.
     The caller is responsible for mu_hat being a valid lower bound on mu;
-    the record then stores the explicit mu and the effective relaxation
+    the step then returns the explicit mu and the effective relaxation
     theta * mu_hat / mu, so the Fejer and step-bound checkers stay exact.
 
     The view's oracle, kernel difference, bound norms, S's dimension and
     beta / 4 are read here, once per run, and mu_hat is checked here.
-    Each step makes one dimension check, of x - x_hat against S (the view
-    checked P against S), and hands that difference to `kernel_diff`.  In
-    S = I, S^{-1} m is m itself, which is what `SpdMetric.solve` returns
-    there, so the step skips the call; m.dot(x - x_hat) has already
-    required m to be of that length.  On vectors `a.dot(b)` rounds as
-    `a @ b`, without its ufunc dispatch.
+    Each step checks that x, and then x_hat, is a vector of S's
+    dimension (the view checked P against S): a length-1 x_hat would
+    broadcast through x - x_hat.  In S = I, S^{-1} m is m itself, which
+    is what `SpdMetric.solve` returns there, so the step skips the call;
+    m.dot(x - x_hat) has already required m to be of that length.  On
+    vectors `a.dot(b)` rounds as `a @ b`, without its ufunc dispatch.
     """
     if mu_hat is not None and not mu_hat > 0.0:
         raise ContractViolation("mu_hat must be positive")
     oracle, kernel_diff, asarray = prob.fb_oracle, prob.kernel_diff, np.asarray
     s = prob.s_metric
-    s_norm, p_norm, dim = s.norm, prob.p_metric.norm, s.dim
+    s_norm, p_norm, shape = s.norm, prob.p_metric.norm, (s.dim,)
     s_solve = None if s.is_unit else s.solve
     # q * pg * pg rounds as 0.25 * beta * pg * pg, left to right
     q = 0.25 * prob.beta
 
-    def step(x: np.ndarray) -> IterRecord:
+    def step(x: np.ndarray) -> tuple:
         x = asarray(x, dtype=float)
-        x_hat = asarray(oracle(x), dtype=float)
-        diff = x - x_hat
-        if diff.shape[0] != dim:
+        if x.shape != shape:
             raise ContractViolation("dimension mismatch")
+        x_hat = asarray(oracle(x), dtype=float)
+        if x_hat.shape != shape:
+            raise ContractViolation("dimension mismatch")
+        diff = x - x_hat
         residual = s_norm(diff)
         x_norm = s_norm(x)
         if coincides(residual, x_norm):
@@ -197,23 +237,32 @@ def corrected_step(prob: NofobProblem, theta: float,
             return null_record(x, x_hat, theta, residual)
         mu = num / den
         if mu_hat is None:
-            return IterRecord(x, x_hat, x - theta * mu * s_inv_m, mu, theta, residual,
-                              num, math.sqrt(den))
-        return IterRecord(x, x_hat, x - theta * mu_hat * s_inv_m, mu, theta * mu_hat / mu,
-                          residual, num, math.sqrt(den))
+            return x_hat, x - theta * mu * s_inv_m, mu, theta, residual, num, math.sqrt(den)
+        return (x_hat, x - theta * mu_hat * s_inv_m, mu, theta * mu_hat / mu, residual,
+                num, math.sqrt(den))
 
     return step
 
 
+def _stack(vectors, n: int) -> np.ndarray:
+    """Vectors of length n as the rows of one array that owns exactly
+    them: np.stack is about four times slower, and an array grown by
+    doubling would hold slack rows, which perfbench's result_mb counts."""
+    return np.concatenate(vectors).reshape(-1, n)
+
+
 def run_loop(
-    step: Callable[[np.ndarray], IterRecord],
+    step: Callable[[np.ndarray], tuple],
     x0: np.ndarray,
     tol: float,
     max_iter: int,
     monotone_residual: bool = False,
 ) -> Trajectory:
-    """Drive a step, a function of the current iterate alone, from the
-    vector x0 to the residual tolerance.
+    """Drive a step, a function of the current iterate alone that returns
+    the tuple `corrected_step`'s step does, from the vector x0 to the
+    residual tolerance.  The loop keeps the tuples in a list and makes
+    them the trajectory's arrays once, when the run ends; the step must
+    return x_hat and x_next of x0's length.
 
     Convergence is checked on the oracle residual of the current
     iterate before the update is applied, so a point that already
@@ -245,27 +294,34 @@ def run_loop(
         raise ContractViolation("max_iter must be nonnegative")
     if not 0.0 <= tol < math.inf:
         raise ContractViolation(f"tol must be finite and nonnegative, got {tol}")
-    x = np.asarray(x0, dtype=float).copy()
+    x = x0 = np.asarray(x0, dtype=float).copy()
     # x_next is finite exactly when x_next . 0 is: an inf or a NaN entry
     # makes it NaN, and finite entries, however large, make it 0 (a sum
     # or a norm would overflow on them)
     zeros = np.zeros(x.shape)
-    records: List[IterRecord] = []
+    steps = []  # the step tuples, made columns once the run ends
+    status = "max_iter"
     ceiling = math.inf  # the highest residual the next record may have
+    isfinite = math.isfinite
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter + 1):
-            rec = step(x)
-            records.append(rec)
-            if not (math.isfinite(rec.residual_s) and math.isfinite(rec.mu)
-                    and math.isfinite(rec.psi_at_x)
-                    and math.isfinite(rec.normal_inv_norm)
-                    and math.isfinite(rec.x_next.dot(zeros))):
-                return Trajectory(records, "error")
-            if rec.residual_s <= tol:
-                return Trajectory(records, "converged")
-            if rec.residual_s > ceiling:
-                return Trajectory(records, "violated")
+            out = step(x)
+            steps.append(out)
+            _, x_next, mu, _, residual, psi, inv_norm = out
+            if not (isfinite(residual) and isfinite(mu) and isfinite(psi)
+                    and isfinite(inv_norm) and isfinite(x_next.dot(zeros))):
+                status = "error"
+                break
+            if residual <= tol:
+                status = "converged"
+                break
+            if residual > ceiling:
+                status = "violated"
+                break
             if monotone_residual:
-                ceiling = rec.residual_s + NOISE_TOL * (1.0 + rec.residual_s)
-            x = rec.x_next
-    return Trajectory(records, "max_iter")
+                ceiling = residual + NOISE_TOL * (1.0 + residual)
+            x = x_next
+    n = len(x0)
+    x_hats, nexts, *scalars = zip(*steps)
+    return Trajectory(_stack((x0,) + nexts, n), _stack(x_hats, n),
+                      *(np.array(c, dtype=float) for c in scalars), status)

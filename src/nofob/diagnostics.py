@@ -8,24 +8,24 @@ and the projection step lengths must stay inside their a priori
 interval.  A least-squares rate fit supports the local linear-rate
 claims on strongly monotone instances.
 
-The checkers work on a whole trajectory at once: the iterates are
-stacked as the rows of k x n arrays, the recorded scalars collected into
-arrays, and every norm, inner product, guard and violation computed
-elementwise.  The kernel differences Mx - Mx_hat are one `kernel_diff`
+The checkers read a trajectory's arrays as they are: the chain of
+iterates x, the candidates x_hat and the scalar columns, with every
+norm, inner product, guard and violation computed elementwise and no
+gathering.  The kernel differences Mx - Mx_hat are one `kernel_diff`
 call on the stacks per trajectory.  Fejer measures the k + 1 points of
-a chained trajectory, x_0 and every x_next, in one stack, and the mu
-bounds build no record index when no record is a null step.  A report
-whose violations all pass costs two reductions, their max and min; only
-a report with a failing, NaN or infinite violation tests each violation
-to find the first.  The primitives
-(`linalg.weighted_row_norms`, `linalg.matvec_rows`, `np.vecdot`,
-elementwise arithmetic in the per-record order) round as the per-record
-`x @ y` and `W @ x` do, so the reports equal those of the per-record
-transcriptions in `tests/conftest.py` bit for bit under one BLAS thread.
-The dense products are row-blocked per-row GEMVs; a multithreaded BLAS
-may move odd sizes above the block by a few ulps.  A z* or a recorded
-iterate that is not a vector of the metric's dimension raises
-ContractViolation("dimension mismatch") before any product.
+the chain in one stack, and the mu bounds build no record index when no
+record is a null step.  A report whose violations all pass costs two
+reductions, their max and min; only a report with a failing, NaN or
+infinite violation tests each violation to find the first.  The
+primitives (`linalg.weighted_row_norms`, `linalg.matvec_rows`,
+`np.vecdot`, elementwise arithmetic in the per-record order) round as
+the per-record `x @ y` and `W @ x` do, so the reports equal those of the
+per-record transcriptions in `tests/conftest.py` bit for bit under one
+BLAS thread.  The dense products are row-blocked per-row GEMVs; a
+multithreaded BLAS may move odd sizes above the block by a few ulps.  A
+z* that is not a vector of the metric's dimension, or a trajectory of
+another dimension, raises ContractViolation("dimension mismatch")
+before any product.
 
 The tolerances come from the tolerance table in `linalg`: AUDIT_TOL,
 absolute plus relative to the squared distance or gap, for Fejer and
@@ -94,15 +94,6 @@ def _report(name, violations, tol, index=None):
     return CheckReport(name, worst, first, first is None, tol)
 
 
-def _rows(arrays, k: int, n: int) -> np.ndarray:
-    """k vectors of length n as the rows of a k x n array; any other
-    length is a dimension mismatch."""
-    flat = np.concatenate(arrays)
-    if flat.shape != (k * n,):
-        raise ContractViolation("dimension mismatch")
-    return flat.reshape(k, n)
-
-
 def _solution(z_star, n: int) -> np.ndarray:
     """z* as a float vector of length n; a scalar, which would broadcast,
     or any other shape is a dimension mismatch."""
@@ -110,6 +101,12 @@ def _solution(z_star, n: int) -> np.ndarray:
     if z.shape != (n,):
         raise ContractViolation("dimension mismatch")
     return z
+
+
+def _check_width(traj: Trajectory, n: int):
+    """A trajectory of another dimension than n is a dimension mismatch."""
+    if traj.x.shape[1] != n:
+        raise ContractViolation("dimension mismatch")
 
 
 def _worse(a, b):
@@ -130,29 +127,19 @@ def check_fejer(traj: Trajectory, z_star: np.ndarray, s: SpdMetric) -> CheckRepo
 
     The projection gap ||x - Pi_H x||_S is reconstructed from the
     recorded step length as mu * ||Mx - Mx_hat||_{S^{-1}}, which is
-    exact for the halfspace projection formula.  Distances chain by object
-    identity: the k + 1 points x_0, x_1+, ..., x_k+ are measured in one
-    stack, and record i's distance before is the one after record i - 1.
-    A record whose x is not the previous x_next array (a trajectory
-    edited after the run) has its own x measured, written into a copy.
+    exact for the halfspace projection formula.  The k + 1 points of the
+    chain are measured in one stack: record i's distance after is record
+    i + 1's distance before.
     """
     z = _solution(z_star, s.dim)
-    recs = traj.records
-    k = len(recs)
-    if k == 0:
+    if traj.iterations == 0:
         return _report("fejer", (), AUDIT_TOL)
-    fresh = [i for i in range(1, k) if recs[i].x is not recs[i - 1].x_next]
+    _check_width(traj, s.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        points = _rows([recs[0].x] + [r.x_next for r in recs], k + 1, s.dim)
-        sq = _squares(weighted_row_norms(s, points - z))
+        sq = _squares(weighted_row_norms(s, traj.x - z))
         before, after = sq[:-1], sq[1:]
-        if fresh:
-            before = before.copy()  # a view of sq, which after shares
-            before[fresh] = _squares(weighted_row_norms(
-                s, _rows([recs[i].x for i in fresh], len(fresh), s.dim) - z))
-        mu = np.array([r.mu for r in recs], dtype=float)
-        theta = np.array([r.theta for r in recs], dtype=float)
-        gap = mu * np.array([r.normal_inv_norm for r in recs], dtype=float)
+        theta = traj.theta
+        gap = traj.mu * traj.normal_inv_norm
         guard = AUDIT_TOL * (1.0 + before)
         violations = (after - before + theta * (2.0 - theta) * gap * gap - guard
                       + AUDIT_TOL)
@@ -166,18 +153,16 @@ def check_separation(traj: Trajectory, prob: NofobProblem,
     Requires psi(x) >= (1 - beta/4)||x - x_hat||_P^2 and psi(z*) <= 0 for
     psi(z) = <Mx - Mx_hat, z - x_hat> - (beta/4)||x - x_hat||_P^2, both
     recomputed from the kernel rather than trusted from the records, by
-    one `prob.kernel_diff` call on the stacked records, handed the
-    stacked x - x_hat that the gap is measured on.  A NaN in either
+    one `prob.kernel_diff` call on the stacks x[:-1] and x_hat, handed
+    the x - x_hat that the gap is measured on.  A NaN in either
     condition fails.
     """
-    z = _solution(z_star, prob.p_metric.dim)
-    recs = traj.records
-    k = len(recs)
-    if k == 0:
-        return _report("separation", (), AUDIT_TOL)
     n = prob.p_metric.dim
-    x = _rows([r.x for r in recs], k, n)
-    x_hat = _rows([r.x_hat for r in recs], k, n)
+    z = _solution(z_star, n)
+    if traj.iterations == 0:
+        return _report("separation", (), AUDIT_TOL)
+    _check_width(traj, n)
+    x, x_hat = traj.x[:-1], traj.x_hat
     with np.errstate(over="ignore", invalid="ignore"):
         d = x - x_hat
         m = prob.kernel_diff(x, x_hat, d)
@@ -208,7 +193,7 @@ def check_mu_bounds(traj: Trajectory, beta: float, p: SpdMetric, s: SpdMetric,
         lipschitz_sq = math.inf
     lo = (1.0 - beta / 4.0) * p.lam_min / (lipschitz_sq / s.lam_min)
     hi = s.lam_max / p.lam_min
-    mu = np.array([r.mu for r in traj.records], dtype=float)
+    mu = traj.mu
     moved = None
     if not mu.all():
         moved = np.flatnonzero(mu)

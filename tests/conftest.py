@@ -1,9 +1,11 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
 import sys
 import warnings
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,8 +14,8 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from nofob.algorithms import ROWS
-from nofob.core import (IterRecord, coincides, corrected_step, null_record, run_loop,
-                        separation_fails)
+from nofob.core import (IterRecord, Trajectory, coincides, corrected_step, null_record,
+                        run_loop, separation_fails)
 from nofob.diagnostics import CheckReport
 from nofob.fourop import (
     BlockDiag,
@@ -47,6 +49,43 @@ def accepted(inst, audited=False) -> tuple:
     `from conftest import accepted`."""
     return tuple(name for name, row in ROWS.items() if row.rejects(inst) is None
                  and (not audited or row.no_audit(inst) is None))
+
+
+# The step tuple of a record: its fields after x, in the order
+# corrected_step's step returns them, so `step_tuple(IterRecord(x, *out))`
+# is `out` again.  A step that builds or edits records is handed to
+# run_loop through it.
+step_tuple = attrgetter("x_hat", "x_next", "mu", "theta", "residual_s", "psi_at_x",
+                        "normal_inv_norm")
+
+
+def one_record(step, x) -> IterRecord:
+    """The record of one step from x: `IterRecord(x, *step(x))`, with x
+    the float array the step reads."""
+    x = np.asarray(x, dtype=float)
+    return IterRecord(x, *step(x))
+
+
+def trajectory_of(records, status: str) -> Trajectory:
+    """The Trajectory of hand-built records, as run_loop would keep them.
+
+    Every record's x, x_hat and x_next must be a vector of the first
+    record's length, or ContractViolation("dimension mismatch"); the
+    records must chain, each x equal to the previous record's x_next (a
+    NaN equal to a NaN), or ContractViolation("records do not chain"):
+    an edit that moves a point must move both records that carry it.
+    """
+    n = len(records[0].x)
+    if any(np.shape(a) != (n,) for r in records for a in (r.x, r.x_hat, r.x_next)):
+        raise ContractViolation("dimension mismatch")
+    if not all(np.array_equal(a.x_next, b.x, equal_nan=True)
+               for a, b in zip(records, records[1:])):
+        raise ContractViolation("records do not chain")
+    chain = [r.x for r in records] + [records[-1].x_next]
+    scalars = list(zip(*map(step_tuple, records)))[2:]
+    return Trajectory(np.array(chain, dtype=float),
+                      np.array([r.x_hat for r in records], dtype=float),
+                      *(np.array(c, dtype=float) for c in scalars), status)
 
 
 def _long_step_reference(prob, gamma, x, theta, s):
@@ -109,7 +148,7 @@ def _conservative_iterate(prob, gamma, x):
     residual = float(np.linalg.norm(x - x_hat))
     x_norm = float(np.linalg.norm(x))
     if coincides(residual, x_norm):
-        return null_record(x, x_hat, 1.0, residual)
+        return IterRecord(x, *null_record(x, x_hat, 1.0, residual))
     dk_gap = (prob.d(x_hat) + prob.k(x_hat)) - (prob.d(x) + prob.k(x))
     x_next = x_hat - gamma * dk_gap
     diff = x - x_hat
@@ -117,7 +156,7 @@ def _conservative_iterate(prob, gamma, x):
     num = float(m @ diff) - 0.25 * prob.e.inverse_cocoercivity * float(diff @ diff)
     den = float(m @ m)
     if separation_fails(num, den, residual, x_norm):
-        return null_record(x, x_hat, 1.0, residual)
+        return IterRecord(x, *null_record(x, x_hat, 1.0, residual))
     mu = num / den
     return IterRecord(
         x=x, x_hat=x_hat, x_next=x_next, mu=mu, theta=gamma / mu,
@@ -270,6 +309,19 @@ def _fbs_unchecked(inst, gamma=None, theta=None, tol=STOP_TOL, max_iter=1000):
 
 
 @pytest.fixture
+def perfbench_workloads(monkeypatch):
+    """`perfbench/workloads.py`, loaded from its file with no bytecode
+    written beside it, for the tests that guard what the benchmark reads."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.fixture
 def fbs_unchecked():
     """The fbs rows' loop as it runs without the monotone-residual check."""
     return _fbs_unchecked
@@ -330,12 +382,13 @@ def _ps_explicit_step(ps, p, theta, taus=None, s=None):
     """One `ps-explicit` step from the stacked vector p at the per-block
     step sizes taus (by default all 1): the corrected step in the metric
     s (by default S = I, as the row takes it) on the block-diagonal view,
-    with Johnstone and Eckstein's explicit oracle swapped in."""
+    with Johnstone and Eckstein's explicit oracle swapped in, as a record."""
     taus = (1.0,) * ps.n if taus is None else tuple(taus)
     s = SpdMetric.identity(ps.stacked.dim) if s is None else s
     view = as_nofob(ps.stacked, BlockDiag((*taus[:-1], 1.0 / taus[-1])), s)
     view = dataclasses.replace(view, fb_oracle=ps_explicit_oracle(ps, taus))
-    return corrected_step(view, theta)(p)
+    p = np.asarray(p, dtype=float)
+    return IterRecord(p, *corrected_step(view, theta)(p))
 
 
 @pytest.fixture
@@ -561,8 +614,8 @@ def _reference_weighted_norm(w, x):
 def _reference_iterate(prob, x, theta, mu_hat=None):
     """One corrected step as `core` wrote it before the metrics bound
     their norms: a checked norm through the dense metric per norm, the
-    view's `kernel_diff` and every inner product by `@`.  The step must
-    equal it bit for bit."""
+    view's `kernel_diff` and every inner product by `@`.  It returns the
+    step's tuple, and the step must equal it bit for bit."""
     if mu_hat is not None and not mu_hat > 0.0:
         raise ContractViolation("mu_hat must be positive")
     x = np.asarray(x, dtype=float)
@@ -585,7 +638,7 @@ def _reference_iterate(prob, x, theta, mu_hat=None):
     else:
         x_next = x - theta * mu_hat * s_inv_m
         theta = theta * mu_hat / mu
-    return IterRecord(x, x_hat, x_next, mu, theta, residual, num, math.sqrt(den))
+    return x_hat, x_next, mu, theta, residual, num, math.sqrt(den)
 
 
 @pytest.fixture

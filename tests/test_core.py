@@ -24,7 +24,7 @@ from nofob.problems import (
 )
 from nofob.rng import Lcg64
 
-from conftest import accepted
+from conftest import accepted, one_record, step_tuple
 
 
 def identity_kernel_problem(n=4):
@@ -46,7 +46,7 @@ def unit_step(prob):
 def test_identity_kernel_mu_is_one():
     prob = identity_kernel_problem()
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    rec = corrected_step(prob, 1.0)(x)
+    rec = one_record(corrected_step(prob, 1.0), x)
     assert rec.mu == pytest.approx(1.0)
     assert np.allclose(rec.x_next, x / 2.0, atol=1e-14)
 
@@ -62,7 +62,7 @@ def test_psi_value_matches_manual_formula(psi_value):
 def test_unit_relaxation_lands_on_hyperplane(psi_value):
     prob = identity_kernel_problem()
     x = np.array([2.0, 0.0, -1.0, 1.0])
-    rec = corrected_step(prob, 1.0)(x)
+    rec = one_record(corrected_step(prob, 1.0), x)
     assert psi_value(prob, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -83,7 +83,7 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
         kernel_diff=lambda x, x_hat, d: x - x_hat,
     )
     x = rng.vector(4)
-    rec = corrected_step(prob, 1.0)(x)
+    rec = one_record(corrected_step(prob, 1.0), x)
     assert psi_value(prob, rec.x, rec.x_hat, rec.x_next) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -96,8 +96,8 @@ def test_unit_relaxation_lands_on_hyperplane_in_metric(psi_value):
 def test_relaxation_scales_the_step():
     prob = identity_kernel_problem()
     x = np.array([2.0, 0.0, -1.0, 1.0])
-    full = corrected_step(prob, 1.0)(x)
-    half = corrected_step(prob, 0.5)(x)
+    full = one_record(corrected_step(prob, 1.0), x)
+    half = one_record(corrected_step(prob, 0.5), x)
     assert np.allclose(x - 0.5 * (x - full.x_next), half.x_next, atol=1e-14)
 
 
@@ -105,7 +105,7 @@ def test_coincidence_returns_identity_update():
     prob = identity_kernel_problem()
     prob_fixed = dataclasses.replace(prob, fb_oracle=lambda x: x)
     x = np.ones(4)
-    rec = corrected_step(prob_fixed, 1.3)(x)
+    rec = one_record(corrected_step(prob_fixed, 1.3), x)
     assert rec.mu == 0.0
     assert np.array_equal(rec.x_next, x)
 
@@ -113,7 +113,7 @@ def test_coincidence_returns_identity_update():
 def test_conservative_step_length_and_effective_relaxation():
     prob = identity_kernel_problem()
     x = np.array([4.0, 0.0, 0.0, 0.0])
-    rec = corrected_step(prob, 1.0, mu_hat=0.4)(x)
+    rec = one_record(corrected_step(prob, 1.0, mu_hat=0.4), x)
     assert rec.mu == pytest.approx(1.0)
     assert rec.theta == pytest.approx(0.4)
     # x_next = x - theta * mu_hat * (Mx - Mx_hat) = x - 0.4 * x/2
@@ -123,10 +123,10 @@ def test_conservative_step_length_and_effective_relaxation():
 def test_conservative_midpoint_and_explicit_agreement():
     prob = identity_kernel_problem()
     x = np.array([4.0, -1.0, 2.0, 0.5])
-    full = corrected_step(prob, 1.0)(x)
-    same = corrected_step(prob, 1.0, mu_hat=full.mu)(x)
+    full = one_record(corrected_step(prob, 1.0), x)
+    same = one_record(corrected_step(prob, 1.0, mu_hat=full.mu), x)
     assert np.allclose(same.x_next, full.x_next, atol=1e-14)
-    half = corrected_step(prob, 1.0, mu_hat=full.mu / 2)(x)
+    half = one_record(corrected_step(prob, 1.0, mu_hat=full.mu / 2), x)
     assert np.allclose(half.x_next, 0.5 * (x + full.x_next), atol=1e-14)
 
 
@@ -204,18 +204,15 @@ def test_run_loop_keeps_a_record_at_max_iter_zero():
     x0 = np.arange(1.0, 5.0)
     traj = run_loop(unit_step(prob), x0, tol=0.0, max_iter=0)
     assert (traj.status, traj.iterations) == ("max_iter", 1)
-    assert traj.final_x is traj.records[0].x
+    assert traj.x.shape == (2, 4)
+    assert np.array_equal(traj.final_x, traj.records[0].x)
     assert np.array_equal(traj.final_x, x0)
 
 
 def test_run_loop_flags_non_finite_states():
     def bad_step(x):
-        rec = corrected_step(identity_kernel_problem(), 1.0)(x)
-        return type(rec)(
-            x=rec.x, x_hat=rec.x_hat, x_next=rec.x_next * np.inf,
-            mu=rec.mu, theta=rec.theta, residual_s=rec.residual_s,
-            psi_at_x=rec.psi_at_x, normal_inv_norm=rec.normal_inv_norm,
-        )
+        rec = one_record(corrected_step(identity_kernel_problem(), 1.0), x)
+        return step_tuple(dataclasses.replace(rec, x_next=rec.x_next * np.inf))
 
     traj = run_loop(bad_step, np.ones(4), tol=0.0, max_iter=5)
     assert traj.status == "error"
@@ -229,8 +226,9 @@ def test_run_loop_ends_at_a_non_finite_residual_or_step_length(field, value):
     calls = itertools.count()
 
     def step(x):
-        rec = corrected_step(prob, 1.0)(x)
-        return dataclasses.replace(rec, **{field: value}) if next(calls) == 2 else rec
+        rec = one_record(corrected_step(prob, 1.0), x)
+        return step_tuple(dataclasses.replace(rec, **{field: value}) if next(calls) == 2
+                          else rec)
 
     traj = run_loop(step, np.ones(4), tol=0.0, max_iter=10)
     assert (traj.status, traj.iterations) == ("error", 3)
@@ -255,7 +253,7 @@ def test_run_loop_ends_an_overflowing_run_at_once(fbs_unchecked):
 def scripted_step(residuals):
     """A step that records the next scripted residual and moves x by 1."""
     script = iter(residuals)
-    return lambda x: IterRecord(x, x, x + 1.0, 1.0, 1.0, next(script), 1.0, 1.0)
+    return lambda x: (x, x + 1.0, 1.0, 1.0, next(script), 1.0, 1.0)
 
 
 def test_run_loop_ends_a_monotone_run_violated_at_its_first_rise():
@@ -294,7 +292,7 @@ def test_fejer_decrease_in_custom_metric():
     x = rng.vector(4)
     z = np.zeros(4)
     for _ in range(30):
-        rec = corrected_step(prob, 1.4)(x)
+        rec = one_record(corrected_step(prob, 1.4), x)
         assert s.norm(rec.x_next - z) <= s.norm(x - z) + 1e-12
         x = rec.x_next
 
@@ -312,7 +310,7 @@ def test_failed_separation_is_null_at_noise_level_and_raises_above():
         )
 
     x = np.ones(4)
-    noise = corrected_step(reversed_kernel(1e-10), 1.0)(x)
+    noise = one_record(corrected_step(reversed_kernel(1e-10), 1.0), x)
     assert noise.residual_s > 1e-14 * (1.0 + 2.0)
     assert noise.mu == 0.0
     assert np.array_equal(noise.x_next, x)
@@ -422,16 +420,16 @@ def test_a_non_finite_entry_of_x_next_ends_the_run_at_that_record(value):
     calls = itertools.count()
 
     def step(x):
-        rec = corrected_step(prob, 1.0)(x)
+        rec = one_record(corrected_step(prob, 1.0), x)
         if next(calls) == 2:
             rec.x_next = rec.x_next.copy()
             rec.x_next[1] = value
-        return rec
+        return step_tuple(rec)
 
     traj = run_loop(step, np.ones(4), tol=0.0, max_iter=10)
     assert (traj.status, traj.iterations) == ("error", 3)
     np.testing.assert_equal(traj.records[-1].x_next[1], value)
-    assert traj.final_x is traj.records[-1].x
+    assert np.array_equal(traj.final_x, traj.records[-1].x)
 
 
 def test_huge_finite_entries_of_x_next_do_not_end_the_run():
@@ -442,10 +440,10 @@ def test_huge_finite_entries_of_x_next_do_not_end_the_run():
     calls = itertools.count()
 
     def step(x):
-        rec = corrected_step(prob, 1.0)(x)
+        rec = one_record(corrected_step(prob, 1.0), x)
         if next(calls) == 2:
             rec.x_next = huge.copy()
-        return rec
+        return step_tuple(rec)
 
     traj = run_loop(step, np.ones(4), tol=0.0, max_iter=2)
     assert (traj.status, traj.iterations) == ("max_iter", 3)
@@ -469,6 +467,47 @@ def test_a_metric_of_the_wrong_dimension_is_rejected(algorithm, kind):
          "dense": lambda: SpdMetric(np.eye(n - 1) + 0.1 * np.ones((n - 1, n - 1)))}[kind]()
     with pytest.raises(ContractViolation, match="dimension mismatch"):
         as_nofob(inst.bundle, spec, s)
+
+
+def test_a_candidate_of_another_shape_is_rejected_by_the_step():
+    # a length-1 x_hat broadcast through x - x_hat: the run ended
+    # `converged` on length-1 candidates, and the Fejer audit passed it
+    prob = dataclasses.replace(identity_kernel_problem(3), fb_oracle=lambda x: np.array([0.0]))
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        run_loop(unit_step(prob), np.ones(3), tol=1e-8, max_iter=50)
+    prob = dataclasses.replace(prob, fb_oracle=lambda x: np.zeros((1, 3)))
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        corrected_step(prob, 1.0)(np.ones(3))
+
+
+def test_a_trajectory_of_inconsistent_shapes_is_rejected():
+    # a chain of k + 1 rows, k x n candidates and length-k columns; a
+    # one-row x_hat would broadcast against the chain in the audits
+    traj = run_loop(unit_step(identity_kernel_problem()), np.ones(4), tol=0.0, max_iter=3)
+    assert (traj.x.shape, traj.x_hat.shape, traj.mu.shape) == ((5, 4), (4, 4), (4,))
+    for change in (dict(x=traj.x[:-1]), dict(x=traj.x.ravel()), dict(x_hat=traj.x_hat[:1]),
+                   dict(x_hat=traj.x_hat[:, :1]), dict(mu=traj.mu[:-1]),
+                   dict(mu=traj.mu[:, None]), dict(theta=traj.theta[:, None])):
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            dataclasses.replace(traj, **change)
+
+
+@pytest.mark.parametrize("problem", REGISTRY)
+def test_a_trajectory_owns_exactly_its_rows(problem, perfbench_workloads):
+    # perfbench's result_mb counts the base of every array a run holds
+    # once; slack rows in a base, as an array grown by doubling keeps,
+    # would count too.  Every run on the instance, whatever its status.
+    inst = get_instance(problem, 0)
+    for name in accepted(inst):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = run_algorithm(name, inst)
+        traj = out.trajectory
+        for a in (traj.x, traj.x_hat, traj.mu, traj.theta, traj.residual_s, traj.psi_at_x,
+                  traj.normal_inv_norm):
+            assert a.base is None or a.base.nbytes == a.nbytes, (problem, name)
+        k, n = traj.x_hat.shape
+        assert perfbench_workloads.result_bytes(out) == (2 * k + 1) * n * 8, (problem, name)
 
 
 def test_an_iterate_of_the_wrong_dimension_is_rejected_by_the_step():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from nofob.algorithms import run_algorithm
 from nofob.cli import _corrupt
-from nofob.core import NofobProblem, Trajectory, corrected_step, null_record, run_loop
+from nofob.core import (IterRecord, NofobProblem, Trajectory, corrected_step, null_record,
+                        run_loop)
 from nofob.diagnostics import (_report, check_fejer, check_mu_bounds, check_separation,
                                fit_rate)
 from nofob.linalg import ContractViolation, SpdMetric
@@ -17,7 +18,7 @@ from nofob.problems import (REGISTRY, get_instance, make_regularized_quadratic,
                             make_saddle_pd)
 from nofob.rng import Lcg64
 
-from conftest import accepted
+from conftest import accepted, one_record, trajectory_of
 
 
 def identity_kernel_problem(n=4):
@@ -42,14 +43,11 @@ def convergent_run(name="regquad-full", algorithm="four-op", **kw):
 
 
 def corrupt(traj: Trajectory, idx: int, bump: float = 1.0) -> Trajectory:
-    # perturb the shared trajectory point on both sides of step idx
-    recs = list(traj.records)
-    recs[idx] = dataclasses.replace(recs[idx], x=recs[idx].x + bump)
-    if idx > 0:
-        recs[idx - 1] = dataclasses.replace(
-            recs[idx - 1], x_next=recs[idx - 1].x_next + bump
-        )
-    return dataclasses.replace(traj, records=tuple(recs))
+    # perturb the shared trajectory point on both sides of step idx: row
+    # idx of the chain is record idx's x and record idx - 1's x_next
+    x = traj.x.copy()
+    x[idx] += bump
+    return dataclasses.replace(traj, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +84,13 @@ def test_fejer_fails_on_corrupted_trajectory():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("bad_first", [False, True])
 def test_fejer_fails_on_a_non_finite_record_in_either_order(value, bad_first):
+    # a non-finite point of the chain: record 0's x_next, which is also
+    # record 1's x, or record 1's x_next
     prob = identity_kernel_problem()
     z = np.zeros(4)
-    good = run_loop(unit_step(prob), np.ones(4), tol=0.0, max_iter=1).records[0]
-    bad = dataclasses.replace(good, x_next=np.full(4, value))
-    recs = [bad, good] if bad_first else [good, bad]
-    traj = Trajectory(records=recs, status="max_iter")
+    traj = run_loop(unit_step(prob), np.ones(4), tol=0.0, max_iter=1)
+    assert traj.iterations == 2
+    traj = corrupt(traj, 1 if bad_first else 2, value)
     rep = check_fejer(traj, z, prob.s_metric)
     assert not rep.passed
     assert str(rep.max_violation) == str(value)
@@ -129,9 +128,9 @@ def test_separation_fails_on_a_nan_solution(name, algorithm):
 
 def test_separation_fails_on_a_nan_candidate():
     out, _ = convergent_run()
-    records = list(out.trajectory.records)
-    records[3] = dataclasses.replace(records[3], x_hat=np.full(records[3].x.shape, np.nan))
-    traj = Trajectory(records, "converged")
+    x_hat = out.trajectory.x_hat.copy()
+    x_hat[3] = np.nan
+    traj = dataclasses.replace(out.trajectory, x_hat=x_hat)
     rep = check_separation(traj, out.nofob_view, out.z_star)
     assert not rep.passed
     assert np.isnan(rep.max_violation) and rep.first_violating_iter == 3
@@ -146,7 +145,10 @@ def test_audits_reject_a_solution_of_the_wrong_shape(z_star):
     # against another point
     out = run_algorithm("four-op", get_instance("regquad-full", 1))
     traj, z = out.trajectory, z_star(out.z_star.shape[0])
-    empty = Trajectory([], "converged")
+    columns = ("mu", "theta", "residual_s", "psi_at_x", "normal_inv_norm")
+    empty = dataclasses.replace(traj, x=traj.x[:1], x_hat=traj.x_hat[:0],
+                                **{c: getattr(traj, c)[:0] for c in columns})
+    assert empty.iterations == 0
     for t in (traj, empty):
         with pytest.raises(ContractViolation, match="dimension mismatch"):
             check_fejer(t, z, out.s_metric)
@@ -241,8 +243,9 @@ def test_mu_bounds_skip_exactly_the_null_steps():
     assert all((rec.mu == 0.0) == s for rec, s in zip(traj.records, still))
     assert check_mu_bounds(traj, 0.0, prob.p_metric, prob.s_metric, 1.0).passed
     # a null step recorded as moved would break the lower bound
-    stuck = dataclasses.replace(traj.records[-1], mu=0.5)
-    bad = dataclasses.replace(traj, records=traj.records[:-1] + [stuck])
+    mu = traj.mu.copy()
+    mu[-1] = 0.5
+    bad = dataclasses.replace(traj, mu=mu)
     assert not check_mu_bounds(bad, 0.0, prob.p_metric, prob.s_metric, 1.0).passed
 
 
@@ -250,8 +253,8 @@ def test_mu_bounds_index_counts_the_null_steps():
     # the violation sits in record 1, after a null step
     prob = identity_kernel_problem()
     x = np.ones(4)
-    moved = dataclasses.replace(corrected_step(prob, 1.0)(x), mu=50.0)
-    traj = Trajectory([null_record(x, x, 1.0, 0.0), moved], "max_iter")
+    moved = dataclasses.replace(one_record(corrected_step(prob, 1.0), x), mu=50.0)
+    traj = trajectory_of([IterRecord(x, *null_record(x, x, 1.0, 0.0)), moved], "max_iter")
     rep = check_mu_bounds(traj, 0.0, prob.p_metric, prob.s_metric, 1.0)
     assert (rep.first_violating_iter, rep.max_violation, rep.passed) == (1, 49.0, False)
 
@@ -438,29 +441,51 @@ def test_audits_match_the_per_record_reference(seed, audit_reference,
                          audit_reference)
 
 
-def test_audits_match_the_reference_on_records_that_do_not_chain(audit_reference):
-    # cli's negative control moves the point on both records that carry it;
-    # moving one record's x_next onto z* alone breaks the chain in value,
-    # and a distance carried over from it would fail the next record
+def test_audits_match_the_reference_on_an_edited_chain(audit_reference):
+    # cli's negative control moves row 5 of the chain, which moves both
+    # records that carry it; so does moving that row onto z*
     out, _ = convergent_run()
-    records = list(out.trajectory.records)
-    records[4] = dataclasses.replace(records[4], x_next=out.z_star.copy())
-    for traj in (_corrupt(out.trajectory), Trajectory(records, "converged")):
-        assert traj.records[5].x is not traj.records[4].x_next
+    x = out.trajectory.x.copy()
+    x[5] = out.z_star
+    for traj in (_corrupt(out.trajectory), dataclasses.replace(out.trajectory, x=x)):
+        records = traj.records
+        assert np.array_equal(records[5].x, records[4].x_next)
         _assert_audits_match(dataclasses.replace(out, trajectory=traj), audit_reference)
 
 
-def test_fejer_measures_a_record_that_does_not_chain_on_its_own(audit_reference):
-    # record 4 ends on z* and record 5 starts far from it: record 4's
-    # distance after is 0, not record 5's distance before, and both pass
+def test_fejer_reads_each_point_of_the_chain_as_an_after_and_a_before(audit_reference):
+    # row 5 moved onto z*: record 4 ends on z* and passes, and record 5
+    # starts there, so any distance after it is a rise, which fails
     out, _ = convergent_run()
-    records = list(out.trajectory.records)
-    records[4] = dataclasses.replace(records[4], x_next=out.z_star.copy())
-    records[5] = dataclasses.replace(records[5], x=records[5].x + 100.0)
-    traj = Trajectory(records, "converged")
+    x = out.trajectory.x.copy()
+    x[5] = out.z_star
+    traj = dataclasses.replace(out.trajectory, x=x)
     rep = check_fejer(traj, out.z_star, out.s_metric)
     _assert_same_report(rep, audit_reference.fejer(traj, out.z_star, out.s_metric))
-    assert rep.passed
+    assert (rep.passed, rep.first_violating_iter) == (False, 5)
+
+
+def test_a_trajectory_built_from_records_is_checked():
+    # an x_hat of length 11 at record 2 and one of length 9 at record 3
+    # have the total length of two rows of 10; read as one stack they
+    # were read shifted, and the separation audit reported 0.738
+    out = run_algorithm("fbf", get_instance("rotation"))
+    records = out.trajectory.records
+    assert records[0].x.shape == (10,)
+    wrong = list(records)
+    wrong[2] = dataclasses.replace(wrong[2], x_hat=np.append(wrong[2].x_hat, 0.0))
+    wrong[3] = dataclasses.replace(wrong[3], x_hat=wrong[3].x_hat[:-1])
+    with pytest.raises(ContractViolation, match="dimension mismatch"):
+        trajectory_of(wrong, "converged")
+    # each record's x must be the previous record's x_next
+    loose = list(records)
+    loose[4] = dataclasses.replace(loose[4], x_next=out.z_star.copy())
+    with pytest.raises(ContractViolation, match="do not chain"):
+        trajectory_of(loose, "converged")
+    # the records of a run chain and rebuild it bit for bit
+    rebuilt = trajectory_of(records, out.trajectory.status)
+    for name in ("x", "x_hat", "mu", "theta", "residual_s", "psi_at_x", "normal_inv_norm"):
+        assert getattr(rebuilt, name).tobytes() == getattr(out.trajectory, name).tobytes()
 
 
 # ---------------------------------------------------------------------------

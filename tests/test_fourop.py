@@ -38,7 +38,7 @@ from nofob.operators import (
 from nofob.problems import fixed_point_residual, get_instance, make_regularized_quadratic
 from nofob.rng import Lcg64
 
-from conftest import accepted
+from conftest import accepted, one_record
 
 
 def trivial_problem(n=3):
@@ -229,7 +229,7 @@ def test_trivial_specialization_matches_core_resolvent_step():
     g = 0.8
     view = as_nofob(prob, ScalarStep(g), SpdMetric.identity(n))
     x = np.array([2.0, -0.5, 1.5, 0.0])
-    rec = corrected_step(view, 1.0)(x)
+    rec = one_record(corrected_step(view, 1.0), x)
     assert rec.mu == pytest.approx(g, rel=1e-15)
     assert np.allclose(rec.x_next, prob.b.evaluator(g, x), atol=1e-15)
 
@@ -266,7 +266,7 @@ def test_gamma_iterate_matches_generic_path_over_100_iterations(long_step_refere
     worst = 0.0
     for _ in range(100):
         ref_next, ref_mu = long_step_reference(prob, g, x, 1.2, s)
-        rec = corrected_step(view, 1.2)(x)
+        rec = one_record(corrected_step(view, 1.2), x)
         worst = max(worst, float(np.max(np.abs(ref_next - rec.x_next))))
         # mu is a ratio of O(residual^2) quantities, so its relative
         # accuracy degrades as the square of the residual; compare only
@@ -285,7 +285,7 @@ def test_gamma_iterate_in_non_identity_metric(long_step_reference):
     g = 0.3
     x = rng.vector(prob.dim)
     ref_next, _ = long_step_reference(prob, g, x, 1.0, s)
-    rec = corrected_step(as_nofob(prob, ScalarStep(g), s), 1.0)(x)
+    rec = one_record(corrected_step(as_nofob(prob, ScalarStep(g), s), 1.0), x)
     assert np.allclose(ref_next, rec.x_next, atol=1e-12)
 
 
@@ -303,7 +303,7 @@ def test_conservative_identity_both_algebraic_routes(conservative_reference):
         route2 = x - g * m_gap
         assert np.max(np.abs(rec.x_next - route2)) <= 1e-13
         # route 3: the generic conservative step with mu_hat = gamma, S = I
-        rec3 = corrected_step(view, 1.0, mu_hat=g)(x)
+        rec3 = one_record(corrected_step(view, 1.0, mu_hat=g), x)
         assert np.max(np.abs(rec.x_next - rec3.x_next)) <= 1e-13
         x = rec.x_next
 
@@ -662,7 +662,7 @@ def test_fbs_redundant_projection_identity_over_100_iterations(fbs_relaxed_refer
     worst = 0.0
     for _ in range(100):
         direct = fbs_relaxed_reference(b, e, g, theta, x)
-        generic = corrected_step(view, theta)(x)
+        generic = one_record(corrected_step(view, theta), x)
         worst = max(worst, float(np.max(np.abs(direct - generic.x_next))))
         # closed-form step length of the reduction; the kernel difference
         # Mx - Mx_hat loses eps * |x| / residual relative digits, so the

@@ -14,6 +14,8 @@ from nofob.problems import get_instance, make_saddle_pd
 from nofob.projective import PsProblem, ps_explicit_oracle
 from nofob.rng import Lcg64
 
+from conftest import one_record
+
 
 def q_weights(taus):
     """The block-diagonal kernel's weights (tau_1, ..., tau_{n-1}, 1/tau_n)."""
@@ -22,10 +24,10 @@ def q_weights(taus):
 
 def ps_resolvent_iterate(ps, p, theta, taus=None):
     """One resolvent-form step at the per-block step sizes taus (by default
-    all 1): the corrected step on the block-diagonal view."""
+    all 1): the corrected step on the block-diagonal view, as a record."""
     taus = (1.0,) * ps.n if taus is None else tuple(taus)
     view = as_nofob(ps.stacked, BlockDiag(q_weights(taus)), SpdMetric.identity(ps.stacked.dim))
-    return corrected_step(view, theta)(p)
+    return one_record(corrected_step(view, theta), p)
 
 
 def zero_ps(n_dual=2, n_primal=3, l=None):
