@@ -1,8 +1,9 @@
 """Command-line driver: solve, check, bench, list.
 
 Exit codes: 0 converged (or all checks passed), 2 iteration budget
-exhausted, 1 runtime or check failure or a run that ended `error` or
-`violated`, 64 usage error, 73 output path not writable.
+exhausted, 3 stalled (a null step above tol), 1 runtime or check failure
+or a run that ended `error` or `violated`, 64 usage error, 73 output
+path not writable.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .problems import DEFAULT_SEED, REGISTRY, get_instance
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITER = 2
+EXIT_STALLED = 3
 EXIT_USAGE = 64
 EXIT_CANTCREAT = 73
 
@@ -58,9 +60,8 @@ def _write_text(path: str, text: str) -> Optional[int]:
 
 
 def _status_code(traj: Trajectory) -> int:
-    return {"converged": EXIT_OK, "max_iter": EXIT_MAX_ITER}.get(
-        traj.status, EXIT_ERROR
-    )
+    return {"converged": EXIT_OK, "max_iter": EXIT_MAX_ITER,
+            "stalled": EXIT_STALLED}.get(traj.status, EXIT_ERROR)
 
 
 def _numbers(text: str) -> List[float]:
@@ -95,7 +96,7 @@ _ALGORITHM_LIST = _checked(
     lambda names: all(a in ALGORITHMS for a in names),
 )
 # least to most severe: one errored run outranks any number out of budget
-_SEVERITY = (EXIT_OK, EXIT_MAX_ITER, EXIT_ERROR)
+_SEVERITY = (EXIT_OK, EXIT_STALLED, EXIT_MAX_ITER, EXIT_ERROR)
 
 
 def _run_from_args(args, algorithm: str, gamma: Optional[float]) -> RunOutput:

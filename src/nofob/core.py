@@ -30,7 +30,7 @@ import numpy as np
 
 # the tolerances are imported by name: `coincides` and `separation_fails`
 # run every iteration and read them as plain module globals
-from .linalg import COINCIDENCE_TOL, NOISE_TOL, ContractViolation, SpdMetric
+from .linalg import COINCIDENCE_TOL, NOISE_TOL, ContractViolation, SpdMetric, _operand
 
 __all__ = [
     "NofobProblem",
@@ -123,7 +123,8 @@ class Trajectory:
     psi_at_x: np.ndarray
     normal_inv_norm: np.ndarray
     # converged | max_iter | error (a non-finite value) | violated (a
-    # residual rose where the step is certified nonexpansive; see run_loop)
+    # residual rose where the step is certified nonexpansive) | stalled (a
+    # null step above tol, whose successor is itself; see run_loop)
     status: str
 
     def __post_init__(self):
@@ -204,8 +205,9 @@ def corrected_step(prob: NofobProblem, theta: float,
     dimension (the view checked P against S): a length-1 x_hat would
     broadcast through x - x_hat.  In S = I, S^{-1} m is m itself, which
     is what `SpdMetric.solve` returns there, so the step skips the call;
-    m.dot(x - x_hat) has already required m to be of that length.  On
-    vectors `a.dot(b)` rounds as `a @ b`, without its ufunc dispatch.
+    m.dot(x - x_hat) has already required m to be of that length.  The
+    step calls numpy's kernels directly (see `linalg._operand`): theta *
+    mu_hat is bound once, as a 0-d array.
     """
     if mu_hat is not None and not mu_hat > 0.0:
         raise ContractViolation("mu_hat must be positive")
@@ -215,6 +217,7 @@ def corrected_step(prob: NofobProblem, theta: float,
     s_solve = None if s.is_unit else s.solve
     # q * pg * pg rounds as 0.25 * beta * pg * pg, left to right
     q = 0.25 * prob.beta
+    step_hat = None if mu_hat is None else _operand(theta * mu_hat)
 
     def step(x: np.ndarray) -> tuple:
         x = asarray(x, dtype=float)
@@ -238,7 +241,7 @@ def corrected_step(prob: NofobProblem, theta: float,
         mu = num / den
         if mu_hat is None:
             return x_hat, x - theta * mu * s_inv_m, mu, theta, residual, num, math.sqrt(den)
-        return (x_hat, x - theta * mu_hat * s_inv_m, mu, theta * mu_hat / mu, residual,
+        return (x_hat, x - step_hat * s_inv_m, mu, theta * mu_hat / mu, residual,
                 num, math.sqrt(den))
 
     return step
@@ -271,6 +274,15 @@ def run_loop(
     step length, separation value, normal norm or next iterate is not
     finite, and keeps that record; numpy's overflow and invalid-value
     warnings are silenced for the run, since that status reports them.
+
+    The run also ends at the first null record, the step's mu = 0,
+    which the step records on a null step and only there, and keeps it:
+    `converged` if its residual is within tol, `violated` if it rose
+    (below), and otherwise `stalled`.  Proof that going on would only
+    repeat it: a null step's x_next equals its x, and the step is a
+    function of the current iterate alone, so the record after a null
+    record is the null record again, and by induction so is every later
+    one, up to the budget.
 
     With `monotone_residual` the caller certifies that the step is a
     nonexpansive map R, x_next = R x, whose residual x - x_next is a
@@ -317,6 +329,9 @@ def run_loop(
                 break
             if residual > ceiling:
                 status = "violated"
+                break
+            if mu == 0.0:
+                status = "stalled"
                 break
             if monotone_residual:
                 ceiling = residual + NOISE_TOL * (1.0 + residual)

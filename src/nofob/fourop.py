@@ -73,7 +73,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import NofobProblem
-from .linalg import FIXED_STEP_TOL, ContractViolation, SpdMetric, matvec_rows
+from .linalg import FIXED_STEP_TOL, ContractViolation, SpdMetric, _operand, matvec_rows
 from .operators import (
     BlockProx,
     CocoerciveMap,
@@ -186,7 +186,7 @@ class LinearPart:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The map at a vector, or at every row of a k x n stack."""
-        y = self.matrix @ x if x.ndim == 1 else matvec_rows(self.matrix, x)
+        y = self.matrix.dot(x) if x.ndim == 1 else matvec_rows(self.matrix, x)
         return y if self.shift is None else y + self.shift
 
 
@@ -243,8 +243,8 @@ class ScalarStep:
         self.gamma = _positive(gamma, "gamma")
 
     def bind(self, prob: FourOpProblem) -> BoundKernel:
-        g, ev = self.gamma, prob.b.evaluator
-        return BoundKernel(lambda x: x / g, lambda v, start, q_start: ev(g, g * v),
+        g, g0, ev = self.gamma, _operand(self.gamma), prob.b.evaluator
+        return BoundKernel(lambda x: x / g0, lambda v, start, q_start: ev(g, g0 * v),
                            SpdMetric.scaled_identity(1.0 / g, prob.dim), 1.0 / g, linear=True)
 
 
@@ -262,7 +262,8 @@ class BlockDiag:
             raise ContractViolation("BlockDiag kernels need a block-separable B")
         if len(prob.b.ops) != len(self.weights):
             raise ContractViolation("one weight per B block required")
-        blocks = [(w, 1.0 / w, ev, cut) for w, (ev, cut) in zip(self.weights, prob.b.blocks)]
+        blocks = [(_operand(w), 1.0 / w, ev, cut)
+                  for w, (ev, cut) in zip(self.weights, prob.b.blocks)]
 
         def resolvent(v, start, q_start):
             return np.concatenate([ev(r, v[cut] / w) for w, r, ev, cut in blocks])
@@ -308,13 +309,14 @@ class AffinePlusSkew:
         qm, d1 = self.q_matrix, self.dims[0]
         w1, w2, q21 = qm[0, 0], qm[d1, d1], qm[d1:, :d1]
         r1, r2 = 1.0 / w1, 1.0 / w2
+        w1, w2 = _operand(w1), _operand(w2)
         (ev1, _), (ev2, _) = prob.b.blocks
 
         def resolvent(v, start, q_start):
             x1 = ev1(r1, v[:d1] / w1)
-            return np.concatenate([x1, ev2(r2, (v[d1:] - q21 @ x1) / w2)])
+            return np.concatenate([x1, ev2(r2, (v[d1:] - q21.dot(x1)) / w2)])
 
-        return BoundKernel(lambda x: qm @ x if x.ndim == 1 else matvec_rows(qm, x),
+        return BoundKernel(lambda x: qm.dot(x) if x.ndim == 1 else matvec_rows(qm, x),
                            resolvent, self.p, float(np.linalg.norm(qm, 2)), linear=True)
 
 
@@ -532,15 +534,15 @@ def fbs_view(prob: FourOpProblem, gamma: float) -> NofobProblem:
     """
     _positive(gamma, "gamma")
     _, f, d, e = prob.forward_parts
-    forward, ev = _summed((d, f, e)), prob.b.evaluator
+    forward, ev, g0 = _summed((d, f, e)), prob.b.evaluator, _operand(gamma)
 
     def fb(x):
         x = np.asarray(x, dtype=float)
-        y = x if forward is None else x - gamma * forward(x)
+        y = x if forward is None else x - g0 * forward(x)
         return np.asarray(ev(gamma, y), dtype=float)
 
     def kernel_diff(x, x_hat, d):
-        return d / gamma
+        return d / g0
 
     return NofobProblem(
         fb_oracle=fb, kernel_diff=kernel_diff,

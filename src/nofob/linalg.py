@@ -150,6 +150,33 @@ class ContractViolation(ValueError):
     """Raised when an operation is called outside its contract."""
 
 
+# At registry sizes (n = 6-20) a numpy call on the solve's path costs more
+# in dispatch than in arithmetic, so that path calls numpy's kernels
+# directly, with the bits of the calls they replace (tests/test_rounding.py
+# guards each equivalence):
+# - a matrix-vector or vector-vector product is `a.dot(b)`, numpy's one
+#   dot, without the ufunc dispatch of `a @ b` (0.58 against 1.05 us at
+#   n = 12-20, one BLAS thread, 2-vCPU x86 host); a k x n stack keeps
+#   `matvec_rows`;
+# - a scalar fixed for the run (or the module) that meets an array is bound
+#   once as a 0-d float64 array by `_operand`, next to its float: numpy 2
+#   promotes a Python float operand as a weak scalar (NEP 50), which costs
+#   0.77 us a multiply against 0.53 us, and 1.20 against 0.46 us a
+#   comparison such as `a <= 0.0`.  An np.float64 saves only about 0.05 us.
+#   Memo keys, record scalars and whatever feeds Python arithmetic stay
+#   Python floats;
+# - a reduction skips its Python wrapper: `np.count_nonzero(b)` for
+#   `b.any()` or `b.all()` (0.33 against 1.02 us), `np.maximum.reduce(a)`
+#   for `a.max()` (0.95 against 1.28 us) and `math.sqrt(v.dot(v))` for
+#   `np.linalg.norm(v)` (0.51 against 1.48 us).
+def _operand(c: float) -> np.ndarray:
+    """c as a read-only 0-d float64 array, an operand that rounds as the
+    float c does."""
+    a = np.array(c, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def _symmetric_metric(w: np.ndarray) -> np.ndarray:
     """The symmetric part of w as 0.5 w + 0.5 w^T, raising unless w is
     square and nonempty, has finite entries and is symmetric to
@@ -356,27 +383,26 @@ class SpdMetric:
         metric._scale = c
         metric.dim = n
         metric.lam_min = metric.lam_max = c
-        metric.norm = _unit_norm if c == 1.0 else partial(_scaled_norm, c)
+        metric.norm = _unit_norm if c == 1.0 else partial(_scaled_norm, _operand(c))
         return metric
 
 
 # The bound norms, sqrt(<x, W x>), bound to their metric by `partial`,
-# which keeps the metric picklable.  On vectors `a.dot(b)` rounds as
-# `a @ b` does (both are numpy's one vector dot) without the ufunc
-# dispatch of `@`; the clamp keeps Python's `max(d, 0.0)`, so a NaN
-# stays NaN.  For c I the sum is x @ (c x), as the dense W x rounds.
+# which keeps the metric picklable; they call numpy's kernels directly
+# (see `_operand`).  The clamp keeps Python's `max(d, 0.0)`, so a NaN
+# stays NaN.  For c I the sum is x . (c x), as the dense W x rounds.
 
 
 def _unit_norm(x: np.ndarray) -> float:
     return math.sqrt(max(x.dot(x), 0.0))
 
 
-def _scaled_norm(c: float, x: np.ndarray) -> float:
+def _scaled_norm(c: np.ndarray, x: np.ndarray) -> float:
     return math.sqrt(max(x.dot(c * x), 0.0))
 
 
 def _dense_norm(w: np.ndarray, x: np.ndarray) -> float:
-    return math.sqrt(max(x.dot(w @ x), 0.0))
+    return math.sqrt(max(x.dot(w.dot(x)), 0.0))
 
 
 def weighted_row_norms(w: SpdMetric, rows: np.ndarray) -> np.ndarray:

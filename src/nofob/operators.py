@@ -16,20 +16,21 @@ ContractViolation when the map is built.
 The prox catalog covers the closed forms the problem generators use:
 zero, affine (linear solve), l1 soft-threshold, and a combined "l1 plus
 diagonal affine" used by the nonlinear-kernel demo.  A run calls a
-resolvent with one gamma throughout, so the affine and the l1 plus
-diagonal affine resolvents keep the arrays they form from gamma (such
-as I + gamma H) for the gamma of their last call, and form them again
-only when it changes.  The affine resolvent solves with numpy's `solve1`
-gufunc, the one `np.linalg.solve` runs on a float64 vector, called
-directly: the same bits without the wrapper's per-call checks.  Its
-first solve at each gamma goes through `np.linalg.solve`, which raises
-LinAlgError on a singular I + gamma H.  The soft threshold forms its
-value in the buffer of |z|, with the bits of the plain expression, and
-the l1 plus diagonal affine resolvent scales that buffer in place.  A
-`BlockProx` forms its block slices once, when it is built, and rejects
-a vector of another length.  Inverse operators are always
-derived from the primal prox through Moreau's identity
-(`inverse_via_moreau`), never specified independently.
+resolvent with one gamma throughout, so the affine, soft-threshold and
+l1 plus diagonal affine resolvents keep the arrays they form from gamma
+(such as I + gamma H, or the threshold as a 0-d array) for the gamma of
+their last call, and form them again only when it changes.  The affine
+resolvent solves with numpy's `solve1` gufunc, the one `np.linalg.solve`
+runs on a float64 vector, called directly: the same bits without the
+wrapper's per-call checks.  Its first solve at each gamma goes through
+`np.linalg.solve`, which raises LinAlgError on a singular I + gamma H.
+The soft threshold forms its value in the buffer of |z|, with the bits
+of the plain expression, and the l1 plus diagonal affine resolvent
+scales that buffer in place.  A `BlockProx` forms its block slices
+once, when it is built, and rejects a vector of another length.
+Inverse operators are always derived from the primal prox through
+Moreau's identity (`inverse_via_moreau`), never specified
+independently.
 
 The separable nonlinear resolvent is a bracketed Anderson-Bjorck secant
 solve, per coordinate, inside a bracket that strong monotonicity gives
@@ -49,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg._umath_linalg import solve1
 
-from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation,
+from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation, _operand,
                      _require_finite, _require_square, _size, spectral_norm)
 
 __all__ = [
@@ -304,27 +305,36 @@ def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
     return ProxOperator(evaluator=ev, descriptor="affine")
 
 
-def _soft(z: np.ndarray, t) -> np.ndarray:
+# the constants the solve's array operations read, as 0-d arrays (see
+# `linalg._operand`)
+_ZERO, _HALF, _ONE = _operand(0.0), _operand(0.5), _operand(1.0)
+
+
+def _soft(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sign(z) max(|z| - t, 0), formed in the buffer of |z|: the bits of
     the plain expression, with sign(z) kept as the first factor, so a NaN
     keeps its payload and z = -0.0 gives +0.0.  A 0-d z, whose |z| is a
     scalar without a buffer, takes the plain expression."""
     a = np.abs(z)
     if a.ndim == 0:
-        return np.sign(z) * np.maximum(a - t, 0.0)
+        return np.sign(z) * np.maximum(a - t, _ZERO)
     a -= t
-    return np.multiply(np.sign(z), np.maximum(a, 0.0, out=a), out=a)
+    return np.multiply(np.sign(z), np.maximum(a, _ZERO, out=a), out=a)
 
 
 def l1_subdifferential(weight: float) -> ProxOperator:
     """B = weight * subdifferential of the l1 norm (soft threshold), with
     weight finite and nonnegative."""
     _declared(weight, "l1 weight")
-    return ProxOperator(
-        evaluator=lambda gamma, y: _soft(np.asarray(y, float), gamma * weight),
-        descriptor="soft-threshold",
-        separable=True,
-    )
+    memo = (None, None)  # gamma, the threshold gamma * weight
+
+    def ev(gamma, y):
+        nonlocal memo
+        if memo[0] != gamma:
+            memo = (gamma, _operand(gamma * weight))
+        return _soft(np.asarray(y, float), memo[1])
+
+    return ProxOperator(evaluator=ev, descriptor="soft-threshold", separable=True)
 
 
 def l1_plus_diag_affine(lam: float, d: np.ndarray, b: np.ndarray) -> ProxOperator:
@@ -337,14 +347,14 @@ def l1_plus_diag_affine(lam: float, d: np.ndarray, b: np.ndarray) -> ProxOperato
         raise ContractViolation("every entry of d must be finite and nonnegative")
     if not np.isfinite(b).all():
         raise ContractViolation("every entry of b must be finite")
-    memo = (None, None, None)  # gamma, gamma b, 1 + gamma d
+    memo = (None, None, None, None)  # gamma, gamma b, 1 + gamma d, gamma lam
 
     def ev(gamma, y):
         nonlocal memo
         if memo[0] != gamma:
-            memo = (gamma, gamma * b, 1.0 + gamma * d)
-        _, shift, scale = memo
-        x = _soft(np.asarray(y, float) + shift, gamma * lam)
+            memo = (gamma, gamma * b, 1.0 + gamma * d, _operand(gamma * lam))
+        _, shift, scale, t = memo
+        x = _soft(np.asarray(y, float) + shift, t)
         x /= scale  # in place, except on a scalar
         return x
 
@@ -391,9 +401,12 @@ def separable_nonlinear_resolvent(
     The search starts at `start`, a point near which the root is
     expected, and needs no bracket from the caller: one residual anywhere
     bounds the root.  The caller hands in phi(start) as `phi_start`, so
-    the first residual does not evaluate phi again.  Take any x0 and
-    u = J_A(x0 + y - phi(x0)), so r0 = r(x0) = x0 - u.  Then y - e lies
-    in (phi + A)(u), with
+    the first residual does not evaluate phi again.  y, start and
+    phi_start must be finite and of one shape, or it raises
+    ContractViolation: a non-finite phi_start would make the first
+    residual NaN, and the iteration would run out its steps on it.  Take
+    any x0 and u = J_A(x0 + y - phi(x0)), so r0 = r(x0) = x0 - u.  Then
+    y - e lies in (phi + A)(u), with
     e = (u - x0) + (phi(x0) - phi(u)) and |e| <= (1 + ell)|r0|.  phi + A
     is sigma-strongly monotone, so coordinatewise
 
@@ -431,13 +444,18 @@ def separable_nonlinear_resolvent(
     if not prox_spec.separable:
         raise ContractViolation("prox_spec must be coordinate-separable")
     y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
+    n, count, top = y.size, np.count_nonzero, np.maximum.reduce
+    if count(np.isfinite(y)) != n:
         raise ContractViolation("resolvent input must be finite")
     x0 = np.asarray(start, dtype=float)
     if x0.shape != y.shape:
         raise ContractViolation("resolvent start must have the input's shape")
-    if not np.isfinite(x0).all():
+    if count(np.isfinite(x0)) != n:
         raise ContractViolation("resolvent start must be finite")
+    if np.shape(phi_start) != y.shape:
+        raise ContractViolation("phi_start must have the input's shape")
+    if count(np.isfinite(phi_start)) != n:
+        raise ContractViolation("phi_start must be finite")
     phi, prox = spec.phi, prox_spec.evaluator
 
     def resid(x):
@@ -445,29 +463,27 @@ def separable_nonlinear_resolvent(
         return x - j, j
 
     slack = 1.0 + spec.ell
-    if np.shape(phi_start) != y.shape:
-        raise ContractViolation("phi_start must have the input's shape")
     u = prox(1.0, x0 + y - phi_start)
     r0 = x0 - u
-    if slack * float(np.abs(r0).max()) <= RESOLVENT_TOL:
+    if slack * float(top(np.abs(r0))) <= RESOLVENT_TOL:
         return u
     r_u, j_u = resid(u)
-    if slack * float(np.abs(r_u).max()) <= RESOLVENT_TOL:
+    if slack * float(top(np.abs(r_u))) <= RESOLVENT_TOL:
         return j_u
     # a is the other bracket end: x0 where it brackets the root with u,
     # the a-priori end u -/+ delta on the side r(u) points to elsewhere;
     # the product of the signs, not of r0 and r(u), which may underflow
     a, fa = x0, r0
-    outside = np.sign(r0) * np.sign(r_u) > 0.0
-    if outside.any():
+    outside = np.sign(r0) * np.sign(r_u) > _ZERO
+    if count(outside):
         side = np.sign(r_u)
         delta = np.maximum(slack * np.abs(r0) / spec.sigma, np.spacing(np.abs(u)))
         doublings = 0
         while True:
             a = np.where(outside, u - side * delta, x0)
             fa, _ = resid(a)
-            bad = outside & ~(side * fa <= 0.0)
-            if not bad.any():
+            bad = outside & ~(side * fa <= _ZERO)
+            if not count(bad):
                 break
             doublings += 1
             if doublings > 1000:
@@ -484,20 +500,20 @@ def separable_nonlinear_resolvent(
         for step in range(_RESOLVENT_STEPS):
             x = b - fb * (b - a) / (fb - fa)
             # closed bracket: a solved coordinate (fb = 0) keeps x = b
-            inside = (x - a) * (x - b) <= 0.0
-            if not inside.all():
-                x = np.where(inside, x, 0.5 * (a + b))
+            inside = (x - a) * (x - b) <= _ZERO
+            if count(inside) != n:
+                x = np.where(inside, x, _HALF * (a + b))
             r, j = resid(x)
-            if slack * float(np.abs(r).max()) <= RESOLVENT_TOL:
+            if slack * float(top(np.abs(r))) <= RESOLVENT_TOL:
                 break
             cross = np.signbit(r) != np.signbit(fb)
             a = np.where(cross, b, a)
             # m is NaN or -inf where fb = 0
-            m = 1.0 - r / fb
-            fa = np.where(cross, fb, np.where(m > 0.0, m, 0.5) * fa)
+            m = _ONE - r / fb
+            fa = np.where(cross, fb, np.where(m > _ZERO, m, _HALF) * fa)
             b, fb = x, r
-            if step >= _FLOOR_AFTER and np.all(
-                    (slack * np.abs(r) <= RESOLVENT_TOL) | (np.nextafter(a, b) == b)):
+            if step >= _FLOOR_AFTER and count(
+                    (slack * np.abs(r) <= RESOLVENT_TOL) | (np.nextafter(a, b) == b)) == n:
                 break
         else:
             raise RuntimeError(

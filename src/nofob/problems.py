@@ -37,6 +37,7 @@ from .linalg import (
     SUBGRADIENT_TOL,
     SUPPORT_TOL,
     ContractViolation,
+    _operand,
     largest_eig,
     spectral_norm,
 )
@@ -420,7 +421,8 @@ def make_nonlinear_kernel_demo(n: int = 12, lam: float = 0.3,
     prox = l1_plus_diag_affine(lam, d_diag, b_vec)
     bundle = FourOpProblem(b=prox, d=zero_forward(), e=zero_cocoercive(), k=SkewMap.zero(n))
     oracle = np.sign(b_vec) * np.maximum(np.abs(b_vec) - lam, 0.0) / d_diag
-    spec = SeparableNonlinear(phi=lambda x: c * x + np.arctan(x), sigma=c, ell=c + 1.0)
+    c0 = _operand(c)
+    spec = SeparableNonlinear(phi=lambda x: c0 * x + np.arctan(x), sigma=c, ell=c + 1.0)
     inst = _certify(ProblemInstance(
         name="nonlinear-kernel", bundle=bundle, oracle=oracle,
         sigma_of=lambda: float(d_diag.min()), x0=rng.vector(n), nonlinear_spec=spec,

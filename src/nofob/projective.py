@@ -97,12 +97,12 @@ def ps_explicit_oracle(ps: PsProblem, taus: Sequence) -> Callable[[np.ndarray], 
 
     def oracle(p):
         *duals, x = split(p)
-        lsw = sum((m.T @ w for m, w in zip(l_maps, duals)), zero)
+        lsw = sum((m.T.dot(w) for m, w in zip(l_maps, duals)), zero)
         x_hat = np.asarray(a_n.evaluator(tau_n, x - tau_n * lsw), dtype=float)
         _assert_graph(a_n, tau_n, x_hat, (x / tau_n - lsw) - x_hat / tau_n)
         w_hats = []
         for m, w, tau, op in zip(l_maps, duals, taus[:-1], a_ops[:-1]):
-            lx = m @ x
+            lx = m.dot(x)
             v_hat = np.asarray(op.evaluator(tau, lx + tau * w), dtype=float)
             w_hat = w + lx / tau - v_hat / tau
             _assert_graph(op, tau, v_hat, w_hat)
@@ -116,6 +116,6 @@ def _assert_graph(op: ProxOperator, tau: float, point: np.ndarray, val: np.ndarr
     """Certify val is in A(point): J_{tau A}(point + tau val) must return
     point to GRAPH_TOL * (1 + ||point||)."""
     recon = np.asarray(op.evaluator(tau, point + tau * val), dtype=float)
-    scale = 1.0 + float(np.linalg.norm(point))
-    if float(np.linalg.norm(recon - point)) > GRAPH_TOL * scale:
+    gap = recon - point
+    if math.sqrt(gap.dot(gap)) > GRAPH_TOL * (1.0 + math.sqrt(point.dot(point))):
         raise ContractViolation("prox pair left the operator graph")

@@ -15,6 +15,7 @@ from nofob.cli import (
     EXIT_ERROR,
     EXIT_MAX_ITER,
     EXIT_OK,
+    EXIT_STALLED,
     EXIT_USAGE,
     main,
 )
@@ -369,6 +370,24 @@ def test_bench_gamma_that_is_not_a_number_list_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert ("argument --gamma: must be a number or a comma-separated list of numbers" in err
             and "Traceback" not in err)
+
+
+def test_a_stalled_run_exits_3(capsys):
+    # at tol 0 the run reaches a null step at record 153 and ends there,
+    # where it used to repeat that record to its budget and exit 2
+    assert run_cli(["solve", "--problem", "regquad-fbs", "--algorithm", "fbs-relaxed",
+                    "--theta", "1.9", "--tol", "0", "--max-iter", "3000"]) == EXIT_STALLED
+    assert "stalled after 154 iterations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algorithms", ["fbs-relaxed,fbhf", "fbhf,fbs-relaxed"])
+def test_bench_an_exhausted_budget_outranks_a_stalled_run(algorithms, capsys):
+    # at tol 0 fbs-relaxed stalls at record 72 and fbhf runs out of budget
+    code = run_cli(["bench", "--problem", "regquad-fbs", "--algorithm", algorithms,
+                    "--tol", "0", "--max-iter", "100"])
+    out = capsys.readouterr().out
+    assert code == EXIT_MAX_ITER
+    assert "stalled" in out and "max_iter" in out
 
 
 @pytest.mark.parametrize("algorithms", ["fbf,fbhf", "fbhf,fbf"])

@@ -15,6 +15,7 @@ from nofob.core import (
 )
 from nofob.fourop import ScalarStep, as_nofob, gamma_bound_conservative, gamma_bound_long
 from nofob.linalg import NOISE_TOL, ContractViolation, SpdMetric
+from nofob.operators import CocoerciveMap, l1_subdifferential
 from nofob.problems import (
     REGISTRY,
     get_instance,
@@ -516,3 +517,76 @@ def test_an_iterate_of_the_wrong_dimension_is_rejected_by_the_step():
         corrected_step(prob, 1.0)(np.ones(3))
     with pytest.raises(ContractViolation, match="dimension mismatch"):
         dataclasses.replace(prob, p_metric=SpdMetric.identity(3))
+
+
+# ---------------------------------------------------------------------------
+# a null step ends the run
+
+
+def _stepped_by_hand(monkeypatch, name, inst, **kwargs):
+    """The run's trajectory, after checking that it ends at its first null
+    record and that each record is the one its bound step gives when
+    driven by hand from x0, as a loop that never stops early would drive
+    it; and that one more step from a null record repeats it."""
+    bound = []
+
+    def keep(view, theta, mu_hat=None):
+        bound.append(corrected_step(view, theta, mu_hat))
+        return bound[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(algorithms, "corrected_step", keep)
+        traj = run_algorithm(name, inst, **kwargs).trajectory
+    null = traj.mu == 0.0
+    assert not null[:-1].any(), name
+    if null[-1]:
+        assert traj.status == ("converged" if traj.residual_s[-1] == 0.0 else "stalled"), name
+        assert traj.x[-1].tobytes() == traj.x[-2].tobytes(), name
+    x = np.array(inst.x0, dtype=float)
+    for k in range(traj.iterations + int(null[-1])):
+        out = bound[0](x)
+        row = min(k, traj.iterations - 1)
+        assert out[0].tobytes() == traj.x_hat[row].tobytes(), (name, k)
+        assert out[1].tobytes() == traj.x[row + 1].tobytes(), (name, k)
+        assert out[2:] == (traj.mu[row], traj.theta[row], traj.residual_s[row],
+                           traj.psi_at_x[row], traj.normal_inv_norm[row]), (name, k)
+        x = out[1]
+    return traj
+
+
+def _scaled_regquad_fbs(c, seed):
+    """regquad-fbs with b, lam, z* and x0 times c: x solves the original
+    problem exactly when c x solves this one."""
+    inst = make_regularized_quadratic(seed=seed, split="fbs")
+    e = inst.bundle.e
+    bundle = dataclasses.replace(
+        inst.bundle, b=l1_subdifferential(c * 0.1),
+        e=CocoerciveMap.affine(e.matrix, c * e.shift, e.inverse_cocoercivity))
+    return dataclasses.replace(inst, bundle=bundle, oracle=c * inst.oracle, x0=c * inst.x0)
+
+
+@pytest.mark.parametrize("name", ["fbhf", "fbhf-long", "four-op", "fbs", "fbs-relaxed"])
+def test_a_run_at_scale_1e6_ends_stalled_at_its_first_null_record(name, monkeypatch):
+    # at c = 1e6 the run solves the problem to round-off, but its residual
+    # stays above the absolute default tol: it used to repeat its first null
+    # record up to max_iter (863-928 of 1001 records at seed 0)
+    inst = _scaled_regquad_fbs(1e6, seed=0)
+    traj = _stepped_by_hand(monkeypatch, name, inst)
+    assert traj.status == "stalled"
+    z = inst.oracle
+    assert np.linalg.norm(traj.final_x - z) <= 1e-13 * np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("problem", REGISTRY)
+def test_a_run_at_tol_0_ends_at_its_first_null_record(problem, monkeypatch):
+    # every row with a separation to audit reaches a null record at tol 0;
+    # the fbs rows on a problem whose forward part is not cocoercive may
+    # end violated first (0.1 s for the whole registry)
+    inst = get_instance(problem, 0)
+    audited = accepted(inst, audited=True)
+    for name in accepted(inst):
+        traj = _stepped_by_hand(monkeypatch, name, inst, tol=0.0, max_iter=600)
+        if name in audited:
+            assert traj.mu[-1] == 0.0, name
+        else:
+            assert traj.mu[-1] == 0.0 or traj.status == "violated", name

@@ -646,6 +646,16 @@ def test_phi_start_needs_the_inputs_shape():
                                       start=y, phi_start=np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_phi_start_is_rejected_at_once(bad):
+    # a NaN first residual used to run the whole step budget (0.23 s), warn
+    # of an invalid subtraction and raise RuntimeError
+    y = np.array([1.0, -0.5])
+    with pytest.raises(ContractViolation, match="phi_start must be finite"):
+        separable_nonlinear_resolvent(ARCTAN, l1_subdifferential(0.1), y,
+                                      start=y, phi_start=np.array([bad, 0.0]))
+
+
 def _edge_cases():
     lam = 0.3
     d = np.array([0.5, 1.0, 1.5, 0.75])
