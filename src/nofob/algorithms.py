@@ -64,7 +64,6 @@ S = P for afba-fixed, S = I for every other row.
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -83,7 +82,7 @@ from .fourop import (
     gamma_bound_conservative,
     gamma_bound_long,
 )
-from .linalg import GAMMA_BOUND_TOL, STOP_TOL, ContractViolation, SpdMetric
+from .linalg import GAMMA_BOUND_TOL, STOP_TOL, ContractViolation, SpdMetric, _positive
 from .problems import ProblemInstance
 from .projective import PsProblem, ps_explicit_oracle
 
@@ -116,16 +115,16 @@ def _gamma(inst: ProblemInstance, kind: str, gamma) -> float:
 
 
 def _step_sizes(name: str, tau, count: int) -> list:
-    """A given tau as `count` step sizes; a scalar or a single value repeats."""
+    """A given tau as `count` step sizes; a scalar or a single value repeats.
+    A str is iterable, but its characters are not step sizes."""
+    if isinstance(tau, str):
+        raise ContractViolation(f"{name} step sizes must be numbers, got {tau!r}")
     t = list(tau) if np.iterable(tau) else [tau]
     if len(t) == 1:
         t = t * count
     if len(t) != count:
         raise ContractViolation(f"{name} needs {count} step sizes")
-    t = [float(v) for v in t]
-    if not all(0.0 < v < math.inf for v in t):
-        raise ContractViolation(f"{name} step sizes must be positive and finite")
-    return t
+    return [_positive(v, f"{name} step sizes") for v in t]
 
 
 def _takes_none(name: str, inst: ProblemInstance, **given):

@@ -30,7 +30,8 @@ import numpy as np
 
 # the tolerances are imported by name: `coincides` and `separation_fails`
 # run every iteration and read them as plain module globals
-from .linalg import COINCIDENCE_TOL, NOISE_TOL, ContractViolation, SpdMetric, _operand
+from .linalg import (COINCIDENCE_TOL, NOISE_TOL, ContractViolation, SpdMetric, _nonnegative,
+                     _operand, _positive, _size)
 
 __all__ = [
     "NofobProblem",
@@ -81,8 +82,7 @@ class NofobProblem:
     def __post_init__(self):
         if not (0.0 <= self.beta < 4.0):
             raise ContractViolation("beta must lie in [0, 4)")
-        if not 0.0 < self.kernel_lipschitz < math.inf:  # a NaN fails this test too
-            raise ContractViolation("kernel Lipschitz bound must be positive and finite")
+        _positive(self.kernel_lipschitz, "kernel Lipschitz bound")
         if self.p_metric.dim != self.s_metric.dim:
             raise ContractViolation("dimension mismatch")
 
@@ -209,8 +209,8 @@ def corrected_step(prob: NofobProblem, theta: float,
     step calls numpy's kernels directly (see `linalg._operand`): theta *
     mu_hat is bound once, as a 0-d array.
     """
-    if mu_hat is not None and not mu_hat > 0.0:
-        raise ContractViolation("mu_hat must be positive")
+    if mu_hat is not None:
+        mu_hat = _positive(mu_hat, "mu_hat")
     oracle, kernel_diff, asarray = prob.fb_oracle, prob.kernel_diff, np.asarray
     s = prob.s_metric
     s_norm, p_norm, shape = s.norm, prob.p_metric.norm, (s.dim,)
@@ -302,10 +302,8 @@ def run_loop(
     R = (1 - theta / 2) I + (theta / 2) N with N nonexpansive.  A run
     that never rises computes exactly what it computes unchecked.
     """
-    if max_iter < 0:
-        raise ContractViolation("max_iter must be nonnegative")
-    if not 0.0 <= tol < math.inf:
-        raise ContractViolation(f"tol must be finite and nonnegative, got {tol}")
+    max_iter = _size(max_iter, "max_iter", least=0)
+    tol = _nonnegative(tol, "tol")
     x = x0 = np.asarray(x0, dtype=float).copy()
     # x_next is finite exactly when x_next . 0 is: an inf or a NaN entry
     # makes it NaN, and finite entries, however large, make it 0 (a sum

@@ -65,7 +65,6 @@ positive semidefiniteness check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
@@ -73,7 +72,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import NofobProblem
-from .linalg import FIXED_STEP_TOL, ContractViolation, SpdMetric, _operand, matvec_rows
+from .linalg import (FIXED_STEP_TOL, ContractViolation, SpdMetric, _operand, _positive,
+                     matvec_rows)
 from .operators import (
     BlockProx,
     CocoerciveMap,
@@ -229,13 +229,6 @@ class BoundKernel:
     linear: bool
 
 
-def _positive(value, what: str) -> float:
-    v = float(value)
-    if not 0.0 < v < math.inf:
-        raise ContractViolation(f"{what} must be positive and finite")
-    return v
-
-
 class ScalarStep:
     """Q = gamma^{-1} I."""
 
@@ -316,8 +309,8 @@ class AffinePlusSkew:
             x1 = ev1(r1, v[:d1] / w1)
             return np.concatenate([x1, ev2(r2, (v[d1:] - q21.dot(x1)) / w2)])
 
-        return BoundKernel(lambda x: qm.dot(x) if x.ndim == 1 else matvec_rows(qm, x),
-                           resolvent, self.p, float(np.linalg.norm(qm, 2)), linear=True)
+        return BoundKernel(LinearPart(qm), resolvent, self.p, float(np.linalg.norm(qm, 2)),
+                           linear=True)
 
 
 @dataclass(frozen=True)
@@ -338,12 +331,9 @@ class SeparableNonlinear:
     ell: float
 
     def __post_init__(self):
-        if not 0.0 < float(self.sigma) < math.inf:
-            raise ContractViolation(
-                f"kernel sigma must be positive and finite, got {self.sigma!r}")
-        if not self.sigma <= float(self.ell) < math.inf:
-            raise ContractViolation(
-                f"kernel ell must be finite and at least sigma, got {self.ell!r}")
+        sigma = _positive(self.sigma, "kernel sigma")
+        if _positive(self.ell, "kernel ell") < sigma:
+            raise ContractViolation(f"kernel ell must be at least sigma, got {self.ell!r}")
 
     def bind(self, prob: FourOpProblem) -> BoundKernel:
         if not getattr(prob.b, "separable", False):

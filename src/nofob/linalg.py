@@ -1,9 +1,14 @@
-"""SPD metrics, weighted norms, spectral norms and the tolerance table.
+"""SPD metrics, weighted norms, spectral norms, the tolerance table and
+the input contract.
 
 The tolerance table is the block of `*_TOL` constants below: every
 round-off and contract tolerance of the package, each named once with
-its reason and read by name where it is used.  It lives here because
-every other module already imports `ContractViolation` from this one.
+its reason and read by name where it is used.  The input contract
+follows it: one private check per kind of input a constructor or a
+builder takes (`_size`, `_positive`, `_nonnegative`, `_square` and
+`_vector`), which every module calls rather than restating the rule.
+Both live here because every other module already imports
+`ContractViolation` from this one.
 
 Everything is finite-dimensional.  A dense SPD metric caches its
 Cholesky factor and extremal eigenvalues at construction, so weighted
@@ -26,10 +31,8 @@ per-row `a @ row`.  Their dense products are row-blocked per-row GEMVs:
 a matrix of more than _MATVEC_BLOCK_BYTES is taken in blocks of rows,
 each read from cache by every row of the stack.  They are bit for bit
 under one BLAS thread; a multithreaded BLAS may move odd sizes above
-the block by a few ulps.  A metric must have finite entries: a NaN compares
-False, so it would pass the symmetry test and stop the eigensolver
-with a foreign error.  Its symmetric part is taken as 0.5 w + 0.5 w^T,
-which cannot overflow on finite entries.
+the block by a few ulps.  A metric's symmetric part is taken as
+0.5 w + 0.5 w^T, which cannot overflow on its finite entries.
 
 `spectral_norm` and `largest_eig` read one extremal eigenvalue.  Below
 _LANCZOS_MIN_DIM they take it from a dense symmetric eigensolve; from
@@ -150,6 +153,65 @@ class ContractViolation(ValueError):
     """Raised when an operation is called outside its contract."""
 
 
+# The input contract: each check runs once, when an object is built, never
+# per iteration, and raises ContractViolation where a bad input would stop
+# deep in the build with numpy's error, be truncated, or pass a comparison
+# unseen (a NaN compares False).
+def _size(n, what: str, least: int = 1, below: str = "") -> int:
+    """A size or a count as an int, raising unless it is a Python or numpy
+    integer of at least `least` (message `below`, if given): int() would
+    truncate a float, and a bool, which is an int, is not a size."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ContractViolation(f"{what} must be an integer, got {n!r}")
+    if n < least:
+        raise ContractViolation(below or f"{what} must be at least {least}, got {n!r}")
+    return int(n)
+
+
+def _positive(value, what: str) -> float:
+    """A scalar as a float, raising unless it is finite and positive."""
+    v = float(value)
+    if not 0.0 < v < math.inf:
+        raise ContractViolation(f"{what} must be positive and finite")
+    return v
+
+
+def _nonnegative(value, what: str) -> float:
+    """A scalar as a float, raising unless it is finite and nonnegative."""
+    v = float(value)
+    if not 0.0 <= v < math.inf:
+        raise ContractViolation(f"{what} must be finite and nonnegative, got {value!r}")
+    return v
+
+
+def _square(m, what: str) -> tuple[np.ndarray, float]:
+    """m as a float64 array and its largest |entry|, raising unless m is a
+    square, nonempty matrix with finite entries, on which an eigensolver
+    cannot stop with a foreign error.  The one pass that finds the largest
+    |entry| tests finiteness; the relative tolerances scale by it."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ContractViolation(f"a {what} must be square")
+    if m.size == 0:
+        raise ContractViolation(f"a {what} must not be empty")
+    top = float(np.abs(m).max())
+    if not top < math.inf:  # a NaN fails this test too
+        raise ContractViolation(f"{what} entries must be finite")
+    return m, top
+
+
+def _vector(v, shape: tuple, wrong_shape: str, not_finite: str) -> np.ndarray:
+    """v as a float64 array, raising with the message `wrong_shape` unless
+    it has `shape`, (n,) for a vector, and `not_finite` unless every entry
+    is finite."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != shape:
+        raise ContractViolation(wrong_shape)
+    if not np.isfinite(v).all():
+        raise ContractViolation(not_finite)
+    return v
+
+
 # At registry sizes (n = 6-20) a numpy call on the solve's path costs more
 # in dispatch than in arithmetic, so that path calls numpy's kernels
 # directly, with the bits of the calls they replace (tests/test_rounding.py
@@ -177,16 +239,13 @@ def _operand(c: float) -> np.ndarray:
     return a
 
 
-def _symmetric_metric(w: np.ndarray) -> np.ndarray:
-    """The symmetric part of w as 0.5 w + 0.5 w^T, raising unless w is
-    square and nonempty, has finite entries and is symmetric to
+def _symmetric_metric(w) -> np.ndarray:
+    """The symmetric part of w as 0.5 w + 0.5 w^T, raising unless w is a
+    square, nonempty, finite matrix (`_square`) that is symmetric to
     SYMMETRY_TOL relative.
     0.5 w + 0.5 w^T has the bits of 0.5 (w + w^T) away from the subnormal
     range, and does not overflow on finite entries."""
-    _require_square(w, "metric")
-    top = float(np.abs(w).max())
-    if not top < math.inf:  # a NaN fails this test too
-        raise ContractViolation("metric entries must be finite")
+    w, top = _square(w, "metric")
     if np.abs(w - w.T).max() > SYMMETRY_TOL * max(1.0, top):
         raise ContractViolation(f"metric is not symmetric to {SYMMETRY_TOL:g} relative")
     return 0.5 * w + 0.5 * w.T
@@ -243,34 +302,6 @@ def _top_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(z[-1, 0])
 
 
-def _size(n, what: str, below_one: str = "") -> int:
-    """n as an int, raising ContractViolation unless it is a Python or
-    numpy integer of at least 1: int() would truncate a float, and a bool,
-    which is an int, is not a size.  Below 1 the message is `below_one`,
-    by default that `what` must not be empty."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ContractViolation(f"{what} size must be an integer, got {n!r}")
-    if n < 1:
-        raise ContractViolation(below_one or f"{what} must not be empty")
-    return int(n)
-
-
-def _require_square(m: np.ndarray, what: str):
-    """Raise unless m is a nonempty square matrix: an eigensolver would
-    stop on any other with a foreign error."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractViolation(f"{what} must be square")
-    if m.size == 0:
-        raise ContractViolation(f"{what} must not be empty")
-
-
-def _require_finite(m: np.ndarray):
-    """Raise unless every entry of m is finite: a NaN or an infinity would
-    stop an eigensolver with a foreign error, or pass a test unseen."""
-    if not np.isfinite(m).all():
-        raise ContractViolation("matrix entries must be finite")
-
-
 def spectral_norm(m: np.ndarray) -> float:
     """||M||_2 as sqrt(lambda_max) of the smaller Gram matrix of M.
 
@@ -285,7 +316,8 @@ def spectral_norm(m: np.ndarray) -> float:
         raise ContractViolation("spectral norm needs a 2-D matrix")
     if m.size == 0:
         return 0.0
-    _require_finite(m)
+    if not np.isfinite(m).all():
+        raise ContractViolation("matrix entries must be finite")
     tall = m.shape[0] >= m.shape[1]
     if min(m.shape) < _LANCZOS_MIN_DIM:
         gram = m.T @ m if tall else m @ m.T
@@ -304,9 +336,7 @@ def largest_eig(w: np.ndarray) -> float:
     A matrix that is not square, is empty or has a non-finite entry
     raises ContractViolation.
     """
-    w = np.asarray(w, dtype=float)
-    _require_square(w, "matrix")
-    _require_finite(w)
+    w = _square(w, "matrix")[0]
     if w.shape[0] < _LANCZOS_MIN_DIM:
         return float(np.linalg.eigvalsh(w)[-1])
     return _lanczos_max(lambda x: w @ x, w.shape[0])
@@ -318,8 +348,7 @@ class SpdMetric:
     Input is rejected unless it is square and nonempty, its entries are
     finite and it is symmetric to SYMMETRY_TOL relative, then symmetrized
     and rejected unless lambda_min > SPD_TOL * lambda_max; a scalar c
-    must be finite and positive, and its size n a Python or numpy
-    integer of at least 1, not a bool.  `solve`
+    must be finite and positive, and its size n a size (`_size`).  `solve`
     computes W^{-1} v for a vector v, or W^{-1} V for an n x k matrix V,
     by one dpotrs call on the cached Cholesky factor, bit for bit
     `cho_solve`; every metric raises
@@ -332,7 +361,7 @@ class SpdMetric:
     """
 
     def __init__(self, matrix):
-        w = _symmetric_metric(np.asarray(matrix, dtype=float))
+        w = _symmetric_metric(matrix)
         eigs = np.linalg.eigvalsh(w)
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
         if lam_min <= SPD_TOL * lam_max or lam_max <= 0.0:
@@ -372,7 +401,7 @@ class SpdMetric:
 
     @classmethod
     def scaled_identity(cls, c: float, n: int) -> "SpdMetric":
-        n = _size(n, "metric")
+        n = _size(n, "metric size", below="metric must not be empty")
         c = float(c)
         if not c < math.inf:
             raise ContractViolation("metric entries must be finite")

@@ -7,11 +7,8 @@ built through `LipschitzMap.linear(matrix, L)` or
 from the same matrix, so the two cannot disagree, and the kernel views of
 `fourop` may sum declared matrices into one product.  A `SkewMap` always
 holds its matrix.  A map built from an evaluator alone declares none and
-is called as it is.  A declared matrix, and the H of an affine
-resolvent, must be square, nonempty and finite, as a `SkewMap`'s must.
-A declared constant (a Lipschitz constant, an inverse cocoercivity, a
-given skew norm) that is not finite, or out of its range, raises
-ContractViolation when the map is built.
+is called as it is.  Every size, declared constant, matrix and vector
+is checked when its object is built, by the input contract in `linalg`.
 
 The prox catalog covers the closed forms the problem generators use:
 zero, affine (linear solve), l1 soft-threshold, and a combined "l1 plus
@@ -43,15 +40,14 @@ nonlinear-kernel demo.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1
 
-from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation, _operand,
-                     _require_finite, _require_square, _size, spectral_norm)
+from .linalg import (MONOTONE_TOL, RESOLVENT_TOL, SKEW_TOL, ContractViolation, _nonnegative,
+                     _operand, _size, _square, _vector, spectral_norm)
 
 __all__ = [
     "ProxOperator",
@@ -83,12 +79,6 @@ class ProxOperator:
     diag_evaluator = None
 
 
-def _declared(value, what: str) -> None:
-    """Raise ContractViolation unless a declared constant is finite and >= 0."""
-    if not 0.0 <= float(value) < math.inf:  # a NaN fails this test too
-        raise ContractViolation(f"{what} must be finite and nonnegative, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LipschitzMap:
     """Single-valued map with a declared Lipschitz constant.
@@ -104,7 +94,7 @@ class LipschitzMap:
                                          compare=False)
 
     def __post_init__(self):
-        _declared(self.lipschitz_constant, "lipschitz_constant")
+        _nonnegative(self.lipschitz_constant, "lipschitz_constant")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
@@ -113,9 +103,7 @@ class LipschitzMap:
     def linear(cls, matrix, lipschitz_constant: float) -> "LipschitzMap":
         """x -> matrix @ x, with its matrix declared: square, nonempty and
         finite."""
-        a = np.asarray(matrix, dtype=float)
-        _require_square(a, "a declared matrix")
-        _require_finite(a)
+        a = _square(matrix, "declared matrix")[0]
         out = cls(lambda x: a @ x, lipschitz_constant)
         object.__setattr__(out, "matrix", a)
         return out
@@ -140,7 +128,7 @@ class CocoerciveMap:
                                         compare=False)
 
     def __post_init__(self):
-        _declared(self.inverse_cocoercivity, "inverse_cocoercivity")
+        _nonnegative(self.inverse_cocoercivity, "inverse_cocoercivity")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
@@ -150,14 +138,9 @@ class CocoerciveMap:
         """x -> matrix @ x + shift, with its matrix declared, square,
         nonempty and finite, and its shift a finite vector of the
         matrix's size."""
-        a = np.asarray(matrix, dtype=float)
-        _require_square(a, "a declared matrix")
-        _require_finite(a)
-        c = np.asarray(shift, dtype=float)
-        if c.shape != (a.shape[0],):
-            raise ContractViolation("the shift must be a vector of the matrix's size")
-        if not np.isfinite(c).all():
-            raise ContractViolation("shift entries must be finite")
+        a = _square(matrix, "declared matrix")[0]
+        c = _vector(shift, (len(a),), "the shift must be a vector of the matrix's size",
+                    "shift entries must be finite")
         out = cls(lambda x: a @ x + c, inverse_cocoercivity)
         object.__setattr__(out, "matrix", a)
         object.__setattr__(out, "shift", c)
@@ -170,25 +153,14 @@ class SkewMap:
     An all-zero map sets `is_zero`, so that callers may skip it, and
     `operator_norm` = 0.0 without a norm solve.  A caller that already
     knows ||K||_2 passes it as `norm`, and no norm solve runs either.
-    An empty matrix, a matrix with a non-finite entry, or a given norm
-    that is not finite and nonnegative, raises ContractViolation.
     `zero(n)` builds it without forming, checking or storing an n x n
-    matrix, and raises ContractViolation unless n is a Python or numpy
-    integer other than a bool, and like an empty matrix for n < 1; `matrix` is formed only
-    when it is read.
+    matrix; `matrix` is formed only when it is read.
     """
 
     def __init__(self, matrix, norm: Optional[float] = None):
         if norm is not None:
-            _declared(norm, "skew map norm")
-        k = np.asarray(matrix, dtype=float)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ContractViolation("skew map must be a square matrix")
-        if k.size == 0:
-            raise ContractViolation("skew map must not be empty")
-        top = float(np.abs(k).max())
-        if not top < np.inf:  # a NaN fails this test too
-            raise ContractViolation("skew map entries must be finite")
+            _nonnegative(norm, "skew map norm")
+        k, top = _square(matrix, "skew map")
         if np.abs(k + k.T).max() > SKEW_TOL * max(1.0, top):
             raise ContractViolation(f"matrix is not skew-adjoint to {SKEW_TOL:g}")
         self._matrix = k
@@ -212,7 +184,7 @@ class SkewMap:
     def zero(cls, n: int) -> "SkewMap":
         k = cls.__new__(cls)
         k._matrix = None
-        k.dim = _size(n, "skew map")
+        k.dim = _size(n, "skew map size", below="skew map must not be empty")
         k.is_zero = True
         k.operator_norm = 0.0
         return k
@@ -229,7 +201,7 @@ class BlockProx:
     def __init__(self, ops, dims):
         if len(ops) != len(dims) or not ops:
             raise ContractViolation("one prox per block required")
-        self.dims = tuple(_size(d, "block", below_one="block dimensions must be positive")
+        self.dims = tuple(_size(d, "block size", below="block dimensions must be positive")
                           for d in dims)
         self.ops = tuple(ops)
         self.offsets = tuple(np.cumsum((0,) + self.dims))
@@ -266,16 +238,11 @@ def zero_operator() -> ProxOperator:
 def affine_operator(h: np.ndarray, b: np.ndarray) -> ProxOperator:
     """B x = H x + b with H square, nonempty and finite, H + H^T positive
     semidefinite (monotone), and b a finite vector of H's size."""
-    h = np.asarray(h, dtype=float)
-    _require_square(h, "a declared matrix")
-    _require_finite(h)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (h.shape[0],):
-        raise ContractViolation("the shift b must be a vector of H's size")
-    if not np.isfinite(b).all():
-        raise ContractViolation("shift b entries must be finite")
+    h, top = _square(h, "declared matrix")
+    b = _vector(b, (len(h),), "the shift b must be a vector of H's size",
+                "shift b entries must be finite")
     sym = 0.5 * (h + h.T)
-    if np.linalg.eigvalsh(sym)[0] < -MONOTONE_TOL * max(1.0, np.abs(h).max()):
+    if np.linalg.eigvalsh(sym)[0] < -MONOTONE_TOL * max(1.0, top):
         raise ContractViolation("affine operator is not monotone")
     eye = np.eye(h.shape[0])
     # Each solve calls the gufunc np.linalg.solve runs on a float64 vector,
@@ -325,7 +292,7 @@ def _soft(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 def l1_subdifferential(weight: float) -> ProxOperator:
     """B = weight * subdifferential of the l1 norm (soft threshold), with
     weight finite and nonnegative."""
-    _declared(weight, "l1 weight")
+    _nonnegative(weight, "l1 weight")
     memo = (None, None)  # gamma, the threshold gamma * weight
 
     def ev(gamma, y):
@@ -339,14 +306,14 @@ def l1_subdifferential(weight: float) -> ProxOperator:
 
 def l1_plus_diag_affine(lam: float, d: np.ndarray, b: np.ndarray) -> ProxOperator:
     """B x = lam * subdiff ||x||_1 + diag(d) x - b, with lam and every
-    entry of d finite and nonnegative, and every entry of b finite."""
+    entry of d finite and nonnegative, and b a finite array of d's shape
+    (a vector, or a scalar for a scalar d)."""
+    _nonnegative(lam, "lam")
     d = np.asarray(d, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _declared(lam, "lam")
-    if not np.all((0.0 <= d) & (d < math.inf)):  # a NaN fails this test too
-        raise ContractViolation("every entry of d must be finite and nonnegative")
-    if not np.isfinite(b).all():
-        raise ContractViolation("every entry of b must be finite")
+    # the largest entry is finite and the smallest nonnegative; a NaN fails both
+    _nonnegative(float(d.max(initial=0.0)), "every entry of d")
+    _nonnegative(float(d.min(initial=0.0)), "every entry of d")
+    b = _vector(b, d.shape, "b must be of d's shape", "every entry of b must be finite")
     memo = (None, None, None, None)  # gamma, gamma b, 1 + gamma d, gamma lam
 
     def ev(gamma, y):

@@ -18,7 +18,6 @@ regquad-full, saddle, nonlinear-kernel.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional
@@ -37,7 +36,10 @@ from .linalg import (
     SUBGRADIENT_TOL,
     SUPPORT_TOL,
     ContractViolation,
+    _nonnegative,
     _operand,
+    _positive,
+    _size,
     largest_eig,
     spectral_norm,
 )
@@ -132,10 +134,12 @@ def make_rotation_vi(angle_deg: float = 90.0, scale: float = 1.0,
     so the plain forward step I - gamma K expands every point while the
     corrected short step contracts for gamma in (0, 1).
     """
-    if n_even < 2 or n_even % 2 != 0:
-        raise ContractViolation("dimension must be even and >= 2")
-    if not (0.0 < angle_deg < 180.0) or scale <= 0:
-        raise ContractViolation("need angle in (0, 180) and positive scale")
+    n_even = _size(n_even, "n_even", least=2)
+    if n_even % 2 != 0:
+        raise ContractViolation(f"n_even must be even, got {n_even}")
+    if not 0.0 < angle_deg < 180.0:
+        raise ContractViolation(f"need angle in (0, 180), got {angle_deg!r}")
+    _positive(scale, "scale")
     s = scale * np.sin(np.deg2rad(angle_deg))
     kmat = np.zeros((n_even, n_even))
     for i in range(0, n_even, 2):
@@ -305,8 +309,8 @@ def make_regularized_quadratic(n: int = 20, lam: float = 0.1,
     again, from a copy of the generator taken just before it was drawn,
     so the instance keeps no n x n array that only sigma reads.
     """
-    if n < 2 or not 0.0 <= lam < math.inf:  # a NaN fails this test too
-        raise ContractViolation("need n >= 2 and a finite lam >= 0")
+    n = _size(n, "n", least=2)
+    _nonnegative(lam, "lam")
     if split not in ("fbs", "fbhf", "fbf", "full"):
         raise ContractViolation("split must be one of fbs, fbhf, fbf, full")
     rng = Lcg64(seed)
@@ -372,8 +376,7 @@ def make_saddle_pd(n: int = 8, m: int = 6, seed: int = DEFAULT_SEED) -> ProblemI
     sigma = min(lambda_min(H), 1 / lambda_max(G)), since
     A_1^{-1} u = G^{-1}(u - g0); the skew K adds nothing to it.
     """
-    if n < 1 or m < 1:
-        raise ContractViolation("need n, m >= 1")
+    n, m = _size(n, "n"), _size(m, "m")
     rng = Lcg64(seed)
     h = _seeded_spd(rng, n, 0.5)
     b_vec = rng.vector(n)
@@ -411,8 +414,8 @@ def make_nonlinear_kernel_demo(n: int = 12, lam: float = 0.3,
 
     Returns (instance, kernel spec).
     """
-    if n < 1 or not 0.0 <= lam < math.inf:  # a NaN fails this test too
-        raise ContractViolation("need n >= 1 and a finite lam >= 0")
+    n = _size(n, "n")
+    _nonnegative(lam, "lam")
     rng = Lcg64(seed)
     d_diag = 0.5 + rng.vector(n) ** 2
     b_vec = 2.0 * rng.vector(n)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fourop import FourOpProblem, zero_cocoercive, zero_forward
-from .linalg import GRAPH_TOL, ContractViolation, _size
+from .linalg import GRAPH_TOL, ContractViolation, _positive, _size
 from .operators import BlockProx, ProxOperator, SkewMap, inverse_via_moreau
 
 __all__ = [
@@ -46,7 +46,7 @@ class PsProblem:
             raise ContractViolation("at least one block required")
         if len(l_maps) != n - 1:
             raise ContractViolation("need n-1 coupling maps")
-        primal_dim = _size(primal_dim, "primal", below_one="block dimensions must be positive")
+        primal_dim = _size(primal_dim, "primal size", below="block dimensions must be positive")
         mats = []
         for l in l_maps:
             m = np.asarray(l, dtype=float)
@@ -87,9 +87,10 @@ def ps_explicit_oracle(ps: PsProblem, taus: Sequence) -> Callable[[np.ndarray], 
     and the corrected step's normal (Q - K)(p - p_hat) is the published
     (t_1, ..., t_{n-1}, t*).
     """
-    taus = tuple(float(t) for t in taus)
-    if len(taus) != ps.n or not all(0.0 < t < math.inf for t in taus):
-        raise ContractViolation("need one positive and finite step size per block")
+    need, taus = "need one positive and finite step size per block", tuple(taus)
+    if len(taus) != ps.n:
+        raise ContractViolation(f"{need}, got {len(taus)} for {ps.n} blocks")
+    taus = tuple(_positive(t, f"{need}; step size {i + 1}") for i, t in enumerate(taus))
     l_maps, a_ops = ps.l_maps, ps.a_ops
     tau_n, a_n = taus[-1], a_ops[-1]
     split = ps.stacked.b.split

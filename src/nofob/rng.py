@@ -24,6 +24,8 @@ for bit the one that stepping the LCG once per double gives.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _A = 6364136223846793005
@@ -53,7 +55,9 @@ class Lcg64:
     """64-bit LCG yielding arrays of uniform doubles."""
 
     def __init__(self, seed: int):
-        self.state = (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK
+        # operator.index, not int(): a float seed would be truncated to
+        # another seed's stream; it raises TypeError, as range() does
+        self.state = (operator.index(seed) ^ 0x9E3779B97F4A7C15) & _MASK
         # warm up so that small seeds decorrelate
         for _ in range(4):
             self.state = (_A * self.state + _C) & _MASK

@@ -39,8 +39,10 @@ def counting(monkeypatch, owner, attr, counts, key):
     ("regquad-fbf", "fbf", {"fused": 2, "d": 0, "e": 0, "k": 0}),
     ("regquad-fbhf", "fbhf", {"fused": 2, "d": 0, "e": 0, "k": 0}),
     ("regquad-full", "four-op", {"fused": 2, "d": 0, "e": 0, "k": 0}),
-    # the step solves the metric once for its direction
-    ("saddle", "afba-fixed", {"fused": 2, "d": 0, "e": 0, "k": 0, "solve": 1}),
+    # the step solves the metric once for its direction; AFBA's kernel Q is
+    # a LinearPart too, applied at x in the oracle and to d in the kernel
+    # difference, so K's two products and Q's two count here
+    ("saddle", "afba-fixed", {"fused": 4, "d": 0, "e": 0, "k": 0, "solve": 1}),
     ("nonlinear-drift", "four-op", {"fused": 2, "d": 2, "e": 0, "k": 0}),
 ])
 def test_evaluations_per_moving_iteration(monkeypatch, planted_nonlinear_drift,
@@ -174,6 +176,16 @@ def test_saddle_rows_reject_a_tau_list_of_the_wrong_length(algorithm):
         run_algorithm(algorithm, inst, tau=[1.0, 0.1, 5.0])
     # one value stands for both
     assert run_algorithm(algorithm, inst, tau=[1.0], max_iter=2).trajectory.iterations == 3
+
+
+@pytest.mark.parametrize("algorithm, tau", [
+    ("ps-resolvent", "13"), ("ps-explicit", "13"), ("afba", "0.5"), ("four-op", "1"),
+])
+def test_a_str_tau_is_not_split_into_step_sizes(algorithm, tau):
+    # a str is iterable: "13" ran ps-resolvent at the taus (1, 3), and afba
+    # read "0.5" as three step sizes
+    with pytest.raises(ContractViolation, match=f"{algorithm} step sizes must be numbers"):
+        run_algorithm(algorithm, get_instance("saddle"), tau=tau)
 
 
 @pytest.mark.parametrize("algorithm, problem", [

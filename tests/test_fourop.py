@@ -36,6 +36,7 @@ from nofob.operators import (
     zero_operator,
 )
 from nofob.problems import fixed_point_residual, get_instance, make_regularized_quadratic
+from nofob.projective import PsProblem
 from nofob.rng import Lcg64
 
 from conftest import accepted, one_record
@@ -526,6 +527,11 @@ def test_affine_plus_skew_builds_the_afba_kernel():
     assert np.array_equal(q[2:, :2], 2.0 * l.T)
     assert not q[:2, 2:].any()
     assert np.array_equal(spec.p.matrix, 0.5 * (q + q.T))
+    # the bound Q is the kernel's matrix as a LinearPart, which
+    # tests/test_rounding.py pins on vectors and stacks
+    ps = PsProblem([zero_operator(), zero_operator()], [l], 3)
+    bound = spec.bind(ps.stacked).q
+    assert isinstance(bound, LinearPart) and bound.matrix is q and bound.shift is None
     for taus in ((0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0)):
         with pytest.raises(ContractViolation, match="must be positive"):
             AffinePlusSkew(l, *taus)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nofob.problems import get_instance, make_regularized_quadratic
 from nofob.rng import _BLOCK, _SPAN, Lcg64
 
 # uint64 products must wrap silently, as the LCG's mod 2^64 does
@@ -63,3 +64,26 @@ def test_vector_of_length_zero_keeps_the_state_and_negative_lengths_raise():
         with pytest.raises(ValueError):
             rng.vector(n)
     assert rng.state == state
+
+
+@pytest.mark.parametrize("seed", [1.9, 1.0, 1.5, float("nan"), "1"],
+                         ids=["1.9", "1.0", "1.5", "nan", "str"])
+def test_a_seed_that_is_not_an_integer_raises_type_error(seed):
+    # int() truncated it before: 1.9 and 1.5 drew seed 1's stream
+    with pytest.raises(TypeError):
+        Lcg64(seed)
+
+
+def test_a_builder_takes_no_float_seed():
+    # make_regularized_quadratic(seed=1.9) built seed 1's instance, and
+    # get_instance cached seed 1's rotation under the key 1.5
+    with pytest.raises(TypeError):
+        make_regularized_quadratic(seed=1.9)
+    with pytest.raises(TypeError):
+        get_instance("rotation", 1.5)
+
+
+def test_python_and_numpy_integer_seeds_share_a_stream():
+    for seed, same in ((3, np.int64(3)), (-5, np.int32(-5)), (2**64 - 1, np.uint64(2**64 - 1)),
+                       (1, True)):
+        assert Lcg64(seed).vector(6).tobytes() == Lcg64(same).vector(6).tobytes()
